@@ -1,22 +1,11 @@
-# Developer entry points. `make bench` regenerates BENCH_crawl.json, the
-# before/after record of the §4.1 batched-write-path speedup;
-# `make bench-search` regenerates BENCH_search.json, the record of the §3.6
-# snapshot-scorer query speedup; `make bench-overhead` regenerates
-# BENCH_overhead.json, the record of the metrics layer's per-event cost;
-# `make bench-shard` regenerates BENCH_shard.json, the record of the
-# partitioned store's dirty-shard rebuild economy under mixed load;
-# `make bench-serve` regenerates BENCH_serve.json, the record of the
-# serving path's epoch-keyed result-cache speedup under open-loop load;
-# `make bench-segments` regenerates BENCH_segments.json, the record of the
-# disk-native segment tier's heap economy, cold-start speedup, and write
-# amplification; `make bench-frontier` regenerates BENCH_frontier.json, the
-# frontier-scheduler harvest-ratio race; `make smoke` boots portald and
-# drives a loadgen burst end to end, then kill -9s a tiered crawl and
-# verifies WAL recovery.
+# Developer entry points. `make bench` runs the repository's one benchmark
+# (cmd/bench, see its README); `make smoke` boots portald and drives a
+# loadgen burst end to end, then kill -9s a tiered crawl and verifies WAL
+# recovery.
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race chaos smoke smoke-dist smoke-tenant doccheck bench bench-search bench-overhead bench-shard bench-serve bench-segments bench-frontier smoke-frontier
+.PHONY: all build vet fmt-check test race chaos smoke smoke-dist smoke-tenant doccheck bench bench-compare smoke-frontier
 
 all: build test
 
@@ -51,34 +40,17 @@ chaos:
 	CHAOS_SEEDS="$(CHAOS_SEEDS)" $(GO) test -race -count=1 -run 'TestChaos' ./internal/crawler/
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/fetch/
 
-# bench reports crawl throughput for the batched and the legacy write path,
-# then records an interleaved A/B comparison in BENCH_crawl.json.
+# bench runs every workload of BENCHMARK.json (untraced repeats plus one
+# traced run each) and writes the medians, quartiles and spread to
+# .bench_build/results.json.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCrawlThroughput' -benchtime 3x .
-	BENCH_JSON=BENCH_crawl.json $(GO) test -run TestWriteCrawlBenchJSON -v .
+	bash cmd/bench/run.sh run -out .bench_build/results.json
 
-# bench-search reports query throughput for the snapshot and the legacy
-# read path (with -benchmem as the allocation evidence), then records an
-# interleaved A/B comparison in BENCH_search.json.
-bench-search:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchQPS' -benchtime 1s -benchmem .
-	BENCH_JSON=BENCH_search.json $(GO) test -run TestWriteSearchBenchJSON -v .
-
-# bench-shard reports mixed write/query throughput for the sharded (P=8)
-# vs single-shard (P=1) store on the same commit, then records an
-# interleaved A/B comparison — including docs rebuilt per localized write,
-# the dirty-shard economy headline — in BENCH_shard.json.
-bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardChurn' -benchtime 1s -benchmem .
-	BENCH_JSON=BENCH_shard.json $(GO) test -run TestWriteShardBenchJSON -v .
-
-# bench-serve reports requests/sec through the serving handler with the
-# result cache on vs off, then records the full open-loop rate sweep —
-# max sustained QPS under the p99 SLO for both configs, their ratio, and
-# the bit-identical-results equivalence gate — in BENCH_serve.json.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServeQPS' -benchtime 1s -benchmem .
-	BENCH_JSON=BENCH_serve.json $(GO) test -run TestWriteServeBenchJSON -v .
+# bench-compare prints metric · old → new · delta for two result files and
+# exits 1 on a regression beyond a metric's bound:
+#   make bench-compare OLD=old.json NEW=.bench_build/results.json
+bench-compare:
+	bash cmd/bench/run.sh compare $(OLD) $(NEW)
 
 # smoke is the end-to-end serving check CI runs on every push: build
 # portald + loadgen, crawl a tiny world, serve on an ephemeral port, drive
@@ -110,30 +82,8 @@ smoke-tenant:
 doccheck:
 	$(GO) run ./cmd/doccheck internal/rpc internal/coord
 
-# bench-segments reports cold-start latency for the segment tier, then
-# records the tiered-vs-in-memory evidence — corpus held per heap byte,
-# cold start vs gob decode, write amplification, on-disk compression, and
-# the read-API equivalence gate — in BENCH_segments.json. Not part of CI.
-bench-segments:
-	$(GO) test -run '^$$' -bench 'BenchmarkTieredColdStart' -benchtime 3x ./internal/store
-	BENCH_JSON=$(CURDIR)/BENCH_segments.json $(GO) test -run TestWriteSegmentsBenchJSON -v -timeout 600s -count=1 ./internal/store
-
-# bench-frontier runs the frontier scheduling race — every crawl-ordering
-# policy × chaos profile × seed on the small world at a fixed page budget —
-# and records the harvest-ratio table plus the frontier-memory spill
-# evidence in BENCH_frontier.json. Not part of CI (CI runs smoke-frontier).
-bench-frontier:
-	BENCH_JSON=$(CURDIR)/BENCH_frontier.json $(GO) test -run TestWriteFrontierBenchJSON -v -timeout 600s -count=1 ./internal/experiments/
-
 # smoke-frontier is the CI leg of the scheduling lab: every scheduler
 # completes a tiny-world crawl, best-first harvests at least as well as the
 # FIFO baseline, and a budgeted frontier caps its in-memory share.
 smoke-frontier:
 	$(GO) test -run 'TestFrontierSchedulerSmoke|TestFrontierSpillSmoke' -v -count=1 ./internal/experiments/
-
-# bench-overhead reports the per-event cost of the instrumentation
-# primitives (counter inc, histogram observe, trace append) against their
-# no-op nil-handle forms, then records BENCH_overhead.json.
-bench-overhead:
-	$(GO) test -run '^$$' -bench 'BenchmarkMetricsOverhead' -benchmem ./internal/metrics
-	BENCH_JSON=$(CURDIR)/BENCH_overhead.json $(GO) test -run TestWriteOverheadBenchJSON -v ./internal/metrics

@@ -13,19 +13,14 @@ package bingo_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"sort"
-	"syscall"
 	"testing"
 	"time"
 
 	"github.com/bingo-search/bingo/internal/corpus"
 	"github.com/bingo-search/bingo/internal/experiments"
-	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/store"
 )
@@ -241,12 +236,13 @@ func BenchmarkHierarchicalCrawl(b *testing.B) {
 	}
 }
 
-// benchCrawlThroughput measures end-to-end crawl throughput — fetch,
-// parse, classify, store — in pages per second (plus docs/min, the unit of
+// BenchmarkCrawlThroughput measures end-to-end crawl throughput — fetch,
+// parse, classify, store through the persistent worker pool and per-worker
+// workspace bulk loads — in pages per second (plus docs/min, the unit of
 // the §4.1 claim that the batched write path sustains "up to ten thousand
 // documents per minute"; their bottleneck was the network and Oracle, ours
 // is CPU), and heap allocations per stored page.
-func benchCrawlThroughput(b *testing.B, legacyWrites bool) {
+func BenchmarkCrawlThroughput(b *testing.B) {
 	w := smallWorld()
 	var pages, secs, allocs float64
 	for i := 0; i < b.N; i++ {
@@ -254,7 +250,7 @@ func benchCrawlThroughput(b *testing.B, legacyWrites bool) {
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		stats := experiments.RunThroughput(context.Background(), w, 1500, legacyWrites)
+		stats, _ := experiments.RunUnfocusedBaseline(context.Background(), w, 1500)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		if stats.StoredPages == 0 {
@@ -268,164 +264,6 @@ func benchCrawlThroughput(b *testing.B, legacyWrites bool) {
 	b.ReportMetric(pages/(secs/60), "docs/min")
 	b.ReportMetric(allocs/pages, "allocs/page")
 	b.ReportMetric(pages/float64(b.N), "stored")
-}
-
-// BenchmarkCrawlThroughput runs the crawl hot path as shipped: persistent
-// worker pool, per-worker workspaces, bulk loads into the sharded store.
-func BenchmarkCrawlThroughput(b *testing.B) { benchCrawlThroughput(b, false) }
-
-// BenchmarkCrawlThroughputLegacy is the same crawl through the original
-// write path — a goroutine per URL and per-row Store.Insert/AddLink calls
-// under the store locks — kept as the §4.1 before/after baseline
-// (BENCH_crawl.json records the ratio).
-func BenchmarkCrawlThroughputLegacy(b *testing.B) { benchCrawlThroughput(b, true) }
-
-// crawlRun is one timed throughput crawl for TestWriteCrawlBenchJSON.
-// PagesPerSec is pages per CPU-second (getrusage user+system): the crawl is
-// CPU-bound against an in-process synthetic web, and on a shared machine
-// CPU time is immune to the co-tenant steal that makes wall-clock swing
-// ±30% between otherwise identical runs. Wall-clock numbers are recorded
-// alongside for reference.
-type crawlRun struct {
-	PagesPerSec     float64 `json:"pages_per_cpu_sec"`
-	PagesPerWallSec float64 `json:"pages_per_wall_sec"`
-	DocsPerMin      float64 `json:"docs_per_cpu_min"`
-	AllocsPerPage   float64 `json:"allocs_per_page"`
-	StoredPages     int64   `json:"stored_pages"`
-}
-
-// cpuSeconds returns the process's cumulative user+system CPU time.
-func cpuSeconds(t *testing.T) float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		t.Fatalf("getrusage: %v", err)
-	}
-	sec := func(tv syscall.Timeval) float64 {
-		return float64(tv.Sec) + float64(tv.Usec)/1e6
-	}
-	return sec(ru.Utime) + sec(ru.Stime)
-}
-
-// measureCrawl times reps back-to-back crawls as one sample. A single crawl
-// of the ~2k-page world lasts well under 0.1 CPU-seconds — short enough that
-// where the GC cycles happen to land swings the reading by tens of percent —
-// so a sample aggregates several crawls to average that out.
-func measureCrawl(t *testing.T, w *corpus.World, budget int64, reps int, legacy bool) crawlRun {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	cpu0 := cpuSeconds(t)
-	start := time.Now()
-	var pages float64
-	var stored int64
-	for r := 0; r < reps; r++ {
-		stats := experiments.RunThroughput(context.Background(), w, budget, legacy)
-		pages += float64(stats.StoredPages)
-		stored = stats.StoredPages
-	}
-	wallSecs := time.Since(start).Seconds()
-	cpuSecs := cpuSeconds(t) - cpu0
-	runtime.ReadMemStats(&m1)
-	return crawlRun{
-		PagesPerSec:     pages / cpuSecs,
-		PagesPerWallSec: pages / wallSecs,
-		DocsPerMin:      pages / (cpuSecs / 60),
-		AllocsPerPage:   float64(m1.Mallocs-m0.Mallocs) / pages,
-		StoredPages:     stored,
-	}
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
-}
-
-// medianRun folds a mode's runs into one summary row of per-field medians.
-func medianRun(runs []crawlRun, pagesPerCPUSec float64) crawlRun {
-	var wall, allocs []float64
-	for _, r := range runs {
-		wall = append(wall, r.PagesPerWallSec)
-		allocs = append(allocs, r.AllocsPerPage)
-	}
-	return crawlRun{
-		PagesPerSec:     pagesPerCPUSec,
-		PagesPerWallSec: median(wall),
-		DocsPerMin:      pagesPerCPUSec * 60,
-		AllocsPerPage:   median(allocs),
-		StoredPages:     runs[len(runs)/2].StoredPages,
-	}
-}
-
-// TestWriteCrawlBenchJSON measures the batched write path against the
-// legacy per-row path and records the result in a JSON file. The two modes
-// run in alternating pairs and the reported ratio is the median of the
-// per-pair ratios: on a shared machine, load noise hits both runs of a pair
-// roughly equally, which makes the pairwise ratio far more stable than two
-// independent `go test -bench` invocations. Opt-in via BENCH_JSON=<path>
-// (the Makefile `bench` target sets it).
-func TestWriteCrawlBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the crawl A/B measurement")
-	}
-	const rounds = 7
-	const budget = 1500
-	const reps = 4 // crawls aggregated per sample
-	w := smallWorld()
-	// Warm-up: populate OS/runtime caches and the stem memo so round 1 is
-	// not systematically slower for either mode.
-	measureCrawl(t, w, budget, 1, false)
-	measureCrawl(t, w, budget, 1, true)
-
-	var batched, legacy []crawlRun
-	var ratios, newPS, legacyPS []float64
-	for i := 0; i < rounds; i++ {
-		n := measureCrawl(t, w, budget, reps, false)
-		l := measureCrawl(t, w, budget, reps, true)
-		batched = append(batched, n)
-		legacy = append(legacy, l)
-		ratios = append(ratios, n.PagesPerSec/l.PagesPerSec)
-		newPS = append(newPS, n.PagesPerSec)
-		legacyPS = append(legacyPS, l.PagesPerSec)
-		t.Logf("round %d: batched %.0f pages/cpu-sec (%.0f wall), legacy %.0f pages/cpu-sec (%.0f wall), ratio %.2f",
-			i+1, n.PagesPerSec, n.PagesPerWallSec, l.PagesPerSec, l.PagesPerWallSec, n.PagesPerSec/l.PagesPerSec)
-	}
-
-	report := struct {
-		Benchmark   string     `json:"benchmark"`
-		Budget      int64      `json:"page_budget_per_run"`
-		Workers     int        `json:"workers"`
-		Rounds      int        `json:"rounds"`
-		Batched     crawlRun   `json:"batched_median"`
-		Legacy      crawlRun   `json:"legacy_median"`
-		RatioMedian float64    `json:"pages_per_sec_ratio_median"`
-		BatchedRuns []crawlRun `json:"batched_runs"`
-		LegacyRuns  []crawlRun `json:"legacy_runs"`
-	}{
-		Benchmark:   "BenchmarkCrawlThroughput vs BenchmarkCrawlThroughputLegacy (interleaved pairs)",
-		Budget:      budget,
-		Workers:     15,
-		Rounds:      rounds,
-		RatioMedian: median(ratios),
-		BatchedRuns: batched,
-		LegacyRuns:  legacy,
-	}
-	report.Batched = medianRun(batched, median(newPS))
-	report.Legacy = medianRun(legacy, median(legacyPS))
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("median ratio %.2fx (batched %.0f vs legacy %.0f pages/sec) -> %s",
-		report.RatioMedian, report.Batched.PagesPerSec, report.Legacy.PagesPerSec, out)
-	if report.RatioMedian < 1.5 {
-		t.Errorf("batched/legacy pages/sec ratio %.2f below the 1.5x target", report.RatioMedian)
-	}
 }
 
 // BenchmarkClassifierComparison pits the SVM against the Naive Bayes and
@@ -547,10 +385,9 @@ func searchQueryMix() []search.Query {
 }
 
 // benchSearchQPS drives a query mix at one goroutine or GOMAXPROCS.
-func benchSearchQPS(b *testing.B, legacy, parallel bool, queries []search.Query) {
+func benchSearchQPS(b *testing.B, parallel bool, queries []search.Query) {
 	s := buildSearchStore(4000)
 	e := search.New(s)
-	e.LegacyScoring = legacy
 	for _, q := range queries { // warm caches/snapshot outside the timer
 		e.Search(q)
 	}
@@ -571,206 +408,32 @@ func benchSearchQPS(b *testing.B, legacy, parallel bool, queries []search.Query)
 	}
 }
 
-// BenchmarkSearchQPS measures queries/sec of the snapshot read path against
-// the legacy per-candidate scorer, single-goroutine and parallel, with and
-// without phrase, topic, and authority components (the interleaved A/B with
-// JSON output is TestWriteSearchBenchJSON).
+// BenchmarkSearchQPS measures queries/sec of the snapshot read path,
+// single-goroutine and parallel, with and without phrase, topic, and
+// authority components.
 func BenchmarkSearchQPS(b *testing.B) {
 	phrase := []search.Query{{Text: `"transaction recovery" protocols`}, {Text: `"source code release"`}}
 	authority := []search.Query{{Text: "recovery transaction", Weights: search.Weights{Cosine: 0.5, Authority: 0.5}}}
 	topic := []search.Query{{Text: "recovery", Topic: "ROOT/db"}, {Text: "transaction", Topic: "ROOT/db/recovery"}}
 	for _, v := range []struct {
 		name     string
-		legacy   bool
 		parallel bool
 		queries  []search.Query
 	}{
-		{"Indexed", false, false, searchQueryMix()},
-		{"Legacy", true, false, searchQueryMix()},
-		{"IndexedParallel", false, true, searchQueryMix()},
-		{"LegacyParallel", true, true, searchQueryMix()},
-		{"IndexedPhrase", false, false, phrase},
-		{"LegacyPhrase", true, false, phrase},
-		{"IndexedTopic", false, false, topic},
-		{"IndexedAuthority", false, false, authority},
-		{"LegacyAuthority", true, false, authority},
+		{"Indexed", false, searchQueryMix()},
+		{"IndexedParallel", true, searchQueryMix()},
+		{"IndexedPhrase", false, phrase},
+		{"IndexedTopic", false, topic},
+		{"IndexedAuthority", false, authority},
 	} {
-		b.Run(v.name, func(b *testing.B) { benchSearchQPS(b, v.legacy, v.parallel, v.queries) })
-	}
-}
-
-// searchRun is one timed query-throughput sample. Queries per CPU-second is
-// the headline for the same reason as crawlRun: CPU time is immune to
-// co-tenant steal on a shared machine.
-type searchRun struct {
-	QueriesPerCPUSec  float64 `json:"queries_per_cpu_sec"`
-	QueriesPerWallSec float64 `json:"queries_per_wall_sec"`
-	AllocsPerQuery    float64 `json:"allocs_per_query"`
-}
-
-// measureSearch runs n queries from the mix as one sample.
-func measureSearch(t *testing.T, e *search.Engine, queries []search.Query, n int) searchRun {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	cpu0 := cpuSeconds(t)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		e.Search(queries[i%len(queries)])
-	}
-	wallSecs := time.Since(start).Seconds()
-	cpuSecs := cpuSeconds(t) - cpu0
-	runtime.ReadMemStats(&m1)
-	return searchRun{
-		QueriesPerCPUSec:  float64(n) / cpuSecs,
-		QueriesPerWallSec: float64(n) / wallSecs,
-		AllocsPerQuery:    float64(m1.Mallocs-m0.Mallocs) / float64(n),
-	}
-}
-
-// TestWriteSearchBenchJSON measures the snapshot read path against the
-// legacy scorer on the same store and records the result in a JSON file.
-// Methodology mirrors TestWriteCrawlBenchJSON: alternating pairs, per-pair
-// ratios, median ratio as the headline — pairwise interleaving cancels the
-// load noise of a shared machine. Opt-in via BENCH_JSON=<path> (the
-// Makefile `bench-search` target sets it).
-func TestWriteSearchBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the search A/B measurement")
-	}
-	const rounds = 7
-	const queriesPerSample = 400
-	s := buildSearchStore(4000)
-	indexed := search.New(s)
-	legacy := search.New(s)
-	legacy.LegacyScoring = true
-	mix := searchQueryMix()
-	measureSearch(t, indexed, mix, 20) // warm snapshot + pools
-	measureSearch(t, legacy, mix, 20)  // warm idf cache + stem memo
-
-	var idxRuns, legRuns []searchRun
-	var ratios, idxQPS, legQPS []float64
-	for i := 0; i < rounds; i++ {
-		n := measureSearch(t, indexed, mix, queriesPerSample)
-		l := measureSearch(t, legacy, mix, queriesPerSample)
-		idxRuns = append(idxRuns, n)
-		legRuns = append(legRuns, l)
-		ratios = append(ratios, n.QueriesPerCPUSec/l.QueriesPerCPUSec)
-		idxQPS = append(idxQPS, n.QueriesPerCPUSec)
-		legQPS = append(legQPS, l.QueriesPerCPUSec)
-		t.Logf("round %d: indexed %.0f q/cpu-sec (%.2f allocs/q), legacy %.0f q/cpu-sec (%.0f allocs/q), ratio %.2f",
-			i+1, n.QueriesPerCPUSec, n.AllocsPerQuery, l.QueriesPerCPUSec, l.AllocsPerQuery,
-			n.QueriesPerCPUSec/l.QueriesPerCPUSec)
-	}
-
-	var idxAllocs, legAllocs, idxWall, legWall []float64
-	for i := range idxRuns {
-		idxAllocs = append(idxAllocs, idxRuns[i].AllocsPerQuery)
-		legAllocs = append(legAllocs, legRuns[i].AllocsPerQuery)
-		idxWall = append(idxWall, idxRuns[i].QueriesPerWallSec)
-		legWall = append(legWall, legRuns[i].QueriesPerWallSec)
-	}
-	report := struct {
-		Benchmark   string      `json:"benchmark"`
-		Docs        int         `json:"docs"`
-		QuerySample int         `json:"queries_per_sample"`
-		Rounds      int         `json:"rounds"`
-		Indexed     searchRun   `json:"indexed_median"`
-		Legacy      searchRun   `json:"legacy_median"`
-		RatioMedian float64     `json:"queries_per_cpu_sec_ratio_median"`
-		IndexedRuns []searchRun `json:"indexed_runs"`
-		LegacyRuns  []searchRun `json:"legacy_runs"`
-	}{
-		Benchmark:   "BenchmarkSearchQPS Indexed vs Legacy (interleaved pairs, mixed query shapes)",
-		Docs:        4000,
-		QuerySample: queriesPerSample,
-		Rounds:      rounds,
-		RatioMedian: median(ratios),
-		IndexedRuns: idxRuns,
-		LegacyRuns:  legRuns,
-	}
-	report.Indexed = searchRun{
-		QueriesPerCPUSec:  median(idxQPS),
-		QueriesPerWallSec: median(idxWall),
-		AllocsPerQuery:    median(idxAllocs),
-	}
-	report.Legacy = searchRun{
-		QueriesPerCPUSec:  median(legQPS),
-		QueriesPerWallSec: median(legWall),
-		AllocsPerQuery:    median(legAllocs),
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("median ratio %.2fx (indexed %.0f vs legacy %.0f queries/cpu-sec) -> %s",
-		report.RatioMedian, report.Indexed.QueriesPerCPUSec, report.Legacy.QueriesPerCPUSec, out)
-	if report.RatioMedian < 3 {
-		t.Errorf("indexed/legacy queries/cpu-sec ratio %.2f below the 3x target", report.RatioMedian)
+		b.Run(v.name, func(b *testing.B) { benchSearchQPS(b, v.parallel, v.queries) })
 	}
 }
 
 // ---- Sharded store: dirty-rebuild economy under mixed write/query load ----
 
-// shardChurnOps is one write+query op batch of the shard benchmark: one
-// localized insert followed by queries that force a fresh snapshot.
-const shardChurnQueriesPerWrite = 2
-
-// shardRun is one timed mixed-load sample over a store with P shards. Ops
-// per CPU-second is the headline; DocsRebuiltPerWrite is the direct
-// evidence for the incremental economy — how many document rows the search
-// layer had to rematerialize per localized write (P=1 pays the whole
-// corpus, P=8 pays roughly corpus/8).
-type shardRun struct {
-	OpsPerCPUSec        float64 `json:"ops_per_cpu_sec"`
-	OpsPerWallSec       float64 `json:"ops_per_wall_sec"`
-	DocsRebuiltPerWrite float64 `json:"docs_rebuilt_per_write"`
-	ShardRebuilds       int64   `json:"shard_snapshot_rebuilds"`
-	ShardReuses         int64   `json:"shard_snapshots_reused"`
-}
-
-// measureShardChurn drives writes (round-robin over a small URL pool, so
-// each write lands on one shard) interleaved with queries, and reads the
-// process-wide shard-rebuild counters around the sample.
-func measureShardChurn(t *testing.T, s *store.Store, e *search.Engine, queries []search.Query, writes int) shardRun {
-	rebuilt := metrics.NewCounter("search_shard_docs_rebuilt_total")
-	shardRebuilds := metrics.NewCounter("search_shard_snapshot_rebuilds_total")
-	shardReuses := metrics.NewCounter("search_shard_snapshots_reused_total")
-	r0, b0, u0 := rebuilt.Value(), shardRebuilds.Value(), shardReuses.Value()
-	cpu0 := cpuSeconds(t)
-	start := time.Now()
-	ops := 0
-	for i := 0; i < writes; i++ {
-		s.Insert(store.Document{
-			URL:        fmt.Sprintf("http://churn.example/slot%d", i%64),
-			Topic:      "ROOT/db",
-			Confidence: float64(i%100) / 100,
-			Terms:      map[string]int{"recoveri": 1 + i%3, "churn": 2},
-		})
-		ops++
-		for q := 0; q < shardChurnQueriesPerWrite; q++ {
-			e.Search(queries[(i+q)%len(queries)])
-			ops++
-		}
-	}
-	wallSecs := time.Since(start).Seconds()
-	cpuSecs := cpuSeconds(t) - cpu0
-	return shardRun{
-		OpsPerCPUSec:        float64(ops) / cpuSecs,
-		OpsPerWallSec:       float64(ops) / wallSecs,
-		DocsRebuiltPerWrite: float64(rebuilt.Value()-r0) / float64(writes),
-		ShardRebuilds:       shardRebuilds.Value() - b0,
-		ShardReuses:         shardReuses.Value() - u0,
-	}
-}
-
-// BenchmarkShardChurn is the `go test -bench` view of the mixed load: one
-// localized insert + queries per iteration, sharded vs single-shard.
+// BenchmarkShardChurn drives the mixed load: one localized insert plus a
+// query that forces a fresh snapshot per iteration, sharded vs single-shard.
 func BenchmarkShardChurn(b *testing.B) {
 	for _, v := range []struct {
 		name   string
@@ -793,105 +456,5 @@ func BenchmarkShardChurn(b *testing.B) {
 				e.Search(mix[i%len(mix)])
 			}
 		})
-	}
-}
-
-// TestWriteShardBenchJSON measures the sharded store (P=8) against a
-// single-shard store built from the same commit under a mixed localized-
-// write/query load, recording ops/CPU-sec and the dirty-rebuild economy.
-// Methodology mirrors TestWriteCrawlBenchJSON: alternating pairs, per-pair
-// ratios, median ratio as the headline. Opt-in via BENCH_JSON=<path> (the
-// Makefile `bench-shard` target sets it).
-func TestWriteShardBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the shard A/B measurement")
-	}
-	const rounds = 7
-	const writesPerSample = 60
-	const docs = 4000
-	mix := searchQueryMix()
-
-	sharded := store.NewSharded(8)
-	fillSearchStore(sharded, docs)
-	single := store.NewSharded(1)
-	fillSearchStore(single, docs)
-	se := search.New(sharded)
-	le := search.New(single)
-	measureShardChurn(t, sharded, se, mix, 10) // warm snapshots + pools
-	measureShardChurn(t, single, le, mix, 10)
-
-	var shardRuns, singleRuns []shardRun
-	var ratios, shardOps, singleOps []float64
-	for i := 0; i < rounds; i++ {
-		a := measureShardChurn(t, sharded, se, mix, writesPerSample)
-		b := measureShardChurn(t, single, le, mix, writesPerSample)
-		shardRuns = append(shardRuns, a)
-		singleRuns = append(singleRuns, b)
-		ratios = append(ratios, a.OpsPerCPUSec/b.OpsPerCPUSec)
-		shardOps = append(shardOps, a.OpsPerCPUSec)
-		singleOps = append(singleOps, b.OpsPerCPUSec)
-		t.Logf("round %d: P=8 %.0f ops/cpu-sec (%.0f docs rebuilt/write), P=1 %.0f ops/cpu-sec (%.0f docs rebuilt/write), ratio %.2f",
-			i+1, a.OpsPerCPUSec, a.DocsRebuiltPerWrite, b.OpsPerCPUSec, b.DocsRebuiltPerWrite,
-			a.OpsPerCPUSec/b.OpsPerCPUSec)
-	}
-
-	medRun := func(runs []shardRun, ops float64) shardRun {
-		var wall, rebuilt []float64
-		var sb, su int64
-		for _, r := range runs {
-			wall = append(wall, r.OpsPerWallSec)
-			rebuilt = append(rebuilt, r.DocsRebuiltPerWrite)
-			sb += r.ShardRebuilds
-			su += r.ShardReuses
-		}
-		return shardRun{
-			OpsPerCPUSec:        ops,
-			OpsPerWallSec:       median(wall),
-			DocsRebuiltPerWrite: median(rebuilt),
-			ShardRebuilds:       sb,
-			ShardReuses:         su,
-		}
-	}
-	report := struct {
-		Benchmark    string     `json:"benchmark"`
-		Docs         int        `json:"docs"`
-		WritesSample int        `json:"writes_per_sample"`
-		Rounds       int        `json:"rounds"`
-		Sharded      shardRun   `json:"sharded_p8_median"`
-		Single       shardRun   `json:"single_p1_median"`
-		RatioMedian  float64    `json:"ops_per_cpu_sec_ratio_median"`
-		RebuildRatio float64    `json:"docs_rebuilt_per_write_p1_over_p8"`
-		ShardedRuns  []shardRun `json:"sharded_runs"`
-		SingleRuns   []shardRun `json:"single_runs"`
-	}{
-		Benchmark:    "BenchmarkShardChurn P8 vs P1 (interleaved pairs, localized writes + mixed queries)",
-		Docs:         docs,
-		WritesSample: writesPerSample,
-		Rounds:       rounds,
-		RatioMedian:  median(ratios),
-		ShardedRuns:  shardRuns,
-		SingleRuns:   singleRuns,
-	}
-	report.Sharded = medRun(shardRuns, median(shardOps))
-	report.Single = medRun(singleRuns, median(singleOps))
-	if report.Sharded.DocsRebuiltPerWrite > 0 {
-		report.RebuildRatio = report.Single.DocsRebuiltPerWrite / report.Sharded.DocsRebuiltPerWrite
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("median ops ratio %.2fx; docs rebuilt/write: P=1 %.0f vs P=8 %.0f (%.1fx less) -> %s",
-		report.RatioMedian, report.Single.DocsRebuiltPerWrite, report.Sharded.DocsRebuiltPerWrite,
-		report.RebuildRatio, out)
-	// The economy claim: a localized write must rematerialize far fewer
-	// document rows on the sharded store than on the monolithic one.
-	if report.RebuildRatio < 3 {
-		t.Errorf("P=1 rebuilds only %.1fx more docs per write than P=8; want >= 3x", report.RebuildRatio)
 	}
 }

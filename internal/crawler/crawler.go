@@ -32,9 +32,7 @@ import (
 // throughput drop can be attributed to one pipeline stage; the busy/idle
 // counters give worker-pool utilization (busy ÷ (busy+idle)); and each
 // stage emits a trace span into the default ring so /tracez can replay one
-// page end to end. Instrumentation lives in process(), which both the
-// batched and the legacy write paths share, so the §4.1 A/B benchmark
-// ratios stay fair.
+// page end to end.
 var (
 	mPagesFetched   = metrics.NewCounter("crawler_pages_fetched_total")
 	mPagesStored    = metrics.NewCounter("crawler_pages_stored_total")
@@ -124,13 +122,6 @@ type Config struct {
 	// workspace (default 200ms), so observers of the store see crawl
 	// progress even when batches fill slowly.
 	FlushInterval time.Duration
-	// LegacyWrites routes every row through the per-row
-	// Store.Insert/AddLink/AddRedirect path with a goroutine spawned per
-	// URL — the write path the paper's §4.1 lesson argues against. It is
-	// kept so the bulk-load speedup stays measurable against a same-binary
-	// baseline (BenchmarkCrawlThroughputLegacy); production crawls leave
-	// it false.
-	LegacyWrites bool
 	// PerHostDelay enforces a minimum interval between consecutive requests
 	// to one host (0 = disabled; crawl-delay style politeness).
 	PerHostDelay time.Duration
@@ -170,8 +161,7 @@ type Stats struct {
 type Crawler struct {
 	cfg   Config
 	pipe  *textproc.Pipeline
-	stems func(title, text string) []string // analyzer hot path; uncached in legacy mode
-	hosts sync.Map                          // visited hosts set
+	hosts sync.Map // visited hosts set
 
 	visited    atomic.Int64
 	stored     atomic.Int64
@@ -206,20 +196,7 @@ func New(cfg Config) *Crawler {
 	if cfg.DegradedConfidenceFactor <= 0 || cfg.DegradedConfidenceFactor > 1 {
 		cfg.DegradedConfidenceFactor = 0.5
 	}
-	c := &Crawler{cfg: cfg, pipe: textproc.NewPipeline()}
-	if cfg.LegacyWrites {
-		// The legacy baseline measures the whole pre-optimization hot path,
-		// so it also bypasses the stem memo, the pooled token buffers, and
-		// the join-free tokenization.
-		c.stems = func(title, text string) []string {
-			return c.pipe.StemsUncached(title + " " + text)
-		}
-	} else {
-		c.stems = func(title, text string) []string {
-			return c.pipe.StemsParts(title, text)
-		}
-	}
-	return c
+	return &Crawler{cfg: cfg, pipe: textproc.NewPipeline()}
 }
 
 // Seed enqueues the starting URLs for a topic. Seeds carry the IsSeed flag,
@@ -243,10 +220,6 @@ func (c *Crawler) Seed(topic string, urls ...string) {
 func (c *Crawler) Run(ctx context.Context) Stats {
 	limiter := newHostLimiterDelay(c.cfg.MaxPerHost, c.cfg.MaxPerDomain, c.cfg.PerHostDelay)
 	defer limiter.Close()
-
-	if c.cfg.LegacyWrites {
-		return c.runLegacy(ctx, limiter)
-	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -303,52 +276,8 @@ func (c *Crawler) worker(ctx context.Context, cancel context.CancelFunc, limiter
 	}
 }
 
-// runLegacy is the original execution model — a dispatch loop spawning one
-// goroutine per URL, writing every row through the store's per-row path —
-// preserved as the measurable §4.1 baseline.
-func (c *Crawler) runLegacy(ctx context.Context, limiter *hostLimiter) Stats {
-	slots := make(chan struct{}, c.cfg.Workers)
-	var inflight sync.WaitGroup
-	for {
-		if ctx.Err() != nil {
-			break
-		}
-		if c.cfg.PageBudget > 0 && c.visited.Load() >= c.cfg.PageBudget {
-			break
-		}
-		it, ok := c.cfg.Frontier.PopWait(ctx)
-		if !ok {
-			break
-		}
-		select {
-		case slots <- struct{}{}:
-		case <-ctx.Done():
-			c.cfg.Frontier.Done()
-			inflight.Wait()
-			if c.cfg.Sink != nil {
-				_ = c.cfg.Sink.Flush()
-			}
-			return c.Stats()
-		}
-		inflight.Add(1)
-		go func(it frontier.Item) {
-			defer func() {
-				<-slots
-				c.cfg.Frontier.Done()
-				inflight.Done()
-			}()
-			c.process(ctx, it, limiter, nil)
-		}(it)
-	}
-	inflight.Wait()
-	if c.cfg.Sink != nil {
-		_ = c.cfg.Sink.Flush()
-	}
-	return c.Stats()
-}
-
 // process handles one frontier item end to end. Rows are buffered in ws and
-// bulk-loaded; a nil ws selects the legacy per-row write path.
+// bulk-loaded.
 func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLimiter, ws *store.Workspace) {
 	if c.cfg.MaxDepth > 0 && it.Depth > c.cfg.MaxDepth {
 		c.cfg.Frontier.DropDepth()
@@ -427,9 +356,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	resolve := func(base, href string) (string, bool) {
 		// Absolute hrefs don't depend on the document base, and the same
 		// targets recur across pages, so their normalization is memoized.
-		// The legacy baseline (ws == nil) predates the memo and re-parses
-		// every href, as the original hot path did.
-		if ws != nil && base == "" && urlnorm.Cacheable(href) {
+		if base == "" && urlnorm.Cacheable(href) {
 			return urlnorm.NormalizeCached(href)
 		}
 		from := final
@@ -451,12 +378,9 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	parseStart := time.Now()
 	doc, err := htmldoc.Convert(res.ContentType, res.Body, resolve)
 	mParseNanos.ObserveSince(parseStart)
-	if ws != nil {
-		// Handlers copy what they keep, so the body buffer can go straight
-		// back to the fetcher's pool. The legacy baseline predates body
-		// pooling and lets each buffer become garbage instead.
-		res.ReleaseBody()
-	}
+	// Handlers copy what they keep, so the body buffer can go straight back
+	// to the fetcher's pool.
+	res.ReleaseBody()
 	if err != nil {
 		metrics.Span("parse", it.URL, parseStart, "parse-error")
 		c.errs.Add(1)
@@ -467,7 +391,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 
 	// Document analysis -> classification.
 	classifyStart := time.Now()
-	stems := c.stems(doc.Title, doc.Text)
+	stems := c.pipe.StemsParts(doc.Title, doc.Text)
 	var anchors []string
 	if it.Anchor != "" {
 		anchors = append(anchors, it.Anchor)
@@ -505,15 +429,9 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	// Store the document and its link rows (all crawled documents are kept
 	// in the database, including rejected ones).
 	// Pre-sized to the stem count so the map never rehashes while filling;
-	// repeated terms leave some slack, which the store keeps anyway. The
-	// legacy baseline grows its map from empty, as the per-row path did.
+	// repeated terms leave some slack, which the store keeps anyway.
 	storeStart := time.Now()
-	var terms map[string]int
-	if ws != nil {
-		terms = make(map[string]int, len(stems))
-	} else {
-		terms = map[string]int{}
-	}
+	terms := make(map[string]int, len(stems))
 	for _, s := range stems {
 		terms[s]++
 	}
@@ -530,22 +448,12 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 		Terms:       terms,
 		CrawledAt:   time.Now(),
 	}
-	if ws != nil {
-		ws.Add(sd)
-		for _, r := range res.Redirects {
-			ws.AddRedirect(store.Redirect{From: it.URL, To: r})
-		}
-		for _, l := range doc.Links {
-			ws.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
-		}
-	} else {
-		c.cfg.Store.Insert(sd)
-		for _, r := range res.Redirects {
-			c.cfg.Store.AddRedirect(store.Redirect{From: it.URL, To: r})
-		}
-		for _, l := range doc.Links {
-			c.cfg.Store.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
-		}
+	ws.Add(sd)
+	for _, r := range res.Redirects {
+		ws.AddRedirect(store.Redirect{From: it.URL, To: r})
+	}
+	for _, l := range doc.Links {
+		ws.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
 	}
 	if sink := c.cfg.Sink; sink != nil {
 		// Tee the same rows to the external sink; delivery buffering,

@@ -80,36 +80,3 @@ func TestWorkerPoolMatchesSequential(t *testing.T) {
 		t.Error("batched crawl performed no bulk loads")
 	}
 }
-
-// TestLegacyWritesMatchBatched checks that the legacy per-row baseline is a
-// faithful functional equivalent: same stored pages, but written through
-// Store.Insert instead of workspace bulk loads.
-func TestLegacyWritesMatchBatched(t *testing.T) {
-	batched, _, _ := crawlKeySet(t, func(cfg *Config) {
-		cfg.Workers = 8
-		cfg.BatchSize = 4
-	})
-	legacy, lst, _ := crawlKeySet(t, func(cfg *Config) {
-		cfg.Workers = 8
-		cfg.LegacyWrites = true
-	})
-
-	if len(legacy) == 0 {
-		t.Fatal("legacy crawl stored nothing")
-	}
-	if len(batched) != len(legacy) {
-		t.Fatalf("batched stored %d pages, legacy stored %d", len(batched), len(legacy))
-	}
-	for i := range batched {
-		if batched[i] != legacy[i] {
-			t.Fatalf("stored page sets diverge at %d: %q vs %q", i, batched[i], legacy[i])
-		}
-	}
-	inserts, bulkLoads := lst.Counters()
-	if inserts == 0 {
-		t.Error("legacy crawl performed no per-row inserts")
-	}
-	if bulkLoads != 0 {
-		t.Errorf("legacy crawl performed %d bulk loads, want 0", bulkLoads)
-	}
-}

@@ -46,44 +46,24 @@ func RunUnfocusedBaseline(ctx context.Context, w *corpus.World, budget int64) (c
 	return stats, stored
 }
 
-// RunThroughput is the crawl-throughput harness behind
-// BenchmarkCrawlThroughput: the unfocused baseline crawl with the write
-// path selectable, so the §4.1 batched bulk-load path can be measured
-// against the legacy per-row insert path in the same binary.
-func RunThroughput(ctx context.Context, w *corpus.World, budget int64, legacyWrites bool) crawler.Stats {
-	resolver := dns.NewResolver(dns.Config{}, w.DNSServer())
-	f := fetch.New(fetch.Config{
-		Transport: w.RoundTripper(),
-		Resolver:  resolver,
-		Timeout:   5 * time.Second,
-	}, nil, nil)
-	c := crawler.New(crawler.Config{
-		Fetcher:  f,
-		Frontier: frontier.New(frontier.DefaultConfig()),
-		Store:    store.New(),
-		Classify: func(d classify.Doc) classify.Result {
-			return classify.Result{Topic: "ROOT/any", Confidence: 0.5, Accepted: true}
-		},
-		Workers:      15,
-		PageBudget:   budget,
-		Focus:        crawler.SoftFocus,
-		Strategy:     crawler.BreadthFirst,
-		LegacyWrites: legacyWrites,
-	})
-	c.Seed("ROOT/any", w.SeedURLs()...)
-	return c.Run(ctx)
-}
-
 // TunnellingAblation reruns the portal crawl at different tunnelling depths
 // (§3.3; the paper uses 2). The budget should be large enough to saturate
 // the tunnel-free reachable subgraph — the interesting effect is that
 // documents "behind" topic-unspecific welcome pages are unreachable without
 // tunnelling no matter how long the crawl runs.
 func TunnellingAblation(ctx context.Context, w *corpus.World, budget int64, depths []int) (map[int]*PortalRun, error) {
+	return tunnellingAblation(ctx, w, budget, depths, 0)
+}
+
+// tunnellingAblation is TunnellingAblation at a given crawler thread count
+// (0 = the engine default); the test pins one worker so that the runs it
+// compares differ in tunnelling depth only, not in interleaving.
+func tunnellingAblation(ctx context.Context, w *corpus.World, budget int64, depths []int, workers int) (map[int]*PortalRun, error) {
 	out := map[int]*PortalRun{}
 	for _, d := range depths {
 		depth := d
 		run, err := RunPortal(ctx, w, budget/4, budget-budget/4, func(c *coreConfig) {
+			c.Workers = workers
 			c.MaxTunnelDepth = depth
 			if depth == 0 {
 				c.MaxTunnelDepth = -1 // core treats 0 as "use default"; -1 clamps to 0

@@ -33,11 +33,15 @@ func TestTable1ShapeHolds(t *testing.T) {
 func TestPrecisionTablesImproveWithBudget(t *testing.T) {
 	w := tinyWorld()
 	ctx := context.Background()
-	shortRun, err := RunPortal(ctx, w, 30, 60, nil)
+	// One worker: the two crawls are independent, and with 15 workers the
+	// interleaving decides which pages fit in each budget, so the short run
+	// can out-recall the long one by luck.
+	oneWorker := func(c *coreConfig) { c.Workers = 1 }
+	shortRun, err := RunPortal(ctx, w, 30, 60, oneWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	longRun, err := RunPortal(ctx, w, 30, 320, nil)
+	longRun, err := RunPortal(ctx, w, 30, 320, oneWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +146,15 @@ func TestFocusedVsUnfocused(t *testing.T) {
 
 func TestTunnellingAblation(t *testing.T) {
 	w := tinyWorld()
-	// saturating budget: tunnelling must unlock pages behind welcome pages
-	out, err := TunnellingAblation(context.Background(), w, 600, []int{0, 2})
+	// saturating budget: tunnelling must unlock pages behind welcome pages.
+	// One worker: with 15, the two independent crawls differ by up to ten
+	// authors either way from interleaving alone.
+	out, err := tunnellingAblation(context.Background(), w, 600, []int{0, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The tiny world saturates at this budget, so classifier/order noise of
-	// a couple of authors is expected; tunnelling must not lose more.
+	// The tiny world saturates at this budget, so classifier noise of a
+	// couple of authors is tolerated; tunnelling must not lose more.
 	ev0 := Recall(w, out[0], 10)
 	ev2 := Recall(w, out[2], 10)
 	if ev2.FoundAll+2 < ev0.FoundAll {

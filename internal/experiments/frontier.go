@@ -32,20 +32,20 @@ import (
 
 // FrontierCell is one (scheduler, profile, seed) crawl of the race.
 type FrontierCell struct {
-	Scheduler string  `json:"scheduler"`
-	Profile   string  `json:"profile"`
-	Seed      int64   `json:"seed"`
-	Budget    int64   `json:"page_budget"`
-	Visited   int64   `json:"visited"`
-	Stored    int64   `json:"stored"`
-	OnTopic   int64   `json:"on_topic"`
-	Harvest   float64 `json:"harvest_ratio"` // OnTopic / Visited
+	Scheduler string
+	Profile   string
+	Seed      int64
+	Budget    int64
+	Visited   int64
+	Stored    int64
+	OnTopic   int64
+	Harvest   float64 // OnTopic / Visited
 	// Curve is the cumulative on-topic count at each quarter of the fetch
 	// budget (fetch attempts, not visits — with one worker and few retries
 	// the two track closely).
-	Curve        []int64 `json:"on_topic_at_quarter_budgets"`
-	PeakInMemory int     `json:"frontier_peak_in_memory"`
-	SpilledPeak  int64   `json:"frontier_spilled_peak"`
+	Curve        []int64
+	PeakInMemory int
+	SpilledPeak  int64
 }
 
 // frontierCellSpec parameterizes one race cell.
@@ -298,11 +298,11 @@ func FormatFrontierRace(cells []FrontierCell, budget int64) string {
 // on the same crawl: the bounded run's in-memory high-water mark must sit
 // at the budget while the unbounded one grows with the link frontier.
 type FrontierSpillReport struct {
-	FrontierBudget int     `json:"frontier_budget"`
-	PeakUnbounded  int     `json:"peak_in_memory_unbounded"`
-	PeakBounded    int     `json:"peak_in_memory_bounded"`
-	SpilledPeak    int64   `json:"spilled_peak_bounded"`
-	HarvestDelta   float64 `json:"harvest_ratio_delta"` // bounded − unbounded
+	FrontierBudget int
+	PeakUnbounded  int
+	PeakBounded    int
+	SpilledPeak    int64
+	HarvestDelta   float64 // bounded − unbounded
 }
 
 // FrontierSpillEvidence runs the best-first scheduler fault-free twice —

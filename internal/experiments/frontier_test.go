@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"github.com/bingo-search/bingo/internal/corpus"
@@ -60,56 +58,4 @@ func TestFrontierSpillSmoke(t *testing.T) {
 	if rep.HarvestDelta != 0 {
 		t.Errorf("spill changed the harvest ratio by %+.3f on a deterministic crawl", rep.HarvestDelta)
 	}
-}
-
-// TestWriteFrontierBenchJSON is the full race: every scheduler × three
-// chaos profiles × three seeds on the small world, plus the frontier-memory
-// evidence. Opt-in via BENCH_JSON (the Makefile bench-frontier target);
-// the markdown table it logs is the source of the EXPERIMENTS.md section.
-func TestWriteFrontierBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the frontier scheduling race")
-	}
-	w := corpus.Generate(corpus.SmallConfig())
-	const budget = 400
-	cells, report, err := FrontierRace(w, budget,
-		[]string{"off", "default", "flaky"}, []int64{1, 7, 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", report)
-
-	spill, err := FrontierSpillEvidence(w, budget, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("spill evidence: %+v", spill)
-	if spill.PeakBounded > spill.FrontierBudget {
-		t.Errorf("bounded frontier peaked at %d links, budget %d", spill.PeakBounded, spill.FrontierBudget)
-	}
-
-	doc := struct {
-		Benchmark string              `json:"benchmark"`
-		World     string              `json:"world"`
-		Budget    int64               `json:"page_budget"`
-		Cells     []FrontierCell      `json:"cells"`
-		Spill     FrontierSpillReport `json:"spill_evidence"`
-		Table     string              `json:"table_markdown"`
-	}{
-		Benchmark: "frontier scheduling race: harvest ratio per ordering policy under chaos",
-		World:     "small",
-		Budget:    budget,
-		Cells:     cells,
-		Spill:     spill,
-		Table:     report,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -53,11 +53,6 @@ var (
 	mSpilledNow   = metrics.NewGauge("frontier_spilled")
 )
 
-// legacySeedPriority is the magic number old crawler versions pushed seed
-// URLs with; Restore maps it onto the IsSeed flag so pre-flag dumps keep
-// loading with seeds still ordered first.
-const legacySeedPriority = 1e9
-
 // Item is one frontier entry.
 type Item struct {
 	URL   string
@@ -642,23 +637,15 @@ func (f *Frontier) Dump() Dump {
 // the budget as needed), delayed items re-arm relative to now, and the seen
 // set is replaced. Items whose URLs the dump also lists as seen do not
 // double-drop: Restore inserts directly, bypassing Push's dedup check.
-// Dumps written before the IsSeed flag carried seeds as a magic priority;
-// Restore maps those back onto the flag.
 func (f *Frontier) Restore(d Dump) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, it := range d.Items {
-		if it.Priority >= legacySeedPriority {
-			it.IsSeed = true
-		}
 		f.seq++
 		f.sched.Reinsert(it, f.EffectivePriority(it), f.seq)
 	}
 	now := f.cfg.Now()
 	for _, dd := range d.Delayed {
-		if dd.Item.Priority >= legacySeedPriority {
-			dd.Item.IsSeed = true
-		}
 		f.seq++
 		heap.Push(&f.delayed, delayedItem{
 			readyAt: now.Add(dd.ReadyIn),

@@ -210,7 +210,7 @@ func TestSchedulerNameReported(t *testing.T) {
 }
 
 // TestSeedsPopFirst: the IsSeed flag must outrank any priority on every
-// scheduler — the replacement for the legacy 1e9 sentinel.
+// scheduler.
 func TestSeedsPopFirst(t *testing.T) {
 	for _, name := range SchedulerNames() {
 		t.Run(name, func(t *testing.T) {
@@ -246,34 +246,6 @@ func TestSeedEvictionProtected(t *testing.T) {
 			st := f.Stats()
 			if st.DroppedFull != 1 {
 				t.Fatalf("DroppedFull = %d, want 1", st.DroppedFull)
-			}
-		})
-	}
-}
-
-// TestRestoreNormalizesLegacySeedSentinel: dumps written before the IsSeed
-// flag carried seeds as Priority 1e9; Restore must map them onto the flag.
-func TestRestoreNormalizesLegacySeedSentinel(t *testing.T) {
-	old := Dump{
-		Items: []Item{
-			{URL: "http://seed.example/", Topic: "ROOT/t", Priority: 1e9},
-			{URL: "http://plain.example/", Topic: "ROOT/t", Priority: 0.9},
-		},
-		Delayed: []DelayedDump{
-			{Item: Item{URL: "http://coolseed.example/", Topic: "ROOT/t", Priority: 1e9}, ReadyIn: 0},
-		},
-		Seen: []string{"http://seed.example/", "http://plain.example/", "http://coolseed.example/"},
-	}
-	for _, name := range SchedulerNames() {
-		t.Run(name, func(t *testing.T) {
-			f := newTestFrontier(t, name, nil)
-			f.Restore(old)
-			it, ok := f.Pop()
-			if !ok || it.URL != "http://seed.example/" {
-				t.Fatalf("first pop after restore = %q (ok=%v), want the legacy seed", it.URL, ok)
-			}
-			if !it.IsSeed {
-				t.Error("legacy 1e9 item not normalized to IsSeed")
 			}
 		})
 	}

@@ -10,8 +10,7 @@
 //
 //   - Hot-path neutrality. Counter.Inc and Histogram.Observe are
 //     zero-allocation and lock-free (asserted in tests); the crawl and
-//     query benchmarks must stay within 2% of their uninstrumented
-//     baselines (BENCH_crawl.json, BENCH_search.json).
+//     query paths must stay within 2% of their uninstrumented cost.
 //   - Stdlib only. No client_golang, no OpenTelemetry; the Prometheus
 //     text format is written by hand.
 //   - Crash-only reads. Exporters take a point-in-time snapshot; they
@@ -20,8 +19,8 @@
 // Instrumented subsystems register their metrics as package-level handles
 // against the Default registry (expvar idiom), so importing a subsystem is
 // all it takes for its series to appear on /metricsz. A nil handle of any
-// metric type is a valid no-op, which is what `make bench-overhead`
-// measures the instrumented path against.
+// metric type is a valid no-op, which is what the MetricsOverhead
+// benchmarks measure the instrumented path against.
 package metrics
 
 import (

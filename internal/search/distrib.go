@@ -2,9 +2,10 @@
 // one logical scatter-gather query span shard-server processes while
 // staying bit-identical to the single-process engine.
 //
-//   - Planner turns a Query into a Plan on the coordinator: stems, phrase
-//     sequences, and per-term query weights computed once against the
-//     merged global idf table. Shard servers never re-derive query floats.
+//   - Planner turns a Query into a Plan: stems, phrase sequences, and
+//     per-term query weights computed once against an idf table — the
+//     merged global one on a coordinator, the view's own in a single
+//     process. Shard servers never re-derive query floats.
 //
 //   - Partition wraps an Engine on a shard server. Instead of deriving idf
 //     locally (which would see only the local slice of the corpus), it
@@ -96,9 +97,8 @@ type ScoreStats struct {
 	MaxAuth float64 `json:"max_auth"`
 }
 
-// Planner analyzes queries on the coordinator: it owns a text pipeline and
-// compiles a Query plus the merged idf table into a Plan. It is safe for
-// concurrent use.
+// Planner analyzes queries: it owns a text pipeline and compiles a Query
+// plus an idf table into a Plan. It is safe for concurrent use.
 type Planner struct {
 	pipe *textproc.Pipeline
 }
@@ -106,13 +106,24 @@ type Planner struct {
 // NewPlanner builds a query planner.
 func NewPlanner() *Planner { return &Planner{pipe: textproc.NewPipeline()} }
 
-// Plan analyzes q against the global idf table. It mirrors the
-// single-process parse (parseQuery) and query-weight computation
-// (scoreCandidates) exactly: same stems, same defaults for Limit and
-// Weights, same per-term weight and qnorm arithmetic in the same sorted
-// order. ok is false when no indexable stems remain — the result is the
-// empty list and nothing needs to reach a shard.
+// Plan analyzes q against idf — the merged global table on a coordinator.
+// ok is false when no indexable stems remain — the result is the empty list
+// and nothing needs to reach a shard.
 func (pl *Planner) Plan(q Query, idf *vsm.IDFTable) (plan *Plan, ok bool) {
+	plan, qtf := pl.analyze(q)
+	if plan == nil {
+		return nil, false
+	}
+	plan.weigh(qtf, idf)
+	return plan, true
+}
+
+// analyze is the idf-independent half of Plan: stems, phrase sequences and
+// the Limit/Weights defaults, plus the query-side term frequencies weigh
+// needs. It is split out so the single-process engine can reject an empty
+// query before it materializes the view that holds its idf table. plan is
+// nil when no indexable stems remain.
+func (pl *Planner) analyze(q Query) (plan *Plan, qtf map[string]int) {
 	freeText, phrases := splitPhrases(q.Text)
 	stems := pl.pipe.Stems(freeText)
 	var phraseStems [][]string
@@ -124,11 +135,11 @@ func (pl *Planner) Plan(q Query, idf *vsm.IDFTable) (plan *Plan, ok bool) {
 		}
 	}
 	if len(stems) == 0 {
-		return nil, false
+		return nil, nil
 	}
-	uniq := make(map[string]int, len(stems))
+	qtf = make(map[string]int, len(stems))
 	for _, s := range stems {
-		uniq[s]++
+		qtf[s]++
 	}
 	if q.Limit <= 0 {
 		q.Limit = 10
@@ -136,30 +147,36 @@ func (pl *Planner) Plan(q Query, idf *vsm.IDFTable) (plan *Plan, ok bool) {
 	if q.Weights == (Weights{}) {
 		q.Weights = DefaultWeights()
 	}
-	plan = &Plan{
-		Terms:   make([]PlanTerm, 0, len(uniq)),
-		Uniq:    len(uniq),
+	return &Plan{
+		Uniq:    len(qtf),
 		Phrases: phraseStems,
 		Topic:   q.Topic,
 		Tenant:  q.Tenant,
 		Exact:   q.Exact,
 		Limit:   q.Limit,
 		Weights: q.Weights,
-	}
-	for term, tf := range uniq {
+	}, qtf
+}
+
+// weigh fills in the idf-dependent half of an analyzed plan: per-term
+// weights, sorted by term so every accumulation that iterates them — QNorm
+// here, the per-document dot products in the scatter — has one deterministic
+// float order no matter how qtf iterates.
+func (plan *Plan) weigh(qtf map[string]int, idf *vsm.IDFTable) {
+	plan.Terms = make([]PlanTerm, 0, len(qtf))
+	for term, tf := range qtf {
 		plan.Terms = append(plan.Terms, PlanTerm{
 			Term: term,
 			W:    idf.TermWeight(term, tf),
 			IDF:  idf.IDF(term),
 		})
 	}
-	sort.Slice(plan.Terms, func(i, j int) bool { return plan.Terms[i].Term < plan.Terms[j].Term })
+	sortQTerms(plan.Terms)
 	var qnorm float64
 	for i := range plan.Terms {
 		qnorm += plan.Terms[i].W * plan.Terms[i].W
 	}
 	plan.QNorm = math.Sqrt(qnorm)
-	return plan, true
 }
 
 // PartitionStats is a shard server's contribution to the global corpus
@@ -278,36 +295,22 @@ func (p *Partition) Version() string {
 // Stats pins a snapshot of the partition at its current epochs and returns
 // the local vocabulary and integer document frequencies, keyed by a fresh
 // pin token the following SetGlobal must echo. Shard snaps whose epoch is
-// unchanged are reused from the installed view (the same dirty-shard
-// economy rebuildView runs), so a stats sync after localized writes
-// rematerializes only what changed.
+// unchanged are reused from the installed view or the previous pin (the
+// dirty-shard economy of currentSnaps), so a stats sync after localized
+// writes rematerializes only what changed.
 func (p *Partition) Stats() PartitionStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := p.eng.store
-	n := st.NumShards()
-	snaps := make([]*shardSnap, n)
-	var curView *searchView
+	var cur, pend []*shardSnap
 	if pv := p.cur.Load(); pv != nil {
-		curView = pv.view
+		cur = pv.view.shards
 	}
-	for i := 0; i < n; i++ {
-		ep := st.ShardEpoch(i)
-		switch {
-		case curView != nil && i < len(curView.shards) && curView.shards[i].epoch == ep:
-			snaps[i] = curView.shards[i]
-			mShardReused.Inc()
-		case p.pend != nil && i < len(p.pend.snaps) && p.pend.snaps[i].epoch == ep:
-			snaps[i] = p.pend.snaps[i]
-			mShardReused.Inc()
-		default:
-			snaps[i] = buildShardSnap(st, i)
-			mShardRebuilds.Inc()
-			mShardDocsRebuilt.Add(int64(snaps[i].numDocs))
-		}
+	if p.pend != nil {
+		pend = p.pend.snaps
 	}
+	snaps := currentSnaps(p.eng.store, cur, pend)
 	df, numDocs := mergeDocFreq(snaps)
-	epochs := make([]int64, n)
+	epochs := make([]int64, len(snaps))
 	for i := range snaps {
 		epochs[i] = snaps[i].epoch
 	}
@@ -422,7 +425,7 @@ func (p *Partition) Gather(version string, plan *Plan, maxCos, maxConf, maxAuth 
 	}
 	defer p.eng.putScratch(qs)
 	p.eng.scatterAll(qs)
-	if _, _, _, cand, surv := reduceScatter(qs); cand == 0 || surv == 0 {
+	if _, _, _, _, survivors := reduceScatter(qs); survivors == 0 {
 		return nil, nil
 	}
 	p.eng.passTwo(qs, qs.q.Limit, maxCos, maxConf, maxAuth)
@@ -449,25 +452,18 @@ func (p *Partition) beginPhase(version string, plan *Plan) (*partView, *scoreScr
 	return pv, qs, nil
 }
 
-// fillPlan parks a coordinator-built plan in the scratch exactly as
-// scoreCandidates parks a locally parsed query. The terms are re-sorted
-// defensively — sorted input is the wire contract, and on already-sorted
-// input the insertion sort is a no-op pass.
+// fillPlan parks a plan in the scratch as the scatter's inputs. The terms
+// are re-sorted defensively — sorted input is the wire contract, and on
+// already-sorted input the insertion sort is a no-op pass.
 func fillPlan(qs *scoreScratch, plan *Plan, auth [][]float64) {
-	for i := range plan.Terms {
-		qs.qterms = append(qs.qterms, qterm{
-			term: plan.Terms[i].Term,
-			w:    plan.Terms[i].W,
-			idf:  plan.Terms[i].IDF,
-		})
-	}
+	qs.qterms = append(qs.qterms, plan.Terms...)
 	sortQTerms(qs.qterms)
 	limit := plan.Limit
 	if limit <= 0 {
 		limit = 10
 	}
 	qs.q = Query{Topic: plan.Topic, Tenant: plan.Tenant, Exact: plan.Exact, Weights: plan.Weights, Limit: limit}
-	qs.p = parsedQuery{phraseStems: plan.Phrases}
+	qs.phrases = plan.Phrases
 	qs.uniqCount = plan.Uniq
 	qs.qnorm = plan.QNorm
 	qs.auth = auth

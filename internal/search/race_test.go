@@ -11,8 +11,8 @@ import (
 )
 
 // seededWorld builds a deterministic store with varied topics, texts (for
-// phrase queries), confidences, and a link graph, so the legacy and the
-// snapshot read paths can be compared over every query shape.
+// phrase queries), confidences, and a link graph, so the reference scorer
+// and the snapshot read path can be compared over every query shape.
 func seededWorld(t testing.TB, nDocs int) *store.Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -49,19 +49,19 @@ func seededWorld(t testing.TB, nDocs int) *store.Store {
 }
 
 // equivalentHits compares two ranked lists with a floating-point tolerance:
-// legacy scoring iterates maps, so its sums can differ from the snapshot
-// scorer's in the last ulp.
-func equivalentHits(t *testing.T, label string, legacy, indexed []Hit) {
+// the reference scorer iterates maps, so its sums can differ from the
+// snapshot scorer's in the last ulp.
+func equivalentHits(t *testing.T, label string, ref, indexed []Hit) {
 	t.Helper()
-	if len(legacy) != len(indexed) {
-		t.Errorf("%s: legacy returned %d hits, indexed %d", label, len(legacy), len(indexed))
+	if len(ref) != len(indexed) {
+		t.Errorf("%s: reference returned %d hits, indexed %d", label, len(ref), len(indexed))
 		return
 	}
 	const eps = 1e-9
-	for i := range legacy {
-		l, x := legacy[i], indexed[i]
+	for i := range ref {
+		l, x := ref[i], indexed[i]
 		if l.Doc.URL != x.Doc.URL {
-			t.Errorf("%s: rank %d: legacy %s vs indexed %s (scores %v vs %v)",
+			t.Errorf("%s: rank %d: reference %s vs indexed %s (scores %v vs %v)",
 				label, i, l.Doc.URL, x.Doc.URL, l.Score, x.Score)
 			continue
 		}
@@ -70,20 +70,19 @@ func equivalentHits(t *testing.T, label string, legacy, indexed []Hit) {
 			{l.Confidence, x.Confidence, 2}, {l.Authority, x.Authority, 3},
 		} {
 			if math.Abs(c[0]-c[1]) > eps {
-				t.Errorf("%s: rank %d (%s): component %v: legacy %v vs indexed %v",
+				t.Errorf("%s: rank %d (%s): component %v: reference %v vs indexed %v",
 					label, i, l.Doc.URL, c[2], c[0], c[1])
 			}
 		}
 	}
 }
 
-// TestSnapshotMatchesLegacyScoring checks the core refactor invariant: on a
+// TestSnapshotMatchesReferenceScorer checks the core refactor invariant: on a
 // seeded world, the index-native scorer returns exactly the hits and scores
-// of the original per-candidate scorer, across every query shape.
-func TestSnapshotMatchesLegacyScoring(t *testing.T) {
+// of the original per-candidate scorer (referenceSearch), across every
+// query shape.
+func TestSnapshotMatchesReferenceScorer(t *testing.T) {
 	s := seededWorld(t, 300)
-	legacyEng := New(s)
-	legacyEng.LegacyScoring = true
 	indexedEng := New(s)
 
 	queries := []Query{
@@ -102,7 +101,7 @@ func TestSnapshotMatchesLegacyScoring(t *testing.T) {
 	}
 	for _, q := range queries {
 		label := fmt.Sprintf("%q exact=%v topic=%q w=%+v", q.Text, q.Exact, q.Topic, q.Weights)
-		equivalentHits(t, label, legacyEng.Search(q), indexedEng.Search(q))
+		equivalentHits(t, label, referenceSearch(s, q), indexedEng.Search(q))
 	}
 
 	// Small limits too, on a query whose scores are well separated by
@@ -110,13 +109,13 @@ func TestSnapshotMatchesLegacyScoring(t *testing.T) {
 	// kept set legitimately differ under fp jitter).
 	for _, limit := range []int{1, 3, 10} {
 		q := Query{Text: "recovery", Weights: Weights{Confidence: 1}, Limit: limit}
-		equivalentHits(t, fmt.Sprintf("limit=%d", limit), legacyEng.Search(q), indexedEng.Search(q))
+		equivalentHits(t, fmt.Sprintf("limit=%d", limit), referenceSearch(s, q), indexedEng.Search(q))
 	}
 }
 
 // TestConcurrentQueriesAndInserts runs mixed queries against a store under
 // concurrent insert/link churn (meant for -race), checking per-result
-// invariants during the churn and full legacy/sequential agreement after it.
+// invariants during the churn and full reference/sequential agreement after it.
 func TestConcurrentQueriesAndInserts(t *testing.T) {
 	s := seededWorld(t, 100)
 	e := New(s)
@@ -174,10 +173,8 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 	wg.Wait()
 
 	// Quiescent: the churned engine must now agree with a fresh engine and
-	// with the legacy path over the final store state.
+	// with the reference scorer over the final store state.
 	fresh := New(s)
-	legacy := New(s)
-	legacy.LegacyScoring = true
 	for _, q := range []Query{
 		{Text: "recovery fresh", Limit: 1000},
 		{Text: "recovery", Exact: true, Limit: 1000},
@@ -186,6 +183,6 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 		label := fmt.Sprintf("post-churn %q", q.Text)
 		got := e.Search(q)
 		equivalentHits(t, label+" vs fresh", fresh.Search(q), got)
-		equivalentHits(t, label+" vs legacy", legacy.Search(q), got)
+		equivalentHits(t, label+" vs reference", referenceSearch(s, q), got)
 	}
 }

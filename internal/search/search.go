@@ -10,28 +10,24 @@
 // snapshot.go): per-document tf·idf norms, confidence, topic, and URL are
 // precomputed once per store epoch, scoring accumulates term-at-a-time from
 // the live postings into dense per-DocID arrays, and result selection uses
-// a bounded top-K heap. The original per-candidate map-vector scorer is
-// retained behind LegacyScoring as the same-commit A/B baseline.
+// a bounded top-K heap. Query analysis and query-side weights come from the
+// same Planner (distrib.go) a coordinator uses, so the single-process and
+// the distributed path share one definition of a query.
 package search
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/bingo-search/bingo/internal/hits"
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/store"
-	"github.com/bingo-search/bingo/internal/textproc"
-	"github.com/bingo-search/bingo/internal/vsm"
 )
 
 // Process-wide search metrics: query traffic and latency, snapshot churn
 // (rebuilds vs stale serves — the freshness/latency trade the snapshot
-// design makes), and result-set sizes. The same counters cover the legacy
-// and indexed paths so A/B comparisons stay fair.
+// design makes), and result-set sizes.
 var (
 	mQueries        = metrics.NewCounter("search_queries_total")
 	mQueryNanos     = metrics.NewHistogram("search_query_nanos")
@@ -86,19 +82,13 @@ type Hit struct {
 	Authority  float64
 }
 
-// Engine answers queries over a crawl database. Derived state — the search
-// snapshot, and the legacy path's idf table and HITS authority scores — is
-// cached and invalidated on the store's mutation epoch, so any write
-// (including a delete followed by an insert that leaves the document count
-// unchanged) refreshes it.
+// Engine answers queries over a crawl database. Its derived state — the
+// search view — is cached and invalidated on the store's per-shard mutation
+// epochs, so any write (including a delete followed by an insert that
+// leaves the document count unchanged) refreshes it.
 type Engine struct {
-	store *store.Store
-	pipe  *textproc.Pipeline
-
-	// LegacyScoring routes Search through the original per-candidate
-	// map-vector scorer of the pre-snapshot engine. It exists so the A/B
-	// benchmark can compare both read paths on the same commit.
-	LegacyScoring bool
+	store   *store.Store
+	planner *Planner
 
 	// view is the current immutable search view (one snapshot per store
 	// shard plus the merged idf layer); buildMu singleflights rebuilds
@@ -108,55 +98,13 @@ type Engine struct {
 	// scratch pools per-query scoring state (dense accumulators, candidate
 	// list, top-K heap) so the scoring loop allocates nothing.
 	scratch sync.Pool
-
-	// Legacy-path caches, keyed on the store epoch.
-	mu        sync.Mutex
-	idfEpoch  int64
-	idf       *vsm.IDFTable
-	authEpoch int64
-	authority map[string]float64
 }
 
 // New builds a search engine over s.
 func New(s *store.Store) *Engine {
-	e := &Engine{store: s, pipe: textproc.NewPipeline()}
+	e := &Engine{store: s, planner: NewPlanner()}
 	e.scratch.New = func() any { return newScoreScratch() }
 	return e
-}
-
-// parsedQuery is a query after text analysis: unique free+phrase stems with
-// their query-side frequencies, plus the stem sequence of each phrase.
-type parsedQuery struct {
-	uniq        map[string]int
-	phraseStems [][]string
-}
-
-// parseQuery analyzes q.Text and applies the Limit and Weights defaults in
-// place. ok is false when no indexable stems remain.
-func (e *Engine) parseQuery(q *Query) (p parsedQuery, ok bool) {
-	freeText, phrases := splitPhrases(q.Text)
-	stems := e.pipe.Stems(freeText)
-	for _, ph := range phrases {
-		ps := e.pipe.Stems(ph)
-		if len(ps) > 0 {
-			p.phraseStems = append(p.phraseStems, ps)
-			stems = append(stems, ps...) // phrase terms also rank
-		}
-	}
-	if len(stems) == 0 {
-		return parsedQuery{}, false
-	}
-	p.uniq = make(map[string]int, len(stems))
-	for _, s := range stems {
-		p.uniq[s]++
-	}
-	if q.Limit <= 0 {
-		q.Limit = 10
-	}
-	if q.Weights == (Weights{}) {
-		q.Weights = DefaultWeights()
-	}
-	return p, true
 }
 
 // Search runs q and returns the ranked hits.
@@ -173,136 +121,43 @@ func (e *Engine) Search(q Query) []Hit {
 // needed. The returned slice is shared with the engine's immutable view
 // and must not be modified. Epochs is nil when the query has no indexable
 // stems (the result is the empty list for every epoch).
-//
-// On the legacy scoring path the epochs are read from the store before
-// scoring; a write racing the query can therefore make the result carry
-// newer data than the vector claims — the same one-sided staleness
-// guarantee buildShardSnap documents.
 func (e *Engine) SearchWithEpochs(q Query) ([]Hit, []int64) {
 	return e.search(q)
 }
 
+// search plans q against the current view's idf table — the same Planner a
+// coordinator runs against the merged global table — and replays the plan
+// over the local shards: pass-1 scatter, order-independent reduction of the
+// component maxima, pass-2 into bounded per-shard top-K heaps, and the
+// deterministic heap merge. For non-phrase queries on a single-shard store
+// everything between getScratch and putScratch performs zero allocations
+// once the pooled scratch is warm (phrase queries may fill the snap's lazy
+// stem cache; the parallel scatter allocates its goroutines).
 func (e *Engine) search(q Query) ([]Hit, []int64) {
-	p, ok := e.parseQuery(&q)
-	if !ok {
+	plan, qtf := e.planner.analyze(q)
+	if plan == nil {
 		return nil, nil
 	}
 	mQueries.Inc()
 	start := time.Now()
-	var hits []Hit
-	var epochs []int64
-	if e.LegacyScoring {
-		epochs = e.storeEpochs()
-		hits = e.searchLegacy(q, p)
-	} else {
-		hits, epochs = e.searchIndexed(q, p)
-	}
-	mQueryNanos.ObserveSince(start)
-	return hits, epochs
-}
+	defer mQueryNanos.ObserveSince(start)
 
-// storeEpochs snapshots the store's per-shard epoch vector.
-func (e *Engine) storeEpochs() []int64 {
-	eps := make([]int64, e.store.NumShards())
-	for i := range eps {
-		eps[i] = e.store.ShardEpoch(i)
+	v := e.snapshot()
+	plan.weigh(qtf, v.idf)
+	var auth [][]float64
+	if plan.Weights.Authority != 0 {
+		auth = v.authorityScores(e.store)
 	}
-	return eps
-}
-
-// searchLegacy is the original read path: candidate DocIDs from copied
-// postings, a store.Get and an idf.Weight map-vector per candidate, and a
-// full sort of all candidates. Kept verbatim (modulo the epoch-keyed
-// caches) as the measurable pre-optimization baseline.
-func (e *Engine) searchLegacy(q Query, p parsedQuery) []Hit {
-	w := q.Weights
-
-	// Candidate retrieval through the inverted index.
-	counts := make(map[store.DocID]int)
-	for term := range p.uniq {
-		ids, _ := e.store.Postings(term)
-		for _, id := range ids {
-			counts[id]++
-		}
+	qs := e.getScratch(v)
+	defer e.putScratch(qs)
+	fillPlan(qs, plan, auth)
+	e.scatterAll(qs)
+	maxCos, maxConf, maxAuth, _, survivors := reduceScatter(qs)
+	if survivors == 0 {
+		return nil, v.epochs
 	}
-	var candidates []store.Document
-	for id, n := range counts {
-		if q.Exact && n < len(p.uniq) {
-			continue
-		}
-		d, err := e.store.Get(id)
-		if err != nil {
-			continue
-		}
-		if d.Tenant != q.Tenant {
-			continue
-		}
-		if !topicMatches(d.Topic, q.Topic) {
-			continue
-		}
-		if len(p.phraseStems) > 0 && !e.matchesPhrases(d, p.phraseStems) {
-			continue
-		}
-		candidates = append(candidates, d)
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-
-	// Query vector in the store's idf space.
-	idf := e.idfTable()
-	qv := idf.Weight(p.uniq)
-
-	hitsList := make([]Hit, len(candidates))
-	var maxCos, maxConf float64
-	for i, d := range candidates {
-		dv := idf.Weight(d.Terms)
-		c := vsm.Cosine(qv, dv)
-		hitsList[i] = Hit{Doc: d, Cosine: c, Confidence: d.Confidence}
-		if c > maxCos {
-			maxCos = c
-		}
-		if d.Confidence > maxConf {
-			maxConf = d.Confidence
-		}
-	}
-
-	var maxAuth float64
-	if w.Authority != 0 {
-		authScores := e.authorityScores()
-		for i := range hitsList {
-			a := authScores[hitsList[i].Doc.URL]
-			hitsList[i].Authority = a
-			if a > maxAuth {
-				maxAuth = a
-			}
-		}
-	}
-
-	// Normalize each component to [0,1] and combine.
-	for i := range hitsList {
-		h := &hitsList[i]
-		if maxCos > 0 {
-			h.Cosine /= maxCos
-		}
-		if maxConf > 0 {
-			h.Confidence /= maxConf
-		}
-		if maxAuth > 0 {
-			h.Authority /= maxAuth
-		}
-		h.Score = w.Cosine*h.Cosine + w.Confidence*h.Confidence + w.Authority*h.Authority
-	}
-	sort.Slice(hitsList, func(i, j int) bool {
-		if hitsList[i].Score != hitsList[j].Score {
-			return hitsList[i].Score > hitsList[j].Score
-		}
-		return hitsList[i].Doc.URL < hitsList[j].Doc.URL
-	})
-	if len(hitsList) > q.Limit {
-		hitsList = hitsList[:q.Limit]
-	}
-	return hitsList
+	e.passTwo(qs, plan.Limit, maxCos, maxConf, maxAuth)
+	return e.gatherHits(qs, plan.Limit, maxCos, maxConf, maxAuth), v.epochs
 }
 
 // splitPhrases extracts double-quoted phrases from a query string and
@@ -334,18 +189,6 @@ func splitPhrases(text string) (free string, phrases []string) {
 	return freeB.String(), phrases
 }
 
-// matchesPhrases reports whether every phrase occurs as a consecutive stem
-// sequence in the document's text (legacy path: re-stems per candidate).
-func (e *Engine) matchesPhrases(d store.Document, phrases [][]string) bool {
-	docStems := e.pipe.StemsParts(d.Title, d.Text)
-	for _, p := range phrases {
-		if !containsSeq(docStems, p) {
-			return false
-		}
-	}
-	return true
-}
-
 func containsSeq(haystack, needle []string) bool {
 	if len(needle) == 0 {
 		return true
@@ -363,57 +206,6 @@ outer:
 		return true
 	}
 	return false
-}
-
-// topicMatches reports whether docTopic equals filter or lies below it.
-func topicMatches(docTopic, filter string) bool {
-	if filter == "" {
-		return true
-	}
-	return docTopic == filter || strings.HasPrefix(docTopic, filter+"/")
-}
-
-// idfTable returns an idf snapshot over the store, rebuilding it only when
-// the store has mutated since the last query (legacy path).
-func (e *Engine) idfTable() *vsm.IDFTable {
-	epoch := e.store.Epoch()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.idf != nil && e.idfEpoch == epoch {
-		return e.idf
-	}
-	stats := vsm.NewCorpusStats()
-	for _, d := range e.store.All() {
-		stats.AddDoc(d.Terms)
-	}
-	e.idf = stats.Snapshot()
-	e.idfEpoch = epoch
-	return e.idf
-}
-
-// authorityScores runs HITS over the stored link graph (§3.6: "it can
-// perform the HITS link analysis to compute authority scores and produce a
-// ranking according to these scores"), cached per store epoch (legacy
-// path).
-func (e *Engine) authorityScores() map[string]float64 {
-	epoch := e.store.Epoch()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.authority != nil && e.authEpoch == epoch {
-		return e.authority
-	}
-	g := hits.NewGraph()
-	for _, l := range e.store.Links() {
-		g.AddEdge(l.From, hostOf(l.From), l.To, hostOf(l.To))
-	}
-	res := g.Run(hits.DefaultOptions())
-	out := make(map[string]float64, len(res.Authorities))
-	for _, s := range res.Authorities {
-		out[s.ID] = s.Value
-	}
-	e.authority = out
-	e.authEpoch = epoch
-	return out
 }
 
 // hostOf extracts the host part of an absolute URL without a full parse:

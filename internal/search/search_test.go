@@ -367,41 +367,59 @@ func TestRankingDeterministicOrder(t *testing.T) {
 // TestCachesInvalidateOnDeleteInsert is the staleness bug the epoch key
 // fixes: a delete followed by an insert leaves NumDocs unchanged, so a
 // count-keyed cache would keep serving the deleted document's idf and
-// authority state.
+// authority state. Every answer is also held against the cache-free
+// reference scorer.
 func TestCachesInvalidateOnDeleteInsert(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := store.New()
-		s.Insert(store.Document{URL: "u1", Topic: "t", Confidence: 0.5,
-			Terms: map[string]int{"alpha": 1}})
-		s.Insert(store.Document{URL: "u2", Topic: "t", Confidence: 0.5,
-			Terms: map[string]int{"alpha": 1, "beta": 2}})
-		e := New(s)
-		e.LegacyScoring = legacy
-		if got := e.Search(Query{Text: "beta"}); len(got) != 1 || got[0].Doc.URL != "u2" {
-			t.Fatalf("legacy=%v: warm-up search = %+v", legacy, got)
-		}
-		// Same document count, different content.
-		s.Delete("u2")
-		s.Insert(store.Document{URL: "u3", Topic: "t", Confidence: 0.9,
-			Terms: map[string]int{"alpha": 1, "gamma": 2}})
-		if got := e.Search(Query{Text: "beta"}); len(got) != 0 {
-			t.Errorf("legacy=%v: deleted document still served: %+v", legacy, got)
-		}
-		got := e.Search(Query{Text: "gamma"})
-		if len(got) != 1 || got[0].Doc.URL != "u3" {
-			t.Errorf("legacy=%v: replacement document missing: %+v", legacy, got)
-		}
-
-		// Authority scores must refresh on a link append alone (count also
-		// unchanged).
-		e.Search(Query{Text: "alpha", Weights: Weights{Authority: 1}}) // warm authority cache
-		s.AddLink(store.Link{From: "http://a.example/x", To: "u1"})
-		s.AddLink(store.Link{From: "http://b.example/y", To: "u1"})
-		got = e.Search(Query{Text: "alpha", Weights: Weights{Authority: 1}})
-		if len(got) == 0 || got[0].Doc.URL != "u1" {
-			t.Errorf("legacy=%v: authority cache stale after link append: %+v", legacy, got)
-		}
+	s := store.New()
+	s.Insert(store.Document{URL: "u1", Topic: "t", Confidence: 0.5,
+		Terms: map[string]int{"alpha": 1}})
+	s.Insert(store.Document{URL: "u2", Topic: "t", Confidence: 0.5,
+		Terms: map[string]int{"alpha": 1, "beta": 2}})
+	e := New(s)
+	search := func(label string, q Query) []Hit {
+		t.Helper()
+		got := e.Search(q)
+		equivalentHits(t, label, referenceSearch(s, q), got)
+		return got
 	}
+	if got := search("warm-up", Query{Text: "beta"}); len(got) != 1 || got[0].Doc.URL != "u2" {
+		t.Fatalf("warm-up search = %+v", got)
+	}
+	// Same document count, different content.
+	s.Delete("u2")
+	s.Insert(store.Document{URL: "u3", Topic: "t", Confidence: 0.9,
+		Terms: map[string]int{"alpha": 1, "gamma": 2}})
+	if got := search("deleted", Query{Text: "beta"}); len(got) != 0 {
+		t.Errorf("deleted document still served: %+v", got)
+	}
+	got := search("replacement", Query{Text: "gamma"})
+	if len(got) != 1 || got[0].Doc.URL != "u3" {
+		t.Errorf("replacement document missing: %+v", got)
+	}
+
+	// Authority scores must refresh on a link append alone (count also
+	// unchanged).
+	auth := Query{Text: "alpha", Weights: Weights{Authority: 1}}
+	search("authority warm-up", auth)
+	s.AddLink(store.Link{From: "http://a.example/x", To: "u1"})
+	s.AddLink(store.Link{From: "http://b.example/y", To: "u1"})
+	got = search("authority after links", auth)
+	if len(got) == 0 || got[0].Doc.URL != "u1" {
+		t.Errorf("authority cache stale after link append: %+v", got)
+	}
+}
+
+// scoringLoop is what the zero-allocation gate measures: everything a query
+// does between planning and result assembly, replayed for an already-built
+// plan over a pinned view.
+func scoringLoop(e *Engine, v *searchView, plan *Plan) {
+	qs := e.getScratch(v)
+	fillPlan(qs, plan, nil)
+	e.scatterAll(qs)
+	if maxCos, maxConf, maxAuth, _, survivors := reduceScatter(qs); survivors > 0 {
+		e.passTwo(qs, plan.Limit, maxCos, maxConf, maxAuth)
+	}
+	e.putScratch(qs)
 }
 
 // TestScoringLoopZeroAlloc pins the acceptance criterion: the candidate-
@@ -425,22 +443,20 @@ func TestScoringLoopZeroAlloc(t *testing.T) {
 		})
 	}
 	e := New(s)
+	snap := e.snapshot()
 	for _, q := range []Query{
 		{Text: "recovery transaction"},
 		{Text: "recovery transaction", Exact: true},
 		{Text: "recovery", Topic: "ROOT/db"},
 	} {
-		p, ok := e.parseQuery(&q)
+		plan, ok := e.planner.Plan(q, snap.idf)
 		if !ok {
-			t.Fatalf("query %q parsed to nothing", q.Text)
+			t.Fatalf("query %q planned to nothing", q.Text)
 		}
-		snap := e.snapshot()
-		q := q
-		allocs := testing.AllocsPerRun(50, func() {
-			sc := e.getScratch(snap)
-			e.scoreCandidates(sc, snap, q, p)
-			e.putScratch(sc)
-		})
+		if len(e.Search(q)) == 0 {
+			t.Fatalf("query %+v has no hits; the gate would measure an empty loop", q)
+		}
+		allocs := testing.AllocsPerRun(50, func() { scoringLoop(e, snap, plan) })
 		if allocs != 0 {
 			t.Errorf("query %+v: scoring loop allocates %.1f objects per query, want 0", q, allocs)
 		}
@@ -463,39 +479,12 @@ func BenchmarkScoringLoop(b *testing.B) {
 		})
 	}
 	e := New(s)
-	q := Query{Text: "recovery"}
-	p, _ := e.parseQuery(&q)
 	snap := e.snapshot()
+	plan, _ := e.planner.Plan(Query{Text: "recovery"}, snap.idf)
 	e.Search(Query{Text: "recovery"}) // warm pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc := e.getScratch(snap)
-		e.scoreCandidates(sc, snap, q, p)
-		e.putScratch(sc)
-	}
-}
-
-// BenchmarkSearchLegacy is the in-package view of the A/B comparison (the
-// interleaved harness lives in the repo root).
-func BenchmarkSearchLegacy(b *testing.B) {
-	s := store.New()
-	for i := 0; i < 2000; i++ {
-		s.Insert(store.Document{
-			URL:        fmt.Sprintf("http://h%d.example/d%d", i%50, i),
-			Topic:      "ROOT/db",
-			Confidence: float64(i%100) / 100,
-			Terms: map[string]int{
-				"recoveri":                1 + i%3,
-				fmt.Sprintf("t%d", i%200): 2,
-			},
-		})
-	}
-	e := New(s)
-	e.LegacyScoring = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Search(Query{Text: "recovery"})
+		scoringLoop(e, snap, plan)
 	}
 }

@@ -251,21 +251,11 @@ func (e *Engine) viewCurrent(v *searchView) bool {
 func (e *Engine) rebuildView() *searchView {
 	mSnapRebuilds.Inc()
 	start := time.Now()
-	prev := e.view.Load()
-	st := e.store
-	p := st.NumShards()
-	shards := make([]*shardSnap, p)
-	for i := 0; i < p; i++ {
-		ep := st.ShardEpoch(i)
-		if prev != nil && i < len(prev.shards) && prev.shards[i].epoch == ep {
-			shards[i] = prev.shards[i]
-			mShardReused.Inc()
-		} else {
-			shards[i] = buildShardSnap(st, i)
-			mShardRebuilds.Inc()
-			mShardDocsRebuilt.Add(int64(shards[i].numDocs))
-		}
+	var prev []*shardSnap
+	if v := e.view.Load(); v != nil {
+		prev = v.shards
 	}
+	shards := currentSnaps(e.store, prev)
 
 	// Merged idf: per-shard df counts sum exactly (integers), so the
 	// resulting idf floats are identical no matter how the corpus is
@@ -274,6 +264,31 @@ func (e *Engine) rebuildView() *searchView {
 	v := finishView(shards, vsm.TableFromDocFreq(df, total), total)
 	mSnapBuildNanos.ObserveSince(start)
 	return v
+}
+
+// currentSnaps returns one snap per store shard at the shard's current
+// epoch: a snap from one of the olds generations whose epoch is unchanged is
+// reused, every other shard is rematerialized — the dirty-shard economy that
+// keeps rebuild cost under localized writes O(changed shards).
+func currentSnaps(st *store.Store, olds ...[]*shardSnap) []*shardSnap {
+	snaps := make([]*shardSnap, st.NumShards())
+	for i := range snaps {
+		ep := st.ShardEpoch(i)
+		for _, old := range olds {
+			if i < len(old) && old[i].epoch == ep {
+				snaps[i] = old[i]
+				break
+			}
+		}
+		if snaps[i] != nil {
+			mShardReused.Inc()
+			continue
+		}
+		snaps[i] = buildShardSnap(st, i)
+		mShardRebuilds.Inc()
+		mShardDocsRebuilt.Add(int64(snaps[i].numDocs))
+	}
+	return snaps
 }
 
 // mergeDocFreq sums the shard-local document frequencies into one global
@@ -419,14 +434,6 @@ func (v *searchView) setAuthority(byURL map[string]float64) {
 	v.auth = auth
 }
 
-// qterm is one unique query term with its precomputed query-side tf·idf
-// weight and raw idf (the document-side factor).
-type qterm struct {
-	term string
-	w    float64 // (1+log(qtf))·idf(term)
-	idf  float64 // idf(term)
-}
-
 // topEntry is one candidate in a bounded top-K heap: shard index plus
 // shard-local sequence.
 type topEntry struct {
@@ -479,24 +486,23 @@ func newShardScratch(shard int) *shardScratch {
 }
 
 // scoreScratch is the pooled per-query scoring state: one shardScratch per
-// store shard plus the query-term list and the heap-merge buffer.
+// store shard plus the plan's term list and the heap-merge buffer.
 // getScratch sizes a fresh (or layout-changed) scratch for the view in
 // hand, so the pool constructor stays trivial.
 type scoreScratch struct {
 	view   *searchView
 	shards []*shardScratch
-	qterms []qterm
+	qterms []PlanTerm
 	merged []topEntry
 
-	// Per-query scatter inputs. They live in the (heap-pooled) scratch
-	// rather than being captured by the parallel fan-out — a goroutine
-	// closure over stack parameters would force them to escape and cost
-	// two heap boxes per query even on the sequential path. uniqCount is
-	// the number of unique query terms (the Exact-mode match threshold),
-	// carried separately from p so a distributed Partition can replay a
-	// coordinator-built Plan without materializing the uniq map.
+	// Per-query scatter inputs, parked by fillPlan. They live in the
+	// (heap-pooled) scratch rather than being captured by the parallel
+	// fan-out — a goroutine closure over stack parameters would force them
+	// to escape and cost two heap boxes per query even on the sequential
+	// path. uniqCount is the number of unique query terms (the Exact-mode
+	// match threshold).
 	q         Query
-	p         parsedQuery
+	phrases   [][]string
 	uniqCount int
 	qnorm     float64
 	auth      [][]float64
@@ -594,28 +600,11 @@ func (e *Engine) putScratch(qs *scoreScratch) {
 	qs.merged = qs.merged[:0]
 	qs.view = nil
 	qs.q = Query{}
-	qs.p = parsedQuery{}
+	qs.phrases = nil
 	qs.uniqCount = 0
 	qs.qnorm = 0
 	qs.auth = nil
 	e.scratch.Put(qs)
-}
-
-// searchIndexed is the index-native read path: the scatter-gather
-// candidate-scoring loop (scoreCandidates) followed by the deterministic
-// heap merge and ranked-hit assembly. The second return value is the
-// per-shard epoch vector of the view that served the query (shared with
-// the view; callers must not modify it).
-func (e *Engine) searchIndexed(q Query, p parsedQuery) ([]Hit, []int64) {
-	v := e.snapshot()
-	qs := e.getScratch(v)
-	defer e.putScratch(qs)
-
-	maxCos, maxConf, maxAuth, _, ok := e.scoreCandidates(qs, v, q, p)
-	if !ok {
-		return nil, v.epochs
-	}
-	return e.gatherHits(qs, q.Limit, maxCos, maxConf, maxAuth), v.epochs
 }
 
 // gatherHits merges the bounded per-shard heaps and assembles the ranked
@@ -672,49 +661,6 @@ func (e *Engine) gatherHits(qs *scoreScratch, limit int, maxCos, maxConf, maxAut
 		out[n] = h
 	}
 	return out
-}
-
-// scoreCandidates is the candidate-scoring loop: scatter term-at-a-time
-// accumulation over each shard's live postings into dense accumulators
-// with per-shard filtering and component maxima, an order-independent
-// reduction of the maxima, and a second pass combining the normalized
-// components into bounded per-shard top-K heaps. For non-phrase queries on
-// a single-shard store it performs zero per-query allocations once the
-// pooled scratch is warm (phrase queries may fill the snap's lazy stem
-// cache; the parallel scatter allocates its goroutines). ok is false when
-// no candidate survives the filters.
-func (e *Engine) scoreCandidates(qs *scoreScratch, v *searchView, q Query, p parsedQuery) (maxCos, maxConf, maxAuth float64, auth [][]float64, ok bool) {
-	// Query-side weights in the view's idf space. The terms are sorted so
-	// every accumulation that iterates them — qnorm here, the per-document
-	// dot products in the scatter — has one deterministic float order no
-	// matter how p.uniq iterates.
-	for term, tf := range p.uniq {
-		idf := v.idf.IDF(term)
-		w := v.idf.TermWeight(term, tf)
-		qs.qterms = append(qs.qterms, qterm{term: term, w: w, idf: idf})
-	}
-	sortQTerms(qs.qterms)
-	var qnorm float64
-	for i := range qs.qterms {
-		qnorm += qs.qterms[i].w * qs.qterms[i].w
-	}
-	qnorm = math.Sqrt(qnorm)
-
-	if q.Weights.Authority != 0 {
-		auth = v.authorityScores(e.store)
-	}
-	qs.q, qs.p, qs.qnorm, qs.auth = q, p, qnorm, auth
-	qs.uniqCount = len(p.uniq)
-
-	e.scatterAll(qs)
-
-	var candidates, survivors int
-	maxCos, maxConf, maxAuth, candidates, survivors = reduceScatter(qs)
-	if candidates == 0 || survivors == 0 {
-		return 0, 0, 0, nil, false
-	}
-	e.passTwo(qs, q.Limit, maxCos, maxConf, maxAuth)
-	return maxCos, maxConf, maxAuth, auth, true
 }
 
 // scatterAll runs the pass-1 scatter over every shard of qs's view —
@@ -798,19 +744,18 @@ func (e *Engine) passTwo(qs *scoreScratch, limit int, maxCos, maxConf, maxAuth f
 // accumulation (acc[d] += wq(t)·(1+log(tf_d))·idf(t)) over the shard's
 // live postings, then filtering, cosines, and the shard-local component
 // maxima. It mutates only sc and reads the immutable view, the store's
-// read-locked postings, and the query inputs parked in qs by
-// scoreCandidates, so shards scatter concurrently without shared mutable
-// state. wg is non-nil only on the parallel path.
+// read-locked postings, and the query inputs parked in qs by fillPlan, so
+// shards scatter concurrently without shared mutable state. wg is non-nil only on the parallel path.
 func (e *Engine) scatterShard(wg *sync.WaitGroup, qs *scoreScratch, sc *shardScratch) {
 	if wg != nil {
 		defer wg.Done()
 	}
-	q, p, qnorm, auth := qs.q, qs.p, qs.qnorm, qs.auth
+	q, phrases, qnorm, auth := qs.q, qs.phrases, qs.qnorm, qs.auth
 	sc.maxCos, sc.maxConf, sc.maxAuth, sc.survivors = 0, 0, 0, 0
 	for i := range qs.qterms {
-		sc.termW = qs.qterms[i].w
-		sc.termIDF = qs.qterms[i].idf
-		e.store.VisitShardPostings(sc.shard, qs.qterms[i].term, sc.visit)
+		sc.termW = qs.qterms[i].W
+		sc.termIDF = qs.qterms[i].IDF
+		e.store.VisitShardPostings(sc.shard, qs.qterms[i].Term, sc.visit)
 	}
 	if len(sc.cand) == 0 {
 		return
@@ -833,7 +778,7 @@ func (e *Engine) scatterShard(wg *sync.WaitGroup, qs *scoreScratch, sc *shardScr
 		if d.Tenant != q.Tenant ||
 			(exactNeed > 0 && sc.matched[i] < exactNeed) ||
 			(topicFilter != "" && d.Topic != topicFilter && !strings.HasPrefix(d.Topic, topicPrefix)) ||
-			(len(p.phraseStems) > 0 && !phrasesMatch(sc.snap.docStems(e.pipe, e.store, i), p.phraseStems)) {
+			(len(phrases) > 0 && !phrasesMatch(sc.snap.docStems(e.planner.pipe, e.store, i), phrases)) {
 			sc.matched[i] = -1
 			continue
 		}
@@ -858,9 +803,9 @@ func (e *Engine) scatterShard(wg *sync.WaitGroup, qs *scoreScratch, sc *shardScr
 // sortQTerms orders query terms lexicographically with an in-place
 // insertion sort — query term counts are tiny, and sort.Slice would
 // allocate in the zero-alloc scoring loop.
-func sortQTerms(qt []qterm) {
+func sortQTerms(qt []PlanTerm) {
 	for i := 1; i < len(qt); i++ {
-		for j := i; j > 0 && qt[j].term < qt[j-1].term; j-- {
+		for j := i; j > 0 && qt[j].Term < qt[j-1].Term; j-- {
 			qt[j], qt[j-1] = qt[j-1], qt[j]
 		}
 	}

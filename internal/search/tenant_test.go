@@ -40,8 +40,8 @@ func tenantFixture(shards int) *store.Store {
 }
 
 // TestTenantSearchIsolation: a query scoped to one tenant never returns
-// another tenant's rows, on both the legacy path (unsharded store) and the
-// snapshot scatter-gather path.
+// another tenant's rows, over an unsharded store and over the sharded
+// scatter-gather path.
 func TestTenantSearchIsolation(t *testing.T) {
 	for _, shards := range []int{0, 1, 8} {
 		e := New(tenantFixture(shards))

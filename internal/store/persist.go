@@ -12,12 +12,10 @@ import (
 	"sync"
 )
 
-// Persistence format. Streams written by this release start with a magic
-// and a one-byte format version, so a reader can tell a stream's layout
-// apart from its content and fail with a clear error instead of letting
-// gob mis-decode an incompatible snapshot deep inside the decoder.
-// Streams without the magic are the version-0 layout (a bare gob of the
-// unsharded snapshot struct), still read for one release.
+// Persistence format. A stream starts with a magic and a one-byte format
+// version, so a reader can tell a stream's layout apart from its content
+// and fail with a clear error instead of letting gob mis-decode an
+// incompatible snapshot deep inside the decoder.
 //
 // Version 2 frames the snapshot per shard: a header frame carrying the
 // shard layout, then one length-prefixed gob frame per shard holding that
@@ -32,32 +30,13 @@ import (
 // default-tenant documents is byte-identical to version 2 except for the
 // version byte). The bump exists so a pre-tenancy reader fails with a
 // clear "unsupported version" error instead of silently dropping tenant
-// tags. Versions 0-2 are still read and load as the default tenant.
+// tags. Version 2 is still read and loads as the default tenant; the
+// headerless version 0 and the single-gob version 1, which no writer has
+// produced since the framed layout shipped, are rejected by version.
 var storeMagic = [4]byte{'B', 'N', 'G', 'O'}
 
 // formatVersion is the store stream layout this release writes.
 const formatVersion = 3
-
-// snapshotV0 is the historical version-0 serialized form (one global
-// DocID sequence, no shard layout).
-type snapshotV0 struct {
-	NextID    DocID
-	Docs      []Document
-	Links     []Link
-	Redirects []Redirect
-}
-
-// snapshotV1 is the version-1 serialized form: the shard layout rides
-// along so DocIDs (which encode the shard in their low bits) stay valid on
-// reload. The inverted index and topic index are rebuilt on read rather
-// than serialized.
-type snapshotV1 struct {
-	ShardCount int
-	NextSeqs   []int64
-	Docs       []Document
-	Links      []Link
-	Redirects  []Redirect
-}
 
 // headerV2 is the layout frame of versions 2 and 3.
 type headerV2 struct {
@@ -195,34 +174,24 @@ func (s *Store) encodeFramed(w io.Writer, version byte) error {
 	return nil
 }
 
-// Decode deserializes a store previously written by Encode. Version-2
-// streams decode their shard frames in parallel; version-1 streams restore
-// the saved shard layout; streams without the version header are decoded
-// as the version-0 (unsharded) layout into a single-shard store with their
-// DocIDs preserved. An unknown version is a clear error, not a gob panic.
+// Decode deserializes a store previously written by Encode, decoding the
+// shard frames in parallel. A stream without the magic, or with a version
+// this release does not read, is a clear error, not a gob panic.
 func Decode(r io.Reader) (*Store, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	var head [5]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("store: decode: stream header: %w", err)
 	}
-	head, err := br.Peek(5)
-	if err != nil || !bytes.Equal(head[:4], storeMagic[:]) {
-		// No magic: a version-0 stream (or garbage, which gob will reject
-		// with its own error).
-		return decodeV0(br)
-	}
-	if _, err := br.Discard(5); err != nil {
-		return nil, fmt.Errorf("store: decode: %w", err)
+	if !bytes.Equal(head[:4], storeMagic[:]) {
+		return nil, fmt.Errorf("store: decode: not a store stream (no %q magic)", storeMagic[:])
 	}
 	switch version := head[4]; version {
-	case 1:
-		return decodeV1(br)
-	case 2, 3:
+	case 2, formatVersion:
 		// Versions 2 and 3 share their framing; a v2 stream's documents
 		// simply decode with Tenant == "" (the default tenant).
-		return decodeFramed(br)
+		return decodeFramed(r)
 	default:
-		return nil, fmt.Errorf("store: decode: unsupported format version %d (this release reads versions 0-%d)", version, formatVersion)
+		return nil, fmt.Errorf("store: decode: unsupported format version %d (this release reads versions 2-%d)", version, formatVersion)
 	}
 }
 
@@ -304,125 +273,6 @@ func (s *Store) ingestFrameV2(i int, frame []byte) error {
 	sh.redirects = append(sh.redirects, fr.Redirects...)
 	mDocs.Add(int64(len(fr.Docs)))
 	sh.docsGauge.Add(int64(len(fr.Docs)))
-	return nil
-}
-
-// decodeV1 reads the version-1 single-gob layout.
-func decodeV1(r io.Reader) (*Store, error) {
-	var snap snapshotV1
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decode: %w", err)
-	}
-	p := snap.ShardCount
-	if p < 1 || p > MaxShards || p&(p-1) != 0 {
-		return nil, fmt.Errorf("store: decode: invalid shard count %d", p)
-	}
-	if len(snap.NextSeqs) != p {
-		return nil, fmt.Errorf("store: decode: %d shard sequences for %d shards", len(snap.NextSeqs), p)
-	}
-	s := NewSharded(p)
-	for _, d := range snap.Docs {
-		sh := s.shardOf(d.ID)
-		if s.shardForURL(d.URL) != sh {
-			return nil, fmt.Errorf("store: decode: document %q carries an ID of shard %d but routes to shard %d", d.URL, sh.idx, s.ShardForURL(d.URL))
-		}
-		cp := d
-		sh.docs[d.ID] = &cp
-		sh.byURL[d.key()] = d.ID
-		sh.index.addDoc(d.ID, d.Terms)
-		if d.Topic != "" {
-			sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], d.ID)
-		}
-		mDocs.Add(1)
-		sh.docsGauge.Add(1)
-	}
-	for i, sh := range s.shards {
-		sh.nextSeq = snap.NextSeqs[i]
-	}
-	loadRows(s, snap.Links, snap.Redirects)
-	for _, sh := range s.shards {
-		sh.bumpEpoch()
-	}
-	return s, nil
-}
-
-// decodeV0 reads the historical headerless layout into a single-shard
-// store, preserving its sequential DocIDs exactly.
-func decodeV0(r io.Reader) (*Store, error) {
-	var snap snapshotV0
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decode: %w", err)
-	}
-	s := NewSharded(1)
-	sh := s.shards[0]
-	for _, d := range snap.Docs {
-		cp := d
-		sh.docs[d.ID] = &cp
-		sh.byURL[d.URL] = d.ID
-		sh.index.addDoc(d.ID, d.Terms)
-		if d.Topic != "" {
-			sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], d.ID)
-		}
-	}
-	mDocs.Add(int64(len(snap.Docs)))
-	sh.docsGauge.Add(int64(len(snap.Docs)))
-	sh.nextSeq = int64(snap.NextID)
-	loadRows(s, snap.Links, snap.Redirects)
-	sh.bumpEpoch()
-	return s, nil
-}
-
-// loadRows routes decoded link and redirect rows to their owning shards.
-func loadRows(s *Store, links []Link, redirects []Redirect) {
-	for _, l := range links {
-		shFrom := s.shardForURL(l.From)
-		shFrom.outLinks[l.From] = append(shFrom.outLinks[l.From], l)
-		shTo := s.shardForURL(l.To)
-		shTo.inLinks[l.To] = append(shTo.inLinks[l.To], l)
-	}
-	for _, r := range redirects {
-		sh := s.shardForURL(r.From)
-		sh.redirects = append(sh.redirects, r)
-	}
-}
-
-// encodeV1 writes the version-1 layout (kept for round-trip tests against
-// the previous release's reader).
-func (s *Store) encodeV1(w io.Writer) error {
-	snap := snapshotV1{
-		ShardCount: len(s.shards),
-		NextSeqs:   make([]int64, len(s.shards)),
-	}
-	snap.Docs = make([]Document, 0, s.NumDocs())
-	for i, sh := range s.shards {
-		sh.docMu.RLock()
-		snap.NextSeqs[i] = sh.nextSeq
-		for _, d := range sh.docs {
-			if sh.tier != nil {
-				snap.Docs = append(snap.Docs, sh.hydrateLocked(d))
-			} else {
-				snap.Docs = append(snap.Docs, *d)
-			}
-		}
-		sh.docMu.RUnlock()
-		sh.linkMu.RLock()
-		for _, ls := range sh.outLinks {
-			snap.Links = append(snap.Links, ls...)
-		}
-		sh.linkMu.RUnlock()
-		sh.redirMu.RLock()
-		snap.Redirects = append(snap.Redirects, sh.redirects...)
-		sh.redirMu.RUnlock()
-	}
-	if _, err := w.Write(storeMagic[:]); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	if _, err := w.Write([]byte{1}); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
 	return nil
 }
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -245,62 +244,23 @@ func TestPersistV1RoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistV0Compat: a stream in the historical headerless layout still
-// decodes, into a single-shard store with IDs preserved.
-func TestPersistV0Compat(t *testing.T) {
-	var buf bytes.Buffer
-	writeLegacyV0Stream(t, &buf)
-	s, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumShards() != 1 {
-		t.Fatalf("v0 stream decoded into %d shards", s.NumShards())
-	}
-	d, err := s.GetByURL("http://v0.example/a")
-	if err != nil || d.ID != 7 {
-		t.Fatalf("v0 doc = %+v, %v", d, err)
-	}
-	if got := s.DocFreq("legaci"); got != 1 {
-		t.Fatalf("v0 postings not rebuilt: %d", got)
-	}
-	if len(s.Links()) != 1 || len(s.Redirects()) != 1 {
-		t.Fatalf("v0 rows lost")
-	}
-	// NextID carries over: the next insert gets 11.
-	id := s.Insert(shardDoc("http://v0.example/b", "db", 0.5, map[string]int{"x": 1}))
-	if id != 11 {
-		t.Fatalf("post-v0 insert got ID %d, want 11", id)
-	}
-}
-
-// TestPersistUnknownVersion: a future format version is a clear error.
+// TestPersistUnknownVersion: a version this release does not read — a
+// future one, or the retired single-gob version 1 — is a clear error, not a
+// gob failure from deep inside a decoder; so is a stream without the magic.
 func TestPersistUnknownVersion(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(storeMagic[:])
-	buf.WriteByte(99)
-	buf.WriteString("whatever follows")
-	_, err := Decode(&buf)
-	if err == nil || !strings.Contains(err.Error(), "unsupported format version 99") {
-		t.Fatalf("err = %v", err)
+	for _, version := range []byte{99, 1} {
+		var buf bytes.Buffer
+		buf.Write(storeMagic[:])
+		buf.WriteByte(version)
+		buf.WriteString("whatever follows")
+		_, err := Decode(&buf)
+		if want := fmt.Sprintf("unsupported format version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: err = %v, want %q", version, err, want)
+		}
 	}
-}
-
-// writeLegacyV0Stream emits a stream exactly as the pre-versioning Encode
-// did: a bare gob of the unsharded snapshot.
-func writeLegacyV0Stream(t *testing.T, buf *bytes.Buffer) {
-	t.Helper()
-	legacy := snapshotV0{
-		NextID: 10,
-		Docs: []Document{{
-			ID: 7, URL: "http://v0.example/a", Topic: "db", Confidence: 0.4,
-			Terms: map[string]int{"legaci": 2},
-		}},
-		Links:     []Link{{From: "http://v0.example/a", To: "http://v0.example/z"}},
-		Redirects: []Redirect{{From: "http://v0.example/r", To: "http://v0.example/a"}},
-	}
-	if err := gob.NewEncoder(buf).Encode(&legacy); err != nil {
-		t.Fatal(err)
+	_, err := Decode(strings.NewReader("a headerless stream"))
+	if err == nil || !strings.Contains(err.Error(), "not a store stream") {
+		t.Errorf("headerless: err = %v", err)
 	}
 }
 

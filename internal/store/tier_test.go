@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -797,22 +796,6 @@ func TestTieredConcurrentChurn(t *testing.T) {
 			t.Fatalf("writer %d: DocFreq %d, want 150", g, df)
 		}
 	}
-}
-
-// TestPersistV1StillReadable: streams written by the previous release's
-// (version-1) layout still load.
-func TestPersistV1StillReadable(t *testing.T) {
-	s := NewSharded(4)
-	fillSharded(s, 120)
-	var buf bytes.Buffer
-	if err := s.encodeV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
-	}
-	requireStoresEqual(t, "v1-compat", loaded, s)
 }
 
 // TestTieredFailedFreezeRetainsWALGenerations: a freeze whose segment

@@ -152,26 +152,6 @@ func (p *Pipeline) StemsParts(parts ...string) []string {
 	return out
 }
 
-// StemsUncached is Stems without the stem memo or the pooled token buffer:
-// every call tokenizes into a fresh slice and runs the Porter stemmer on
-// every word occurrence. It exists as the measurable pre-optimization
-// analyzer for the legacy-write-path crawl baseline.
-func (p *Pipeline) StemsUncached(text string) []string {
-	tokens := Tokenize(text)
-	out := make([]string, 0, len(tokens))
-	for _, t := range tokens {
-		if p.stopwords.Contains(t.Text) || (p.extra != nil && p.extra.Contains(t.Text)) {
-			continue
-		}
-		s := Stem(t.Text)
-		if len(s) < 2 {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // StemCounts runs the pipeline and returns term frequencies.
 func (p *Pipeline) StemCounts(text string) map[string]int {
 	counts := make(map[string]int)

@@ -1,276 +1,18 @@
-// Serving-path benchmarks: the epoch-keyed result cache's effect on served
-// QPS under an open-loop Zipf query load, plus the bit-identical-results
-// equivalence check that makes the cached numbers meaningful. The JSON
-// writer (TestWriteServeBenchJSON, `make bench-serve`) records
-// BENCH_serve.json: a rate sweep over cache-on and cache-off servers built
-// from the same store, the max offered rate each sustains under the p99
-// SLO, and the served-QPS ratio between them.
+// Serving-path benchmark: the epoch-keyed result cache's effect on the
+// /search handler. The end-to-end open-loop numbers live in cmd/bench
+// (workloads serve-cold and serve-churn).
 package bingo_test
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
-	"time"
 
-	"github.com/bingo-search/bingo/internal/admit"
-	"github.com/bingo-search/bingo/internal/loadgen"
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/serve"
 	"github.com/bingo-search/bingo/internal/servecache"
 	"github.com/bingo-search/bingo/internal/store"
 )
-
-// serveQueryMix is the recorded query-string mix the serving benchmarks
-// replay: hot head queries (Zipf rank 0-2 dominate), topic/exact/weighted
-// variants, and long-tail term probes over the synthetic search corpus.
-func serveQueryMix() []string {
-	mix := loadgen.BuildMix([]string{
-		"recovery transaction",
-		"t1 t2 t7",
-		"recovery",
-		"transaction recovery protocols",
-		`"source code release"`,
-		"t42 t100 recovery",
-		"t3 transaction",
-		"storage index structures",
-	}, 10)
-	return append(mix,
-		"q=recovery&topic=ROOT%2Fdb&k=10",
-		"q=recovery+transaction&exact=1&k=10",
-		"q=recovery+transaction&wcos=0.7&wconf=0.3&k=10",
-		"q=t1+recovery&topic=ROOT%2Fdb&k=25",
-	)
-}
-
-// newServeServer boots one API over the store/engine pair behind a real
-// HTTP listener, with or without the result cache.
-func newServeServer(s *store.Store, eng *search.Engine, withCache bool) *httptest.Server {
-	var cache *servecache.Cache
-	if withCache {
-		cache = servecache.New(4096)
-	}
-	api := serve.New(s, eng, serve.Options{
-		Cache: cache,
-		Admission: admit.New(admit.Options{
-			MaxInFlight:  64,
-			MaxQueue:     128,
-			QueueTimeout: 50 * time.Millisecond,
-		}),
-	})
-	api.SetReady(true)
-	return httptest.NewServer(api.Handler())
-}
-
-// serveDoc decodes the fields of a /search response the benchmarks care
-// about; Hits stays raw so equivalence is a byte comparison.
-type serveDoc struct {
-	Cached bool            `json:"cached"`
-	Hits   json.RawMessage `json:"hits"`
-}
-
-func getServeDoc(t *testing.T, base, qs string) serveDoc {
-	t.Helper()
-	resp, err := http.Get(base + "/search?" + qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s?%s: status %d", base, qs, resp.StatusCode)
-	}
-	var doc serveDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	return doc
-}
-
-// serveRateRow is one (config, offered rate) cell of the sweep.
-type serveRateRow struct {
-	OfferedRate float64 `json:"offered_rate_qps"`
-	ServedQPS   float64 `json:"served_qps"`
-	OK          int64   `json:"ok_2xx"`
-	Shed        int64   `json:"shed_429"`
-	Errors      int64   `json:"errors"`
-	P50Nanos    int64   `json:"p50_ns"`
-	P90Nanos    int64   `json:"p90_ns"`
-	P99Nanos    int64   `json:"p99_ns"`
-	Sustained   bool    `json:"sustained"`
-}
-
-// sustainedRow applies the SLO: the offered load counts as sustained only
-// when every response was served (no errors, no sheds, no client drops),
-// throughput kept up with the offered rate, and p99 stayed under the bound.
-func sustainedRow(r loadgen.Result, p99Bound time.Duration) serveRateRow {
-	row := serveRateRow{
-		OfferedRate: r.OfferedRate,
-		ServedQPS:   r.ServedQPS,
-		OK:          r.OK,
-		Shed:        r.Shed,
-		Errors:      r.Errors,
-		P50Nanos:    r.P50Nanos,
-		P90Nanos:    r.P90Nanos,
-		P99Nanos:    r.P99Nanos,
-	}
-	row.Sustained = r.Errors == 0 && r.Shed == 0 && r.ClientDropped == 0 &&
-		r.P99Nanos < int64(p99Bound) &&
-		r.ServedQPS >= 0.9*r.OfferedRate
-	return row
-}
-
-// TestWriteServeBenchJSON sweeps offered rates over cache-on and cache-off
-// servers built from the same store (interleaved per rate, so machine
-// noise hits both configs of a pair equally) and records BENCH_serve.json.
-// Before the sweep it proves the cache is sound: for every query in the
-// mix, the cached server's hits — cold and warm — are byte-identical to
-// the uncached server's. Opt-in via BENCH_JSON=<path> (the Makefile
-// `bench-serve` target sets it).
-func TestWriteServeBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the serving-path measurement")
-	}
-	const docs = 24000
-	const p99SLO = 10 * time.Millisecond
-	const runDur = 1200 * time.Millisecond
-	rates := []float64{50, 100, 200, 400, 800, 1200, 1600, 2400, 3200, 4800}
-
-	s := store.NewSharded(8)
-	fillSearchStore(s, docs)
-	eng := search.New(s)
-	eng.Search(search.Query{Text: "recovery"}) // build the snapshot once
-	on := newServeServer(s, eng, true)
-	defer on.Close()
-	off := newServeServer(s, eng, false)
-	defer off.Close()
-	mix := serveQueryMix()
-
-	// Equivalence gate: cached results must be bit-identical to uncached.
-	for _, qs := range mix {
-		want := getServeDoc(t, off.URL, qs)
-		cold := getServeDoc(t, on.URL, qs)
-		if cold.Cached {
-			t.Fatalf("%s: cold request claims cached", qs)
-		}
-		warm := getServeDoc(t, on.URL, qs)
-		if !warm.Cached {
-			t.Fatalf("%s: warm request missed the cache", qs)
-		}
-		if string(cold.Hits) != string(want.Hits) || string(warm.Hits) != string(want.Hits) {
-			t.Fatalf("%s: cached hits not bit-identical to uncached\nuncached: %s\ncold:     %s\nwarm:     %s",
-				qs, want.Hits, cold.Hits, warm.Hits)
-		}
-	}
-	t.Logf("equivalence: %d queries bit-identical across cache-on cold, cache-on warm, cache-off", len(mix))
-
-	// One cell is best-of-attempts: on a shared machine a co-tenant CPU
-	// steal burst can blow p99 up 50x for one run. A retry is only spent on
-	// the steal signature — throughput kept up with the offered rate but
-	// latency failed the SLO — because genuine saturation shows up as a
-	// throughput shortfall or sheds instead, and those verdicts stand.
-	const attempts = 3
-	runOne := func(target string, rate float64) serveRateRow {
-		var best serveRateRow
-		for a := 0; a < attempts; a++ {
-			res, err := loadgen.Run(context.Background(), loadgen.Config{
-				Target:   target,
-				Rate:     rate,
-				Duration: runDur,
-				Workers:  64,
-				Queries:  mix,
-				Seed:     1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			row := sustainedRow(res, p99SLO)
-			if a == 0 || row.P99Nanos < best.P99Nanos {
-				best = row
-			}
-			if row.Sustained {
-				return row
-			}
-			latencyOnly := res.Errors == 0 && res.Shed == 0 &&
-				res.ClientDropped == 0 && res.ServedQPS >= 0.9*res.OfferedRate
-			if !latencyOnly {
-				return row
-			}
-		}
-		return best
-	}
-
-	var onRows, offRows []serveRateRow
-	for _, rate := range rates {
-		a := runOne(on.URL, rate)
-		b := runOne(off.URL, rate)
-		onRows = append(onRows, a)
-		offRows = append(offRows, b)
-		t.Logf("rate %.0f: cache-on %.0f q/s p99 %s (sustained %v) | cache-off %.0f q/s p99 %s (sustained %v)",
-			rate, a.ServedQPS, time.Duration(a.P99Nanos), a.Sustained,
-			b.ServedQPS, time.Duration(b.P99Nanos), b.Sustained)
-	}
-
-	maxSustained := func(rows []serveRateRow) float64 {
-		best := 0.0
-		for _, r := range rows {
-			if r.Sustained && r.ServedQPS > best {
-				best = r.ServedQPS
-			}
-		}
-		return best
-	}
-	onBest, offBest := maxSustained(onRows), maxSustained(offRows)
-	ratio := 0.0
-	if offBest > 0 {
-		ratio = onBest / offBest
-	}
-
-	report := struct {
-		Benchmark    string         `json:"benchmark"`
-		Docs         int            `json:"docs"`
-		MixSize      int            `json:"query_mix_size"`
-		P99SLOMillis float64        `json:"p99_slo_ms"`
-		RunSecs      float64        `json:"secs_per_rate"`
-		Equivalence  string         `json:"equivalence"`
-		CacheOn      []serveRateRow `json:"cache_on"`
-		CacheOff     []serveRateRow `json:"cache_off"`
-		OnMaxQPS     float64        `json:"cache_on_max_sustained_qps"`
-		OffMaxQPS    float64        `json:"cache_off_max_sustained_qps"`
-		Ratio        float64        `json:"served_qps_ratio_on_over_off"`
-	}{
-		Benchmark:    "open-loop /search sweep, cache-on vs cache-off (interleaved per rate)",
-		Docs:         docs,
-		MixSize:      len(mix),
-		P99SLOMillis: float64(p99SLO.Milliseconds()),
-		RunSecs:      runDur.Seconds(),
-		Equivalence:  fmt.Sprintf("%d mix queries byte-identical cached vs uncached", len(mix)),
-		CacheOn:      onRows,
-		CacheOff:     offRows,
-		OnMaxQPS:     onBest,
-		OffMaxQPS:    offBest,
-		Ratio:        ratio,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("max sustained under p99<%s: cache-on %.0f q/s, cache-off %.0f q/s, ratio %.2fx -> %s",
-		p99SLO, onBest, offBest, ratio, out)
-	if offBest == 0 {
-		t.Errorf("cache-off sustained no tested rate; sweep needs lower rates on this machine")
-	}
-	if ratio < 2 {
-		t.Errorf("cache-on/cache-off served QPS ratio %.2f below the 2x target", ratio)
-	}
-}
 
 // BenchmarkServeQPS measures the serving handler directly (no network):
 // cached vs uncached requests per second over the Zipf mix's head query.
