@@ -27,7 +27,7 @@ test: vet fmt-check
 # parallel HITS sweeps); race runs the packages that exercise them, plus the
 # lock-free metrics primitives they all report into.
 race:
-	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/loadgen/... ./internal/rpc/... ./internal/coord/...
+	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/loadgen/... ./internal/rpc/... ./internal/coord/... ./internal/portal/...
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/
 

@@ -60,7 +60,8 @@ func main() {
 		if h.Doc.Title != "" {
 			fmt.Printf("    %s\n", h.Doc.Title)
 		}
-		if snip := search.Snippet(h.Doc.Text, query, 24, ">>", "<<"); snip != "" {
+		text, _ := st.DocText(h.Doc.ID)
+		if snip := search.Snippet(text, query, 24, ">>", "<<"); snip != "" {
 			fmt.Printf("    %s\n", snip)
 		}
 		fmt.Printf("    topic %s  conf %.3f  cosine %.3f\n", h.Doc.Topic, h.Doc.Confidence, h.Cosine)

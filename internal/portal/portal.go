@@ -175,7 +175,10 @@ func (e *Explorer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	b.WriteString("<ol>")
 	for _, h := range hits {
-		snippet := search.Snippet(h.Doc.Text, q, 30, "<b>", "</b>")
+		// Hits carry no body; read it for the rows rendered. A failed read
+		// yields "" and the row renders without a snippet.
+		text, _ := e.store.DocText(h.Doc.ID)
+		snippet := search.Snippet(text, q, 30, "<b>", "</b>")
 		b.WriteString("<li>" + docLink(h.Doc) +
 			"<div class=snippet>" + snippet + "</div>" +
 			"<div class=meta>score " + ftoa(h.Score) + " · topic " +

@@ -12,6 +12,11 @@ import (
 
 func testStore() *store.Store {
 	s := store.New()
+	fillTestStore(s)
+	return s
+}
+
+func fillTestStore(s *store.Store) {
 	s.Insert(store.Document{
 		URL: "http://db.example/aries", Title: "ARIES recovery", Topic: "ROOT/db",
 		Confidence: 0.9, Depth: 2, ContentType: "text/html",
@@ -25,7 +30,6 @@ func testStore() *store.Store {
 		Terms: map[string]int{"databas": 1, "transact": 1},
 	})
 	s.AddLink(store.Link{From: "http://db.example/aries", To: "http://db.example/other"})
-	return s
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -85,6 +89,31 @@ func TestSearchWithSnippets(t *testing.T) {
 	code, body = get(t, srv, "/search?q=zzzzz")
 	if code != 200 || !strings.Contains(body, "no results") {
 		t.Errorf("empty search: %d %.200s", code, body)
+	}
+}
+
+// TestSearchSnippetsColdStore: hits carry no body, so the page reads it per
+// rendered row — including when every document is segment-resident.
+func TestSearchSnippetsColdStore(t *testing.T) {
+	s, err := store.OpenTiered(t.TempDir(), 2, store.TierOptions{MemtableBudget: 1 << 40, DisableCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillTestStore(s)
+	for i := 0; i < s.NumShards(); i++ {
+		if err := s.FreezeShard(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(New(s))
+	defer srv.Close()
+	code, body := get(t, srv, "/search?q=aries+recovery")
+	if code != 200 {
+		t.Fatalf("status = %d", code)
+	}
+	if !strings.Contains(body, "<b>aries</b>") && !strings.Contains(body, "<b>recovery</b>") {
+		t.Errorf("snippet not highlighted over a cold store: %.500s", body)
 	}
 }
 

@@ -429,7 +429,7 @@ func (p *Partition) Gather(version string, plan *Plan, maxCos, maxConf, maxAuth 
 		return nil, nil
 	}
 	p.eng.passTwo(qs, qs.q.Limit, maxCos, maxConf, maxAuth)
-	return p.eng.gatherHits(qs, qs.q.Limit, maxCos, maxConf, maxAuth), nil
+	return gatherHits(qs, qs.q.Limit, maxCos, maxConf, maxAuth), nil
 }
 
 // beginPhase resolves the version's view, checks authority readiness, and

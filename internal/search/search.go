@@ -72,7 +72,11 @@ type Query struct {
 	Limit int
 }
 
-// Hit is one ranked result.
+// Hit is one ranked result. Doc is the search snapshot's row — identity,
+// URL, title, topic, confidence and crawl metadata — and never the payload:
+// Doc.Text is "" and Doc.Terms is nil for every hit, whichever tier the
+// document lives in. A caller that renders the body reads it with
+// store.DocText(Doc.ID), for the rows it renders.
 type Hit struct {
 	Doc   store.Document
 	Score float64
@@ -107,7 +111,9 @@ func New(s *store.Store) *Engine {
 	return e
 }
 
-// Search runs q and returns the ranked hits.
+// Search runs q and returns the ranked hits. Answering reads postings and
+// the resident snapshot only; hits carry no body text or term vector (see
+// Hit) — store.DocText is the way to a hit's body.
 func (e *Engine) Search(q Query) []Hit {
 	hits, _ := e.search(q)
 	return hits
@@ -157,7 +163,7 @@ func (e *Engine) search(q Query) ([]Hit, []int64) {
 		return nil, v.epochs
 	}
 	e.passTwo(qs, plan.Limit, maxCos, maxConf, maxAuth)
-	return e.gatherHits(qs, plan.Limit, maxCos, maxConf, maxAuth), v.epochs
+	return gatherHits(qs, plan.Limit, maxCos, maxConf, maxAuth), v.epochs
 }
 
 // splitPhrases extracts double-quoted phrases from a query string and

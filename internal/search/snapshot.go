@@ -616,7 +616,12 @@ func (e *Engine) putScratch(qs *scoreScratch) {
 // distributed path the coordinator reduces them across every shard server
 // first, which is what keeps the normalized components (and therefore the
 // scores) bit-identical across deployments.
-func (e *Engine) gatherHits(qs *scoreScratch, limit int, maxCos, maxConf, maxAuth float64) []Hit {
+//
+// A hit is the snapshot row and nothing else: gatherHits never reads the
+// store, and it clears Text and Terms on every hit — hot, cold or untiered —
+// so the tier a document happens to sit in never decides what a caller
+// sees. Callers that render a body fetch it with store.DocText.
+func gatherHits(qs *scoreScratch, limit int, maxCos, maxConf, maxAuth float64) []Hit {
 	v := qs.view
 	auth := qs.auth
 	total := 0
@@ -632,20 +637,12 @@ func (e *Engine) gatherHits(qs *scoreScratch, limit int, maxCos, maxConf, maxAut
 		qs.merged = qs.merged[:limit]
 	}
 	out := make([]Hit, len(qs.merged))
-	tiered := e.store.Tiered()
 	for n, en := range qs.merged {
 		sn := v.shards[en.si]
 		sc := qs.shards[en.si]
 		doc := sn.docs[en.seq]
-		if doc.Terms == nil && tiered {
-			// Cold hit: the snap row is slim; hydrate body and terms from
-			// the segment tier so callers can render snippets. Only the
-			// top-K pay the segment read.
-			if full, err := e.store.Get(doc.ID); err == nil {
-				doc = full
-			}
-		}
-		h := Hit{Doc: doc, Score: en.score, Cosine: sc.acc[en.seq], Confidence: sn.docs[en.seq].Confidence}
+		doc.Text, doc.Terms = "", nil
+		h := Hit{Doc: doc, Score: en.score, Cosine: sc.acc[en.seq], Confidence: doc.Confidence}
 		if maxCos > 0 {
 			h.Cosine /= maxCos
 		}

@@ -167,16 +167,20 @@ func (d *dec) bool() bool { return d.byte() != 0 }
 // str decodes a length-prefixed string, copying out of the backing slice
 // (segment data may be an mmap that outlives the caller's view; WAL buffers
 // are reused).
-func (d *dec) str() string {
+func (d *dec) str() string { return string(d.strBytes()) }
+
+// strBytes decodes a length-prefixed string without copying; valid only
+// while d.b is.
+func (d *dec) strBytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.remaining()) {
 		d.fail("string of %d bytes overruns buffer at offset %d", n, d.off)
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	s := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
 	return s
 }

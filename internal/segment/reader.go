@@ -461,7 +461,9 @@ func (r *Reader) visitPostings(term string, fn func(seq int64, tf int)) (int, er
 		return 0, corruptf(r.path, "postings", "sparse offset %d beyond section", d.off)
 	}
 	for scanned := 0; scanned < sparseEvery && d.off < len(sec); scanned++ {
-		t := d.str()
+		// The entry's term is compared in place on the mapped bytes: the
+		// string conversions below compile to comparisons, not copies.
+		t := d.strBytes()
 		df := d.uvarint()
 		blen := d.uvarint()
 		wantCRC := d.u32()
@@ -469,10 +471,10 @@ func (r *Reader) visitPostings(term string, fn func(seq int64, tf int)) (int, er
 		if d.err != nil {
 			return 0, d.err
 		}
-		if t > term {
+		if string(t) > term {
 			return 0, nil
 		}
-		if t == term {
+		if string(t) == term {
 			if got := crc32.ChecksumIEEE(body); got != wantCRC {
 				return 0, corruptf(r.path, "postings", "term %q crc mismatch: stored %08x computed %08x", term, wantCRC, got)
 			}

@@ -78,6 +78,11 @@ var (
 	mHotBytes        = metrics.NewGauge("segment_memtable_bytes")
 )
 
+// mColdPayloadReads counts reads of a cold document's term vector or body
+// out of the segment tier. The query path makes none, so tests use it as the
+// oracle that nothing hydrates there.
+var mColdPayloadReads = metrics.NewCounter("segment_cold_payload_reads_total")
+
 // TermTF is one sorted term-vector entry, shared with the segment layer.
 type TermTF = segment.TermCount
 
@@ -1403,6 +1408,7 @@ func (sh *storeShard) hydrateLocked(d *Document) Document {
 	if !ok {
 		return cp
 	}
+	mColdPayloadReads.Inc()
 	vec, err := ref.seg.r.TermVec(ref.pos)
 	if err != nil {
 		mSegReadErrors.Inc()
@@ -1432,6 +1438,7 @@ func (s *Store) ColdDocTerms(id DocID, buf []TermTF) ([]TermTF, bool) {
 	if !ok {
 		return nil, false
 	}
+	mColdPayloadReads.Inc()
 	vec, err := ref.seg.r.TermVecInto(ref.pos, buf)
 	if err != nil {
 		mSegReadErrors.Inc()
@@ -1452,6 +1459,7 @@ func (s *Store) DocText(id DocID) (string, bool) {
 		return "", false
 	}
 	if ref, cold := sh.cold[id]; cold {
+		mColdPayloadReads.Inc()
 		text, err := ref.seg.r.Text(ref.pos)
 		if err != nil {
 			mSegReadErrors.Inc()
