@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race chaos smoke smoke-dist smoke-tenant doccheck bench bench-compare smoke-frontier
+.PHONY: all build vet fmt-check test race chaos smoke smoke-dist smoke-tenant doccheck bench bench-smoke bench-compare smoke-frontier
 
 all: build test
 
@@ -45,6 +45,17 @@ chaos:
 # .bench_build/results.json.
 bench:
 	bash cmd/bench/run.sh run -out .bench_build/results.json
+
+# bench-smoke is the benchmark's correctness leg, not a timing gate: every
+# workload once for 2 s at seed 2003, untraced. run.sh exits 0 only when the
+# run is "correct":true with 0 failed operations — for serve-churn that
+# includes every freshness marker turning visible and the post-churn
+# bit-identity oracle against a fresh engine.
+bench-smoke:
+	@for w in ingest-tiered serve-cold serve-sharded serve-churn; do \
+		echo "bench-smoke: $$w"; \
+		bash cmd/bench/run.sh --workload $$w --seed 2003 --seconds 2 --trace 0 || exit 1; \
+	done
 
 # bench-compare prints metric · old → new · delta for two result files and
 # exits 1 on a regression beyond a metric's bound:

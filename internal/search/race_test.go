@@ -186,3 +186,88 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 		equivalentHits(t, label+" vs reference", referenceSearch(s, q), got)
 	}
 }
+
+// TestConcurrentFlushChurnMatchesFreshEngine is the churn variant for the
+// carried rebuild: a writer flushes 32-document batches over every shard —
+// new URLs, recrawls and deletes — freezing and compacting in between,
+// while queries keep rebuilding views over the previous ones. Once quiet,
+// the churned engine, whose snaps were carried forward through every
+// rebuild, must answer Float64bits-identically to a fresh engine.
+func TestConcurrentFlushChurnMatchesFreshEngine(t *testing.T) {
+	st := openSearchTiered(t, 8)
+	fillTierWave(31, 0, 160, st)
+	e := New(st)
+	e.Search(Query{Text: "database"})
+
+	texts := []string{
+		"recovery transaction database log notes",
+		"database index structures survey",
+		"transaction concurrency and commit ordering",
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		rng := rand.New(rand.NewSource(31))
+		ws := st.NewWorkspace(1000)
+		for round := 0; round < 10; round++ {
+			for i := 0; i < 32; i++ {
+				// Every third document recrawls a URL of an earlier round.
+				url := fmt.Sprintf("http://flush%d.example/r%d/d%d", i%8, round, i)
+				if round > 0 && i%3 == 0 {
+					url = fmt.Sprintf("http://flush%d.example/r%d/d%d", i%8, rng.Intn(round), i)
+				}
+				terms := map[string]int{}
+				for k := 0; k < 3+rng.Intn(4); k++ {
+					terms[equivVocab[rng.Intn(len(equivVocab))]] += 1 + rng.Intn(3)
+				}
+				ws.Add(store.Document{
+					URL: url, Title: url, Text: texts[rng.Intn(len(texts))],
+					Topic: "ROOT/db", Confidence: float64(rng.Intn(1000)) / 1000, Terms: terms,
+				})
+			}
+			if err := ws.Flush(); err != nil {
+				t.Errorf("flush: %v", err)
+				return
+			}
+			st.Delete(fmt.Sprintf("http://flush%d.example/r%d/d%d", round%8, round, round%8+8))
+			for si := 0; si < st.NumShards(); si++ {
+				if err := st.FreezeShard(si); err != nil {
+					t.Errorf("freeze shard %d: %v", si, err)
+					return
+				}
+			}
+			if _, err := st.CompactShard(round % st.NumShards()); err != nil {
+				t.Errorf("compact: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			qs := equivQueries()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				e.Search(qs[i%len(qs)])
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	fresh := New(st)
+	for qi, q := range equivQueries() {
+		want := fresh.Search(q)
+		if len(want) == 0 {
+			t.Fatalf("query %d returned nothing — weak test", qi)
+		}
+		sameHits(t, fmt.Sprintf("post-churn query=%d", qi), want, e.Search(q))
+	}
+}

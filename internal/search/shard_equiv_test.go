@@ -303,7 +303,8 @@ func TestShardedClusterAssignmentsIdentical(t *testing.T) {
 
 // TestShardedIncrementalRebuildCounters pins the tentpole's economy: after
 // a localized write to a warm P=8 engine, a re-query rebuilds exactly one
-// shard snapshot and reuses the other seven.
+// shard snapshot and reuses the other seven — and inside the rebuilt shard
+// materializes only the written row, carrying the rest.
 func TestShardedIncrementalRebuildCounters(t *testing.T) {
 	s := store.NewSharded(8)
 	for i := 0; i < 320; i++ {
@@ -316,7 +317,7 @@ func TestShardedIncrementalRebuildCounters(t *testing.T) {
 	e := New(s)
 	e.Search(Query{Text: "database"}) // initial full build
 
-	rebuilt0, reused0 := mShardRebuilds.Value(), mShardReused.Value()
+	rebuilt0, reused0, docs0 := mShardRebuilds.Value(), mShardReused.Value(), mShardDocsRebuilt.Value()
 	s.Insert(store.Document{
 		URL:   "http://localized-write.example/",
 		Topic: "ROOT/db",
@@ -329,5 +330,8 @@ func TestShardedIncrementalRebuildCounters(t *testing.T) {
 	}
 	if reused != 7 {
 		t.Errorf("localized write reused %d shard snapshots, want 7", reused)
+	}
+	if docs := mShardDocsRebuilt.Value() - docs0; docs != 1 {
+		t.Errorf("localized write rebuilt %d document rows, want 1", docs)
 	}
 }

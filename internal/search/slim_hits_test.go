@@ -127,7 +127,7 @@ func TestHitsAreSlimEverywhere(t *testing.T) {
 // non-phrase query moves it — not through the engine, the partition phases
 // or the rpc gather handler — and the portal page moves it by exactly one
 // body read per rendered row. (A phrase query reads bodies to match stem
-// sequences, once per document per shard epoch; that is its filter, not
+// sequences, once per document; that is its filter, not
 // hit assembly.)
 func TestQueryReadsNoColdPayload(t *testing.T) {
 	st := search.OpenSearchTiered(t, 4)

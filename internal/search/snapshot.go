@@ -6,8 +6,9 @@
 //     precomputed 1+log(tf) factors, the shard-local vocabulary with its
 //     document frequencies, and a lazy stem cache. A shardSnap is keyed on
 //     its shard's mutation epoch and is rebuilt only when that shard
-//     changed, so steady-state rebuild cost under localized writes is
-//     O(changed shards), not O(corpus).
+//     changed, and a rebuild carries every row the previous snap of the
+//     shard already holds, so rebuild cost under writes is O(rows written)
+//     plus a copy of the changed shards, not O(corpus) term-vector reads.
 //
 //   - searchView: the per-epoch-vector global view gluing the shard snaps
 //     together — the merged idf table (per-shard df counts are summed as
@@ -25,6 +26,8 @@
 // Snapshot lifecycle is observable through search_snapshot_rebuilds_total
 // (view rebuilds), search_shard_snapshot_rebuilds_total /
 // search_shard_snapshots_reused_total (the dirty-shard economy),
+// search_shard_docs_rebuilt_total / search_shard_docs_carried_total (rows
+// read from the store vs carried from the previous snap),
 // search_snapshot_build_nanos and search_stale_serves_total; a rising
 // stale-serve rate means writers are outpacing rebuilds and queries are
 // trading freshness for latency.
@@ -47,13 +50,16 @@ import (
 	"github.com/bingo-search/bingo/internal/vsm"
 )
 
-// Per-shard snapshot economy: rebuilds vs reuses, and how many document
-// rows the rebuilds had to rematerialize (the work dirty-shard tracking
-// saves shows up as reuses with few docs rebuilt).
+// Per-shard snapshot economy: rebuilds vs reuses, and how the rebuilds'
+// document rows were filled — materialized from the store (a term vector
+// read or a hot Terms map sorted) or carried from the previous snap of the
+// shard. Dirty-shard tracking shows up as reuses; carrying shows up as
+// docs rebuilt tracking the documents written, not the shards' size.
 var (
 	mShardRebuilds    = metrics.NewCounter("search_shard_snapshot_rebuilds_total")
 	mShardReused      = metrics.NewCounter("search_shard_snapshots_reused_total")
 	mShardDocsRebuilt = metrics.NewCounter("search_shard_docs_rebuilt_total")
+	mShardDocsCarried = metrics.NewCounter("search_shard_docs_carried_total")
 )
 
 // parallelMinDocs gates the parallel scatter: below this corpus size the
@@ -84,7 +90,8 @@ type shardSnap struct {
 	// stems caches each document's stem sequence for phrase filtering,
 	// filled lazily on the first phrase query that inspects the document.
 	// Concurrent fills compute the same value; last store wins. The cache
-	// rides along when a clean shard's snap is reused across views.
+	// rides along when a clean shard's snap is reused across views, and an
+	// unchanged row's entry is carried into its dirty shard's next snap.
 	stems []atomic.Pointer[[]string]
 }
 
@@ -116,7 +123,16 @@ type searchView struct {
 // *newer* data than its epoch claims — the next query then observes the
 // larger shard epoch and triggers another rebuild, never serving data
 // older than the recorded epoch.
-func buildShardSnap(st *store.Store, si int) *shardSnap {
+//
+// Rows always come fresh from ShardDocs (topic, confidence, training flag,
+// deletes), but a row that base — an older snap of the same shard, or nil —
+// already holds under the same DocID has its term vector and stem-cache
+// entry carried over instead of re-read: a DocID's Title, Text and Terms
+// never change (see store.DocID). Carried termIDs are remapped through the
+// same first-appearance interning a fresh build uses, walking seq
+// ascending, so the result is field-for-field identical to
+// buildShardSnap(st, si, nil) and every float keeps its summation order.
+func buildShardSnap(st *store.Store, si int, base *shardSnap) *shardSnap {
 	epoch := st.ShardEpoch(si)
 	docs := st.ShardDocs(si)
 	bits := st.ShardBits()
@@ -144,7 +160,7 @@ func buildShardSnap(st *store.Store, si int) *shardSnap {
 		tf   int
 	}
 	tids := make(map[string]int32, 256)
-	addTerm := func(term string, tf int) {
+	tidOf := func(term string) int32 {
 		tid, ok := tids[term]
 		if !ok {
 			tid = int32(len(sn.terms))
@@ -152,10 +168,23 @@ func buildShardSnap(st *store.Store, si int) *shardSnap {
 			sn.terms = append(sn.terms, term)
 			sn.df = append(sn.df, 0)
 		}
+		return tid
+	}
+	addTerm := func(term string, tf int) {
+		tid := tidOf(term)
 		sn.df[tid]++
 		sn.termIDs = append(sn.termIDs, tid)
 		sn.logtf = append(sn.logtf, 1+math.Log(float64(tf)))
 	}
+	// remap translates base termIDs to this snap's (-1 = not yet interned).
+	var remap []int32
+	if base != nil {
+		remap = make([]int32, len(base.terms))
+		for i := range remap {
+			remap[i] = -1
+		}
+	}
+	carried := 0
 	tiered := st.Tiered()
 	var coldBuf []store.TermTF
 	var scratch []termEntry
@@ -163,6 +192,24 @@ func buildShardSnap(st *store.Store, si int) *shardSnap {
 		sn.docOff[seq] = int32(len(sn.termIDs))
 		d := &sn.docs[seq]
 		if d.ID == 0 {
+			continue
+		}
+		if base != nil && seq < len(base.docs) && base.docs[seq].ID == d.ID {
+			for j := base.docOff[seq]; j < base.docOff[seq+1]; j++ {
+				btid := base.termIDs[j]
+				tid := remap[btid]
+				if tid < 0 {
+					tid = tidOf(base.terms[btid])
+					remap[btid] = tid
+				}
+				sn.df[tid]++
+				sn.termIDs = append(sn.termIDs, tid)
+				sn.logtf = append(sn.logtf, base.logtf[j])
+			}
+			if p := base.stems[seq].Load(); p != nil {
+				sn.stems[seq].Store(p)
+			}
+			carried++
 			continue
 		}
 		if d.Terms == nil && tiered {
@@ -192,6 +239,8 @@ func buildShardSnap(st *store.Store, si int) *shardSnap {
 		}
 	}
 	sn.docOff[n] = int32(len(sn.termIDs))
+	mShardDocsCarried.Add(int64(carried))
+	mShardDocsRebuilt.Add(int64(sn.numDocs - carried))
 	return sn
 }
 
@@ -202,7 +251,7 @@ func buildShardSnap(st *store.Store, si int) *shardSnap {
 // callers arriving during a rebuild keep serving the previous view instead
 // of blocking. Only the very first query of an engine waits. A rebuild
 // reuses every shard snap whose epoch is unchanged — only dirty shards are
-// rematerialized.
+// rebuilt, carrying their unchanged rows.
 func (e *Engine) snapshot() *searchView {
 	if v := e.view.Load(); v != nil && e.viewCurrent(v) {
 		return v
@@ -245,9 +294,9 @@ func (e *Engine) viewCurrent(v *searchView) bool {
 	return true
 }
 
-// rebuildView runs under the caller-held buildMu: rematerialize the dirty
-// shard snaps, reuse the clean ones, then rebuild the cheap global layer
-// (merged idf, per-shard norms) over them.
+// rebuildView runs under the caller-held buildMu: rebuild the dirty shard
+// snaps over the current view's, reuse the clean ones, then rebuild the
+// global layer (merged idf, per-shard norms) over them.
 func (e *Engine) rebuildView() *searchView {
 	mSnapRebuilds.Inc()
 	start := time.Now()
@@ -268,25 +317,33 @@ func (e *Engine) rebuildView() *searchView {
 
 // currentSnaps returns one snap per store shard at the shard's current
 // epoch: a snap from one of the olds generations whose epoch is unchanged is
-// reused, every other shard is rematerialized — the dirty-shard economy that
-// keeps rebuild cost under localized writes O(changed shards).
+// reused, every other shard is rebuilt over the newest old snap of that
+// shard, carrying its unchanged rows — the dirty-shard economy that keeps
+// rebuild cost under localized writes O(changed shards), and a flush's
+// rebuild cost O(rows it wrote).
 func currentSnaps(st *store.Store, olds ...[]*shardSnap) []*shardSnap {
 	snaps := make([]*shardSnap, st.NumShards())
 	for i := range snaps {
 		ep := st.ShardEpoch(i)
+		var base *shardSnap
 		for _, old := range olds {
-			if i < len(old) && old[i].epoch == ep {
+			if i >= len(old) {
+				continue
+			}
+			if old[i].epoch == ep {
 				snaps[i] = old[i]
 				break
+			}
+			if base == nil || old[i].epoch > base.epoch {
+				base = old[i]
 			}
 		}
 		if snaps[i] != nil {
 			mShardReused.Inc()
 			continue
 		}
-		snaps[i] = buildShardSnap(st, i)
+		snaps[i] = buildShardSnap(st, i, base)
 		mShardRebuilds.Inc()
-		mShardDocsRebuilt.Add(int64(snaps[i].numDocs))
 	}
 	return snaps
 }
@@ -353,8 +410,8 @@ func finishView(shards []*shardSnap, idf *vsm.IDFTable, numDocs int) *searchView
 
 // docStems returns document seq's stem sequence for phrase matching,
 // cached per shard snap so repeated phrase queries stem each document at
-// most once — and, because snaps are reused across views, at most once per
-// shard epoch.
+// most once — and, because snaps are reused across views and rebuilds
+// carry the entry forward, at most once per DocID.
 func (sn *shardSnap) docStems(pipe *textproc.Pipeline, st *store.Store, seq int) []string {
 	if p := sn.stems[seq].Load(); p != nil {
 		return *p
@@ -363,8 +420,7 @@ func (sn *shardSnap) docStems(pipe *textproc.Pipeline, st *store.Store, seq int)
 	text := d.Text
 	if d.Terms == nil && st != nil && st.Tiered() {
 		// Cold document: the slim row carries no body; read it through the
-		// segment tier. The stem cache means each document pays this once
-		// per shard epoch.
+		// segment tier. The stem cache means each document pays this once.
 		if t, ok := st.DocText(d.ID); ok {
 			text = t
 		}

@@ -49,6 +49,14 @@ var (
 // DocID identifies a stored document. The shard index lives in the low
 // bits (ShardOf) and the shard-local sequence number in the rest; ID 0 is
 // never assigned and marks a hole in dense per-document arrays.
+//
+// A DocID's Title, Text and Terms never change for the life of a store:
+// every insert — a recrawl replacing a URL included — takes a sequence
+// above every one its shard ever issued, deleted documents' and
+// (after a reopen) persisted ones' included, and freeze and compaction
+// move payload without renumbering. Only the row fields (Topic,
+// Confidence, IsTraining) mutate in place. The search snapshot relies on
+// this to carry an unchanged row's term vector from one build to the next.
 type DocID int64
 
 // Document is one row of the document relation.

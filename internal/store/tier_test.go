@@ -423,6 +423,93 @@ func TestTieredDeleteReplaceAcrossFreeze(t *testing.T) {
 	s.Close()
 }
 
+// TestReplaceIssuesFreshSequence pins the contract DocID documents and the
+// search snapshot's carry relies on: replacing a URL — through Insert,
+// through a workspace flush, or after a reopen restored the shard sequence
+// from the manifest or from the WAL — takes a sequence strictly above every
+// one the shard ever issued, deleted documents' included.
+func TestReplaceIssuesFreshSequence(t *testing.T) {
+	dir := t.TempDir()
+	s := openTiered(t, dir, 2, testTierOpts())
+	defer s.Close()
+	fillTier(t, s, 8, 40)
+	const url = "http://replace.example/doc"
+	si := s.ShardForURL(url)
+	high := s.ShardMaxSeq(si) // highest sequence issued in url's shard
+	doc := func(u, body string) Document {
+		return Document{URL: u, Text: body, Terms: map[string]int{body: 1}}
+	}
+	check := func(label string, st *Store) {
+		t.Helper()
+		d, err := st.GetByURL(url)
+		if err != nil || d.Text != label {
+			t.Fatalf("%s: replacement not stored: %+v %v", label, d, err)
+		}
+		seq := int64(d.ID) >> st.ShardBits()
+		if st.ShardOf(d.ID) != si || seq <= high {
+			t.Fatalf("%s: got shard %d sequence %d; shard %d already issued %d",
+				label, st.ShardOf(d.ID), seq, si, high)
+		}
+		high = seq
+	}
+	// issueDeleted makes the shard's highest issued sequence a deleted
+	// document's.
+	other := 0
+	issueDeleted := func(st *Store) {
+		t.Helper()
+		for ; st.ShardForURL(fmt.Sprintf("http://other.example/%d", other)) != si; other++ {
+		}
+		u := fmt.Sprintf("http://other.example/%d", other)
+		other++
+		id := st.Insert(doc(u, "gone"))
+		if !st.Delete(u) {
+			t.Fatalf("delete %s failed", u)
+		}
+		high = int64(id) >> st.ShardBits()
+	}
+	replaceVia := func(label string, st *Store, useWorkspace bool) {
+		t.Helper()
+		issueDeleted(st)
+		if useWorkspace {
+			w := st.NewWorkspace(100)
+			w.Add(doc(url, label))
+			if err := w.Flush(); err != nil {
+				t.Fatalf("%s: flush: %v", label, err)
+			}
+		} else {
+			st.Insert(doc(url, label))
+		}
+		check(label, st)
+	}
+
+	s.Insert(doc(url, "insert"))
+	check("insert", s)
+	replaceVia("Insert", s, false)
+	replaceVia("Workspace.Flush", s, true)
+
+	// The freeze commits the manifest and retires the WAL generation that
+	// recorded the deleted document: only the manifest's NextSeq knows it.
+	issueDeleted(s)
+	freezeAll(t, s)
+	re := openTiered(t, dir, 2, testTierOpts())
+	defer re.Close()
+	if rec := re.Recovery(); rec.WALRecords != 0 {
+		t.Fatalf("manifest reopen replayed %d WAL records, want 0", rec.WALRecords)
+	}
+	re.Insert(doc(url, "Insert after manifest reopen"))
+	check("Insert after manifest reopen", re)
+
+	// A deleted document that exists only as WAL records, then a crash.
+	issueDeleted(re)
+	re2 := openTiered(t, dir, 2, testTierOpts())
+	defer re2.Close()
+	if rec := re2.Recovery(); rec.WALRecords == 0 {
+		t.Fatal("WAL reopen replayed no records — weak test")
+	}
+	replaceVia("Insert after WAL reopen", re2, false)
+	replaceVia("Workspace.Flush after WAL reopen", re2, true)
+}
+
 // TestTieredColdMetaMutations: SetTopic/SetTraining on cold documents are
 // visible immediately, survive crash-reopen (WAL), survive manifest-backed
 // restarts (overrides), and survive compaction re-baking.
