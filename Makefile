@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race chaos smoke smoke-dist smoke-tenant doccheck bench bench-smoke bench-compare smoke-frontier
+.PHONY: all build vet fmt-check test race fuzz chaos smoke smoke-dist smoke-tenant doccheck bench bench-smoke bench-compare smoke-frontier
 
 all: build test
 
@@ -30,6 +30,15 @@ race:
 	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/loadgen/... ./internal/rpc/... ./internal/coord/... ./internal/portal/...
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/
+
+# fuzz runs every decoder fuzz target past its seed corpus for FUZZTIME
+# each (plain `go test` only replays the seeds). The contract is a typed
+# error, never a panic.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/segment/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/segment/
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionState$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 # chaos runs the fault-injection suite (full crawls against the seeded fault
 # plane, plus the faults/fetch resilience units) across a fixed seed matrix

@@ -132,11 +132,12 @@ func ValidateTenantID(id string) error { return core.ValidateTenantID(id) }
 // NewEngine builds a focused-crawl engine from cfg.
 func NewEngine(cfg Config) (*Engine, error) { return core.New(cfg) }
 
-// LoadSession rebuilds an engine from a session saved with
-// Engine.SaveSession: the crawl database, training set and lifecycle
-// counters are restored, the classifier is retrained, and the duplicate
-// detector is primed so a resumed harvest does not refetch stored pages.
-func LoadSession(cfg Config, path string) (*Engine, error) { return core.LoadSession(cfg, path) }
+// LoadSession reopens the session Engine.SaveSession left in cfg.DataDir:
+// the crawl database is the tiered store there, the training set, frontier
+// and lifecycle counters are restored, the classifier is retrained, and the
+// duplicate detector is primed so a resumed harvest does not refetch stored
+// pages.
+func LoadSession(cfg Config) (*Engine, error) { return core.LoadSession(cfg) }
 
 // DefaultConfig returns cfg with every zero field replaced by the paper's
 // §5.1 defaults (useful for inspecting the effective tuning).

@@ -1,12 +1,16 @@
 // Command bingo runs a complete focused crawl — bootstrap, learning phase,
 // harvesting phase — against the built-in synthetic web, then answers a
-// query over the crawl result and optionally persists the crawl database.
+// query over the crawl result. With -data-dir the crawl writes through a
+// disk-backed tiered store and the run ends by saving a resumable session
+// in that directory; -resume continues it, and cmd/bingosearch and
+// cmd/portald read the same directory.
 //
 // Usage:
 //
 //	bingo [-world tiny|small|default] [-mode portal|expert]
-//	      [-learn N] [-harvest N] [-query "words"] [-save crawl.db]
+//	      [-learn N] [-harvest N] [-query "words"] [-data-dir crawl/]
 //	      [-metrics]
+//	bingo -data-dir crawl/ -resume [-harvest N]
 package main
 
 import (
@@ -31,21 +35,22 @@ func main() {
 	learnBudget := flag.Int64("learn", 100, "learning-phase page budget")
 	harvestBudget := flag.Int64("harvest", 500, "harvesting-phase page budget")
 	query := flag.String("query", "", "query to run against the crawl result (default depends on mode)")
-	save := flag.String("save", "", "path to persist the crawl database (gob)")
 	xmlOut := flag.String("xml", "", "path to export the crawl as semantically tagged XML")
-	sessionOut := flag.String("session", "", "path to save the full crawl session (resumable)")
-	resume := flag.String("resume", "", "path of a saved session to resume instead of starting fresh")
+	resume := flag.Bool("resume", false, "resume the session saved in -data-dir with -harvest more pages instead of starting fresh")
 	showMetrics := flag.Bool("metrics", false, "dump process metrics (Prometheus text format) after the run")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection plane")
 	chaosProfile := flag.String("chaos-profile", "off", "fault profile: off, default, flaky, slow, poison or flap")
 	storeShards := flag.Int("store-shards", 0, "document partitions in the crawl database (power of two, max 64; 0 = default 8)")
-	dataDir := flag.String("data-dir", "", "root of a disk-backed tiered store (segments + write-ahead log); the crawl writes through it and a rerun recovers it")
+	dataDir := flag.String("data-dir", "", "root of a disk-backed tiered store (segments + write-ahead log); the crawl writes through it and the run ends by saving a resumable session there")
 	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
 	compactFanout := flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
 	walSync := flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every crawl flush")
 	scheduler := flag.String("scheduler", "", "frontier crawl-ordering policy: fifo-priority (default), best-first, link-context or value-fn")
 	frontierBudget := flag.Int("frontier-budget", 0, "max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")
 	flag.Parse()
+	if *resume && *dataDir == "" {
+		log.Fatal("-resume needs -data-dir: a session lives in the crawl's data directory")
+	}
 
 	var plane *faults.Plane
 	if *chaosProfile != "" && *chaosProfile != "off" {
@@ -124,24 +129,36 @@ func main() {
 	}
 
 haveTopics:
+	// One Config for a fresh run and a resume alike, so a resumed harvest
+	// writes through the same tier as the crawl it continues.
+	table := map[string]string{}
+	for h, rec := range world.DNSTable() {
+		table[h] = rec.IP
+	}
+	cfg := bingo.Config{
+		Topics:         topics,
+		OthersURLs:     world.GeneralPageURLs(50),
+		Transport:      world.RoundTripper(),
+		DNSServers:     []bingo.DNSServerSpec{{Table: table}, {Table: table}, {Table: table}, {Table: table}, {Table: table}},
+		LearnBudget:    *learnBudget,
+		HarvestBudget:  *harvestBudget,
+		StoreShards:    *storeShards,
+		DataDir:        *dataDir,
+		MemtableBudget: *memtableBudget,
+		CompactFanout:  *compactFanout,
+		WALSync:        *walSync,
+		Scheduler:      *scheduler,
+		FrontierBudget: *frontierBudget,
+	}
+	if *mode == "expert" {
+		cfg.LearnDepth = 7
+	}
+	chaos(&cfg)
+
 	var eng *bingo.Engine
-	if *resume != "" {
-		// Resume a saved session: same world, extra harvest budget.
-		var cfg bingo.Config
-		cfg.Topics = topics
-		cfg.OthersURLs = world.GeneralPageURLs(50)
-		cfg.Transport = world.RoundTripper()
-		table := map[string]string{}
-		for h, rec := range world.DNSTable() {
-			table[h] = rec.IP
-		}
-		cfg.DNSServers = []bingo.DNSServerSpec{{Table: table}}
-		cfg.StoreShards = *storeShards
-		cfg.Scheduler = *scheduler
-		cfg.FrontierBudget = *frontierBudget
-		chaos(&cfg)
+	if *resume {
 		var lerr error
-		eng, lerr = bingo.LoadSession(cfg, *resume)
+		eng, lerr = bingo.LoadSession(cfg)
 		if lerr != nil {
 			log.Fatal(lerr)
 		}
@@ -155,21 +172,7 @@ haveTopics:
 			stats.VisitedURLs, stats.StoredPages, stats.Positive)
 	} else {
 		var nerr error
-		eng, nerr = bingo.EngineForWorld(world, topics, func(c *bingo.Config) {
-			c.LearnBudget = *learnBudget
-			c.HarvestBudget = *harvestBudget
-			c.StoreShards = *storeShards
-			c.DataDir = *dataDir
-			c.MemtableBudget = *memtableBudget
-			c.CompactFanout = *compactFanout
-			c.WALSync = *walSync
-			c.Scheduler = *scheduler
-			c.FrontierBudget = *frontierBudget
-			if *mode == "expert" {
-				c.LearnDepth = 7
-			}
-			chaos(c)
-		})
+		eng, nerr = bingo.NewEngine(cfg)
 		if nerr != nil {
 			log.Fatal(nerr)
 		}
@@ -219,17 +222,11 @@ haveTopics:
 		fmt.Println("(no results)")
 	}
 
-	if *save != "" {
-		if err := eng.Store().Save(*save); err != nil {
+	if *dataDir != "" {
+		if err := eng.SaveSession(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\ncrawl database saved to %s (%d documents)\n", *save, eng.Store().NumDocs())
-	}
-	if *sessionOut != "" {
-		if err := eng.SaveSession(*sessionOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("session saved to %s\n", *sessionOut)
+		fmt.Printf("\nsession saved in %s (%d documents); rerun with -resume to continue it\n", *dataDir, eng.Store().NumDocs())
 	}
 	if *xmlOut != "" {
 		f, err := os.Create(*xmlOut)

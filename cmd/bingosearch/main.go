@@ -1,11 +1,11 @@
-// Command bingosearch queries a crawl database saved by cmd/bingo (or
-// Engine.Store().Save): the paper's local search engine (§3.6) as a
-// standalone tool, with exact/vague filtering, topic scoping, combined
-// rankings and query-focused snippets.
+// Command bingosearch queries a crawl's data directory — the tiered store
+// cmd/bingo or cmd/portald wrote with -data-dir: the paper's local search
+// engine (§3.6) as a standalone tool, with exact/vague filtering, topic
+// scoping, combined rankings and query-focused snippets.
 //
 // Usage:
 //
-//	bingosearch -db crawl.db [-topic ROOT/databases] [-exact]
+//	bingosearch -data-dir crawl/ [-topic ROOT/databases] [-exact]
 //	            [-wcos 1 -wconf 0 -wauth 0] [-n 10] "query words"
 package main
 
@@ -13,13 +13,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"strings"
 
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/store"
 )
 
 func main() {
-	db := flag.String("db", "", "path to a saved crawl database (required)")
+	dataDir := flag.String("data-dir", "", "a crawl's tiered data directory (required)")
 	topic := flag.String("topic", "", "restrict to a topic subtree, e.g. ROOT/databases")
 	exact := flag.Bool("exact", false, "require every query term (exact filtering)")
 	wcos := flag.Float64("wcos", 1, "cosine ranking weight")
@@ -28,21 +30,26 @@ func main() {
 	n := flag.Int("n", 10, "number of results")
 	flag.Parse()
 
-	if *db == "" || flag.NArg() == 0 {
+	if *dataDir == "" || flag.NArg() == 0 {
 		flag.Usage()
-		log.Fatal("need -db and a query")
+		log.Fatal("need -data-dir and a query")
 	}
-	st, err := store.Load(*db)
+	// OpenTiered creates a missing directory; a query tool must not.
+	if _, err := os.Stat(*dataDir); err != nil {
+		log.Fatal(err)
+	}
+	// Shard count 0 adopts the directory's pinned layout; a query-only
+	// process has no reason to compact.
+	st, err := store.OpenTiered(*dataDir, 0, store.TierOptions{DisableCompaction: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	query := ""
-	for i, a := range flag.Args() {
-		if i > 0 {
-			query += " "
+	defer func() {
+		if err := st.Close(); err != nil {
+			log.Fatal(err)
 		}
-		query += a
-	}
+	}()
+	query := strings.Join(flag.Args(), " ")
 	fmt.Printf("database: %d documents, topics %v\n", st.NumDocs(), st.Topics())
 	hits := search.New(st).Search(search.Query{
 		Text:    query,

@@ -1,4 +1,4 @@
-// Command portald serves a saved crawl database as a browsable information
+// Command portald serves a crawl's data directory as a browsable information
 // portal (topic tree, search with snippets, document views) — the paper's
 // §6 "Web-service-based portal explorer" — plus the machine-facing query
 // API the production serving path uses:
@@ -30,7 +30,7 @@
 //
 // Usage:
 //
-//	portald -db crawl.db [-listen :8090]
+//	portald -data-dir crawl/ [-listen :8090]
 //	portald -crawl [-world small] [-listen :8090]
 //	portald -shards http://h1:7001,http://h2:7001 [-crawl] [-listen :8090]
 package main
@@ -64,8 +64,7 @@ import (
 )
 
 func main() {
-	db := flag.String("db", "", "path to a saved crawl database")
-	crawl := flag.Bool("crawl", false, "run a fresh synthetic-web crawl instead of loading -db")
+	crawl := flag.Bool("crawl", false, "run a fresh synthetic-web crawl instead of serving an existing -data-dir")
 	worldFlag := flag.String("world", "small", "synthetic world size when -crawl is set")
 	listen := flag.String("listen", ":8090", "address to serve the portal on (use :0 for an ephemeral port)")
 	portFile := flag.String("port-file", "", "write the bound listen address to this file once serving (for harnesses)")
@@ -114,7 +113,7 @@ func main() {
 
 	var st *store.Store
 	// coreEng stays non-nil in crawl mode so /tenants and the background
-	// retrainer have a live engine; -db/-data-dir modes serve a finished
+	// retrainer have a live engine; -data-dir mode serves a finished
 	// database and have neither.
 	var coreEng *bingo.Engine
 	switch {
@@ -242,15 +241,9 @@ func main() {
 			log.Fatal(err)
 		}
 		logRecovery(st)
-	case *db != "":
-		var err error
-		st, err = store.Load(*db)
-		if err != nil {
-			log.Fatal(err)
-		}
 	default:
 		flag.Usage()
-		log.Fatal("need -db, -data-dir or -crawl")
+		log.Fatal("need -data-dir or -crawl")
 	}
 
 	// One engine feeds both frontends so they share search snapshots.

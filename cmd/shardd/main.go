@@ -41,7 +41,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":7001", "address to serve the shard RPC API on (use :0 for an ephemeral port)")
 	portFile := flag.String("port-file", "", "write the bound listen address to this file once serving (for harnesses)")
-	db := flag.String("db", "", "load an existing saved crawl database as this partition")
 	dataDir := flag.String("data-dir", "", "root of the partition's disk-backed tiered store (segments + write-ahead log); empty runs in-memory")
 	storeShards := flag.Int("store-shards", 0, "local document sub-shards inside the partition (power of two, max 64; 0 = default 8)")
 	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
@@ -65,11 +64,6 @@ func main() {
 		r := st.Recovery()
 		fmt.Printf("tiered store recovered: %d segments (%d docs), %d WAL records (%d docs) in %s; %d docs durable\n",
 			r.Segments, r.SegmentDocs, r.WALRecords, r.WALDocs, r.Elapsed, st.DurableDocs())
-	case *db != "":
-		st, err = store.Load(*db)
-		if err != nil {
-			log.Fatal(err)
-		}
 	default:
 		st = store.NewSharded(*storeShards)
 	}

@@ -56,13 +56,15 @@ databases/mining	http://cs01.databases.example/~author0001/index.html
 }
 
 // ExampleEngine_SaveSession shows pausing a crawl overnight-style and
-// resuming it later with extra budget.
+// resuming it later with extra budget: the session is the crawl's data
+// directory.
 func ExampleEngine_SaveSession() {
 	world := bingo.GenerateWorld(bingo.TinyWorldConfig())
 	topics := []bingo.TopicSpec{{Path: []string{"databases"}, Seeds: world.SeedURLs()}}
 	engine, err := bingo.EngineForWorld(world, topics, func(c *bingo.Config) {
 		c.LearnBudget = 50
 		c.HarvestBudget = 50
+		c.DataDir = "crawl"
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -70,17 +72,21 @@ func ExampleEngine_SaveSession() {
 	if _, _, err := engine.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	_ = engine.SaveSession("/tmp/session.bingo")
+	if err := engine.SaveSession(); err != nil {
+		log.Fatal(err)
+	}
+	engine.Close()
 
 	// ... next morning:
-	resumed, err := bingo.LoadSession(mustConfig(world, topics), "/tmp/session.bingo")
+	resumed, err := bingo.LoadSession(mustConfig(world, topics, "crawl"))
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer resumed.Close()
 	_, _ = resumed.HarvestN(context.Background(), 200)
 }
 
-func mustConfig(world *bingo.World, topics []bingo.TopicSpec) bingo.Config {
+func mustConfig(world *bingo.World, topics []bingo.TopicSpec, dataDir string) bingo.Config {
 	table := map[string]string{}
 	for h, rec := range world.DNSTable() {
 		table[h] = rec.IP
@@ -90,5 +96,6 @@ func mustConfig(world *bingo.World, topics []bingo.TopicSpec) bingo.Config {
 		OthersURLs: world.GeneralPageURLs(12),
 		Transport:  world.RoundTripper(),
 		DNSServers: []bingo.DNSServerSpec{{Table: table}},
+		DataDir:    dataDir,
 	}
 }

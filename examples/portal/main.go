@@ -1,7 +1,7 @@
 // Portal generation (paper §5.2): populate a "database research" portal
 // from two seed homepages, evaluate recall/precision against the DBLP-
 // analog ground truth, let the cluster analysis suggest subclass structure,
-// and persist the crawl database.
+// and keep the crawl as a resumable session in a data directory.
 package main
 
 import (
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	bingo "github.com/bingo-search/bingo"
 )
@@ -19,11 +18,16 @@ func main() {
 	fmt.Println(world)
 	fmt.Printf("seeds (the 'DeWitt and Gray' of this world): %v\n\n", world.SeedURLs())
 
+	dir, err := os.MkdirTemp("", "bingo-portal-")
+	if err != nil {
+		log.Fatal(err)
+	}
 	engine, err := bingo.EngineForWorld(world,
 		[]bingo.TopicSpec{{Path: []string{"databases"}, Seeds: world.SeedURLs()}},
 		func(c *bingo.Config) {
 			c.LearnBudget = 120
 			c.HarvestBudget = 1200
+			c.DataDir = dir
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -61,10 +65,13 @@ func main() {
 		fmt.Printf("  suggested subclass %d: %v\n", i+1, label)
 	}
 
-	// Persist the crawl database and load it back.
-	path := filepath.Join(os.TempDir(), "bingo-portal.db")
-	if err := engine.Store().Save(path); err != nil {
+	// The crawl already lives in dir; the session makes it resumable.
+	if err := engine.SaveSession(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncrawl database saved to %s (%d documents)\n", path, engine.Store().NumDocs())
+	fmt.Printf("\ncrawl session saved in %s (%d documents); query it with bingosearch -data-dir %s\n",
+		dir, engine.Store().NumDocs(), dir)
+	if err := engine.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -115,7 +115,8 @@ type Config struct {
 	// store rooted at this directory: crawled documents are WAL-logged at
 	// flush time and frozen into compressed immutable segments, so the
 	// corpus can exceed RAM and a restart recovers everything acknowledged
-	// before the crash. Empty keeps the store purely in memory.
+	// before the crash. It is also where SaveSession and LoadSession keep
+	// the resumable session. Empty keeps the store purely in memory.
 	DataDir string
 	// MemtableBudget bounds the per-shard bytes of hot (in-memory)
 	// document payload before a freeze moves them into a segment

@@ -46,11 +46,9 @@ type Engine struct {
 
 	// searchMu guards the cached search engine. Caching it (instead of
 	// constructing one per Search() call) preserves the search snapshot
-	// and its epoch-keyed caches across queries; the cache is rebuilt when
-	// session restore swaps the underlying store.
-	searchMu    sync.Mutex
-	searchEng   *search.Engine
-	searchStore *store.Store
+	// and its epoch-keyed caches across queries.
+	searchMu  sync.Mutex
+	searchEng *search.Engine
 
 	// Tenant registry. def is the implicit default tenant (id ""), always
 	// present and also reachable through the map.
@@ -229,9 +227,8 @@ func (e *Engine) Retrain() error { return e.def.Retrain() }
 func (e *Engine) Search() *search.Engine {
 	e.searchMu.Lock()
 	defer e.searchMu.Unlock()
-	if e.searchEng == nil || e.searchStore != e.store {
+	if e.searchEng == nil {
 		e.searchEng = search.New(e.store)
-		e.searchStore = e.store
 	}
 	return e.searchEng
 }

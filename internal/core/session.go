@@ -1,11 +1,13 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"github.com/bingo-search/bingo/internal/classify"
 	"github.com/bingo-search/bingo/internal/features"
@@ -15,21 +17,28 @@ import (
 
 // Session persistence: the paper's usage model is "a few minutes for
 // setting up an overnight crawl, and another few minutes for looking at the
-// results the next morning" (§1.2). SaveSession captures everything needed
-// to analyze and *resume* a crawl later: the document database, the current
-// training set (seeds + promoted archetypes + feedback), the engine's
-// lifecycle counters, and the crawl frontier — queued links, cooling
-// breaker requeues (with their remaining delays), and the dedup set — so a
-// resumed harvest picks up mid-queue instead of only re-seeding from hubs.
-// LoadSession rebuilds the engine, re-trains the classifier from the
-// restored training set, restores the frontier, and primes the duplicate
-// detector with every stored URL so a resumed harvest does not refetch.
+// results the next morning" (§1.2). A crawl session is its data directory:
+// the tiered store (segments + WAL + manifests) already holds the document
+// database, and SaveSession adds one small SESSION file beside it with the
+// engine state the store does not: the current training set (seeds +
+// promoted archetypes + feedback), the lifecycle counters, and the crawl
+// frontier — queued links, cooling breaker requeues (with their remaining
+// delays), and the dedup set — so a resumed harvest picks up mid-queue
+// instead of only re-seeding from hubs. LoadSession reopens the directory,
+// re-trains the classifier from the restored training set, restores the
+// frontier, and primes the duplicate detector with every stored URL so a
+// resumed harvest does not refetch.
 //
-// Streams written by this release start with a magic and a one-byte format
-// version so a reader can reject an incompatible file with a clear error;
-// headerless streams from earlier releases are still read (their inner
-// gob Version field distinguishes layouts).
+// SESSION starts with a magic and a one-byte format version. Versions 1
+// and 2 (and headerless files) embedded a copy of the whole store and are
+// rejected by version.
 var sessionMagic = [4]byte{'B', 'N', 'G', 'S'}
+
+// sessionVersion is the SESSION layout this release writes and reads.
+const sessionVersion = 3
+
+// sessionFile is the state file's name inside the data directory.
+const sessionFile = "SESSION"
 
 // savedDoc is the serialized form of a training document.
 type savedDoc struct {
@@ -38,11 +47,8 @@ type savedDoc struct {
 	Anchors []string
 }
 
-// sessionState is the serialized engine state (the store follows it in the
-// same stream). Version 2 added the frontier snapshot; version-1 states
-// (which predate the header and carry no frontier) load with an empty one.
+// sessionState is the serialized engine state.
 type sessionState struct {
-	Version    int
 	Training   map[string][]savedDoc
 	Others     []savedDoc
 	SeedTopics map[string]string
@@ -51,17 +57,23 @@ type sessionState struct {
 	Frontier   frontier.Dump
 }
 
-const sessionVersion = 2
-
-// SaveSession writes the default tenant's crawl session to path
-// atomically. (Sessions are a single-portal artifact: the shared store —
-// which may carry other tenants' rows — is saved whole, but training,
-// seeds, phase and frontier are the default tenant's.)
-func (e *Engine) SaveSession(path string) error {
+// SaveSession makes the default tenant's crawl session resumable from
+// cfg.DataDir. It freezes every shard, so each row the engine holds is in
+// a segment whatever WALSync says, then atomically writes DataDir/SESSION.
+// Sessions are a single-portal artifact: the shared store is durable
+// whole, but training, seeds, phase and frontier are the default tenant's.
+func (e *Engine) SaveSession() error {
+	if e.cfg.DataDir == "" {
+		return errors.New("core: save session: no DataDir (a session lives in the crawl's data directory)")
+	}
+	for i := 0; i < e.store.NumShards(); i++ {
+		if err := e.store.FreezeShard(i); err != nil {
+			return fmt.Errorf("core: save session: %w", err)
+		}
+	}
 	def := e.def
 	def.mu.RLock()
 	st := sessionState{
-		Version:    sessionVersion,
 		Training:   make(map[string][]savedDoc, len(def.training.ByTopic)),
 		SeedTopics: make(map[string]string, len(def.seedTopics)),
 		Retrains:   def.retrains,
@@ -81,35 +93,66 @@ func (e *Engine) SaveSession(path string) error {
 	def.mu.RUnlock()
 	st.Frontier = def.frontier.Dump()
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	var buf bytes.Buffer
+	err := writeSessionState(&buf, st)
+	if err == nil {
+		err = writeFileAtomic(filepath.Join(e.cfg.DataDir, sessionFile), buf.Bytes())
+	}
 	if err != nil {
 		return fmt.Errorf("core: save session: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	_, err = w.Write(sessionMagic[:])
+	return nil
+}
+
+// writeSessionState writes a SESSION stream: magic, version byte, then the
+// gob-encoded state.
+func writeSessionState(w io.Writer, st sessionState) error {
+	if _, err := w.Write(append(sessionMagic[:], sessionVersion)); err != nil {
+		return err
+	}
+	return gob.NewEncoder(w).Encode(&st)
+}
+
+// writeFileAtomic writes b to a temp file, fsyncs it, and renames it over
+// path, so a crash leaves either the old file or the new one.
+func writeFileAtomic(path string, b []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
 	if err == nil {
-		err = w.WriteByte(sessionVersion)
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err == nil {
-		err = gob.NewEncoder(w).Encode(&st)
+		err = os.Rename(tmp, path)
 	}
-	if err == nil {
-		err = e.store.Encode(w)
-		if err == nil {
-			err = w.Flush()
-		}
-		if err == nil {
-			err = f.Close()
-		}
-		if err == nil {
-			return os.Rename(tmp, path)
-		}
-	} else {
-		f.Close()
+	if err != nil {
+		os.Remove(tmp)
 	}
-	os.Remove(tmp)
-	return fmt.Errorf("core: save session: %w", err)
+	return err
+}
+
+// readSessionState reads what writeSessionState wrote. Anything else is an
+// error, never a panic.
+func readSessionState(r io.Reader) (sessionState, error) {
+	var st sessionState
+	var head [5]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return st, fmt.Errorf("session header: %w", err)
+	}
+	if !bytes.Equal(head[:4], sessionMagic[:]) {
+		return st, fmt.Errorf("unsupported format version (no %q header)", sessionMagic[:])
+	}
+	if v := head[4]; v != sessionVersion {
+		return st, fmt.Errorf("unsupported format version %d (this release reads version %d)", v, sessionVersion)
+	}
+	err := gob.NewDecoder(r).Decode(&st)
+	return st, err
 }
 
 func saveDoc(d classify.Doc) savedDoc {
@@ -120,48 +163,42 @@ func loadDoc(d savedDoc) classify.Doc {
 	return classify.Doc{ID: d.ID, Input: features.DocInput{Stems: d.Stems, Anchors: d.Anchors}}
 }
 
-// LoadSession rebuilds an engine from a saved session. cfg must describe
-// the same topic tree; transports, budgets and tuning may differ (e.g. a
-// larger harvest budget for the resumed crawl).
-func LoadSession(cfg Config, path string) (*Engine, error) {
+// LoadSession reopens the session saved in cfg.DataDir: New(cfg) opens the
+// tiered store, then training, frontier and dedup are restored and the
+// classifier is retrained. cfg must describe the same topic tree;
+// transports, budgets and tuning may differ (e.g. a larger harvest budget
+// for the resumed crawl).
+func LoadSession(cfg Config) (*Engine, error) {
+	if cfg.DataDir == "" {
+		return nil, errors.New("core: load session: no DataDir")
+	}
+	b, err := os.ReadFile(filepath.Join(cfg.DataDir, sessionFile))
+	if err != nil {
+		return nil, fmt.Errorf("core: load session: %w", err)
+	}
+	st, err := readSessionState(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("core: load session: %w", err)
+	}
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: load session: %w", err)
+	if err := e.restoreSession(st); err != nil {
+		e.Close()
+		return nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	head, err := r.Peek(5)
-	if err == nil && bytes.Equal(head[:4], sessionMagic[:]) {
-		version := head[4]
-		if version != sessionVersion {
-			return nil, fmt.Errorf("core: load session: unsupported format version %d (this release reads versions 1-%d)", version, sessionVersion)
-		}
-		if _, err := r.Discard(5); err != nil {
-			return nil, fmt.Errorf("core: load session: %w", err)
-		}
-	}
-	var st sessionState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: load session: %w", err)
-	}
-	if st.Version < 1 || st.Version > sessionVersion {
-		return nil, fmt.Errorf("core: load session: unsupported version %d", st.Version)
-	}
-	loaded, err := store.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load session: %w", err)
-	}
+	return e, nil
+}
 
+// restoreSession installs a saved state into a freshly opened engine.
+func (e *Engine) restoreSession(st sessionState) error {
 	def := e.def
 	def.mu.Lock()
 	for topic, docs := range st.Training {
 		if _, ok := def.tree.Lookup(topic); !ok {
 			def.mu.Unlock()
-			return nil, fmt.Errorf("core: load session: topic %s not in configured tree", topic)
+			return fmt.Errorf("core: load session: topic %s not in configured tree", topic)
 		}
 		for _, d := range docs {
 			def.training.Add(topic, loadDoc(d))
@@ -173,16 +210,13 @@ func LoadSession(cfg Config, path string) (*Engine, error) {
 	def.seedTopics = st.SeedTopics
 	def.phase = st.Phase
 	def.mu.Unlock()
-	e.store = loaded
 
-	// Restore the crawl frontier (version-1 states carry an empty dump, so
-	// this is a no-op for them and resuming re-seeds from hubs as before).
 	def.frontier.Restore(st.Frontier)
 
 	// Prime the duplicate detector so resumed crawling skips stored pages.
 	// Only the default tenant's rows count: another portal having fetched a
 	// URL must not stop a resumed default-tenant crawl from fetching it.
-	loaded.VisitDocs(func(d store.Document) bool {
+	e.store.VisitDocs(func(d store.Document) bool {
 		if d.Tenant != "" {
 			return true
 		}
@@ -193,11 +227,11 @@ func LoadSession(cfg Config, path string) (*Engine, error) {
 		return true
 	})
 	if err := def.retrain(); err != nil {
-		return nil, err
+		return err
 	}
 	// retrain bumped the counter by one; fold in the history.
 	def.mu.Lock()
 	def.retrains += st.Retrains
 	def.mu.Unlock()
-	return e, nil
+	return nil
 }

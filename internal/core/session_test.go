@@ -1,22 +1,59 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/bingo-search/bingo/internal/corpus"
 	"github.com/bingo-search/bingo/internal/frontier"
 )
 
+// sessionConfig is the config a saved session is reopened with: the same
+// world over dir (a fresh transport is fine — the world is deterministic).
+func sessionConfig(w *corpus.World, dir, topic string) Config {
+	table := map[string]string{}
+	for h, rec := range w.DNSTable() {
+		table[h] = rec.IP
+	}
+	return Config{
+		Topics:     []TopicSpec{{Path: []string{topic}, Seeds: w.SeedURLs()}},
+		OthersURLs: w.GeneralPageURLs(12),
+		Transport:  w.RoundTripper(),
+		DNSServers: []DNSServerSpec{{Table: table}},
+		DataDir:    dir,
+	}
+}
+
+// savedSession bootstraps an engine over a fresh data directory, saves its
+// session and closes it, returning the world and the directory.
+func savedSession(t *testing.T) (*corpus.World, string) {
+	t.Helper()
+	dir := t.TempDir()
+	e, w := newTestEngine(t, func(c *Config) { c.DataDir = dir })
+	if err := e.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveSession(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return w, dir
+}
+
 func TestSaveLoadSessionAndResume(t *testing.T) {
+	dir := t.TempDir()
 	e, world := newTestEngine(t, func(c *Config) {
 		c.LearnBudget = 80
 		c.HarvestBudget = 80
+		c.DataDir = dir
 	})
 	ctx := context.Background()
 	if _, _, err := e.Run(ctx); err != nil {
@@ -25,28 +62,18 @@ func TestSaveLoadSessionAndResume(t *testing.T) {
 	docsBefore := e.Store().NumDocs()
 	trainBefore := e.TrainingSize()
 	retrainsBefore := e.Retrains()
-
-	path := filepath.Join(t.TempDir(), "session.bingo")
-	if err := e.SaveSession(path); err != nil {
+	if err := e.SaveSession(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Rebuild the engine config against the same world (a fresh transport
-	// is fine — the world is deterministic).
-	table := map[string]string{}
-	for h, rec := range world.DNSTable() {
-		table[h] = rec.IP
-	}
-	cfg := Config{
-		Topics:     []TopicSpec{{Path: []string{"databases"}, Seeds: world.SeedURLs()}},
-		OthersURLs: world.GeneralPageURLs(12),
-		Transport:  world.RoundTripper(),
-		DNSServers: []DNSServerSpec{{Table: table}},
-	}
-	e2, err := LoadSession(cfg, path)
+	e2, err := LoadSession(sessionConfig(world, dir, "databases"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e2.Close()
 	if e2.Store().NumDocs() != docsBefore {
 		t.Errorf("store docs = %d, want %d", e2.Store().NumDocs(), docsBefore)
 	}
@@ -69,102 +96,98 @@ func TestSaveLoadSessionAndResume(t *testing.T) {
 		t.Errorf("resume added no documents: %d -> %d (stats %+v)",
 			docsBefore, e2.Store().NumDocs(), stats)
 	}
-	// no document stored twice: NumDocs equals distinct URLs by definition,
-	// but also verify the dedup primed correctly by checking duplicates > 0
-	// would at most be frontier-level; store must contain the old seeds once
 	if !e2.Store().Contains(world.SeedURLs()[0]) {
 		t.Error("seed lost on reload")
 	}
 }
 
 func TestLoadSessionErrors(t *testing.T) {
-	dir := t.TempDir()
-	e, w := newTestEngine(t, nil)
-	if err := e.Bootstrap(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "s.bingo")
-	if err := e.SaveSession(path); err != nil {
-		t.Fatal(err)
-	}
+	w, dir := savedSession(t)
 
-	table := map[string]string{}
-	for h, rec := range w.DNSTable() {
-		table[h] = rec.IP
+	// no data directory, and a data directory without a session
+	if _, err := LoadSession(sessionConfig(w, "", "databases")); err == nil {
+		t.Error("session loaded without a DataDir")
 	}
-	base := Config{
-		OthersURLs: w.GeneralPageURLs(12),
-		Transport:  w.RoundTripper(),
-		DNSServers: []DNSServerSpec{{Table: table}},
+	empty := t.TempDir()
+	if _, err := LoadSession(sessionConfig(w, empty, "databases")); err == nil {
+		t.Error("missing session loaded")
 	}
-
-	// missing file
-	missing := base
-	missing.Topics = []TopicSpec{{Path: []string{"databases"}, Seeds: w.SeedURLs()}}
-	if _, err := LoadSession(missing, filepath.Join(dir, "nope.bingo")); err == nil {
-		t.Error("missing file loaded")
+	if entries, _ := os.ReadDir(empty); len(entries) != 0 {
+		t.Errorf("failed load left %d entries in an empty directory", len(entries))
 	}
 	// mismatched topic tree
-	bad := base
-	bad.Topics = []TopicSpec{{Path: []string{"somethingelse"}, Seeds: w.SeedURLs()}}
-	if _, err := LoadSession(bad, path); err == nil {
+	if _, err := LoadSession(sessionConfig(w, dir, "somethingelse")); err == nil {
 		t.Error("mismatched tree accepted")
 	}
 	// corrupt file
-	corrupt := filepath.Join(dir, "corrupt.bingo")
-	if err := os.WriteFile(corrupt, []byte("not a session"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, sessionFile), []byte("not a session"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	good := base
-	good.Topics = []TopicSpec{{Path: []string{"databases"}, Seeds: w.SeedURLs()}}
-	if _, err := LoadSession(good, corrupt); err == nil {
+	if _, err := LoadSession(sessionConfig(w, dir, "databases")); err == nil {
 		t.Error("corrupt file loaded")
 	}
 }
 
+// TestSaveSessionUnwritablePath: a SESSION that cannot be written is an
+// error, and the previous file is left in place.
 func TestSaveSessionUnwritablePath(t *testing.T) {
-	e, _ := newTestEngine(t, nil)
+	dir := t.TempDir()
+	e, _ := newTestEngine(t, func(c *Config) { c.DataDir = dir })
+	defer e.Close()
 	if err := e.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SaveSession("/nonexistent-dir/deep/session.bingo"); err == nil {
-		t.Error("unwritable path accepted")
+	// A directory where the temp file goes makes the write fail.
+	if err := os.Mkdir(filepath.Join(dir, sessionFile+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveSession(); err == nil {
+		t.Error("unwritable session accepted")
+	}
+	if _, err := os.Stat(filepath.Join(dir, sessionFile)); !os.IsNotExist(err) {
+		t.Errorf("failed save left a SESSION file: %v", err)
+	}
+}
+
+// TestSaveSessionNeedsDataDir: without a data directory there is nowhere
+// for a session to live, so SaveSession refuses and writes nothing.
+func TestSaveSessionNeedsDataDir(t *testing.T) {
+	e, _ := newTestEngine(t, nil)
+	prev, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cwd := t.TempDir()
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(prev)
+	if err := e.SaveSession(); err == nil {
+		t.Fatal("SaveSession without DataDir succeeded")
+	}
+	if entries, _ := os.ReadDir(cwd); len(entries) != 0 {
+		t.Errorf("SaveSession without DataDir wrote %d files", len(entries))
 	}
 }
 
 func TestLoadSessionVersionMismatch(t *testing.T) {
-	e, w := newTestEngine(t, nil)
-	if err := e.Bootstrap(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "s.bingo")
-	if err := e.SaveSession(path); err != nil {
-		t.Fatal(err)
-	}
-	// corrupt the version by rewriting the stream with a bumped version
-	table := map[string]string{}
-	for h, rec := range w.DNSTable() {
-		table[h] = rec.IP
-	}
-	cfg := Config{
-		Topics:     []TopicSpec{{Path: []string{"databases"}, Seeds: w.SeedURLs()}},
-		OthersURLs: w.GeneralPageURLs(12),
-		Transport:  w.RoundTripper(),
-		DNSServers: []DNSServerSpec{{Table: table}},
-	}
+	w, dir := savedSession(t)
+	cfg := sessionConfig(w, dir, "databases")
 	// valid load works; then a truncated file must fail cleanly
-	if _, err := LoadSession(cfg, path); err != nil {
+	e, err := LoadSession(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	e.Close()
+	path := filepath.Join(dir, sessionFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := filepath.Join(t.TempDir(), "short.bingo")
-	if err := os.WriteFile(short, data[:len(data)/3], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSession(cfg, short); err == nil {
+	if _, err := LoadSession(cfg); err == nil {
 		t.Error("truncated session loaded")
 	}
 }
@@ -180,7 +203,8 @@ func TestClusterTopicEmptyClass(t *testing.T) {
 // TestSessionPersistsFrontier checks that queued frontier work survives a
 // save/load cycle: a resumed crawl starts from the saved queue, not empty.
 func TestSessionPersistsFrontier(t *testing.T) {
-	e, w := newTestEngine(t, nil)
+	dir := t.TempDir()
+	e, w := newTestEngine(t, func(c *Config) { c.DataDir = dir })
 	if err := e.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -188,26 +212,16 @@ func TestSessionPersistsFrontier(t *testing.T) {
 	e.def.frontier.Push(frontier.Item{URL: "http://pending.example/b", Topic: "ROOT/databases", Priority: 0.4})
 	e.def.frontier.Requeue(frontier.Item{URL: "http://cooling.example/", Topic: "ROOT/databases", Priority: 0.7}, time.Hour)
 	queuedBefore := e.def.frontier.Stats()
-
-	path := filepath.Join(t.TempDir(), "s.bingo")
-	if err := e.SaveSession(path); err != nil {
+	if err := e.SaveSession(); err != nil {
 		t.Fatal(err)
 	}
+	e.Close()
 
-	table := map[string]string{}
-	for h, rec := range w.DNSTable() {
-		table[h] = rec.IP
-	}
-	cfg := Config{
-		Topics:     []TopicSpec{{Path: []string{"databases"}, Seeds: w.SeedURLs()}},
-		OthersURLs: w.GeneralPageURLs(12),
-		Transport:  w.RoundTripper(),
-		DNSServers: []DNSServerSpec{{Table: table}},
-	}
-	e2, err := LoadSession(cfg, path)
+	e2, err := LoadSession(sessionConfig(w, dir, "databases"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e2.Close()
 	after := e2.def.frontier.Stats()
 	if after.Queued != queuedBefore.Queued {
 		t.Errorf("restored queued = %d, want %d", after.Queued, queuedBefore.Queued)
@@ -229,111 +243,116 @@ func TestSessionPersistsFrontier(t *testing.T) {
 	}
 }
 
-// TestLoadSessionLegacyHeaderless checks that a version-1 stream — written
-// before the magic header existed, with no frontier state — still loads.
-func TestSessionLegacyHeaderless(t *testing.T) {
-	e, w := newTestEngine(t, nil)
+// TestSaveSessionSurvivesCrash: with WALSync off, SaveSession still makes
+// every row durable (it freezes every shard), so an engine abandoned
+// without Close reopens with the same documents — read from segments, not
+// from an unsynced WAL — training set and queued frontier.
+func TestSaveSessionSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	e, w := newTestEngine(t, func(c *Config) {
+		c.DataDir = dir
+		c.WALSync = false
+	})
 	if err := e.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-write the historical layout: a bare gob of a Version-1 state
-	// followed by the store, no magic.
-	e.def.mu.RLock()
-	st := sessionState{
-		Version:    1,
-		Training:   make(map[string][]savedDoc, len(e.def.training.ByTopic)),
-		SeedTopics: map[string]string{},
-		Retrains:   e.def.retrains,
-		Phase:      e.def.phase,
+	e.def.frontier.Push(frontier.Item{URL: "http://pending.example/a", Topic: "ROOT/databases", Priority: 0.9})
+	docs, training, queued := e.Store().NumDocs(), e.TrainingSize(), e.def.frontier.Stats().Queued
+	if docs == 0 || queued == 0 {
+		t.Fatalf("nothing to save: %d docs, %d queued", docs, queued)
 	}
-	for topic, docs := range e.def.training.ByTopic {
-		for _, d := range docs {
-			st.Training[topic] = append(st.Training[topic], saveDoc(d))
-		}
-	}
-	for _, d := range e.def.training.Others {
-		st.Others = append(st.Others, saveDoc(d))
-	}
-	for u, tp := range e.def.seedTopics {
-		st.SeedTopics[u] = tp
-	}
-	e.def.mu.RUnlock()
-	path := filepath.Join(t.TempDir(), "legacy.bingo")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := e.SaveSession(); err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriter(f)
-	if err := gob.NewEncoder(bw).Encode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Store().Encode(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// No Close: the process dies here.
 
-	table := map[string]string{}
-	for h, rec := range w.DNSTable() {
-		table[h] = rec.IP
-	}
-	cfg := Config{
-		Topics:     []TopicSpec{{Path: []string{"databases"}, Seeds: w.SeedURLs()}},
-		OthersURLs: w.GeneralPageURLs(12),
-		Transport:  w.RoundTripper(),
-		DNSServers: []DNSServerSpec{{Table: table}},
-	}
-	e2, err := LoadSession(cfg, path)
+	e2, err := LoadSession(sessionConfig(w, dir, "databases"))
 	if err != nil {
-		t.Fatalf("legacy headerless session rejected: %v", err)
+		t.Fatal(err)
 	}
-	if e2.Store().NumDocs() != e.Store().NumDocs() {
-		t.Errorf("legacy load docs = %d, want %d", e2.Store().NumDocs(), e.Store().NumDocs())
+	if got := e2.Store().NumDocs(); got != docs {
+		t.Errorf("docs after crash = %d, want %d", got, docs)
 	}
-	if got := e2.def.frontier.Stats().Queued; got != 0 {
-		t.Errorf("legacy load restored %d frontier items, want 0", got)
+	if rec := e2.Store().Recovery(); rec.SegmentDocs != docs || rec.WALDocs != 0 {
+		t.Errorf("recovered %d docs from segments and %d from the WAL, want %d and 0", rec.SegmentDocs, rec.WALDocs, docs)
 	}
+	if got := e2.TrainingSize(); got != training {
+		t.Errorf("training size after crash = %d, want %d", got, training)
+	}
+	if got := e2.def.frontier.Stats().Queued; got != queued {
+		t.Errorf("queued after crash = %d, want %d", got, queued)
+	}
+	e2.Close()
+	e.Close()
 }
 
 // TestSessionUnknownFormatVersion checks the header gives a clear error for
-// a future format instead of a gob decode failure.
+// a future format and for the retired versions 1 and 2 that embedded a
+// store.
 func TestSessionUnknownFormatVersion(t *testing.T) {
-	e, w := newTestEngine(t, nil)
-	if err := e.Bootstrap(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "s.bingo")
-	if err := e.SaveSession(path); err != nil {
-		t.Fatal(err)
-	}
+	w, dir := savedSession(t)
+	path := filepath.Join(dir, sessionFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[4] = 99 // bump the format version byte
-	future := filepath.Join(t.TempDir(), "future.bingo")
-	if err := os.WriteFile(future, data, 0o644); err != nil {
+	for _, version := range []byte{99, 1, 2} {
+		data[4] = version
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadSession(sessionConfig(w, dir, "databases"))
+		if want := fmt.Sprintf("unsupported format version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: err = %v, want %q", version, err, want)
+		}
+	}
+}
+
+// TestSessionLegacyHeaderless checks that a headerless session — the
+// earliest layout, a bare gob state followed by a store copy — is rejected
+// as an unsupported format rather than mis-decoded.
+func TestSessionLegacyHeaderless(t *testing.T) {
+	w, dir := savedSession(t)
+	path := filepath.Join(dir, sessionFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	table := map[string]string{}
-	for h, rec := range w.DNSTable() {
-		table[h] = rec.IP
+	if err := os.WriteFile(path, data[5:], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	cfg := Config{
-		Topics:     []TopicSpec{{Path: []string{"databases"}, Seeds: w.SeedURLs()}},
-		OthersURLs: w.GeneralPageURLs(12),
-		Transport:  w.RoundTripper(),
-		DNSServers: []DNSServerSpec{{Table: table}},
+	_, err = LoadSession(sessionConfig(w, dir, "databases"))
+	if err == nil || !strings.Contains(err.Error(), "unsupported format version") {
+		t.Errorf("headerless session: err = %v, want an unsupported format version", err)
 	}
-	_, err = LoadSession(cfg, future)
-	if err == nil {
-		t.Fatal("future format version accepted")
+}
+
+// FuzzSessionState: the SESSION reader's contract is an error, never a
+// panic, whatever the bytes.
+func FuzzSessionState(f *testing.F) {
+	var valid bytes.Buffer
+	if err := writeSessionState(&valid, sessionState{
+		Training:   map[string][]savedDoc{"ROOT/databases": {{ID: "u", Stems: []string{"databas"}, Anchors: []string{"db"}}}},
+		Others:     []savedDoc{{ID: "o", Stems: []string{"sport"}}},
+		SeedTopics: map[string]string{"u": "ROOT/databases"},
+		Retrains:   2,
+		Phase:      PhaseHarvesting,
+		Frontier: frontier.Dump{
+			Items:   []frontier.Item{{URL: "http://pending.example/", Topic: "ROOT/databases", Priority: 0.5}},
+			Delayed: []frontier.DelayedDump{{Item: frontier.Item{URL: "http://cooling.example/"}, ReadyIn: time.Minute}},
+			Seen:    []string{"http://pending.example/"},
+		},
+	}); err != nil {
+		f.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "unsupported format version 99") {
-		t.Errorf("error %q does not name the unsupported version", err)
-	}
+	b := valid.Bytes()
+	f.Add(b)
+	f.Add(b[:len(b)/2])
+	future := append([]byte(nil), b...)
+	future[4] = 99
+	f.Add(future)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = readSessionState(bytes.NewReader(data))
+	})
 }

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -200,67 +198,6 @@ func TestShardedWorkspaceFlush(t *testing.T) {
 		if len(s.Successors(u)) != 1 {
 			t.Fatalf("Successors(%s) = %v", u, s.Successors(u))
 		}
-	}
-}
-
-// TestPersistV1RoundTrip: encode/decode preserves the shard layout, IDs,
-// rows, and keeps assigning fresh IDs afterwards.
-func TestPersistV1RoundTrip(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		s := NewSharded(p)
-		fillSharded(s, 150)
-		var buf bytes.Buffer
-		if err := s.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(buf.Bytes(), append(storeMagic[:], formatVersion)) {
-			t.Fatalf("p=%d: stream missing version header", p)
-		}
-		got, err := Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumShards() != p {
-			t.Fatalf("p=%d: reloaded shard count %d", p, got.NumShards())
-		}
-		if got.NumDocs() != s.NumDocs() {
-			t.Fatalf("p=%d: doc count %d vs %d", p, got.NumDocs(), s.NumDocs())
-		}
-		for _, d := range s.All() {
-			rd, err := got.GetByURL(d.URL)
-			if err != nil || rd.ID != d.ID {
-				t.Fatalf("p=%d: doc %s ID %d -> %d (%v)", p, d.URL, d.ID, rd.ID, err)
-			}
-		}
-		if len(got.Links()) != len(s.Links()) || len(got.Redirects()) != len(s.Redirects()) {
-			t.Fatalf("p=%d: rows lost on reload", p)
-		}
-		// Fresh IDs must not collide with restored ones.
-		before := got.NumDocs()
-		id := got.Insert(shardDoc("http://fresh.example/x", "db", 0.1, map[string]int{"x": 1}))
-		if got.NumDocs() != before+1 {
-			t.Fatalf("p=%d: insert after reload collided (ID %d)", p, id)
-		}
-	}
-}
-
-// TestPersistUnknownVersion: a version this release does not read — a
-// future one, or the retired single-gob version 1 — is a clear error, not a
-// gob failure from deep inside a decoder; so is a stream without the magic.
-func TestPersistUnknownVersion(t *testing.T) {
-	for _, version := range []byte{99, 1} {
-		var buf bytes.Buffer
-		buf.Write(storeMagic[:])
-		buf.WriteByte(version)
-		buf.WriteString("whatever follows")
-		_, err := Decode(&buf)
-		if want := fmt.Sprintf("unsupported format version %d", version); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("version %d: err = %v, want %q", version, err, want)
-		}
-	}
-	_, err := Decode(strings.NewReader("a headerless stream"))
-	if err == nil || !strings.Contains(err.Error(), "not a store stream") {
-		t.Errorf("headerless: err = %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -168,51 +167,6 @@ func TestWorkspaceBatching(t *testing.T) {
 	w.Flush() // empty flush is a no-op
 	if _, bulk := s.Counters(); bulk != 3 {
 		t.Error("empty flush counted")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "crawl.db")
-	s := New()
-	s.Insert(doc("u1", "db", 0.9, map[string]int{"databas": 2}))
-	s.Insert(doc("u2", "db/OTHERS", 0.1, map[string]int{"sport": 1}))
-	s.AddLink(Link{From: "u1", To: "u2", Anchor: "x"})
-	s.AddRedirect(Redirect{From: "a", To: "b"})
-	s.SetTraining("u1", true)
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.NumDocs() != 2 {
-		t.Fatalf("NumDocs = %d", s2.NumDocs())
-	}
-	d, err := s2.GetByURL("u1")
-	if err != nil || d.Topic != "db" || !d.IsTraining || d.Terms["databas"] != 2 {
-		t.Fatalf("loaded doc = %+v, %v", d, err)
-	}
-	if s2.DocFreq("databas") != 1 {
-		t.Error("index not rebuilt")
-	}
-	if len(s2.Successors("u1")) != 1 || len(s2.Redirects()) != 1 {
-		t.Error("relations not restored")
-	}
-	// IDs keep advancing without collision after load
-	id := s2.Insert(doc("u3", "", 0, nil))
-	if _, err := s2.Get(id); err != nil {
-		t.Fatal(err)
-	}
-	if s2.NumDocs() != 3 {
-		t.Fatalf("NumDocs after insert = %d", s2.NumDocs())
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.db")); err == nil {
-		t.Error("missing file loaded")
 	}
 }
 

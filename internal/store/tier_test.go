@@ -763,24 +763,144 @@ func TestTieredAutoFreeze(t *testing.T) {
 	}
 }
 
-// TestTieredPersistEncode: gob Save/Load of a tiered store hydrates cold
-// documents — the snapshot is complete without the segment files.
-func TestTieredPersistEncode(t *testing.T) {
-	dir := t.TempDir()
-	s := openTiered(t, dir, 2, testTierOpts())
-	fillTier(t, s, 15, 60)
+// TestTieredReopenKeepsTenants: tenant-tagged rows survive a reopen from
+// the WAL alone (a crash with everything hot), from segments (every shard
+// frozen, clean close) and after compaction. Per-tenant counts, each
+// tenant's row of a shared URL, DocIDs, links and redirects all come back,
+// and an insert after reopen takes a fresh ID.
+func TestTieredReopenKeepsTenants(t *testing.T) {
+	opt := testTierOpts()
+	opt.CompactFanout = 2
+	for _, p := range []int{1, 4} {
+		for _, state := range []string{"wal", "segments", "compacted"} {
+			label := fmt.Sprintf("p=%d %s", p, state)
+			dir := t.TempDir()
+			s := openTiered(t, dir, p, opt)
+			fillTenants(s, 90)
+			if state != "wal" {
+				freezeAll(t, s)
+			}
+			// A second wave, so compaction has two segments per shard to merge.
+			for i := 0; i < 24; i++ {
+				u := fmt.Sprintf("http://t%d.example/p%d", i%7, i)
+				s.Insert(tenantDoc([]string{"", "beta", "gamma"}[i%3], fmt.Sprintf("http://wave2.example/%d", i), map[string]int{"wave": 1}))
+				s.AddLink(Link{From: u, To: "http://shared.example/page", Anchor: fmt.Sprintf("a%d", i)})
+			}
+			s.AddRedirect(Redirect{From: "http://old.example/", To: "http://shared.example/page"})
+			if state != "wal" {
+				freezeAll(t, s)
+			}
+			if state == "compacted" {
+				compactAll(t, s)
+				for i, sh := range s.shards {
+					if segs := len(sh.tier.state.load().segs); segs != 1 {
+						t.Fatalf("%s: shard %d holds %d segments after compaction, want 1", label, i, segs)
+					}
+				}
+			}
+			// Capture the written state before a clean close unmaps segments.
+			want, wantLinks, wantRedirs := s.All(), s.Links(), s.Redirects()
+			tenantDocs := map[string]int{}
+			for _, tn := range []string{"", "beta", "gamma"} {
+				tenantDocs[tn] = s.TenantNumDocs(tn)
+			}
+			if state != "wal" {
+				if err := s.Close(); err != nil {
+					t.Fatalf("%s: close: %v", label, err)
+				}
+			}
+
+			re := openTiered(t, dir, p, opt)
+			if got := re.NumDocs(); got != len(want) {
+				t.Fatalf("%s: %d docs reopened, want %d", label, got, len(want))
+			}
+			for tn, n := range tenantDocs {
+				if g := re.TenantNumDocs(tn); g != n {
+					t.Fatalf("%s tenant %q: %d docs reopened as %d", label, tn, n, g)
+				}
+				d, err := re.GetDoc(tn, "http://shared.example/page")
+				if err != nil || d.Tenant != tn {
+					t.Fatalf("%s tenant %q: shared row = %+v, %v", label, tn, d, err)
+				}
+			}
+			ids := map[DocID]bool{}
+			for _, d := range want {
+				rd, err := re.GetDoc(d.Tenant, d.URL)
+				if err != nil || rd.ID != d.ID || rd.Tenant != d.Tenant {
+					t.Fatalf("%s: doc %q/%s ID %d -> %+v (%v)", label, d.Tenant, d.URL, d.ID, rd, err)
+				}
+				ids[d.ID] = true
+			}
+			if !sameLinks(re.Links(), wantLinks) || len(wantLinks) != 24 {
+				t.Fatalf("%s: links reopened as %v, want %v", label, re.Links(), wantLinks)
+			}
+			if rs := re.Redirects(); len(rs) != 1 || len(wantRedirs) != 1 || rs[0] != wantRedirs[0] {
+				t.Fatalf("%s: redirects reopened as %+v, want %+v", label, rs, wantRedirs)
+			}
+			before := re.NumDocs()
+			id := re.Insert(tenantDoc("beta", "http://fresh.example/x", map[string]int{"x": 1}))
+			if ids[id] || re.NumDocs() != before+1 {
+				t.Fatalf("%s: insert after reopen collided (ID %d, %d docs)", label, id, re.NumDocs())
+			}
+			re.Close()
+			if state == "wal" {
+				s.Close()
+			}
+		}
+	}
+}
+
+// TestLoadErrors: loading a store means opening its data directory, and a
+// path that is not a readable one — a regular file such as an old
+// single-file database, a corrupt TIER.json, a corrupt shard manifest — is
+// an error, never an empty or half-read store.
+func TestLoadErrors(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "crawl.db")
+	if err := os.WriteFile(file, []byte("a single-file database"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenTiered(file, 0, testTierOpts()); err == nil {
+		t.Error("a regular file opened as a data directory")
+	}
+
+	badLayout := t.TempDir()
+	if err := os.WriteFile(filepath.Join(badLayout, "TIER.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenTiered(badLayout, 0, testTierOpts()); err == nil {
+		t.Error("corrupt TIER.json opened")
+	}
+
+	badManifest := t.TempDir()
+	s := openTiered(t, badManifest, 2, testTierOpts())
+	fillTier(t, s, 4, 20)
 	freezeAll(t, s)
-	fillTierRange(t, s, 15, 60, 80)
-	path := filepath.Join(t.TempDir(), "snap.bin")
-	if err := s.Save(path); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
-	if err != nil {
+	if err := os.WriteFile(s.shards[0].tier.manifestPath(), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	requireStoresEqual(t, "gob-of-tiered", loaded, s)
-	s.Close()
+	if _, err := OpenTiered(badManifest, 2, testTierOpts()); err == nil {
+		t.Error("corrupt shard manifest opened")
+	}
+}
+
+// sameLinks reports whether two link-row multisets are equal.
+func sameLinks(a, b []Link) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	count := map[Link]int{}
+	for _, l := range a {
+		count[l]++
+	}
+	for _, l := range b {
+		if count[l]--; count[l] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestTieredConcurrentChurn: writers, freezes, compactions and readers

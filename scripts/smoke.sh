@@ -9,6 +9,10 @@
 # durable, restart over the same data directory, and require that every
 # acknowledged document survived the crash.
 #
+# Third leg: the saved-crawl walkthrough. bingo crawls into a data
+# directory and saves its session there, bingosearch ranks over it, bingo
+# -resume reopens it with every stored document, and portald serves it.
+#
 # Run via `make smoke`; CI runs it on every push.
 set -eu
 
@@ -146,4 +150,56 @@ if [ "$rc" -ne 0 ]; then
     cat "$tmp/recover.log" >&2
     exit 1
 fi
+
+# --- Saved-crawl leg: bingo writes a session, bingosearch and portald read
+# its data directory, bingo -resume continues it ---
+
+die() {
+    echo "smoke: $1; log follows" >&2
+    cat "$2" >&2
+    exit 1
+}
+
+echo "smoke: building bingo + bingosearch"
+go build -o "$tmp/bingo" ./cmd/bingo
+go build -o "$tmp/bingosearch" ./cmd/bingosearch
+crawl="$tmp/crawl"
+
+echo "smoke: saved crawl (bingo -world tiny -data-dir)"
+"$tmp/bingo" -world tiny -learn 60 -harvest 120 -data-dir "$crawl" >"$tmp/bingo.log" 2>&1 ||
+    die "bingo crawl failed" "$tmp/bingo.log"
+stored="$(sed -n 's/^session saved in .* (\([0-9][0-9]*\) documents).*/\1/p' "$tmp/bingo.log")"
+[ -n "$stored" ] && [ "$stored" -gt 0 ] || die "bingo saved no session" "$tmp/bingo.log"
+
+echo "smoke: bingosearch over the saved crawl"
+"$tmp/bingosearch" -data-dir "$crawl" -n 3 database >"$tmp/search.log" 2>&1 ||
+    die "bingosearch failed" "$tmp/search.log"
+grep -q '^ 1\. ' "$tmp/search.log" || die "bingosearch ranked nothing" "$tmp/search.log"
+
+echo "smoke: resuming the session"
+"$tmp/bingo" -world tiny -data-dir "$crawl" -resume -harvest 60 >"$tmp/resume.log" 2>&1 ||
+    die "bingo -resume failed" "$tmp/resume.log"
+grep -q "^resumed session: $stored documents" "$tmp/resume.log" ||
+    die "resume did not reopen the $stored saved documents" "$tmp/resume.log"
+
+echo "smoke: portald over the resumed crawl"
+"$tmp/portald" -data-dir "$crawl" -listen 127.0.0.1:0 -port-file "$tmp/port4" \
+    >"$tmp/serve.log" 2>&1 &
+pid=$!
+i=0
+while [ ! -s "$tmp/port4" ]; do
+    kill -0 "$pid" 2>/dev/null || die "portald exited before serving" "$tmp/serve.log"
+    i=$((i + 1))
+    [ "$i" -le 600 ] || die "timed out waiting for portald" "$tmp/serve.log"
+    sleep 0.1
+done
+resp="$(curl -fsS "http://$(cat "$tmp/port4")/search?q=database")" ||
+    die "/search did not answer 200" "$tmp/serve.log"
+echo "$resp" | grep -q '"url"' || die "/search returned no hits: $resp" "$tmp/serve.log"
+kill -TERM "$pid"
+rc=0
+wait "$pid" || rc=$?
+pid=""
+[ "$rc" -eq 0 ] || die "portald exited $rc on SIGTERM" "$tmp/serve.log"
+echo "smoke: saved crawl of $stored docs searched, resumed and served"
 echo "smoke: OK"
