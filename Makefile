@@ -103,7 +103,8 @@ doccheck:
 	$(GO) run ./cmd/doccheck internal/rpc internal/coord
 
 # smoke-frontier is the CI leg of the scheduling lab: every scheduler
-# completes a tiny-world crawl, best-first harvests at least as well as the
-# FIFO baseline, and a budgeted frontier caps its in-memory share.
+# completes a tiny-world crawl, link-context harvests at least as well as
+# fifo-priority, and under every scheduler a budgeted frontier caps its
+# in-memory share without changing the harvest.
 smoke-frontier:
 	$(GO) test -run 'TestFrontierSchedulerSmoke|TestFrontierSpillSmoke' -v -count=1 ./internal/experiments/

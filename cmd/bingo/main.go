@@ -45,7 +45,7 @@ func main() {
 	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
 	compactFanout := flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
 	walSync := flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every crawl flush")
-	scheduler := flag.String("scheduler", "", "frontier crawl-ordering policy: fifo-priority (default), best-first, link-context or value-fn")
+	scheduler := flag.String("scheduler", "", "frontier crawl-ordering policy: fifo-priority (default) or link-context")
 	frontierBudget := flag.Int("frontier-budget", 0, "max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")
 	flag.Parse()
 	if *resume && *dataDir == "" {

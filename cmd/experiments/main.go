@@ -17,6 +17,7 @@ import (
 
 	"github.com/bingo-search/bingo/internal/corpus"
 	"github.com/bingo-search/bingo/internal/experiments"
+	"github.com/bingo-search/bingo/internal/frontier"
 )
 
 func main() {
@@ -182,7 +183,7 @@ func main() {
 		_, report, err := experiments.FrontierRace(w, *shortBudget, []string{"off", "default", "flaky"}, []int64{1, 7, 23})
 		check(err)
 		fmt.Fprintln(out, report)
-		spill, err := experiments.FrontierSpillEvidence(w, *shortBudget, 256)
+		spill, err := experiments.FrontierSpillEvidence(w, frontier.SchedulerFIFOPriority, *shortBudget, 256)
 		check(err)
 		fmt.Fprintf(out, "frontier memory: unbounded peak %d links, budget-256 peak %d links (%d spilled at peak), harvest delta %+.3f\n\n",
 			spill.PeakUnbounded, spill.PeakBounded, spill.SpilledPeak, spill.HarvestDelta)

@@ -75,7 +75,7 @@ func main() {
 	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
 	compactFanout := flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
 	walSync := flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every crawl flush (acknowledged documents survive a crash)")
-	scheduler := flag.String("scheduler", "", "startup crawl's frontier ordering policy: fifo-priority (default), best-first, link-context or value-fn")
+	scheduler := flag.String("scheduler", "", "startup crawl's frontier ordering policy: fifo-priority (default) or link-context")
 	frontierBudget := flag.Int("frontier-budget", 0, "startup crawl: max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")
 	cacheEntries := flag.Int("cache-entries", 4096, "query-result cache capacity in entries (0 disables the cache)")
 	var tenantNames multiFlag

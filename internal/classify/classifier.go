@@ -315,6 +315,22 @@ func (c *Classifier) TopFeatures(topicPath string, n int) []string {
 	return out
 }
 
+// TopicTerms returns a topic's n top-MI features as weighted terms for the
+// frontier's link-context score. The weight decays linearly with rank, so
+// the top feature counts twice as much as the last one. Nil when the topic
+// has no features.
+func (c *Classifier) TopicTerms(topicPath string, n int) map[string]float64 {
+	feats := c.TopFeatures(topicPath, n)
+	if len(feats) == 0 {
+		return nil
+	}
+	terms := make(map[string]float64, len(feats))
+	for i, f := range feats {
+		terms[f] = 1 - float64(i)/float64(2*len(feats))
+	}
+	return terms
+}
+
 // Tree returns the classifier's topic tree.
 func (c *Classifier) Tree() *Tree { return c.tree }
 

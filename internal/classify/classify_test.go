@@ -253,6 +253,26 @@ func TestTopFeaturesAndEstimates(t *testing.T) {
 	}
 }
 
+// TestTopicTermsWeights pins the link-context term weights: the top-MI
+// feature weighs 1 and the weight falls by 1/(2n) per rank.
+func TestTopicTermsWeights(t *testing.T) {
+	tree, ts, idf := buildFixture(t)
+	c, _ := Train(tree, ts, idf, DefaultConfig())
+	top := c.TopFeatures("ROOT/agriculture", 4)
+	terms := c.TopicTerms("ROOT/agriculture", 4)
+	if len(top) != 4 || len(terms) != 4 {
+		t.Fatalf("TopFeatures = %v, TopicTerms = %v", top, terms)
+	}
+	for i, f := range top {
+		if want := 1 - float64(i)/8; terms[f] != want {
+			t.Errorf("weight of rank-%d feature %q = %v, want %v", i, f, terms[f], want)
+		}
+	}
+	if got := c.TopicTerms("nope", 4); got != nil {
+		t.Errorf("TopicTerms on unknown node = %v, want nil", got)
+	}
+}
+
 func TestMultiSpaceMetaClassification(t *testing.T) {
 	tree, ts, idf := buildFixture(t)
 	cfg := DefaultConfig()

@@ -83,9 +83,10 @@ type Config struct {
 	LearnDepth int
 	// QueueLimit caps each topic's incoming URL queue (paper §5.1: 30,000).
 	QueueLimit int
-	// Scheduler selects the frontier's crawl-ordering policy: fifo-priority
-	// (default, the paper's §4.2 queue manager), best-first, link-context,
-	// or value-fn. See DESIGN.md "Frontier scheduling".
+	// Scheduler selects the score the frontier's §4.2 queue manager orders
+	// links by: fifo-priority (default, the paper's decayed confidence) or
+	// link-context (confidence blended with anchor/URL topicality). See
+	// DESIGN.md "Frontier scheduling".
 	Scheduler string
 	// FrontierBudget, when positive, caps the number of queued frontier
 	// links held in memory; the lowest-priority tail spills to sorted

@@ -188,21 +188,10 @@ func newTenant(e *Engine, id string, topics []TopicSpec, othersURLs []string) (*
 		// TopicTerms reads the tenant's serving ensemble lock-free; it is
 		// invoked under the frontier's lock, which no trainer ever holds.
 		TopicTerms: func(topic string) map[string]float64 {
-			cls := t.ensemble.Load()
-			if cls == nil {
-				return nil
+			if cls := t.ensemble.Load(); cls != nil {
+				return cls.TopicTerms(topic, 64)
 			}
-			feats := cls.TopFeatures(topic, 64)
-			if len(feats) == 0 {
-				return nil
-			}
-			terms := make(map[string]float64, len(feats))
-			for i, f := range feats {
-				// Linearly decaying weight: the top-ranked feature counts
-				// twice as much as the last one.
-				terms[f] = 1 - float64(i)/float64(2*len(feats))
-			}
-			return terms
+			return nil
 		},
 	})
 	return t, nil

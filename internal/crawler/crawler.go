@@ -417,15 +417,6 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 		c.rejected.Add(1)
 		mPagesRejected.Inc()
 	}
-	// Feed the classification back to the frontier: learning schedulers
-	// (value-fn) credit the outcome along the page's discovery path.
-	c.cfg.Frontier.Observe(frontier.Outcome{
-		URL:        it.URL,
-		Referrer:   it.Referrer,
-		Confidence: result.Confidence,
-		Accepted:   accepted,
-	})
-
 	// Store the document and its link rows (all crawled documents are kept
 	// in the database, including rejected ones).
 	// Pre-sized to the stem count so the map never rehashes while filling;

@@ -185,17 +185,19 @@ func TestSchedulerDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestSpilledFrontierFetchesSameSet: a frontier squeezed into a 48-link
-// memory budget (everything else on disk) must fetch exactly the page set
-// an unbounded one does — the spill tier is a placement decision, not a
-// scheduling one.
+// TestSpilledFrontierFetchesSameSet: under every scheduler, a frontier
+// squeezed into a 48-link memory budget (everything else on disk) must
+// fetch exactly the page set an unbounded one does — the spill tier is a
+// placement decision, not a scheduling one.
 func TestSpilledFrontierFetchesSameSet(t *testing.T) {
 	world := corpus.Generate(corpus.TinyConfig())
-	base, _ := runSchedCrawl(t, world, schedRun{
-		scheduler: frontier.SchedulerBestFirst, workers: 4, profile: "off",
-	})
-	got, _ := runSchedCrawl(t, world, schedRun{
-		scheduler: frontier.SchedulerBestFirst, workers: 4, profile: "off", budget: 48,
-	})
-	diffKeySets(t, "best-first/budget=48", base, got)
+	for _, scheduler := range frontier.SchedulerNames() {
+		base, _ := runSchedCrawl(t, world, schedRun{
+			scheduler: scheduler, workers: 4, profile: "off",
+		})
+		got, _ := runSchedCrawl(t, world, schedRun{
+			scheduler: scheduler, workers: 4, profile: "off", budget: 48,
+		})
+		diffKeySets(t, scheduler+"/budget=48", base, got)
+	}
 }

@@ -90,23 +90,6 @@ func raceSeedHosts(w *corpus.World) []string {
 	return out
 }
 
-// topicTermsFrom adapts a trained classifier to the frontier's TopicTerms
-// hook exactly the way the engine wires it: top-64 MI features with
-// linearly decaying weights.
-func topicTermsFrom(cls *classify.Classifier) func(string) map[string]float64 {
-	return func(topic string) map[string]float64 {
-		feats := cls.TopFeatures(topic, 64)
-		if len(feats) == 0 {
-			return nil
-		}
-		terms := make(map[string]float64, len(feats))
-		for i, f := range feats {
-			terms[f] = 1 - float64(i)/float64(2*len(feats))
-		}
-		return terms
-	}
-}
-
 // runFrontierCell crawls one cell to its page budget and measures it.
 func runFrontierCell(w *corpus.World, cls *classify.Classifier, spec frontierCellSpec) (FrontierCell, error) {
 	ct := &countingTransport{rt: w.RoundTripper()}
@@ -142,7 +125,7 @@ func runFrontierCell(w *corpus.World, cls *classify.Classifier, spec frontierCel
 
 	fcfg := frontier.DefaultConfig()
 	fcfg.Scheduler = spec.scheduler
-	fcfg.TopicTerms = topicTermsFrom(cls)
+	fcfg.TopicTerms = func(topic string) map[string]float64 { return cls.TopicTerms(topic, 64) }
 	if spec.spillBudget > 0 {
 		fcfg.SpillBudget = spec.spillBudget
 	}
@@ -305,22 +288,22 @@ type FrontierSpillReport struct {
 	HarvestDelta   float64 // bounded − unbounded
 }
 
-// FrontierSpillEvidence runs the best-first scheduler fault-free twice —
-// unbounded and with frontierBudget — and reports the memory contrast.
-func FrontierSpillEvidence(w *corpus.World, pageBudget int64, frontierBudget int) (FrontierSpillReport, error) {
+// FrontierSpillEvidence runs one scheduler fault-free twice — unbounded
+// and with frontierBudget — and reports the memory contrast.
+func FrontierSpillEvidence(w *corpus.World, scheduler string, pageBudget int64, frontierBudget int) (FrontierSpillReport, error) {
 	train, _ := LabeledDocs(w, 40, 0)
 	cls, err := TrainOnLabeled(train, nil)
 	if err != nil {
 		return FrontierSpillReport{}, err
 	}
 	free, err := runFrontierCell(w, cls, frontierCellSpec{
-		scheduler: frontier.SchedulerBestFirst, profile: "off", budget: pageBudget,
+		scheduler: scheduler, profile: "off", budget: pageBudget,
 	})
 	if err != nil {
 		return FrontierSpillReport{}, err
 	}
 	bounded, err := runFrontierCell(w, cls, frontierCellSpec{
-		scheduler: frontier.SchedulerBestFirst, profile: "off", budget: pageBudget,
+		scheduler: scheduler, profile: "off", budget: pageBudget,
 		spillBudget: frontierBudget,
 	})
 	if err != nil {

@@ -9,9 +9,9 @@ import (
 
 // TestFrontierSchedulerSmoke is the CI leg of the scheduling lab: every
 // scheduler must complete a budgeted crawl of the tiny world, store pages,
-// and the confidence-greedy policy must harvest at least as well as the
-// FIFO baseline. Deterministic (one worker, fault-free), so a pass is
-// stable.
+// and the link-context score must harvest at least as well as the
+// fifo-priority baseline. Deterministic (one worker, fault-free), so a pass
+// is stable.
 func TestFrontierSchedulerSmoke(t *testing.T) {
 	w := corpus.Generate(corpus.TinyConfig())
 	cells, report, err := FrontierRace(w, 150, []string{"off"}, []int64{1})
@@ -29,33 +29,36 @@ func TestFrontierSchedulerSmoke(t *testing.T) {
 		}
 		harvest[c.Scheduler] = c.Harvest
 	}
-	if harvest[frontier.SchedulerBestFirst] < harvest[frontier.SchedulerFIFOPriority] {
-		t.Errorf("best-first harvest %.3f below fifo baseline %.3f",
-			harvest[frontier.SchedulerBestFirst], harvest[frontier.SchedulerFIFOPriority])
+	if harvest[frontier.SchedulerLinkContext] < harvest[frontier.SchedulerFIFOPriority] {
+		t.Errorf("link-context harvest %.3f below fifo baseline %.3f",
+			harvest[frontier.SchedulerLinkContext], harvest[frontier.SchedulerFIFOPriority])
 	}
 }
 
-// TestFrontierSpillSmoke: the budgeted frontier must cap its in-memory
-// share while the unbounded one grows past it, at no harvest cost on a
-// fault-free deterministic crawl.
+// TestFrontierSpillSmoke: for every scheduler the budgeted frontier must
+// cap its in-memory share while the unbounded one grows past it, at no
+// harvest cost on a fault-free deterministic crawl. The 62-link budget sits
+// below both schedulers' unbounded peaks on this world (66 and 64 links).
 func TestFrontierSpillSmoke(t *testing.T) {
 	w := corpus.Generate(corpus.TinyConfig())
-	rep, err := FrontierSpillEvidence(w, 150, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("spill evidence: %+v", rep)
-	if rep.PeakBounded > rep.FrontierBudget {
-		t.Errorf("bounded frontier peaked at %d links in memory, budget %d", rep.PeakBounded, rep.FrontierBudget)
-	}
-	if rep.PeakUnbounded <= rep.FrontierBudget {
-		t.Errorf("unbounded frontier peaked at %d, expected growth past the %d budget",
-			rep.PeakUnbounded, rep.FrontierBudget)
-	}
-	if rep.SpilledPeak == 0 {
-		t.Error("bounded run never spilled")
-	}
-	if rep.HarvestDelta != 0 {
-		t.Errorf("spill changed the harvest ratio by %+.3f on a deterministic crawl", rep.HarvestDelta)
+	for _, sched := range frontier.SchedulerNames() {
+		rep, err := FrontierSpillEvidence(w, sched, 150, 62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s spill evidence: %+v", sched, rep)
+		if rep.PeakBounded > rep.FrontierBudget {
+			t.Errorf("%s: bounded frontier peaked at %d links in memory, budget %d", sched, rep.PeakBounded, rep.FrontierBudget)
+		}
+		if rep.PeakUnbounded <= rep.FrontierBudget {
+			t.Errorf("%s: unbounded frontier peaked at %d, expected growth past the %d budget",
+				sched, rep.PeakUnbounded, rep.FrontierBudget)
+		}
+		if rep.SpilledPeak == 0 {
+			t.Errorf("%s: bounded run never spilled", sched)
+		}
+		if rep.HarvestDelta != 0 {
+			t.Errorf("%s: spill changed the harvest ratio by %+.3f on a deterministic crawl", sched, rep.HarvestDelta)
+		}
 	}
 }

@@ -2,14 +2,18 @@ package frontier
 
 import "github.com/bingo-search/bingo/internal/rbtree"
 
-// fifoScheduler is the paper's queue manager (§4.2) and a verbatim port of
-// the pre-interface frontier ordering: one large incoming and one small
-// outgoing red-black tree per topic, both ordered by decayed parent
-// confidence with FIFO among equals. Pop refills every topic's outgoing
-// queue from its incoming queue (firing the DNS prefetch hook per
-// promotion), then takes the best outgoing head across topics; a full
-// incoming queue evicts its worst entry when the newcomer beats it.
+// fifoScheduler is the paper's queue manager (§4.2), the one scheduler type
+// behind every policy: one large incoming and one small outgoing red-black
+// tree per topic, both ordered by the policy's score of a link with FIFO
+// among equals. Pop refills every topic's outgoing queue from its incoming
+// queue (firing the DNS prefetch hook per promotion), then takes the best
+// outgoing head across topics; a full incoming queue evicts its worst entry
+// when the newcomer beats it. A policy is only its score function:
+// fifo-priority scores a link by its effective priority, link-context by
+// linkContextScorer.score.
 type fifoScheduler struct {
+	name          string
+	score         func(it Item, eff float64) float64
 	incomingLimit int
 	outgoingLimit int
 	prefetch      func(url string)
@@ -17,13 +21,22 @@ type fifoScheduler struct {
 	order         []string // deterministic topic iteration order
 }
 
-type topicQueues struct {
-	incoming *rbtree.Tree[key, Item]
-	outgoing *rbtree.Tree[key, Item]
+// queued keeps the raw effective priority next to the item so PopWorst can
+// hand the spill tier the policy-independent value it re-inserts under.
+type queued struct {
+	it  Item
+	eff float64
 }
 
-func newFIFOScheduler(incomingLimit, outgoingLimit int, prefetch func(string)) *fifoScheduler {
+type topicQueues struct {
+	incoming *rbtree.Tree[key, queued]
+	outgoing *rbtree.Tree[key, queued]
+}
+
+func newFIFOScheduler(name string, score func(Item, float64) float64, incomingLimit, outgoingLimit int, prefetch func(string)) *fifoScheduler {
 	return &fifoScheduler{
+		name:          name,
+		score:         score,
 		incomingLimit: incomingLimit,
 		outgoingLimit: outgoingLimit,
 		prefetch:      prefetch,
@@ -31,14 +44,14 @@ func newFIFOScheduler(incomingLimit, outgoingLimit int, prefetch func(string)) *
 	}
 }
 
-func (s *fifoScheduler) Name() string { return SchedulerFIFOPriority }
+func (s *fifoScheduler) Name() string { return s.name }
 
 func (s *fifoScheduler) topic(name string) *topicQueues {
 	tq, ok := s.topics[name]
 	if !ok {
 		tq = &topicQueues{
-			incoming: rbtree.New[key, Item](keyLess),
-			outgoing: rbtree.New[key, Item](keyLess),
+			incoming: rbtree.New[key, queued](keyLess),
+			outgoing: rbtree.New[key, queued](keyLess),
 		}
 		s.topics[name] = tq
 		s.order = append(s.order, name)
@@ -46,31 +59,37 @@ func (s *fifoScheduler) topic(name string) *topicQueues {
 	return tq
 }
 
+func (s *fifoScheduler) keyOf(it Item, eff float64, seq uint64) key {
+	return key{seed: it.IsSeed, prio: s.score(it, eff), seq: seq}
+}
+
 func (s *fifoScheduler) Push(it Item, eff float64, seq uint64) (string, bool) {
 	// The topic is registered before the capacity check, exactly like the
 	// pre-interface code: a rejected push still pins the topic's place in
 	// the deterministic iteration order.
 	tq := s.topic(it.Topic)
-	k := key{seed: it.IsSeed, prio: eff, seq: seq}
+	k := s.keyOf(it, eff, seq)
 	if tq.incoming.Len() >= s.incomingLimit {
 		// Evict the worst entry if the newcomer beats it; otherwise reject.
 		// The newcomer's seq is always the largest, so among equal
 		// priorities keyLess is false and the newcomer is rejected —
 		// identical to the legacy worstKey.prio >= prio condition.
-		worstKey, worstItem, ok := tq.incoming.Max()
+		worstKey, worst, ok := tq.incoming.Max()
 		if !ok || !keyLess(k, worstKey) {
 			return "", false
 		}
 		tq.incoming.Delete(worstKey)
-		tq.incoming.Insert(k, it)
-		return worstItem.URL, true
+		tq.incoming.Insert(k, queued{it: it, eff: eff})
+		return worst.it.URL, true
 	}
-	tq.incoming.Insert(k, it)
+	tq.incoming.Insert(k, queued{it: it, eff: eff})
 	return "", true
 }
 
+// Reinsert re-scores the item: a delayed requeue or a spill refill re-enters
+// the queue under the policy's current opinion of it.
 func (s *fifoScheduler) Reinsert(it Item, eff float64, seq uint64) {
-	s.topic(it.Topic).incoming.Insert(key{seed: it.IsSeed, prio: eff, seq: seq}, it)
+	s.topic(it.Topic).incoming.Insert(s.keyOf(it, eff, seq), queued{it: it, eff: eff})
 }
 
 func (s *fifoScheduler) Pop() (Item, bool) {
@@ -92,9 +111,9 @@ func (s *fifoScheduler) Pop() (Item, bool) {
 		return Item{}, false
 	}
 	tq := s.topics[bestTopic]
-	_, it, _ := tq.outgoing.Min()
+	_, q, _ := tq.outgoing.Min()
 	tq.outgoing.Delete(bestKey)
-	return it, true
+	return q.it, true
 }
 
 func (s *fifoScheduler) PopTopic(topic string) (Item, bool) {
@@ -103,56 +122,47 @@ func (s *fifoScheduler) PopTopic(topic string) (Item, bool) {
 		return Item{}, false
 	}
 	s.refill(tq)
-	k, it, ok := tq.outgoing.Min()
+	k, q, ok := tq.outgoing.Min()
 	if !ok {
 		return Item{}, false
 	}
 	tq.outgoing.Delete(k)
-	return it, true
+	return q.it, true
 }
 
-// PopWorst prefers the incoming tier: outgoing entries already had their
-// DNS prefetch fired and are about to be crawled, so the spill tier takes
-// the tail from the large incoming queues first.
+// PopWorst removes the largest key across both tiers of every topic. After
+// a Pop refill the incoming tier holds only links pushed since, so its
+// maximum is not the queue's tail; taking it would spill the best new links.
 func (s *fifoScheduler) PopWorst() (Item, float64, uint64, bool) {
-	if it, eff, seq, ok := s.popWorstFrom(func(tq *topicQueues) *rbtree.Tree[key, Item] { return tq.incoming }); ok {
-		return it, eff, seq, true
-	}
-	return s.popWorstFrom(func(tq *topicQueues) *rbtree.Tree[key, Item] { return tq.outgoing })
-}
-
-func (s *fifoScheduler) popWorstFrom(sel func(*topicQueues) *rbtree.Tree[key, Item]) (Item, float64, uint64, bool) {
 	var worstKey key
-	var worstTree *rbtree.Tree[key, Item]
-	found := false
+	var worstTree *rbtree.Tree[key, queued]
 	for _, name := range s.order {
-		t := sel(s.topics[name])
-		k, _, ok := t.Max()
-		if !ok {
-			continue
-		}
-		if !found || keyLess(worstKey, k) {
-			worstKey, worstTree, found = k, t, true
+		tq := s.topics[name]
+		for _, t := range [2]*rbtree.Tree[key, queued]{tq.incoming, tq.outgoing} {
+			k, _, ok := t.Max()
+			if ok && (worstTree == nil || keyLess(worstKey, k)) {
+				worstKey, worstTree = k, t
+			}
 		}
 	}
-	if !found {
+	if worstTree == nil {
 		return Item{}, 0, 0, false
 	}
-	_, it, _ := worstTree.Max()
+	_, q, _ := worstTree.Max()
 	worstTree.Delete(worstKey)
-	return it, worstKey.prio, worstKey.seq, true
+	return q.it, q.eff, worstKey.seq, true
 }
 
 func (s *fifoScheduler) refill(tq *topicQueues) {
 	for tq.outgoing.Len() < s.outgoingLimit {
-		k, it, ok := tq.incoming.Min()
+		k, q, ok := tq.incoming.Min()
 		if !ok {
 			return
 		}
 		tq.incoming.Delete(k)
-		tq.outgoing.Insert(k, it)
+		tq.outgoing.Insert(k, q)
 		if s.prefetch != nil {
-			s.prefetch(it.URL)
+			s.prefetch(q.it.URL)
 		}
 	}
 }
@@ -178,15 +188,15 @@ func (s *fifoScheduler) Dump(fn func(Item) bool) {
 	for _, name := range s.order {
 		tq := s.topics[name]
 		cont := true
-		tq.outgoing.Ascend(func(_ key, it Item) bool {
-			cont = fn(it)
+		tq.outgoing.Ascend(func(_ key, q queued) bool {
+			cont = fn(q.it)
 			return cont
 		})
 		if !cont {
 			return
 		}
-		tq.incoming.Ascend(func(_ key, it Item) bool {
-			cont = fn(it)
+		tq.incoming.Ascend(func(_ key, q queued) bool {
+			cont = fn(q.it)
 			return cont
 		})
 		if !cont {
@@ -195,6 +205,8 @@ func (s *fifoScheduler) Dump(fn func(Item) bool) {
 	}
 }
 
+// Reset drops the queues but keeps the score function: a phase switch
+// resumes with link-context's topic-term cache intact.
 func (s *fifoScheduler) Reset() {
 	s.topics = make(map[string]*topicQueues)
 	s.order = nil

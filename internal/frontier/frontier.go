@@ -1,14 +1,14 @@
-// Package frontier implements BINGO!'s crawl-queue manager (§4.2) behind a
-// pluggable ordering policy. The frontier owns what every policy shares —
-// URL dedup, the outstanding-lease drain protocol, breaker-requeue
-// cool-downs, PopWait parking, Dump/Restore session persistence and the
-// optional disk-spill tier — while a Scheduler decides which queued link is
-// crawled next. The default fifo-priority scheduler is the paper's queue
-// manager: per-topic incoming/outgoing red-black trees ordered by SVM
-// confidence, with tunnelled links decayed exponentially per hop (§3.3) and
+// Package frontier implements BINGO!'s crawl-queue manager (§4.2). The
+// frontier owns URL dedup, the outstanding-lease drain protocol,
+// breaker-requeue cool-downs, PopWait parking, Dump/Restore session
+// persistence and the optional disk-spill tier, while a Scheduler decides
+// which queued link is crawled next. There is one scheduler type, the
+// paper's queue manager: per-topic incoming/outgoing red-black trees, with
 // DNS resolution warmed up only for links promoted to an outgoing queue.
-// best-first, link-context and value-fn are alternative orderings raced by
-// the experiment harness (see DESIGN.md "Frontier scheduling").
+// A policy is the score those trees order by: fifo-priority uses the SVM
+// confidence with tunnelled links decayed exponentially per hop (§3.3), and
+// link-context blends that with the link's anchor/URL similarity to the
+// topic (see DESIGN.md "Frontier scheduling").
 //
 // Concurrency model: one mutex guards the scheduler and all shared state;
 // blocked PopWait callers park on a broadcast pulse channel instead of
@@ -78,18 +78,15 @@ type Item struct {
 
 // Config sizes the queues and selects the ordering policy.
 type Config struct {
-	// IncomingLimit caps each topic's incoming queue (paper: 25,000). For
-	// the single-queue schedulers it caps the whole queue, and with a
-	// SpillBudget it caps memory and disk together.
+	// IncomingLimit caps each topic's incoming queue (paper: 25,000). With
+	// a SpillBudget it caps the whole queue, memory and disk together.
 	IncomingLimit int
-	// OutgoingLimit caps each topic's outgoing queue (paper: 1,000;
-	// fifo-priority only).
+	// OutgoingLimit caps each topic's outgoing queue (paper: 1,000).
 	OutgoingLimit int
 	// TunnelDecay is the per-step priority decay factor (paper: 0.5).
 	TunnelDecay float64
 	// Prefetch, when non-nil, is invoked with the URL of every link
-	// promoted to an outgoing queue (asynchronous DNS warm-up;
-	// fifo-priority only).
+	// promoted to an outgoing queue (asynchronous DNS warm-up).
 	Prefetch func(url string)
 	// Now allows tests to control the delayed-requeue clock.
 	Now func() time.Time
@@ -295,18 +292,6 @@ func (f *Frontier) Push(it Item) bool {
 	return true
 }
 
-// Observe reports one fetched page's classification outcome to the
-// scheduler. Learning policies (value-fn) fold it into their link-value
-// estimates; the others ignore it. The crawler calls it for every stored
-// page, accepted or rejected.
-func (f *Frontier) Observe(o Outcome) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ob, ok := f.sched.(observer); ok {
-		ob.Observe(o)
-	}
-}
-
 // Requeue puts a previously popped item back with a cool-down: it becomes
 // eligible for popping again only after delay elapses. Requeues bypass the
 // seen set (the URL is already marked seen from its original Push) and are
@@ -509,9 +494,8 @@ func (f *Frontier) Len() int {
 	return f.sched.Len()
 }
 
-// TopicLen returns (incoming, outgoing) sizes for one topic. Single-queue
-// schedulers report everything as incoming; with a spill tier only the
-// in-memory share is broken out per topic.
+// TopicLen returns (incoming, outgoing) sizes for one topic. With a spill
+// tier only the in-memory share is broken out per topic.
 func (f *Frontier) TopicLen(topic string) (in, out int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -560,8 +544,7 @@ func (f *Frontier) Stats() Stats {
 // Reset clears all queues but keeps the seen set, which is what the engine
 // does when switching from the learning phase to the harvesting phase (the
 // crawl is "resumed with the best hubs", not with stale frontier state).
-// Learned scheduler state (value-fn link values, link-context term caches)
-// also survives — the harvest phase keeps what the learning phase learned.
+// The link-context term cache also survives the switch.
 func (f *Frontier) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -591,13 +574,13 @@ type DelayedDump struct {
 }
 
 // Dump is a serializable snapshot of the frontier's pending work: queued
-// items in the scheduler's deterministic order (for fifo-priority, topics
-// in first-seen order with each topic's outgoing queue before its incoming
-// queue; spilled tails are streamed back off disk), items still cooling off
-// after a breaker requeue, and the dedup set. Counters and in-flight leases
-// are deliberately excluded — a restored crawl starts its statistics fresh,
-// and an in-flight item that was never Done'd is simply lost to the dump
-// (its URL stays in Seen).
+// items in the scheduler's deterministic order (topics in first-seen order
+// with each topic's outgoing queue before its incoming queue; spilled tails
+// are streamed back off disk), items still cooling off after a breaker
+// requeue, and the dedup set. Counters and in-flight leases are
+// deliberately excluded — a restored crawl starts its statistics fresh, and
+// an in-flight item that was never Done'd is simply lost to the dump (its
+// URL stays in Seen).
 type Dump struct {
 	Items   []Item
 	Delayed []DelayedDump

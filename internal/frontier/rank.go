@@ -3,150 +3,7 @@ package frontier
 import (
 	"sort"
 	"strings"
-
-	"github.com/bingo-search/bingo/internal/rbtree"
 )
-
-// scorer maps a queued link to the score the ranking schedulers order by;
-// higher scores pop first. Scores must be a deterministic function of the
-// call sequence so same-seed crawls replay identically.
-type scorer interface {
-	score(it Item, eff float64) float64
-}
-
-// rankEntry keeps the raw effective priority next to the item so PopWorst
-// can hand the spill tier the policy-independent value it re-inserts under.
-type rankEntry struct {
-	it  Item
-	eff float64
-}
-
-// rankScheduler is the shared machinery behind best-first, link-context and
-// value-fn: one global red-black tree ordered by the policy's score (seeds
-// first, FIFO among equal scores), with per-topic counts for PopTopic.
-// Unlike fifo-priority there is no two-tier promotion step, so the DNS
-// prefetch hook does not fire — the ranking schedulers trade the §4.2 DNS
-// warm-up for a globally optimal pop order.
-type rankScheduler struct {
-	name     string
-	limit    int
-	sc       scorer
-	tree     *rbtree.Tree[key, rankEntry]
-	perTopic map[string]int
-}
-
-func newRankScheduler(name string, limit int, sc scorer) *rankScheduler {
-	return &rankScheduler{
-		name:     name,
-		limit:    limit,
-		sc:       sc,
-		tree:     rbtree.New[key, rankEntry](keyLess),
-		perTopic: make(map[string]int),
-	}
-}
-
-func (s *rankScheduler) Name() string { return s.name }
-
-func (s *rankScheduler) Push(it Item, eff float64, seq uint64) (string, bool) {
-	k := key{seed: it.IsSeed, prio: s.sc.score(it, eff), seq: seq}
-	if s.tree.Len() >= s.limit {
-		worstKey, worst, ok := s.tree.Max()
-		if !ok || !keyLess(k, worstKey) {
-			return "", false
-		}
-		s.tree.Delete(worstKey)
-		s.perTopic[worst.it.Topic]--
-		s.tree.Insert(k, rankEntry{it: it, eff: eff})
-		s.perTopic[it.Topic]++
-		return worst.it.URL, true
-	}
-	s.tree.Insert(k, rankEntry{it: it, eff: eff})
-	s.perTopic[it.Topic]++
-	return "", true
-}
-
-// Reinsert re-scores the item: a delayed requeue or a spill refill re-enters
-// the queue under the policy's current opinion of it, so value-fn rankings
-// reflect everything learned while the item was off in the cold tier.
-func (s *rankScheduler) Reinsert(it Item, eff float64, seq uint64) {
-	s.tree.Insert(key{seed: it.IsSeed, prio: s.sc.score(it, eff), seq: seq}, rankEntry{it: it, eff: eff})
-	s.perTopic[it.Topic]++
-}
-
-func (s *rankScheduler) Pop() (Item, bool) {
-	k, e, ok := s.tree.Min()
-	if !ok {
-		return Item{}, false
-	}
-	s.tree.Delete(k)
-	s.perTopic[e.it.Topic]--
-	return e.it, true
-}
-
-func (s *rankScheduler) PopTopic(topic string) (Item, bool) {
-	if s.perTopic[topic] <= 0 {
-		return Item{}, false
-	}
-	var foundKey key
-	var foundIt Item
-	found := false
-	s.tree.Ascend(func(k key, e rankEntry) bool {
-		if e.it.Topic == topic {
-			foundKey, foundIt, found = k, e.it, true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return Item{}, false
-	}
-	s.tree.Delete(foundKey)
-	s.perTopic[topic]--
-	return foundIt, true
-}
-
-func (s *rankScheduler) PopWorst() (Item, float64, uint64, bool) {
-	k, e, ok := s.tree.Max()
-	if !ok {
-		return Item{}, 0, 0, false
-	}
-	s.tree.Delete(k)
-	s.perTopic[e.it.Topic]--
-	return e.it, e.eff, k.seq, true
-}
-
-func (s *rankScheduler) Len() int { return s.tree.Len() }
-
-func (s *rankScheduler) TopicLen(topic string) (int, int) {
-	return s.perTopic[topic], 0
-}
-
-func (s *rankScheduler) Dump(fn func(Item) bool) {
-	s.tree.Ascend(func(_ key, e rankEntry) bool {
-		return fn(e.it)
-	})
-}
-
-// Reset drops the queue but keeps the scorer: a phase switch resumes with
-// the link values and topic-term caches the previous phase learned.
-func (s *rankScheduler) Reset() {
-	s.tree = rbtree.New[key, rankEntry](keyLess)
-	s.perTopic = make(map[string]int)
-}
-
-// Observe forwards crawl feedback to learning scorers; non-learning scorers
-// ignore it.
-func (s *rankScheduler) Observe(o Outcome) {
-	if ob, ok := s.sc.(observer); ok {
-		ob.Observe(o)
-	}
-}
-
-// bestFirstScorer is the pure focused-crawl priority queue: the score is the
-// tunnel-decayed parent confidence itself.
-type bestFirstScorer struct{}
-
-func (bestFirstScorer) score(_ Item, eff float64) float64 { return eff }
 
 // linkContextScorer blends parent confidence with the similarity of the
 // link's local context — anchor text plus URL tokens — to the target
@@ -277,118 +134,4 @@ func contextTokens(anchor, url string) []string {
 	emit(anchor)
 	emit(url)
 	return toks
-}
-
-// valueFnScorer orders by an online-learned multi-hop link value (Young &
-// Dean, "Exploiting Locality in Searching the Web"): every classified
-// page's reward — its confidence when accepted, zero when rejected — is
-// credited back along its discovery path with a per-hop discount, under an
-// exponential moving average. A link's score then blends its parent's
-// confidence with the learned value of its referrer (falling back to the
-// referrer's host value, then a neutral prior), so hosts that keep leading
-// to on-topic pages rise even when the intermediate pages score poorly —
-// learned tunnelling, where the static decay of §3.3 is blind.
-type valueFnScorer struct {
-	blend, alpha, gamma, prior float64
-	maxHops                    int
-	// vals / hvals are the learned per-referrer-URL and per-host values;
-	// parents records each URL's discovery referrer (first discovery wins)
-	// so rewards can walk multi-hop paths.
-	vals       map[string]float64
-	hvals      map[string]float64
-	parents    map[string]string
-	maxEntries int
-}
-
-func newValueFnScorer() *valueFnScorer {
-	return &valueFnScorer{
-		blend:      0.5,
-		alpha:      0.3,
-		gamma:      0.5,
-		prior:      0,
-		maxHops:    4,
-		vals:       make(map[string]float64),
-		hvals:      make(map[string]float64),
-		parents:    make(map[string]string),
-		maxEntries: 1 << 20,
-	}
-}
-
-func (s *valueFnScorer) recordParent(child, parent string) {
-	if child == "" || parent == "" || child == parent {
-		return
-	}
-	if _, ok := s.parents[child]; !ok && len(s.parents) < s.maxEntries {
-		s.parents[child] = parent
-	}
-}
-
-func (s *valueFnScorer) score(it Item, eff float64) float64 {
-	s.recordParent(it.URL, it.Referrer)
-	if it.IsSeed {
-		return eff
-	}
-	v := s.prior
-	if it.Referrer != "" {
-		if lv, ok := s.vals[it.Referrer]; ok {
-			v = lv
-		} else if hv, ok := s.hvals[hostOf(it.Referrer)]; ok {
-			v = hv
-		}
-	}
-	return (1-s.blend)*eff + s.blend*v
-}
-
-// Observe credits the page's reward back along its discovery path: the page
-// itself at full strength (links *from* an on-topic page are the prime
-// candidates), then each ancestor discounted by gamma per hop.
-func (s *valueFnScorer) Observe(o Outcome) {
-	if o.URL == "" {
-		return
-	}
-	s.recordParent(o.URL, o.Referrer)
-	reward := 0.0
-	if o.Accepted {
-		reward = o.Confidence
-		if reward > 1 {
-			reward = 1
-		}
-	}
-	node := o.URL
-	g := 1.0
-	for hop := 0; hop < s.maxHops && node != ""; hop++ {
-		old, ok := s.vals[node]
-		if !ok {
-			old = s.prior
-		}
-		s.vals[node] = old + s.alpha*(g*reward-old)
-		if h := hostOf(node); h != "" {
-			hold, ok := s.hvals[h]
-			if !ok {
-				hold = s.prior
-			}
-			s.hvals[h] = hold + s.alpha*(g*reward-hold)
-		}
-		node = s.parents[node]
-		g *= s.gamma
-	}
-}
-
-// hostOf extracts the lowercase hostname without scheme, userinfo, port,
-// path or query.
-func hostOf(raw string) string {
-	s := raw
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	}
-	if i := strings.IndexAny(s, "/?#"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.LastIndexByte(s, '@'); i >= 0 {
-		s = s[i+1:]
-	}
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		s = s[:i]
-	}
-	return strings.ToLower(s)
 }

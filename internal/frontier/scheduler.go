@@ -12,40 +12,31 @@ const (
 	// decayed parent confidence with FIFO among equals, DNS prefetch fired
 	// on promotion to an outgoing queue.
 	SchedulerFIFOPriority = "fifo-priority"
-	// SchedulerBestFirst is a single global max-heap on decayed parent
-	// confidence: the purest form of the focused-crawl priority queue, with
-	// no per-topic promotion tier.
-	SchedulerBestFirst = "best-first"
-	// SchedulerLinkContext blends parent confidence with the similarity of
-	// the link's anchor text and URL tokens to the target topic's feature
-	// terms (PDD-crawler style link-context relevance prediction).
+	// SchedulerLinkContext is the same queue manager ordered by a link
+	// score that blends parent confidence with the similarity of the link's
+	// anchor text and URL tokens to the target topic's feature terms
+	// (PDD-crawler style link-context relevance prediction).
 	SchedulerLinkContext = "link-context"
-	// SchedulerValueFn orders by an online-learned multi-hop link value:
-	// each classified page's reward is credited back along its discovery
-	// path, so referrers (and their hosts) that lead to on-topic pages —
-	// even through low-confidence tunnel pages — rise in priority
-	// (Young & Dean style).
-	SchedulerValueFn = "value-fn"
 )
 
 // SchedulerNames lists every registered scheduler, default first.
 func SchedulerNames() []string {
-	return []string{SchedulerFIFOPriority, SchedulerBestFirst, SchedulerLinkContext, SchedulerValueFn}
+	return []string{SchedulerFIFOPriority, SchedulerLinkContext}
 }
 
 // ValidateScheduler rejects unknown scheduler names with a listing of the
 // valid ones. The empty name is valid and selects the default.
 func ValidateScheduler(name string) error {
 	switch name {
-	case "", SchedulerFIFOPriority, SchedulerBestFirst, SchedulerLinkContext, SchedulerValueFn:
+	case "", SchedulerFIFOPriority, SchedulerLinkContext:
 		return nil
 	}
 	return fmt.Errorf("frontier: unknown scheduler %q (want %v)", name, SchedulerNames())
 }
 
 // key orders queued items: seeds first, then higher effective priority,
-// then FIFO among equals (lower sequence number first). For the ranking
-// schedulers prio is the policy's score rather than the raw effective
+// then FIFO among equals (lower sequence number first). prio is the
+// policy's score of the link, which for fifo-priority is the raw effective
 // priority.
 type key struct {
 	seed bool
@@ -92,50 +83,23 @@ type Scheduler interface {
 	PopWorst() (it Item, eff float64, seq uint64, ok bool)
 	// Len returns the number of queued items.
 	Len() int
-	// TopicLen returns the (incoming, outgoing) queue sizes for one topic;
-	// single-queue schedulers report everything as incoming.
+	// TopicLen returns the (incoming, outgoing) queue sizes for one topic.
 	TopicLen(topic string) (in, out int)
 	// Dump streams every queued item in a deterministic order until fn
 	// returns false.
 	Dump(fn func(Item) bool)
-	// Reset discards every queued item. Learned policy state (link values,
-	// topic term caches) survives — a phase switch resumes with what the
-	// previous phase learned.
+	// Reset discards every queued item. Policy state (link-context's topic
+	// term cache) survives a phase switch.
 	Reset()
 }
 
-// Outcome is the classification feedback the crawler reports for one
-// fetched page. Learning schedulers (value-fn) use it to update their link
-// value estimates; the others ignore it.
-type Outcome struct {
-	// URL is the page's frontier URL exactly as it was pushed.
-	URL string
-	// Referrer is the page the link was discovered on.
-	Referrer string
-	// Confidence is the classifier confidence for the page.
-	Confidence float64
-	// Accepted reports whether the page was classified into a topic of
-	// interest.
-	Accepted bool
-}
-
-// observer is implemented by schedulers that learn from crawl feedback.
-type observer interface {
-	Observe(Outcome)
-}
-
-// newScheduler builds the named policy. Unknown names (which
-// ValidateScheduler would have rejected) fall back to the default so a
-// Frontier is always usable.
+// newScheduler builds the named policy: the §4.2 queue manager with the
+// policy's score. Unknown names (which ValidateScheduler would have
+// rejected) fall back to the default so a Frontier is always usable.
 func newScheduler(cfg Config) Scheduler {
-	switch cfg.Scheduler {
-	case SchedulerBestFirst:
-		return newRankScheduler(SchedulerBestFirst, cfg.IncomingLimit, bestFirstScorer{})
-	case SchedulerLinkContext:
-		return newRankScheduler(SchedulerLinkContext, cfg.IncomingLimit, newLinkContextScorer(cfg.TopicTerms))
-	case SchedulerValueFn:
-		return newRankScheduler(SchedulerValueFn, cfg.IncomingLimit, newValueFnScorer())
-	default:
-		return newFIFOScheduler(cfg.IncomingLimit, cfg.OutgoingLimit, cfg.Prefetch)
+	name, score := SchedulerFIFOPriority, func(_ Item, eff float64) float64 { return eff }
+	if cfg.Scheduler == SchedulerLinkContext {
+		name, score = SchedulerLinkContext, newLinkContextScorer(cfg.TopicTerms).score
 	}
+	return newFIFOScheduler(name, score, cfg.IncomingLimit, cfg.OutgoingLimit, cfg.Prefetch)
 }

@@ -3,6 +3,7 @@ package frontier
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -116,58 +117,100 @@ func (m *refModel) len() int {
 	return n
 }
 
+// testScore returns a fresh instance of a scheduler's score function; two
+// instances fed the same push sequence score identically.
+func testScore(name string) func(Item, float64) float64 {
+	if name == SchedulerLinkContext {
+		return newLinkContextScorer(func(string) map[string]float64 {
+			return map[string]float64{"databas": 1, "recoveri": 1, "transact": 0.5}
+		}).score
+	}
+	return func(_ Item, eff float64) float64 { return eff }
+}
+
 // TestFIFOSchedulerMatchesReferenceModel drives randomized push/pop
 // sequences — small capacities so eviction, rejection, refill and
-// cross-topic competition all fire — and requires the fifo scheduler to
-// agree with the legacy reference model on every single operation.
+// cross-topic competition all fire — and requires the scheduler to agree
+// with the legacy reference model on every single operation. For each
+// policy the model is fed the score a second, identically driven scorer
+// gives the pushed link.
 func TestFIFOSchedulerMatchesReferenceModel(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		incomingLimit := 1 + rng.Intn(6)
-		outgoingLimit := 1 + rng.Intn(3)
-		sched := newFIFOScheduler(incomingLimit, outgoingLimit, nil)
-		model := newRefModel(incomingLimit, outgoingLimit)
-		topics := []string{"ROOT/a", "ROOT/b", "ROOT/c"}
-		var seq uint64
-		for op := 0; op < 400; op++ {
-			if rng.Intn(3) < 2 {
-				seq++
-				it := Item{
-					URL:    fmt.Sprintf("http://h%d.example/p%d", rng.Intn(5), op),
-					Topic:  topics[rng.Intn(len(topics))],
-					IsSeed: rng.Intn(20) == 0,
+	anchors := []string{"", "database recovery", "transaction logs", "my favourite team"}
+	for _, name := range SchedulerNames() {
+		t.Run(name, func(t *testing.T) {
+			for trial := 0; trial < 30; trial++ {
+				rng := rand.New(rand.NewSource(int64(trial)))
+				incomingLimit := 1 + rng.Intn(6)
+				outgoingLimit := 1 + rng.Intn(3)
+				sched := newFIFOScheduler(name, testScore(name), incomingLimit, outgoingLimit, nil)
+				model := newRefModel(incomingLimit, outgoingLimit)
+				modelScore := testScore(name)
+				topics := []string{"ROOT/a", "ROOT/b", "ROOT/c"}
+				var seq uint64
+				for op := 0; op < 400; op++ {
+					if rng.Intn(3) < 2 {
+						seq++
+						it := Item{
+							URL:    fmt.Sprintf("http://h%d.example/p%d", rng.Intn(5), op),
+							Topic:  topics[rng.Intn(len(topics))],
+							IsSeed: rng.Intn(20) == 0,
+							Anchor: anchors[op%len(anchors)],
+						}
+						prio := float64(rng.Intn(5)) / 4 // few distinct values: equal-priority ties are common
+						gotURL, gotOK := sched.Push(it, prio, seq)
+						wantURL, wantOK := model.push(it, modelScore(it, prio), seq)
+						if gotOK != wantOK || gotURL != wantURL {
+							t.Fatalf("trial %d op %d: Push(%s, prio=%v) = (%q, %v), reference model says (%q, %v)",
+								trial, op, it.URL, prio, gotURL, gotOK, wantURL, wantOK)
+						}
+					} else {
+						gotIt, gotOK := sched.Pop()
+						wantIt, wantOK := model.pop()
+						if gotOK != wantOK || gotIt.URL != wantIt.URL {
+							t.Fatalf("trial %d op %d: Pop() = (%q, %v), reference model says (%q, %v)",
+								trial, op, gotIt.URL, gotOK, wantIt.URL, wantOK)
+						}
+					}
+					if sched.Len() != model.len() {
+						t.Fatalf("trial %d op %d: Len %d != model %d", trial, op, sched.Len(), model.len())
+					}
 				}
-				prio := float64(rng.Intn(5)) / 4 // few distinct values: equal-priority ties are common
-				gotURL, gotOK := sched.Push(it, prio, seq)
-				wantURL, wantOK := model.push(it, prio, seq)
-				if gotOK != wantOK || gotURL != wantURL {
-					t.Fatalf("trial %d op %d: Push(%s, prio=%v) = (%q, %v), reference model says (%q, %v)",
-						trial, op, it.URL, prio, gotURL, gotOK, wantURL, wantOK)
-				}
-			} else {
-				gotIt, gotOK := sched.Pop()
-				wantIt, wantOK := model.pop()
-				if gotOK != wantOK || gotIt.URL != wantIt.URL {
-					t.Fatalf("trial %d op %d: Pop() = (%q, %v), reference model says (%q, %v)",
-						trial, op, gotIt.URL, gotOK, wantIt.URL, wantOK)
+				// Drain both completely: the full remaining order must agree.
+				for {
+					gotIt, gotOK := sched.Pop()
+					wantIt, wantOK := model.pop()
+					if gotOK != wantOK || gotIt.URL != wantIt.URL {
+						t.Fatalf("trial %d drain: Pop() = (%q, %v), reference model says (%q, %v)",
+							trial, gotIt.URL, gotOK, wantIt.URL, wantOK)
+					}
+					if !gotOK {
+						break
+					}
 				}
 			}
-			if sched.Len() != model.len() {
-				t.Fatalf("trial %d op %d: Len %d != model %d", trial, op, sched.Len(), model.len())
+		})
+	}
+}
+
+// TestPopWorstTakesGlobalTail: PopWorst must return the lowest-ranked link
+// across both tiers. After a Pop refill the incoming tier holds only links
+// pushed since, so taking its maximum would hand the spill tier the best
+// new link instead of the tail.
+func TestPopWorstTakesGlobalTail(t *testing.T) {
+	for _, name := range SchedulerNames() {
+		t.Run(name, func(t *testing.T) {
+			s := newScheduler(Config{Scheduler: name, IncomingLimit: 25000, OutgoingLimit: 1000})
+			s.Push(Item{URL: "http://x.example/low", Topic: "ROOT/t"}, 0.1, 1)
+			s.Push(Item{URL: "http://x.example/mid", Topic: "ROOT/t"}, 0.5, 2)
+			if it, ok := s.Pop(); !ok || it.URL != "http://x.example/mid" {
+				t.Fatalf("Pop = %q (ok=%v), want mid", it.URL, ok)
 			}
-		}
-		// Drain both completely: the full remaining order must agree.
-		for {
-			gotIt, gotOK := sched.Pop()
-			wantIt, wantOK := model.pop()
-			if gotOK != wantOK || gotIt.URL != wantIt.URL {
-				t.Fatalf("trial %d drain: Pop() = (%q, %v), reference model says (%q, %v)",
-					trial, gotIt.URL, gotOK, wantIt.URL, wantOK)
+			s.Push(Item{URL: "http://x.example/high", Topic: "ROOT/t"}, 0.9, 3)
+			it, eff, seq, ok := s.PopWorst()
+			if !ok || it.URL != "http://x.example/low" || eff != 0.1 || seq != 1 {
+				t.Fatalf("PopWorst = (%q, %v, %d, %v), want (low, 0.1, 1, true)", it.URL, eff, seq, ok)
 			}
-			if !gotOK {
-				break
-			}
-		}
+		})
 	}
 }
 
@@ -191,8 +234,11 @@ func TestValidateScheduler(t *testing.T) {
 			t.Errorf("ValidateScheduler(%q) = %v, want nil", name, err)
 		}
 	}
-	if err := ValidateScheduler("round-robin"); err == nil {
-		t.Error("ValidateScheduler(round-robin) = nil, want error")
+	for _, name := range []string{"round-robin", "best-first", "value-fn"} {
+		err := ValidateScheduler(name)
+		if err == nil || !strings.Contains(err.Error(), "[fifo-priority link-context]") {
+			t.Errorf("ValidateScheduler(%q) = %v, want an error listing the two valid names", name, err)
+		}
 	}
 }
 
@@ -251,11 +297,11 @@ func TestSeedEvictionProtected(t *testing.T) {
 	}
 }
 
-// TestRankSchedulersBasicOrder: the single-queue schedulers must pop by
-// decreasing score with FIFO among equals. With no referrer history and no
-// topic terms, all three reduce to ordering by effective priority.
+// TestRankSchedulersBasicOrder: every scheduler must pop by decreasing
+// score across topics with FIFO among equals. With no topic terms,
+// link-context reduces to ordering by effective priority.
 func TestRankSchedulersBasicOrder(t *testing.T) {
-	for _, name := range []string{SchedulerBestFirst, SchedulerLinkContext, SchedulerValueFn} {
+	for _, name := range SchedulerNames() {
 		t.Run(name, func(t *testing.T) {
 			f := newTestFrontier(t, name, nil)
 			f.Push(Item{URL: "http://a.example/1", Topic: "ROOT/t", Priority: 0.5})
@@ -273,10 +319,10 @@ func TestRankSchedulersBasicOrder(t *testing.T) {
 	}
 }
 
-// TestRankSchedulerPopTopic: PopTopic on a single-queue scheduler must
-// return that topic's best item and leave other topics untouched.
+// TestRankSchedulerPopTopic: PopTopic under link-context must return that
+// topic's best item and leave other topics untouched.
 func TestRankSchedulerPopTopic(t *testing.T) {
-	f := newTestFrontier(t, SchedulerBestFirst, nil)
+	f := newTestFrontier(t, SchedulerLinkContext, nil)
 	f.Push(Item{URL: "http://a.example/1", Topic: "ROOT/a", Priority: 0.9})
 	f.Push(Item{URL: "http://b.example/1", Topic: "ROOT/b", Priority: 0.8})
 	f.Push(Item{URL: "http://b.example/2", Topic: "ROOT/b", Priority: 0.95})
@@ -286,9 +332,11 @@ func TestRankSchedulerPopTopic(t *testing.T) {
 	if _, ok := f.PopTopic("ROOT/missing"); ok {
 		t.Fatal("PopTopic on unknown topic succeeded")
 	}
-	in, _ := f.TopicLen("ROOT/b")
-	if in != 1 {
-		t.Fatalf("ROOT/b TopicLen = %d, want 1", in)
+	if in, out := f.TopicLen("ROOT/b"); in+out != 1 {
+		t.Fatalf("ROOT/b TopicLen = (%d, %d), want one link left", in, out)
+	}
+	if in, out := f.TopicLen("ROOT/a"); in+out != 1 {
+		t.Fatalf("ROOT/a TopicLen = (%d, %d), want its link untouched", in, out)
 	}
 }
 
@@ -315,44 +363,6 @@ func TestLinkContextPrefersTopicalAnchors(t *testing.T) {
 	}
 	if third.URL != "http://x.example/page1" {
 		t.Fatalf("third pop = %q, want the off-topic anchor last", third.URL)
-	}
-}
-
-// TestValueFnLearnsReferrerValue: after observing that pages from one
-// referrer classify on-topic and pages from another do not, new links from
-// the good referrer must outrank same-confidence links from the bad one.
-func TestValueFnLearnsReferrerValue(t *testing.T) {
-	f := newTestFrontier(t, SchedulerValueFn, nil)
-	good := "http://hub.example/good"
-	bad := "http://junk.example/bad"
-	for i := 0; i < 5; i++ {
-		f.Observe(Outcome{URL: fmt.Sprintf("http://t.example/g%d", i), Referrer: good, Confidence: 0.8, Accepted: true})
-		f.Observe(Outcome{URL: fmt.Sprintf("http://t.example/b%d", i), Referrer: bad, Confidence: 0.1, Accepted: false})
-	}
-	f.Push(Item{URL: "http://new.example/frombad", Topic: "ROOT/t", Priority: 0.5, Referrer: bad})
-	f.Push(Item{URL: "http://new.example/fromgood", Topic: "ROOT/t", Priority: 0.5, Referrer: good})
-	it, ok := f.Pop()
-	if !ok || it.URL != "http://new.example/fromgood" {
-		t.Fatalf("first pop = %q (ok=%v), want the link from the learned-good referrer", it.URL, ok)
-	}
-}
-
-// TestValueFnCreditsMultiHop: a reward must propagate along the discovery
-// path, raising the value of grandparent referrers too.
-func TestValueFnCreditsMultiHop(t *testing.T) {
-	sc := newValueFnScorer()
-	// Path: root -> mid -> leaf; leaf classifies on-topic.
-	sc.recordParent("http://mid.example/", "http://root.example/")
-	sc.Observe(Outcome{URL: "http://leaf.example/", Referrer: "http://mid.example/", Confidence: 1, Accepted: true})
-	if sc.vals["http://mid.example/"] <= 0 {
-		t.Fatal("parent referrer earned no credit")
-	}
-	if sc.vals["http://root.example/"] <= 0 {
-		t.Fatal("grandparent referrer earned no credit")
-	}
-	if sc.vals["http://root.example/"] >= sc.vals["http://mid.example/"] {
-		t.Fatalf("grandparent credit %v not discounted below parent credit %v",
-			sc.vals["http://root.example/"], sc.vals["http://mid.example/"])
 	}
 }
 
@@ -385,42 +395,6 @@ func TestSchedulerDumpRestoreRoundTrip(t *testing.T) {
 				t.Error("restored frontier re-accepted a seen URL")
 			}
 		})
-	}
-}
-
-// TestResetKeepsLearnedState: Reset drops queued items but keeps the
-// value-fn link values, so a phase switch crawls with what it learned.
-func TestResetKeepsLearnedState(t *testing.T) {
-	f := newTestFrontier(t, SchedulerValueFn, nil)
-	good := "http://hub.example/good"
-	for i := 0; i < 5; i++ {
-		f.Observe(Outcome{URL: fmt.Sprintf("http://t.example/%d", i), Referrer: good, Confidence: 0.9, Accepted: true})
-	}
-	f.Push(Item{URL: "http://stale.example/", Topic: "ROOT/t", Priority: 0.5})
-	f.Reset()
-	if f.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", f.Len())
-	}
-	f.Forget("http://new.example/fromgood")
-	f.Forget("http://new.example/plain")
-	f.Push(Item{URL: "http://new.example/plain", Topic: "ROOT/t", Priority: 0.5})
-	f.Push(Item{URL: "http://new.example/fromgood", Topic: "ROOT/t", Priority: 0.5, Referrer: good})
-	it, ok := f.Pop()
-	if !ok || it.URL != "http://new.example/fromgood" {
-		t.Fatalf("first pop after Reset = %q (ok=%v): learned referrer value was lost", it.URL, ok)
-	}
-}
-
-// TestObserveIgnoredByNonLearning: Observe on non-learning schedulers is a
-// harmless no-op — the crawler calls it unconditionally.
-func TestObserveIgnoredByNonLearning(t *testing.T) {
-	for _, name := range []string{SchedulerFIFOPriority, SchedulerBestFirst, SchedulerLinkContext} {
-		f := newTestFrontier(t, name, nil)
-		f.Observe(Outcome{URL: "http://x.example/", Referrer: "http://y.example/", Confidence: 0.5, Accepted: true})
-		f.Push(Item{URL: "http://x.example/a", Topic: "ROOT/t", Priority: 0.5})
-		if _, ok := f.Pop(); !ok {
-			t.Fatalf("%s: pop failed after Observe", name)
-		}
 	}
 }
 

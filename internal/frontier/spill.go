@@ -517,10 +517,3 @@ func (s *spillScheduler) Reset() {
 	s.cold = rbtree.New[key, Item](keyLess)
 	s.inner.Reset()
 }
-
-// Observe forwards crawl feedback to the wrapped scheduler.
-func (s *spillScheduler) Observe(o Outcome) {
-	if ob, ok := s.inner.(observer); ok {
-		ob.Observe(o)
-	}
-}

@@ -90,7 +90,7 @@ func TestSpillBoundsMemory(t *testing.T) {
 // out in best-first order within the spilled tier (the run merge is a
 // priority merge, not FIFO).
 func TestSpillRefillOrderReasonable(t *testing.T) {
-	f := spillFrontier(t, SchedulerBestFirst, 32, nil)
+	f := spillFrontier(t, SchedulerFIFOPriority, 32, nil)
 	const n = 500
 	for i := 0; i < n; i++ {
 		f.Push(Item{URL: fmt.Sprintf("http://h.example/p%d", i), Topic: "ROOT/t", Priority: float64(i % 101)})
@@ -129,7 +129,7 @@ func TestSpillRefillOrderReasonable(t *testing.T) {
 // every item (memory and disk) and restore to identical counts, priorities
 // and dedup behavior.
 func TestSpillDumpRestoreRoundTrip(t *testing.T) {
-	for _, name := range []string{SchedulerFIFOPriority, SchedulerBestFirst} {
+	for _, name := range SchedulerNames() {
 		t.Run(name, func(t *testing.T) {
 			f := spillFrontier(t, name, 64, nil)
 			const n = 700
@@ -185,7 +185,6 @@ func TestSpillDumpRestoreRoundTrip(t *testing.T) {
 func TestSpillTruncationRecoversPrefixLoudly(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
-	cfg.Scheduler = SchedulerBestFirst
 	cfg.SpillBudget = 32
 	cfg.SpillDir = dir
 	f := New(cfg)
@@ -252,7 +251,6 @@ func TestSpillTruncationRecoversPrefixLoudly(t *testing.T) {
 func TestSpillCorruptFrameIsTypedError(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
-	cfg.Scheduler = SchedulerBestFirst
 	cfg.SpillBudget = 32
 	cfg.SpillDir = dir
 	f := New(cfg)
