@@ -2,9 +2,12 @@ package corpus
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -386,6 +389,29 @@ func TestDefaultScaleWorld(t *testing.T) {
 	a := w.Authors[100]
 	if rank, ok := w.AuthorRank(a.HomeURL); !ok || rank != 100 {
 		t.Errorf("rank = %d, %v", rank, ok)
+	}
+}
+
+// TestDefaultWorldGolden pins the default world byte for byte: SHA-256
+// over its URLs in sorted order, each URL's bytes followed by its body.
+func TestDefaultWorldGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default world generation in -short mode")
+	}
+	w := Generate(DefaultConfig())
+	urls := make([]string, 0, len(w.Pages))
+	for u := range w.Pages {
+		urls = append(urls, u)
+	}
+	sort.Strings(urls)
+	h := sha256.New()
+	for _, u := range urls {
+		h.Write([]byte(u))
+		h.Write(w.Pages[u].Body)
+	}
+	const want = "a521c171e45d18a8702a073575142e755e266b135352114fd600755af43e1dd1"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("default world digest %s, want %s", got, want)
 	}
 }
 

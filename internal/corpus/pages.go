@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // link is one outgoing hyperlink during page assembly.
@@ -34,10 +35,17 @@ func htmlPage(title, body string, links []link) []byte {
 	return []byte(b.String())
 }
 
+// gzipWriters pools the papers' gzip encoders: each carries ≈800 KB of
+// DEFLATE state that Reset keeps, and Reset writes the same bytes a fresh
+// writer would.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // gzipBytes wraps content in a gzip stream carrying the original name.
 func gzipBytes(content []byte, name string) []byte {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
 	zw.Name = name
 	zw.Write(content)
 	zw.Close()

@@ -37,7 +37,13 @@ func Build(path string, in BuildInput) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("segment: build: %w", err)
 	}
-	w := &countingWriter{w: bufio.NewWriterSize(f, 1<<20)}
+	bw := fileWriters.Get().(*bufio.Writer)
+	bw.Reset(f)
+	defer func() {
+		bw.Reset(nil)
+		fileWriters.Put(bw)
+	}()
+	w := &countingWriter{w: bw}
 	if err := writeSegment(w, in); err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -118,27 +124,25 @@ func (r *rawBlocks) cut() {
 	r.rows = 0
 }
 
-// buildDict samples a section's first raw block for its preset dictionary:
-// the same byte patterns (URL prefixes, topic paths, frequent terms) recur
-// across blocks, so seeding every block's DEFLATE window with them lifts
-// the ratio of small blocks — the per-segment dictionary-reuse idea.
-func buildDict(blocks [][]byte) []byte {
-	if len(blocks) == 0 {
-		return nil
-	}
-	b := blocks[0]
-	if len(b) > dictMax {
-		b = b[len(b)-dictMax:] // the window is a suffix dictionary
-	}
-	d := make([]byte, len(b))
-	copy(d, b)
-	return d
-}
+// deflaters pools block encoders. A DEFLATE encoder carries ≈800 KB of
+// match state that Reset clears and keeps, so builds share encoders instead
+// of allocating one per section. Blocks are written without a preset
+// dictionary: one would pin an encoder to its section (a stdlib Writer
+// cannot be Reset onto a new dictionary), and it is stored raw, so it only
+// pays for itself above ≈700–800 documents per segment (DESIGN.md).
+var deflaters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.DefaultCompression) // only an invalid level errors
+	return fw
+}}
 
-// compressBlocks DEFLATE-compresses blocks in parallel. Every worker owns
-// one flate.Writer built with the section dictionary and Reset between
-// blocks, so the dictionary is indexed once per worker, not once per block.
-func compressBlocks(blocks [][]byte, dict []byte) ([][]byte, error) {
+// fileWriters pools the buffered writer each Build streams its file through.
+var fileWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// compressBlocks DEFLATE-compresses blocks in parallel. Every worker takes
+// one encoder from deflaters and Resets it between blocks; readers still
+// honour a non-empty section dictionary in segments written before
+// dictionaries were written empty.
+func compressBlocks(blocks [][]byte) ([][]byte, error) {
 	out := make([][]byte, len(blocks))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(blocks) {
@@ -174,11 +178,8 @@ func compressBlocks(blocks [][]byte, dict []byte) ([][]byte, error) {
 		go func(w int) {
 			defer wg.Done()
 			var buf bytes.Buffer
-			fw, err := flate.NewWriterDict(&buf, flate.DefaultCompression, dict)
-			if err != nil {
-				fail(w, err)
-				return
-			}
+			fw := deflaters.Get().(*flate.Writer)
+			defer deflaters.Put(fw)
 			for i := range next {
 				buf.Reset()
 				fw.Reset(&buf)
@@ -207,9 +208,9 @@ func compressBlocks(blocks [][]byte, dict []byte) ([][]byte, error) {
 
 // writeBlockSection emits a compressed block section and returns its table
 // row: [blocks][offset table][table crc].
-func writeBlockSection(w *countingWriter, raw [][]byte, dict []byte) (section, error) {
+func writeBlockSection(w *countingWriter, raw [][]byte) (section, error) {
 	start := uint64(w.n)
-	comp, err := compressBlocks(raw, dict)
+	comp, err := compressBlocks(raw)
 	if err != nil {
 		return section{}, err
 	}
@@ -280,14 +281,6 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	}
 	redirs.cut()
 
-	// Section dictionaries, framed and stored first so readers can open
-	// any block without scanning.
-	dicts := [numSections][]byte{}
-	dicts[secMeta] = buildDict(meta.blocks)
-	dicts[secTermVec] = buildDict(tvec.blocks)
-	dicts[secText] = buildDict(text.blocks)
-	dicts[secLinks] = buildDict(links.blocks)
-	dicts[secRedirects] = buildDict(redirs.blocks)
 	var ft footer
 	ft.shard = uint32(in.Shard)
 	ft.docCount = uint32(len(in.Docs))
@@ -299,11 +292,12 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	ft.inLinks = uint32(len(in.InLinks))
 	ft.redirs = uint32(len(in.Redirects))
 
+	// The dict section frames one dictionary per section, every one of
+	// them empty (see deflaters).
 	dictStart := uint64(w.n)
 	e.reset()
 	for s := 0; s < numSections; s++ {
-		e.uvarint(uint64(len(dicts[s])))
-		e.raw(dicts[s])
+		e.uvarint(0)
 	}
 	e.u32(crc32.ChecksumIEEE(e.b))
 	if _, err := w.Write(e.b); err != nil {
@@ -312,27 +306,35 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	ft.sections[secDict] = section{off: dictStart, len: uint64(w.n) - dictStart}
 
 	var err error
-	if ft.sections[secMeta], err = writeBlockSection(w, meta.blocks, dicts[secMeta]); err != nil {
+	if ft.sections[secMeta], err = writeBlockSection(w, meta.blocks); err != nil {
 		return err
 	}
-	if ft.sections[secTermVec], err = writeBlockSection(w, tvec.blocks, dicts[secTermVec]); err != nil {
+	if ft.sections[secTermVec], err = writeBlockSection(w, tvec.blocks); err != nil {
 		return err
 	}
-	if ft.sections[secText], err = writeBlockSection(w, text.blocks, dicts[secText]); err != nil {
+	if ft.sections[secText], err = writeBlockSection(w, text.blocks); err != nil {
 		return err
 	}
 	if err := writePostings(w, in.Docs, &ft); err != nil {
 		return err
 	}
-	if ft.sections[secLinks], err = writeBlockSection(w, links.blocks, dicts[secLinks]); err != nil {
+	if ft.sections[secLinks], err = writeBlockSection(w, links.blocks); err != nil {
 		return err
 	}
-	if ft.sections[secRedirects], err = writeBlockSection(w, redirs.blocks, dicts[secRedirects]); err != nil {
+	if ft.sections[secRedirects], err = writeBlockSection(w, redirs.blocks); err != nil {
 		return err
 	}
 
-	// Footer: section table + counts + crc, then footerLen + magic.
 	e.reset()
+	ft.encode(&e)
+	_, err = w.Write(e.b)
+	return err
+}
+
+// encode appends the footer: section table + counts + crc, then footerLen
+// + magic.
+func (ft *footer) encode(e *enc) {
+	start := len(e.b)
 	for s := 0; s < numSections; s++ {
 		e.u64(ft.sections[s].off)
 		e.u64(ft.sections[s].len)
@@ -345,14 +347,9 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	e.u32(ft.inLinks)
 	e.u32(ft.redirs)
 	e.u32(ft.shard)
-	e.u32(crc32.ChecksumIEEE(e.b))
-	footerLen := uint32(len(e.b))
-	e.u32(footerLen)
+	e.u32(crc32.ChecksumIEEE(e.b[start:]))
+	e.u32(uint32(len(e.b) - start))
 	e.raw([]byte(magic))
-	if _, err := w.Write(e.b); err != nil {
-		return err
-	}
-	return nil
 }
 
 // buildPosting is one (seq, tf) pair during the inverted build.

@@ -1,7 +1,7 @@
 // Package segment implements the disk-native tier of the store: immutable
 // on-disk index segments (delta+varint postings with a sparse term index,
-// block-compressed document bodies with per-segment dictionary reuse and
-// parallel block encoding) and a CRC-framed write-ahead log for the crawl
+// block-compressed document bodies with pooled, parallel block encoding)
+// and a CRC-framed write-ahead log for the crawl
 // flush path. A segment is a colder immutable snapshot of one store shard:
 // the same rows the in-memory tier holds, laid out for corpora bigger than
 // RAM — postings stream off disk through the same term-at-a-time visitor

@@ -16,16 +16,18 @@ package segment
 // The three document sections (meta, termvec, text) block their rows
 // identically — document position p lives in block p/blockDocs at index
 // p%blockDocs in each — so one position is a locator for all three and the
-// reader never stores per-document offsets. Positions are assigned in
-// ascending sequence order.
+// file stores no per-document offsets (the reader indexes row starts only
+// inside a block it has just inflated). Positions are assigned in ascending
+// sequence order.
 //
 // A block section is a run of compressed blocks, each framed as
 // [u32 compLen][u32 rawLen][u32 crc32(comp)], followed by a block offset
 // table ([u32 count][count × u64 offset relative to section start]
-// [u32 crc32(table)]). Blocks are DEFLATE streams sharing the section's
-// preset dictionary (per-segment dictionary reuse: the encoder is built
-// once per section with NewWriterDict and Reset between blocks), and are
-// compressed in parallel across blocks.
+// [u32 crc32(table)]). Blocks are DEFLATE streams, compressed in parallel
+// across blocks by pooled encoders. The dict section frames one preset
+// dictionary per section; Build writes every one of them empty, and readers
+// still inflate with a non-empty one, so segments written when each section
+// carried a dictionary sampled from its first block read unchanged.
 //
 // A postings entry is [term][varint df][varint byteLen][u32 crc32(bytes)]
 // [bytes], where bytes is (first seq uvarint, then seq deltas uvarint)
@@ -46,9 +48,6 @@ const (
 
 	// sparseEvery is the postings sparse-index stride.
 	sparseEvery = 32
-
-	// dictMax caps each section's preset dictionary.
-	dictMax = 4096
 )
 
 // Section indices into the footer's section table.
@@ -178,4 +177,13 @@ func decodeTermVec(d *dec, buf []TermCount) []TermCount {
 		buf = append(buf, TermCount{Term: t, TF: int(tf)})
 	}
 	return buf
+}
+
+// skipTermVec steps over one encoded term vector without allocating.
+func (d *dec) skipTermVec() {
+	n := d.uvarint()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		d.strBytes()
+		d.varint()
+	}
 }

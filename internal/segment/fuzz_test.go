@@ -14,6 +14,7 @@ import (
 
 func fuzzSeedSegments(f *testing.F) {
 	f.Helper()
+	var seeds [][]byte
 	for _, in := range []BuildInput{
 		{Shard: 0},
 		genInput(1, 3),
@@ -27,6 +28,16 @@ func fuzzSeedSegments(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		seeds = append(seeds, b)
+	}
+	// A segment with non-empty preset dictionaries, from before Build wrote
+	// them empty.
+	b, err := os.ReadFile(presetDictFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, b)
+	for _, b := range seeds {
 		f.Add(b)
 		// A couple of mangled variants so the corpus exercises error
 		// paths from the start.

@@ -29,16 +29,18 @@ type Reader struct {
 	tables [numSections]atomic.Pointer[[]uint64] // block offset tables
 	sparse atomic.Pointer[sparseIndex]
 
-	// blockCache holds the most recently decompressed block per document
-	// section — phrase checks and hydration walk neighboring positions,
-	// so one block of locality captures most repeat access.
+	// blockCache holds the most recently inflated block of the termvec and
+	// text sections — compaction, snapshot builds and hydration walk
+	// neighboring positions, so one block of locality captures most repeat
+	// access.
 	cacheMu    sync.Mutex
 	blockCache [numSections]cachedBlock
 }
 
 type cachedBlock struct {
-	idx int // block index +1 (0 = empty)
-	raw []byte
+	idx    int // block index +1 (0 = empty)
+	raw    []byte
+	starts []uint32 // offset of each row in raw
 }
 
 type sparseIndex struct {
@@ -256,9 +258,17 @@ func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr := flate.NewReaderDict(bytes.NewReader(comp), dict)
+	inf := inflaters.Get().(*inflater)
+	defer func() {
+		inf.src.Reset(nil)
+		inflaters.Put(inf)
+	}()
+	inf.src.Reset(comp)
+	if err := inf.fr.(flate.Resetter).Reset(&inf.src, dict); err != nil {
+		return nil, corruptf(r.path, sectionName[s], "block %d inflate: %v", idx, err)
+	}
 	raw := make([]byte, rawLen)
-	n, err := io.ReadFull(fr, raw)
+	n, err := io.ReadFull(inf.fr, raw)
 	if err != nil && err != io.ErrUnexpectedEOF {
 		return nil, corruptf(r.path, sectionName[s], "block %d inflate: %v", idx, err)
 	}
@@ -267,30 +277,72 @@ func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	}
 	// The stream must also end exactly here.
 	var one [1]byte
-	if m, _ := fr.Read(one[:]); m != 0 {
+	if m, _ := inf.fr.Read(one[:]); m != 0 {
 		return nil, corruptf(r.path, sectionName[s], "block %d inflates past its declared %d bytes", idx, rawLen)
 	}
 	return raw, nil
 }
 
-// cachedBlockFor returns block idx of section s through the one-block
-// cache.
-func (r *Reader) cachedBlockFor(s, idx int) ([]byte, error) {
+// inflaters pools block decoders: Reset re-arms one with the next block
+// and its section's dictionary, keeping its window and Huffman tables.
+var inflaters = sync.Pool{New: func() any {
+	inf := &inflater{}
+	inf.fr = flate.NewReader(&inf.src)
+	return inf
+}}
+
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // a flate.Resetter reading src
+}
+
+// row returns a decoder positioned at document pos's row of section s
+// (termvec or text). A block is inflated, and its row starts indexed, only
+// when the one-block cache misses, so a walk over a block decodes each row
+// once.
+func (r *Reader) row(s, pos int) (dec, error) {
+	n := int(r.ft.docCount)
+	if pos < 0 || pos >= n {
+		return dec{}, corruptf(r.path, sectionName[s], "position %d out of range (%d documents)", pos, n)
+	}
+	idx := pos / blockDocs
 	r.cacheMu.Lock()
-	if c := r.blockCache[s]; c.idx == idx+1 {
-		raw := c.raw
+	c := r.blockCache[s]
+	r.cacheMu.Unlock()
+	if c.idx != idx+1 {
+		raw, err := r.readBlock(s, idx)
+		if err != nil {
+			return dec{}, err
+		}
+		starts, err := r.rowStarts(s, raw, min(blockDocs, n-idx*blockDocs))
+		if err != nil {
+			return dec{}, err
+		}
+		c = cachedBlock{idx: idx + 1, raw: raw, starts: starts}
+		r.cacheMu.Lock()
+		r.blockCache[s] = c
 		r.cacheMu.Unlock()
-		return raw, nil
 	}
-	r.cacheMu.Unlock()
-	raw, err := r.readBlock(s, idx)
-	if err != nil {
-		return nil, err
+	return dec{b: c.raw, off: int(c.starts[pos%blockDocs]), file: r.path, sect: sectionName[s]}, nil
+}
+
+// rowStarts finds where each of a block's rows begins, skipping over the
+// rows without allocating.
+func (r *Reader) rowStarts(s int, raw []byte, rows int) ([]uint32, error) {
+	d := dec{b: raw, file: r.path, sect: sectionName[s]}
+	starts := make([]uint32, rows)
+	for i := range starts {
+		starts[i] = uint32(d.off)
+		if s == secTermVec {
+			d.skipTermVec()
+		} else {
+			d.strBytes()
+		}
+		if d.err != nil {
+			return nil, d.err
+		}
 	}
-	r.cacheMu.Lock()
-	r.blockCache[s] = cachedBlock{idx: idx + 1, raw: raw}
-	r.cacheMu.Unlock()
-	return raw, nil
+	return starts, nil
 }
 
 // VisitMeta streams every document's (position, seq, meta) in position
@@ -318,20 +370,6 @@ func (r *Reader) VisitMeta(fn func(pos int, seq int64, m Meta) bool) error {
 	return nil
 }
 
-// Meta returns document pos's slim row.
-func (r *Reader) Meta(pos int) (int64, Meta, error) {
-	raw, err := r.cachedBlockFor(secMeta, pos/blockDocs)
-	if err != nil {
-		return 0, Meta{}, err
-	}
-	d := newDec(raw, r.path, "meta")
-	for i := 0; i < pos%blockDocs; i++ {
-		decodeMeta(d)
-	}
-	seq, m := decodeMeta(d)
-	return seq, m, d.err
-}
-
 // TermVec returns document pos's sorted term vector.
 func (r *Reader) TermVec(pos int) ([]TermCount, error) {
 	return r.TermVecInto(pos, nil)
@@ -339,60 +377,26 @@ func (r *Reader) TermVec(pos int) ([]TermCount, error) {
 
 // TermVecInto is TermVec reusing buf's backing array.
 func (r *Reader) TermVecInto(pos int, buf []TermCount) ([]TermCount, error) {
-	raw, err := r.cachedBlockFor(secTermVec, pos/blockDocs)
+	d, err := r.row(secTermVec, pos)
 	if err != nil {
 		return nil, err
 	}
-	d := newDec(raw, r.path, "termvec")
-	vec := buf
-	for i := 0; i <= pos%blockDocs; i++ {
-		vec = decodeTermVec(d, vec[:0])
-		if d.err != nil {
-			return nil, d.err
-		}
+	vec := decodeTermVec(&d, buf)
+	if d.err != nil {
+		return nil, d.err
 	}
 	return vec, nil
 }
 
-// VisitTermVecs streams every document's (position, vector) in position
-// order; vec is reused between calls and valid only during fn.
-func (r *Reader) VisitTermVecs(fn func(pos int, vec []TermCount) bool) error {
-	pos := 0
-	n := int(r.ft.docCount)
-	var vec []TermCount
-	for blk := 0; pos < n; blk++ {
-		raw, err := r.readBlock(secTermVec, blk)
-		if err != nil {
-			return err
-		}
-		d := newDec(raw, r.path, "termvec")
-		for i := 0; i < blockDocs && pos < n; i++ {
-			vec = decodeTermVec(d, vec[:0])
-			if d.err != nil {
-				return d.err
-			}
-			if !fn(pos, vec) {
-				return nil
-			}
-			pos++
-		}
-	}
-	return nil
-}
-
 // Text returns document pos's body text.
 func (r *Reader) Text(pos int) (string, error) {
-	raw, err := r.cachedBlockFor(secText, pos/blockDocs)
+	d, err := r.row(secText, pos)
 	if err != nil {
 		return "", err
 	}
-	d := newDec(raw, r.path, "text")
-	var s string
-	for i := 0; i <= pos%blockDocs; i++ {
-		s = d.str()
-		if d.err != nil {
-			return "", d.err
-		}
+	s := d.str()
+	if d.err != nil {
+		return "", d.err
 	}
 	return s, nil
 }

@@ -129,12 +129,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("VisitMeta visited %d of %d", pos, len(in.Docs))
 	}
 
-	// Random access: meta, term vectors, text.
+	// Random access, then every position in order: term vectors, text.
 	for _, p := range []int{0, 1, 63, 64, 65, 128, len(in.Docs) - 1} {
-		seq, m, err := r.Meta(p)
-		if err != nil || seq != in.Docs[p].Seq || m != in.Docs[p].Meta {
-			t.Fatalf("Meta(%d): %v %v", p, m, err)
-		}
 		vec, err := r.TermVec(p)
 		if err != nil || !reflect.DeepEqual(vec, in.Docs[p].Terms) {
 			t.Fatalf("TermVec(%d) mismatch: %v", p, err)
@@ -144,18 +140,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 			t.Fatalf("Text(%d) mismatch: %v", p, err)
 		}
 	}
-
-	// Streaming term vectors match.
-	pos = 0
-	err = r.VisitTermVecs(func(p int, vec []TermCount) bool {
-		if !reflect.DeepEqual(vec, in.Docs[p].Terms) {
-			t.Fatalf("VisitTermVecs doc %d mismatch", p)
+	for p := range in.Docs {
+		vec, err := r.TermVec(p)
+		if err != nil || !reflect.DeepEqual(vec, in.Docs[p].Terms) {
+			t.Fatalf("TermVec(%d) mismatch: %v", p, err)
 		}
-		pos++
-		return true
-	})
-	if err != nil || pos != len(in.Docs) {
-		t.Fatalf("VisitTermVecs: %v after %d", err, pos)
+	}
+	for _, p := range []int{-1, len(in.Docs)} {
+		if _, err := r.TermVec(p); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("TermVec(%d) out of range: %v", p, err)
+		}
 	}
 
 	// Postings equal the reference inverted index for every term, plus
@@ -251,10 +245,10 @@ func readAll(r *Reader) error {
 	if err := r.VisitMeta(func(int, int64, Meta) bool { return true }); err != nil {
 		return err
 	}
-	if err := r.VisitTermVecs(func(int, []TermCount) bool { return true }); err != nil {
-		return err
-	}
 	for p := 0; p < r.DocCount(); p++ {
+		if _, err := r.TermVec(p); err != nil {
+			return err
+		}
 		if _, err := r.Text(p); err != nil {
 			return err
 		}

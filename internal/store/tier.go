@@ -388,21 +388,34 @@ func checkTierLayout(dir string, p int) error {
 	return atomicWriteFile(path, b)
 }
 
+// atomicWriteFile replaces path with b: tmp file, fsync, rename, dir fsync.
+// Any failure before the rename removes tmp and leaves path as it was.
 func atomicWriteFile(path string, b []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	f, err := os.Open(tmp)
+	err := writeSynced(tmp, b)
 	if err == nil {
-		f.Sync()
-		f.Close()
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: write %s: %w", path, err)
 	}
 	return syncDir(filepath.Dir(path))
+}
+
+func writeSynced(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func syncDir(dir string) error {
@@ -1209,8 +1222,11 @@ func compactionTier(bytes int64, fanout int) int {
 
 // CompactShard merges one size tier of shard i's segments if any tier
 // holds at least CompactFanout of them, returning whether a merge ran.
-// Each byte is rewritten at most once per size tier it passes through, so
-// total write amplification is bounded by log_fanout(corpus/minSegBytes).
+// Above tier 0 a merge's output lands in a higher tier, so a byte is
+// rewritten about once per tier it passes through. Tier 0 spans
+// [0, minSegBytes·fanout) and is not bounded that way: a merge of small
+// segments can stay in tier 0 and be merged again with the next ones, so
+// small stores rewrite a byte several times inside it.
 func (s *Store) CompactShard(i int) (bool, error) {
 	sh := s.shards[i]
 	t := sh.tier

@@ -705,6 +705,28 @@ func TestTieredOrphanCleanup(t *testing.T) {
 	}
 }
 
+// TestAtomicWriteFileFailureKeepsOld: when the tmp file cannot be written
+// the write reports it, the old file stays, and tmp is cleaned up. (A
+// failing fsync needs a filesystem fault seam to provoke.)
+func TestAtomicWriteFileFailureKeepsOld(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "MANIFEST.json")
+	if err := atomicWriteFile(path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := atomicWriteFile(path, []byte("new")); err == nil {
+		t.Fatal("write through an unwritable tmp reported success")
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "old" {
+		t.Fatalf("old file after failed write: %q, %v", b, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("tmp left behind: %v", err)
+	}
+}
+
 // TestTieredShardCountPinned: a data directory cannot be reopened with a
 // different shard count (DocIDs encode the layout).
 func TestTieredShardCountPinned(t *testing.T) {
