@@ -362,7 +362,9 @@ func (g *Graph) PageRank(d float64, maxIter int, tol float64) []Score {
 // ExpandBaseSet implements the §2.5 node-set construction: starting from the
 // base set (documents classified into the topic), add all successors and up
 // to maxPred predecessors per base document, both obtained from the provided
-// link-database callbacks.
+// link-database callbacks. A capped base document keeps its maxPred
+// lexicographically smallest predecessors, so the set does not depend on
+// the order the link database returns them in.
 func ExpandBaseSet(base []string, successors, predecessors func(id string) []string, maxPred int) map[string]struct{} {
 	set := make(map[string]struct{}, len(base)*2)
 	for _, b := range base {
@@ -377,6 +379,8 @@ func ExpandBaseSet(base []string, successors, predecessors func(id string) []str
 		if predecessors != nil {
 			preds := predecessors(b)
 			if maxPred > 0 && len(preds) > maxPred {
+				preds = append([]string(nil), preds...)
+				sort.Strings(preds)
 				preds = preds[:maxPred]
 			}
 			for _, p := range preds {

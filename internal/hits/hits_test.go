@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -265,6 +266,32 @@ func TestPageRankParamClamps(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		t.Errorf("sum = %v", sum)
+	}
+}
+
+// TestExpandBaseSetIgnoresPredecessorOrder: the capped predecessors are
+// chosen by URL, so any order the link database returns them in — flush
+// order live, rebuilt order after a reopen — yields the same node set.
+func TestExpandBaseSetIgnoresPredecessorOrder(t *testing.T) {
+	preds := make([]string, 120)
+	for i := range preds {
+		preds[i] = fmt.Sprintf("http://h%d.example/p%d", i%7, i)
+	}
+	preds = append(preds, preds[3], preds[40]) // repeated links
+	rng := rand.New(rand.NewSource(5))
+	var want map[string]struct{}
+	for trial := 0; trial < 20; trial++ {
+		order := append([]string(nil), preds...)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		set := ExpandBaseSet([]string{"base"}, nil, func(string) []string { return order }, 50)
+		if len(set) < 2 || len(set) > 51 {
+			t.Fatalf("trial %d: %d nodes, want base plus at most 50 predecessors", trial, len(set))
+		}
+		if trial == 0 {
+			want = set
+		} else if !reflect.DeepEqual(set, want) {
+			t.Fatalf("trial %d: a permuted predecessor list chose a different node set", trial)
+		}
 	}
 }
 

@@ -16,11 +16,11 @@ import (
 // BuildInput is the data of one segment: a frozen slice of a store shard.
 // Docs must be in ascending Seq order with each Terms vector sorted by
 // term string — the order the search tier reproduces bit-identically.
+// A link is stored once, as an out-link row of its source URL's shard.
 type BuildInput struct {
 	Shard     int
 	Docs      []DocRecord
 	OutLinks  []LinkRow
-	InLinks   []LinkRow
 	Redirects []RedirectRow
 }
 
@@ -269,10 +269,6 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 		l := &in.OutLinks[i]
 		links.add(func(e *enc) { e.str(l.From); e.str(l.To); e.str(l.Anchor) })
 	}
-	for i := range in.InLinks {
-		l := &in.InLinks[i]
-		links.add(func(e *enc) { e.str(l.From); e.str(l.To); e.str(l.Anchor) })
-	}
 	links.cut()
 	redirs := &rawBlocks{per: linkBlockRows}
 	for i := range in.Redirects {
@@ -289,7 +285,6 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 		ft.maxSeq = in.Docs[len(in.Docs)-1].Seq
 	}
 	ft.outLinks = uint32(len(in.OutLinks))
-	ft.inLinks = uint32(len(in.InLinks))
 	ft.redirs = uint32(len(in.Redirects))
 
 	// The dict section frames one dictionary per section, every one of

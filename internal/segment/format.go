@@ -9,7 +9,8 @@ package segment
 //	text     block section: document bodies
 //	postings per-term entries sorted by term (delta+varint doc lists)
 //	sparse   every sparseEvery-th term with its postings offset
-//	links    block section: out-link rows then in-link rows
+//	links    block section: out-link rows (then, in segments written
+//	         before links were stored once, in-link rows)
 //	redirs   block section: redirect rows
 //	footer   section table + counts + CRC, then u32 footerLen + "BSG1"
 //
@@ -81,7 +82,7 @@ type footer struct {
 	minSeq   int64
 	maxSeq   int64
 	outLinks uint32 // out-link row count (first rows of the links section)
-	inLinks  uint32
+	inLinks  uint32 // in-link row count; Build writes 0
 	redirs   uint32
 	shard    uint32
 }

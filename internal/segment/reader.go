@@ -502,9 +502,9 @@ func (r *Reader) visitPostings(term string, fn func(seq int64, tf int)) (int, er
 	return 0, nil
 }
 
-// VisitLinks streams the segment's link rows: first the out-link rows,
-// then the in-link rows, each in insert order. out reports which family a
-// row belongs to.
+// VisitLinks streams the segment's link rows in insert order: the out-link
+// rows, then any in-link rows (only older segments hold them). out reports
+// which family a row belongs to.
 func (r *Reader) VisitLinks(fn func(l LinkRow, out bool) bool) error {
 	total := int(r.ft.outLinks) + int(r.ft.inLinks)
 	pos := 0

@@ -17,10 +17,11 @@ const MaxShards = 64
 // mutation epoch; everything a shard-local read needs lives behind the
 // shard's locks, so writes to different shards never contend.
 //
-// Link rows are routed by URL: a link is appended to the out-link table of
-// shard(From) and the in-link table of shard(To), so Successors,
-// Predecessors and InAnchors stay single-shard reads. Redirect rows live
-// on shard(From).
+// Link rows are routed by URL: a link is stored once, in the out-link table
+// of shard(From), and indexed in the in-link table of shard(To), so
+// Successors, Predecessors and InAnchors stay single-shard reads. The
+// in-link table is never persisted; a reopen rebuilds it from every
+// shard's out-link rows. Redirect rows live on shard(From).
 type storeShard struct {
 	idx  int
 	bits uint // copy of the store's shardBits, for DocID encoding

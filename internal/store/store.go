@@ -704,58 +704,28 @@ func (sh *storeShard) termDocFreq(term string) int {
 	return n + sh.index.docFreq(term)
 }
 
-// walLinkRecord frames a single-row link WAL record.
-func walLinkRecord(e *segment.Enc, l Link, out bool) {
-	e.Byte(walOpLinks)
-	e.Uvarint(1)
-	e.Bool(out)
-	e.Str(l.From)
-	e.Str(l.To)
-	e.Str(l.Anchor)
-}
-
-// addOutLinkLocked appends the out-link row to sh's table and, when
-// tiered, to the hot capture and WAL. Caller holds sh.linkMu.
-func (sh *storeShard) addOutLinkLocked(l Link) {
-	sh.outLinks[l.From] = append(sh.outLinks[l.From], l)
-	if t := sh.tier; t != nil {
-		t.hotOut = append(t.hotOut, l)
-		var e segment.Enc
-		walLinkRecord(&e, l, true)
-		t.appendWALLocked(e.Bytes())
-	}
-}
-
-// addInLinkLocked is addOutLinkLocked for the target shard's in-link row.
-func (sh *storeShard) addInLinkLocked(l Link) {
-	sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
-	if t := sh.tier; t != nil {
-		t.hotIn = append(t.hotIn, l)
-		var e segment.Enc
-		walLinkRecord(&e, l, false)
-		t.appendWALLocked(e.Bytes())
-	}
-}
-
 // AddLink records a hyperlink row: the out-link row lands on the source
-// URL's shard, the in-link row on the target URL's shard.
+// URL's shard (and, when tiered, in its hot capture and WAL), the in-link
+// index entry on the target URL's shard.
 func (s *Store) AddLink(l Link) {
 	shFrom := s.shardForURL(l.From)
-	shTo := s.shardForURL(l.To)
 	shFrom.linkMu.Lock()
-	shFrom.addOutLinkLocked(l)
-	if shTo == shFrom {
-		shTo.addInLinkLocked(l)
-		shFrom.linkMu.Unlock()
-		shFrom.bumpEpoch()
-		return
+	shFrom.outLinks[l.From] = append(shFrom.outLinks[l.From], l)
+	if t := shFrom.tier; t != nil {
+		t.hotOut = append(t.hotOut, l)
+		var e segment.Enc
+		walEncodeLinks(&e, []Link{l})
+		t.appendWALLocked(e.Bytes())
 	}
 	shFrom.linkMu.Unlock()
+	shTo := s.shardForURL(l.To)
 	shTo.linkMu.Lock()
-	shTo.addInLinkLocked(l)
+	shTo.inLinks[l.To] = append(shTo.inLinks[l.To], l)
 	shTo.linkMu.Unlock()
 	shFrom.bumpEpoch()
-	shTo.bumpEpoch()
+	if shTo != shFrom {
+		shTo.bumpEpoch()
+	}
 }
 
 // AddRedirect records a redirect row on the source URL's shard.
@@ -789,7 +759,9 @@ func (s *Store) Successors(url string) []string {
 	return out
 }
 
-// Predecessors returns the URLs linking to url.
+// Predecessors returns the URLs linking to url, read from url's shard's
+// in-link index: in write order while live, and after a reopen in rebuilt
+// order (shard by shard, segments then WAL, rows in file order).
 func (s *Store) Predecessors(url string) []string {
 	sh := s.shardForURL(url)
 	sh.linkMu.RLock()

@@ -33,11 +33,12 @@ import (
 //	         and the old generation is deleted once the manifest commits
 //	compact→ a background goroutine merges same-size-tier segments
 //	         (size-tiered, fanout CompactFanout) so segment count stays
-//	         O(fanout · log(corpus)) and write amplification is bounded by
-//	         one rewrite per size tier
+//	         O(fanout · log(corpus)); see CompactShard for what that does
+//	         and does not bound in write amplification
 //	open   → segments are mmapped (footer reads only — postings, text and
-//	         term vectors page in lazily), slim rows and links stream out
-//	         of the meta/link sections, and only the WAL tail is replayed
+//	         term vectors page in lazily), slim rows and out-links stream
+//	         out of the meta/link sections and rebuild the in-link index,
+//	         and only the WAL tail is replayed
 //
 // Consistency rules, enforced by lock order docMu → linkMu → redirMu with
 // the WAL's internal mutex and segment reader caches as leaves:
@@ -197,11 +198,11 @@ type shardTier struct {
 	hotDocs   int64
 	overrides map[int64]coldOverride
 
-	// Guarded by the owner shard's linkMu / redirMu: link and redirect
+	// Guarded by the owner shard's linkMu / redirMu: out-link and redirect
 	// rows accumulated since the last freeze (the maps hold the merged
-	// view; these hold what the next segment must bake).
+	// view; these hold what the next segment must bake). In-links are an
+	// index over every shard's out-links, rebuilt at open, never baked.
 	hotOut   []Link
-	hotIn    []Link
 	hotRedir []Redirect
 
 	state atomicTierState
@@ -552,8 +553,9 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats) error {
 }
 
 // ingestSegment creates the slim in-memory rows, cold refs, link rows and
-// redirect rows for one segment. Called during open, before the store is
-// shared, so no locks are needed.
+// redirect rows for one segment; each out-link row also enters its target
+// shard's in-link index, and in-link rows of older segments are skipped.
+// Called during open, before the store is shared, so no locks are needed.
 func (s *Store) ingestSegment(sh *storeShard, seg *tierSeg, tombs map[int64]struct{}) error {
 	t := sh.tier
 	err := seg.r.VisitMeta(func(pos int, seq int64, m segment.Meta) bool {
@@ -586,11 +588,8 @@ func (s *Store) ingestSegment(sh *storeShard, seg *tierSeg, tombs map[int64]stru
 		return fmt.Errorf("store: shard %d: %w", sh.idx, err)
 	}
 	err = seg.r.VisitLinks(func(l segment.LinkRow, out bool) bool {
-		row := Link{From: l.From, To: l.To, Anchor: l.Anchor}
 		if out {
-			sh.outLinks[row.From] = append(sh.outLinks[row.From], row)
-		} else {
-			sh.inLinks[row.To] = append(sh.inLinks[row.To], row)
+			s.replayOutLink(sh, Link{From: l.From, To: l.To, Anchor: l.Anchor})
 		}
 		return true
 	})
@@ -730,6 +729,20 @@ func walEncodeDoc(e *segment.Enc, seq int64, d *Document) {
 	e.Str(d.Text)
 }
 
+// walEncodeLinks frames a links record. Every row is an out-link row (out
+// flag true); logs written before links were stored once also hold in-link
+// rows, which replay skips.
+func walEncodeLinks(e *segment.Enc, ls []Link) {
+	e.Byte(walOpLinks)
+	e.Uvarint(uint64(len(ls)))
+	for _, l := range ls {
+		e.Bool(true)
+		e.Str(l.From)
+		e.Str(l.To)
+		e.Str(l.Anchor)
+	}
+}
+
 // appendWALLocked frames and appends a record to the shard's current WAL.
 // The caller holds the relation lock that makes the (apply, append) pair
 // atomic with respect to freeze's rotation point. Returns the WAL the
@@ -760,6 +773,9 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, stats *RecoverySt
 		for i := uint64(0); i < n; i++ {
 			seq, m := d.Meta()
 			nt := d.Uvarint()
+			if nt > uint64(d.Remaining()/2) { // each term is ≥2 bytes
+				return fmt.Errorf("store: shard %d wal: %d terms overrun the record: %w", sh.idx, nt, segment.ErrCorrupt)
+			}
 			terms := make(map[string]int, nt)
 			for j := uint64(0); j < nt; j++ {
 				t := d.Str()
@@ -786,13 +802,9 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, stats *RecoverySt
 			if err := d.Err(); err != nil {
 				return err
 			}
-			t := sh.tier
 			if out {
-				sh.outLinks[l.From] = append(sh.outLinks[l.From], l)
-				t.hotOut = append(t.hotOut, l)
-			} else {
-				sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
-				t.hotIn = append(t.hotIn, l)
+				s.replayOutLink(sh, l)
+				sh.tier.hotOut = append(sh.tier.hotOut, l)
 			}
 		}
 	case walOpRedirects:
@@ -839,9 +851,18 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, stats *RecoverySt
 			sh.noteColdTrainingLocked(id, training)
 		}
 	default:
-		return fmt.Errorf("store: shard %d wal: unknown record kind %d", sh.idx, op)
+		return fmt.Errorf("store: shard %d wal: unknown record kind %d: %w", sh.idx, op, segment.ErrCorrupt)
 	}
 	return d.Err()
+}
+
+// replayOutLink adds an out-link row read back from a segment or WAL of sh
+// to sh's out-link table and to its target shard's in-link index. Open
+// runs single-threaded, so no locks.
+func (s *Store) replayOutLink(sh *storeShard, l Link) {
+	sh.outLinks[l.From] = append(sh.outLinks[l.From], l)
+	to := s.shardForURL(l.To)
+	to.inLinks[l.To] = append(to.inLinks[l.To], l)
 }
 
 // replayInsert applies a WAL doc insert with its original sequence number.
@@ -937,17 +958,17 @@ func (s *Store) FreezeShard(i int) error {
 			meta: metaFromDoc(d), terms: d.Terms, text: d.Text,
 		})
 	}
-	hotOut, hotIn, hotRedir := t.hotOut, t.hotIn, t.hotRedir
-	if len(frozen) == 0 && len(hotOut) == 0 && len(hotIn) == 0 && len(hotRedir) == 0 {
+	hotOut, hotRedir := t.hotOut, t.hotRedir
+	if len(frozen) == 0 && len(hotOut) == 0 && len(hotRedir) == 0 {
 		sh.redirMu.Unlock()
 		sh.linkMu.Unlock()
 		sh.docMu.Unlock()
 		return nil
 	}
-	t.hotOut, t.hotIn, t.hotRedir = nil, nil, nil
+	t.hotOut, t.hotRedir = nil, nil
 	newWAL, err := segment.CreateWAL(t.walPath(t.walSeq + 1))
 	if err != nil {
-		t.hotOut, t.hotIn, t.hotRedir = hotOut, hotIn, hotRedir
+		t.hotOut, t.hotRedir = hotOut, hotRedir
 		sh.redirMu.Unlock()
 		sh.linkMu.Unlock()
 		sh.docMu.Unlock()
@@ -975,7 +996,6 @@ func (s *Store) FreezeShard(i int) error {
 		}
 	}
 	in.OutLinks = linkRows(hotOut)
-	in.InLinks = linkRows(hotIn)
 	in.Redirects = redirectRows(hotRedir)
 	file := fmt.Sprintf("seg-%06d.bsg", segID)
 	bytes, err := segment.Build(filepath.Join(t.dir, file), in)
@@ -991,7 +1011,6 @@ func (s *Store) FreezeShard(i int) error {
 		// the still-hot documents.
 		sh.linkMu.Lock()
 		t.hotOut = append(hotOut, t.hotOut...)
-		t.hotIn = append(hotIn, t.hotIn...)
 		sh.linkMu.Unlock()
 		sh.redirMu.Lock()
 		t.hotRedir = append(hotRedir, t.hotRedir...)
@@ -1305,11 +1324,11 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 		if err != nil {
 			return fmt.Errorf("store: shard %d: compact: %w", sh.idx, err)
 		}
+		// An older input's in-link rows are dropped: the index is rebuilt
+		// from out-link rows at open.
 		err = seg.r.VisitLinks(func(l segment.LinkRow, out bool) bool {
 			if out {
 				in.OutLinks = append(in.OutLinks, l)
-			} else {
-				in.InLinks = append(in.InLinks, l)
 			}
 			return true
 		})

@@ -247,21 +247,28 @@ func requireStoresEqual(t *testing.T, label string, got, want *Store) {
 			t.Fatalf("%s: redirect[%d] %+v vs %+v", label, i, gr[i], wr[i])
 		}
 	}
-	// Spot-check the per-URL link reads.
-	for _, d := range want.All()[:min(20, want.NumDocs())] {
-		for name, f := range map[string]func(*Store) []string{
-			"Successors":   func(s *Store) []string { return s.Successors(d.URL) },
-			"Predecessors": func(s *Store) []string { return s.Predecessors(d.URL) },
-			"InAnchors":    func(s *Store) []string { return s.InAnchors(d.URL) },
-		} {
-			g, w := f(got), f(want)
-			sort.Strings(g)
-			sort.Strings(w)
-			if !equalStrings(g, w) {
-				t.Fatalf("%s: %s(%s) %v vs %v", label, name, d.URL, g, w)
+	// Per-URL link reads as multisets, at every endpoint of every link —
+	// targets that are not stored included.
+	for _, l := range wl {
+		for _, u := range []string{l.From, l.To} {
+			g, w := linkReads(got, u), linkReads(want, u)
+			for k, name := range []string{"Successors", "Predecessors", "InAnchors"} {
+				if !equalStrings(g[k], w[k]) {
+					t.Fatalf("%s: %s(%s) %v vs %v", label, name, u, g[k], w[k])
+				}
 			}
 		}
 	}
+}
+
+// linkReads returns url's Successors, Predecessors and InAnchors, each
+// sorted.
+func linkReads(s *Store, url string) [3][]string {
+	r := [3][]string{s.Successors(url), s.Predecessors(url), s.InAnchors(url)}
+	for _, v := range r {
+		sort.Strings(v)
+	}
+	return r
 }
 
 // TestTieredMatchesMemory: a tiered store — fully hot, fully frozen, and

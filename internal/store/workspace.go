@@ -27,10 +27,9 @@ import (
 // synchronously on the flushing (crawler) thread, which is the write-path
 // backpressure that keeps ingest from outrunning the disk.
 
-// wsShard is one shard's slice of a workspace buffer. An out-link row is
-// buffered on its source URL's shard, an in-link row on its target's (the
-// same Link lands in two buffers when the endpoints hash apart), matching
-// the store's link-row routing.
+// wsShard is one shard's slice of a workspace buffer. A link is buffered
+// as an out-link row on its source URL's shard, which alone logs it, and as
+// an in-link index entry on its target's, matching the store's routing.
 type wsShard struct {
 	docs      []Document
 	outLinks  []Link
@@ -54,7 +53,7 @@ type Workspace struct {
 	store     *Store
 	batchSize int
 	byShard   []wsShard
-	buffered  int // total rows across shards (in-link rows not double-counted)
+	buffered  int // total rows across shards (in-link index entries not counted)
 	pending   int // buffered documents
 
 	// err holds a flush error raised by an auto-flush inside Add, carried
@@ -213,24 +212,10 @@ func (w *Workspace) Flush() error {
 			for _, l := range b.inLinks {
 				sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
 			}
-			if t != nil {
+			if t != nil && len(b.outLinks) > 0 {
 				t.hotOut = append(t.hotOut, b.outLinks...)
-				t.hotIn = append(t.hotIn, b.inLinks...)
 				w.enc.Reset()
-				w.enc.Byte(walOpLinks)
-				w.enc.Uvarint(uint64(len(b.outLinks) + len(b.inLinks)))
-				for _, l := range b.outLinks {
-					w.enc.Bool(true)
-					w.enc.Str(l.From)
-					w.enc.Str(l.To)
-					w.enc.Str(l.Anchor)
-				}
-				for _, l := range b.inLinks {
-					w.enc.Bool(false)
-					w.enc.Str(l.From)
-					w.enc.Str(l.To)
-					w.enc.Str(l.Anchor)
-				}
+				walEncodeLinks(&w.enc, b.outLinks)
 				wal, _ := t.appendWALLocked(w.enc.Bytes())
 				w.noteWAL(wal)
 			}
