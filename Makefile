@@ -37,6 +37,7 @@ race:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/segment/
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentMerge$$' -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionState$$' -fuzztime $(FUZZTIME) ./internal/core/

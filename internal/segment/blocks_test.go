@@ -16,9 +16,6 @@ import (
 	"testing"
 )
 
-// blockSections are the DEFLATE-blocked sections, in file order.
-var blockSections = []int{secMeta, secTermVec, secText, secLinks, secRedirects}
-
 // presetDictFixture is a segment written when Build still sampled a preset
 // dictionary from each section's first block (140 documents in 3 blocks,
 // the last partial, plus links and redirects). It cannot be regenerated
@@ -37,7 +34,7 @@ type fixtureGolden struct {
 	Redirects []RedirectRow
 }
 
-func openBytes(t *testing.T, b []byte) *Reader {
+func openBytes(t testing.TB, b []byte) *Reader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg.bsg")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -71,11 +68,7 @@ func deflate(t *testing.T, raw, dict []byte) []byte {
 // blockComp returns block idx of section s as stored: its compressed bytes.
 func blockComp(t *testing.T, r *Reader, file []byte, s, idx int) []byte {
 	t.Helper()
-	offs, err := r.blockTable(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := r.ft.sections[s].off + offs[idx]
+	start := r.ft.sections[s].off + r.tables[s].offs[idx]
 	n := uint64(binary.LittleEndian.Uint32(file[start:]))
 	return file[start+12 : start+12+n]
 }
@@ -97,13 +90,13 @@ func TestPresetDictionarySegmentReads(t *testing.T) {
 
 	// The fixture still is what it stands for.
 	for _, s := range blockSections {
-		if d, err := r.dictFor(s); err != nil || len(d) == 0 {
-			t.Fatalf("%s dictionary: %d bytes, %v", sectionName[s], len(d), err)
+		if d := r.dicts[s]; len(d) == 0 {
+			t.Fatalf("%s dictionary empty", sectionName[s])
 		}
 	}
 	for _, s := range []int{secMeta, secTermVec, secText} {
-		if offs, err := r.blockTable(s); err != nil || len(offs) < 3 {
-			t.Fatalf("%s: %d blocks, %v", sectionName[s], len(offs), err)
+		if n := len(r.tables[s].offs); n < 3 {
+			t.Fatalf("%s: %d blocks", sectionName[s], n)
 		}
 	}
 	if r.DocCount()%blockDocs == 0 || len(g.OutLinks) == 0 || len(g.InLinks) == 0 || len(g.Redirects) == 0 {
@@ -218,14 +211,10 @@ func TestBuildPoolReuseIsByteIdentical(t *testing.T) {
 	}
 	r := openBytes(t, first)
 	for _, s := range blockSections {
-		if d, err := r.dictFor(s); err != nil || len(d) != 0 {
-			t.Fatalf("%s dictionary: %d bytes, %v; Build writes them empty", sectionName[s], len(d), err)
+		if d := r.dicts[s]; len(d) != 0 {
+			t.Fatalf("%s dictionary: %d bytes; Build writes them empty", sectionName[s], len(d))
 		}
-		offs, err := r.blockTable(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for idx := range offs {
+		for idx := range r.tables[s].offs {
 			raw, err := r.readBlock(s, idx)
 			if err != nil {
 				t.Fatal(err)
@@ -285,10 +274,7 @@ func TestShuffledReadsMatchSequential(t *testing.T) {
 func rewriteLastBlock(t *testing.T, file []byte, s int, mangle func([]byte) []byte) []byte {
 	t.Helper()
 	r := openBytes(t, file)
-	offs, err := r.blockTable(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offs := r.tables[s].offs
 	raw, err := r.readBlock(s, len(offs)-1)
 	if err != nil {
 		t.Fatal(err)

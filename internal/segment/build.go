@@ -32,11 +32,23 @@ func Build(path string, in BuildInput) (int64, error) {
 			return 0, fmt.Errorf("segment: build %s: docs not in ascending seq order (%d after %d)", path, in.Docs[i].Seq, in.Docs[i-1].Seq)
 		}
 	}
+	return writeFile(path, func(w *countingWriter) error { return writeSegment(w, in) })
+}
+
+// writeFile creates path atomically (tmp + fsync + rename + dir fsync)
+// from what write streams into it and returns the byte size written.
+func writeFile(path string, write func(w *countingWriter) error) (n int64, err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return 0, fmt.Errorf("segment: build: %w", err)
+		return 0, fmt.Errorf("segment: write %s: %w", path, err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close() // a second Close after a failed one is harmless
+			os.Remove(tmp)
+		}
+	}()
 	bw := fileWriters.Get().(*bufio.Writer)
 	bw.Reset(f)
 	defer func() {
@@ -44,28 +56,21 @@ func Build(path string, in BuildInput) (int64, error) {
 		fileWriters.Put(bw)
 	}()
 	w := &countingWriter{w: bw}
-	if err := writeSegment(w, in); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := write(w); err != nil {
 		return 0, err
 	}
-	if err := w.w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("segment: build: %w", err)
+	err = w.w.Flush()
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("segment: build: %w", err)
+	if err == nil {
+		err = f.Close()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("segment: build: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("segment: build: %w", err)
+	if err != nil {
+		return 0, fmt.Errorf("segment: write %s: %w", path, err)
 	}
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		return 0, err
@@ -97,9 +102,19 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// rawBlocks splits encoded rows into raw (uncompressed) blocks.
+// block is one block of a section being written: encoded rows to
+// compress, or a frame ([compLen][rawLen][crc][comp]) copied verbatim from
+// another segment.
+type block struct {
+	raw   []byte
+	frame []byte
+	rows  int
+}
+
+// rawBlocks collects a section's blocks: rows, cut into a block every per
+// rows, and copied frames, each cutting the rows before it.
 type rawBlocks struct {
-	blocks [][]byte
+	blocks []block
 	cur    enc
 	rows   int
 	per    int
@@ -119,9 +134,14 @@ func (r *rawBlocks) cut() {
 	}
 	b := make([]byte, len(r.cur.b))
 	copy(b, r.cur.b)
-	r.blocks = append(r.blocks, b)
+	r.blocks = append(r.blocks, block{raw: b, rows: r.rows})
 	r.cur.reset()
 	r.rows = 0
+}
+
+func (r *rawBlocks) frame(f []byte, rows int) {
+	r.cut()
+	r.blocks = append(r.blocks, block{frame: f, rows: rows})
 }
 
 // deflaters pools block encoders. A DEFLATE encoder carries ≈800 KB of
@@ -135,14 +155,15 @@ var deflaters = sync.Pool{New: func() any {
 	return fw
 }}
 
-// fileWriters pools the buffered writer each Build streams its file through.
+// fileWriters pools the buffered writer each segment write streams its
+// file through.
 var fileWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
-// compressBlocks DEFLATE-compresses blocks in parallel. Every worker takes
-// one encoder from deflaters and Resets it between blocks; readers still
-// honour a non-empty section dictionary in segments written before
-// dictionaries were written empty.
-func compressBlocks(blocks [][]byte) ([][]byte, error) {
+// compressBlocks DEFLATE-compresses the blocks that are not copied frames,
+// in parallel. Every worker takes one encoder from deflaters and Resets it
+// between blocks; readers still honour a non-empty section dictionary in
+// segments written before dictionaries were written empty.
+func compressBlocks(blocks []block) ([][]byte, error) {
 	out := make([][]byte, len(blocks))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(blocks) {
@@ -181,9 +202,12 @@ func compressBlocks(blocks [][]byte) ([][]byte, error) {
 			fw := deflaters.Get().(*flate.Writer)
 			defer deflaters.Put(fw)
 			for i := range next {
+				if blocks[i].frame != nil {
+					continue
+				}
 				buf.Reset()
 				fw.Reset(&buf)
-				if _, err := fw.Write(blocks[i]); err != nil {
+				if _, err := fw.Write(blocks[i].raw); err != nil {
 					fail(w, err)
 					return
 				}
@@ -206,50 +230,72 @@ func compressBlocks(blocks [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// writeBlockSection emits a compressed block section and returns its table
-// row: [blocks][offset table][table crc].
-func writeBlockSection(w *countingWriter, raw [][]byte) (section, error) {
+// writeBlockSection emits a block section and returns its table row:
+// [blocks][block table][table crc].
+func writeBlockSection(w *countingWriter, blocks []block) (section, error) {
 	start := uint64(w.n)
-	comp, err := compressBlocks(raw)
+	comp, err := compressBlocks(blocks)
 	if err != nil {
 		return section{}, err
 	}
-	offsets := make([]uint64, len(comp))
+	offsets := make([]uint64, len(blocks))
 	var e enc
-	for i, c := range comp {
+	for i, b := range blocks {
 		offsets[i] = uint64(w.n) - start
+		if b.frame != nil {
+			if _, err := w.Write(b.frame); err != nil {
+				return section{}, err
+			}
+			continue
+		}
 		e.reset()
-		e.u32(uint32(len(c)))
-		e.u32(uint32(len(raw[i])))
-		e.u32(crc32.ChecksumIEEE(c))
+		e.u32(uint32(len(comp[i])))
+		e.u32(uint32(len(b.raw)))
+		e.u32(crc32.ChecksumIEEE(comp[i]))
 		if _, err := w.Write(e.b); err != nil {
 			return section{}, err
 		}
-		if _, err := w.Write(c); err != nil {
+		if _, err := w.Write(comp[i]); err != nil {
 			return section{}, err
 		}
 	}
 	e.reset()
-	e.u32(uint32(len(offsets)))
-	for _, o := range offsets {
-		e.u64(o)
+	e.u32(uint32(len(blocks)))
+	for i, b := range blocks {
+		e.u64(offsets[i])
+		e.u32(uint32(b.rows))
 	}
 	e.u32(crc32.ChecksumIEEE(e.b))
 	if _, err := w.Write(e.b); err != nil {
 		return section{}, err
 	}
-	return section{off: start, len: uint64(w.n) - start, aux: uint32(len(comp))}, nil
+	return section{off: start, len: uint64(w.n) - start, aux: uint32(len(blocks))}, nil
 }
 
-func writeSegment(w *countingWriter, in BuildInput) error {
+// writePreamble writes the header and the dict section, which frames one
+// dictionary per section, every one of them empty (see deflaters).
+func writePreamble(w *countingWriter, ft *footer) error {
 	var e enc
 	e.raw([]byte(magic))
 	e.byte(version)
-	e.u32(uint32(in.Shard))
+	e.u32(ft.shard)
 	if _, err := w.Write(e.b); err != nil {
 		return err
 	}
+	dictStart := uint64(w.n)
+	e.reset()
+	for s := 0; s < numSections; s++ {
+		e.uvarint(0)
+	}
+	e.u32(crc32.ChecksumIEEE(e.b))
+	if _, err := w.Write(e.b); err != nil {
+		return err
+	}
+	ft.sections[secDict] = section{off: dictStart, len: uint64(w.n) - dictStart}
+	return nil
+}
 
+func writeSegment(w *countingWriter, in BuildInput) error {
 	// Raw rows for the three document sections, blocked identically.
 	meta := &rawBlocks{per: blockDocs}
 	tvec := &rawBlocks{per: blockDocs}
@@ -287,19 +333,9 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	ft.outLinks = uint32(len(in.OutLinks))
 	ft.redirs = uint32(len(in.Redirects))
 
-	// The dict section frames one dictionary per section, every one of
-	// them empty (see deflaters).
-	dictStart := uint64(w.n)
-	e.reset()
-	for s := 0; s < numSections; s++ {
-		e.uvarint(0)
-	}
-	e.u32(crc32.ChecksumIEEE(e.b))
-	if _, err := w.Write(e.b); err != nil {
+	if err := writePreamble(w, &ft); err != nil {
 		return err
 	}
-	ft.sections[secDict] = section{off: dictStart, len: uint64(w.n) - dictStart}
-
 	var err error
 	if ft.sections[secMeta], err = writeBlockSection(w, meta.blocks); err != nil {
 		return err
@@ -319,8 +355,7 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	if ft.sections[secRedirects], err = writeBlockSection(w, redirs.blocks); err != nil {
 		return err
 	}
-
-	e.reset()
+	var e enc
 	ft.encode(&e)
 	_, err = w.Write(e.b)
 	return err
@@ -370,51 +405,64 @@ func writePostings(w *countingWriter, docs []DocRecord, ft *footer) error {
 	}
 	sort.Strings(terms)
 
-	start := uint64(w.n)
-	type sparseEntry struct {
-		term string
-		off  uint64
-	}
-	var sparse []sparseEntry
-	var e, body enc
-	for i, t := range terms {
-		if i%sparseEvery == 0 {
-			sparse = append(sparse, sparseEntry{term: t, off: uint64(w.n) - start})
-		}
+	pw := &postingsWriter{w: w, start: uint64(w.n)}
+	var body enc
+	for _, t := range terms {
 		ps := inv[t]
 		body.reset()
 		prev := int64(0)
-		for j, p := range ps {
-			if j == 0 {
-				body.uvarint(uint64(p.seq))
-			} else {
-				body.uvarint(uint64(p.seq - prev))
-			}
+		for _, p := range ps {
+			body.uvarint(uint64(p.seq - prev))
 			prev = p.seq
 			body.varint(int64(p.tf))
 		}
-		e.reset()
-		e.str(t)
-		e.uvarint(uint64(len(ps)))
-		e.uvarint(uint64(len(body.b)))
-		e.u32(crc32.ChecksumIEEE(body.b))
-		e.raw(body.b)
-		if _, err := w.Write(e.b); err != nil {
+		if err := addPosting(pw, t, len(ps), body.b); err != nil {
 			return err
 		}
 	}
-	ft.sections[secPostings] = section{off: start, len: uint64(w.n) - start, aux: uint32(len(terms))}
+	return pw.finish(ft)
+}
 
-	sparseStart := uint64(w.n)
-	e.reset()
-	for _, s := range sparse {
-		e.str(s.term)
-		e.uvarint(s.off)
+// postingsWriter emits a postings section entry by entry, in term order,
+// then its sparse term index.
+type postingsWriter struct {
+	w      *countingWriter
+	start  uint64
+	terms  int
+	e      enc
+	sparse enc
+}
+
+// addPosting appends one entry: term (a string, or bytes of an input
+// segment's postings section), its document frequency, and its encoded
+// (seq delta, tf) list.
+func addPosting[T string | []byte](p *postingsWriter, term T, df int, body []byte) error {
+	if p.terms%sparseEvery == 0 {
+		p.sparse.uvarint(uint64(len(term)))
+		p.sparse.b = append(p.sparse.b, term...)
+		p.sparse.uvarint(uint64(p.w.n) - p.start)
 	}
-	e.u32(crc32.ChecksumIEEE(e.b))
-	if _, err := w.Write(e.b); err != nil {
+	p.terms++
+	p.e.reset()
+	p.e.uvarint(uint64(len(term)))
+	p.e.b = append(p.e.b, term...)
+	p.e.uvarint(uint64(df))
+	p.e.uvarint(uint64(len(body)))
+	p.e.u32(crc32.ChecksumIEEE(body))
+	p.e.raw(body)
+	_, err := p.w.Write(p.e.b)
+	return err
+}
+
+// finish writes the sparse index and records both sections in ft.
+func (p *postingsWriter) finish(ft *footer) error {
+	ft.sections[secPostings] = section{off: p.start, len: uint64(p.w.n) - p.start, aux: uint32(p.terms)}
+	sparseStart := uint64(p.w.n)
+	p.sparse.u32(crc32.ChecksumIEEE(p.sparse.b))
+	if _, err := p.w.Write(p.sparse.b); err != nil {
 		return err
 	}
-	ft.sections[secSparse] = section{off: sparseStart, len: uint64(w.n) - sparseStart, aux: uint32(len(sparse))}
+	entries := (p.terms + sparseEvery - 1) / sparseEvery
+	ft.sections[secSparse] = section{off: sparseStart, len: uint64(p.w.n) - sparseStart, aux: uint32(entries)}
 	return nil
 }

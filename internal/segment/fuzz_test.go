@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -50,6 +51,12 @@ func fuzzSeedSegments(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BSG1"))
+	// Version 2 files whose blocks hold uneven row counts, as merges write
+	// them, and the same with counts Open must reject.
+	f.Add(unevenSegment(f))
+	for _, b := range badRowCounts(f) {
+		f.Add(b)
+	}
 }
 
 func FuzzSegmentOpen(f *testing.F) {
@@ -71,6 +78,106 @@ func FuzzSegmentOpen(f *testing.F) {
 			t.Fatalf("read error not typed: %v", err)
 		}
 	})
+}
+
+// FuzzSegmentMerge merges a fuzzed segment with a valid one. The merge
+// fails with a typed error, or its output reads back exactly as Build over
+// the same live rows — whenever the fuzzed input itself reads back whole
+// and its postings agree with its rows (a postings entry's term bytes
+// carry no CRC, so a flipped one is a different, consistent-looking term).
+func FuzzSegmentMerge(f *testing.F) {
+	fuzzSeedSegments(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.bsg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip()
+		}
+		r, err := Open(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open error not typed: %v", err)
+			}
+			return
+		}
+		defer r.Close()
+		in := genInput(61, 90)
+		in.Shard = r.Shard()
+		inputs := []*Reader{r, nil}
+		if base := r.MaxSeq(); base >= 0 && base < 1<<60 {
+			for i := range in.Docs {
+				in.Docs[i].Seq += base
+			}
+		} else {
+			inputs[0], inputs[1] = nil, r
+		}
+		valid := openBytes(t, buildBytes(t, in))
+		if inputs[0] == nil {
+			inputs[0] = valid
+		} else {
+			inputs[1] = valid
+		}
+		c, rerr := readContent(r)
+		live := liveSet{}
+		for _, d := range append(c.Docs, in.Docs...) {
+			if d.Seq%5 != 0 {
+				if d.Seq%7 == 0 {
+					d.Meta.Topic = "/moved"
+				}
+				live[d.Seq] = d.Meta
+			}
+		}
+		out := filepath.Join(t.TempDir(), "merged.bsg")
+		if _, err := Merge(out, inputs, live.fn); err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, errMergeInputs) {
+				t.Fatalf("Merge error not typed: %v", err)
+			}
+			return
+		}
+		m, err := Open(out)
+		if err != nil {
+			if rerr == nil || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("merged file does not open: %v", err)
+			}
+			return
+		}
+		defer m.Close()
+		if rerr != nil || !selfConsistent(t, c) {
+			if err := readAll(m); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("merged read error not typed: %v", err)
+			}
+			return
+		}
+		g, err := readContent(m)
+		if err != nil {
+			t.Fatalf("merged segment of readable inputs does not read back: %v", err)
+		}
+		w, err := readContent(reference(t, inputs, live))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := contentDiff(g, w); diff != "" {
+			t.Fatalf("merged segment differs from Build over the live rows: %s", diff)
+		}
+	})
+}
+
+// selfConsistent reports whether a segment's postings are the ones Build
+// derives from its rows.
+func selfConsistent(t *testing.T, c content) bool {
+	path := filepath.Join(t.TempDir(), "self.bsg")
+	if _, err := Build(path, BuildInput{Shard: c.Shard, Docs: c.Docs}); err != nil {
+		return false
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	b, err := readContent(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reflect.DeepEqual(b.Terms, c.Terms) && reflect.DeepEqual(b.Postings, c.Postings) && reflect.DeepEqual(b.DocFreq, c.DocFreq)
 }
 
 func FuzzWALReplay(f *testing.F) {

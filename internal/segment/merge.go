@@ -1,0 +1,321 @@
+package segment
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+)
+
+// errMergeInputs reports inputs Merge cannot combine: segments of several
+// shards, or seq ranges out of order or overlapping.
+var errMergeInputs = errors.New("segment: merge inputs not seq-ordered segments of one shard")
+
+// MergeStats reports what Merge wrote.
+type MergeStats struct {
+	Bytes int64
+	Seqs  []int64 // the kept documents' seqs, in position order
+	// Copied and Reencoded count input blocks — a document block once for
+	// its three sections — by whether their frames were copied or their
+	// surviving rows re-encoded.
+	Copied, Reencoded int
+}
+
+// mergeOp is one step of a merged block section: copy block blk of src
+// whole (row < 0), or re-encode its row-th row (with seq and meta, in the
+// meta section).
+type mergeOp struct {
+	src      *Reader
+	blk, row int
+	seq      int64
+	meta     Meta
+}
+
+// Merge writes the live rows of inputs — segments of one shard, in
+// ascending, non-overlapping seq order — to a new segment at path,
+// atomically like Build. live(seq) is asked once per input row, in order,
+// and returns the row's current metadata and whether it survives.
+//
+// A document block whose rows all survive with unchanged metadata is copied
+// frame for frame, CRC-checked but not inflated. Other blocks' surviving
+// rows, and those of blocks below copyFloorDocs rows or with a preset
+// dictionary, are re-encoded from their raw row bytes, cut every blockDocs
+// rows and before the next copied block. Link and redirect blocks are
+// copied likewise, unless below copyFloorLinks rows or from an input with
+// a dictionary or in-link rows (which are dropped). Postings are a k-way
+// merge of the inputs' postings sections, without the dead rows.
+func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (MergeStats, error) {
+	var st MergeStats
+	for i, in := range inputs {
+		if in.ft.shard != inputs[0].ft.shard {
+			return st, fmt.Errorf("segment: merge %s: %s is shard %d, not %d: %w", path, in.path, in.ft.shard, inputs[0].ft.shard, errMergeInputs)
+		}
+		for _, prev := range inputs[:i] {
+			if in.ft.docCount > 0 && prev.ft.docCount > 0 && in.ft.minSeq <= prev.ft.maxSeq {
+				return st, fmt.Errorf("segment: merge %s: %s seqs [%d,%d] not after %s's [%d,%d]: %w",
+					path, in.path, in.ft.minSeq, in.ft.maxSeq, prev.path, prev.ft.minSeq, prev.ft.maxSeq, errMergeInputs)
+			}
+		}
+	}
+	if len(inputs) == 0 {
+		return st, fmt.Errorf("segment: merge %s: no inputs: %w", path, errMergeInputs)
+	}
+	ops, dead, err := planDocs(inputs, live, &st)
+	if err != nil {
+		return st, err
+	}
+	ft := footer{shard: inputs[0].ft.shard, docCount: uint32(len(st.Seqs))}
+	if n := len(st.Seqs); n > 0 {
+		ft.minSeq, ft.maxSeq = st.Seqs[0], st.Seqs[n-1]
+	}
+	st.Bytes, err = writeFile(path, func(w *countingWriter) error {
+		if err := writePreamble(w, &ft); err != nil {
+			return err
+		}
+		for _, s := range []int{secMeta, secTermVec, secText, secPostings, secLinks, secRedirects} {
+			var blocks []block
+			var err error
+			switch s {
+			case secPostings: // and the sparse index
+				if err := mergePostings(w, inputs, dead, &ft); err != nil {
+					return err
+				}
+				continue
+			case secLinks, secRedirects:
+				blocks, err = sectionBlocks(s, linkBlockRows, planRows(s, inputs, &st))
+			default:
+				blocks, err = sectionBlocks(s, blockDocs, ops)
+			}
+			if err != nil {
+				return err
+			}
+			if ft.sections[s], err = writeBlockSection(w, blocks); err != nil {
+				return err
+			}
+			for _, b := range blocks {
+				if s == secLinks {
+					ft.outLinks += uint32(b.rows)
+				} else if s == secRedirects {
+					ft.redirs += uint32(b.rows)
+				}
+			}
+		}
+		var e enc
+		ft.encode(&e)
+		_, err := w.Write(e.b)
+		return err
+	})
+	return st, err
+}
+
+// planDocs walks every input's meta rows, asks live about each, and lays
+// out the document sections as copy and re-encode steps. It appends the
+// kept seqs to st and returns the seqs that did not survive.
+func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) ([]mergeOp, map[int64]bool, error) {
+	var ops []mergeOp
+	dead := map[int64]bool{}
+	last := int64(math.MinInt64)
+	for _, in := range inputs {
+		dict := len(in.dicts[secMeta])+len(in.dicts[secTermVec])+len(in.dicts[secText]) > 0
+		t := &in.tables[secMeta]
+		for blk := range t.offs {
+			raw, err := in.readBlock(secMeta, blk)
+			if err != nil {
+				return nil, nil, err
+			}
+			d := newDec(raw, in.path, "meta")
+			first, clean := len(ops), !dict && t.rows(blk) >= copyFloorDocs
+			for i := 0; i < t.rows(blk); i++ {
+				seq, m := decodeMeta(d)
+				if d.err == nil && (seq <= last || seq < in.ft.minSeq || seq > in.ft.maxSeq) {
+					d.fail("seq %d out of order (after %d, footer range [%d,%d])", seq, last, in.ft.minSeq, in.ft.maxSeq)
+				}
+				if d.err != nil {
+					return nil, nil, d.err
+				}
+				last = seq
+				cur, ok := live(seq)
+				if !ok {
+					dead[seq], clean = true, false
+					continue
+				}
+				clean = clean && cur == m
+				ops = append(ops, mergeOp{src: in, blk: blk, row: i, seq: seq, meta: cur})
+				st.Seqs = append(st.Seqs, seq)
+			}
+			if clean {
+				ops = append(ops[:first], mergeOp{src: in, blk: blk, row: -1})
+				st.Copied++
+			} else {
+				st.Reencoded++
+			}
+		}
+	}
+	return ops, dead, nil
+}
+
+// sectionBlocks lays out section s from ops: copied frames, and re-encoded
+// rows — meta from op.meta, any other section as the raw row bytes — cut
+// every per rows and before each copied frame.
+func sectionBlocks(s, per int, ops []mergeOp) ([]block, error) {
+	out := &rawBlocks{per: per}
+	var src *Reader // raw is block blk of src, inflated once for its run of rows
+	var blk int
+	var raw []byte
+	var starts []uint32
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.row < 0:
+			frame, err := op.src.frame(s, op.blk)
+			if err != nil {
+				return nil, err
+			}
+			out.frame(frame, op.src.tables[s].rows(op.blk))
+		case s == secMeta:
+			out.add(func(e *enc) { encodeMeta(e, op.seq, &op.meta) })
+		default:
+			if op.src != src || op.blk != blk {
+				var err error
+				if raw, err = op.src.readBlock(s, op.blk); err == nil {
+					starts, err = op.src.rowStarts(s, raw, op.src.tables[s].rows(op.blk))
+				}
+				if err != nil {
+					return nil, err
+				}
+				src, blk = op.src, op.blk
+			}
+			out.add(func(e *enc) { e.raw(raw[starts[op.row]:starts[op.row+1]]) })
+		}
+	}
+	out.cut()
+	return out.blocks, nil
+}
+
+// planRows lays out link or redirect section s: each input's blocks copied,
+// or its out-link (or redirect) rows re-encoded.
+func planRows(s int, inputs []*Reader, st *MergeStats) []mergeOp {
+	var ops []mergeOp
+	for _, in := range inputs {
+		keep := int(in.ft.redirs)
+		if s == secLinks {
+			keep = int(in.ft.outLinks) // in-link rows follow the out-link rows
+		}
+		copyable := len(in.dicts[s]) == 0 && (s != secLinks || in.ft.inLinks == 0)
+		t := &in.tables[s]
+		for blk := range t.offs {
+			if copyable && t.rows(blk) >= copyFloorLinks {
+				ops = append(ops, mergeOp{src: in, blk: blk, row: -1})
+				st.Copied++
+				continue
+			}
+			st.Reencoded++
+			for pos := t.first(blk); pos < min(t.ends[blk], keep); pos++ {
+				ops = append(ops, mergeOp{src: in, blk: blk, row: pos - t.first(blk)})
+			}
+		}
+	}
+	return ops
+}
+
+// postingsCursor walks one input's postings section entry by entry.
+type postingsCursor struct {
+	r    *Reader
+	d    dec
+	left int    // entries after the current one
+	term []byte // the current entry's term; nil once exhausted
+	df   uint64
+	body []byte
+}
+
+// next steps to the following entry, checking its CRC and that its term
+// sorts after the one before.
+func (c *postingsCursor) next() error {
+	prev := c.term
+	if c.term = nil; c.left == 0 {
+		return nil
+	}
+	c.left--
+	c.term = c.d.strBytes()
+	c.df = c.d.uvarint()
+	n := c.d.uvarint()
+	want := c.d.u32()
+	c.body = c.d.slice(int(n))
+	switch {
+	case c.d.err != nil:
+		return c.d.err
+	case prev != nil && bytes.Compare(c.term, prev) <= 0:
+		return corruptf(c.r.path, "postings", "term %q not after %q", c.term, prev)
+	case crc32.ChecksumIEEE(c.body) != want:
+		return corruptf(c.r.path, "postings", "term %q crc mismatch", c.term)
+	}
+	return nil
+}
+
+// mergePostings writes the union of the inputs' postings sections: each
+// term's lists concatenated in input (= seq) order with dead seqs dropped
+// and deltas re-encoded, and no term left without postings.
+func mergePostings(w *countingWriter, inputs []*Reader, dead map[int64]bool, ft *footer) error {
+	var curs []*postingsCursor
+	for _, in := range inputs {
+		c := &postingsCursor{r: in, d: dec{b: in.sectionBytes(secPostings), file: in.path, sect: "postings"}, left: int(in.ft.sections[secPostings].aux)}
+		if err := c.next(); err != nil {
+			return err
+		}
+		if c.term != nil {
+			curs = append(curs, c)
+		}
+	}
+	pw := &postingsWriter{w: w, start: uint64(w.n)}
+	var body enc
+	for len(curs) > 0 {
+		term := curs[0].term // stays valid: it points into an input's mapped file
+		for _, c := range curs[1:] {
+			if bytes.Compare(c.term, term) < 0 {
+				term = c.term
+			}
+		}
+		body.reset()
+		df, prev := 0, int64(0)
+		left := curs[:0]
+		for _, c := range curs {
+			if bytes.Equal(c.term, term) {
+				pd := dec{b: c.body, file: c.r.path, sect: "postings"}
+				seq := int64(0)
+				for j := uint64(0); j < c.df && pd.err == nil; j++ {
+					seq += int64(pd.uvarint())
+					tf := pd.varint()
+					if pd.err != nil || dead[seq] {
+						continue
+					}
+					if df > 0 && seq <= prev {
+						pd.fail("term %q: seq %d not after %d", term, seq, prev)
+					}
+					body.uvarint(uint64(seq - prev))
+					body.varint(tf)
+					prev, df = seq, df+1
+				}
+				if pd.err == nil && pd.off != len(c.body) {
+					pd.fail("term %q: bytes past its %d postings", term, c.df)
+				}
+				if pd.err != nil {
+					return pd.err
+				}
+				if err := c.next(); err != nil {
+					return err
+				}
+			}
+			if c.term != nil {
+				left = append(left, c)
+			}
+		}
+		if df > 0 {
+			if err := addPosting(pw, term, df, body.b); err != nil {
+				return err
+			}
+		}
+		curs = left
+	}
+	return pw.finish(ft)
+}

@@ -1,0 +1,597 @@
+package segment
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// content is everything a reader returns for a segment.
+type content struct {
+	Shard          int
+	MinSeq, MaxSeq int64
+	Docs           []DocRecord
+	Terms          []string // the postings section's terms, in order
+	Postings       map[string][][2]int64
+	DocFreq        map[string]int
+	Links          []LinkRow
+	Out            []bool
+	Redirects      []RedirectRow
+}
+
+// postingsTerms lists the terms of r's postings section in stored order.
+func postingsTerms(r *Reader) ([]string, error) {
+	c := &postingsCursor{r: r, d: dec{b: r.sectionBytes(secPostings), file: r.path, sect: "postings"}, left: int(r.ft.sections[secPostings].aux)}
+	var terms []string
+	for {
+		if err := c.next(); err != nil {
+			return nil, err
+		}
+		if c.term == nil {
+			return terms, nil
+		}
+		terms = append(terms, string(c.term))
+	}
+}
+
+// readContent reads r through every public read path: meta, term vectors
+// and text by position, postings and document frequency for every stored
+// term and every term of a term vector (plus misses), links and redirects.
+func readContent(r *Reader) (content, error) {
+	c := content{Shard: r.Shard(), MinSeq: r.MinSeq(), MaxSeq: r.MaxSeq(), Postings: map[string][][2]int64{}, DocFreq: map[string]int{}}
+	var rerr error
+	err := r.VisitMeta(func(pos int, seq int64, m Meta) bool {
+		vec, err := r.TermVec(pos)
+		if err != nil {
+			rerr = err
+			return false
+		}
+		text, err := r.Text(pos)
+		if err != nil {
+			rerr = err
+			return false
+		}
+		c.Docs = append(c.Docs, DocRecord{Seq: seq, Meta: m, Terms: vec, Text: text})
+		return true
+	})
+	if err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return c, err
+	}
+	if len(c.Docs) != r.DocCount() {
+		return c, fmt.Errorf("visited %d of %d documents", len(c.Docs), r.DocCount())
+	}
+	if c.Terms, err = postingsTerms(r); err != nil {
+		return c, err
+	}
+	probe := map[string]bool{"": true, "aaaa": true, "zzzz": true}
+	for _, t := range c.Terms {
+		probe[t] = true
+	}
+	for _, d := range c.Docs {
+		for _, tc := range d.Terms {
+			probe[tc.Term] = true
+		}
+	}
+	for term := range probe {
+		var ps [][2]int64
+		if err := r.VisitPostings(term, func(seq int64, tf int) { ps = append(ps, [2]int64{seq, int64(tf)}) }); err != nil {
+			return c, err
+		}
+		df, err := r.DocFreq(term)
+		if err != nil {
+			return c, err
+		}
+		if ps != nil {
+			c.Postings[term] = ps
+		}
+		if df != 0 {
+			c.DocFreq[term] = df
+		}
+	}
+	if err := r.VisitLinks(func(l LinkRow, out bool) bool {
+		c.Links = append(c.Links, l)
+		c.Out = append(c.Out, out)
+		return true
+	}); err != nil {
+		return c, err
+	}
+	err = r.VisitRedirects(func(rd RedirectRow) bool { c.Redirects = append(c.Redirects, rd); return true })
+	return c, err
+}
+
+// requireSameContent fails unless got and want read back identically.
+func requireSameContent(t *testing.T, label string, got, want *Reader) {
+	t.Helper()
+	g, err := readContent(got)
+	if err != nil {
+		t.Fatalf("%s: reading merged segment: %v", label, err)
+	}
+	w, err := readContent(want)
+	if err != nil {
+		t.Fatalf("%s: reading reference segment: %v", label, err)
+	}
+	if diff := contentDiff(g, w); diff != "" {
+		t.Fatalf("%s: merged segment differs from Build over the live rows: %s", label, diff)
+	}
+}
+
+func contentDiff(g, w content) string {
+	switch {
+	case g.Shard != w.Shard || g.MinSeq != w.MinSeq || g.MaxSeq != w.MaxSeq:
+		return fmt.Sprintf("footer shard %d seqs [%d,%d], want %d [%d,%d]", g.Shard, g.MinSeq, g.MaxSeq, w.Shard, w.MinSeq, w.MaxSeq)
+	case len(g.Docs) != len(w.Docs):
+		return fmt.Sprintf("%d docs, want %d", len(g.Docs), len(w.Docs))
+	}
+	for i := range w.Docs {
+		if !reflect.DeepEqual(g.Docs[i], w.Docs[i]) {
+			return fmt.Sprintf("position %d:\n got %+v\nwant %+v", i, g.Docs[i], w.Docs[i])
+		}
+	}
+	switch {
+	case !reflect.DeepEqual(g.Terms, w.Terms):
+		return fmt.Sprintf("postings terms %d, want %d", len(g.Terms), len(w.Terms))
+	case !reflect.DeepEqual(g.Postings, w.Postings):
+		return "postings differ"
+	case !reflect.DeepEqual(g.DocFreq, w.DocFreq):
+		return "document frequencies differ"
+	case !reflect.DeepEqual(g.Links, w.Links) || !reflect.DeepEqual(g.Out, w.Out):
+		return fmt.Sprintf("%d link rows, want %d", len(g.Links), len(w.Links))
+	case !reflect.DeepEqual(g.Redirects, w.Redirects):
+		return fmt.Sprintf("%d redirect rows, want %d", len(g.Redirects), len(w.Redirects))
+	}
+	return ""
+}
+
+// liveSet is a test's view of which rows survive a merge and their current
+// metadata.
+type liveSet map[int64]Meta
+
+func (l liveSet) fn(seq int64) (Meta, bool) {
+	m, ok := l[seq]
+	return m, ok
+}
+
+// reference builds what a merge of inputs under live must read back as:
+// Build over the surviving rows, with live metadata, and every input's
+// out-link and redirect rows in input order.
+func reference(t *testing.T, inputs []*Reader, live liveSet) *Reader {
+	t.Helper()
+	in := BuildInput{Shard: inputs[0].Shard()}
+	for _, r := range inputs {
+		c, err := readContent(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range c.Docs {
+			if m, ok := live[d.Seq]; ok {
+				d.Meta = m
+				in.Docs = append(in.Docs, d)
+			}
+		}
+		for i, l := range c.Links {
+			if c.Out[i] {
+				in.OutLinks = append(in.OutLinks, l)
+			}
+		}
+		in.Redirects = append(in.Redirects, c.Redirects...)
+	}
+	_, r := buildTemp(t, in)
+	return r
+}
+
+// allLive returns every row of inputs with its stored metadata.
+func allLive(t *testing.T, inputs ...*Reader) liveSet {
+	t.Helper()
+	live := liveSet{}
+	for _, r := range inputs {
+		if err := r.VisitMeta(func(_ int, seq int64, m Meta) bool { live[seq] = m; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return live
+}
+
+func mergeTemp(t *testing.T, inputs []*Reader, live liveSet) (MergeStats, *Reader) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "merged.bsg")
+	st, err := Merge(path, inputs, live.fn)
+	if err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != st.Bytes {
+		t.Fatalf("Merge reported %d bytes, file has %v %v", st.Bytes, fi, err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open merged: %v", err)
+	}
+	t.Cleanup(func() { r.Close() })
+	var seqs []int64
+	if err := r.VisitMeta(func(_ int, seq int64, _ Meta) bool { seqs = append(seqs, seq); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seqs, st.Seqs) {
+		t.Fatalf("Merge returned seqs %v, file holds %v", st.Seqs, seqs)
+	}
+	return st, r
+}
+
+// splitInput cuts docs (and, in proportion, links and redirects) into
+// consecutive inputs of the given document counts.
+func splitInput(all BuildInput, sizes []int) []BuildInput {
+	var out []BuildInput
+	d, l, rd := 0, 0, 0
+	for k, n := range sizes {
+		in := BuildInput{Shard: all.Shard, Docs: all.Docs[d : d+n]}
+		nl, nr := len(all.OutLinks)*(d+n)/len(all.Docs), len(all.Redirects)*(d+n)/len(all.Docs)
+		if k == len(sizes)-1 {
+			nl, nr = len(all.OutLinks), len(all.Redirects)
+		}
+		in.OutLinks, in.Redirects = all.OutLinks[l:nl], all.Redirects[rd:nr]
+		d, l, rd = d+n, nl, nr
+		out = append(out, in)
+	}
+	return out
+}
+
+// downgradeV1 rewrites a Build output as a version 1 file: block tables
+// without row counts, every other byte the same.
+func downgradeV1(t testing.TB, file []byte) []byte {
+	t.Helper()
+	r := openBytes(t, file)
+	ft := r.ft
+	out := append([]byte(nil), file[:ft.sections[secDict].off]...)
+	out[4] = 1
+	for s := 0; s < numSections; s++ {
+		sec := ft.sections[s]
+		b := file[sec.off : sec.off+sec.len]
+		off := len(out)
+		if slices.Contains(blockSections, s) {
+			tb, per := &r.tables[s], blockDocs
+			if s == secLinks || s == secRedirects {
+				per = linkBlockRows
+			}
+			for i := range tb.offs {
+				if tb.rows(i) != min(per, tb.ends[len(tb.ends)-1]-tb.first(i)) {
+					t.Fatalf("%s block %d holds %d rows; version 1 cannot say so", sectionName[s], i, tb.rows(i))
+				}
+			}
+			out = append(out, b[:len(b)-(4+12*len(tb.offs)+4)]...)
+			var e enc
+			e.u32(uint32(len(tb.offs)))
+			for _, o := range tb.offs {
+				e.u64(o)
+			}
+			e.u32(crc32.ChecksumIEEE(e.b))
+			out = append(out, e.b...)
+		} else {
+			out = append(out, b...)
+		}
+		ft.sections[s].off, ft.sections[s].len = uint64(off), uint64(len(out)-off)
+	}
+	var e enc
+	ft.encode(&e)
+	return append(out, e.b...)
+}
+
+// buildBytes builds in and returns the file's bytes.
+func buildBytes(t testing.TB, in BuildInput) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "seg.bsg")
+	if _, err := Build(path, in); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestMergeMatchesBuild: over random documents, tombstones, metadata
+// overrides, input splits around the block size and version 1 inputs, a
+// merge reads back exactly as Build over the surviving rows does.
+func TestMergeMatchesBuild(t *testing.T) {
+	for trial := 0; trial < 16; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		docs := 300
+		if trial == 0 {
+			docs = 1100 // link blocks large enough to copy
+		}
+		all := genInput(int64(100+trial), docs)
+		var sizes []int
+		for left := docs; left > 0; {
+			n := []int{1, 63, 64, 65, 128, 1 + rng.Intn(150)}[rng.Intn(6)]
+			if trial == 0 {
+				n = 600
+			}
+			n = min(n, left)
+			sizes = append(sizes, n)
+			left -= n
+		}
+		dead := []float64{0, 0.1, 0.5, 1}[trial%4]
+		override := []float64{0, 0.05, 0.3}[trial%3]
+		var inputs []*Reader
+		live := liveSet{}
+		for _, in := range splitInput(all, sizes) {
+			b := buildBytes(t, in)
+			if rng.Intn(3) == 0 {
+				b = downgradeV1(t, b)
+			}
+			inputs = append(inputs, openBytes(t, b))
+			touched := rng.Intn(2) == 0 // half the inputs keep every row as stored
+			for _, d := range in.Docs {
+				if touched && rng.Float64() < dead {
+					continue
+				}
+				m := d.Meta
+				if touched && rng.Float64() < override {
+					m.Topic, m.Confidence, m.IsTraining = "/override", rng.Float64(), !m.IsTraining
+				}
+				live[d.Seq] = m
+			}
+		}
+		label := fmt.Sprintf("trial %d (splits %v, dead %.2f, overrides %.2f)", trial, sizes, dead, override)
+		st, merged := mergeTemp(t, inputs, live)
+		requireSameContent(t, label, merged, reference(t, inputs, live))
+		t.Logf("%s: copied %d blocks, re-encoded %d", label, st.Copied, st.Reencoded)
+		if dead == 0 && override == 0 && st.Copied == 0 && docs > 2*blockDocs {
+			t.Fatalf("%s: copied no block", label)
+		}
+	}
+}
+
+// TestMergeCopiesCleanBlocks: full blocks with no dead or re-baked rows are
+// copied frame for frame — the merged file holds the inputs' compressed
+// bytes — and a dead row re-encodes only its own block.
+func TestMergeCopiesCleanBlocks(t *testing.T) {
+	all := genInput(21, 6*blockDocs)
+	var links []LinkRow
+	for len(links) < 2*linkBlockRows {
+		links = append(links, all.OutLinks...)
+	}
+	links = links[:2*linkBlockRows]
+	all.OutLinks, all.Redirects = nil, nil
+	split := splitInput(all, []int{2 * blockDocs, blockDocs, 3 * blockDocs})
+	split[2].OutLinks = links
+	var inputs []*Reader
+	var files [][]byte
+	for _, in := range split {
+		b := buildBytes(t, in)
+		files = append(files, b)
+		inputs = append(inputs, openBytes(t, b))
+	}
+	live := allLive(t, inputs...)
+	st, merged := mergeTemp(t, inputs, live)
+	requireSameContent(t, "clean", merged, reference(t, inputs, live))
+	if st.Reencoded != 0 || st.Copied != 6+2 {
+		t.Fatalf("clean merge copied %d blocks and re-encoded %d; want 8 and 0", st.Copied, st.Reencoded)
+	}
+	mergedFile, err := os.ReadFile(merged.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := 0
+	for i, in := range inputs {
+		for b := range in.tables[secText].offs {
+			for _, s := range []int{secMeta, secTermVec, secText} {
+				if string(blockComp(t, merged, mergedFile, s, blk)) != string(blockComp(t, in, files[i], s, b)) {
+					t.Fatalf("%s block %d is not input %d's block %d", sectionName[s], blk, i, b)
+				}
+			}
+			blk++
+		}
+	}
+
+	// One dead row in the middle input: its block is re-encoded, the rest
+	// copied, and the 63 rows left make a block of their own.
+	delete(live, all.Docs[2*blockDocs+7].Seq)
+	st, merged = mergeTemp(t, inputs, live)
+	requireSameContent(t, "one dead row", merged, reference(t, inputs, live))
+	if st.Reencoded != 1 || st.Copied != 5+2 {
+		t.Fatalf("one dead row: copied %d, re-encoded %d; want 7 and 1", st.Copied, st.Reencoded)
+	}
+	if rows := merged.tables[secMeta].rows(2); rows != blockDocs-1 {
+		t.Fatalf("re-encoded block holds %d rows, want %d", rows, blockDocs-1)
+	}
+}
+
+// TestMergePresetDictFixture: a version 1 segment with preset dictionaries
+// and in-link rows merges with a fresh segment. Its blocks are re-encoded
+// (the output has no dictionaries), its in-link rows are dropped, and
+// every row it held reads back as its golden says.
+func TestMergePresetDictFixture(t *testing.T) {
+	b, err := os.ReadFile(presetDictFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g fixtureGolden
+	gb, err := os.ReadFile("testdata/preset-dict.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(gb, &g); err != nil {
+		t.Fatal(err)
+	}
+	old := openBytes(t, b)
+	fresh := genInput(31, 2*blockDocs)
+	fresh.Shard = g.Shard
+	for i := range fresh.Docs {
+		fresh.Docs[i].Seq += g.MaxSeq
+	}
+	inputs := []*Reader{old, openBytes(t, buildBytes(t, fresh))}
+	live := allLive(t, inputs...)
+	st, merged := mergeTemp(t, inputs, live)
+	requireSameContent(t, "preset-dict + fresh", merged, reference(t, inputs, live))
+	// The fresh segment's two document blocks and its 256-row link block
+	// are copied, its 42-row redirect block is not.
+	if want := len(old.tables[secMeta].offs) + len(old.tables[secLinks].offs) + len(old.tables[secRedirects].offs); st.Reencoded != want+1 || st.Copied != 3 {
+		t.Fatalf("copied %d blocks and re-encoded %d; want 3, and the fixture's %d plus 1", st.Copied, st.Reencoded, want)
+	}
+	for _, s := range blockSections {
+		if d := merged.dicts[s]; len(d) != 0 {
+			t.Fatalf("merged %s dictionary: %d bytes", sectionName[s], len(d))
+		}
+	}
+	c, err := readContent(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Docs[:len(g.Docs)], g.Docs) {
+		t.Fatal("the fixture's documents differ from its golden after the merge")
+	}
+	if !reflect.DeepEqual(c.Links[:len(g.OutLinks)], g.OutLinks) || len(c.Links) != len(g.OutLinks)+len(fresh.OutLinks) {
+		t.Fatalf("merged %d link rows; want the fixture's %d out-link rows, then the fresh segment's", len(c.Links), len(g.OutLinks))
+	}
+	for term, want := range g.Postings {
+		if got := c.Postings[term]; len(got) < len(want) || !reflect.DeepEqual(got[:len(want)], want) {
+			t.Fatalf("postings %q: got %v, golden %v first", term, got, want)
+		}
+	}
+}
+
+// TestMergeRejectsBadInputs: inputs out of seq order, overlapping, or of
+// different shards fail before anything is written.
+func TestMergeRejectsBadInputs(t *testing.T) {
+	a, b := genInput(41, 10), genInput(42, 10)
+	for i := range b.Docs {
+		b.Docs[i].Seq += a.Docs[len(a.Docs)-1].Seq
+	}
+	ra, rb := openBytes(t, buildBytes(t, a)), openBytes(t, buildBytes(t, b))
+	overlap := a
+	overlap.Docs = a.Docs[5:]
+	other := b
+	other.Shard = 9
+	cases := map[string][]*Reader{
+		"none":      nil,
+		"reversed":  {rb, ra},
+		"overlap":   {ra, openBytes(t, buildBytes(t, overlap))},
+		"two shard": {ra, openBytes(t, buildBytes(t, other))},
+	}
+	for name, inputs := range cases {
+		path := filepath.Join(t.TempDir(), "m.bsg")
+		if _, err := Merge(path, inputs, allLive(t, inputs...).fn); !errors.Is(err, errMergeInputs) {
+			t.Fatalf("%s: Merge = %v, want errMergeInputs", name, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: a rejected merge left %s", name, path)
+		}
+	}
+}
+
+// unevenSegment is a merge output whose blocks hold uneven row counts.
+func unevenSegment(t testing.TB) []byte {
+	t.Helper()
+	all := genInput(51, 3*blockDocs+40)
+	var inputs []*Reader
+	for _, in := range splitInput(all, []int{blockDocs + 9, blockDocs, blockDocs + 31}) {
+		inputs = append(inputs, openBytes(t, buildBytes(t, in)))
+	}
+	live := liveSet{}
+	for i, d := range all.Docs {
+		if i%9 != 4 || i >= blockDocs+9 {
+			live[d.Seq] = d.Meta
+		}
+	}
+	path := filepath.Join(t.TempDir(), "uneven.bsg")
+	if _, err := Merge(path, inputs, live.fn); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// withRows rewrites section s's block table to the given row counts,
+// checksummed, so only the counts are wrong.
+func withRows(t testing.TB, file []byte, s int, rows []uint32) []byte {
+	t.Helper()
+	r := openBytes(t, file)
+	sec := r.ft.sections[s]
+	out := append([]byte(nil), file...)
+	tb := out[sec.off+sec.len-uint64(4+12*len(rows)+4) : sec.off+sec.len]
+	for i, n := range rows {
+		binary.LittleEndian.PutUint32(tb[4+12*i+8:], n)
+	}
+	binary.LittleEndian.PutUint32(tb[len(tb)-4:], crc32.ChecksumIEEE(tb[:len(tb)-4]))
+	return out
+}
+
+// badRowCounts returns the uneven segment with its block tables' row
+// counts mangled every way Open must reject.
+func badRowCounts(t testing.TB) map[string][]byte {
+	t.Helper()
+	file := unevenSegment(t)
+	r := openBytes(t, file)
+	tb := r.tables[secTermVec]
+	rows := make([]uint32, len(tb.offs))
+	for i := range rows {
+		rows[i] = uint32(tb.rows(i))
+	}
+	if len(rows) < 2 || rows[0] == rows[1] {
+		t.Fatalf("uneven segment blocks its rows %v", rows)
+	}
+	mangle := func(s int, f func([]uint32)) []byte {
+		cp := append([]uint32(nil), rows...)
+		f(cp)
+		return withRows(t, file, s, cp)
+	}
+	return map[string][]byte{
+		"termvec disagrees with meta": mangle(secTermVec, func(c []uint32) { c[0]--; c[1]++ }),
+		"zero rows":                   mangle(secText, func(c []uint32) { c[1] += c[0]; c[0] = 0 }),
+		"overflowing rows":            mangle(secMeta, func(c []uint32) { c[0] = ^uint32(0) }),
+		"rows short of the footer":    mangle(secMeta, func(c []uint32) { c[len(c)-1]-- }),
+	}
+}
+
+// TestOpenRejectsBadRowCounts: a version 2 table whose row counts are zero,
+// overflow, miss the footer's count or disagree across the document
+// sections fails Open with ErrCorrupt.
+func TestOpenRejectsBadRowCounts(t *testing.T) {
+	for name, b := range badRowCounts(t) {
+		path := filepath.Join(t.TempDir(), "bad.bsg")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := Open(path); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				r.Close()
+			}
+			t.Fatalf("%s: Open = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestUnevenBlocksRead: a file whose blocks hold uneven row counts reads
+// every position in shuffled order as its sequential walk does.
+func TestUnevenBlocksRead(t *testing.T) {
+	r := openBytes(t, unevenSegment(t))
+	if got := []int{r.tables[secText].rows(0), r.tables[secText].rows(1)}; got[0] == got[1] {
+		t.Fatalf("first blocks hold %v rows; want uneven", got)
+	}
+	c, err := readContent(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rand.New(rand.NewSource(1)).Perm(len(c.Docs)) {
+		if vec, err := r.TermVec(p); err != nil || !reflect.DeepEqual(vec, c.Docs[p].Terms) {
+			t.Fatalf("TermVec(%d): %v", p, err)
+		}
+		if text, err := r.Text(p); err != nil || text != c.Docs[p].Text {
+			t.Fatalf("Text(%d): %v", p, err)
+		}
+	}
+}

@@ -3,44 +3,61 @@ package segment
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Reader is an open immutable segment. Open reads only the footer; block
-// offset tables, dictionaries, and the sparse term index are parsed
-// lazily on first use and cached. A Reader is safe for concurrent use.
+// Reader is an open immutable segment. Open reads the footer, the block
+// tables and the dictionaries; the sparse term index is parsed lazily on
+// first use and cached. A Reader is safe for concurrent use.
 type Reader struct {
-	path  string
-	f     *os.File
-	data  []byte
-	unmap func() error
-	size  int64
-	ft    footer
+	path   string
+	f      *os.File
+	data   []byte
+	unmap  func() error
+	size   int64
+	ft     footer
+	tables [numSections]blockTable // block sections only
+	dicts  [numSections][]byte     // preset dictionaries; Build and Merge write them empty
 
-	// Lazily parsed indexes. Concurrent first loads compute the same
-	// value; last store wins.
-	dicts  atomic.Pointer[[numSections][]byte]
-	tables [numSections]atomic.Pointer[[]uint64] // block offset tables
+	// Lazily parsed sparse term index. Concurrent first loads compute the
+	// same value; last store wins.
 	sparse atomic.Pointer[sparseIndex]
 
 	// blockCache holds the most recently inflated block of the termvec and
-	// text sections — compaction, snapshot builds and hydration walk
-	// neighboring positions, so one block of locality captures most repeat
-	// access.
+	// text sections — snapshot builds and hydration walk neighboring
+	// positions, so one block of locality captures most repeat access.
 	cacheMu    sync.Mutex
 	blockCache [numSections]cachedBlock
 }
 
+// blockTable is a block section's table: block i starts at offs[i] and
+// holds rows [ends[i-1], ends[i]) of the section.
+type blockTable struct {
+	offs []uint64
+	ends []int
+}
+
+func (t *blockTable) first(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return t.ends[i-1]
+}
+
+func (t *blockTable) rows(i int) int { return t.ends[i] - t.first(i) }
+
 type cachedBlock struct {
-	idx    int // block index +1 (0 = empty)
+	lo     int // position of the block's first row
 	raw    []byte
-	starts []uint32 // offset of each row in raw
+	starts []uint32 // offset of each row in raw, then the end of the last (nil = empty)
 }
 
 type sparseIndex struct {
@@ -72,7 +89,14 @@ func Open(path string) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{path: path, f: f, data: data, unmap: unmap, size: size}
-	if err := r.parseFooter(); err != nil {
+	err = r.parseFooter()
+	if err == nil {
+		err = r.parseDicts()
+	}
+	if err == nil {
+		err = r.parseTables()
+	}
+	if err != nil {
 		r.Close()
 		return nil, err
 	}
@@ -84,7 +108,7 @@ func (r *Reader) parseFooter() error {
 	if string(d[:4]) != magic {
 		return corruptf(r.path, "header", "bad magic %q", d[:4])
 	}
-	if d[4] != version {
+	if d[4] < 1 || d[4] > version {
 		return corruptf(r.path, "header", "unsupported version %d", d[4])
 	}
 	tail := d[len(d)-8:]
@@ -166,74 +190,89 @@ func (r *Reader) sectionBytes(s int) []byte {
 	return r.data[sec.off : sec.off+sec.len]
 }
 
-// dictFor returns section s's preset dictionary, parsing the dict section
-// once.
-func (r *Reader) dictFor(s int) ([]byte, error) {
-	if p := r.dicts.Load(); p != nil {
-		return (*p)[s], nil
-	}
+// parseDicts reads the dict section: one preset dictionary per section.
+func (r *Reader) parseDicts() error {
 	b := r.sectionBytes(secDict)
 	if len(b) < 4 {
-		return nil, corruptf(r.path, "dict", "section too short")
+		return corruptf(r.path, "dict", "section too short")
 	}
-	body, crcB := b[:len(b)-4], b[len(b)-4:]
-	want := newDec(crcB, r.path, "dict").u32()
+	body := b[:len(b)-4]
+	want := newDec(b[len(b)-4:], r.path, "dict").u32()
 	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, corruptf(r.path, "dict", "crc mismatch: stored %08x computed %08x", want, got)
+		return corruptf(r.path, "dict", "crc mismatch: stored %08x computed %08x", want, got)
 	}
 	d := newDec(body, r.path, "dict")
-	var dicts [numSections][]byte
-	for s := 0; s < numSections; s++ {
-		n := d.uvarint()
-		raw := d.slice(int(n))
-		if d.err != nil {
-			return nil, d.err
+	for s := range r.dicts {
+		r.dicts[s] = d.slice(int(d.uvarint()))
+	}
+	return d.err
+}
+
+// parseTables reads and CRC-checks every block section's table. Each block
+// must hold at least one row and the rows must add up to the footer's
+// count for the section; version 1 tables, which record no row counts, get
+// full blocks but a short last one. The three document sections must block
+// their rows identically.
+func (r *Reader) parseTables() error {
+	v1 := r.data[4] == 1 // the header's version byte
+	for _, s := range blockSections {
+		total, per := int(r.ft.docCount), blockDocs
+		if s == secLinks || s == secRedirects {
+			total, per = int(r.ft.redirs), linkBlockRows
+			if s == secLinks {
+				total = int(r.ft.outLinks) + int(r.ft.inLinks)
+			}
 		}
-		dicts[s] = raw
+		sec := r.ft.sections[s]
+		count, entry := int(sec.aux), 12
+		if v1 {
+			entry = 8
+		}
+		tableLen := 4 + count*entry + 4
+		if uint64(tableLen) > sec.len {
+			return corruptf(r.path, sectionName[s], "block table of %d entries larger than section", count)
+		}
+		b := r.sectionBytes(s)
+		tb := b[len(b)-tableLen:]
+		want := newDec(tb[len(tb)-4:], r.path, sectionName[s]).u32()
+		if got := crc32.ChecksumIEEE(tb[:len(tb)-4]); got != want {
+			return corruptf(r.path, sectionName[s], "block table crc mismatch: stored %08x computed %08x", want, got)
+		}
+		d := newDec(tb[:len(tb)-4], r.path, sectionName[s])
+		if got := int(d.u32()); got != count {
+			return corruptf(r.path, sectionName[s], "block table count %d != footer %d", got, count)
+		}
+		t := blockTable{offs: make([]uint64, count), ends: make([]int, count)}
+		n := 0
+		for i := range t.offs {
+			t.offs[i] = d.u64()
+			rows := min(per, total-n)
+			if !v1 {
+				rows = int(d.u32())
+			}
+			if rows <= 0 || rows > total-n {
+				return corruptf(r.path, sectionName[s], "block %d holds %d rows with %d of %d left", i, rows, total-n, total)
+			}
+			n += rows
+			t.ends[i] = n
+		}
+		if n != total {
+			return corruptf(r.path, sectionName[s], "blocks hold %d rows, footer says %d", n, total)
+		}
+		r.tables[s] = t
 	}
-	r.dicts.Store(&dicts)
-	return dicts[s], nil
+	for _, s := range []int{secTermVec, secText} {
+		if !slices.Equal(r.tables[s].ends, r.tables[secMeta].ends) {
+			return corruptf(r.path, sectionName[s], "blocks rows differently from the meta section")
+		}
+	}
+	return nil
 }
 
-// blockTable returns section s's block offset table, parsing and CRC-
-// checking it once.
-func (r *Reader) blockTable(s int) ([]uint64, error) {
-	if p := r.tables[s].Load(); p != nil {
-		return *p, nil
-	}
-	sec := r.ft.sections[s]
-	count := int(sec.aux)
-	tableLen := 4 + count*8 + 4
-	if uint64(tableLen) > sec.len {
-		return nil, corruptf(r.path, sectionName[s], "block table of %d entries larger than section", count)
-	}
-	b := r.sectionBytes(s)
-	tb := b[len(b)-tableLen:]
-	want := newDec(tb[len(tb)-4:], r.path, sectionName[s]).u32()
-	if got := crc32.ChecksumIEEE(tb[:len(tb)-4]); got != want {
-		return nil, corruptf(r.path, sectionName[s], "block table crc mismatch: stored %08x computed %08x", want, got)
-	}
-	d := newDec(tb[:len(tb)-4], r.path, sectionName[s])
-	if got := int(d.u32()); got != count {
-		return nil, corruptf(r.path, sectionName[s], "block table count %d != footer %d", got, count)
-	}
-	offs := make([]uint64, count)
-	for i := range offs {
-		offs[i] = d.u64()
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	r.tables[s].Store(&offs)
-	return offs, nil
-}
-
-// readBlock decompresses block idx of section s (uncached).
-func (r *Reader) readBlock(s, idx int) ([]byte, error) {
-	offs, err := r.blockTable(s)
-	if err != nil {
-		return nil, err
-	}
+// frame returns block idx of section s as stored — [compLen][rawLen][crc]
+// then the compressed bytes — after checking the CRC.
+func (r *Reader) frame(s, idx int) ([]byte, error) {
+	offs := r.tables[s].offs
 	if idx < 0 || idx >= len(offs) {
 		return nil, corruptf(r.path, sectionName[s], "block %d out of range (%d blocks)", idx, len(offs))
 	}
@@ -244,8 +283,9 @@ func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	if uint64(d.off) >= sec.len {
 		return nil, corruptf(r.path, sectionName[s], "block %d offset %d beyond section", idx, d.off)
 	}
+	start := d.off
 	compLen := int(d.u32())
-	rawLen := int(d.u32())
+	d.u32() // rawLen
 	wantCRC := d.u32()
 	comp := d.slice(compLen)
 	if d.err != nil {
@@ -254,17 +294,23 @@ func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	if got := crc32.ChecksumIEEE(comp); got != wantCRC {
 		return nil, corruptf(r.path, sectionName[s], "block %d crc mismatch: stored %08x computed %08x", idx, wantCRC, got)
 	}
-	dict, err := r.dictFor(s)
+	return b[start:d.off], nil
+}
+
+// readBlock decompresses block idx of section s (uncached).
+func (r *Reader) readBlock(s, idx int) ([]byte, error) {
+	frame, err := r.frame(s, idx)
 	if err != nil {
 		return nil, err
 	}
+	rawLen, comp := int(binary.LittleEndian.Uint32(frame[4:])), frame[12:]
 	inf := inflaters.Get().(*inflater)
 	defer func() {
 		inf.src.Reset(nil)
 		inflaters.Put(inf)
 	}()
 	inf.src.Reset(comp)
-	if err := inf.fr.(flate.Resetter).Reset(&inf.src, dict); err != nil {
+	if err := inf.fr.(flate.Resetter).Reset(&inf.src, r.dicts[s]); err != nil {
 		return nil, corruptf(r.path, sectionName[s], "block %d inflate: %v", idx, err)
 	}
 	raw := make([]byte, rawLen)
@@ -299,64 +345,76 @@ type inflater struct {
 // row returns a decoder positioned at document pos's row of section s
 // (termvec or text). A block is inflated, and its row starts indexed, only
 // when the one-block cache misses, so a walk over a block decodes each row
-// once.
+// once and searches the block table once.
 func (r *Reader) row(s, pos int) (dec, error) {
 	n := int(r.ft.docCount)
 	if pos < 0 || pos >= n {
 		return dec{}, corruptf(r.path, sectionName[s], "position %d out of range (%d documents)", pos, n)
 	}
-	idx := pos / blockDocs
 	r.cacheMu.Lock()
 	c := r.blockCache[s]
 	r.cacheMu.Unlock()
-	if c.idx != idx+1 {
+	if c.starts == nil || pos < c.lo || pos >= c.lo+len(c.starts)-1 {
+		t := &r.tables[s]
+		idx := sort.SearchInts(t.ends, pos+1) // the first block ending after pos
 		raw, err := r.readBlock(s, idx)
 		if err != nil {
 			return dec{}, err
 		}
-		starts, err := r.rowStarts(s, raw, min(blockDocs, n-idx*blockDocs))
+		starts, err := r.rowStarts(s, raw, t.rows(idx))
 		if err != nil {
 			return dec{}, err
 		}
-		c = cachedBlock{idx: idx + 1, raw: raw, starts: starts}
+		c = cachedBlock{lo: t.first(idx), raw: raw, starts: starts}
 		r.cacheMu.Lock()
 		r.blockCache[s] = c
 		r.cacheMu.Unlock()
 	}
-	return dec{b: c.raw, off: int(c.starts[pos%blockDocs]), file: r.path, sect: sectionName[s]}, nil
+	return dec{b: c.raw, off: int(c.starts[pos-c.lo]), file: r.path, sect: sectionName[s]}, nil
 }
 
-// rowStarts finds where each of a block's rows begins, skipping over the
-// rows without allocating.
+// rowStarts finds where each of a block's rows begins, and where the last
+// one ends, skipping over the rows without allocating.
 func (r *Reader) rowStarts(s int, raw []byte, rows int) ([]uint32, error) {
+	if rows > len(raw) { // every row is at least one byte
+		return nil, corruptf(r.path, sectionName[s], "%d rows in a %d-byte block", rows, len(raw))
+	}
 	d := dec{b: raw, file: r.path, sect: sectionName[s]}
-	starts := make([]uint32, rows)
-	for i := range starts {
+	starts := make([]uint32, rows+1)
+	for i := 0; i < rows; i++ {
 		starts[i] = uint32(d.off)
-		if s == secTermVec {
+		switch s {
+		case secTermVec:
 			d.skipTermVec()
-		} else {
+		case secLinks: // from, to, anchor
+			d.strBytes()
+			d.strBytes()
+			d.strBytes()
+		case secRedirects: // from, to
+			d.strBytes()
+			d.strBytes()
+		default:
 			d.strBytes()
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
 	}
+	starts[rows] = uint32(d.off)
 	return starts, nil
 }
 
 // VisitMeta streams every document's (position, seq, meta) in position
 // (= ascending seq) order. Returning false stops the walk.
 func (r *Reader) VisitMeta(fn func(pos int, seq int64, m Meta) bool) error {
-	pos := 0
-	n := int(r.ft.docCount)
-	for blk := 0; pos < n; blk++ {
+	t := &r.tables[secMeta]
+	for blk := range t.offs {
 		raw, err := r.readBlock(secMeta, blk)
 		if err != nil {
 			return err
 		}
 		d := newDec(raw, r.path, "meta")
-		for i := 0; i < blockDocs && pos < n; i++ {
+		for pos := t.first(blk); pos < t.ends[blk]; pos++ {
 			seq, m := decodeMeta(d)
 			if d.err != nil {
 				return d.err
@@ -364,7 +422,6 @@ func (r *Reader) VisitMeta(fn func(pos int, seq int64, m Meta) bool) error {
 			if !fn(pos, seq, m) {
 				return nil
 			}
-			pos++
 		}
 	}
 	return nil
@@ -506,52 +563,35 @@ func (r *Reader) visitPostings(term string, fn func(seq int64, tf int)) (int, er
 // rows, then any in-link rows (only older segments hold them). out reports
 // which family a row belongs to.
 func (r *Reader) VisitLinks(fn func(l LinkRow, out bool) bool) error {
-	total := int(r.ft.outLinks) + int(r.ft.inLinks)
-	pos := 0
-	for blk := 0; pos < total; blk++ {
-		raw, err := r.readBlock(secLinks, blk)
-		if err != nil {
-			return err
-		}
-		d := newDec(raw, r.path, "links")
-		for i := 0; i < linkBlockRows && pos < total; i++ {
-			var l LinkRow
-			l.From = d.str()
-			l.To = d.str()
-			l.Anchor = d.str()
-			if d.err != nil {
-				return d.err
-			}
-			if !fn(l, pos < int(r.ft.outLinks)) {
-				return nil
-			}
-			pos++
-		}
-	}
-	return nil
+	return r.visitRows(secLinks, func(pos int, d *dec) bool {
+		l := LinkRow{From: d.str(), To: d.str(), Anchor: d.str()}
+		return d.err == nil && fn(l, pos < int(r.ft.outLinks))
+	})
 }
 
 // VisitRedirects streams the segment's redirect rows in insert order.
 func (r *Reader) VisitRedirects(fn func(rd RedirectRow) bool) error {
-	total := int(r.ft.redirs)
-	pos := 0
-	for blk := 0; pos < total; blk++ {
-		raw, err := r.readBlock(secRedirects, blk)
+	return r.visitRows(secRedirects, func(_ int, d *dec) bool {
+		rd := RedirectRow{From: d.str(), To: d.str()}
+		return d.err == nil && fn(rd)
+	})
+}
+
+// visitRows walks the rows of a link or redirect section, handing fn a
+// decoder positioned at each. fn decodes the row and returns false to stop
+// the walk, or on a decode error, which visitRows returns.
+func (r *Reader) visitRows(s int, fn func(pos int, d *dec) bool) error {
+	t := &r.tables[s]
+	for blk := range t.offs {
+		raw, err := r.readBlock(s, blk)
 		if err != nil {
 			return err
 		}
-		d := newDec(raw, r.path, "redirects")
-		for i := 0; i < linkBlockRows && pos < total; i++ {
-			var rd RedirectRow
-			rd.From = d.str()
-			rd.To = d.str()
-			if d.err != nil {
+		d := newDec(raw, r.path, sectionName[s])
+		for pos := t.first(blk); pos < t.ends[blk]; pos++ {
+			if !fn(pos, d) {
 				return d.err
 			}
-			if !fn(rd) {
-				return nil
-			}
-			pos++
 		}
 	}
 	return nil

@@ -1,0 +1,185 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// writeDocs flushes documents [lo, hi) of a link-free series through one
+// workspace; textBytes sizes each body with incompressible text.
+func writeDocs(t *testing.T, s *Store, lo, hi, textBytes int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(lo)))
+	w := s.NewWorkspace(64)
+	for i := lo; i < hi; i++ {
+		body := make([]byte, textBytes)
+		for j := range body {
+			body[j] = 'a' + byte(rng.Intn(26))
+		}
+		w.Add(Document{
+			URL:        fmt.Sprintf("http://c%d.example/p%d", i%7, i),
+			Title:      fmt.Sprintf("doc %d", i),
+			Topic:      []string{"db", "ir"}[i%2],
+			Confidence: float64(i%10) / 10,
+			Text:       fmt.Sprintf("doc %d %s", i, body),
+			Terms:      map[string]int{"alpha": 1 + i%3, fmt.Sprintf("t%d", i%17): 2},
+			CrawledAt:  time.Unix(1700000000+int64(i), 0),
+		})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goroutinesIn returns how many goroutines have fn on their stack.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if strings.Contains(string(g), fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRacingFlushesFreezeOnce: flushes that find a shard over budget while
+// its freeze is building wait for that freeze, and then must not freeze
+// the handful of documents that arrived meanwhile: two such flushes during
+// one build give exactly one freeze.
+func TestRacingFlushesFreezeOnce(t *testing.T) {
+	opt := testTierOpts()
+	opt.FreezeDocs = 10
+	s := openTiered(t, t.TempDir(), 1, opt)
+	defer s.Close()
+	var wg sync.WaitGroup
+	freezePrePublishHook = func() {
+		freezePrePublishHook = nil
+		// The building freeze's 10 documents still count as hot until it
+		// publishes, so each of these flushes finds the shard over budget
+		// and queues on the freeze lock.
+		for k := 0; k < 2; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				writeDocs(t, s, 10+2*k, 12+2*k, 8)
+			}(k)
+		}
+		for deadline := time.Now().Add(10 * time.Second); goroutinesIn("(*Store).freezeShard(") < 3; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("racing flushes never reached the freeze lock")
+			}
+		}
+	}
+	defer func() { freezePrePublishHook = nil }()
+	writeDocs(t, s, 0, 10, 8)
+	wg.Wait()
+	sh := s.shards[0]
+	sh.docMu.RLock()
+	segs, hot := len(sh.tier.state.load().segs), sh.tier.hotDocs
+	sh.docMu.RUnlock()
+	if segs != 1 || hot != 4 {
+		t.Fatalf("%d segments and %d hot documents after one over-budget freeze and two racing flushes; want 1 and 4", segs, hot)
+	}
+}
+
+// TestCompactionCopiesCleanBlocks: merging segments of full document blocks
+// with no deleted or re-baked row copies every block and re-encodes none;
+// a delete and a SetTopic re-encode exactly their two blocks, and the
+// merged store still reads as the in-memory one.
+func TestCompactionCopiesCleanBlocks(t *testing.T) {
+	opt := testTierOpts()
+	s := openTiered(t, t.TempDir(), 1, opt)
+	defer s.Close()
+	ref := NewSharded(1)
+	write := func(lo, hi int) {
+		writeDocs(t, s, lo, hi, 40)
+		writeDocs(t, ref, lo, hi, 40)
+		freezeAll(t, s)
+	}
+	compact := func() (copied, reencoded int64) {
+		c, r := mCompactCopied.Value(), mCompactReenc.Value()
+		compactAll(t, s)
+		if n := len(s.shards[0].tier.state.load().segs); n != 1 {
+			t.Fatalf("%d segments after compaction, want 1", n)
+		}
+		return mCompactCopied.Value() - c, mCompactReenc.Value() - r
+	}
+	for k := 0; k < 4; k++ {
+		write(64*k, 64*(k+1))
+	}
+	if c, r := compact(); c != 4 || r != 0 {
+		t.Fatalf("clean merge of four 64-doc segments copied %d blocks and re-encoded %d; want 4 and 0", c, r)
+	}
+	requireStoresEqual(t, "clean merge", s, ref)
+
+	moved := fmt.Sprintf("http://c%d.example/p%d", 130%7, 130)
+	for _, st := range []*Store{s, ref} {
+		st.Delete(fmt.Sprintf("http://c%d.example/p%d", 70%7, 70))
+		if err := st.SetTopic(moved, "web", 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 4; k < 7; k++ {
+		write(64*k, 64*(k+1))
+	}
+	if c, r := compact(); c != 2+3 || r != 2 {
+		t.Fatalf("merge with a delete and a SetTopic copied %d blocks and re-encoded %d; want 5 and 2", c, r)
+	}
+	requireStoresEqual(t, "merge with a delete and a SetTopic", s, ref)
+	tier := s.shards[0].tier
+	s.shards[0].docMu.RLock()
+	tombs, overrides := len(tier.state.load().tombs), len(tier.overrides)
+	s.shards[0].docMu.RUnlock()
+	if tombs != 0 || overrides != 0 {
+		t.Fatalf("%d tombstones and %d overrides left after the merge re-baked them", tombs, overrides)
+	}
+}
+
+// TestCompactShardMergesAdjacentRuns: with a larger segment between small
+// ones, compaction merges only runs of adjacent same-tier segments, so the
+// segments' seq ranges stay disjoint.
+func TestCompactShardMergesAdjacentRuns(t *testing.T) {
+	opt := testTierOpts()
+	opt.CompactFanout = 2
+	s := openTiered(t, t.TempDir(), 1, opt)
+	defer s.Close()
+	ref := NewSharded(1)
+	n := 0
+	write := func(docs, textBytes int) {
+		writeDocs(t, s, n, n+docs, textBytes)
+		writeDocs(t, ref, n, n+docs, textBytes)
+		freezeAll(t, s)
+		n += docs
+	}
+	write(5, 40)
+	write(5, 40)
+	write(80, 14<<10) // ≥ 512 KiB compressed: size tier 1 at fanout 2
+	write(5, 40)
+	write(5, 40)
+	sh := s.shards[0]
+	if k := compactionTier(sh.tier.state.load().segs[2].bytes, opt.CompactFanout); k != 1 {
+		t.Fatalf("large segment is in tier %d, want 1", k)
+	}
+	compactAll(t, s)
+	segs := sh.tier.state.load().segs
+	if len(segs) != 3 {
+		t.Fatalf("%d segments after compaction, want 3 (small pair, large, small pair)", len(segs))
+	}
+	for i := 1; i < len(segs); i++ {
+		if segs[i].r.MinSeq() <= segs[i-1].r.MaxSeq() {
+			t.Fatalf("segment %d seqs [%d,%d] overlap segment %d's [%d,%d]", i, segs[i].r.MinSeq(), segs[i].r.MaxSeq(), i-1, segs[i-1].r.MinSeq(), segs[i-1].r.MaxSeq())
+		}
+	}
+	if segs[0].r.DocCount() != 10 || segs[2].r.DocCount() != 10 {
+		t.Fatalf("small runs merged into %d and %d documents, want 10 each", segs[0].r.DocCount(), segs[2].r.DocCount())
+	}
+	requireStoresEqual(t, "adjacent compaction", s, ref)
+}

@@ -77,12 +77,29 @@ func TestPreLinksFixtureReopens(t *testing.T) {
 
 	s := openTiered(t, dir, 4, opt)
 	check("reopened", s)
+	// A fresh document on every shard, so each compaction merges the
+	// fixture's version 1 segments with a version 2 one.
+	fresh := map[int]string{}
+	for i := 0; len(fresh) < 4; i++ {
+		u := fmt.Sprintf("http://fresh.example/%d", i)
+		if _, ok := fresh[s.ShardForURL(u)]; !ok {
+			fresh[s.ShardForURL(u)] = u
+			s.Insert(Document{URL: u, Text: "fresh", Terms: map[string]int{"fresh": 1}})
+		}
+	}
 	freezeAll(t, s)
+	reencoded := mCompactReenc.Value()
 	compactAll(t, s)
+	if mCompactReenc.Value() == reencoded {
+		t.Fatal("compacting segments with in-link rows re-encoded no block")
+	}
 	for i, sh := range s.shards {
 		segs := sh.tier.state.load().segs
 		if len(segs) != 1 {
 			t.Fatalf("shard %d: %d segments after compaction, want 1", i, len(segs))
+		}
+		if d, err := s.GetByURL(fresh[i]); err != nil || d.Text != "fresh" {
+			t.Fatalf("shard %d: fresh document after compaction: %+v, %v", i, d, err)
 		}
 		if err := segs[0].r.VisitLinks(func(l segment.LinkRow, out bool) bool {
 			if !out {

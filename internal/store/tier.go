@@ -71,6 +71,8 @@ var (
 	mCompactRuns     = metrics.NewCounter("segment_compaction_runs_total")
 	mCompactBytesIn  = metrics.NewCounter("segment_compaction_bytes_read_total")
 	mCompactBytesOut = metrics.NewCounter("segment_compaction_bytes_written_total")
+	mCompactCopied   = metrics.NewCounter("segment_compaction_blocks_copied_total")
+	mCompactReenc    = metrics.NewCounter("segment_compaction_blocks_reencoded_total")
 	mSegReadErrors   = metrics.NewCounter("segment_read_errors_total")
 	mWALAppends      = metrics.NewCounter("wal_appends_total")
 	mWALBytes        = metrics.NewCounter("wal_bytes_total")
@@ -903,15 +905,20 @@ func (s *Store) maybeFreeze(sh *storeShard) {
 		return
 	}
 	sh.docMu.RLock()
-	hot := t.hotBytes
-	hotDocs := t.hotDocs
+	over := s.overBudgetLocked(t)
 	sh.docMu.RUnlock()
-	perShard := t.opt.MemtableBudget / int64(len(s.shards))
-	if hot >= perShard || (t.opt.FreezeDocs > 0 && hotDocs >= int64(t.opt.FreezeDocs)) {
-		if err := s.FreezeShard(sh.idx); err != nil {
+	if over {
+		if err := s.freezeShard(sh.idx, true); err != nil {
 			t.noteErr(err)
 		}
 	}
+}
+
+// overBudgetLocked reports whether t's hot tier should freeze. Caller holds
+// the shard's docMu.
+func (s *Store) overBudgetLocked(t *shardTier) bool {
+	return t.hotBytes >= t.opt.MemtableBudget/int64(len(s.shards)) ||
+		(t.opt.FreezeDocs > 0 && t.hotDocs >= int64(t.opt.FreezeDocs))
 }
 
 // freezePrePublishHook, when non-nil, runs between a freeze's segment
@@ -934,7 +941,13 @@ type frozenDoc struct {
 // segment, rotates the WAL and commits the manifest. It is a no-op when
 // the shard has nothing hot. Exported for tests and benchmarks; the write
 // path calls it automatically via the memtable budget.
-func (s *Store) FreezeShard(i int) error {
+func (s *Store) FreezeShard(i int) error { return s.freezeShard(i, false) }
+
+// freezeShard is FreezeShard. When auto, it first re-checks the memtable
+// budget under t.mu: a flusher that found the shard over budget while
+// another freeze was building waited here for that freeze, which has since
+// drained the hot tier it saw.
+func (s *Store) freezeShard(i int, auto bool) error {
 	sh := s.shards[i]
 	t := sh.tier
 	if t == nil {
@@ -946,6 +959,10 @@ func (s *Store) FreezeShard(i int) error {
 	// Capture + rotate under all three relation locks: the atomic cut
 	// between "baked into this segment" and "in the next WAL generation".
 	sh.docMu.Lock()
+	if auto && !s.overBudgetLocked(t) {
+		sh.docMu.Unlock()
+		return nil
+	}
 	sh.linkMu.Lock()
 	sh.redirMu.Lock()
 	var frozen []frozenDoc
@@ -1239,13 +1256,15 @@ func compactionTier(bytes int64, fanout int) int {
 	return tier
 }
 
-// CompactShard merges one size tier of shard i's segments if any tier
-// holds at least CompactFanout of them, returning whether a merge ran.
-// Above tier 0 a merge's output lands in a higher tier, so a byte is
-// rewritten about once per tier it passes through. Tier 0 spans
-// [0, minSegBytes·fanout) and is not bounded that way: a merge of small
-// segments can stay in tier 0 and be merged again with the next ones, so
-// small stores rewrite a byte several times inside it.
+// CompactShard merges a run of at least CompactFanout seq-adjacent
+// segments of one size tier of shard i — the lowest tier that has such a
+// run, and the whole run — returning whether a merge ran. Merging only
+// adjacent segments keeps the segments' seq ranges disjoint. Above tier 0
+// a merge's output lands in a higher tier, so a byte is rewritten about
+// once per tier it passes through. Tier 0 spans [0, minSegBytes·fanout)
+// and is not bounded that way: a merge of small segments can stay in tier
+// 0 and be merged again with the next ones, so small stores rewrite a byte
+// several times inside it.
 func (s *Store) CompactShard(i int) (bool, error) {
 	sh := s.shards[i]
 	t := sh.tier
@@ -1254,24 +1273,24 @@ func (s *Store) CompactShard(i int) (bool, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state.load()
-	byTier := map[int][]*tierSeg{}
-	for _, seg := range st.segs {
-		k := compactionTier(seg.bytes, t.opt.CompactFanout)
-		byTier[k] = append(byTier[k], seg)
-	}
+	segs := t.state.load().segs
+	fanout := t.opt.CompactFanout
 	var inputs []*tierSeg
 	bestTier := -1
-	for k, group := range byTier {
-		if len(group) >= t.opt.CompactFanout && (bestTier == -1 || k < bestTier) {
-			bestTier = k
-			inputs = group
+	for lo := 0; lo < len(segs); {
+		k := compactionTier(segs[lo].bytes, fanout)
+		hi := lo + 1
+		for hi < len(segs) && compactionTier(segs[hi].bytes, fanout) == k {
+			hi++
 		}
+		if hi-lo >= fanout && (bestTier == -1 || k < bestTier) {
+			bestTier, inputs = k, segs[lo:hi]
+		}
+		lo = hi
 	}
 	if inputs == nil {
 		return false, nil
 	}
-	sort.Slice(inputs, func(a, b int) bool { return inputs[a].r.MinSeq() < inputs[b].r.MinSeq() })
 	if err := s.mergeSegments(sh, inputs); err != nil {
 		return false, err
 	}
@@ -1279,97 +1298,56 @@ func (s *Store) CompactShard(i int) (bool, error) {
 	return true, nil
 }
 
-// mergeSegments rewrites inputs into one segment, dropping tombstoned rows
-// and re-baking each surviving row's current metadata (clearing its
-// override). Caller holds t.mu.
+// mergeSegments merges inputs — seq-adjacent segments, in seq order — into
+// one segment with segment.Merge, dropping deleted rows and re-baking each
+// surviving row's current metadata (clearing its override), then swaps it
+// in. Caller holds t.mu.
 func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 	t := sh.tier
 	inputSet := map[*tierSeg]bool{}
+	readers := make([]*segment.Reader, len(inputs))
 	var bytesIn int64
-	for _, seg := range inputs {
+	for i, seg := range inputs {
 		inputSet[seg] = true
+		readers[i] = seg.r
 		bytesIn += seg.bytes
 	}
 
-	// Extraction: stream every input row. Tombstones are sampled once at
-	// the start; rows tombstoned during the merge survive into the output
-	// and stay tombstoned (the swap keeps every tomb it didn't drop).
-	tombsAtStart := t.state.load().tombs
-	var recs []segment.DocRecord
+	// Merge asks about every input row once. A row the shard no longer
+	// holds was deleted, and its tombstone goes with it; one deleted after
+	// it was asked about survives into the output and stays tombstoned (the
+	// swap keeps every tomb it didn't drop). A surviving row is baked with
+	// the shard's current metadata for it — the in-memory slim row is
+	// authoritative — so its override can be dropped.
 	var dropped []int64
-	in := segment.BuildInput{Shard: sh.idx}
-	for _, seg := range inputs {
-		var vecErr error
-		err := seg.r.VisitMeta(func(pos int, seq int64, m segment.Meta) bool {
-			if _, dead := tombsAtStart[seq]; dead {
-				dropped = append(dropped, seq)
-				return true
-			}
-			vec, err := seg.r.TermVec(pos)
-			if err != nil {
-				vecErr = err
-				return false
-			}
-			text, err := seg.r.Text(pos)
-			if err != nil {
-				vecErr = err
-				return false
-			}
-			recs = append(recs, segment.DocRecord{Seq: seq, Meta: m, Terms: vec, Text: text})
-			return true
-		})
-		if err == nil {
-			err = vecErr
+	baked := map[int64]segment.Meta{} // rows that had an override, as baked
+	live := func(seq int64) (segment.Meta, bool) {
+		sh.docMu.RLock()
+		defer sh.docMu.RUnlock()
+		d, ok := sh.docs[sh.idFor(seq)]
+		if !ok {
+			dropped = append(dropped, seq)
+			return segment.Meta{}, false
 		}
-		if err != nil {
-			return fmt.Errorf("store: shard %d: compact: %w", sh.idx, err)
+		m := metaFromDoc(d)
+		if _, has := t.overrides[seq]; has {
+			baked[seq] = m
 		}
-		// An older input's in-link rows are dropped: the index is rebuilt
-		// from out-link rows at open.
-		err = seg.r.VisitLinks(func(l segment.LinkRow, out bool) bool {
-			if out {
-				in.OutLinks = append(in.OutLinks, l)
-			}
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("store: shard %d: compact: %w", sh.idx, err)
-		}
-		err = seg.r.VisitRedirects(func(rd segment.RedirectRow) bool {
-			in.Redirects = append(in.Redirects, rd)
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("store: shard %d: compact: %w", sh.idx, err)
-		}
+		return m, true
 	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
-
-	// Re-bake current metadata: SetTopic/SetTraining on a cold row live in
-	// the in-memory slim row (authoritative); baking it lets the override
-	// be dropped.
-	sh.docMu.RLock()
-	for j := range recs {
-		if d, ok := sh.docs[sh.idFor(recs[j].Seq)]; ok {
-			recs[j].Meta = metaFromDoc(d)
-		}
-	}
-	sh.docMu.RUnlock()
-	in.Docs = recs
-
 	segID := t.nextSegID
 	t.nextSegID++
 	file := fmt.Sprintf("seg-%06d.bsg", segID)
-	bytes, err := segment.Build(filepath.Join(t.dir, file), in)
+	res, err := segment.Merge(filepath.Join(t.dir, file), readers, live)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: shard %d: compact: %w", sh.idx, err)
 	}
 	r, err := segment.Open(filepath.Join(t.dir, file))
 	if err != nil {
 		os.Remove(filepath.Join(t.dir, file))
 		return err
 	}
-	merged := &tierSeg{r: r, file: file, bytes: bytes}
+	merged := &tierSeg{r: r, file: file, bytes: res.Bytes}
 
 	// Swap under docMu: replace inputs with the merged segment, repoint
 	// cold refs, drop tombs for rows we actually dropped, and drop
@@ -1391,24 +1369,25 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 	if len(tombs) == 0 {
 		tombs = emptyTombs
 	}
-	for pos := range recs {
-		seq := recs[pos].Seq
+	for pos, seq := range res.Seqs {
 		id := sh.idFor(seq)
-		d, live := sh.docs[id]
-		if live {
-			if _, cold := sh.cold[id]; cold {
-				sh.cold[id] = coldRef{seg: merged, pos: pos}
-			}
+		if _, cold := sh.cold[id]; cold {
+			sh.cold[id] = coldRef{seg: merged, pos: pos}
 		}
+	}
+	for seq, m := range baked {
 		// The override is redundant iff the live row still matches what
 		// was just baked (a SetTopic racing the merge re-creates it).
-		if ov, has := t.overrides[seq]; has {
-			stale := !live ||
-				(ov.HasTopic && (d.Topic != recs[pos].Meta.Topic || d.Confidence != recs[pos].Meta.Confidence)) ||
-				(ov.HasTraining && d.IsTraining != recs[pos].Meta.IsTraining)
-			if !stale {
-				delete(t.overrides, seq)
-			}
+		ov, has := t.overrides[seq]
+		if !has {
+			continue
+		}
+		d, live := sh.docs[sh.idFor(seq)]
+		stale := !live ||
+			(ov.HasTopic && (d.Topic != m.Topic || d.Confidence != m.Confidence)) ||
+			(ov.HasTraining && d.IsTraining != m.IsTraining)
+		if !stale {
+			delete(t.overrides, seq)
 		}
 	}
 	t.state.store(&tierState{segs: segs, tombs: tombs})
@@ -1426,9 +1405,11 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 		mSegCount.Add(-1)
 	}
 	mSegCount.Add(1)
-	mSegBytes.Add(bytes)
+	mSegBytes.Add(res.Bytes)
 	mCompactBytesIn.Add(bytesIn)
-	mCompactBytesOut.Add(bytes)
+	mCompactBytesOut.Add(res.Bytes)
+	mCompactCopied.Add(int64(res.Copied))
+	mCompactReenc.Add(int64(res.Reencoded))
 	return nil
 }
 
