@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz chaos smoke smoke-dist smoke-tenant doccheck bench bench-smoke bench-compare smoke-frontier
+.PHONY: all build vet fmt-check test race fuzz chaos smoke smoke-dist smoke-tenant doccheck loc bench bench-smoke bench-compare smoke-frontier
 
 all: build test
 
@@ -27,7 +27,7 @@ test: vet fmt-check
 # parallel HITS sweeps); race runs the packages that exercise them, plus the
 # lock-free metrics primitives they all report into.
 race:
-	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/loadgen/... ./internal/rpc/... ./internal/coord/... ./internal/portal/...
+	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/rpc/... ./internal/coord/... ./internal/portal/...
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/
 
@@ -103,6 +103,11 @@ smoke-tenant:
 # documented operational surface, so undocumented API is a build break.
 doccheck:
 	$(GO) run ./cmd/doccheck internal/rpc internal/coord
+
+# loc prints the non-test Go lines outside the benchmark (cmd/bench and its
+# .bench_build output): the size figure ROADMAP.md tracks. A print, not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # smoke-frontier is the CI leg of the scheduling lab: every scheduler
 # completes a tiny-world crawl, link-context harvests at least as well as

@@ -1,145 +1,101 @@
-// Command loadgen drives an open-loop query load against a running
-// portald and reports open-loop latency percentiles (measured from each
-// request's scheduled arrival, so server queueing is never hidden) plus a
-// status-class breakdown. It exits non-zero under -fail-on-errors when any
-// response was neither 2xx nor a 429 shed — the CI smoke contract.
+// Command loadgen drives an open-loop /search load at a running portald
+// through cmd/bench/loadgen, the benchmark's generator: latency is timed
+// from each request's due time, so server queueing is never hidden. Per
+// rate it prints the ok (2xx), shed (429) and error responses (anything
+// else, including transport errors and requests the window left
+// unfinished), and the ok ones' p50, p90 and p99 latency. Under
+// -fail-on-errors it exits 1 on any error: the CI smoke contract.
 //
-// Usage:
-//
-//	loadgen -target http://127.0.0.1:8090 -rate 500 -duration 5s
-//	loadgen -target ... -rates 250,500,1000,2000 -json sweep.json
-//	loadgen -target ... -queries mix.txt -fail-on-errors
-//
-// The query mix is Zipf-weighted by file position (earlier lines are more
-// popular); each line of -queries is either a raw query text or a
-// prebuilt query string containing '='.
+//	loadgen -target http://127.0.0.1:8090 -rate 400,800,1600 -duration 5s
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
-	"github.com/bingo-search/bingo/internal/loadgen"
+	"github.com/bingo-search/bingo/cmd/bench/loadgen"
+	"github.com/bingo-search/bingo/cmd/bench/stat"
 )
 
-func main() {
-	target := flag.String("target", "", "base URL of the server under test (required)")
-	path := flag.String("path", "/search", "endpoint the query mix applies to")
-	rate := flag.Float64("rate", 500, "offered arrival rate in requests/second")
-	rates := flag.String("rates", "", "comma-separated rate sweep (overrides -rate)")
-	duration := flag.Duration("duration", 5*time.Second, "length of each run")
-	workers := flag.Int("workers", 64, "client-side concurrent request bound")
-	zipfS := flag.Float64("zipf-s", 1.1, "Zipf exponent over the query mix (>1)")
-	seed := flag.Int64("seed", 1, "seed for the arrival-to-query assignment")
-	queriesFile := flag.String("queries", "", "recorded query mix, one query per line (default: built-in mix)")
-	k := flag.Int("k", 10, "result limit attached to raw query texts")
-	jsonOut := flag.String("json", "", "write the per-rate results as JSON to this file")
-	failOnErrors := flag.Bool("fail-on-errors", false, "exit 1 if any response was neither 2xx nor 429")
-	flag.Parse()
+const (
+	conns = 64              // keep-alive connections, and requests in flight at most
+	grace = 5 * time.Second // how long after its window a request may still finish
+)
 
-	if *target == "" {
-		flag.Usage()
-		log.Fatal("need -target")
+// mix is the built-in query mix: head terms a crawled portal plausibly
+// holds, then tail variants. Arrival i asks mix[Zipf(1, n, len(mix), 1.1)(i)],
+// so earlier entries are more popular. An empty result list is still a
+// served response, so the terms need not match the corpus.
+var mix = func() []string {
+	qs := []string{"database systems", "recovery", "transaction recovery", "index structures",
+		"query processing", "crawler", "classification", "portal search"}
+	for i := 0; i < 24; i++ {
+		qs = append(qs, fmt.Sprintf("database topic%d", i))
 	}
-	mix := loadgen.DefaultMix()
-	if *queriesFile != "" {
-		var err error
-		mix, err = loadMix(*queriesFile, *k)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, q := range qs {
+		qs[i] = url.Values{"q": {q}, "k": {"10"}}.Encode()
 	}
-	sweep := []float64{*rate}
-	if *rates != "" {
-		sweep = sweep[:0]
-		for _, f := range strings.Split(*rates, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || v <= 0 {
-				log.Fatalf("bad -rates entry %q", f)
-			}
-			sweep = append(sweep, v)
+	return qs
+}()
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run drives one window per rate and returns the exit status: 2 for bad
+// flags, 1 under -fail-on-errors when a response was an error, else 0.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	target := fs.String("target", "", "base URL of the server under test (required)")
+	rates := fs.String("rate", "500", "offered arrival rate in requests/second, or a comma-separated sweep")
+	duration := fs.Duration("duration", 5*time.Second, "length of each rate's window")
+	failOnErrors := fs.Bool("fail-on-errors", false, "exit 1 if any response was neither 2xx nor 429")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var sweep []float64
+	for _, f := range strings.Split(*rates, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil || v <= 0 {
+			fmt.Fprintf(os.Stderr, "loadgen: bad -rate entry %q\n", f)
+			return 2
 		}
+		sweep = append(sweep, v)
+	}
+	if *target == "" || *duration <= 0 {
+		fmt.Fprintln(os.Stderr, "loadgen: need -target and a positive -duration")
+		return 2
 	}
 
-	var results []loadgen.Result
-	failed := false
-	for _, r := range sweep {
-		res, err := loadgen.Run(context.Background(), loadgen.Config{
-			Target:   *target,
-			Path:     *path,
-			Rate:     r,
-			Duration: *duration,
-			Workers:  *workers,
-			Queries:  mix,
-			ZipfS:    *zipfS,
-			Seed:     *seed,
+	failures := 0
+	for _, rate := range sweep {
+		pick := loadgen.Zipf(1, loadgen.Offered(rate, *duration), len(mix), 1.1)
+		var shed atomic.Int64
+		res := loadgen.Run(context.Background(), loadgen.Config{
+			Target: strings.TrimSuffix(*target, "/"), Rate: rate, Duration: *duration, Conns: conns, Grace: grace,
+			Query: func(i int) string { return mix[pick(i)] },
+			Observe: func(_ int, _, _, _ time.Time, status int) {
+				if status == http.StatusTooManyRequests {
+					shed.Add(1)
+				}
+			},
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(res)
-		results = append(results, res)
-		if res.Errors > 0 {
-			failed = true
-		}
+		errs := res.Failed - int(shed.Load()) // Failed is every non-2xx
+		fmt.Fprintf(stdout, "rate %g/s: offered %d, %d ok, %d shed, %d errors; p50 %.1f ms p90 %.1f ms p99 %.1f ms\n",
+			rate, res.Offered, res.OK, shed.Load(), errs,
+			stat.Percentile(res.LatencyMs, 50), stat.Percentile(res.LatencyMs, 90), stat.Percentile(res.LatencyMs, 99))
+		failures += errs
 	}
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+	if *failOnErrors && failures > 0 {
+		fmt.Fprintln(os.Stderr, "loadgen: observed responses that were neither 2xx nor 429")
+		return 1
 	}
-	if *failOnErrors && failed {
-		log.Fatal("loadgen: observed responses that were neither 2xx nor 429")
-	}
-}
-
-// loadMix reads a recorded mix file: one query per line, raw text or a
-// prebuilt query string (detected by an '='), comments with '#'.
-func loadMix(path string, k int) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var prebuilt, texts []string
-	var order []bool // true = prebuilt, preserves file order for Zipf ranks
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.Contains(line, "=") {
-			prebuilt = append(prebuilt, line)
-			order = append(order, true)
-		} else {
-			texts = append(texts, line)
-			order = append(order, false)
-		}
-	}
-	encoded := loadgen.BuildMix(texts, k)
-	out := make([]string, 0, len(order))
-	pi, ti := 0, 0
-	for _, isPre := range order {
-		if isPre {
-			out = append(out, prebuilt[pi])
-			pi++
-		} else {
-			out = append(out, encoded[ti])
-			ti++
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("loadgen: %s contains no queries", path)
-	}
-	return out, nil
+	return 0
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,27 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
-
-// presetDictFixture is a segment written when Build still sampled a preset
-// dictionary from each section's first block (140 documents in 3 blocks,
-// the last partial, plus links and redirects). It cannot be regenerated
-// from this tree; its golden holds every value the reader decoded from it
-// then.
-const presetDictFixture = "testdata/preset-dict.bsg"
-
-type fixtureGolden struct {
-	Shard     int
-	MinSeq    int64
-	MaxSeq    int64
-	Docs      []DocRecord
-	Postings  map[string][][2]int64 // term → (seq, tf) pairs
-	OutLinks  []LinkRow
-	InLinks   []LinkRow
-	Redirects []RedirectRow
-}
 
 func openBytes(t testing.TB, b []byte) *Reader {
 	t.Helper()
@@ -49,10 +32,10 @@ func openBytes(t testing.TB, b []byte) *Reader {
 }
 
 // deflate compresses raw with a freshly built encoder.
-func deflate(t *testing.T, raw, dict []byte) []byte {
+func deflate(t *testing.T, raw []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fw, err := flate.NewWriterDict(&buf, flate.DefaultCompression, dict)
+	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,93 +54,6 @@ func blockComp(t *testing.T, r *Reader, file []byte, s, idx int) []byte {
 	start := r.ft.sections[s].off + r.tables[s].offs[idx]
 	n := uint64(binary.LittleEndian.Uint32(file[start:]))
 	return file[start+12 : start+12+n]
-}
-
-func TestPresetDictionarySegmentReads(t *testing.T) {
-	b, err := os.ReadFile(presetDictFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g fixtureGolden
-	gb, err := os.ReadFile("testdata/preset-dict.golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(gb, &g); err != nil {
-		t.Fatal(err)
-	}
-	r := openBytes(t, b)
-
-	// The fixture still is what it stands for.
-	for _, s := range blockSections {
-		if d := r.dicts[s]; len(d) == 0 {
-			t.Fatalf("%s dictionary empty", sectionName[s])
-		}
-	}
-	for _, s := range []int{secMeta, secTermVec, secText} {
-		if n := len(r.tables[s].offs); n < 3 {
-			t.Fatalf("%s: %d blocks", sectionName[s], n)
-		}
-	}
-	if r.DocCount()%blockDocs == 0 || len(g.OutLinks) == 0 || len(g.InLinks) == 0 || len(g.Redirects) == 0 {
-		t.Fatalf("fixture lost its partial block or links: %d docs, %d/%d/%d link rows",
-			r.DocCount(), len(g.OutLinks), len(g.InLinks), len(g.Redirects))
-	}
-
-	if r.Shard() != g.Shard || r.MinSeq() != g.MinSeq || r.MaxSeq() != g.MaxSeq || r.DocCount() != len(g.Docs) {
-		t.Fatalf("footer: shard %d seqs [%d,%d] docs %d, golden %d [%d,%d] %d",
-			r.Shard(), r.MinSeq(), r.MaxSeq(), r.DocCount(), g.Shard, g.MinSeq, g.MaxSeq, len(g.Docs))
-	}
-	var docs []DocRecord
-	if err := r.VisitMeta(func(pos int, seq int64, m Meta) bool {
-		vec, err := r.TermVec(pos)
-		if err != nil {
-			t.Fatalf("TermVec(%d): %v", pos, err)
-		}
-		text, err := r.Text(pos)
-		if err != nil {
-			t.Fatalf("Text(%d): %v", pos, err)
-		}
-		docs = append(docs, DocRecord{Seq: seq, Meta: m, Terms: vec, Text: text})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.Docs {
-		if !reflect.DeepEqual(docs[i], g.Docs[i]) {
-			t.Fatalf("doc %d:\n got %+v\nwant %+v", i, docs[i], g.Docs[i])
-		}
-	}
-	for term, want := range g.Postings {
-		var got [][2]int64
-		if err := r.VisitPostings(term, func(seq int64, tf int) { got = append(got, [2]int64{seq, int64(tf)}) }); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("postings %q: got %v want %v", term, got, want)
-		}
-		if df, err := r.DocFreq(term); err != nil || df != len(want) {
-			t.Fatalf("DocFreq(%q) = %d, %v; want %d", term, df, err, len(want))
-		}
-	}
-	var outs, ins []LinkRow
-	if err := r.VisitLinks(func(l LinkRow, out bool) bool {
-		if out {
-			outs = append(outs, l)
-		} else {
-			ins = append(ins, l)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var reds []RedirectRow
-	if err := r.VisitRedirects(func(rd RedirectRow) bool { reds = append(reds, rd); return true }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(outs, g.OutLinks) || !reflect.DeepEqual(ins, g.InLinks) || !reflect.DeepEqual(reds, g.Redirects) {
-		t.Fatal("links or redirects differ from the golden")
-	}
 }
 
 // TestTermVecDecodesOnlyItsRow: reading the last row of a cached block costs
@@ -211,15 +107,12 @@ func TestBuildPoolReuseIsByteIdentical(t *testing.T) {
 	}
 	r := openBytes(t, first)
 	for _, s := range blockSections {
-		if d := r.dicts[s]; len(d) != 0 {
-			t.Fatalf("%s dictionary: %d bytes; Build writes them empty", sectionName[s], len(d))
-		}
 		for idx := range r.tables[s].offs {
 			raw, err := r.readBlock(s, idx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(blockComp(t, r, first, s, idx), deflate(t, raw, nil)) {
+			if !bytes.Equal(blockComp(t, r, first, s, idx), deflate(t, raw)) {
 				t.Fatalf("%s block %d differs from a fresh encoder's output", sectionName[s], idx)
 			}
 		}
@@ -268,9 +161,28 @@ func TestShuffledReadsMatchSequential(t *testing.T) {
 	wg.Wait()
 }
 
+// splice replaces bytes [start, end) of section s of a valid segment file
+// with repl, shifting the sections after it and re-encoding the footer.
+func splice(t testing.TB, file []byte, s int, start, end uint64, repl []byte) []byte {
+	t.Helper()
+	ft := openBytes(t, file).ft
+	delta := uint64(len(repl)) - (end - start) // wraps; additions below wrap back
+	for k := range ft.sections {
+		if ft.sections[k].off >= end {
+			ft.sections[k].off += delta
+		}
+	}
+	ft.sections[s].len += delta
+	footerStart := len(file) - 8 - int(binary.LittleEndian.Uint32(file[len(file)-8:]))
+	out := append(append([]byte(nil), file[:start]...), repl...)
+	out = append(out, file[end:footerStart]...)
+	var e enc
+	ft.encode(&e)
+	return append(out, e.b...)
+}
+
 // rewriteLastBlock replaces the last block of section s with a validly
-// framed and checksummed block holding mangle(raw), shifting the sections
-// after it and re-encoding the footer.
+// framed and checksummed block holding mangle(raw).
 func rewriteLastBlock(t *testing.T, file []byte, s int, mangle func([]byte) []byte) []byte {
 	t.Helper()
 	r := openBytes(t, file)
@@ -280,29 +192,15 @@ func rewriteLastBlock(t *testing.T, file []byte, s int, mangle func([]byte) []by
 		t.Fatal(err)
 	}
 	raw = mangle(append([]byte(nil), raw...))
-	comp := deflate(t, raw, nil)
+	comp := deflate(t, raw)
 	var frame enc
 	frame.u32(uint32(len(comp)))
 	frame.u32(uint32(len(raw)))
 	frame.u32(crc32.ChecksumIEEE(comp))
 	frame.raw(comp)
-
 	start := r.ft.sections[s].off + offs[len(offs)-1]
 	end := start + 12 + uint64(binary.LittleEndian.Uint32(file[start:]))
-	delta := uint64(len(frame.b)) - (end - start) // wraps; additions below wrap back
-	ft := r.ft
-	for k := range ft.sections {
-		if ft.sections[k].off >= end {
-			ft.sections[k].off += delta
-		}
-	}
-	ft.sections[s].len += delta
-	footerStart := len(file) - 8 - int(binary.LittleEndian.Uint32(file[len(file)-8:]))
-	out := append(append([]byte(nil), file[:start]...), frame.b...)
-	out = append(out, file[end:footerStart]...)
-	var e enc
-	ft.encode(&e)
-	return append(out, e.b...)
+	return splice(t, file, s, start, end, frame.b)
 }
 
 // TestMangledBlockIsCorrupt: a block whose checksum holds but whose rows do
@@ -348,5 +246,84 @@ func TestMangledBlockIsCorrupt(t *testing.T) {
 				t.Fatalf("%s %s: readAll = %v, want ErrCorrupt", name, sectionName[s], err)
 			}
 		}
+	}
+}
+
+// otherFormats derives, from a fresh segment, one file per form the reader
+// no longer accepts: a version 1 header, a non-empty preset dictionary and
+// a footer in-link count of 1, each with its CRCs recomputed.
+func otherFormats(t testing.TB) map[string][]byte {
+	t.Helper()
+	file := buildBytes(t, genInput(71, 2*blockDocs+5))
+	ft := openBytes(t, file).ft
+
+	v1 := append([]byte(nil), file...)
+	v1[4] = 1
+
+	var dict enc
+	dict.uvarint(3)
+	dict.raw([]byte("abc"))
+	for s := 1; s < numSections; s++ {
+		dict.uvarint(0)
+	}
+	dict.u32(crc32.ChecksumIEEE(dict.b))
+	sec := ft.sections[secDict]
+	withDict := splice(t, file, secDict, sec.off, sec.off+sec.len, dict.b)
+
+	inLinks := append([]byte(nil), file...)
+	footerLen := int(binary.LittleEndian.Uint32(inLinks[len(inLinks)-8:]))
+	fb := inLinks[len(inLinks)-8-footerLen : len(inLinks)-8]
+	binary.LittleEndian.PutUint32(fb[numSections*20+4+8+8+4:], 1) // after the section table, doc count, seq range and out-link count
+	binary.LittleEndian.PutUint32(fb[footerLen-4:], crc32.ChecksumIEEE(fb[:footerLen-4]))
+
+	return map[string][]byte{"version 1": v1, "preset dictionary": withDict, "in-link rows": inLinks}
+}
+
+// TestOpenRejectsOtherFormats: Open accepts version 2 with empty
+// dictionaries and no in-link rows, and nothing else.
+func TestOpenRejectsOtherFormats(t *testing.T) {
+	for name, b := range otherFormats(t) {
+		path := filepath.Join(t.TempDir(), "old.bsg")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(path)
+		if err == nil {
+			r.Close()
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Open = %v, want ErrCorrupt", name, err)
+		}
+		if name == "version 1" && !strings.Contains(err.Error(), "unsupported format version") {
+			t.Fatalf("%s: Open = %v, want an unsupported format version", name, err)
+		}
+	}
+}
+
+// hugeRawLen is a fresh segment whose first meta block claims to inflate
+// to 4 GiB. Its frame CRC covers only the compressed bytes, so the file
+// opens.
+func hugeRawLen(t testing.TB) []byte {
+	t.Helper()
+	file := buildBytes(t, genInput(73, 200))
+	r := openBytes(t, file)
+	binary.LittleEndian.PutUint32(file[r.ft.sections[secMeta].off+r.tables[secMeta].offs[0]+4:], 0xffffffff)
+	return file
+}
+
+// TestHugeRawLenIsCorrupt: a block whose declared raw length its
+// compressed bytes cannot inflate to fails with ErrCorrupt before anything
+// of that size is allocated.
+func TestHugeRawLenIsCorrupt(t *testing.T) {
+	r := openBytes(t, hugeRawLen(t))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := r.VisitMeta(func(int, int64, Meta) bool { return true })
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("VisitMeta = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("VisitMeta allocated %d MB before failing", grew>>20)
 	}
 }

@@ -161,8 +161,7 @@ var fileWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64
 
 // compressBlocks DEFLATE-compresses the blocks that are not copied frames,
 // in parallel. Every worker takes one encoder from deflaters and Resets it
-// between blocks; readers still honour a non-empty section dictionary in
-// segments written before dictionaries were written empty.
+// between blocks.
 func compressBlocks(blocks []block) ([][]byte, error) {
 	out := make([][]byte, len(blocks))
 	workers := runtime.GOMAXPROCS(0)
@@ -374,7 +373,7 @@ func (ft *footer) encode(e *enc) {
 	e.u64(uint64(ft.minSeq))
 	e.u64(uint64(ft.maxSeq))
 	e.u32(ft.outLinks)
-	e.u32(ft.inLinks)
+	e.u32(0) // in-link rows: a link is stored once, as an out-link row
 	e.u32(ft.redirs)
 	e.u32(ft.shard)
 	e.u32(crc32.ChecksumIEEE(e.b[start:]))

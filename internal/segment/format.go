@@ -3,16 +3,19 @@ package segment
 // On-disk segment layout (all integers little-endian, lengths varint):
 //
 //	header   "BSG1" | version u8 | shard u32
-//	dict     framed dictionaries, one per block section (see below)
+//	dict     one dictionary length per section, every one 0 (see below)
 //	meta     block section: slim document rows (everything but Terms/Text)
 //	termvec  block section: per-document sorted (term, tf) vectors
 //	text     block section: document bodies
 //	postings per-term entries sorted by term (delta+varint doc lists)
 //	sparse   every sparseEvery-th term with its postings offset
-//	links    block section: out-link rows (then, in segments written
-//	         before links were stored once, in-link rows)
+//	links    block section: out-link rows
 //	redirs   block section: redirect rows
 //	footer   section table + counts + CRC, then u32 footerLen + "BSG1"
+//
+// version is the only one a reader accepts; Open rejects any other as an
+// unsupported format version. The footer keeps an in-link row count from
+// when a link was also stored on its target's shard; it is always 0.
 //
 // The three document sections (meta, termvec, text) block their rows
 // identically — block i holds the same run of document positions in each,
@@ -27,14 +30,11 @@ package segment
 // [u32 crc32(table)]). A reader finds a row's block by binary search over
 // the rows' prefix sums. Build cuts blocks at blockDocs documents and
 // linkBlockRows link or redirect rows; Merge copies an input's blocks
-// whole, so its output may hold shorter ones (see copyFloorDocs). Version 1
-// tables carry no row counts; a reader synthesizes them from the footer
-// counts, since every version 1 block but a section's last is full.
-// Blocks are DEFLATE streams, compressed in parallel across blocks by
-// pooled encoders. The dict section frames one preset dictionary per
-// section; Build and Merge write every one of them empty, and readers still
-// inflate with a non-empty one, so segments written when each section
-// carried a dictionary sampled from its first block read unchanged.
+// whole, so its output may hold shorter ones (see copyFloorDocs).
+// Blocks are DEFLATE streams without a preset dictionary, compressed in
+// parallel across blocks by pooled encoders. The dict section frames one
+// dictionary per section; every one is empty, and Open rejects a file
+// whose dictionaries are not.
 //
 // A postings entry is [term][varint df][varint byteLen][u32 crc32(bytes)]
 // [bytes], where bytes is (first seq uvarint, then seq deltas uvarint)
@@ -101,8 +101,7 @@ type footer struct {
 	docCount uint32
 	minSeq   int64
 	maxSeq   int64
-	outLinks uint32 // out-link row count (first rows of the links section)
-	inLinks  uint32 // in-link row count; Build writes 0
+	outLinks uint32 // link row count
 	redirs   uint32
 	shard    uint32
 }

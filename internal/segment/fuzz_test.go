@@ -31,13 +31,6 @@ func fuzzSeedSegments(f *testing.F) {
 		}
 		seeds = append(seeds, b)
 	}
-	// A segment with non-empty preset dictionaries, from before Build wrote
-	// them empty.
-	b, err := os.ReadFile(presetDictFixture)
-	if err != nil {
-		f.Fatal(err)
-	}
-	seeds = append(seeds, b)
 	for _, b := range seeds {
 		f.Add(b)
 		// A couple of mangled variants so the corpus exercises error
@@ -57,6 +50,12 @@ func fuzzSeedSegments(f *testing.F) {
 	for _, b := range badRowCounts(f) {
 		f.Add(b)
 	}
+	// Forms Open rejects, and a block claiming more bytes than it can
+	// inflate to.
+	for _, b := range otherFormats(f) {
+		f.Add(b)
+	}
+	f.Add(hugeRawLen(f))
 }
 
 func FuzzSegmentOpen(f *testing.F) {

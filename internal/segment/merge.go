@@ -39,12 +39,11 @@ type mergeOp struct {
 //
 // A document block whose rows all survive with unchanged metadata is copied
 // frame for frame, CRC-checked but not inflated. Other blocks' surviving
-// rows, and those of blocks below copyFloorDocs rows or with a preset
-// dictionary, are re-encoded from their raw row bytes, cut every blockDocs
-// rows and before the next copied block. Link and redirect blocks are
-// copied likewise, unless below copyFloorLinks rows or from an input with
-// a dictionary or in-link rows (which are dropped). Postings are a k-way
-// merge of the inputs' postings sections, without the dead rows.
+// rows, and those of blocks below copyFloorDocs rows, are re-encoded from
+// their raw row bytes, cut every blockDocs rows and before the next copied
+// block. Link and redirect blocks are copied likewise, unless below
+// copyFloorLinks rows. Postings are a k-way merge of the inputs' postings
+// sections, without the dead rows.
 func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (MergeStats, error) {
 	var st MergeStats
 	for i, in := range inputs {
@@ -117,7 +116,6 @@ func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) (
 	dead := map[int64]bool{}
 	last := int64(math.MinInt64)
 	for _, in := range inputs {
-		dict := len(in.dicts[secMeta])+len(in.dicts[secTermVec])+len(in.dicts[secText]) > 0
 		t := &in.tables[secMeta]
 		for blk := range t.offs {
 			raw, err := in.readBlock(secMeta, blk)
@@ -125,7 +123,7 @@ func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) (
 				return nil, nil, err
 			}
 			d := newDec(raw, in.path, "meta")
-			first, clean := len(ops), !dict && t.rows(blk) >= copyFloorDocs
+			first, clean := len(ops), t.rows(blk) >= copyFloorDocs
 			for i := 0; i < t.rows(blk); i++ {
 				seq, m := decodeMeta(d)
 				if d.err == nil && (seq <= last || seq < in.ft.minSeq || seq > in.ft.maxSeq) {
@@ -194,25 +192,20 @@ func sectionBlocks(s, per int, ops []mergeOp) ([]block, error) {
 }
 
 // planRows lays out link or redirect section s: each input's blocks copied,
-// or its out-link (or redirect) rows re-encoded.
+// or their rows re-encoded.
 func planRows(s int, inputs []*Reader, st *MergeStats) []mergeOp {
 	var ops []mergeOp
 	for _, in := range inputs {
-		keep := int(in.ft.redirs)
-		if s == secLinks {
-			keep = int(in.ft.outLinks) // in-link rows follow the out-link rows
-		}
-		copyable := len(in.dicts[s]) == 0 && (s != secLinks || in.ft.inLinks == 0)
 		t := &in.tables[s]
 		for blk := range t.offs {
-			if copyable && t.rows(blk) >= copyFloorLinks {
+			if t.rows(blk) >= copyFloorLinks {
 				ops = append(ops, mergeOp{src: in, blk: blk, row: -1})
 				st.Copied++
 				continue
 			}
 			st.Reencoded++
-			for pos := t.first(blk); pos < min(t.ends[blk], keep); pos++ {
-				ops = append(ops, mergeOp{src: in, blk: blk, row: pos - t.first(blk)})
+			for row := 0; row < t.rows(blk); row++ {
+				ops = append(ops, mergeOp{src: in, blk: blk, row: row})
 			}
 		}
 	}

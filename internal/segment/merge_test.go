@@ -2,7 +2,6 @@ package segment
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -23,7 +21,6 @@ type content struct {
 	Postings       map[string][][2]int64
 	DocFreq        map[string]int
 	Links          []LinkRow
-	Out            []bool
 	Redirects      []RedirectRow
 }
 
@@ -99,11 +96,7 @@ func readContent(r *Reader) (content, error) {
 			c.DocFreq[term] = df
 		}
 	}
-	if err := r.VisitLinks(func(l LinkRow, out bool) bool {
-		c.Links = append(c.Links, l)
-		c.Out = append(c.Out, out)
-		return true
-	}); err != nil {
+	if err := r.VisitLinks(func(l LinkRow) bool { c.Links = append(c.Links, l); return true }); err != nil {
 		return c, err
 	}
 	err = r.VisitRedirects(func(rd RedirectRow) bool { c.Redirects = append(c.Redirects, rd); return true })
@@ -145,7 +138,7 @@ func contentDiff(g, w content) string {
 		return "postings differ"
 	case !reflect.DeepEqual(g.DocFreq, w.DocFreq):
 		return "document frequencies differ"
-	case !reflect.DeepEqual(g.Links, w.Links) || !reflect.DeepEqual(g.Out, w.Out):
+	case !reflect.DeepEqual(g.Links, w.Links):
 		return fmt.Sprintf("%d link rows, want %d", len(g.Links), len(w.Links))
 	case !reflect.DeepEqual(g.Redirects, w.Redirects):
 		return fmt.Sprintf("%d redirect rows, want %d", len(g.Redirects), len(w.Redirects))
@@ -164,7 +157,7 @@ func (l liveSet) fn(seq int64) (Meta, bool) {
 
 // reference builds what a merge of inputs under live must read back as:
 // Build over the surviving rows, with live metadata, and every input's
-// out-link and redirect rows in input order.
+// link and redirect rows in input order.
 func reference(t *testing.T, inputs []*Reader, live liveSet) *Reader {
 	t.Helper()
 	in := BuildInput{Shard: inputs[0].Shard()}
@@ -179,11 +172,7 @@ func reference(t *testing.T, inputs []*Reader, live liveSet) *Reader {
 				in.Docs = append(in.Docs, d)
 			}
 		}
-		for i, l := range c.Links {
-			if c.Out[i] {
-				in.OutLinks = append(in.OutLinks, l)
-			}
-		}
+		in.OutLinks = append(in.OutLinks, c.Links...)
 		in.Redirects = append(in.Redirects, c.Redirects...)
 	}
 	_, r := buildTemp(t, in)
@@ -245,46 +234,6 @@ func splitInput(all BuildInput, sizes []int) []BuildInput {
 	return out
 }
 
-// downgradeV1 rewrites a Build output as a version 1 file: block tables
-// without row counts, every other byte the same.
-func downgradeV1(t testing.TB, file []byte) []byte {
-	t.Helper()
-	r := openBytes(t, file)
-	ft := r.ft
-	out := append([]byte(nil), file[:ft.sections[secDict].off]...)
-	out[4] = 1
-	for s := 0; s < numSections; s++ {
-		sec := ft.sections[s]
-		b := file[sec.off : sec.off+sec.len]
-		off := len(out)
-		if slices.Contains(blockSections, s) {
-			tb, per := &r.tables[s], blockDocs
-			if s == secLinks || s == secRedirects {
-				per = linkBlockRows
-			}
-			for i := range tb.offs {
-				if tb.rows(i) != min(per, tb.ends[len(tb.ends)-1]-tb.first(i)) {
-					t.Fatalf("%s block %d holds %d rows; version 1 cannot say so", sectionName[s], i, tb.rows(i))
-				}
-			}
-			out = append(out, b[:len(b)-(4+12*len(tb.offs)+4)]...)
-			var e enc
-			e.u32(uint32(len(tb.offs)))
-			for _, o := range tb.offs {
-				e.u64(o)
-			}
-			e.u32(crc32.ChecksumIEEE(e.b))
-			out = append(out, e.b...)
-		} else {
-			out = append(out, b...)
-		}
-		ft.sections[s].off, ft.sections[s].len = uint64(off), uint64(len(out)-off)
-	}
-	var e enc
-	ft.encode(&e)
-	return append(out, e.b...)
-}
-
 // buildBytes builds in and returns the file's bytes.
 func buildBytes(t testing.TB, in BuildInput) []byte {
 	t.Helper()
@@ -300,8 +249,8 @@ func buildBytes(t testing.TB, in BuildInput) []byte {
 }
 
 // TestMergeMatchesBuild: over random documents, tombstones, metadata
-// overrides, input splits around the block size and version 1 inputs, a
-// merge reads back exactly as Build over the surviving rows does.
+// overrides and input splits around the block size, a merge reads back
+// exactly as Build over the surviving rows does.
 func TestMergeMatchesBuild(t *testing.T) {
 	for trial := 0; trial < 16; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -325,11 +274,7 @@ func TestMergeMatchesBuild(t *testing.T) {
 		var inputs []*Reader
 		live := liveSet{}
 		for _, in := range splitInput(all, sizes) {
-			b := buildBytes(t, in)
-			if rng.Intn(3) == 0 {
-				b = downgradeV1(t, b)
-			}
-			inputs = append(inputs, openBytes(t, b))
+			inputs = append(inputs, openBytes(t, buildBytes(t, in)))
 			touched := rng.Intn(2) == 0 // half the inputs keep every row as stored
 			for _, d := range in.Docs {
 				if touched && rng.Float64() < dead {
@@ -404,60 +349,6 @@ func TestMergeCopiesCleanBlocks(t *testing.T) {
 	}
 	if rows := merged.tables[secMeta].rows(2); rows != blockDocs-1 {
 		t.Fatalf("re-encoded block holds %d rows, want %d", rows, blockDocs-1)
-	}
-}
-
-// TestMergePresetDictFixture: a version 1 segment with preset dictionaries
-// and in-link rows merges with a fresh segment. Its blocks are re-encoded
-// (the output has no dictionaries), its in-link rows are dropped, and
-// every row it held reads back as its golden says.
-func TestMergePresetDictFixture(t *testing.T) {
-	b, err := os.ReadFile(presetDictFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g fixtureGolden
-	gb, err := os.ReadFile("testdata/preset-dict.golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(gb, &g); err != nil {
-		t.Fatal(err)
-	}
-	old := openBytes(t, b)
-	fresh := genInput(31, 2*blockDocs)
-	fresh.Shard = g.Shard
-	for i := range fresh.Docs {
-		fresh.Docs[i].Seq += g.MaxSeq
-	}
-	inputs := []*Reader{old, openBytes(t, buildBytes(t, fresh))}
-	live := allLive(t, inputs...)
-	st, merged := mergeTemp(t, inputs, live)
-	requireSameContent(t, "preset-dict + fresh", merged, reference(t, inputs, live))
-	// The fresh segment's two document blocks and its 256-row link block
-	// are copied, its 42-row redirect block is not.
-	if want := len(old.tables[secMeta].offs) + len(old.tables[secLinks].offs) + len(old.tables[secRedirects].offs); st.Reencoded != want+1 || st.Copied != 3 {
-		t.Fatalf("copied %d blocks and re-encoded %d; want 3, and the fixture's %d plus 1", st.Copied, st.Reencoded, want)
-	}
-	for _, s := range blockSections {
-		if d := merged.dicts[s]; len(d) != 0 {
-			t.Fatalf("merged %s dictionary: %d bytes", sectionName[s], len(d))
-		}
-	}
-	c, err := readContent(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(c.Docs[:len(g.Docs)], g.Docs) {
-		t.Fatal("the fixture's documents differ from its golden after the merge")
-	}
-	if !reflect.DeepEqual(c.Links[:len(g.OutLinks)], g.OutLinks) || len(c.Links) != len(g.OutLinks)+len(fresh.OutLinks) {
-		t.Fatalf("merged %d link rows; want the fixture's %d out-link rows, then the fresh segment's", len(c.Links), len(g.OutLinks))
-	}
-	for term, want := range g.Postings {
-		if got := c.Postings[term]; len(got) < len(want) || !reflect.DeepEqual(got[:len(want)], want) {
-			t.Fatalf("postings %q: got %v, golden %v first", term, got, want)
-		}
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 	"sync/atomic"
 )
 
-// Reader is an open immutable segment. Open reads the footer, the block
-// tables and the dictionaries; the sparse term index is parsed lazily on
-// first use and cached. A Reader is safe for concurrent use.
+// Reader is an open immutable segment. Open reads the footer and the block
+// tables and checks the dict section; the sparse term index is parsed
+// lazily on first use and cached. A Reader is safe for concurrent use.
 type Reader struct {
 	path   string
 	f      *os.File
@@ -25,7 +25,6 @@ type Reader struct {
 	size   int64
 	ft     footer
 	tables [numSections]blockTable // block sections only
-	dicts  [numSections][]byte     // preset dictionaries; Build and Merge write them empty
 
 	// Lazily parsed sparse term index. Concurrent first loads compute the
 	// same value; last store wins.
@@ -108,8 +107,8 @@ func (r *Reader) parseFooter() error {
 	if string(d[:4]) != magic {
 		return corruptf(r.path, "header", "bad magic %q", d[:4])
 	}
-	if d[4] < 1 || d[4] > version {
-		return corruptf(r.path, "header", "unsupported version %d", d[4])
+	if d[4] != version {
+		return corruptf(r.path, "header", "unsupported format version %d (this release reads version %d)", d[4], version)
 	}
 	tail := d[len(d)-8:]
 	if string(tail[4:]) != magic {
@@ -131,7 +130,7 @@ func (r *Reader) parseFooter() error {
 	r.ft.minSeq = int64(fd.u64())
 	r.ft.maxSeq = int64(fd.u64())
 	r.ft.outLinks = fd.u32()
-	r.ft.inLinks = fd.u32()
+	inLinks := fd.u32()
 	r.ft.redirs = fd.u32()
 	r.ft.shard = fd.u32()
 	crcOff := fd.off
@@ -141,6 +140,9 @@ func (r *Reader) parseFooter() error {
 	}
 	if got := crc32.ChecksumIEEE(fb[:crcOff]); got != want {
 		return corruptf(r.path, "footer", "crc mismatch: stored %08x computed %08x", want, got)
+	}
+	if inLinks != 0 {
+		return corruptf(r.path, "footer", "%d in-link rows; links are stored once, as out-link rows", inLinks)
 	}
 	for s := 0; s < numSections; s++ {
 		sec := r.ft.sections[s]
@@ -190,7 +192,8 @@ func (r *Reader) sectionBytes(s int) []byte {
 	return r.data[sec.off : sec.off+sec.len]
 }
 
-// parseDicts reads the dict section: one preset dictionary per section.
+// parseDicts checks the dict section: one dictionary length per section,
+// each of them 0, since no block is compressed against a preset dictionary.
 func (r *Reader) parseDicts() error {
 	b := r.sectionBytes(secDict)
 	if len(b) < 4 {
@@ -202,33 +205,30 @@ func (r *Reader) parseDicts() error {
 		return corruptf(r.path, "dict", "crc mismatch: stored %08x computed %08x", want, got)
 	}
 	d := newDec(body, r.path, "dict")
-	for s := range r.dicts {
-		r.dicts[s] = d.slice(int(d.uvarint()))
+	for s := 0; s < numSections; s++ {
+		if n := d.uvarint(); n != 0 && d.err == nil {
+			return corruptf(r.path, "dict", "%s dictionary of %d bytes; blocks have no preset dictionary", sectionName[s], n)
+		}
 	}
 	return d.err
 }
 
 // parseTables reads and CRC-checks every block section's table. Each block
 // must hold at least one row and the rows must add up to the footer's
-// count for the section; version 1 tables, which record no row counts, get
-// full blocks but a short last one. The three document sections must block
-// their rows identically.
+// count for the section. The three document sections must block their rows
+// identically.
 func (r *Reader) parseTables() error {
-	v1 := r.data[4] == 1 // the header's version byte
 	for _, s := range blockSections {
-		total, per := int(r.ft.docCount), blockDocs
-		if s == secLinks || s == secRedirects {
-			total, per = int(r.ft.redirs), linkBlockRows
-			if s == secLinks {
-				total = int(r.ft.outLinks) + int(r.ft.inLinks)
-			}
+		total := int(r.ft.docCount)
+		switch s {
+		case secLinks:
+			total = int(r.ft.outLinks)
+		case secRedirects:
+			total = int(r.ft.redirs)
 		}
 		sec := r.ft.sections[s]
-		count, entry := int(sec.aux), 12
-		if v1 {
-			entry = 8
-		}
-		tableLen := 4 + count*entry + 4
+		count := int(sec.aux)
+		tableLen := 4 + count*12 + 4
 		if uint64(tableLen) > sec.len {
 			return corruptf(r.path, sectionName[s], "block table of %d entries larger than section", count)
 		}
@@ -246,10 +246,7 @@ func (r *Reader) parseTables() error {
 		n := 0
 		for i := range t.offs {
 			t.offs[i] = d.u64()
-			rows := min(per, total-n)
-			if !v1 {
-				rows = int(d.u32())
-			}
+			rows := int(d.u32())
 			if rows <= 0 || rows > total-n {
 				return corruptf(r.path, sectionName[s], "block %d holds %d rows with %d of %d left", i, rows, total-n, total)
 			}
@@ -297,20 +294,28 @@ func (r *Reader) frame(s, idx int) ([]byte, error) {
 	return b[start:d.off], nil
 }
 
-// readBlock decompresses block idx of section s (uncached).
+// maxInflate bounds DEFLATE's expansion: a length-258 match costs at least
+// 2 bits, so no compressed byte inflates to more than 4 × 258 bytes.
+const maxInflate = 1032
+
+// readBlock decompresses block idx of section s (uncached). The frame CRC
+// covers only the compressed bytes, so they bound rawLen before it is used.
 func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	frame, err := r.frame(s, idx)
 	if err != nil {
 		return nil, err
 	}
 	rawLen, comp := int(binary.LittleEndian.Uint32(frame[4:])), frame[12:]
+	if rawLen > maxInflate*len(comp) {
+		return nil, corruptf(r.path, sectionName[s], "block %d claims %d bytes from %d compressed", idx, rawLen, len(comp))
+	}
 	inf := inflaters.Get().(*inflater)
 	defer func() {
 		inf.src.Reset(nil)
 		inflaters.Put(inf)
 	}()
 	inf.src.Reset(comp)
-	if err := inf.fr.(flate.Resetter).Reset(&inf.src, r.dicts[s]); err != nil {
+	if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
 		return nil, corruptf(r.path, sectionName[s], "block %d inflate: %v", idx, err)
 	}
 	raw := make([]byte, rawLen)
@@ -329,8 +334,8 @@ func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	return raw, nil
 }
 
-// inflaters pools block decoders: Reset re-arms one with the next block
-// and its section's dictionary, keeping its window and Huffman tables.
+// inflaters pools block decoders: Reset re-arms one with the next block,
+// keeping its window and Huffman tables.
 var inflaters = sync.Pool{New: func() any {
 	inf := &inflater{}
 	inf.fr = flate.NewReader(&inf.src)
@@ -559,19 +564,17 @@ func (r *Reader) visitPostings(term string, fn func(seq int64, tf int)) (int, er
 	return 0, nil
 }
 
-// VisitLinks streams the segment's link rows in insert order: the out-link
-// rows, then any in-link rows (only older segments hold them). out reports
-// which family a row belongs to.
-func (r *Reader) VisitLinks(fn func(l LinkRow, out bool) bool) error {
-	return r.visitRows(secLinks, func(pos int, d *dec) bool {
+// VisitLinks streams the segment's out-link rows in insert order.
+func (r *Reader) VisitLinks(fn func(l LinkRow) bool) error {
+	return r.visitRows(secLinks, func(d *dec) bool {
 		l := LinkRow{From: d.str(), To: d.str(), Anchor: d.str()}
-		return d.err == nil && fn(l, pos < int(r.ft.outLinks))
+		return d.err == nil && fn(l)
 	})
 }
 
 // VisitRedirects streams the segment's redirect rows in insert order.
 func (r *Reader) VisitRedirects(fn func(rd RedirectRow) bool) error {
-	return r.visitRows(secRedirects, func(_ int, d *dec) bool {
+	return r.visitRows(secRedirects, func(d *dec) bool {
 		rd := RedirectRow{From: d.str(), To: d.str()}
 		return d.err == nil && fn(rd)
 	})
@@ -580,7 +583,7 @@ func (r *Reader) VisitRedirects(fn func(rd RedirectRow) bool) error {
 // visitRows walks the rows of a link or redirect section, handing fn a
 // decoder positioned at each. fn decodes the row and returns false to stop
 // the walk, or on a decode error, which visitRows returns.
-func (r *Reader) visitRows(s int, fn func(pos int, d *dec) bool) error {
+func (r *Reader) visitRows(s int, fn func(d *dec) bool) error {
 	t := &r.tables[s]
 	for blk := range t.offs {
 		raw, err := r.readBlock(s, blk)
@@ -588,8 +591,8 @@ func (r *Reader) visitRows(s int, fn func(pos int, d *dec) bool) error {
 			return err
 		}
 		d := newDec(raw, r.path, sectionName[s])
-		for pos := t.first(blk); pos < t.ends[blk]; pos++ {
-			if !fn(pos, d) {
+		for i := 0; i < t.rows(blk); i++ {
+			if !fn(d) {
 				return d.err
 			}
 		}

@@ -185,22 +185,13 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Links and redirects round-trip in order. Build writes out-link rows
-	// only (TestPresetDictionarySegmentReads covers in-link rows).
-	var outs []LinkRow
-	ins := 0
-	if err := r.VisitLinks(func(l LinkRow, out bool) bool {
-		if out {
-			outs = append(outs, l)
-		} else {
-			ins++
-		}
-		return true
-	}); err != nil {
+	// Links and redirects round-trip in order.
+	var links []LinkRow
+	if err := r.VisitLinks(func(l LinkRow) bool { links = append(links, l); return true }); err != nil {
 		t.Fatalf("VisitLinks: %v", err)
 	}
-	if !reflect.DeepEqual(outs, in.OutLinks) || ins != 0 {
-		t.Fatalf("links mismatch: %d/%d out, %d in", len(outs), len(in.OutLinks), ins)
+	if !reflect.DeepEqual(links, in.OutLinks) {
+		t.Fatalf("links mismatch: %d of %d", len(links), len(in.OutLinks))
 	}
 	var reds []RedirectRow
 	if err := r.VisitRedirects(func(rd RedirectRow) bool { reds = append(reds, rd); return true }); err != nil {
@@ -222,7 +213,7 @@ func TestSegmentEmpty(t *testing.T) {
 	if err := r.VisitPostings("anything", func(int64, int) { t.Fatal("visited") }); err != nil {
 		t.Fatalf("VisitPostings: %v", err)
 	}
-	if err := r.VisitLinks(func(LinkRow, bool) bool { t.Fatal("visited"); return false }); err != nil {
+	if err := r.VisitLinks(func(LinkRow) bool { t.Fatal("visited"); return false }); err != nil {
 		t.Fatalf("VisitLinks: %v", err)
 	}
 }
@@ -253,7 +244,7 @@ func readAll(r *Reader) error {
 			return err
 		}
 	}
-	if err := r.VisitLinks(func(LinkRow, bool) bool { return true }); err != nil {
+	if err := r.VisitLinks(func(LinkRow) bool { return true }); err != nil {
 		return err
 	}
 	return r.VisitRedirects(func(RedirectRow) bool { return true })

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,113 +10,6 @@ import (
 
 	"github.com/bingo-search/bingo/internal/segment"
 )
-
-// copyDir copies the tree at src into dst.
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPreLinksFixtureReopens: testdata/prelinks was written when every link
-// was also stored as an in-link row on its target's shard. It has 4 shards,
-// each with a compacted and a frozen segment holding in-link rows and a WAL
-// tail of in-link records, plus cross-shard links and links to URLs that
-// are not stored. It reopens to the link relation it held then (the golden
-// was read back by the code that wrote it), and keeps it once freezes and
-// compactions have rewritten every row without in-link rows.
-func TestPreLinksFixtureReopens(t *testing.T) {
-	var golden map[string]struct {
-		Successors   []string `json:"successors"`
-		Predecessors []string `json:"predecessors"`
-		InAnchors    []string `json:"inAnchors"`
-	}
-	b, err := os.ReadFile("testdata/prelinks.golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &golden); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	copyDir(t, "testdata/prelinks", dir)
-	opt := testTierOpts()
-	opt.CompactFanout = 2
-	check := func(label string, s *Store) {
-		t.Helper()
-		endpoints := map[string]bool{}
-		for _, l := range s.Links() {
-			endpoints[l.From], endpoints[l.To] = true, true
-		}
-		if len(endpoints) != len(golden) {
-			t.Fatalf("%s: %d link endpoints, golden has %d", label, len(endpoints), len(golden))
-		}
-		for u, g := range golden {
-			r := linkReads(s, u)
-			if !equalStrings(r[0], g.Successors) || !equalStrings(r[1], g.Predecessors) || !equalStrings(r[2], g.InAnchors) {
-				t.Fatalf("%s: %s reads %v, golden %+v", label, u, r, g)
-			}
-		}
-	}
-
-	s := openTiered(t, dir, 4, opt)
-	check("reopened", s)
-	// A fresh document on every shard, so each compaction merges the
-	// fixture's version 1 segments with a version 2 one.
-	fresh := map[int]string{}
-	for i := 0; len(fresh) < 4; i++ {
-		u := fmt.Sprintf("http://fresh.example/%d", i)
-		if _, ok := fresh[s.ShardForURL(u)]; !ok {
-			fresh[s.ShardForURL(u)] = u
-			s.Insert(Document{URL: u, Text: "fresh", Terms: map[string]int{"fresh": 1}})
-		}
-	}
-	freezeAll(t, s)
-	reencoded := mCompactReenc.Value()
-	compactAll(t, s)
-	if mCompactReenc.Value() == reencoded {
-		t.Fatal("compacting segments with in-link rows re-encoded no block")
-	}
-	for i, sh := range s.shards {
-		segs := sh.tier.state.load().segs
-		if len(segs) != 1 {
-			t.Fatalf("shard %d: %d segments after compaction, want 1", i, len(segs))
-		}
-		if d, err := s.GetByURL(fresh[i]); err != nil || d.Text != "fresh" {
-			t.Fatalf("shard %d: fresh document after compaction: %+v, %v", i, d, err)
-		}
-		if err := segs[0].r.VisitLinks(func(l segment.LinkRow, out bool) bool {
-			if !out {
-				t.Fatalf("shard %d: compacted segment kept in-link row %+v", i, l)
-			}
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("compacted", s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := openTiered(t, dir, 4, opt)
-	defer re.Close()
-	check("compacted, reopened", re)
-}
 
 // TestPredecessorsNeedOnlySourceShard: a link is durable exactly when its
 // source shard's files are. Links from one shard to the other three come

@@ -554,10 +554,9 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats) error {
 	return nil
 }
 
-// ingestSegment creates the slim in-memory rows, cold refs, link rows and
-// redirect rows for one segment; each out-link row also enters its target
-// shard's in-link index, and in-link rows of older segments are skipped.
-// Called during open, before the store is shared, so no locks are needed.
+// ingestSegment creates one segment's slim in-memory rows, cold refs, link
+// rows and redirect rows, and adds each out-link row to its target shard's
+// in-link index. Called during open, before the store is shared: no locks.
 func (s *Store) ingestSegment(sh *storeShard, seg *tierSeg, tombs map[int64]struct{}) error {
 	t := sh.tier
 	err := seg.r.VisitMeta(func(pos int, seq int64, m segment.Meta) bool {
@@ -589,10 +588,8 @@ func (s *Store) ingestSegment(sh *storeShard, seg *tierSeg, tombs map[int64]stru
 	if err != nil {
 		return fmt.Errorf("store: shard %d: %w", sh.idx, err)
 	}
-	err = seg.r.VisitLinks(func(l segment.LinkRow, out bool) bool {
-		if out {
-			s.replayOutLink(sh, Link{From: l.From, To: l.To, Anchor: l.Anchor})
-		}
+	err = seg.r.VisitLinks(func(l segment.LinkRow) bool {
+		s.replayOutLink(sh, Link{From: l.From, To: l.To, Anchor: l.Anchor})
 		return true
 	})
 	if err != nil {

@@ -56,7 +56,7 @@ addr="$(cat "$tmp/port")"
 echo "smoke: portald serving on $addr"
 
 echo "smoke: checking readiness"
-"$tmp/loadgen" -target "http://$addr" -path /readyz -rate 5 -duration 1s -fail-on-errors
+curl -fsS "http://$addr/readyz"
 
 echo "smoke: 2s open-loop burst on /search (zero non-2xx/non-429 required)"
 "$tmp/loadgen" -target "http://$addr" -rate 200 -duration 2s -fail-on-errors
