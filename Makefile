@@ -105,9 +105,12 @@ doccheck:
 	$(GO) run ./cmd/doccheck internal/rpc internal/coord
 
 # loc prints the non-test Go lines outside the benchmark (cmd/bench and its
-# .bench_build output): the size figure ROADMAP.md tracks. A print, not a gate.
+# .bench_build output) per directory, then their total: the size figure
+# ROADMAP.md tracks. A print, not a gate.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # smoke-frontier is the CI leg of the scheduling lab: every scheduler
 # completes a tiny-world crawl, link-context harvests at least as well as

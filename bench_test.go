@@ -266,24 +266,6 @@ func BenchmarkCrawlThroughput(b *testing.B) {
 	b.ReportMetric(pages/float64(b.N), "stored")
 }
 
-// BenchmarkClassifierComparison pits the SVM against the Naive Bayes and
-// Maximum Entropy alternatives the paper names (§1.2).
-func BenchmarkClassifierComparison(b *testing.B) {
-	w := smallWorld()
-	for i := 0; i < b.N; i++ {
-		out, report, err := experiments.ClassifierComparison(w, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + report)
-			b.ReportMetric(out["svm"].F1, "svm-f1")
-			b.ReportMetric(out["naive-bayes"].F1, "nb-f1")
-			b.ReportMetric(out["maxent"].F1, "maxent-f1")
-		}
-	}
-}
-
 // BenchmarkFeatureCountSweep sweeps the MI feature count (§2.3's top-2000
 // tuning).
 func BenchmarkFeatureCountSweep(b *testing.B) {

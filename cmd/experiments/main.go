@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-world tiny|small|default] [-run all|table1|table2|table3|fig4|fig5|meta|mi|focus|tunnel|archetype|twophase|spaces|sweep|classifiers|hierarchy|trap|frontier]
+//	experiments [-world tiny|small|default] [-run all|table1|table2|table3|fig4|fig5|meta|mi|focus|tunnel|archetype|twophase|spaces|sweep|hierarchy|trap|frontier]
 package main
 
 import (
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	worldFlag := flag.String("world", "small", "synthetic world size: tiny, small or default")
-	runFlag := flag.String("run", "all", "experiment id (all, table1, table2, table3, fig4, fig5, meta, mi, focus, tunnel, archetype, twophase, spaces, sweep, classifiers, hierarchy, trap, frontier)")
+	runFlag := flag.String("run", "all", "experiment id (all, table1, table2, table3, fig4, fig5, meta, mi, focus, tunnel, archetype, twophase, spaces, sweep, hierarchy, trap, frontier)")
 	shortBudget := flag.Int64("short", 250, "short crawl page budget (the '90 minutes' analog)")
 	longBudget := flag.Int64("long", 2000, "long crawl page budget (the '12 hours' analog)")
 	topN := flag.Int("topn", 75, "ground-truth top-N author cut (the 'top 1000 DBLP authors' analog)")
@@ -161,12 +161,6 @@ func main() {
 	if want("sweep") {
 		ran = true
 		_, report, err := experiments.FeatureCountSweep(w, 40, []int{500, 1000, 2000, 5000})
-		check(err)
-		fmt.Fprintln(out, report)
-	}
-	if want("classifiers") {
-		ran = true
-		_, report, err := experiments.ClassifierComparison(w, 20)
 		check(err)
 		fmt.Fprintln(out, report)
 	}

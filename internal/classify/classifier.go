@@ -215,13 +215,6 @@ func (c *Classifier) DecideAt(topicPath string, d Doc) (vote int, confidence flo
 	return c.decideAtMode(topicPath, d, c.cfg.Meta)
 }
 
-// DecideAtWithMode is DecideAt with an explicit meta mode, letting the
-// engine use unanimous decisions in the learning phase and ξα-weighted
-// averaging during harvesting without retraining (§3.5).
-func (c *Classifier) DecideAtWithMode(topicPath string, d Doc, mode MetaMode) (int, float64) {
-	return c.decideAtMode(topicPath, d, mode)
-}
-
 func (c *Classifier) decideAtMode(topicPath string, d Doc, mode MetaMode) (int, float64) {
 	nc, ok := c.nodes[topicPath]
 	if !ok {

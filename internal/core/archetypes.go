@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 
 	"github.com/bingo-search/bingo/internal/classify"
 	"github.com/bingo-search/bingo/internal/features"
@@ -51,12 +50,12 @@ func (t *Tenant) linkAnalysis(topicPath string) (authorities, hubs []hits.Score)
 	)
 	g := hits.NewGraph()
 	for id := range nodeSet {
-		g.AddNode(id, hostOf(id))
+		g.AddNode(id, hits.HostOf(id))
 	}
 	for id := range nodeSet {
 		for _, succ := range e.store.Successors(id) {
 			if _, ok := nodeSet[succ]; ok {
-				g.AddEdge(id, hostOf(id), succ, hostOf(succ))
+				g.AddEdge(id, hits.HostOf(id), succ, hits.HostOf(succ))
 			}
 		}
 	}
@@ -211,17 +210,4 @@ func (t *Tenant) meanTrainingConfidence(topicPath string) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// hostOf extracts the hostname from an absolute URL (tolerant of the
-// synthetic world's simple URLs).
-func hostOf(u string) string {
-	rest := u
-	if i := strings.Index(rest, "://"); i >= 0 {
-		rest = rest[i+3:]
-	}
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	return rest
 }

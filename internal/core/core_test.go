@@ -7,7 +7,10 @@ import (
 
 	"github.com/bingo-search/bingo/internal/classify"
 	"github.com/bingo-search/bingo/internal/corpus"
+	"github.com/bingo-search/bingo/internal/crawler"
+	"github.com/bingo-search/bingo/internal/hits"
 	"github.com/bingo-search/bingo/internal/search"
+	"github.com/bingo-search/bingo/internal/store"
 )
 
 // newTestEngine wires an engine to the tiny synthetic world.
@@ -113,9 +116,35 @@ func TestLearnPromotesArchetypesAndRetrains(t *testing.T) {
 		if d.IsTraining {
 			continue
 		}
-		if host := hostOf(d.URL); registeredDomain(host) != "databases.example" {
+		if host := hits.HostOf(d.URL); crawler.RegisteredDomain(host) != "databases.example" {
 			t.Errorf("learning escaped seed domains: %s", d.URL)
 		}
+	}
+}
+
+// TestLinkAnalysisPortedLinkIsIntraHost: archetype selection groups hosts
+// the way authority ranking does, so a link from h.example:8080 to
+// h.example is intra-host and gives its target no authority, while the same
+// link from another host does.
+func TestLinkAnalysisPortedLinkIsIntraHost(t *testing.T) {
+	e, _ := newTestEngine(t, nil)
+	defer e.Close()
+	const topic = "ROOT/databases"
+	for _, u := range []string{"http://h.example:8080/hub", "http://h.example/auth", "http://other.example/hub", "http://h.example/auth2"} {
+		e.store.Insert(store.Document{URL: u, Topic: topic})
+	}
+	e.store.AddLink(store.Link{From: "http://h.example:8080/hub", To: "http://h.example/auth"})
+	e.store.AddLink(store.Link{From: "http://other.example/hub", To: "http://h.example/auth2"})
+	authorities, _ := e.def.linkAnalysis(topic)
+	auth := map[string]float64{}
+	for _, s := range authorities {
+		auth[s.ID] = s.Value
+	}
+	if a := auth["http://h.example/auth"]; a != 0 {
+		t.Errorf("ported same-host link gave authority %v, want 0 (intra-host)", a)
+	}
+	if a := auth["http://h.example/auth2"]; a <= 0 {
+		t.Errorf("inter-host link gave authority %v, want > 0", a)
 	}
 }
 
@@ -160,7 +189,7 @@ func TestHarvestBeyondSeedDomains(t *testing.T) {
 	}
 	outside := 0
 	for _, d := range e.Store().All() {
-		if registeredDomain(hostOf(d.URL)) != "databases.example" {
+		if crawler.RegisteredDomain(hits.HostOf(d.URL)) != "databases.example" {
 			outside++
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"net/url"
-	"strings"
 	"sync/atomic"
 
 	"github.com/bingo-search/bingo/internal/classify"
@@ -169,22 +168,13 @@ func (t *Tenant) seedDomains() []string {
 		if err != nil {
 			continue
 		}
-		d := registeredDomain(u.Hostname())
+		d := crawler.RegisteredDomain(u.Hostname())
 		if _, dup := seen[d]; !dup {
 			seen[d] = struct{}{}
 			out = append(out, d)
 		}
 	}
 	return out
-}
-
-// registeredDomain mirrors the crawler's domain recognition.
-func registeredDomain(host string) string {
-	parts := strings.Split(host, ".")
-	if len(parts) <= 2 {
-		return host
-	}
-	return strings.Join(parts[len(parts)-2:], ".")
 }
 
 // reseedWithHubs pushes the best hubs of each topic's link analysis onto

@@ -12,6 +12,7 @@ import (
 	"github.com/bingo-search/bingo/internal/classify"
 	"github.com/bingo-search/bingo/internal/features"
 	"github.com/bingo-search/bingo/internal/frontier"
+	"github.com/bingo-search/bingo/internal/segment"
 	"github.com/bingo-search/bingo/internal/store"
 )
 
@@ -96,7 +97,7 @@ func (e *Engine) SaveSession() error {
 	var buf bytes.Buffer
 	err := writeSessionState(&buf, st)
 	if err == nil {
-		err = writeFileAtomic(filepath.Join(e.cfg.DataDir, sessionFile), buf.Bytes())
+		err = segment.WriteFileAtomic(filepath.Join(e.cfg.DataDir, sessionFile), buf.Bytes())
 	}
 	if err != nil {
 		return fmt.Errorf("core: save session: %w", err)
@@ -111,30 +112,6 @@ func writeSessionState(w io.Writer, st sessionState) error {
 		return err
 	}
 	return gob.NewEncoder(w).Encode(&st)
-}
-
-// writeFileAtomic writes b to a temp file, fsyncs it, and renames it over
-// path, so a crash leaves either the old file or the new one.
-func writeFileAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 // readSessionState reads what writeSessionState wrote. Anything else is an

@@ -16,9 +16,9 @@
 //     recovery algorithm with two hard-to-find open-source project pages
 //     (§5.3).
 //
-// The world is served through an http.RoundTripper (in-process, used by the
-// crawler experiments) or an http.Handler (real sockets, used by
-// cmd/webgen), and exposes a DNS table for the resolver simulation.
+// The world is served in-process through an http.RoundTripper, so the
+// production fetcher runs unchanged against it, and exposes a DNS table for
+// the resolver simulation.
 package corpus
 
 import (

@@ -1,12 +1,10 @@
 package corpus
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -150,29 +148,6 @@ func TestRoundTripper(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
 		t.Errorf("missing page status = %d", resp.StatusCode)
-	}
-}
-
-func TestHandlerOverRealHTTP(t *testing.T) {
-	w := tinyWorld(t)
-	srv := httptest.NewServer(w.Handler())
-	defer srv.Close()
-	seed := w.SeedURLs()[0]
-	host := hostOfURL(seed)
-	path := strings.TrimPrefix(seed, "http://"+host)
-	req, _ := http.NewRequestWithContext(context.Background(), "GET", srv.URL+path, nil)
-	req.Host = host
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "author0000") {
-		t.Errorf("body = %.80s", body)
 	}
 }
 

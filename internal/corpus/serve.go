@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"github.com/bingo-search/bingo/internal/dns"
 	"github.com/bingo-search/bingo/internal/htmldoc"
@@ -19,28 +18,14 @@ import (
 // transport serves the world in-process as an http.RoundTripper, so the
 // production fetcher code path runs unchanged against the synthetic Web.
 type transport struct {
-	w        *World
-	requests atomic.Int64
+	w *World
 }
 
 // RoundTripper returns an in-process transport for the world.
 func (w *World) RoundTripper() http.RoundTripper { return &transport{w: w} }
 
-// RoundTripperVia returns the in-process transport wrapped by mw — the
-// splice point for the fault-injection plane (internal/faults), which sits
-// between the fetcher and the synthetic web exactly where a hostile
-// network would. A nil mw yields the plain transport.
-func (w *World) RoundTripperVia(mw func(http.RoundTripper) http.RoundTripper) http.RoundTripper {
-	rt := w.RoundTripper()
-	if mw != nil {
-		rt = mw(rt)
-	}
-	return rt
-}
-
 // RoundTrip implements http.RoundTripper.
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.requests.Add(1)
 	u := *req.URL
 	u.Fragment = ""
 	if t.w.cfg.WithTrap && u.Hostname() == TrapHost {
@@ -110,25 +95,6 @@ func notFound(req *http.Request) *http.Response {
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}
-}
-
-// Requests returns how many round trips the transport has served.
-func (t *transport) Requests() int64 { return t.requests.Load() }
-
-// Handler serves the world over real HTTP (for cmd/webgen). Hosts are
-// distinguished by the Host header; a request for an unknown host/path is a
-// 404.
-func (w *World) Handler() http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		u := "http://" + req.Host + req.URL.Path
-		page, ok := w.Pages[u]
-		if !ok {
-			http.NotFound(rw, req)
-			return
-		}
-		rw.Header().Set("Content-Type", page.ContentType)
-		rw.Write(page.Body)
-	})
 }
 
 // DNSTable exposes every generated host for the resolver simulation.

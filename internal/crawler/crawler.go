@@ -523,7 +523,7 @@ func (c *Crawler) domainAllowed(host string) bool {
 	if len(c.cfg.AllowedDomains) == 0 {
 		return true
 	}
-	d := registeredDomain(host)
+	d := RegisteredDomain(host)
 	for _, allowed := range c.cfg.AllowedDomains {
 		if d == allowed || host == allowed || strings.HasSuffix(host, "."+allowed) {
 			return true

@@ -285,8 +285,8 @@ func TestRegisteredDomain(t *testing.T) {
 		"x.y":                    "x.y",
 	}
 	for in, want := range cases {
-		if got := registeredDomain(in); got != want {
-			t.Errorf("registeredDomain(%q) = %q, want %q", in, got, want)
+		if got := RegisteredDomain(in); got != want {
+			t.Errorf("RegisteredDomain(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func newHostLimiterDelay(maxPerHost, maxPerDomain int, delay time.Duration) *hos
 // configured, until the host's cool-down has elapsed); it returns false if
 // the limiter was closed while waiting.
 func (l *hostLimiter) Acquire(host string) bool {
-	domain := registeredDomain(host)
+	domain := RegisteredDomain(host)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
@@ -77,7 +77,7 @@ func (l *hostLimiter) Acquire(host string) bool {
 
 // Release frees a slot.
 func (l *hostLimiter) Release(host string) {
-	domain := registeredDomain(host)
+	domain := RegisteredDomain(host)
 	l.mu.Lock()
 	if l.hostCount[host] > 0 {
 		l.hostCount[host]--
@@ -103,9 +103,9 @@ func (l *hostLimiter) Close() {
 	l.cond.Broadcast()
 }
 
-// registeredDomain approximates the recognized domain as the last two
+// RegisteredDomain approximates the recognized domain as the last two
 // labels of the hostname ("cs00.databases.example" -> "databases.example").
-func registeredDomain(host string) string {
+func RegisteredDomain(host string) string {
 	last := strings.LastIndexByte(host, '.')
 	if last < 0 {
 		return host

@@ -8,10 +8,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
-	"github.com/bingo-search/bingo/internal/classify"
 	"github.com/bingo-search/bingo/internal/core"
 	"github.com/bingo-search/bingo/internal/corpus"
 	"github.com/bingo-search/bingo/internal/crawler"
@@ -290,14 +288,4 @@ func MITopTerms(w *corpus.World, k int) []string {
 		return nil
 	}
 	return cls.TopFeatures("ROOT/databases", k)
-}
-
-// sortedTopics returns the topic paths of a labeled set, primary first.
-func sortedTopics(m map[string][]classify.Doc) []string {
-	out := make([]string, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -226,28 +226,6 @@ func TestFeatureSpaceAblation(t *testing.T) {
 	}
 }
 
-func TestClassifierComparison(t *testing.T) {
-	w := tinyWorld()
-	out, report, err := ClassifierComparison(w, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("out = %v", out)
-	}
-	for name, s := range out {
-		if s.F1 < 0.5 {
-			t.Errorf("%s F1 = %.3f", name, s.F1)
-		}
-		if s.Accuracy < 0.5 || s.Accuracy > 1 {
-			t.Errorf("%s accuracy = %.3f", name, s.Accuracy)
-		}
-	}
-	if !strings.Contains(report, "svm") || !strings.Contains(report, "naive-bayes") {
-		t.Errorf("report = %q", report)
-	}
-}
-
 func TestRunHierarchy(t *testing.T) {
 	w := corpus.Generate(corpus.TinyHierarchicalConfig())
 	run, err := RunHierarchy(context.Background(), w, 120, 300)

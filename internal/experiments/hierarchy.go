@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/bingo-search/bingo/internal/core"
@@ -89,10 +90,19 @@ func RunHierarchy(ctx context.Context, w *corpus.World, learnBudget, harvestBudg
 func HierarchyReport(run *HierarchyRun) string {
 	var b strings.Builder
 	b.WriteString("Hierarchical classification during crawl (two-level tree)\n")
-	for leaf, n := range run.PerLeaf {
-		fmt.Fprintf(&b, "  %-28s %5d documents\n", leaf, n)
+	leaves := make([]string, 0, len(run.PerLeaf))
+	for leaf := range run.PerLeaf {
+		leaves = append(leaves, leaf)
+	}
+	sort.Strings(leaves)
+	for _, leaf := range leaves {
+		fmt.Fprintf(&b, "  %-28s %5d documents\n", leaf, run.PerLeaf[leaf])
 	}
 	fmt.Fprintf(&b, "  leaf routing accuracy on author pages: %d/%d = %.3f\n",
 		run.Correct, run.Evaluated, run.LeafAccuracy())
+	// The per-leaf MI features: the §2.3 example's shape in a two-level tree.
+	for _, leaf := range leaves {
+		fmt.Fprintf(&b, "  top features for %s: %v\n", leaf, run.Engine.Classifier().TopFeatures(leaf, 8))
+	}
 	return b.String()
 }

@@ -340,15 +340,6 @@ func newRobotsCacheIf(on bool) *robotsCache {
 // Breakers returns the fetcher's breaker set (nil when disabled).
 func (f *Fetcher) Breakers() *BreakerSet { return f.cfg.Breaker }
 
-// BreakerAllow consults the host's circuit breaker (always allowed when
-// breakers are disabled).
-func (f *Fetcher) BreakerAllow(host string) (ok bool, retryIn time.Duration) {
-	if f.cfg.Breaker == nil {
-		return true, 0
-	}
-	return f.cfg.Breaker.Allow(host)
-}
-
 // ValidateURL applies the structural limits; it returns the parsed URL.
 func (f *Fetcher) ValidateURL(raw string) (*url.URL, error) {
 	if len(raw) > MaxURLLen {

@@ -1,14 +1,14 @@
 // Package hits implements the link-analysis distiller of BINGO! (§2.5): a
 // variation of Kleinberg's HITS algorithm with the Bharat–Henzinger
 // improvements, applied per topic to identify authorities (candidates for
-// archetype promotion) and hubs (the best candidates to crawl next). A
-// PageRank implementation is included for comparison experiments.
+// archetype promotion) and hubs (the best candidates to crawl next).
 package hits
 
 import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,8 +30,6 @@ var (
 type Graph struct {
 	nodes map[string]int
 	ids   []string
-	out   [][]int
-	in    [][]int
 	hosts []string
 	// edgeSet deduplicates edges.
 	edgeSet map[[2]int]struct{}
@@ -55,8 +53,6 @@ func (g *Graph) AddNode(id, host string) int {
 	ix := len(g.ids)
 	g.nodes[id] = ix
 	g.ids = append(g.ids, id)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	g.hosts = append(g.hosts, host)
 	return ix
 }
@@ -74,8 +70,6 @@ func (g *Graph) AddEdge(from, fromHost, to, toHost string) {
 		return
 	}
 	g.edgeSet[key] = struct{}{}
-	g.out[f] = append(g.out[f], t)
-	g.in[t] = append(g.in[t], f)
 }
 
 // NumNodes returns the node count.
@@ -308,55 +302,35 @@ func normalize(v []float64) {
 	}
 }
 
-// PageRank computes the standard PageRank vector with damping factor d,
-// provided as a comparison ranking for the local search engine.
-func (g *Graph) PageRank(d float64, maxIter int, tol float64) []Score {
-	n := len(g.ids)
-	if n == 0 {
-		return nil
+// HostOf extracts the host part of an absolute URL without a full parse:
+// scheme, path/query/fragment, userinfo, and port are stripped, so
+// `http://user@Host.example:8080/p` and `http://host.example/q` agree on
+// the host the Bharat–Henzinger heuristics group by. A bracketed IPv6
+// literal keeps its colons; an unbracketed multi-colon rest is returned
+// as-is (no port to strip). Both HITS graphs, archetype selection's and
+// authority ranking's, take their hosts from here, so they agree on which
+// links are intra-host.
+func HostOf(u string) string {
+	rest := u
+	if i := strings.Index(rest, "://"); i >= 0 {
+		rest = rest[i+3:]
 	}
-	if d <= 0 || d >= 1 {
-		d = 0.85
+	if i := strings.IndexAny(rest, "/?#"); i >= 0 {
+		rest = rest[:i]
 	}
-	if maxIter <= 0 {
-		maxIter = 50
+	if i := strings.LastIndexByte(rest, '@'); i >= 0 {
+		rest = rest[i+1:]
 	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	pr := make([]float64, n)
-	next := make([]float64, n)
-	for i := range pr {
-		pr[i] = 1 / float64(n)
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		base := (1 - d) / float64(n)
-		var dangling float64
-		for i := range next {
-			next[i] = base
+	if strings.HasPrefix(rest, "[") {
+		if i := strings.IndexByte(rest, ']'); i >= 0 {
+			return rest[1:i]
 		}
-		for i, outs := range g.out {
-			if len(outs) == 0 {
-				dangling += pr[i]
-				continue
-			}
-			share := d * pr[i] / float64(len(outs))
-			for _, t := range outs {
-				next[t] += share
-			}
-		}
-		spread := d * dangling / float64(n)
-		delta := 0.0
-		for i := range next {
-			next[i] += spread
-			delta += math.Abs(next[i] - pr[i])
-		}
-		pr, next = next, pr
-		if delta < tol {
-			break
-		}
+		return rest
 	}
-	return g.ranked(pr)
+	if i := strings.IndexByte(rest, ':'); i >= 0 && strings.IndexByte(rest[i+1:], ':') < 0 {
+		rest = rest[:i]
+	}
+	return strings.ToLower(rest)
 }
 
 // ExpandBaseSet implements the §2.5 node-set construction: starting from the

@@ -131,46 +131,6 @@ func TestEmptyGraphRun(t *testing.T) {
 	if len(res.Authorities) != 0 || len(res.Hubs) != 0 {
 		t.Errorf("empty graph result = %+v", res)
 	}
-	if pr := g.PageRank(0.85, 10, 0); pr != nil {
-		t.Errorf("empty PageRank = %v", pr)
-	}
-}
-
-func TestPageRank(t *testing.T) {
-	g := NewGraph()
-	// b receives links from a, c, d; d receives one from b.
-	g.AddEdge("a", "h1", "b", "h2")
-	g.AddEdge("c", "h3", "b", "h2")
-	g.AddEdge("d", "h4", "b", "h2")
-	g.AddEdge("b", "h2", "d", "h4")
-	pr := g.PageRank(0.85, 100, 1e-12)
-	if pr[0].ID != "b" {
-		t.Errorf("top PageRank = %v", pr[0])
-	}
-	// probabilities sum to 1
-	var sum float64
-	for _, s := range pr {
-		sum += s.Value
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("PageRank sum = %v", sum)
-	}
-}
-
-func TestPageRankDanglingNodes(t *testing.T) {
-	g := NewGraph()
-	g.AddEdge("a", "h1", "sink", "h2") // sink has no out-links
-	pr := g.PageRank(0.85, 100, 1e-12)
-	var sum float64
-	for _, s := range pr {
-		sum += s.Value
-		if math.IsNaN(s.Value) {
-			t.Fatalf("NaN rank for %s", s.ID)
-		}
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("sum with dangling = %v", sum)
-	}
 }
 
 func TestExpandBaseSet(t *testing.T) {
@@ -255,20 +215,6 @@ func BenchmarkHITS(b *testing.B) {
 	}
 }
 
-func TestPageRankParamClamps(t *testing.T) {
-	g := NewGraph()
-	g.AddEdge("a", "h1", "b", "h2")
-	// invalid damping and tolerance fall back to defaults without panics
-	pr := g.PageRank(2.5, -1, -1)
-	var sum float64
-	for _, s := range pr {
-		sum += s.Value
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("sum = %v", sum)
-	}
-}
-
 // TestExpandBaseSetIgnoresPredecessorOrder: the capped predecessors are
 // chosen by URL, so any order the link database returns them in — flush
 // order live, rebuilt order after a reopen — yields the same node set.
@@ -346,6 +292,32 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: hub[%d] = %+v, sequential %+v",
 					workers, i, par.Hubs[i], seq.Hubs[i])
 			}
+		}
+	}
+}
+
+func TestHostOf(t *testing.T) {
+	cases := map[string]string{
+		"http://a.example/path":  "a.example",
+		"https://b.example":      "b.example",
+		"no-scheme/path":         "no-scheme",
+		"http://c.example/p/q#f": "c.example",
+		// userinfo and port must not leak into the host used for
+		// Bharat–Henzinger intra-host suppression.
+		"http://user@host.example:8080/p":      "host.example",
+		"http://user:pw@host.example/p":        "host.example",
+		"http://host.example:80":               "host.example",
+		"ftp://u@h.example:21/x?y=1":           "h.example",
+		"http://HOST.Example/p":                "host.example",
+		"http://host.example?q=1":              "host.example",
+		"http://[2001:db8::1]:8080/p":          "2001:db8::1",
+		"http://user@[2001:db8::1]/p":          "2001:db8::1",
+		"2001:db8::2/path":                     "2001:db8::2", // unbracketed v6: no port to strip
+		"http://a.example:8080/u@nothost/page": "a.example",
+	}
+	for in, want := range cases {
+		if got := HostOf(in); got != want {
+			t.Errorf("HostOf(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -56,8 +56,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			out[n] = e.gauge.Value()
 		case kindFloatGauge:
 			out[n] = e.fgauge.Value()
-		case kindGaugeFunc:
-			out[n] = e.gaugeFn()
 		case kindFloatGaugeFunc:
 			out[n] = e.fgaugeFn()
 		case kindHistogram:
@@ -84,8 +82,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, e.gauge.Value())
 		case kindFloatGauge:
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, e.fgauge.Value())
-		case kindGaugeFunc:
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, e.gaugeFn())
 		case kindFloatGaugeFunc:
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, e.fgaugeFn())
 		case kindHistogram:

@@ -107,7 +107,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindFloatGauge
-	kindGaugeFunc
 	kindFloatGaugeFunc
 	kindHistogram
 )
@@ -118,7 +117,6 @@ type entry struct {
 	counter   *Counter
 	gauge     *Gauge
 	fgauge    *FloatGauge
-	gaugeFn   func() int64
 	fgaugeFn  func() float64
 	histogram *Histogram
 }
@@ -190,21 +188,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return r.lookup(name, kindHistogram).histogram
 }
 
-// GaugeFunc registers fn as a sampled gauge: exporters call it at snapshot
-// time. Re-registering a name replaces the function (latest wins).
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		if e.kind != kindGaugeFunc {
-			panic(fmt.Sprintf("metrics: %q already registered with a different kind", name))
-		}
-		e.gaugeFn = fn
-		return
-	}
-	r.entries[name] = &entry{kind: kindGaugeFunc, gaugeFn: fn}
-}
-
 // FloatGaugeFunc registers fn as a sampled float gauge: exporters call it
 // at snapshot time (derived levels like hit ratios, which would drift if
 // stored). Re-registering a name replaces the function (latest wins).
@@ -250,9 +233,6 @@ func NewFloatGauge(name string) *FloatGauge { return defaultRegistry.FloatGauge(
 
 // NewHistogram returns the default-registry histogram for name.
 func NewHistogram(name string) *Histogram { return defaultRegistry.Histogram(name) }
-
-// RegisterGaugeFunc registers a sampled gauge on the default registry.
-func RegisterGaugeFunc(name string, fn func() int64) { defaultRegistry.GaugeFunc(name, fn) }
 
 // RegisterFloatGaugeFunc registers a sampled float gauge on the default
 // registry.

@@ -157,7 +157,7 @@ func TestExportFormats(t *testing.T) {
 	r.Counter("crawler_pages_stored_total").Add(7)
 	r.Gauge("frontier_queued").Set(42)
 	r.FloatGauge("hits_delta").Set(0.25)
-	r.GaugeFunc("store_docs", func() int64 { return 9 })
+	r.FloatGaugeFunc("store_docs", func() float64 { return 9 })
 	h := r.Histogram("fetch_nanos")
 	h.Observe(900)
 	h.Observe(3000)

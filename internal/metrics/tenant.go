@@ -58,16 +58,6 @@ func TenantCounter(base, tenant string) *Counter {
 	return NewCounter(TenantName(base, tenant))
 }
 
-// TenantGauge returns the gauge for one tenant's series of base.
-func TenantGauge(base, tenant string) *Gauge {
-	return NewGauge(TenantName(base, tenant))
-}
-
-// TenantHistogram returns the histogram for one tenant's series of base.
-func TenantHistogram(base, tenant string) *Histogram {
-	return NewHistogram(TenantName(base, tenant))
-}
-
 func sanitizeTenantLabel(tenant string) string {
 	if tenant == "" {
 		return "default"

@@ -96,7 +96,7 @@ candidate:
 	if w.Authority != 0 {
 		g := hits.NewGraph()
 		for _, l := range s.Links() {
-			g.AddEdge(l.From, hostOf(l.From), l.To, hostOf(l.To))
+			g.AddEdge(l.From, hits.HostOf(l.From), l.To, hits.HostOf(l.To))
 		}
 		auth := make(map[string]float64)
 		for _, sc := range g.Run(hits.DefaultOptions()).Authorities {

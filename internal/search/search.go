@@ -213,32 +213,3 @@ outer:
 	}
 	return false
 }
-
-// hostOf extracts the host part of an absolute URL without a full parse:
-// scheme, path/query/fragment, userinfo, and port are stripped, so
-// `http://user@Host.example:8080/p` and `http://host.example/q` agree on
-// the host the Bharat–Henzinger heuristics group by. A bracketed IPv6
-// literal keeps its colons; an unbracketed multi-colon rest is returned
-// as-is (no port to strip).
-func hostOf(u string) string {
-	rest := u
-	if i := strings.Index(rest, "://"); i >= 0 {
-		rest = rest[i+3:]
-	}
-	if i := strings.IndexAny(rest, "/?#"); i >= 0 {
-		rest = rest[:i]
-	}
-	if i := strings.LastIndexByte(rest, '@'); i >= 0 {
-		rest = rest[i+1:]
-	}
-	if strings.HasPrefix(rest, "[") {
-		if i := strings.IndexByte(rest, ']'); i >= 0 {
-			return rest[1:i]
-		}
-		return rest
-	}
-	if i := strings.IndexByte(rest, ':'); i >= 0 && strings.IndexByte(rest[i+1:], ':') < 0 {
-		rest = rest[:i]
-	}
-	return strings.ToLower(rest)
-}

@@ -162,32 +162,6 @@ func TestEmptyAndStopwordQueries(t *testing.T) {
 	}
 }
 
-func TestHostOf(t *testing.T) {
-	cases := map[string]string{
-		"http://a.example/path":  "a.example",
-		"https://b.example":      "b.example",
-		"no-scheme/path":         "no-scheme",
-		"http://c.example/p/q#f": "c.example",
-		// userinfo and port must not leak into the host used for
-		// Bharat–Henzinger intra-host suppression.
-		"http://user@host.example:8080/p":      "host.example",
-		"http://user:pw@host.example/p":        "host.example",
-		"http://host.example:80":               "host.example",
-		"ftp://u@h.example:21/x?y=1":           "h.example",
-		"http://HOST.Example/p":                "host.example",
-		"http://host.example?q=1":              "host.example",
-		"http://[2001:db8::1]:8080/p":          "2001:db8::1",
-		"http://user@[2001:db8::1]/p":          "2001:db8::1",
-		"2001:db8::2/path":                     "2001:db8::2", // unbracketed v6: no port to strip
-		"http://a.example:8080/u@nothost/page": "a.example",
-	}
-	for in, want := range cases {
-		if got := hostOf(in); got != want {
-			t.Errorf("hostOf(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func BenchmarkSearch(b *testing.B) {
 	s := store.New()
 	for i := 0; i < 2000; i++ {

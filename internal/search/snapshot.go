@@ -464,7 +464,7 @@ func AuthorityFromLinks(links []store.Link) map[string]float64 {
 	})
 	g := hits.NewGraph()
 	for _, l := range links {
-		g.AddEdge(l.From, hostOf(l.From), l.To, hostOf(l.To))
+		g.AddEdge(l.From, hits.HostOf(l.From), l.To, hits.HostOf(l.To))
 	}
 	res := g.Run(hits.DefaultOptions())
 	byURL := make(map[string]float64, len(res.Authorities))

@@ -41,6 +41,7 @@ func writeFile(path string, write func(w *countingWriter) error) (n int64, err e
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
+		os.Remove(tmp) // leave no tmp behind, whatever blocked the create
 		return 0, fmt.Errorf("segment: write %s: %w", path, err)
 	}
 	defer func() {
@@ -76,6 +77,18 @@ func writeFile(path string, write func(w *countingWriter) error) (n int64, err e
 		return 0, err
 	}
 	return w.n, nil
+}
+
+// WriteFileAtomic replaces path with b the way Build writes a segment (tmp
+// + fsync + rename + dir fsync). Any failure before the rename removes tmp
+// and leaves path as it was. The store's manifest and TIER.json and the
+// crawl session are written through it.
+func WriteFileAtomic(path string, b []byte) error {
+	_, err := writeFile(path, func(w *countingWriter) error {
+		_, err := w.Write(b)
+		return err
+	})
+	return err
 }
 
 type countingWriter struct {

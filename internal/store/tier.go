@@ -388,49 +388,7 @@ func checkTierLayout(dir string, p int) error {
 	}
 	layout.Shards = p
 	b, _ = json.Marshal(layout)
-	return atomicWriteFile(path, b)
-}
-
-// atomicWriteFile replaces path with b: tmp file, fsync, rename, dir fsync.
-// Any failure before the rename removes tmp and leaves path as it was.
-func atomicWriteFile(path string, b []byte) error {
-	tmp := path + ".tmp"
-	err := writeSynced(tmp, b)
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-func writeSynced(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: sync dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("store: sync dir: %w", err)
-	}
-	return nil
+	return segment.WriteFileAtomic(path, b)
 }
 
 // openShardTier loads one shard: manifest → segments (slim rows, cold
@@ -1176,7 +1134,7 @@ func (s *Store) commitManifestLocked(sh *storeShard) error {
 	if err != nil {
 		return fmt.Errorf("store: shard %d: manifest: %w", sh.idx, err)
 	}
-	if err := atomicWriteFile(t.manifestPath(), b); err != nil {
+	if err := segment.WriteFileAtomic(t.manifestPath(), b); err != nil {
 		return err
 	}
 	// Old WAL generations are now redundant.

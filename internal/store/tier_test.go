@@ -712,18 +712,19 @@ func TestTieredOrphanCleanup(t *testing.T) {
 	}
 }
 
-// TestAtomicWriteFileFailureKeepsOld: when the tmp file cannot be written
-// the write reports it, the old file stays, and tmp is cleaned up. (A
-// failing fsync needs a filesystem fault seam to provoke.)
+// TestAtomicWriteFileFailureKeepsOld: when the tmp file cannot be written,
+// the writer the manifest and TIER.json go through reports it, the old file
+// stays, and tmp is cleaned up. (A failing fsync, of the file or of its
+// directory, needs a filesystem fault seam to provoke.)
 func TestAtomicWriteFileFailureKeepsOld(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "MANIFEST.json")
-	if err := atomicWriteFile(path, []byte("old")); err != nil {
+	if err := segment.WriteFileAtomic(path, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(path, []byte("new")); err == nil {
+	if err := segment.WriteFileAtomic(path, []byte("new")); err == nil {
 		t.Fatal("write through an unwritable tmp reported success")
 	}
 	if b, err := os.ReadFile(path); err != nil || string(b) != "old" {

@@ -29,11 +29,6 @@ func DefaultWorldConfig() WorldConfig { return corpus.DefaultConfig() }
 // in seconds (~2k pages, 300 authors).
 func SmallWorldConfig() WorldConfig { return corpus.SmallConfig() }
 
-// HierarchicalWorldConfig is SmallWorldConfig with the primary topic split
-// into two ground-truth subcommunities ("systems", "mining"), for crawls
-// over a two-level topic tree like the paper's Figure 2.
-func HierarchicalWorldConfig() WorldConfig { return corpus.HierarchicalConfig() }
-
 // TinyWorldConfig is a small, fast world for demos and tests.
 func TinyWorldConfig() WorldConfig { return corpus.TinyConfig() }
 
