@@ -61,12 +61,16 @@ bench:
 # workload once for 2 s at seed 2003, untraced. run.sh exits 0 only when the
 # run is "correct":true with 0 failed operations — for serve-churn that
 # includes every freshness marker turning visible and the post-churn
-# bit-identity oracle against a fresh engine.
+# bit-identity oracle against a fresh engine. A last, traced serve-sharded
+# leg runs the per-layer replay, the only caller left of the two-phase
+# rpc Score/Gather pair.
 bench-smoke:
 	@for w in ingest-tiered serve-cold serve-sharded serve-churn; do \
 		echo "bench-smoke: $$w"; \
 		bash cmd/bench/run.sh --workload $$w --seed 2003 --seconds 2 --trace 0 || exit 1; \
 	done
+	@echo "bench-smoke: serve-sharded, traced"
+	bash cmd/bench/run.sh --workload serve-sharded --seed 2003 --seconds 2 --trace 1
 
 # bench-compare prints metric · old → new · delta for two result files and
 # exits 1 on a regression beyond a metric's bound:

@@ -11,13 +11,12 @@
 //     its norms under the global idf table.
 //
 //   - Scatter-gather queries: compile the query plan once against the
-//     merged idf (search.Planner), fan phase 1 out to collect per-shard
-//     component maxima, reduce (max is order-independent), fan phase 2 out
-//     under the global maxima, and merge the per-shard top-K lists under
-//     the engine's score-desc/URL-asc total order. A version conflict from
-//     any shard triggers one stats resync and one retry; a dead shard
-//     degrades the answer (Result.Degraded + Result.Missing) instead of
-//     failing it.
+//     merged idf (search.Planner), ask every shard once for its local
+//     component maxima and K-skyband rows, then reduce the maxima and rank
+//     the rows under the engine's score-desc/URL-asc total order
+//     (search.MergeSkybands). A version conflict from any shard triggers
+//     one stats resync and one retry; a dead shard degrades the answer
+//     (Result.Degraded + Result.Missing) instead of failing it.
 //
 //   - Ingest routing: the Router (see ingest.go) implements store.Sink and
 //     routes crawler rows to shard servers by the same URL hash the store
@@ -43,8 +42,10 @@ import (
 )
 
 // Coordinator traffic: query volume and latency, degraded answers and
-// all-shards-down failures, resyncs (version-conflict recoveries), and
-// sync round counts. Shard-level RPC health lives in the rpc_client_*
+// all-shards-down failures, resyncs (version-conflict recoveries), sync
+// round counts, and authority rounds that missed some shard's links (the
+// answers weighting authority under them are degraded). Shard-level RPC
+// health lives in the rpc_client_*
 // metrics; these are the query-level rollups OPERATIONS.md triages from.
 var (
 	mQueries     = metrics.NewCounter("coord_queries_total")
@@ -55,6 +56,7 @@ var (
 	mResyncs     = metrics.NewCounter("coord_resyncs_total")
 	mSyncs       = metrics.NewCounter("coord_syncs_total")
 	mSyncErrors  = metrics.NewCounter("coord_sync_errors_total")
+	mAuthPartial = metrics.NewCounter("coord_auth_partial_total")
 )
 
 // ErrAllShardsDown reports a query that could not reach a single shard
@@ -128,7 +130,9 @@ type Coordinator struct {
 	totalDocs int
 	idf       *vsm.IDFTable
 	authVer   string // version authority scores were pushed under
-	syncSeq   int
+	// authMissing lists the shards whose links the authVer round lacked.
+	authMissing []int
+	syncSeq     int
 
 	syncMu sync.Mutex // serializes Sync and SyncAuth rounds
 
@@ -321,17 +325,20 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 // partition's link edges and pushes the scores under the current version.
 // Call after Sync when queries weight authority; Search also triggers it
 // lazily. With every shard reachable the edge set — and therefore the
-// scores — is identical to the single-process computation.
+// scores — is identical to the single-process computation. A round that
+// misses some shard's links still installs its scores, but counts in
+// coord_auth_partial_total, and every authority-weighted answer under it
+// is degraded with those shards listed as missing.
 func (c *Coordinator) SyncAuth(ctx context.Context) error {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
 
 	c.mu.RLock()
 	version := c.version
-	targets := make([]*shardState, 0, len(c.shards))
-	for _, s := range c.shards {
+	targets := make([]int, 0, len(c.shards))
+	for i, s := range c.shards {
 		if s.synced {
-			targets = append(targets, s)
+			targets = append(targets, i)
 		}
 	}
 	c.mu.RUnlock()
@@ -343,29 +350,30 @@ func (c *Coordinator) SyncAuth(ctx context.Context) error {
 	}
 
 	type edges struct {
+		i    int
 		resp *rpc.LinksResponse
 		err  error
 	}
 	ch := make(chan edges, len(targets))
-	for _, s := range targets {
-		go func(s *shardState) {
-			resp, err := s.client.Links(ctx)
-			ch <- edges{resp: resp, err: err}
-		}(s)
+	for _, i := range targets {
+		go func(i int) {
+			resp, err := c.shards[i].client.Links(ctx)
+			ch <- edges{i: i, resp: resp, err: err}
+		}(i)
 	}
 	var links []store.Link
-	gathered := 0
+	var linkless []int
 	for range targets {
 		e := <-ch
 		if e.err != nil {
+			linkless = append(linkless, e.i)
 			continue
 		}
-		gathered++
 		for i := range e.resp.From {
 			links = append(links, store.Link{From: e.resp.From[i], To: e.resp.To[i]})
 		}
 	}
-	if gathered == 0 {
+	if len(linkless) == len(targets) {
 		return ErrAllShardsDown
 	}
 
@@ -384,7 +392,7 @@ func (c *Coordinator) SyncAuth(ctx context.Context) error {
 	var firstErr error
 	var wg sync.WaitGroup
 	var pmu sync.Mutex
-	for _, s := range targets {
+	for _, i := range targets {
 		wg.Add(1)
 		go func(s *shardState) {
 			defer wg.Done()
@@ -396,28 +404,37 @@ func (c *Coordinator) SyncAuth(ctx context.Context) error {
 				firstErr = err
 			}
 			pmu.Unlock()
-		}(s)
+		}(c.shards[i])
 	}
 	wg.Wait()
 	if pushed == 0 {
 		return firstErr
 	}
+	if len(linkless) > 0 {
+		mAuthPartial.Inc()
+	}
 	c.mu.Lock()
 	c.authVer = version
+	c.authMissing = linkless
 	c.mu.Unlock()
 	return nil
 }
 
-// Search answers one query over the fleet. A version conflict from any
-// shard (restart, stale view) triggers one stats resync and one retry;
-// unreachable shards degrade the result instead of failing it. The only
-// error cases are an unsynced coordinator that cannot complete its first
-// sync and a fleet with no reachable shard at all.
+// Search answers one query over the fleet with one RPC per shard. A
+// version conflict from any shard (restart, stale view) triggers one stats
+// resync and one retry; unreachable shards degrade the result instead of
+// failing it. The error cases are weights that are negative or not finite
+// (search.ErrBadWeights), an unsynced coordinator that cannot complete its
+// first sync, and a fleet with no reachable shard at all.
 func (c *Coordinator) Search(ctx context.Context, q search.Query) (*Result, error) {
 	mQueries.Inc()
 	start := time.Now()
 	defer mQueryNanos.ObserveSince(start)
 
+	if err := q.Weights.Validate(); err != nil {
+		mQueryErrors.Inc()
+		return nil, err
+	}
 	res, err := c.searchAttempts(ctx, q)
 	if err != nil {
 		mQueryErrors.Inc()
@@ -451,15 +468,15 @@ func (c *Coordinator) searchAttempts(ctx context.Context, q search.Query) (*Resu
 	}
 }
 
-// phaseResult carries one shard's answer through a fan-out.
-type phaseResult struct {
-	i     int
-	stats *search.ScoreStats
-	hits  []rpc.Hit
-	err   error
+// shardAnswer carries one shard's answer through the fan-out.
+type shardAnswer struct {
+	i   int
+	sb  *search.Skyband
+	err error
 }
 
-// searchOnce runs the two query phases against the current version.
+// searchOnce asks every synced shard once, against the current version,
+// for its local maxima and K-skyband rows, then ranks the union.
 // conflict=true asks the caller to resync and retry.
 func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, bool, error) {
 	c.mu.RLock()
@@ -482,34 +499,40 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 	if plan.Limit > c.opt.MaxK {
 		plan.Limit = c.opt.MaxK
 	}
-	if plan.Weights.Authority != 0 && authVer != version {
-		if err := c.SyncAuth(ctx); err != nil {
-			return nil, false, err
-		}
-	}
-
-	// Phase 1: local component maxima from every synced shard.
 	missing := map[int]bool{}
 	for i := range c.shards {
 		if !synced[i] {
 			missing[i] = true
 		}
 	}
-	ch := make(chan phaseResult, len(c.shards))
+	if plan.Weights.Authority != 0 {
+		if authVer != version {
+			if err := c.SyncAuth(ctx); err != nil {
+				return nil, false, err
+			}
+		}
+		c.mu.RLock()
+		if c.authVer == version {
+			for _, i := range c.authMissing {
+				missing[i] = true
+			}
+		}
+		c.mu.RUnlock()
+	}
+
+	ch := make(chan shardAnswer, len(c.shards))
 	inflight := 0
 	for i, s := range c.shards {
-		if missing[i] {
+		if !synced[i] {
 			continue
 		}
 		inflight++
 		go func(i int, s *shardState) {
-			stats, err := s.client.Score(ctx, version, plan)
-			ch <- phaseResult{i: i, stats: stats, err: err}
+			sb, err := s.client.Search(ctx, version, plan)
+			ch <- shardAnswer{i: i, sb: sb, err: err}
 		}(i, s)
 	}
-	var maxCos, maxConf, maxAuth float64
-	survivors := 0
-	alive := make([]int, 0, inflight)
+	parts := make([]*search.Skyband, 0, inflight)
 	for n := 0; n < inflight; n++ {
 		r := <-ch
 		if r.err != nil {
@@ -520,65 +543,28 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 			missing[r.i] = true
 			continue
 		}
-		alive = append(alive, r.i)
-		survivors += r.stats.Survivors
-		if r.stats.MaxCos > maxCos {
-			maxCos = r.stats.MaxCos
-		}
-		if r.stats.MaxConf > maxConf {
-			maxConf = r.stats.MaxConf
-		}
-		if r.stats.MaxAuth > maxAuth {
-			maxAuth = r.stats.MaxAuth
-		}
+		parts = append(parts, r.sb)
 	}
-	if len(alive) == 0 {
+	if len(parts) == 0 {
 		return nil, false, ErrAllShardsDown
 	}
+
 	res := &Result{Version: version}
-	if survivors == 0 {
-		c.finishResult(res, missing)
-		return res, false, nil
-	}
-
-	// Phase 2: bounded top-K from each surviving shard under the global
-	// maxima, then the order-independent merge.
-	ch2 := make(chan phaseResult, len(alive))
-	for _, i := range alive {
-		go func(i int, s *shardState) {
-			hits, err := s.client.Gather(ctx, version, plan, maxCos, maxConf, maxAuth)
-			ch2 <- phaseResult{i: i, hits: hits, err: err}
-		}(i, c.shards[i])
-	}
-	var merged []rpc.Hit
-	gathered := 0
-	for range alive {
-		r := <-ch2
-		if r.err != nil {
-			var ce *rpc.ConflictError
-			if errors.As(r.err, &ce) {
-				return nil, true, nil
+	hits := search.MergeSkybands(plan.Weights, plan.Limit, parts)
+	if len(hits) > 0 {
+		res.Hits = make([]rpc.Hit, len(hits))
+		for n, h := range hits {
+			res.Hits[n] = rpc.Hit{
+				URL:        h.Doc.URL,
+				Title:      h.Doc.Title,
+				Topic:      h.Doc.Topic,
+				Score:      h.Score,
+				Cosine:     h.Cosine,
+				Confidence: h.Confidence,
+				Authority:  h.Authority,
 			}
-			missing[r.i] = true
-			continue
 		}
-		gathered++
-		merged = append(merged, r.hits...)
 	}
-	if gathered == 0 {
-		return nil, false, ErrAllShardsDown
-	}
-
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Score != merged[b].Score {
-			return merged[a].Score > merged[b].Score
-		}
-		return merged[a].URL < merged[b].URL
-	})
-	if len(merged) > plan.Limit {
-		merged = merged[:plan.Limit]
-	}
-	res.Hits = merged
 	c.finishResult(res, missing)
 	return res, false, nil
 }

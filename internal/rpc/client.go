@@ -134,7 +134,25 @@ func (c *Client) SetAuth(ctx context.Context, version string, urls []string, sco
 	return c.call(ctx, http.MethodPost, PathAuth, &req, &resp, false)
 }
 
-// Score runs query phase 1.
+// Search answers one query in a single round trip: the partition's
+// counts, local maxima and K-skyband rows, column lengths checked.
+func (c *Client) Search(ctx context.Context, version string, plan *search.Plan) (*search.Skyband, error) {
+	req := SearchRequest{V: ProtoVersion, Version: version, Plan: *plan}
+	var resp SearchResponse
+	if err := c.call(ctx, http.MethodPost, PathSearch, &req, &resp, true); err != nil {
+		return nil, err
+	}
+	sb := &resp.Skyband
+	n := len(sb.URL)
+	if len(sb.Title) != n || len(sb.Topic) != n || len(sb.Cos) != n || len(sb.Conf) != n ||
+		(plan.Weights.Authority != 0 && len(sb.Auth) != n) {
+		return nil, errors.New("rpc: search response columns differ in length")
+	}
+	return sb, nil
+}
+
+// Score runs query phase 1. The coordinator no longer calls it; it stays
+// for the benchmark's traced replay.
 func (c *Client) Score(ctx context.Context, version string, plan *search.Plan) (*search.ScoreStats, error) {
 	req := ScoreRequest{V: ProtoVersion, Version: version, Plan: *plan}
 	var resp ScoreResponse
@@ -144,7 +162,8 @@ func (c *Client) Score(ctx context.Context, version string, plan *search.Plan) (
 	return &resp.Stats, nil
 }
 
-// Gather runs query phase 2 under the global maxima.
+// Gather runs query phase 2 under the global maxima. Like Score, it stays
+// only for the benchmark's traced replay.
 func (c *Client) Gather(ctx context.Context, version string, plan *search.Plan, maxCos, maxConf, maxAuth float64) ([]Hit, error) {
 	req := GatherRequest{V: ProtoVersion, Version: version, Plan: *plan,
 		MaxCos: maxCos, MaxConf: maxConf, MaxAuth: maxAuth}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/fetch"
+	"github.com/bingo-search/bingo/internal/search"
 )
 
 // The client resilience suite: hedged second attempts on slow servers,
@@ -150,5 +151,21 @@ func TestClientRejectsUnknownProtocolVersion(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusBadRequest || se.Code != CodeBadRequest {
 		t.Fatalf("got %v, want 400 bad_request StatusError", err)
+	}
+}
+
+// TestClientSearchRejectsRaggedColumns: a search answer whose row columns
+// differ in length is refused instead of indexed past its end.
+func TestClientSearchRejectsRaggedColumns(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"v":1,"survivors":2,"url":["a","b"],"title":["a","b"],"topic":["t","t"],"cos":[0.5],"conf":[0.1,0.2]}`))
+	}))
+	defer srv.Close()
+
+	c := NewClient(srv.URL, ClientOptions{HedgeAfter: -1})
+	plan := &search.Plan{Limit: 10, Weights: search.DefaultWeights()}
+	if sb, err := c.Search(context.Background(), "g1", plan); err == nil {
+		t.Fatalf("ragged columns accepted: %+v", sb)
 	}
 }

@@ -18,9 +18,15 @@
 //	POST /rpc/v1/global  install merged df + global doc count (new version)
 //	GET  /rpc/v1/links   dump link edges for global HITS
 //	POST /rpc/v1/auth    install global authority scores for a version
+//	POST /rpc/v1/search  one-round-trip query: local maxima + K-skyband rows
+//	POST /rpc/v1/insert  ingest a routed batch of rows (one flush/fsync)
+//
+// The coordinator asks each shard once per query, on /rpc/v1/search. The
+// two-phase pair below predates it and is kept only because the
+// benchmark's traced replay still times it; nothing else calls it:
+//
 //	POST /rpc/v1/score   query phase 1: local component maxima
 //	POST /rpc/v1/gather  query phase 2: top-K hits under global maxima
-//	POST /rpc/v1/insert  ingest a routed batch of rows (one flush/fsync)
 package rpc
 
 import (
@@ -48,9 +54,11 @@ const (
 	PathLinks = "/rpc/v1/links"
 	// PathAuth installs global authority scores.
 	PathAuth = "/rpc/v1/auth"
-	// PathScore runs query phase 1.
+	// PathSearch answers a query in one round trip.
+	PathSearch = "/rpc/v1/search"
+	// PathScore runs query phase 1 (kept only for the benchmark replay).
 	PathScore = "/rpc/v1/score"
-	// PathGather runs query phase 2.
+	// PathGather runs query phase 2 (kept only for the benchmark replay).
 	PathGather = "/rpc/v1/gather"
 	// PathInsert applies an ingest batch.
 	PathInsert = "/rpc/v1/insert"
@@ -157,7 +165,27 @@ type AuthResponse struct {
 	V int `json:"v"`
 }
 
-// ScoreRequest runs query phase 1 against one partition.
+// SearchRequest runs one query against one partition in a single round
+// trip.
+type SearchRequest struct {
+	// V is the protocol version.
+	V int `json:"v"`
+	// Version pins the global-stats generation to score in.
+	Version string `json:"version"`
+	// Plan is the coordinator-compiled query plan.
+	Plan search.Plan `json:"plan"`
+}
+
+// SearchResponse returns the partition's counts, local maxima and
+// K-skyband rows as parallel arrays (see search.Skyband).
+type SearchResponse struct {
+	// V is the protocol version.
+	V int `json:"v"`
+	search.Skyband
+}
+
+// ScoreRequest runs query phase 1 against one partition. The coordinator
+// no longer sends it; it stays for the benchmark's traced replay.
 type ScoreRequest struct {
 	// V is the protocol version.
 	V int `json:"v"`
@@ -175,7 +203,8 @@ type ScoreResponse struct {
 	Stats search.ScoreStats `json:"stats"`
 }
 
-// GatherRequest runs query phase 2 with the globally reduced maxima.
+// GatherRequest runs query phase 2 with the globally reduced maxima. Like
+// ScoreRequest, it stays only for the benchmark's traced replay.
 type GatherRequest struct {
 	// V is the protocol version.
 	V int `json:"v"`

@@ -50,6 +50,7 @@ func NewServer(st *store.Store) *Server {
 	s.mux.HandleFunc(PathGlobal, s.handleGlobal)
 	s.mux.HandleFunc(PathLinks, s.handleLinks)
 	s.mux.HandleFunc(PathAuth, s.handleAuth)
+	s.mux.HandleFunc(PathSearch, s.handleSearch)
 	s.mux.HandleFunc(PathScore, s.handleScore)
 	s.mux.HandleFunc(PathGather, s.handleGather)
 	s.mux.HandleFunc(PathInsert, s.handleInsert)
@@ -134,6 +135,21 @@ func (s *Server) handleAuth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AuthResponse{V: ProtoVersion})
 }
 
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	var req SearchRequest
+	if !decode(w, r, &req) {
+		return
+	}
+	sb, err := s.part.Search(req.Version, &req.Plan)
+	if err != nil {
+		writePartErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, SearchResponse{V: ProtoVersion, Skyband: *sb})
+}
+
+// handleScore and handleGather serve the two-phase pair the benchmark's
+// traced replay still times; the coordinator uses handleSearch.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req ScoreRequest
 	if !decode(w, r, &req) {
@@ -234,6 +250,8 @@ func protoOf(dst any) int {
 		return m.V
 	case *AuthRequest:
 		return m.V
+	case *SearchRequest:
+		return m.V
 	case *ScoreRequest:
 		return m.V
 	case *GatherRequest:
@@ -244,13 +262,15 @@ func protoOf(dst any) int {
 	return 0
 }
 
-// writePartErr maps partition errors onto wire errors: version skew and
-// missing authority are 409 conflicts (the coordinator resyncs and
-// retries), everything else is a 500.
+// writePartErr maps partition errors onto wire errors: a plan with bad
+// weights is a 400, version skew and missing authority are 409 conflicts
+// (the coordinator resyncs and retries), everything else is a 500.
 func writePartErr(w http.ResponseWriter, err error) {
 	mSrvErrors.Inc()
 	var ve *search.VersionError
 	switch {
+	case errors.Is(err, search.ErrBadWeights):
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, err.Error(), "")
 	case errors.As(err, &ve):
 		writeErr(w, http.StatusConflict, CodeVersionConflict, err.Error(), ve.Have)
 	case errors.Is(err, search.ErrAuthNotReady):

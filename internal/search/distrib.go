@@ -11,15 +11,12 @@
 //     locally (which would see only the local slice of the corpus), it
 //     exposes its integer df stats (Stats), accepts the coordinator's
 //     merged df + global document count (SetGlobal) and authority scores
-//     (SetAuth), and answers the two query phases: Score (pass-1 scatter +
-//     local component maxima) and Gather (pass-2 + bounded top-K under the
-//     globally reduced maxima).
-//
-// Two phases are unavoidable for exactness: the final score of a document
-// divides each component by the global maximum over all survivors, so no
-// shard can pick its top-K before the maxima from every other shard are
-// known. Both phases replay the same scatter over the same immutable view
-// (pinned by version), so the recompute is deterministic.
+//     (SetAuth), and answers a query in one call: Search (skyband.go)
+//     returns the local component maxima and every row that could still
+//     reach the global top-K, whatever the other shards' maxima turn out to
+//     be. The older two-phase pair, Score (pass-1 scatter + local maxima)
+//     and Gather (pass-2 + top-K under the reduced maxima), is kept only
+//     for the benchmark's traced replay.
 package search
 
 import (
@@ -211,9 +208,9 @@ var ErrNoStats = errors.New("search: SetGlobal without a pinned Stats snapshot")
 // from. The caller must re-pull Stats and push again.
 var ErrPinMismatch = errors.New("search: SetGlobal pin does not match the pinned Stats snapshot")
 
-// ErrAuthNotReady is returned by Score/Gather for an authority-weighted
-// plan when the coordinator has not pushed authority scores for the view
-// version yet.
+// ErrAuthNotReady is returned by Search, Score and Gather for an
+// authority-weighted plan when the coordinator has not pushed authority
+// scores for the view version yet.
 var ErrAuthNotReady = errors.New("search: authority scores not pushed for this version")
 
 // VersionError reports a query phase addressed at a global-stats version
@@ -260,8 +257,8 @@ type partView struct {
 // Partition serves one store partition inside a shard server. It reuses
 // the Engine's snapshot, scatter, and heap machinery, but the global layer
 // (idf, authority) is pushed in by the coordinator instead of derived
-// locally, and views are pinned by version so the two query phases — and
-// every shard participating in one query — score against the same state.
+// locally, and views are pinned by version so every shard participating
+// in one query scores against the same state.
 // The current and previous versions stay queryable, so a stats push never
 // breaks queries already in flight under the old version.
 type Partition struct {
@@ -392,10 +389,10 @@ func (p *Partition) SetAuth(version string, urls []string, scores []float64) err
 	return nil
 }
 
-// Score runs phase 1 of a distributed query: scatter the plan over the
+// Score runs phase 1 of the two-phase query: scatter the plan over the
 // local shards of the version's pinned view and return the local component
-// maxima and counts. No ranking happens here — the maxima must first be
-// reduced globally.
+// maxima and counts. The coordinator answers queries with Search; Score
+// and Gather are kept only for the benchmark's traced replay.
 func (p *Partition) Score(version string, plan *Plan) (ScoreStats, error) {
 	_, qs, err := p.beginPhase(version, plan)
 	if err != nil {
@@ -416,8 +413,9 @@ func (p *Partition) Score(version string, plan *Plan) (ScoreStats, error) {
 // Gather runs phase 2: replay the scatter on the same pinned view, then
 // pass-2 and bounded top-K selection under the globally reduced maxima,
 // returning this partition's best `plan.Limit` hits with components
-// normalized by the global maxima — ready for the coordinator's final
-// order-independent merge under the score/URL tie-break.
+// normalized by the global maxima — ready for an order-independent merge
+// under the score/URL tie-break. Kept only for the benchmark's traced
+// replay, like Score.
 func (p *Partition) Gather(version string, plan *Plan, maxCos, maxConf, maxAuth float64) ([]Hit, error) {
 	_, qs, err := p.beginPhase(version, plan)
 	if err != nil {
@@ -433,8 +431,8 @@ func (p *Partition) Gather(version string, plan *Plan, maxCos, maxConf, maxAuth 
 }
 
 // beginPhase resolves the version's view, checks authority readiness, and
-// parks the plan in a pooled scratch — the shared preamble of Score and
-// Gather.
+// parks the plan in a pooled scratch — the shared preamble of Search,
+// Score and Gather.
 func (p *Partition) beginPhase(version string, plan *Plan) (*partView, *scoreScratch, error) {
 	pv, err := p.viewFor(version)
 	if err != nil {

@@ -124,11 +124,11 @@ func TestHitsAreSlimEverywhere(t *testing.T) {
 
 // TestQueryReadsNoColdPayload uses segment_cold_payload_reads_total as the
 // oracle: over an all-frozen store with the snapshots already built, no
-// non-phrase query moves it — not through the engine, the partition phases
-// or the rpc gather handler — and the portal page moves it by exactly one
-// body read per rendered row. (A phrase query reads bodies to match stem
-// sequences, once per document; that is its filter, not
-// hit assembly.)
+// non-phrase query moves it — not through the engine, the partition calls
+// or the rpc search and gather handlers — and the portal page moves it by
+// exactly one body read per rendered row. (A phrase query reads bodies to
+// match stem sequences, once per document; that is its filter, not hit
+// assembly.)
 func TestQueryReadsNoColdPayload(t *testing.T) {
 	st := search.OpenSearchTiered(t, 4)
 	search.FillTierWave(9, 0, 300, st)
@@ -165,6 +165,15 @@ func TestQueryReadsNoColdPayload(t *testing.T) {
 		var resp rpc.GatherResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK || len(resp.Hits) == 0 {
 			t.Fatalf("query %d: gather status %d, %d hits, err %v", qi, w.Code, len(resp.Hits), err)
+		}
+		if body, err = json.Marshal(rpc.SearchRequest{V: rpc.ProtoVersion, Version: soloVersion, Plan: *plan}); err != nil {
+			t.Fatal(err)
+		}
+		w = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, rpc.PathSearch, bytes.NewReader(body)))
+		var sresp rpc.SearchResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &sresp); err != nil || w.Code != http.StatusOK || len(sresp.URL) == 0 {
+			t.Fatalf("query %d: search status %d, %d rows, err %v", qi, w.Code, len(sresp.URL), err)
 		}
 		if got := reads.Value(); got != before {
 			t.Fatalf("query %d read %d cold payloads on the query path", qi, got-before)

@@ -550,6 +550,7 @@ type scoreScratch struct {
 	shards []*shardScratch
 	qterms []PlanTerm
 	merged []topEntry
+	rest   []topEntry // skyband candidates the top-K bounds could not prune
 
 	// Per-query scatter inputs, parked by fillPlan. They live in the
 	// (heap-pooled) scratch rather than being captured by the parallel
@@ -654,6 +655,7 @@ func (e *Engine) putScratch(qs *scoreScratch) {
 	}
 	qs.qterms = qs.qterms[:0]
 	qs.merged = qs.merged[:0]
+	qs.rest = qs.rest[:0]
 	qs.view = nil
 	qs.q = Query{}
 	qs.phrases = nil
@@ -685,6 +687,27 @@ func gatherHits(qs *scoreScratch, limit int, maxCos, maxConf, maxAuth float64) [
 		total += len(sc.heap)
 	}
 	mTopKHeap.Observe(int64(total))
+	qs.mergeHeaps(limit)
+	out := make([]Hit, len(qs.merged))
+	for n, en := range qs.merged {
+		sn := v.shards[en.si]
+		sc := qs.shards[en.si]
+		doc := sn.docs[en.seq]
+		doc.Text, doc.Terms = "", nil
+		var a float64
+		if auth != nil {
+			a = auth[en.si][en.seq]
+		}
+		h := Hit{Doc: doc, Score: en.score}
+		h.Cosine, h.Confidence, h.Authority = normComponents(sc.acc[en.seq], doc.Confidence, a, maxCos, maxConf, maxAuth, auth != nil)
+		out[n] = h
+	}
+	return out
+}
+
+// mergeHeaps concatenates the per-shard top-K heaps into qs.merged, sorts
+// them with the comparator the heaps used, and keeps the best limit.
+func (qs *scoreScratch) mergeHeaps(limit int) {
 	for _, sc := range qs.shards {
 		qs.merged = append(qs.merged, sc.heap...)
 	}
@@ -692,28 +715,6 @@ func gatherHits(qs *scoreScratch, limit int, maxCos, maxConf, maxAuth float64) [
 	if len(qs.merged) > limit {
 		qs.merged = qs.merged[:limit]
 	}
-	out := make([]Hit, len(qs.merged))
-	for n, en := range qs.merged {
-		sn := v.shards[en.si]
-		sc := qs.shards[en.si]
-		doc := sn.docs[en.seq]
-		doc.Text, doc.Terms = "", nil
-		h := Hit{Doc: doc, Score: en.score, Cosine: sc.acc[en.seq], Confidence: doc.Confidence}
-		if maxCos > 0 {
-			h.Cosine /= maxCos
-		}
-		if maxConf > 0 {
-			h.Confidence /= maxConf
-		}
-		if auth != nil {
-			h.Authority = auth[en.si][en.seq]
-			if maxAuth > 0 {
-				h.Authority /= maxAuth
-			}
-		}
-		out[n] = h
-	}
-	return out
 }
 
 // scatterAll runs the pass-1 scatter over every shard of qs's view —
@@ -757,10 +758,11 @@ func reduceScatter(qs *scoreScratch) (maxCos, maxConf, maxAuth float64, candidat
 	return maxCos, maxConf, maxAuth, candidates, survivors
 }
 
-// passTwo combines the normalized components under the supplied maxima and
-// keeps each shard's top `limit` entries in its bounded heap. Per-candidate
-// work is a handful of float ops; the scatter already did the heavy
-// lifting. The maxima must be global — reduced across every shard that
+// passTwo combines the normalized components under the supplied maxima
+// (rankScore, the one scoring function the coordinator's skyband merge
+// calls too) and keeps each shard's top `limit` entries in its bounded
+// heap. Per-candidate work is a handful of float ops; the scatter already
+// did the heavy lifting. The maxima must be global — reduced across every shard that
 // scored the query, including remote ones on the distributed path — or the
 // component normalization (and so the score order) diverges from the
 // single-process result.
@@ -776,18 +778,11 @@ func (e *Engine) passTwo(qs *scoreScratch, limit int, maxCos, maxConf, maxAuth f
 			if sc.matched[i] < 0 {
 				continue
 			}
-			cos := sc.acc[i]
-			if maxCos > 0 {
-				cos /= maxCos
+			var a float64
+			if shardAuth != nil {
+				a = shardAuth[i]
 			}
-			conf := sc.snap.docs[i].Confidence
-			if maxConf > 0 {
-				conf /= maxConf
-			}
-			score := w.Cosine*cos + w.Confidence*conf
-			if shardAuth != nil && maxAuth > 0 {
-				score += w.Authority * shardAuth[i] / maxAuth
-			}
+			score := rankScore(w, sc.acc[i], sc.snap.docs[i].Confidence, a, maxCos, maxConf, maxAuth, shardAuth != nil)
 			qs.pushTopK(sc, limit, topEntry{si: int32(sc.shard), seq: int32(i), score: score})
 		}
 	}

@@ -20,6 +20,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -222,8 +223,9 @@ func ParseQuery(r *http.Request, maxK int) (search.Query, string, bool) {
 		dst  *float64
 	}{{"wcos", &w.Cosine}, {"wconf", &w.Confidence}, {"wauth", &w.Authority}} {
 		if raw := params.Get(f.name); raw != "" {
+			// ParseFloat accepts "NaN" and "Inf"; !(v >= 0) catches NaN.
 			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil || v < 0 {
+			if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 				return search.Query{}, f.name + " must be a non-negative number", false
 			}
 			*f.dst = v

@@ -134,6 +134,9 @@ func TestSearchParamValidation(t *testing.T) {
 		"/search?q=x&k=banana",
 		"/search?q=x&wcos=-1",
 		"/search?q=x&wauth=nope",
+		"/search?q=x&wconf=NaN",
+		"/search?q=x&wauth=Inf",
+		"/search?q=x&wcos=infinity",
 	} {
 		if w, _ := get(t, a, target); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", target, w.Code)
