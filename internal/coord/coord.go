@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,6 +58,7 @@ var (
 	mSyncs       = metrics.NewCounter("coord_syncs_total")
 	mSyncErrors  = metrics.NewCounter("coord_sync_errors_total")
 	mAuthPartial = metrics.NewCounter("coord_auth_partial_total")
+	mBoundMisses = metrics.NewCounter("coord_bound_misses_total")
 )
 
 // ErrAllShardsDown reports a query that could not reach a single shard
@@ -129,8 +131,11 @@ type Coordinator struct {
 	version   string
 	totalDocs int
 	idf       *vsm.IDFTable
-	authVer   string // version authority scores were pushed under
-	// authMissing lists the shards whose links the authVer round lacked.
+	confBound float64 // largest confidence in version's stats
+	authVer   string  // version authority scores were pushed under
+	authBound float64 // largest score of the authVer round
+	// authMissing lists the shards whose links or push the authVer round
+	// lacked; the prober retries the round while it is non-empty.
 	authMissing []int
 	syncSeq     int
 
@@ -253,12 +258,16 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 	df := make(map[string]int)
 	totalDocs := 0
 	reachable := 0
+	confBound := 0.0
 	for _, st := range stats {
 		if st == nil {
 			continue
 		}
 		reachable++
 		totalDocs += st.NumDocs
+		if st.MaxConf > confBound {
+			confBound = st.MaxConf
+		}
 		for j, t := range st.Terms {
 			df[t] += st.DF[j]
 		}
@@ -311,6 +320,7 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 	c.version = version
 	c.totalDocs = totalDocs
 	c.idf = vsm.TableFromDocFreq(df, totalDocs)
+	c.confBound = confBound
 	for i, s := range c.shards {
 		s.synced = synced[i]
 		if stats[i] != nil {
@@ -326,9 +336,10 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 // Call after Sync when queries weight authority; Search also triggers it
 // lazily. With every shard reachable the edge set — and therefore the
 // scores — is identical to the single-process computation. A round that
-// misses some shard's links still installs its scores, but counts in
-// coord_auth_partial_total, and every authority-weighted answer under it
-// is degraded with those shards listed as missing.
+// misses some shard's links or push still installs its scores, but counts
+// in coord_auth_partial_total, and every authority-weighted answer under
+// it is degraded with those shards listed as missing until a later round
+// for the same version — the prober retries — reaches them all.
 func (c *Coordinator) SyncAuth(ctx context.Context) error {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
@@ -384,38 +395,42 @@ func (c *Coordinator) SyncAuth(ctx context.Context) error {
 	}
 	sort.Strings(urls)
 	scores := make([]float64, len(urls))
+	maxScore := 0.0
 	for i, u := range urls {
 		scores[i] = byURL[u]
+		maxScore = max(maxScore, scores[i])
 	}
 
-	pushed := 0
+	missing := linkless
 	var firstErr error
 	var wg sync.WaitGroup
 	var pmu sync.Mutex
 	for _, i := range targets {
 		wg.Add(1)
-		go func(s *shardState) {
+		go func(i int) {
 			defer wg.Done()
-			err := s.client.SetAuth(ctx, version, urls, scores)
-			pmu.Lock()
-			if err == nil {
-				pushed++
-			} else if firstErr == nil {
-				firstErr = err
+			err := c.shards[i].client.SetAuth(ctx, version, urls, scores)
+			if err != nil {
+				pmu.Lock()
+				missing = append(missing, i)
+				if firstErr == nil {
+					firstErr = err
+				}
+				pmu.Unlock()
 			}
-			pmu.Unlock()
-		}(c.shards[i])
+		}(i)
 	}
 	wg.Wait()
-	if pushed == 0 {
+	if len(missing) == len(linkless)+len(targets) {
 		return firstErr
 	}
-	if len(linkless) > 0 {
+	if len(missing) > 0 {
 		mAuthPartial.Inc()
 	}
 	c.mu.Lock()
 	c.authVer = version
-	c.authMissing = linkless
+	c.authBound = maxScore
+	c.authMissing = missing
 	c.mu.Unlock()
 	return nil
 }
@@ -482,10 +497,16 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 	c.mu.RLock()
 	version := c.version
 	idf := c.idf
+	confBound := c.confBound
 	authVer := c.authVer
-	synced := make([]bool, len(c.shards))
+	missing := map[int]bool{}
+	var targets []int
 	for i, s := range c.shards {
-		synced[i] = s.synced
+		if s.synced {
+			targets = append(targets, i)
+		} else {
+			missing[i] = true
+		}
 	}
 	c.mu.RUnlock()
 	if version == "" {
@@ -499,12 +520,7 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 	if plan.Limit > c.opt.MaxK {
 		plan.Limit = c.opt.MaxK
 	}
-	missing := map[int]bool{}
-	for i := range c.shards {
-		if !synced[i] {
-			missing[i] = true
-		}
-	}
+	plan.Bounds = search.Bounds{Cos: search.UnitBound, Conf: confBound}
 	if plan.Weights.Authority != 0 {
 		if authVer != version {
 			if err := c.SyncAuth(ctx); err != nil {
@@ -513,6 +529,7 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 		}
 		c.mu.RLock()
 		if c.authVer == version {
+			plan.Bounds.Auth = c.authBound
 			for _, i := range c.authMissing {
 				missing[i] = true
 			}
@@ -520,37 +537,26 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 		c.mu.RUnlock()
 	}
 
-	ch := make(chan shardAnswer, len(c.shards))
-	inflight := 0
-	for i, s := range c.shards {
-		if !synced[i] {
-			continue
-		}
-		inflight++
-		go func(i int, s *shardState) {
-			sb, err := s.client.Search(ctx, version, plan)
-			ch <- shardAnswer{i: i, sb: sb, err: err}
-		}(i, s)
+	parts, answered, conflict := c.ask(ctx, version, plan, targets, missing)
+	if conflict {
+		return nil, true, nil
 	}
-	parts := make([]*search.Skyband, 0, inflight)
-	for n := 0; n < inflight; n++ {
-		r := <-ch
-		if r.err != nil {
-			var ce *rpc.ConflictError
-			if errors.As(r.err, &ce) {
-				return nil, true, nil
-			}
-			missing[r.i] = true
-			continue
+	hits, ok := search.MergeSkybands(plan.Weights, plan.Bounds, plan.Limit, parts)
+	if !ok {
+		// Some shard's maxima broke a bound the others pruned under: ask
+		// the shards that answered again, assuming nothing.
+		mBoundMisses.Inc()
+		plan.Bounds = search.Bounds{}
+		if parts, _, conflict = c.ask(ctx, version, plan, answered, missing); conflict {
+			return nil, true, nil
 		}
-		parts = append(parts, r.sb)
+		hits, _ = search.MergeSkybands(plan.Weights, plan.Bounds, plan.Limit, parts)
 	}
 	if len(parts) == 0 {
 		return nil, false, ErrAllShardsDown
 	}
 
 	res := &Result{Version: version}
-	hits := search.MergeSkybands(plan.Weights, plan.Limit, parts)
 	if len(hits) > 0 {
 		res.Hits = make([]rpc.Hit, len(hits))
 		for n, h := range hits {
@@ -567,6 +573,36 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 	}
 	c.finishResult(res, missing)
 	return res, false, nil
+}
+
+// ask sends plan to the target shards concurrently and returns the
+// answers with the shards that gave them; a shard that fails joins
+// missing. conflict reports a version conflict from any shard.
+func (c *Coordinator) ask(ctx context.Context, version string, plan *search.Plan, targets []int, missing map[int]bool) ([]*search.Skyband, []int, bool) {
+	ch := make(chan shardAnswer, len(targets))
+	for _, i := range targets {
+		go func(i int) {
+			sb, err := c.shards[i].client.Search(ctx, version, plan)
+			ch <- shardAnswer{i: i, sb: sb, err: err}
+		}(i)
+	}
+	parts := make([]*search.Skyband, 0, len(targets))
+	answered := make([]int, 0, len(targets))
+	conflict := false
+	for range targets {
+		r := <-ch
+		var ce *rpc.ConflictError
+		switch {
+		case errors.As(r.err, &ce):
+			conflict = true
+		case r.err != nil:
+			missing[r.i] = true
+		default:
+			parts = append(parts, r.sb)
+			answered = append(answered, r.i)
+		}
+	}
+	return parts, answered, conflict
 }
 
 // finishResult fills the degradation fields from the missing-shard set.
@@ -588,8 +624,10 @@ func (c *Coordinator) finishResult(res *Result, missing map[int]bool) {
 // StartProber launches the background reintegration loop: every
 // ProbeInterval it pings the fleet and, when it finds a ready server whose
 // installed stats version differs from the coordinator's (fresh restart,
-// missed push), runs a Sync to fold it back in. Stop with StopProber.
-// No-op when ProbeInterval < 0.
+// missed push), runs a Sync to fold it back in; otherwise, while the
+// current version's authority round missed some shard and every such
+// shard is ready, it reruns SyncAuth. Stop with StopProber. No-op when
+// ProbeInterval < 0.
 func (c *Coordinator) StartProber() {
 	if c.opt.ProbeInterval < 0 || c.probeStop != nil {
 		return
@@ -610,7 +648,7 @@ func (c *Coordinator) StopProber() {
 }
 
 // probeLoop is the prober body: ping, compare versions, resync when a
-// recovered or lagging server shows up.
+// recovered or lagging server shows up, retry a partial authority round.
 func (c *Coordinator) probeLoop() {
 	defer close(c.probeDone)
 	t := time.NewTicker(c.opt.ProbeInterval)
@@ -624,12 +662,17 @@ func (c *Coordinator) probeLoop() {
 		c.mu.RLock()
 		version := c.version
 		needAuth := c.authVer == version && version != ""
+		var authMissing []int
+		if needAuth {
+			authMissing = slices.Clone(c.authMissing)
+		}
 		synced := make([]bool, len(c.shards))
 		for i, s := range c.shards {
 			synced[i] = s.synced
 		}
 		c.mu.RUnlock()
 		stale := false
+		ready := make([]bool, len(c.shards))
 		for i, s := range c.shards {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			p, err := s.client.Ping(ctx)
@@ -637,15 +680,23 @@ func (c *Coordinator) probeLoop() {
 			if err != nil || !p.Ready {
 				continue
 			}
+			ready[i] = true
 			if p.StatsVersion != version || !synced[i] {
 				stale = true
 			}
 		}
-		if !stale {
-			continue
+		// Retry a partial authority round once every shard it missed is
+		// ready again.
+		retryAuth := len(authMissing) > 0
+		for _, i := range authMissing {
+			retryAuth = retryAuth && ready[i]
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if err := c.Sync(ctx); err == nil && needAuth {
+		if stale {
+			if err := c.Sync(ctx); err == nil && needAuth {
+				_ = c.SyncAuth(ctx)
+			}
+		} else if retryAuth {
 			_ = c.SyncAuth(ctx)
 		}
 		cancel()

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/rpc"
@@ -172,15 +174,29 @@ func TestTwoPhaseReplayStillBitIdentical(t *testing.T) {
 // TestPartialAuthorityIsDegraded fails one shard's /rpc/v1/links: the
 // authority round still installs, counts in coord_auth_partial_total, and
 // every authority-weighted answer under it is degraded with that shard
-// missing. A cosine-only answer uses no authority and stays whole.
+// missing. A cosine-only answer uses no authority and stays whole. The
+// prober leaves the round alone while that shard is not ready; once it is
+// and its links answer again, the prober reruns the round under the same
+// version and the answer becomes whole and bit-identical to one process.
 func TestPartialAuthorityIsDegraded(t *testing.T) {
-	_, fleets := buildDistCorpus(9, 200, []int{2})
-	f := startFleetWith(t, fleets[2], refuse(1, rpc.PathLinks, http.StatusInternalServerError))
+	single, fleets := buildDistCorpus(9, 200, []int{2})
+	var refuseLinks atomic.Bool
+	refuseLinks.Store(true)
+	f := startFleetWith(t, fleets[2], func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 1 && r.URL.Path == rpc.PathLinks && refuseLinks.Load() {
+				http.Error(w, "refused", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	defer f.close()
 	ctx := context.Background()
 	if err := f.coord.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
+	version := f.coord.Version()
 	partial := metrics.NewCounter("coord_auth_partial_total")
 	before := partial.Value()
 	authQ := search.Query{Text: "transaction log", Weights: search.Weights{Cosine: 0.5, Authority: 0.5}}
@@ -203,4 +219,80 @@ func TestPartialAuthorityIsDegraded(t *testing.T) {
 	if res.Degraded {
 		t.Fatalf("cosine-only answer degraded (missing %v)", res.Missing)
 	}
+
+	f.rpcSrvs[1].SetReady(false)
+	f.coord.opt.ProbeInterval = 10 * time.Millisecond
+	f.coord.StartProber()
+	defer f.coord.StopProber()
+	time.Sleep(200 * time.Millisecond)
+	if got := partial.Value() - before; got != 1 {
+		t.Fatalf("coord_auth_partial_total rose by %d while the shard was not ready, want 1 (no retry)", got)
+	}
+	f.rpcSrvs[1].SetReady(true)
+	refuseLinks.Store(false)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if res, err = f.coord.Search(ctx, authQ); err != nil {
+			t.Fatal(err)
+		}
+		if !res.Degraded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("still degraded (missing %v) 10 s after the links came back", res.Missing)
+		}
+	}
+	if res.Version != version {
+		t.Fatalf("answered under version %s, want the unchanged %s", res.Version, version)
+	}
+	sameAsLocal(t, "authority after the retried round", search.New(single).Search(authQ), res.Hits)
+}
+
+// TestBoundMissAsksAgain: shards whose stats understate their largest
+// confidence make the coordinator's confidence bound wrong. The merge
+// sees the reduced maximum exceed it, the coordinator asks every shard
+// again without bounds — two RPCs per shard, counted in
+// coord_bound_misses_total — and the answer is still bit-identical to one
+// process.
+func TestBoundMissAsksAgain(t *testing.T) {
+	single, fleets := buildDistCorpus(11, 300, []int{2})
+	f := startFleetWith(t, fleets[2], func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != rpc.PathStats {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var resp rpc.StatsResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Error(err)
+			}
+			resp.Stats.MaxConf /= 2
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(resp)
+		})
+	})
+	defer f.close()
+	ctx := context.Background()
+	if err := f.coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	misses := metrics.NewCounter("coord_bound_misses_total")
+	requests := metrics.NewCounter("rpc_client_requests_total")
+	q := search.Query{Text: "recovery", Weights: search.Weights{Cosine: 0.5, Confidence: 0.5}}
+	m0, r0 := misses.Value(), requests.Value()
+	res, err := f.coord.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := misses.Value() - m0; got != 1 {
+		t.Fatalf("coord_bound_misses_total rose by %d, want 1", got)
+	}
+	if got := requests.Value() - r0; got != 4 {
+		t.Fatalf("%d RPCs, want 4: two per shard", got)
+	}
+	if res.Degraded {
+		t.Fatalf("degraded (missing %v)", res.Missing)
+	}
+	sameAsLocal(t, "after a bound miss", search.New(single).Search(q), res.Hits)
 }

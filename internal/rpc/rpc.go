@@ -14,7 +14,8 @@
 // Endpoints:
 //
 //	GET  /rpc/v1/ping    liveness + epochs + installed stats version
-//	GET  /rpc/v1/stats   pin a snapshot, return vocabulary + integer df
+//	GET  /rpc/v1/stats   pin a snapshot, return vocabulary + integer df +
+//	                     largest confidence
 //	POST /rpc/v1/global  install merged df + global doc count (new version)
 //	GET  /rpc/v1/links   dump link edges for global HITS
 //	POST /rpc/v1/auth    install global authority scores for a version
@@ -23,7 +24,9 @@
 //
 // The coordinator asks each shard once per query, on /rpc/v1/search. The
 // two-phase pair below predates it and is kept only because the
-// benchmark's traced replay still times it; nothing else calls it:
+// benchmark's traced replay still times it; nothing else calls it, and it
+// goes when the benchmark stops calling it — no coordinator or operator
+// may rely on it:
 //
 //	POST /rpc/v1/score   query phase 1: local component maxima
 //	POST /rpc/v1/gather  query phase 2: top-K hits under global maxima

@@ -263,13 +263,13 @@ func protoOf(dst any) int {
 }
 
 // writePartErr maps partition errors onto wire errors: a plan with bad
-// weights is a 400, version skew and missing authority are 409 conflicts
+// weights and authority scores out of range are a 400, version skew and missing authority are 409 conflicts
 // (the coordinator resyncs and retries), everything else is a 500.
 func writePartErr(w http.ResponseWriter, err error) {
 	mSrvErrors.Inc()
 	var ve *search.VersionError
 	switch {
-	case errors.Is(err, search.ErrBadWeights):
+	case errors.Is(err, search.ErrBadWeights), errors.Is(err, search.ErrBadAuthority):
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err.Error(), "")
 	case errors.As(err, &ve):
 		writeErr(w, http.StatusConflict, CodeVersionConflict, err.Error(), ve.Have)

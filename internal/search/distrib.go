@@ -74,6 +74,9 @@ type Plan struct {
 	Limit int `json:"limit"`
 	// Weights is the ranking combination; defaults are already applied.
 	Weights Weights `json:"weights"`
+	// Bounds caps the fleet-wide component maxima Search may assume when
+	// it prunes (see Bounds); the zero value assumes none.
+	Bounds Bounds `json:"bounds"`
 }
 
 // ScoreStats is the phase-1 result a shard server returns: its local
@@ -196,6 +199,10 @@ type PartitionStats struct {
 	Terms []string `json:"terms"`
 	// DF holds the local document frequency of Terms[i].
 	DF []int `json:"df"`
+	// MaxConf is the largest classifier confidence of any pinned document
+	// (0 when none is positive); the coordinator folds it into the
+	// confidence bound of its plans (see Bounds).
+	MaxConf float64 `json:"max_conf,omitempty"`
 }
 
 // ErrNoStats is returned by SetGlobal when no preceding Stats call pinned
@@ -212,6 +219,10 @@ var ErrPinMismatch = errors.New("search: SetGlobal pin does not match the pinned
 // authority-weighted plan when the coordinator has not pushed authority
 // scores for the view version yet.
 var ErrAuthNotReady = errors.New("search: authority scores not pushed for this version")
+
+// ErrBadAuthority is returned by SetAuth for a score outside
+// [0, UnitBound].
+var ErrBadAuthority = errors.New("search: authority scores must lie in [0, 1+2^-40]")
 
 // VersionError reports a query phase addressed at a global-stats version
 // this partition no longer (or not yet) serves. The coordinator reacts by
@@ -244,14 +255,16 @@ type pinnedStats struct {
 // view built under the coordinator's merged idf, keyed by the
 // coordinator-assigned version string. pin and totalDocs record what the
 // view was built from, so a same-version push is treated as a duplicate
-// only when it demonstrably is one. authReady flips once authority scores
-// for the version have been pushed.
+// only when it demonstrably is one. auth holds the dense authority vectors
+// last pushed for the version, nil until the first push; a later push for
+// the same version (the coordinator retrying a round that missed some
+// shard's links) replaces them.
 type partView struct {
 	version   string
 	pin       string
 	totalDocs int
 	view      *searchView
-	authReady atomic.Bool
+	auth      atomic.Pointer[[][]float64]
 }
 
 // Partition serves one store partition inside a shard server. It reuses
@@ -308,8 +321,14 @@ func (p *Partition) Stats() PartitionStats {
 	snaps := currentSnaps(p.eng.store, cur, pend)
 	df, numDocs := mergeDocFreq(snaps)
 	epochs := make([]int64, len(snaps))
+	maxConf := 0.0
 	for i := range snaps {
 		epochs[i] = snaps[i].epoch
+		for j := range snaps[i].docs {
+			if d := &snaps[i].docs[j]; d.ID != 0 && d.Confidence > maxConf {
+				maxConf = d.Confidence
+			}
+		}
 	}
 	p.pinSeq++
 	pin := fmt.Sprintf("pin%d", p.pinSeq)
@@ -324,7 +343,7 @@ func (p *Partition) Stats() PartitionStats {
 	for i, t := range terms {
 		dfs[i] = df[t]
 	}
-	return PartitionStats{Pin: pin, Epochs: epochs, NumDocs: numDocs, Terms: terms, DF: dfs}
+	return PartitionStats{Pin: pin, Epochs: epochs, NumDocs: numDocs, Terms: terms, DF: dfs, MaxConf: maxConf}
 }
 
 // SetGlobal installs the coordinator's merged corpus statistics: the
@@ -371,10 +390,17 @@ func (p *Partition) SetGlobal(version, pin string, totalDocs int, terms []string
 // scores for the given version. Queries weighting authority are refused
 // (ErrAuthNotReady) until this has happened — a partition never falls back
 // to link analysis over its local subgraph, which would silently diverge
-// from the global ranking.
+// from the global ranking. HITS scores form an L2-normalized vector, so a
+// score outside [0, UnitBound] is refused with ErrBadAuthority: the
+// skyband's pruning relies on that range.
 func (p *Partition) SetAuth(version string, urls []string, scores []float64) error {
 	if len(urls) != len(scores) {
 		return errors.New("search: SetAuth urls/scores length mismatch")
+	}
+	for _, x := range scores {
+		if !(x >= 0 && x <= UnitBound) {
+			return ErrBadAuthority
+		}
 	}
 	pv, err := p.viewFor(version)
 	if err != nil {
@@ -384,8 +410,8 @@ func (p *Partition) SetAuth(version string, urls []string, scores []float64) err
 	for i, u := range urls {
 		byURL[u] = scores[i]
 	}
-	pv.view.authOnce.Do(func() { pv.view.setAuthority(byURL) })
-	pv.authReady.Store(true)
+	auth := pv.view.denseAuthority(byURL)
+	pv.auth.Store(&auth)
 	return nil
 }
 
@@ -440,10 +466,11 @@ func (p *Partition) beginPhase(version string, plan *Plan) (*partView, *scoreScr
 	}
 	var auth [][]float64
 	if plan.Weights.Authority != 0 {
-		if !pv.authReady.Load() {
+		a := pv.auth.Load()
+		if a == nil {
 			return nil, nil, ErrAuthNotReady
 		}
-		auth = pv.view.auth
+		auth = *a
 	}
 	qs := p.eng.getScratch(pv.view)
 	fillPlan(qs, plan, auth)

@@ -2,6 +2,8 @@ package search
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/bingo-search/bingo/internal/store"
@@ -129,5 +131,56 @@ func TestSetGlobalVersionCollisionInstallsFreshView(t *testing.T) {
 	}
 	if stats.Candidates != 2 {
 		t.Fatalf("post-collision view sees %d candidates, want 2 — stale view survived the push", stats.Candidates)
+	}
+}
+
+// TestSetAuthRefusesOutOfRange: authority scores are an L2-normalized
+// HITS vector, and the skyband's pruning relies on each lying in
+// [0, UnitBound]; anything else is refused before it is installed. A
+// later push for the same version replaces the scores — the coordinator
+// retrying a round that missed some shard's links.
+func TestSetAuthRefusesOutOfRange(t *testing.T) {
+	st := store.NewSharded(1)
+	st.Insert(distribDoc("http://auth.example/1", map[string]int{"databas": 1}))
+	p := NewPartition(st)
+	if err := pushOwnStats(p, "gA", p.Stats()); err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{"http://auth.example/1"}
+	for _, x := range []float64{-0x1p-1074, math.Nextafter(UnitBound, 2), 2, math.Inf(1), math.NaN()} {
+		if err := p.SetAuth("gA", urls, []float64{x}); !errors.Is(err, ErrBadAuthority) {
+			t.Fatalf("score %v: got %v, want ErrBadAuthority", x, err)
+		}
+	}
+	plan := countPlan("databas")
+	plan.Weights = Weights{Cosine: 1, Authority: 1}
+	if _, err := p.Search("gA", plan); !errors.Is(err, ErrAuthNotReady) {
+		t.Fatalf("refused pushes installed authority: Search got %v", err)
+	}
+	for _, x := range []float64{UnitBound, 0.25} {
+		if err := p.SetAuth("gA", urls, []float64{x}); err != nil {
+			t.Fatalf("score %v: %v", x, err)
+		}
+		sb, err := p.Search("gA", plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.MaxAuth != x || len(sb.Auth) != 1 || sb.Auth[0] != x {
+			t.Fatalf("after pushing %v: max %v, rows %v", x, sb.MaxAuth, sb.Auth)
+		}
+	}
+}
+
+// TestStatsReportsMaxConf: Stats carries the largest confidence of the
+// pinned documents, which the coordinator folds into its plans' bound.
+func TestStatsReportsMaxConf(t *testing.T) {
+	st := store.NewSharded(2)
+	for i, c := range []float64{0.25, 0.75, -3} {
+		d := distribDoc(fmt.Sprintf("http://conf.example/%d", i), map[string]int{"databas": 1})
+		d.Confidence = c
+		st.Insert(d)
+	}
+	if got := NewPartition(st).Stats().MaxConf; got != 0.75 {
+		t.Fatalf("MaxConf %v, want 0.75", got)
 	}
 }

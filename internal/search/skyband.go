@@ -18,6 +18,7 @@ package search
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/bingo-search/bingo/internal/metrics"
@@ -25,8 +26,8 @@ import (
 )
 
 // mSkybandRows is the number of rows each Partition.Search ships — K under
-// cosine-only weights up to exact ties at the K-th score; larger when
-// confidence is weighted (see skyRule).
+// cosine-only weights up to exact ties at the K-th score; a few times K
+// when confidence or authority is weighted (see skyRule).
 var mSkybandRows = metrics.NewHistogram("search_skyband_rows")
 
 // ErrBadWeights refuses a plan whose ranking weights are negative or not
@@ -65,15 +66,20 @@ type Skyband struct {
 // MergeSkybands both call it, so the single-process engine and the
 // coordinator run the same float operations in the same order and agree
 // bit for bit. withAuth is false when the plan carries no authority
-// scores; auth is then ignored.
+// scores; auth is then ignored. A zero-weight confidence term is skipped:
+// a negative confidence over a tiny maximum overflows to −∞, and 0·∞ would
+// make the score NaN.
 func rankScore(w Weights, cos, conf, auth, maxCos, maxConf, maxAuth float64, withAuth bool) float64 {
 	if maxCos > 0 {
 		cos /= maxCos
 	}
-	if maxConf > 0 {
-		conf /= maxConf
+	score := w.Cosine * cos
+	if w.Confidence != 0 {
+		if maxConf > 0 {
+			conf /= maxConf
+		}
+		score += w.Confidence * conf
 	}
-	score := w.Cosine*cos + w.Confidence*conf
 	if withAuth && maxAuth > 0 {
 		score += w.Authority * auth / maxAuth
 	}
@@ -115,18 +121,43 @@ func (p *Partition) Search(version string, plan *Plan) (*Skyband, error) {
 	st := &out.ScoreStats
 	st.MaxCos, st.MaxConf, st.MaxAuth, st.Candidates, st.Survivors = reduceScatter(qs)
 	if st.Survivors > 0 {
-		p.eng.skyband(qs, qs.q.Limit, out)
+		p.eng.skyband(qs, qs.q.Limit, plan.Bounds, st, out)
 	}
 	return out, nil
 }
+
+// Bounds caps the fleet-wide component maxima — the largest cosine,
+// confidence and authority among the query's survivors on every shard —
+// that shards may assume when they prune their skybands (skyRule's clause
+// (b)). Zero leaves a component unbounded. The coordinator sets Cos to
+// UnitBound, Conf to the largest confidence in its synced stats and Auth to
+// the largest authority score it pushed; MergeSkybands checks them against
+// the maxima the shards report, so a wrong bound costs a second round
+// trip, never a wrong answer.
+type Bounds struct {
+	Cos  float64 `json:"cos,omitempty"`
+	Conf float64 `json:"conf,omitempty"`
+	Auth float64 `json:"auth,omitempty"`
+}
+
+// UnitBound bounds every cosine — 1 by Cauchy–Schwarz, plus room for the
+// rounding of the accumulated dot product and norms — and every authority
+// score, which SetAuth enforces.
+const UnitBound = 1 + 0x1p-40
+
+// within reports whether a component of weight w and fleet maximum m
+// respects bound.
+func within(w, m, bound float64) bool { return w == 0 || bound == 0 || m <= bound }
 
 // MergeSkybands ranks the union of partition answers exactly as one
 // process holding every partition would: fold the maxima (max is
 // order-independent), score every shipped row with rankScore, normalize
 // the components as gatherHits does, sort by score descending then URL
 // ascending, and keep limit hits. A hit's Doc holds URL, Title and Topic
-// only.
-func MergeSkybands(w Weights, limit int, parts []*Skyband) []Hit {
+// only. It reports false, and no hits, when a folded maximum of a weighted
+// component exceeds its bound in b: the partitions pruned under a false
+// premise, and the caller must ask again with zero Bounds.
+func MergeSkybands(w Weights, b Bounds, limit int, parts []*Skyband) ([]Hit, bool) {
 	var maxCos, maxConf, maxAuth float64
 	survivors, rows := 0, 0
 	for _, p := range parts {
@@ -142,8 +173,11 @@ func MergeSkybands(w Weights, limit int, parts []*Skyband) []Hit {
 			maxAuth = p.MaxAuth
 		}
 	}
+	if !within(w.Cosine, maxCos, b.Cos) || !within(w.Confidence, maxConf, b.Conf) || !within(w.Authority, maxAuth, b.Auth) {
+		return nil, false
+	}
 	if survivors == 0 {
-		return nil
+		return nil, true
 	}
 	withAuth := w.Authority != 0
 	hits := make([]Hit, 0, rows)
@@ -170,125 +204,177 @@ func MergeSkybands(w Weights, limit int, parts []*Skyband) []Hit {
 	if len(hits) > limit {
 		hits = hits[:limit]
 	}
-	return hits
+	return hits, true
 }
 
-// Bounds of skyRule's clause (b).
+// Limits of skyRule's clause (b).
 const (
-	// marginLo and marginHi bound every non-zero weight and every positive
-	// component clause (b) reasons about.
+	// marginLo and marginHi bound every non-zero weight clause (b) admits,
+	// and every bound it uses.
 	marginLo = 0x1p-64
 	marginHi = 0x1p64
-	// marginEps is the factor by which a row must beat another on every
-	// weighted component for clause (b): 1 + 2⁻⁴⁰.
-	marginEps = 1 + 0x1p-40
+	// marginEps is clause (b)'s margin relative to the magnitudes involved:
+	// 2⁻⁴⁰, far above the few units of 2⁻⁵³ that rounding can move a score
+	// or the test itself.
+	marginEps = 0x1p-40
+	// marginAbs absorbs the absolute error of underflowed operations.
+	marginAbs = 0x1p-1000
+	// marginSize caps the magnitudes clause (b) reasons about, so that
+	// nothing in it or in rankScore overflows.
+	marginSize = 0x1p900
 )
 
-// skyRule decides, for one plan, whether a row e surely precedes a row d:
-// ranks strictly before d (higher score, or equal score and smaller URL)
-// for every admissible set of global maxima. Let W be the components with
-// a non-zero weight. e surely precedes d when e ≥ d on every component in
-// W and
+// skyRule decides, for one plan on one partition, whether a row e surely
+// precedes a row d: ranks strictly before d (higher score, or equal score
+// and smaller URL) for every admissible set of global maxima. Admissible
+// maxima M_i are at least the partition's local maxima m_i — the fleet's
+// maximum includes this partition's — and, for a component the plan
+// bounds, at most its bound B_i. Let W be the components with a non-zero
+// weight. If every weight is at most 2⁶⁴, e surely precedes d when
 //
-//	(a) URL(e) < URL(d); or
-//	(b) margin holds for the plan — W ⊆ {cos, auth} and every non-zero
-//	    weight lies in [2⁻⁶⁴, 2⁶⁴] — and either
-//	    (b1) every W-component of d is 0 or ≥ 2⁻⁶⁴, one is positive, and
-//	         e ≥ fl(d·(1+2⁻⁴⁰)) on every component in W; or
-//	    (b2) every W-component of d is 0 and some W-component of e is
-//	         ≥ 2⁻⁶⁴.
+//	(a) e ≥ d on every component in W and URL(e) < URL(d); or
+//	(b) every non-zero weight lies in [2⁻⁶⁴, 2⁶⁴] and e beats d by a
+//	    margin. With lo_i = 1/B_i (0 for an unbounded component) and
+//	    hi_i = 1/m_i, each row x carries x̲_i = w_i·x_i·lo_i,
+//	    x̄_i = w_i·x_i·hi_i and A_x = Σ_{i∈W} w_i·|x_i|·hi_i (a term of
+//	    x_i = 0 counts 0), and
+//	      p = Σ_{i∈W, e_i>d_i} (e̲_i − d̲_i)
+//	      n = Σ_{i∈W, e_i<d_i} (d̄_i − ē_i)
+//	    satisfy, with a = A_e + A_d, a ≤ 2⁹⁰⁰ and
+//	    p > n + a·2⁻⁴⁰ + 2⁻¹⁰⁰⁰, all computed in floating point.
 //
-// Proof of (a). With weights ≥ 0, rankScore is monotone non-decreasing in
-// each component: a division by the same positive maximum, a product with
-// the same non-negative weight and a sum are each monotone under
-// round-to-nearest, and a zero-weight term is ±0 and never changes the
-// sum's value (every component is finite and non-negative, and at most
-// its maximum, so no 0·∞ arises). So S(e) ≥ S(d) for any maxima, and a
+// A heavier weight makes nothing sure, and the partition ships every
+// survivor: it could turn a term into +∞, and the −∞ of a negative
+// confidence over a tiny maximum into a NaN score.
+//
+// Proof of (a). With weights in [0, 2⁶⁴], rankScore is monotone
+// non-decreasing in each component: a division by the same positive
+// maximum, a product with the same non-negative weight and a sum are each
+// monotone under round-to-nearest. No term is +∞ — the cosine and
+// authority terms are at most about w, as x ≤ M, and so is a positive
+// confidence term — and a zero-weight cosine term is +0 while a
+// zero-weight confidence term is skipped, so a −∞ confidence term never
+// meets +∞ or 0 and no NaN arises. So S(e) ≥ S(d) for any maxima, and a
 // tie goes to the smaller URL.
 //
-// Proof of (b). The admissible maxima M_c, M_a are at least the local
-// ones, so every component x satisfies x ≤ M. They are at most
-// 1 + 2⁻⁴⁰: cosine by Cauchy–Schwarz (the computed norm covers at least
-// the matched query terms, so rounding leaves the quotient within a few
-// query-term-count ulps of 1) and authority because HITS returns an
-// L2-normalized vector; the proof below only uses M ≤ 2. Confidence has
-// no bound, so a confidence-weighted plan has (a) alone. Per side,
-// rankScore rounds at most 5 times: the cos quotient and product, the
-// auth product and quotient, and the final sum; adding the ±0
-// zero-weight confidence term is exact. For a positive component
-// x ≥ 2⁻⁶⁴ and a weight w ∈ [2⁻⁶⁴, 2⁶⁴], the intermediates
-// x/M ∈ [2⁻⁶⁵, 1], w·x/M ∈ [2⁻¹²⁹, 2⁶⁴] and w·x ∈ [2⁻¹²⁸, 2⁶⁵] are
-// normal floats, so each rounding has relative error ≤ u = 2⁻⁵³ and
-// nothing over- or underflows.
-// Write D = Σ_{i∈W} w_i·d_i/M_i in exact arithmetic.
+// Proof of (b). Let u = 2⁻⁵³ and γ_k = k·u/(1−k·u). A component with
+// e_i = d_i = 0 adds exactly +0 to both scores and to p, n and a. Any
+// other W-component has hi_i finite, since a is, so m_i > 0 and
+// M_i ≥ m_i: rankScore divides by M_i, and |x_i|/M_i ≤ |x_i|·hi_i. So
+// every term w_i·x_i/M_i is at most a ≤ 2⁹⁰⁰ in magnitude, every
+// quotient |x_i|/M_i at most a/w_i ≤ 2⁹⁶⁴, and the authority product
+// w_a·x_a at most 2⁶⁵ (SetAuth admits scores in [0, UnitBound]): nothing
+// overflows. rankScore rounds at most twice per term and twice in the sum,
+// so |fl S(x) − S(x)| ≤ γ₄·Σ w_i·|x_i|/M_i + 2⁻¹⁰⁷⁰ ≤ γ₄·A*_x + 2⁻¹⁰⁷⁰,
+// where S is the exact score, A* the exact A, and 2⁻¹⁰⁷⁰ covers operations
+// that underflow. In exact arithmetic S(e) − S(d) = Σ w_i·(e_i−d_i)/M_i
+// is linear in each 1/M_i ∈ [1/B_i, 1/m_i], so it is at least P* − N*,
+// the exact p and n. Each x̲_i, x̄_i is within γ₃ of its exact value (1/B_i
+// or 1/m_i and two products), and p and n add at most three differences,
+// so |p − P*| and |n − N*| are each at most γ₆·(A*_e + A*_d) + 2⁻¹⁰⁶⁰ (as
+// lo_i ≤ hi_i); likewise a ≥ (A*_e + A*_d)(1 − γ₆) − 2⁻¹⁰⁶⁰. Hence
+// P* − N* > (A*_e + A*_d)(2⁻⁴⁰(1 − γ₆) − 2γ₆) + 2⁻¹⁰⁰¹ >
+// γ₄·(A*_e + A*_d) + 2⁻¹⁰⁶⁹, and fl S(e) > fl S(d).
 //
-//	(b1) D ≥ 2⁻¹²⁹ > 0 and S(d) ≤ D·(1+u)⁵. Since d_i ≥ 2⁻⁶⁴ is normal,
-//	     fl(d_i·(1+2⁻⁴⁰)) ≥ d_i·(1+2⁻⁴⁰)(1−u) ≥ d_i·(1+2⁻⁴¹); the terms
-//	     of e are non-negative and rankScore is monotone, so
-//	     S(e) ≥ D·(1+2⁻⁴¹)(1−u)⁵. And (1+2⁻⁴¹)(1−u)⁵ > (1+u)⁵, because
-//	     ((1+u)/(1−u))⁵ < 1 + 11u < 1 + 2⁻⁴⁹. So S(e) > S(d).
-//	(b2) S(d) = 0, and e's term for a component ≥ 2⁻⁶⁴ is ≥ 2⁻¹²⁹·(1−u)²
-//	     > 0 while its other terms are ≥ 0, so S(e) > 0.
-//
-// Raw order. The same bounds hold with every maximum 1 (each component is
-// at most 1 + 2⁻⁴⁰), so e surely preceding d also puts e strictly before
-// d in the raw order — Σ w_i·x_i descending, URL ascending — that the
-// shard scans in.
+// Aggregates. Clause (a) only asks e to be large and its URL small, and
+// P* − N* is non-decreasing in each e_i. So e may also be an aggregate
+// over a set of rows — componentwise minimum, with A taken over the
+// componentwise maximum magnitude and the largest URL — and a true answer
+// then holds for every row of the set.
 type skyRule struct {
-	on     [3]bool // W: cos, conf, auth with a non-zero weight
-	margin bool    // clause (b) admissible for the plan
+	on     [3]bool    // W: cos, conf, auth with a non-zero weight
+	w      [3]float64 // the weights
+	sound  bool       // every weight at most 2⁶⁴
+	margin bool       // clause (b) admissible for the plan
+	lo, hi [3]float64 // 1/B_i (0 when unbounded) and 1/m_i
 }
 
-func newSkyRule(w Weights) skyRule {
-	r := skyRule{margin: w.Confidence == 0}
-	for i, x := range [3]float64{w.Cosine, w.Confidence, w.Authority} {
-		r.on[i] = x != 0
-		if x != 0 && !(x >= marginLo && x <= marginHi) {
-			r.margin = false
+func newSkyRule(w Weights, b Bounds, local *ScoreStats) skyRule {
+	r := skyRule{w: [3]float64{w.Cosine, w.Confidence, w.Authority}, sound: true, margin: true}
+	bound := [3]float64{b.Cos, b.Conf, b.Auth}
+	m := [3]float64{local.MaxCos, local.MaxConf, local.MaxAuth}
+	bounded := false
+	for i, x := range r.w {
+		if x == 0 {
+			continue
+		}
+		r.on[i] = true
+		r.sound = r.sound && x <= marginHi
+		r.margin = r.margin && x >= marginLo
+		r.hi[i] = 1 / m[i]
+		// A bound below the local maximum is wrong; MergeSkybands sees it
+		// too and the coordinator asks again without bounds.
+		if bound[i] >= m[i] && bound[i] <= marginHi {
+			r.lo[i] = 1 / bound[i]
+			bounded = true
 		}
 	}
+	r.margin = r.margin && bounded
 	return r
 }
 
-// big reports whether some W-component of x is ≥ 2⁻⁶⁴ (clause (b2)'s
-// condition on e).
-func (r *skyRule) big(x *[3]float64) bool {
-	for i := range x {
-		if r.on[i] && x[i] >= marginLo {
-			return true
-		}
-	}
-	return false
+// skyRow is one row as skyRule reads it: raw components, URL, and clause
+// (b)'s scaled components x̲, x̄ and magnitude A.
+type skyRow struct {
+	x      [3]float64
+	lo, hi [3]float64
+	a      float64
+	url    string
 }
 
-// surelyPrecedes reports whether e surely precedes d. e may also be an
-// aggregate over a set of rows — componentwise minimum, "every row is
-// big", largest URL — and then a true answer holds for every row of the
-// set, because each clause only asks e to be large and its URL small.
-// Clause (b) is tried first: under cosine-only weights it settles almost
-// every pair without comparing URLs.
-func (r *skyRule) surelyPrecedes(e *[3]float64, eBig bool, eURL string, d *[3]float64, dURL string) bool {
-	for i := range e {
-		if r.on[i] && e[i] < d[i] {
-			return false
-		}
-	}
-	return r.margin && r.beatsByMargin(e, eBig, d) || eURL < dURL
-}
-
-// beatsByMargin is clause (b1) or (b2) for a plan where margin holds.
-func (r *skyRule) beatsByMargin(e *[3]float64, eBig bool, d *[3]float64) bool {
-	zero := true
-	for i := range d {
-		if !r.on[i] || d[i] == 0 {
+// fill prepares s, whose x and url are set, for comparisons; abs is |x|,
+// or the componentwise maximum magnitude when s is an aggregate.
+func (r *skyRule) fill(s *skyRow, abs *[3]float64) {
+	s.lo, s.hi, s.a = [3]float64{}, [3]float64{}, 0
+	for i, x := range s.x {
+		if !r.on[i] {
 			continue
 		}
-		if !(d[i] >= marginLo) || e[i] < d[i]*marginEps {
+		if x != 0 {
+			s.lo[i] = r.w[i] * (x * r.lo[i])
+			s.hi[i] = r.w[i] * (x * r.hi[i])
+		}
+		if abs[i] != 0 {
+			s.a += r.w[i] * (abs[i] * r.hi[i])
+		}
+	}
+}
+
+// surelyPrecedes reports whether e surely precedes d. Clause (b) is tried
+// first: it settles most pairs without comparing URLs.
+func (r *skyRule) surelyPrecedes(e, d *skyRow) bool {
+	if !r.sound {
+		return false
+	}
+	if r.margin && r.beatsByMargin(e, d) {
+		return true
+	}
+	for i := range e.x {
+		if r.on[i] && e.x[i] < d.x[i] {
 			return false
 		}
-		zero = false
 	}
-	return !zero || eBig
+	return e.url < d.url
+}
+
+// beatsByMargin is clause (b) for a plan where it is admissible. Scaled
+// components of a component outside W are 0. An infinite a — from a
+// component whose local maximum is not positive, or from an overflow —
+// fails the test.
+func (r *skyRule) beatsByMargin(e, d *skyRow) bool {
+	a := e.a + d.a
+	if !(a <= marginSize) {
+		return false
+	}
+	var p, n float64
+	for i := range e.x {
+		if e.x[i] > d.x[i] {
+			p += e.lo[i] - d.lo[i]
+		} else if e.x[i] < d.x[i] {
+			n += d.hi[i] - e.hi[i]
+		}
+	}
+	return p > n+a*marginEps+marginAbs
 }
 
 // comps returns a candidate's raw components: cosine, confidence and
@@ -303,39 +389,52 @@ func (qs *scoreScratch) comps(en topEntry) [3]float64 {
 
 func (qs *scoreScratch) url(en topEntry) string { return qs.view.shards[en.si].docs[en.seq].URL }
 
+// skyRow prepares candidate en as s for rule.
+func (qs *scoreScratch) skyRow(rule *skyRule, en topEntry, s *skyRow) {
+	s.x, s.url = qs.comps(en), qs.url(en)
+	abs := [3]float64{math.Abs(s.x[0]), math.Abs(s.x[1]), math.Abs(s.x[2])}
+	rule.fill(s, &abs)
+}
+
 // skyband appends the scattered survivors' tie-aware K-skyband to out, in
 // about the cost of one Gather:
 //
-//  1. T = the top k by raw Σ w_i·x_i: passTwo under unit maxima (division
-//     by 1 is exact), merged across the partition's store shards. T is
-//     always shipped: a row that surely precedes another comes before it
-//     in raw order, and fewer than k rows come before any row of T.
-//  2. Every other survivor is tested in O(|W|) against T's componentwise
-//     minimum, largest URL and "all big" flag; one that all of T surely
-//     precedes is dropped.
-//  3. The remainder, in raw order, counts the shipped rows that surely
-//     precede it, stopping at k, and is shipped if it stays below k.
+//  1. T = the top k under the local maxima m — passTwo as if this
+//     partition held the whole fleet — merged across the partition's
+//     store shards. T is always shipped.
+//  2. Every other survivor is tested against T's aggregate (componentwise
+//     minimum, maximum magnitude, largest URL), then against each row of
+//     T; one that all of T surely precedes is dropped.
+//  3. The remainder, best first under m, counts the shipped rows that
+//     surely precede it, stopping at k, and is shipped if it stays below
+//     k.
 //
-// Under cosine-only weights step 2 leaves only rows within a factor
-// 1 + 2⁻⁴⁰ of T's lowest cosine — exact ties at the K-th score.
-func (e *Engine) skyband(qs *scoreScratch, k int, out *Skyband) {
-	e.passTwo(qs, k, 1, 1, 1)
+// A dropped row has k shipped rows that rank before it under the fleet's
+// maxima, so the shipped rows hold every row of the global top-k: the scan
+// order only decides how much is pruned.
+func (e *Engine) skyband(qs *scoreScratch, k int, b Bounds, local *ScoreStats, out *Skyband) {
+	e.passTwo(qs, k, local.MaxCos, local.MaxConf, local.MaxAuth)
 	qs.mergeHeaps(k)
-	rule := newSkyRule(qs.q.Weights)
 	if len(qs.merged) == k {
-		lo := qs.comps(qs.merged[0])
-		allBig, maxURL := true, ""
-		for _, en := range qs.merged {
-			x := qs.comps(en)
-			for i := range lo {
-				lo[i] = min(lo[i], x[i])
+		rule := newSkyRule(qs.q.Weights, b, local)
+		var agg, d skyRow
+		var hi [3]float64
+		qs.sky = slices.Grow(qs.sky, k)[:k]
+		for j, en := range qs.merged {
+			r := &qs.sky[j]
+			qs.skyRow(&rule, en, r)
+			for i := range hi {
+				if j == 0 {
+					agg.x[i] = r.x[i]
+				}
+				agg.x[i], hi[i] = min(agg.x[i], r.x[i]), max(hi[i], math.Abs(r.x[i]))
 			}
-			allBig = allBig && rule.big(&x)
-			maxURL = max(maxURL, qs.url(en))
+			agg.url = max(agg.url, r.url)
 			// Mark T's rows as taken, so the sweep below skips them;
 			// putScratch resets matched for every candidate.
 			qs.shards[en.si].matched[en.seq] = -1
 		}
+		rule.fill(&agg, &hi)
 		w := qs.q.Weights
 		for _, sc := range qs.shards {
 			for _, i := range sc.cand {
@@ -343,20 +442,25 @@ func (e *Engine) skyband(qs *scoreScratch, k int, out *Skyband) {
 					continue
 				}
 				en := topEntry{si: int32(sc.shard), seq: int32(i)}
-				d := qs.comps(en)
-				if !rule.surelyPrecedes(&lo, allBig, maxURL, &d, qs.url(en)) {
-					en.score = rankScore(w, d[0], d[1], d[2], 1, 1, 1, qs.auth != nil)
-					qs.rest = append(qs.rest, en)
+				qs.skyRow(&rule, en, &d)
+				if rule.surelyPrecedes(&agg, &d) || allPrecede(&rule, qs.sky, &d) {
+					continue
 				}
+				en.score = rankScore(w, d.x[0], d.x[1], d.x[2], local.MaxCos, local.MaxConf, local.MaxAuth, qs.auth != nil)
+				qs.rest = append(qs.rest, en)
 			}
 		}
-		sort.Slice(qs.rest, func(a, b int) bool { return qs.worse(qs.rest[b], qs.rest[a]) })
+		slices.SortFunc(qs.rest, func(a, b topEntry) int {
+			if qs.worse(b, a) {
+				return -1
+			}
+			return 1
+		})
 		for _, en := range qs.rest {
-			d, dURL := qs.comps(en), qs.url(en)
+			qs.skyRow(&rule, en, &d)
 			beaten := 0
-			for _, s := range qs.merged {
-				x := qs.comps(s)
-				if rule.surelyPrecedes(&x, rule.big(&x), qs.url(s), &d, dURL) {
+			for j := range qs.sky {
+				if rule.surelyPrecedes(&qs.sky[j], &d) {
 					if beaten++; beaten == k {
 						break
 					}
@@ -364,6 +468,7 @@ func (e *Engine) skyband(qs *scoreScratch, k int, out *Skyband) {
 			}
 			if beaten < k {
 				qs.merged = append(qs.merged, en)
+				qs.sky = append(qs.sky, d)
 			}
 		}
 	}
@@ -383,4 +488,14 @@ func (e *Engine) skyband(qs *scoreScratch, k int, out *Skyband) {
 			out.Auth[j] = x[2]
 		}
 	}
+}
+
+// allPrecede reports whether every row of rows surely precedes d.
+func allPrecede(rule *skyRule, rows []skyRow, d *skyRow) bool {
+	for j := range rows {
+		if !rule.surelyPrecedes(&rows[j], d) {
+			return false
+		}
+	}
+	return true
 }

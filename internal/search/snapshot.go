@@ -113,7 +113,8 @@ type searchView struct {
 	numDocs int
 
 	// auth holds HITS authority scores dense by [shard][seq], computed
-	// lazily on the first authority-weighted query against this view.
+	// lazily on the first authority-weighted query against this view. A
+	// Partition's views leave it nil and keep pushed scores on partView.
 	authOnce sync.Once
 	auth     [][]float64
 }
@@ -442,7 +443,7 @@ func (v *searchView) authorityScores(st *store.Store) [][]float64 {
 			links = append(links, l)
 			return true
 		})
-		v.setAuthority(AuthorityFromLinks(links))
+		v.auth = v.denseAuthority(AuthorityFromLinks(links))
 	})
 	return v.auth
 }
@@ -474,9 +475,9 @@ func AuthorityFromLinks(links []store.Link) map[string]float64 {
 	return byURL
 }
 
-// setAuthority densifies per-URL authority scores into the view's
-// per-shard [seq] vectors. Callers must hold the view's authOnce.
-func (v *searchView) setAuthority(byURL map[string]float64) {
+// denseAuthority densifies per-URL authority scores into per-shard [seq]
+// vectors over the view's documents.
+func (v *searchView) denseAuthority(byURL map[string]float64) [][]float64 {
 	auth := make([][]float64, len(v.shards))
 	for si, sn := range v.shards {
 		a := make([]float64, len(sn.docs))
@@ -487,7 +488,7 @@ func (v *searchView) setAuthority(byURL map[string]float64) {
 		}
 		auth[si] = a
 	}
-	v.auth = auth
+	return auth
 }
 
 // topEntry is one candidate in a bounded top-K heap: shard index plus
@@ -551,6 +552,7 @@ type scoreScratch struct {
 	qterms []PlanTerm
 	merged []topEntry
 	rest   []topEntry // skyband candidates the top-K bounds could not prune
+	sky    []skyRow   // the skyband's shipped rows
 
 	// Per-query scatter inputs, parked by fillPlan. They live in the
 	// (heap-pooled) scratch rather than being captured by the parallel
@@ -656,6 +658,8 @@ func (e *Engine) putScratch(qs *scoreScratch) {
 	qs.qterms = qs.qterms[:0]
 	qs.merged = qs.merged[:0]
 	qs.rest = qs.rest[:0]
+	clear(qs.sky)
+	qs.sky = qs.sky[:0]
 	qs.view = nil
 	qs.q = Query{}
 	qs.phrases = nil
