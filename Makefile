@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz chaos smoke smoke-dist smoke-tenant doccheck loc bench bench-smoke bench-compare smoke-frontier
+.PHONY: all build vet fmt-check test race fuzz chaos smoke smoke-dist smoke-tenant doccheck loc bench bench-smoke bench-go bench-compare smoke-frontier
 
 all: build test
 
@@ -71,6 +71,12 @@ bench-smoke:
 	done
 	@echo "bench-smoke: serve-sharded, traced"
 	bash cmd/bench/run.sh --workload serve-sharded --seed 2003 --seconds 2 --trace 1
+
+# bench-go runs every Go benchmark under internal/ exactly once — a
+# compile-and-run check (BenchmarkScoringLoop, BenchmarkSearch,
+# BenchmarkQueryProtocol, ...), not a timing gate.
+bench-go:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # bench-compare prints metric · old → new · delta for two result files and
 # exits 1 on a regression beyond a metric's bound:

@@ -30,6 +30,10 @@ func sameSnap(t *testing.T, label string, fresh, carried *shardSnap) {
 		{"logtf", fresh.logtf, carried.logtf},
 		{"terms", fresh.terms, carried.terms},
 		{"df", fresh.df, carried.df},
+		{"tids", fresh.tids, carried.tids},
+		{"postOff", fresh.postOff, carried.postOff},
+		{"postSeq", fresh.postSeq, carried.postSeq},
+		{"postW", fresh.postW, carried.postW},
 	} {
 		if !reflect.DeepEqual(f.want, f.got) {
 			t.Fatalf("%s: carried snap differs from a fresh build in %s", label, f.name)

@@ -9,10 +9,11 @@
 // Queries are served index-natively from an immutable snapshot (see
 // snapshot.go): per-document tf·idf norms, confidence, topic, and URL are
 // precomputed once per store epoch, scoring accumulates term-at-a-time from
-// the live postings into dense per-DocID arrays, and result selection uses
-// a bounded top-K heap. Query analysis and query-side weights come from the
-// same Planner (distrib.go) a coordinator uses, so the single-process and
-// the distributed path share one definition of a query.
+// the snapshot's own postings into dense per-DocID arrays, and result
+// selection uses a bounded top-K heap. Query analysis and query-side
+// weights come from the same Planner (distrib.go) a coordinator uses, so
+// the single-process and the distributed path share one definition of a
+// query.
 package search
 
 import (
@@ -111,9 +112,10 @@ func New(s *store.Store) *Engine {
 	return e
 }
 
-// Search runs q and returns the ranked hits. Answering reads postings and
-// the resident snapshot only; hits carry no body text or term vector (see
-// Hit) — store.DocText is the way to a hit's body.
+// Search runs q and returns the ranked hits. Answering reads the resident
+// snapshot only (a phrase filter may read a cold body once per document
+// for its stem cache); hits carry no body text or term vector (see Hit) —
+// store.DocText is the way to a hit's body.
 func (e *Engine) Search(q Query) []Hit {
 	hits, _ := e.search(q)
 	return hits

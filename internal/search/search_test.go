@@ -398,41 +398,51 @@ func scoringLoop(e *Engine, v *searchView, plan *Plan) {
 
 // TestScoringLoopZeroAlloc pins the acceptance criterion: the candidate-
 // scoring loop performs zero per-query allocations for non-phrase queries
-// once the pooled scratch is warm.
+// once the pooled scratch is warm — over an untiered store, and over a
+// tiered one whose documents sit mostly in segments with a memtable tail.
 func TestScoringLoopZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	s := store.New()
-	for i := 0; i < 2000; i++ {
-		s.Insert(store.Document{
-			URL:        fmt.Sprintf("http://h%d.example/d%d", i%50, i),
-			Topic:      "ROOT/db",
-			Confidence: float64(i%100) / 100,
-			Terms: map[string]int{
-				"recoveri":                1 + i%3,
-				"transact":                1 + i%2,
-				fmt.Sprintf("t%d", i%200): 2,
-			},
-		})
+	fill := func(s *store.Store, from, to int) {
+		for i := from; i < to; i++ {
+			s.Insert(store.Document{
+				URL:        fmt.Sprintf("http://h%d.example/d%d", i%50, i),
+				Topic:      "ROOT/db",
+				Confidence: float64(i%100) / 100,
+				Terms: map[string]int{
+					"recoveri":                1 + i%3,
+					"transact":                1 + i%2,
+					fmt.Sprintf("t%d", i%200): 2,
+				},
+			})
+		}
 	}
-	e := New(s)
-	snap := e.snapshot()
-	for _, q := range []Query{
-		{Text: "recovery transaction"},
-		{Text: "recovery transaction", Exact: true},
-		{Text: "recovery", Topic: "ROOT/db"},
-	} {
-		plan, ok := e.planner.Plan(q, snap.idf)
-		if !ok {
-			t.Fatalf("query %q planned to nothing", q.Text)
-		}
-		if len(e.Search(q)) == 0 {
-			t.Fatalf("query %+v has no hits; the gate would measure an empty loop", q)
-		}
-		allocs := testing.AllocsPerRun(50, func() { scoringLoop(e, snap, plan) })
-		if allocs != 0 {
-			t.Errorf("query %+v: scoring loop allocates %.1f objects per query, want 0", q, allocs)
+	untiered := store.New()
+	fill(untiered, 0, 2000)
+	tiered := openSearchTiered(t, 4)
+	fill(tiered, 0, 1500)
+	freezeAllShards(t, tiered)
+	fill(tiered, 1500, 2000)
+	for name, s := range map[string]*store.Store{"untiered": untiered, "tiered": tiered} {
+		e := New(s)
+		snap := e.snapshot()
+		for _, q := range []Query{
+			{Text: "recovery transaction"},
+			{Text: "recovery transaction", Exact: true},
+			{Text: "recovery", Topic: "ROOT/db"},
+		} {
+			plan, ok := e.planner.Plan(q, snap.idf)
+			if !ok {
+				t.Fatalf("query %q planned to nothing", q.Text)
+			}
+			if len(e.Search(q)) == 0 {
+				t.Fatalf("%s query %+v has no hits; the gate would measure an empty loop", name, q)
+			}
+			allocs := testing.AllocsPerRun(50, func() { scoringLoop(e, snap, plan) })
+			if allocs != 0 {
+				t.Errorf("%s query %+v: scoring loop allocates %.1f objects per query, want 0", name, q, allocs)
+			}
 		}
 	}
 }

@@ -3,8 +3,9 @@
 //
 //   - shardSnap: one immutable snapshot per store shard — dense-by-sequence
 //     document rows, the shard's term vectors in CSR layout with
-//     precomputed 1+log(tf) factors, the shard-local vocabulary with its
-//     document frequencies, and a lazy stem cache. A shardSnap is keyed on
+//     precomputed 1+log(tf) factors, the same entries inverted into
+//     term-major postings, the shard-local vocabulary with its document
+//     frequencies, and a lazy stem cache. A shardSnap is keyed on
 //     its shard's mutation epoch and is rebuilt only when that shard
 //     changed, and a rebuild carries every row the previous snap of the
 //     shard already holds, so rebuild cost under writes is O(rows written)
@@ -16,8 +17,9 @@
 //     per-shard tf·idf norm vectors recomputed against the merged idf (a
 //     dense multiply-add pass over the CSR vectors; no hashing, no log()).
 //
-// Queries scatter term-at-a-time scoring across the shard snaps (in
-// parallel when the corpus is big enough to pay for it), reduce the
+// Queries scatter term-at-a-time scoring across the shard snaps' own
+// postings (in parallel when the corpus is big enough to pay for it), so a
+// non-phrase query reads nothing from the store; they reduce the
 // order-independent component maxima, combine scores per shard into
 // bounded top-K heaps, and merge the heaps with the deterministic
 // score/URL tie-break — the result list is bit-identical to the same
@@ -72,11 +74,17 @@ const parallelMinDocs = 4096
 // termIDs[docOff[seq]:docOff[seq+1]] (parallel to logtf), sorted by term
 // string so every float accumulation over a document's terms has one
 // deterministic order regardless of shard count or map iteration.
+//
+// The postings are the same entries inverted: term tid owns
+// postSeq[postOff[tid]:postOff[tid+1]] (parallel to postW), sequence-
+// ascending. They are the snap's own, so a query is answered from the
+// snap's document set alone, whatever the store did since the build.
+// Heap cost is 24 bytes per CSR entry (4+8 forward, 4+8 inverted), plus
+// postOff and the tids map per vocabulary term.
 type shardSnap struct {
 	epoch   int64
 	shard   int
-	bits    uint // DocID shard bits: seq = id >> bits
-	numDocs int  // live documents
+	numDocs int // live documents
 
 	docs []store.Document
 
@@ -84,8 +92,13 @@ type shardSnap struct {
 	termIDs []int32
 	logtf   []float64 // 1+log(tf) per CSR entry, precomputed once
 
-	terms []string // shard vocabulary by termID
-	df    []int32  // shard-local document frequency by termID
+	terms []string         // shard vocabulary by termID
+	tids  map[string]int32 // termID by term, the inverse of terms
+	df    []int32          // shard-local document frequency by termID
+
+	postOff []int32   // by termID, len(terms)+1; postings count = df
+	postSeq []int32   // document sequence per posting
+	postW   []float64 // 1+log(tf) per posting, the bits logtf holds
 
 	// stems caches each document's stem sequence for phrase filtering,
 	// filled lazily on the first phrase query that inspects the document.
@@ -98,13 +111,9 @@ type shardSnap struct {
 // searchView is the immutable global read state for one per-shard epoch
 // vector: the shard snaps, the merged idf table, and the per-shard norm
 // vectors in that idf space. Views are swapped atomically; in-flight
-// queries keep the one they loaded.
-//
-// Postings themselves stay in the store's per-shard term-hash-sharded
-// indexes and are read zero-copy via Store.VisitShardPostings: a posting
-// whose sequence is absent from the shard snap (inserted after the build)
-// is skipped, so a query is answered entirely in terms of the view's
-// document set.
+// queries keep the one they loaded. Every input a non-phrase query scores
+// from — rows, postings, norms, idf — lives in the view, so a pinned
+// version answers the same way however the store moves on after it.
 type searchView struct {
 	epochs  []int64 // per-shard epochs the view was built against
 	shards  []*shardSnap
@@ -133,6 +142,8 @@ type searchView struct {
 // same first-appearance interning a fresh build uses, walking seq
 // ascending, so the result is field-for-field identical to
 // buildShardSnap(st, si, nil) and every float keeps its summation order.
+// The postings are then rebuilt from the forward CSR (invertPostings), a
+// linear pass over the rebuilt shard only.
 func buildShardSnap(st *store.Store, si int, base *shardSnap) *shardSnap {
 	epoch := st.ShardEpoch(si)
 	docs := st.ShardDocs(si)
@@ -147,10 +158,10 @@ func buildShardSnap(st *store.Store, si int, base *shardSnap) *shardSnap {
 	sn := &shardSnap{
 		epoch:   epoch,
 		shard:   si,
-		bits:    bits,
 		numDocs: len(docs),
 		docs:    make([]store.Document, n),
 		docOff:  make([]int32, n+1),
+		tids:    make(map[string]int32, 256),
 		stems:   make([]atomic.Pointer[[]string], n),
 	}
 	for i := range docs {
@@ -160,12 +171,11 @@ func buildShardSnap(st *store.Store, si int, base *shardSnap) *shardSnap {
 		term string
 		tf   int
 	}
-	tids := make(map[string]int32, 256)
 	tidOf := func(term string) int32 {
-		tid, ok := tids[term]
+		tid, ok := sn.tids[term]
 		if !ok {
 			tid = int32(len(sn.terms))
-			tids[term] = tid
+			sn.tids[term] = tid
 			sn.terms = append(sn.terms, term)
 			sn.df = append(sn.df, 0)
 		}
@@ -240,9 +250,35 @@ func buildShardSnap(st *store.Store, si int, base *shardSnap) *shardSnap {
 		}
 	}
 	sn.docOff[n] = int32(len(sn.termIDs))
+	sn.invertPostings()
 	mShardDocsCarried.Add(int64(carried))
 	mShardDocsRebuilt.Add(int64(sn.numDocs - carried))
 	return sn
+}
+
+// invertPostings counting-sorts the forward CSR into the term-major
+// postings. df[tid] is exactly the number of entries with termID tid, so
+// it sizes each term's range; walking seq ascending leaves every range
+// sequence-ascending, and postW copies logtf, so scoring from the postings
+// multiplies the very bits the norms were summed from.
+func (sn *shardSnap) invertPostings() {
+	sn.postOff = make([]int32, len(sn.terms)+1)
+	for tid, n := range sn.df {
+		sn.postOff[tid+1] = sn.postOff[tid] + n
+	}
+	next := make([]int32, len(sn.terms))
+	copy(next, sn.postOff)
+	sn.postSeq = make([]int32, len(sn.termIDs))
+	sn.postW = make([]float64, len(sn.termIDs))
+	for seq := 1; seq < len(sn.docs); seq++ {
+		for j := sn.docOff[seq]; j < sn.docOff[seq+1]; j++ {
+			tid := sn.termIDs[j]
+			p := next[tid]
+			next[tid]++
+			sn.postSeq[p] = int32(seq)
+			sn.postW[p] = sn.logtf[j]
+		}
+	}
 }
 
 // snapshot returns a search view current for the store's per-shard epochs,
@@ -502,45 +538,24 @@ type topEntry struct {
 // shardScratch is the reusable per-shard scoring state. acc and matched
 // are dense by shard-local sequence and reset lazily: only the entries
 // named in cand are touched, so reset cost is proportional to the
-// candidate set, not the corpus. The postings visitor is built once so the
-// term loop does not allocate a closure per term. During a parallel
-// scatter each goroutine owns exactly one shardScratch, so the scatter
-// shares no mutable state.
+// candidate set, not the corpus. During a parallel scatter each goroutine
+// owns exactly one shardScratch, so the scatter shares no mutable state.
 type shardScratch struct {
 	shard   int
 	acc     []float64 // per-doc accumulated dot product, later cosine
 	matched []int32   // per-doc count of distinct query terms (-1 = filtered)
-	cand    []int     // touched sequence numbers
+	cand    []int     // touched sequence numbers, in first-touch order
 	heap    []topEntry
 
-	// Visitor state for the current term.
-	snap    *shardSnap
-	norm    []float64
-	termW   float64
-	termIDF float64
-	visit   func(id store.DocID, tf int)
+	snap *shardSnap // the view's snap of this shard
+	norm []float64  // the view's norms of this shard
 
 	// Pass-1 partials, reduced across shards after the scatter.
 	maxCos, maxConf, maxAuth float64
 	survivors                int
 }
 
-func newShardScratch(shard int) *shardScratch {
-	sc := &shardScratch{shard: shard}
-	sc.visit = func(id store.DocID, tf int) {
-		i := int(int64(id) >> sc.snap.bits)
-		if tf <= 0 || i >= len(sc.snap.docs) || sc.snap.docs[i].ID == 0 {
-			return
-		}
-		if sc.matched[i] == 0 {
-			sc.cand = append(sc.cand, i)
-			sc.acc[i] = 0
-		}
-		sc.matched[i]++
-		sc.acc[i] += sc.termW * (1 + math.Log(float64(tf))) * sc.termIDF
-	}
-	return sc
-}
+func newShardScratch(shard int) *shardScratch { return &shardScratch{shard: shard} }
 
 // scoreScratch is the pooled per-query scoring state: one shardScratch per
 // store shard plus the plan's term list and the heap-merge buffer.
@@ -793,21 +808,35 @@ func (e *Engine) passTwo(qs *scoreScratch, limit int, maxCos, maxConf, maxAuth f
 }
 
 // scatterShard runs one shard's accumulate + pass-1: term-at-a-time
-// accumulation (acc[d] += wq(t)·(1+log(tf_d))·idf(t)) over the shard's
-// live postings, then filtering, cosines, and the shard-local component
-// maxima. It mutates only sc and reads the immutable view, the store's
-// read-locked postings, and the query inputs parked in qs by fillPlan, so
-// shards scatter concurrently without shared mutable state. wg is non-nil only on the parallel path.
+// accumulation (acc[d] += wq(t)·(1+log(tf_d))·idf(t)) over the snap's
+// postings, then filtering, cosines, and the shard-local component
+// maxima. It mutates only sc and reads the immutable view and the query
+// inputs parked in qs by fillPlan — the store only for a phrase filter's
+// stem cache misses — so shards scatter concurrently without shared
+// mutable state. wg is non-nil only on the parallel path.
 func (e *Engine) scatterShard(wg *sync.WaitGroup, qs *scoreScratch, sc *shardScratch) {
 	if wg != nil {
 		defer wg.Done()
 	}
 	q, phrases, qnorm, auth := qs.q, qs.phrases, qs.qnorm, qs.auth
 	sc.maxCos, sc.maxConf, sc.maxAuth, sc.survivors = 0, 0, 0, 0
+	sn := sc.snap
 	for i := range qs.qterms {
-		sc.termW = qs.qterms[i].W
-		sc.termIDF = qs.qterms[i].IDF
-		e.store.VisitShardPostings(sc.shard, qs.qterms[i].Term, sc.visit)
+		tid, ok := sn.tids[qs.qterms[i].Term]
+		if !ok {
+			continue
+		}
+		termW, termIDF := qs.qterms[i].W, qs.qterms[i].IDF
+		lo, hi := sn.postOff[tid], sn.postOff[tid+1]
+		ws := sn.postW[lo:hi]
+		for k, seq := range sn.postSeq[lo:hi] {
+			if sc.matched[seq] == 0 {
+				sc.cand = append(sc.cand, int(seq))
+				sc.acc[seq] = 0
+			}
+			sc.matched[seq]++
+			sc.acc[seq] += termW * ws[k] * termIDF
+		}
 	}
 	if len(sc.cand) == 0 {
 		return

@@ -91,9 +91,12 @@ func (sh *storeShard) idFor(seq int64) DocID {
 // insertDocLocked inserts the document row under the shard's docMu,
 // assigning its ID from the shard's sequence. If the URL was already
 // present the replaced row is returned so the caller can clean up its
-// postings (outside docMu). A replacement never keeps the old ID: the
-// sequence only grows (reopen restores it from the manifest and the WAL),
-// which is what makes a DocID's Title, Text and Terms immutable (DocID).
+// postings. Callers update the term index before releasing docMu: a
+// freeze or delete that ran between the row change and the index change
+// would leave postings behind for a row that is gone or frozen. A
+// replacement never keeps the old ID: the sequence only grows (reopen
+// restores it from the manifest and the WAL), which is what makes a
+// DocID's Title, Text and Terms immutable (DocID).
 func (sh *storeShard) insertDocLocked(d Document) (DocID, *Document) {
 	var old *Document
 	key := d.key()

@@ -233,11 +233,11 @@ func (s *Store) Insert(d Document) DocID {
 		walEncodeDoc(&e, int64(id)>>sh.bits, &d)
 		w, _ = t.appendWALLocked(e.Bytes())
 	}
-	sh.docMu.Unlock()
 	if old != nil {
 		sh.index.removeDoc(old.ID, old.Terms)
 	}
 	sh.index.addDoc(id, d.Terms)
+	sh.docMu.Unlock()
 	s.inserts.Add(1)
 	mRowInserts.Inc()
 	sh.bumpEpoch()
@@ -278,18 +278,20 @@ func (s *Store) DeleteDoc(tenant, url string) bool {
 	var w *segment.WAL
 	if ok {
 		d = sh.removeDocLocked(id)
-		if d != nil && sh.tier != nil {
-			var e segment.Enc
-			e.Byte(walOpDelete)
-			e.Str(key)
-			w, _ = sh.tier.appendWALLocked(e.Bytes())
+		if d != nil {
+			sh.index.removeDoc(d.ID, d.Terms)
+			if sh.tier != nil {
+				var e segment.Enc
+				e.Byte(walOpDelete)
+				e.Str(key)
+				w, _ = sh.tier.appendWALLocked(e.Bytes())
+			}
 		}
 	}
 	sh.docMu.Unlock()
 	if d == nil {
 		return false
 	}
-	sh.index.removeDoc(d.ID, d.Terms)
 	sh.bumpEpoch()
 	s.syncWAL(sh.tier, w, 0)
 	return true
@@ -646,20 +648,14 @@ func (sh *storeShard) visitAllPostings(term string, fn func(doc DocID, tf int)) 
 }
 
 // VisitPostings streams a term's postings to fn shard by shard under each
-// index shard's read lock, without copying the postings slice — the
-// zero-copy read path for query scoring. fn must be fast and must not call
-// back into the store (an index shard stays read-locked for the duration
-// of its visit).
+// index shard's read lock, without copying the postings slice. Queries do
+// not call it — they score from the search snapshot's own postings. fn
+// must be fast and must not call back into the store (an index shard stays
+// read-locked for the duration of its visit).
 func (s *Store) VisitPostings(term string, fn func(doc DocID, tf int)) {
 	for _, sh := range s.shards {
 		sh.visitAllPostings(term, fn)
 	}
-}
-
-// VisitShardPostings streams a term's postings within shard i only (the
-// scatter phase of a sharded query reads each shard independently).
-func (s *Store) VisitShardPostings(i int, term string, fn func(doc DocID, tf int)) {
-	s.shards[i].visitAllPostings(term, fn)
 }
 
 // DocFreq returns the number of documents containing term.

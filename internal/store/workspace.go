@@ -189,11 +189,11 @@ func (w *Workspace) Flush() error {
 				w.noteWAL(wal)
 				docsFlushed += int64(len(b.docs))
 			}
-			sh.docMu.Unlock()
 			for _, old := range replaced {
 				sh.index.removeDoc(old.ID, old.Terms)
 			}
 			sh.index.bulkAdd(&w.idxBatch, w.ids, w.terms)
+			sh.docMu.Unlock()
 		}
 		if len(b.outLinks) > 0 || len(b.inLinks) > 0 {
 			sh.linkMu.Lock()
