@@ -25,9 +25,12 @@ test: vet fmt-check
 # The crawl execution path and the query read path are heavily concurrent
 # (worker pool, sharded store, frontier lease protocol, snapshot swaps,
 # parallel HITS sweeps); race runs the packages that exercise them, plus the
-# lock-free metrics primitives they all report into.
+# lock-free metrics primitives they all report into. The store and search
+# concurrency tests run ten more times: an interleaving that breaks one in a
+# hundred runs only shows up when they are repeated.
 race:
 	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/rpc/... ./internal/coord/... ./internal/portal/...
+	$(GO) test -race -count=10 -run 'Concurrent|Churn|Atomic' ./internal/store/ ./internal/search/
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/
 

@@ -45,10 +45,7 @@ func referenceSearch(s *store.Store, q Query) []Hit {
 
 	counts := make(map[store.DocID]int)
 	for term := range uniq {
-		ids, _ := s.Postings(term)
-		for _, id := range ids {
-			counts[id]++
-		}
+		s.VisitPostings(term, func(id store.DocID, _ int) { counts[id]++ })
 	}
 	var candidates []store.Document
 candidate:

@@ -13,9 +13,9 @@ import (
 const MaxShards = 64
 
 // storeShard is one document partition. A shard owns its document rows,
-// its slice of the inverted index, its link and redirect rows, and its own
-// mutation epoch; everything a shard-local read needs lives behind the
-// shard's locks, so writes to different shards never contend.
+// its link and redirect rows, and its own mutation epoch; everything a
+// shard-local read needs lives behind the shard's locks, so writes to
+// different shards never contend.
 //
 // Link rows are routed by URL: a link is stored once, in the out-link table
 // of shard(From), and indexed in the in-link table of shard(To), so
@@ -34,8 +34,6 @@ type storeShard struct {
 	byURL   map[string]DocID
 	byTopic map[string][]DocID
 
-	index *termIndex // sharded by term hash, internally synchronized
-
 	linkMu   sync.RWMutex
 	outLinks map[string][]Link
 	inLinks  map[string][]Link
@@ -53,20 +51,19 @@ type storeShard struct {
 
 	// tier is the shard's disk tier (nil in a purely in-memory store).
 	// cold maps a document whose payload lives in a segment to its row
-	// there; such a document's in-memory Text/Terms are empty and its
-	// postings live in the segment, not in index. Guarded by docMu.
+	// there; such a document's in-memory Text/Terms are empty, so its
+	// terms and postings are read from the segment. Guarded by docMu.
 	tier *shardTier
 	cold map[DocID]coldRef
 }
 
-func newStoreShard(idx int, bits uint, indexHint int) *storeShard {
+func newStoreShard(idx int, bits uint) *storeShard {
 	return &storeShard{
 		idx:       idx,
 		bits:      bits,
 		docs:      make(map[DocID]*Document),
 		byURL:     make(map[string]DocID),
 		byTopic:   make(map[string][]DocID),
-		index:     newTermIndexSized(indexHint),
 		outLinks:  make(map[string][]Link),
 		inLinks:   make(map[string][]Link),
 		docsGauge: metrics.NewGauge(fmt.Sprintf(`store_shard_docs{shard="%d"}`, idx)),
@@ -89,19 +86,16 @@ func (sh *storeShard) idFor(seq int64) DocID {
 }
 
 // insertDocLocked inserts the document row under the shard's docMu,
-// assigning its ID from the shard's sequence. If the URL was already
-// present the replaced row is returned so the caller can clean up its
-// postings. Callers update the term index before releasing docMu: a
-// freeze or delete that ran between the row change and the index change
-// would leave postings behind for a row that is gone or frozen. A
-// replacement never keeps the old ID: the sequence only grows (reopen
-// restores it from the manifest and the WAL), which is what makes a
-// DocID's Title, Text and Terms immutable (DocID).
-func (sh *storeShard) insertDocLocked(d Document) (DocID, *Document) {
-	var old *Document
+// assigning its ID from the shard's sequence and removing the row it
+// replaces, if the key was already present — both under the one docMu
+// hold, so a postings reader sees the old row or the new one, never
+// neither. A replacement never keeps the old ID: the sequence only grows
+// (reopen restores it from the manifest and the WAL), which is what makes
+// a DocID's Title, Text and Terms immutable (DocID).
+func (sh *storeShard) insertDocLocked(d Document) DocID {
 	key := d.key()
 	if oldID, ok := sh.byURL[key]; ok {
-		old = sh.removeDocLocked(oldID)
+		sh.removeDocLocked(oldID)
 	}
 	sh.nextSeq++
 	d.ID = sh.idFor(sh.nextSeq)
@@ -113,13 +107,14 @@ func (sh *storeShard) insertDocLocked(d Document) (DocID, *Document) {
 	}
 	mDocs.Add(1)
 	sh.docsGauge.Add(1)
-	return d.ID, old
+	return d.ID
 }
 
-// removeDocLocked removes the document row (not its memory postings) and
-// returns it, or nil if absent. In a tiered shard a cold document's
-// removal tombstones its segment row (its postings disappear with it); a
-// hot document's removal uncounts it from the memtable.
+// removeDocLocked removes the document row and returns it, or nil if
+// absent. A hot row's postings go with it; in a tiered shard a cold
+// document's removal tombstones its segment row (its segment postings
+// disappear with it), and a hot document's removal uncounts it from the
+// memtable.
 func (sh *storeShard) removeDocLocked(id DocID) *Document {
 	d, ok := sh.docs[id]
 	if !ok {

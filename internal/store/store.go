@@ -5,22 +5,24 @@
 // were too slow, so crawler threads batch documents in workspaces and move
 // them with a bulk loader, sustaining up to ten thousand documents per
 // minute. This package reproduces that design as an embedded store: flat
-// in-memory relations (documents, postings, links, redirects), a
-// workspace/bulk-load write path, and binary persistence.
+// in-memory relations (documents, links, redirects), a workspace/bulk-load
+// write path, and binary persistence.
 //
 // The store is partitioned into P document shards (NewSharded). A document
 // belongs to the shard its URL hashes to, and its DocID encodes the shard
 // in the low bits — routing any ID or URL to its shard is a mask, not a
-// map lookup. Each shard owns its rows, its slice of the inverted index
-// (itself sharded by term hash), its link/redirect rows, and its own
+// map lookup. Each shard owns its rows, its link/redirect rows, and its own
 // mutation epoch, so concurrent workspace flushes from different crawler
-// threads touching different shards share no locks at all. New() returns a
+// threads touching different shards share no locks at all. The store keeps
+// no memory inverted index: queries score from the search snapshot's own
+// postings, and a tiered shard's segments carry theirs. New() returns a
 // single-shard store whose IDs and iteration behavior match the historical
 // unsharded store exactly.
 package store
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,7 +34,7 @@ import (
 )
 
 // Process-wide storage metrics: write-path traffic (per-row inserts vs
-// bulk loads and their batch sizes), inverted-index growth, and mutation
+// bulk loads and their batch sizes), document counts, and mutation
 // epochs — the §4.1 signals an operator needs to see whether crawler
 // threads are actually batching. Per-shard document counts are exported as
 // store_shard_docs{shard="i"} (see shard.go).
@@ -42,7 +44,6 @@ var (
 	mFlushRows     = metrics.NewHistogram("store_flush_rows")
 	mFlushNanos    = metrics.NewHistogram("store_flush_nanos")
 	mEpochAdvances = metrics.NewCounter("store_epoch_advances_total")
-	mPostings      = metrics.NewGauge("store_postings")
 	mDocs          = metrics.NewGauge("store_docs")
 )
 
@@ -102,12 +103,6 @@ type Redirect struct {
 	To   string
 }
 
-// posting is one inverted-index entry.
-type posting struct {
-	doc DocID
-	tf  int
-}
-
 // ErrNotFound is returned when a document is absent.
 var ErrNotFound = errors.New("store: document not found")
 
@@ -140,7 +135,7 @@ func (d *Document) key() string { return docKey(d.Tenant, d.URL) }
 // Store is safe for concurrent use. The crawl pipeline guarantees a single
 // writer per URL (the fetcher's duplicate detection and the frontier's
 // seen-set ensure a URL is processed at most once per crawl), which is what
-// keeps the split document/index locks coherent for replacements.
+// keeps a replacement's row swap and its WAL record in step.
 type Store struct {
 	shardBits uint
 	mask      uint32 // shard count - 1 (shard counts are powers of two)
@@ -181,16 +176,9 @@ func NewSharded(p int) *Store {
 		bits++
 	}
 	p = 1 << bits
-	// Split the historical per-index-shard map pre-size across store
-	// shards: P stores of 64 index shards should not pre-allocate P times
-	// the memory one store did.
-	hint := 512 / p
-	if hint < 16 {
-		hint = 16
-	}
 	s := &Store{shardBits: bits, mask: uint32(p - 1), shards: make([]*storeShard, p)}
 	for i := range s.shards {
-		s.shards[i] = newStoreShard(i, bits, hint)
+		s.shards[i] = newStoreShard(i, bits)
 	}
 	return s
 }
@@ -217,13 +205,22 @@ func (s *Store) shardForURL(url string) *storeShard {
 	return s.shards[fnv32(url)&s.mask]
 }
 
+// fnv32 is the 32-bit FNV-1a hash that routes a key to its shard.
+func fnv32(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
 // Insert stores one document immediately (the slow per-row path). The
 // document's ID is assigned by its shard and returned. A document whose
 // (tenant, URL) pair is already present replaces the old row (recrawl).
 func (s *Store) Insert(d Document) DocID {
 	sh := s.shardForKey(d.key())
 	sh.docMu.Lock()
-	id, old := sh.insertDocLocked(d)
+	id := sh.insertDocLocked(d)
 	var w *segment.WAL
 	if t := sh.tier; t != nil {
 		t.addHotLocked(docBytes(&d), 1)
@@ -233,10 +230,6 @@ func (s *Store) Insert(d Document) DocID {
 		walEncodeDoc(&e, int64(id)>>sh.bits, &d)
 		w, _ = t.appendWALLocked(e.Bytes())
 	}
-	if old != nil {
-		sh.index.removeDoc(old.ID, old.Terms)
-	}
-	sh.index.addDoc(id, d.Terms)
 	sh.docMu.Unlock()
 	s.inserts.Add(1)
 	mRowInserts.Inc()
@@ -278,14 +271,11 @@ func (s *Store) DeleteDoc(tenant, url string) bool {
 	var w *segment.WAL
 	if ok {
 		d = sh.removeDocLocked(id)
-		if d != nil {
-			sh.index.removeDoc(d.ID, d.Terms)
-			if sh.tier != nil {
-				var e segment.Enc
-				e.Byte(walOpDelete)
-				e.Str(key)
-				w, _ = sh.tier.appendWALLocked(e.Bytes())
-			}
+		if d != nil && sh.tier != nil {
+			var e segment.Enc
+			e.Byte(walOpDelete)
+			e.Str(key)
+			w, _ = sh.tier.appendWALLocked(e.Bytes())
 		}
 	}
 	sh.docMu.Unlock()
@@ -607,58 +597,42 @@ func (s *Store) VisitDocs(fn func(Document) bool) {
 	}
 }
 
-// Postings returns (docID, tf) pairs for a term as parallel slices,
-// concatenated shard by shard (within a shard, segment-resident postings
-// come first in sequence order, then memory postings in insert order).
-func (s *Store) Postings(term string) ([]DocID, []int) {
-	if len(s.shards) == 1 && s.shards[0].tier == nil {
-		return s.shards[0].index.get(term)
-	}
-	var ids []DocID
-	var tfs []int
-	for _, sh := range s.shards {
-		if sh.tier == nil {
-			i2, t2 := sh.index.get(term)
-			ids = append(ids, i2...)
-			tfs = append(tfs, t2...)
-			continue
-		}
-		sh.visitAllPostings(term, func(doc DocID, tf int) {
-			ids = append(ids, doc)
-			tfs = append(tfs, tf)
-		})
-	}
-	return ids, tfs
-}
-
-// visitAllPostings streams term's postings within one shard: the segment
-// tier first (tombstone-filtered, in sequence order), then the memory
-// index. Holding docMu.RLock across both halves pins the freeze's
-// publication point — postings move from the memory index to a segment
-// under one docMu hold, so a reader sees each document exactly once.
-func (sh *storeShard) visitAllPostings(term string, fn func(doc DocID, tf int)) {
-	if sh.tier == nil {
-		sh.index.visit(term, fn)
-		return
-	}
-	sh.docMu.RLock()
-	sh.visitTierPostings(term, fn)
-	sh.index.visit(term, fn)
-	sh.docMu.RUnlock()
-}
-
-// VisitPostings streams a term's postings to fn shard by shard under each
-// index shard's read lock, without copying the postings slice. Queries do
-// not call it — they score from the search snapshot's own postings. fn
-// must be fast and must not call back into the store (an index shard stays
-// read-locked for the duration of its visit).
+// VisitPostings streams a term's postings to fn shard by shard. Within a
+// shard the segment-resident postings come first (tombstone-filtered, in
+// sequence order), then the hot rows whose Terms hold the term, in
+// ascending DocID. Queries do not call it — they score from the search
+// snapshot's own postings — and it is not cheap: besides the segment
+// postings it walks every row of every shard. fn must not call back into
+// the store (each shard's document lock is read-held for its visit).
 func (s *Store) VisitPostings(term string, fn func(doc DocID, tf int)) {
 	for _, sh := range s.shards {
 		sh.visitAllPostings(term, fn)
 	}
 }
 
-// DocFreq returns the number of documents containing term.
+// visitAllPostings streams term's postings within one shard. Holding
+// docMu.RLock across the segment walk and the row walk pins freeze's and
+// a recrawl's publication points — a freeze slims rows and publishes their
+// segment under one docMu hold, and a recrawl swaps rows under one — so a
+// reader sees each document exactly once.
+func (sh *storeShard) visitAllPostings(term string, fn func(doc DocID, tf int)) {
+	sh.docMu.RLock()
+	defer sh.docMu.RUnlock()
+	sh.visitTierPostings(term, fn)
+	var ids []DocID
+	for id, d := range sh.docs {
+		if d.Terms[term] > 0 {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		fn(id, sh.docs[id].Terms[term])
+	}
+}
+
+// DocFreq returns the number of documents containing term, at the cost
+// VisitPostings states.
 func (s *Store) DocFreq(term string) int {
 	n := 0
 	for _, sh := range s.shards {
@@ -667,37 +641,18 @@ func (s *Store) DocFreq(term string) int {
 	return n
 }
 
-// termDocFreq counts term's documents in one shard across both tiers.
+// termDocFreq counts term's documents in one shard: its segments'
+// (tombstone-filtered) plus its hot rows'.
 func (sh *storeShard) termDocFreq(term string) int {
-	if sh.tier == nil {
-		return sh.index.docFreq(term)
-	}
 	sh.docMu.RLock()
 	defer sh.docMu.RUnlock()
-	n := 0
-	st := sh.tier.state.load()
-	for _, seg := range st.segs {
-		if len(st.tombs) == 0 {
-			df, err := seg.r.DocFreq(term)
-			if err != nil {
-				mSegReadErrors.Inc()
-				sh.tier.noteErr(err)
-				continue
-			}
-			n += df
-			continue
-		}
-		err := seg.r.VisitPostings(term, func(seq int64, tf int) {
-			if _, dead := st.tombs[seq]; !dead {
-				n++
-			}
-		})
-		if err != nil {
-			mSegReadErrors.Inc()
-			sh.tier.noteErr(err)
+	n := sh.tierDocFreq(term)
+	for _, d := range sh.docs {
+		if d.Terms[term] > 0 {
+			n++
 		}
 	}
-	return n + sh.index.docFreq(term)
+	return n
 }
 
 // AddLink records a hyperlink row: the out-link row lands on the source

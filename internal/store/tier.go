@@ -28,9 +28,9 @@ import (
 // The lifecycle is LSM-shaped:
 //
 //	write  → memory + WAL append (one fsync per workspace flush)
-//	freeze → hot docs become a segment; rows are slimmed, their postings
-//	         move from the in-memory index to the segment; the WAL rotates
-//	         and the old generation is deleted once the manifest commits
+//	freeze → hot docs become a segment; rows are slimmed, so their terms
+//	         are read from the segment from then on; the WAL rotates and
+//	         the old generation is deleted once the manifest commits
 //	compact→ a background goroutine merges same-size-tier segments
 //	         (size-tiered, fanout CompactFanout) so segment count stays
 //	         O(fanout · log(corpus)); see CompactShard for what that does
@@ -51,11 +51,11 @@ import (
 //     never lost, never replayed twice.
 //   - The segment list and tombstone set live in an immutable tierState
 //     swapped only under docMu. Postings visitors hold docMu.RLock across
-//     the memory index and the segment walk, and freeze removes memory
-//     postings and publishes the segment under one docMu hold, so a query
-//     never sees a document's postings twice or not at all — the search
-//     tier stays bit-identical across all-memory, all-segment, and
-//     mid-compaction states.
+//     the segment walk and the hot-row walk, and freeze slims the rows and
+//     publishes the segment under one docMu hold, so a reader never sees a
+//     document's postings twice or not at all — the search tier stays
+//     bit-identical across all-memory, all-segment, and mid-compaction
+//     states.
 //   - Crash recovery: manifest commit (tmp+rename+dir fsync) is the commit
 //     point of a freeze or compaction. Segment files not in the manifest
 //     and WAL generations older than the manifest's are orphans deleted at
@@ -782,10 +782,7 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, stats *RecoverySt
 			return err
 		}
 		if id, ok := sh.byURL[key]; ok {
-			old := sh.removeDocLocked(id)
-			if old != nil && old.Terms != nil {
-				sh.index.removeDoc(old.ID, old.Terms)
-			}
+			sh.removeDocLocked(id)
 		}
 	case walOpSetTopic:
 		key := d.Str()
@@ -827,10 +824,7 @@ func (s *Store) replayOutLink(sh *storeShard, l Link) {
 func (s *Store) replayInsert(sh *storeShard, seq int64, d Document) {
 	key := d.key()
 	if oldID, ok := sh.byURL[key]; ok {
-		old := sh.removeDocLocked(oldID)
-		if old != nil && old.Terms != nil {
-			sh.index.removeDoc(old.ID, old.Terms)
-		}
+		sh.removeDocLocked(oldID)
 	}
 	id := sh.idFor(seq)
 	d.ID = id
@@ -843,7 +837,6 @@ func (s *Store) replayInsert(sh *storeShard, seq int64, d Document) {
 	if seq > sh.nextSeq {
 		sh.nextSeq = seq
 	}
-	sh.index.addDoc(id, d.Terms)
 	sh.tier.addHotLocked(docBytes(&cp), 1)
 	mDocs.Add(1)
 	sh.docsGauge.Add(1)
@@ -892,10 +885,10 @@ type frozenDoc struct {
 }
 
 // FreezeShard freezes shard i's hot documents, links and redirects into a
-// new immutable segment, slims the rows, moves their postings to the
-// segment, rotates the WAL and commits the manifest. It is a no-op when
-// the shard has nothing hot. Exported for tests and benchmarks; the write
-// path calls it automatically via the memtable budget.
+// new immutable segment (which carries their term vectors and postings),
+// slims the rows, rotates the WAL and commits the manifest. It is a no-op
+// when the shard has nothing hot. Exported for tests and benchmarks; the
+// write path calls it automatically via the memtable budget.
 func (s *Store) FreezeShard(i int) error { return s.freezeShard(i, false) }
 
 // freezeShard is FreezeShard. When auto, it first re-checks the memtable
@@ -1017,9 +1010,8 @@ func (s *Store) freezeShard(i int, auto bool) error {
 }
 
 // publishFreeze swaps the new segment in under one docMu hold: slim the
-// frozen rows, record cold refs, publish the segment+tombstones, and move
-// the postings out of the memory index — atomically with respect to every
-// reader holding docMu.RLock.
+// frozen rows, record cold refs, and publish the segment+tombstones —
+// atomically with respect to every reader holding docMu.RLock.
 func (s *Store) publishFreeze(sh *storeShard, seg *tierSeg, frozen []frozenDoc) {
 	t := sh.tier
 	sh.docMu.Lock()
@@ -1069,9 +1061,6 @@ func (s *Store) publishFreeze(sh *storeShard, seg *tierSeg, frozen []frozenDoc) 
 	segs = append(segs, seg)
 	sort.Slice(segs, func(a, b int) bool { return segs[a].r.MinSeq() < segs[b].r.MinSeq() })
 	t.state.store(&tierState{segs: segs, tombs: newTombs})
-	for j := range frozen {
-		sh.index.removeDoc(frozen[j].id, frozen[j].terms)
-	}
 }
 
 func copyTombs(tombs map[int64]struct{}) map[int64]struct{} {
@@ -1443,9 +1432,12 @@ func (s *Store) DocText(id DocID) (string, bool) {
 }
 
 // visitTierPostings streams term's segment-resident postings for one
-// shard, tombstone-filtered, converting sequence numbers to DocIDs.
-// Caller holds sh.docMu.RLock.
+// shard, tombstone-filtered, converting sequence numbers to DocIDs; an
+// untiered shard has none. Caller holds sh.docMu.RLock.
 func (sh *storeShard) visitTierPostings(term string, fn func(doc DocID, tf int)) {
+	if sh.tier == nil {
+		return
+	}
 	st := sh.tier.state.load()
 	for _, seg := range st.segs {
 		err := seg.r.VisitPostings(term, func(seq int64, tf int) {
@@ -1459,6 +1451,38 @@ func (sh *storeShard) visitTierPostings(term string, fn func(doc DocID, tf int))
 			sh.tier.noteErr(err)
 		}
 	}
+}
+
+// tierDocFreq counts term's live segment-resident documents in one shard
+// (0 for an untiered shard). Caller holds sh.docMu.RLock.
+func (sh *storeShard) tierDocFreq(term string) int {
+	if sh.tier == nil {
+		return 0
+	}
+	n := 0
+	st := sh.tier.state.load()
+	for _, seg := range st.segs {
+		if len(st.tombs) == 0 {
+			df, err := seg.r.DocFreq(term)
+			if err != nil {
+				mSegReadErrors.Inc()
+				sh.tier.noteErr(err)
+				continue
+			}
+			n += df
+			continue
+		}
+		err := seg.r.VisitPostings(term, func(seq int64, tf int) {
+			if _, dead := st.tombs[seq]; !dead {
+				n++
+			}
+		})
+		if err != nil {
+			mSegReadErrors.Inc()
+			sh.tier.noteErr(err)
+		}
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------

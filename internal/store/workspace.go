@@ -62,11 +62,9 @@ type Workspace struct {
 
 	// Flush scratch, reused across batches so the steady state allocates
 	// nothing per flush.
-	ids      []DocID
-	terms    []map[string]int
-	idxBatch indexBatch
-	enc      segment.Enc
-	wals     []*segment.WAL
+	ids  []DocID
+	enc  segment.Enc
+	wals []*segment.WAL
 }
 
 // NewWorkspace returns a workspace that auto-flushes when the total number
@@ -165,16 +163,9 @@ func (w *Workspace) Flush() error {
 		t := sh.tier
 		if len(b.docs) > 0 {
 			w.ids = w.ids[:0]
-			w.terms = w.terms[:0]
-			var replaced []*Document
 			sh.docMu.Lock()
 			for i := range b.docs {
-				id, old := sh.insertDocLocked(b.docs[i])
-				w.ids = append(w.ids, id)
-				w.terms = append(w.terms, b.docs[i].Terms)
-				if old != nil {
-					replaced = append(replaced, old)
-				}
+				w.ids = append(w.ids, sh.insertDocLocked(b.docs[i]))
 			}
 			if t != nil {
 				w.enc.Reset()
@@ -189,10 +180,6 @@ func (w *Workspace) Flush() error {
 				w.noteWAL(wal)
 				docsFlushed += int64(len(b.docs))
 			}
-			for _, old := range replaced {
-				sh.index.removeDoc(old.ID, old.Terms)
-			}
-			sh.index.bulkAdd(&w.idxBatch, w.ids, w.terms)
 			sh.docMu.Unlock()
 		}
 		if len(b.outLinks) > 0 || len(b.inLinks) > 0 {
