@@ -106,7 +106,7 @@ func TestBuildPoolReuseIsByteIdentical(t *testing.T) {
 		t.Fatal("rebuilding A after B wrote different bytes")
 	}
 	r := openBytes(t, first)
-	for _, s := range blockSections {
+	for s := 0; s < numSections; s++ {
 		for idx := range r.tables[s].offs {
 			raw, err := r.readBlock(s, idx)
 			if err != nil {
@@ -249,38 +249,22 @@ func TestMangledBlockIsCorrupt(t *testing.T) {
 	}
 }
 
-// otherFormats derives, from a fresh segment, one file per form the reader
-// no longer accepts: a version 1 header, a non-empty preset dictionary and
-// a footer in-link count of 1, each with its CRCs recomputed.
+// otherFormats derives, from a fresh segment, one file per format version
+// the reader does not accept: 1, 2 (the last with a postings section) and
+// the next one up.
 func otherFormats(t testing.TB) map[string][]byte {
 	t.Helper()
 	file := buildBytes(t, genInput(71, 2*blockDocs+5))
-	ft := openBytes(t, file).ft
-
-	v1 := append([]byte(nil), file...)
-	v1[4] = 1
-
-	var dict enc
-	dict.uvarint(3)
-	dict.raw([]byte("abc"))
-	for s := 1; s < numSections; s++ {
-		dict.uvarint(0)
+	out := map[string][]byte{}
+	for _, v := range []byte{1, 2, version + 1} {
+		b := append([]byte(nil), file...)
+		b[4] = v
+		out[fmt.Sprintf("version %d", v)] = b
 	}
-	dict.u32(crc32.ChecksumIEEE(dict.b))
-	sec := ft.sections[secDict]
-	withDict := splice(t, file, secDict, sec.off, sec.off+sec.len, dict.b)
-
-	inLinks := append([]byte(nil), file...)
-	footerLen := int(binary.LittleEndian.Uint32(inLinks[len(inLinks)-8:]))
-	fb := inLinks[len(inLinks)-8-footerLen : len(inLinks)-8]
-	binary.LittleEndian.PutUint32(fb[numSections*20+4+8+8+4:], 1) // after the section table, doc count, seq range and out-link count
-	binary.LittleEndian.PutUint32(fb[footerLen-4:], crc32.ChecksumIEEE(fb[:footerLen-4]))
-
-	return map[string][]byte{"version 1": v1, "preset dictionary": withDict, "in-link rows": inLinks}
+	return out
 }
 
-// TestOpenRejectsOtherFormats: Open accepts version 2 with empty
-// dictionaries and no in-link rows, and nothing else.
+// TestOpenRejectsOtherFormats: Open accepts version 3 and no other version.
 func TestOpenRejectsOtherFormats(t *testing.T) {
 	for name, b := range otherFormats(t) {
 		path := filepath.Join(t.TempDir(), "old.bsg")
@@ -294,8 +278,8 @@ func TestOpenRejectsOtherFormats(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Open = %v, want ErrCorrupt", name, err)
 		}
-		if name == "version 1" && !strings.Contains(err.Error(), "unsupported format version") {
-			t.Fatalf("%s: Open = %v, want an unsupported format version", name, err)
+		if want := "unsupported format " + name; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Open = %v, want %q", name, err, want)
 		}
 	}
 }

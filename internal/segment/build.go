@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -281,30 +280,17 @@ func writeBlockSection(w *countingWriter, blocks []block) (section, error) {
 	if _, err := w.Write(e.b); err != nil {
 		return section{}, err
 	}
-	return section{off: start, len: uint64(w.n) - start, aux: uint32(len(blocks))}, nil
+	return section{off: start, len: uint64(w.n) - start, blocks: uint32(len(blocks))}, nil
 }
 
-// writePreamble writes the header and the dict section, which frames one
-// dictionary per section, every one of them empty (see deflaters).
-func writePreamble(w *countingWriter, ft *footer) error {
+// writeHeader writes the file header: magic, version, shard.
+func writeHeader(w *countingWriter, shard uint32) error {
 	var e enc
 	e.raw([]byte(magic))
 	e.byte(version)
-	e.u32(ft.shard)
-	if _, err := w.Write(e.b); err != nil {
-		return err
-	}
-	dictStart := uint64(w.n)
-	e.reset()
-	for s := 0; s < numSections; s++ {
-		e.uvarint(0)
-	}
-	e.u32(crc32.ChecksumIEEE(e.b))
-	if _, err := w.Write(e.b); err != nil {
-		return err
-	}
-	ft.sections[secDict] = section{off: dictStart, len: uint64(w.n) - dictStart}
-	return nil
+	e.u32(shard)
+	_, err := w.Write(e.b)
+	return err
 }
 
 func writeSegment(w *countingWriter, in BuildInput) error {
@@ -318,22 +304,17 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 		tvec.add(func(e *enc) { encodeTermVec(e, d.Terms) })
 		text.add(func(e *enc) { e.str(d.Text) })
 	}
-	meta.cut()
-	tvec.cut()
-	text.cut()
 
 	links := &rawBlocks{per: linkBlockRows}
 	for i := range in.OutLinks {
 		l := &in.OutLinks[i]
 		links.add(func(e *enc) { e.str(l.From); e.str(l.To); e.str(l.Anchor) })
 	}
-	links.cut()
 	redirs := &rawBlocks{per: linkBlockRows}
 	for i := range in.Redirects {
 		r := &in.Redirects[i]
 		redirs.add(func(e *enc) { e.str(r.From); e.str(r.To) })
 	}
-	redirs.cut()
 
 	var ft footer
 	ft.shard = uint32(in.Shard)
@@ -345,31 +326,19 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	ft.outLinks = uint32(len(in.OutLinks))
 	ft.redirs = uint32(len(in.Redirects))
 
-	if err := writePreamble(w, &ft); err != nil {
+	if err := writeHeader(w, ft.shard); err != nil {
 		return err
 	}
-	var err error
-	if ft.sections[secMeta], err = writeBlockSection(w, meta.blocks); err != nil {
-		return err
-	}
-	if ft.sections[secTermVec], err = writeBlockSection(w, tvec.blocks); err != nil {
-		return err
-	}
-	if ft.sections[secText], err = writeBlockSection(w, text.blocks); err != nil {
-		return err
-	}
-	if err := writePostings(w, in.Docs, &ft); err != nil {
-		return err
-	}
-	if ft.sections[secLinks], err = writeBlockSection(w, links.blocks); err != nil {
-		return err
-	}
-	if ft.sections[secRedirects], err = writeBlockSection(w, redirs.blocks); err != nil {
-		return err
+	for s, rows := range [numSections]*rawBlocks{meta, tvec, text, links, redirs} {
+		rows.cut()
+		var err error
+		if ft.sections[s], err = writeBlockSection(w, rows.blocks); err != nil {
+			return err
+		}
 	}
 	var e enc
 	ft.encode(&e)
-	_, err = w.Write(e.b)
+	_, err := w.Write(e.b)
 	return err
 }
 
@@ -380,101 +349,15 @@ func (ft *footer) encode(e *enc) {
 	for s := 0; s < numSections; s++ {
 		e.u64(ft.sections[s].off)
 		e.u64(ft.sections[s].len)
-		e.u32(ft.sections[s].aux)
+		e.u32(ft.sections[s].blocks)
 	}
 	e.u32(ft.docCount)
 	e.u64(uint64(ft.minSeq))
 	e.u64(uint64(ft.maxSeq))
 	e.u32(ft.outLinks)
-	e.u32(0) // in-link rows: a link is stored once, as an out-link row
 	e.u32(ft.redirs)
 	e.u32(ft.shard)
 	e.u32(crc32.ChecksumIEEE(e.b[start:]))
 	e.u32(uint32(len(e.b) - start))
 	e.raw([]byte(magic))
-}
-
-// buildPosting is one (seq, tf) pair during the inverted build.
-type buildPosting struct {
-	seq int64
-	tf  int
-}
-
-// writePostings derives the inverted index from the forward term vectors
-// (docs arrive seq-ascending, so each term's list is seq-ascending and
-// delta-encodes directly) and emits the postings section plus its sparse
-// term index.
-func writePostings(w *countingWriter, docs []DocRecord, ft *footer) error {
-	inv := make(map[string][]buildPosting, 1024)
-	for i := range docs {
-		for _, tc := range docs[i].Terms {
-			inv[tc.Term] = append(inv[tc.Term], buildPosting{seq: docs[i].Seq, tf: tc.TF})
-		}
-	}
-	terms := make([]string, 0, len(inv))
-	for t := range inv {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-
-	pw := &postingsWriter{w: w, start: uint64(w.n)}
-	var body enc
-	for _, t := range terms {
-		ps := inv[t]
-		body.reset()
-		prev := int64(0)
-		for _, p := range ps {
-			body.uvarint(uint64(p.seq - prev))
-			prev = p.seq
-			body.varint(int64(p.tf))
-		}
-		if err := addPosting(pw, t, len(ps), body.b); err != nil {
-			return err
-		}
-	}
-	return pw.finish(ft)
-}
-
-// postingsWriter emits a postings section entry by entry, in term order,
-// then its sparse term index.
-type postingsWriter struct {
-	w      *countingWriter
-	start  uint64
-	terms  int
-	e      enc
-	sparse enc
-}
-
-// addPosting appends one entry: term (a string, or bytes of an input
-// segment's postings section), its document frequency, and its encoded
-// (seq delta, tf) list.
-func addPosting[T string | []byte](p *postingsWriter, term T, df int, body []byte) error {
-	if p.terms%sparseEvery == 0 {
-		p.sparse.uvarint(uint64(len(term)))
-		p.sparse.b = append(p.sparse.b, term...)
-		p.sparse.uvarint(uint64(p.w.n) - p.start)
-	}
-	p.terms++
-	p.e.reset()
-	p.e.uvarint(uint64(len(term)))
-	p.e.b = append(p.e.b, term...)
-	p.e.uvarint(uint64(df))
-	p.e.uvarint(uint64(len(body)))
-	p.e.u32(crc32.ChecksumIEEE(body))
-	p.e.raw(body)
-	_, err := p.w.Write(p.e.b)
-	return err
-}
-
-// finish writes the sparse index and records both sections in ft.
-func (p *postingsWriter) finish(ft *footer) error {
-	ft.sections[secPostings] = section{off: p.start, len: uint64(p.w.n) - p.start, aux: uint32(p.terms)}
-	sparseStart := uint64(p.w.n)
-	p.sparse.u32(crc32.ChecksumIEEE(p.sparse.b))
-	if _, err := p.w.Write(p.sparse.b); err != nil {
-		return err
-	}
-	entries := (p.terms + sparseEvery - 1) / sparseEvery
-	ft.sections[secSparse] = section{off: sparseStart, len: uint64(p.w.n) - sparseStart, aux: uint32(entries)}
-	return nil
 }

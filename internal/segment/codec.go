@@ -1,13 +1,13 @@
 // Package segment implements the disk-native tier of the store: immutable
-// on-disk index segments (delta+varint postings with a sparse term index,
-// block-compressed document bodies with pooled, parallel block encoding)
-// and a CRC-framed write-ahead log for the crawl
-// flush path. A segment is a colder immutable snapshot of one store shard:
-// the same rows the in-memory tier holds, laid out for corpora bigger than
-// RAM — postings stream off disk through the same term-at-a-time visitor
-// the memory tier uses, document text is fetched lazily per block, and the
-// whole file is mmapped so cold start pays only footer reads, not a decode
-// of the corpus.
+// on-disk index segments (block-compressed document rows, term vectors and
+// bodies with pooled, parallel block encoding, plus link and redirect rows)
+// and a CRC-framed write-ahead log for the crawl flush path. A segment is a
+// colder immutable snapshot of one store shard: the same rows the
+// in-memory tier holds, laid out for corpora bigger than RAM — document
+// text and term vectors are fetched lazily per block, and the whole file
+// is mmapped so cold start pays only footer reads, not a decode of the
+// corpus. A segment stores no inverted index; the off-path postings
+// readers invert a segment's term vectors in memory on first use.
 //
 // Every framed region carries a CRC32; a truncated or bit-flipped file
 // fails with a typed *CorruptError (errors.Is(err, ErrCorrupt)), never a

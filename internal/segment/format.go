@@ -3,19 +3,15 @@ package segment
 // On-disk segment layout (all integers little-endian, lengths varint):
 //
 //	header   "BSG1" | version u8 | shard u32
-//	dict     one dictionary length per section, every one 0 (see below)
 //	meta     block section: slim document rows (everything but Terms/Text)
 //	termvec  block section: per-document sorted (term, tf) vectors
 //	text     block section: document bodies
-//	postings per-term entries sorted by term (delta+varint doc lists)
-//	sparse   every sparseEvery-th term with its postings offset
 //	links    block section: out-link rows
 //	redirs   block section: redirect rows
 //	footer   section table + counts + CRC, then u32 footerLen + "BSG1"
 //
 // version is the only one a reader accepts; Open rejects any other as an
-// unsupported format version. The footer keeps an in-link row count from
-// when a link was also stored on its target's shard; it is always 0.
+// unsupported format version.
 //
 // The three document sections (meta, termvec, text) block their rows
 // identically — block i holds the same run of document positions in each,
@@ -32,19 +28,15 @@ package segment
 // linkBlockRows link or redirect rows; Merge copies an input's blocks
 // whole, so its output may hold shorter ones (see copyFloorDocs).
 // Blocks are DEFLATE streams without a preset dictionary, compressed in
-// parallel across blocks by pooled encoders. The dict section frames one
-// dictionary per section; every one is empty, and Open rejects a file
-// whose dictionaries are not.
+// parallel across blocks by pooled encoders.
 //
-// A postings entry is [term][varint df][varint byteLen][u32 crc32(bytes)]
-// [bytes], where bytes is (first seq uvarint, then seq deltas uvarint)
-// interleaved with zigzag-varint term frequencies. The sparse index keeps
-// every sparseEvery-th term's (term, entry offset); a lookup binary-searches
-// the sparse index and scans at most sparseEvery entries.
+// The file stores no inverted index: a term's postings are derived from
+// the term vectors, in memory, by the first postings read (see
+// Reader.VisitPostings).
 
 const (
 	magic   = "BSG1"
-	version = 2
+	version = 3
 
 	// blockDocs is the document blocking factor shared by the meta,
 	// termvec, and text sections.
@@ -56,43 +48,33 @@ const (
 	// copyFloorDocs and copyFloorLinks are the smallest document and
 	// link/redirect blocks a merge copies; a smaller clean block is
 	// re-encoded with its neighbours instead, since DEFLATE over fewer rows
-	// compresses worse. The floors keep even a file of floor-size blocks
-	// within +3 % of one of full blocks. On a 3,495-doc crawl's own rows,
-	// 48-doc blocks cost +3.5 % on the document sections (≈60 % of segment
-	// bytes) and 256-row link blocks +8.3 % on links (≈11 %): +2.9 % in all.
-	// 44 docs (+4.6 %) or 192 rows (+11.4 %) would break that bound.
+	// compresses worse. On a 3,495-doc crawl's own rows, 48-doc blocks cost
+	// +3.5 % on the document sections (≈85 % of segment bytes) and 256-row
+	// link blocks +8.3 % on links (≈15 %), so even a file of floor-size
+	// blocks is within ≈ +4.2 % of one of full blocks; 44 docs (+4.6 %) or
+	// 192 rows (+11.4 %) would cost more.
 	copyFloorDocs  = blockDocs * 3 / 4
 	copyFloorLinks = linkBlockRows / 4
-
-	// sparseEvery is the postings sparse-index stride.
-	sparseEvery = 32
 )
 
-// Section indices into the footer's section table.
+// Section indices into the footer's section table, in file order. Every
+// section is a block section.
 const (
-	secDict = iota
-	secMeta
+	secMeta = iota
 	secTermVec
 	secText
-	secPostings
-	secSparse
 	secLinks
 	secRedirects
 	numSections
 )
 
-// blockSections are the DEFLATE-blocked sections, in file order.
-var blockSections = []int{secMeta, secTermVec, secText, secLinks, secRedirects}
-
-var sectionName = [numSections]string{
-	"dict", "meta", "termvec", "text", "postings", "sparse-index", "links", "redirects",
-}
+var sectionName = [numSections]string{"meta", "termvec", "text", "links", "redirects"}
 
 // section is one footer table row.
 type section struct {
-	off uint64
-	len uint64
-	aux uint32 // block count (block sections) or entry count (postings/sparse)
+	off    uint64
+	len    uint64
+	blocks uint32
 }
 
 // footer is the fixed trailer parsed at open.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -44,14 +43,14 @@ func fuzzSeedSegments(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BSG1"))
-	// Version 2 files whose blocks hold uneven row counts, as merges write
-	// them, and the same with counts Open must reject.
+	// Files whose blocks hold uneven row counts, as merges write them, and
+	// the same with counts Open must reject.
 	f.Add(unevenSegment(f))
 	for _, b := range badRowCounts(f) {
 		f.Add(b)
 	}
-	// Forms Open rejects, and a block claiming more bytes than it can
-	// inflate to.
+	// Other format versions (version 2 among them), which Open rejects,
+	// and a block claiming more bytes than it can inflate to.
 	for _, b := range otherFormats(f) {
 		f.Add(b)
 	}
@@ -81,9 +80,7 @@ func FuzzSegmentOpen(f *testing.F) {
 
 // FuzzSegmentMerge merges a fuzzed segment with a valid one. The merge
 // fails with a typed error, or its output reads back exactly as Build over
-// the same live rows — whenever the fuzzed input itself reads back whole
-// and its postings agree with its rows (a postings entry's term bytes
-// carry no CRC, so a flipped one is a different, consistent-looking term).
+// the same live rows whenever the fuzzed input itself reads back whole.
 func FuzzSegmentMerge(f *testing.F) {
 	fuzzSeedSegments(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -140,7 +137,7 @@ func FuzzSegmentMerge(f *testing.F) {
 			return
 		}
 		defer m.Close()
-		if rerr != nil || !selfConsistent(t, c) {
+		if rerr != nil {
 			if err := readAll(m); err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("merged read error not typed: %v", err)
 			}
@@ -158,25 +155,6 @@ func FuzzSegmentMerge(f *testing.F) {
 			t.Fatalf("merged segment differs from Build over the live rows: %s", diff)
 		}
 	})
-}
-
-// selfConsistent reports whether a segment's postings are the ones Build
-// derives from its rows.
-func selfConsistent(t *testing.T, c content) bool {
-	path := filepath.Join(t.TempDir(), "self.bsg")
-	if _, err := Build(path, BuildInput{Shard: c.Shard, Docs: c.Docs}); err != nil {
-		return false
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	b, err := readContent(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reflect.DeepEqual(b.Terms, c.Terms) && reflect.DeepEqual(b.Postings, c.Postings) && reflect.DeepEqual(b.DocFreq, c.DocFreq)
 }
 
 func FuzzWALReplay(f *testing.F) {

@@ -1,10 +1,8 @@
 package segment
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 )
 
@@ -42,8 +40,7 @@ type mergeOp struct {
 // rows, and those of blocks below copyFloorDocs rows, are re-encoded from
 // their raw row bytes, cut every blockDocs rows and before the next copied
 // block. Link and redirect blocks are copied likewise, unless below
-// copyFloorLinks rows. Postings are a k-way merge of the inputs' postings
-// sections, without the dead rows.
+// copyFloorLinks rows.
 func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (MergeStats, error) {
 	var st MergeStats
 	for i, in := range inputs {
@@ -60,7 +57,7 @@ func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (Me
 	if len(inputs) == 0 {
 		return st, fmt.Errorf("segment: merge %s: no inputs: %w", path, errMergeInputs)
 	}
-	ops, dead, err := planDocs(inputs, live, &st)
+	ops, err := planDocs(inputs, live, &st)
 	if err != nil {
 		return st, err
 	}
@@ -69,18 +66,13 @@ func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (Me
 		ft.minSeq, ft.maxSeq = st.Seqs[0], st.Seqs[n-1]
 	}
 	st.Bytes, err = writeFile(path, func(w *countingWriter) error {
-		if err := writePreamble(w, &ft); err != nil {
+		if err := writeHeader(w, ft.shard); err != nil {
 			return err
 		}
-		for _, s := range []int{secMeta, secTermVec, secText, secPostings, secLinks, secRedirects} {
+		for s := 0; s < numSections; s++ {
 			var blocks []block
 			var err error
 			switch s {
-			case secPostings: // and the sparse index
-				if err := mergePostings(w, inputs, dead, &ft); err != nil {
-					return err
-				}
-				continue
 			case secLinks, secRedirects:
 				blocks, err = sectionBlocks(s, linkBlockRows, planRows(s, inputs, &st))
 			default:
@@ -110,17 +102,16 @@ func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (Me
 
 // planDocs walks every input's meta rows, asks live about each, and lays
 // out the document sections as copy and re-encode steps. It appends the
-// kept seqs to st and returns the seqs that did not survive.
-func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) ([]mergeOp, map[int64]bool, error) {
+// kept seqs to st.
+func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) ([]mergeOp, error) {
 	var ops []mergeOp
-	dead := map[int64]bool{}
 	last := int64(math.MinInt64)
 	for _, in := range inputs {
 		t := &in.tables[secMeta]
 		for blk := range t.offs {
 			raw, err := in.readBlock(secMeta, blk)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			d := newDec(raw, in.path, "meta")
 			first, clean := len(ops), t.rows(blk) >= copyFloorDocs
@@ -130,12 +121,12 @@ func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) (
 					d.fail("seq %d out of order (after %d, footer range [%d,%d])", seq, last, in.ft.minSeq, in.ft.maxSeq)
 				}
 				if d.err != nil {
-					return nil, nil, d.err
+					return nil, d.err
 				}
 				last = seq
 				cur, ok := live(seq)
 				if !ok {
-					dead[seq], clean = true, false
+					clean = false
 					continue
 				}
 				clean = clean && cur == m
@@ -150,7 +141,7 @@ func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) (
 			}
 		}
 	}
-	return ops, dead, nil
+	return ops, nil
 }
 
 // sectionBlocks lays out section s from ops: copied frames, and re-encoded
@@ -210,105 +201,4 @@ func planRows(s int, inputs []*Reader, st *MergeStats) []mergeOp {
 		}
 	}
 	return ops
-}
-
-// postingsCursor walks one input's postings section entry by entry.
-type postingsCursor struct {
-	r    *Reader
-	d    dec
-	left int    // entries after the current one
-	term []byte // the current entry's term; nil once exhausted
-	df   uint64
-	body []byte
-}
-
-// next steps to the following entry, checking its CRC and that its term
-// sorts after the one before.
-func (c *postingsCursor) next() error {
-	prev := c.term
-	if c.term = nil; c.left == 0 {
-		return nil
-	}
-	c.left--
-	c.term = c.d.strBytes()
-	c.df = c.d.uvarint()
-	n := c.d.uvarint()
-	want := c.d.u32()
-	c.body = c.d.slice(int(n))
-	switch {
-	case c.d.err != nil:
-		return c.d.err
-	case prev != nil && bytes.Compare(c.term, prev) <= 0:
-		return corruptf(c.r.path, "postings", "term %q not after %q", c.term, prev)
-	case crc32.ChecksumIEEE(c.body) != want:
-		return corruptf(c.r.path, "postings", "term %q crc mismatch", c.term)
-	}
-	return nil
-}
-
-// mergePostings writes the union of the inputs' postings sections: each
-// term's lists concatenated in input (= seq) order with dead seqs dropped
-// and deltas re-encoded, and no term left without postings.
-func mergePostings(w *countingWriter, inputs []*Reader, dead map[int64]bool, ft *footer) error {
-	var curs []*postingsCursor
-	for _, in := range inputs {
-		c := &postingsCursor{r: in, d: dec{b: in.sectionBytes(secPostings), file: in.path, sect: "postings"}, left: int(in.ft.sections[secPostings].aux)}
-		if err := c.next(); err != nil {
-			return err
-		}
-		if c.term != nil {
-			curs = append(curs, c)
-		}
-	}
-	pw := &postingsWriter{w: w, start: uint64(w.n)}
-	var body enc
-	for len(curs) > 0 {
-		term := curs[0].term // stays valid: it points into an input's mapped file
-		for _, c := range curs[1:] {
-			if bytes.Compare(c.term, term) < 0 {
-				term = c.term
-			}
-		}
-		body.reset()
-		df, prev := 0, int64(0)
-		left := curs[:0]
-		for _, c := range curs {
-			if bytes.Equal(c.term, term) {
-				pd := dec{b: c.body, file: c.r.path, sect: "postings"}
-				seq := int64(0)
-				for j := uint64(0); j < c.df && pd.err == nil; j++ {
-					seq += int64(pd.uvarint())
-					tf := pd.varint()
-					if pd.err != nil || dead[seq] {
-						continue
-					}
-					if df > 0 && seq <= prev {
-						pd.fail("term %q: seq %d not after %d", term, seq, prev)
-					}
-					body.uvarint(uint64(seq - prev))
-					body.varint(tf)
-					prev, df = seq, df+1
-				}
-				if pd.err == nil && pd.off != len(c.body) {
-					pd.fail("term %q: bytes past its %d postings", term, c.df)
-				}
-				if pd.err != nil {
-					return pd.err
-				}
-				if err := c.next(); err != nil {
-					return err
-				}
-			}
-			if c.term != nil {
-				left = append(left, c)
-			}
-		}
-		if df > 0 {
-			if err := addPosting(pw, term, df, body.b); err != nil {
-				return err
-			}
-		}
-		curs = left
-	}
-	return pw.finish(ft)
 }

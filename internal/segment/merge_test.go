@@ -17,31 +17,28 @@ type content struct {
 	Shard          int
 	MinSeq, MaxSeq int64
 	Docs           []DocRecord
-	Terms          []string // the postings section's terms, in order
 	Postings       map[string][][2]int64
 	DocFreq        map[string]int
 	Links          []LinkRow
 	Redirects      []RedirectRow
 }
 
-// postingsTerms lists the terms of r's postings section in stored order.
-func postingsTerms(r *Reader) ([]string, error) {
-	c := &postingsCursor{r: r, d: dec{b: r.sectionBytes(secPostings), file: r.path, sect: "postings"}, left: int(r.ft.sections[secPostings].aux)}
-	var terms []string
-	for {
-		if err := c.next(); err != nil {
-			return nil, err
+// invertDocs is the inverted index of docs' term vectors: each term's
+// (seq, tf) pairs in document order.
+func invertDocs(docs []DocRecord) map[string][][2]int64 {
+	inv := map[string][][2]int64{}
+	for _, d := range docs {
+		for _, tc := range d.Terms {
+			inv[tc.Term] = append(inv[tc.Term], [2]int64{d.Seq, int64(tc.TF)})
 		}
-		if c.term == nil {
-			return terms, nil
-		}
-		terms = append(terms, string(c.term))
 	}
+	return inv
 }
 
 // readContent reads r through every public read path: meta, term vectors
-// and text by position, postings and document frequency for every stored
-// term and every term of a term vector (plus misses), links and redirects.
+// and text by position, postings and document frequency for every term of
+// a term vector (plus misses), links and redirects. The postings must be
+// the inversion of the term vectors read.
 func readContent(r *Reader) (content, error) {
 	c := content{Shard: r.Shard(), MinSeq: r.MinSeq(), MaxSeq: r.MaxSeq(), Postings: map[string][][2]int64{}, DocFreq: map[string]int{}}
 	var rerr error
@@ -68,17 +65,10 @@ func readContent(r *Reader) (content, error) {
 	if len(c.Docs) != r.DocCount() {
 		return c, fmt.Errorf("visited %d of %d documents", len(c.Docs), r.DocCount())
 	}
-	if c.Terms, err = postingsTerms(r); err != nil {
-		return c, err
-	}
+	want := invertDocs(c.Docs)
 	probe := map[string]bool{"": true, "aaaa": true, "zzzz": true}
-	for _, t := range c.Terms {
-		probe[t] = true
-	}
-	for _, d := range c.Docs {
-		for _, tc := range d.Terms {
-			probe[tc.Term] = true
-		}
+	for term := range want {
+		probe[term] = true
 	}
 	for term := range probe {
 		var ps [][2]int64
@@ -94,6 +84,9 @@ func readContent(r *Reader) (content, error) {
 		}
 		if df != 0 {
 			c.DocFreq[term] = df
+		}
+		if !reflect.DeepEqual(ps, want[term]) || df != len(want[term]) {
+			return c, fmt.Errorf("term %q: postings %v (df %d), but the term vectors hold %v", term, ps, df, want[term])
 		}
 	}
 	if err := r.VisitLinks(func(l LinkRow) bool { c.Links = append(c.Links, l); return true }); err != nil {
@@ -132,8 +125,6 @@ func contentDiff(g, w content) string {
 		}
 	}
 	switch {
-	case !reflect.DeepEqual(g.Terms, w.Terms):
-		return fmt.Sprintf("postings terms %d, want %d", len(g.Terms), len(w.Terms))
 	case !reflect.DeepEqual(g.Postings, w.Postings):
 		return "postings differ"
 	case !reflect.DeepEqual(g.DocFreq, w.DocFreq):
@@ -448,7 +439,7 @@ func badRowCounts(t testing.TB) map[string][]byte {
 	}
 }
 
-// TestOpenRejectsBadRowCounts: a version 2 table whose row counts are zero,
+// TestOpenRejectsBadRowCounts: a table whose row counts are zero,
 // overflow, miss the footer's count or disagree across the document
 // sections fails Open with ErrCorrupt.
 func TestOpenRejectsBadRowCounts(t *testing.T) {

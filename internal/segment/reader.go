@@ -15,8 +15,8 @@ import (
 )
 
 // Reader is an open immutable segment. Open reads the footer and the block
-// tables and checks the dict section; the sparse term index is parsed
-// lazily on first use and cached. A Reader is safe for concurrent use.
+// tables; the postings are inverted from the term vectors on first use and
+// cached. A Reader is safe for concurrent use.
 type Reader struct {
 	path   string
 	f      *os.File
@@ -24,11 +24,11 @@ type Reader struct {
 	unmap  func() error
 	size   int64
 	ft     footer
-	tables [numSections]blockTable // block sections only
+	tables [numSections]blockTable
 
-	// Lazily parsed sparse term index. Concurrent first loads compute the
-	// same value; last store wins.
-	sparse atomic.Pointer[sparseIndex]
+	// The term vectors inverted, on the first postings read. Concurrent
+	// first reads compute the same value; last store wins.
+	inverted atomic.Pointer[invertedIndex]
 
 	// blockCache holds the most recently inflated block of the termvec and
 	// text sections — snapshot builds and hydration walk neighboring
@@ -59,9 +59,13 @@ type cachedBlock struct {
 	starts []uint32 // offset of each row in raw, then the end of the last (nil = empty)
 }
 
-type sparseIndex struct {
-	terms []string
-	offs  []uint64
+// invertedIndex maps each term of a segment to its (seq, tf) list, in
+// ascending seq order.
+type invertedIndex map[string]*[]posting
+
+type posting struct {
+	seq int64
+	tf  int
 }
 
 // Open maps path and parses its footer. It returns a *CorruptError (via
@@ -89,9 +93,6 @@ func Open(path string) (*Reader, error) {
 	}
 	r := &Reader{path: path, f: f, data: data, unmap: unmap, size: size}
 	err = r.parseFooter()
-	if err == nil {
-		err = r.parseDicts()
-	}
 	if err == nil {
 		err = r.parseTables()
 	}
@@ -124,13 +125,12 @@ func (r *Reader) parseFooter() error {
 	for s := 0; s < numSections; s++ {
 		r.ft.sections[s].off = fd.u64()
 		r.ft.sections[s].len = fd.u64()
-		r.ft.sections[s].aux = fd.u32()
+		r.ft.sections[s].blocks = fd.u32()
 	}
 	r.ft.docCount = fd.u32()
 	r.ft.minSeq = int64(fd.u64())
 	r.ft.maxSeq = int64(fd.u64())
 	r.ft.outLinks = fd.u32()
-	inLinks := fd.u32()
 	r.ft.redirs = fd.u32()
 	r.ft.shard = fd.u32()
 	crcOff := fd.off
@@ -140,9 +140,6 @@ func (r *Reader) parseFooter() error {
 	}
 	if got := crc32.ChecksumIEEE(fb[:crcOff]); got != want {
 		return corruptf(r.path, "footer", "crc mismatch: stored %08x computed %08x", want, got)
-	}
-	if inLinks != 0 {
-		return corruptf(r.path, "footer", "%d in-link rows; links are stored once, as out-link rows", inLinks)
 	}
 	for s := 0; s < numSections; s++ {
 		sec := r.ft.sections[s]
@@ -192,33 +189,12 @@ func (r *Reader) sectionBytes(s int) []byte {
 	return r.data[sec.off : sec.off+sec.len]
 }
 
-// parseDicts checks the dict section: one dictionary length per section,
-// each of them 0, since no block is compressed against a preset dictionary.
-func (r *Reader) parseDicts() error {
-	b := r.sectionBytes(secDict)
-	if len(b) < 4 {
-		return corruptf(r.path, "dict", "section too short")
-	}
-	body := b[:len(b)-4]
-	want := newDec(b[len(b)-4:], r.path, "dict").u32()
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return corruptf(r.path, "dict", "crc mismatch: stored %08x computed %08x", want, got)
-	}
-	d := newDec(body, r.path, "dict")
-	for s := 0; s < numSections; s++ {
-		if n := d.uvarint(); n != 0 && d.err == nil {
-			return corruptf(r.path, "dict", "%s dictionary of %d bytes; blocks have no preset dictionary", sectionName[s], n)
-		}
-	}
-	return d.err
-}
-
 // parseTables reads and CRC-checks every block section's table. Each block
 // must hold at least one row and the rows must add up to the footer's
 // count for the section. The three document sections must block their rows
 // identically.
 func (r *Reader) parseTables() error {
-	for _, s := range blockSections {
+	for s := 0; s < numSections; s++ {
 		total := int(r.ft.docCount)
 		switch s {
 		case secLinks:
@@ -227,7 +203,7 @@ func (r *Reader) parseTables() error {
 			total = int(r.ft.redirs)
 		}
 		sec := r.ft.sections[s]
-		count := int(sec.aux)
+		count := int(sec.blocks)
 		tableLen := 4 + count*12 + 4
 		if uint64(tableLen) > sec.len {
 			return corruptf(r.path, sectionName[s], "block table of %d entries larger than section", count)
@@ -463,105 +439,75 @@ func (r *Reader) Text(pos int) (string, error) {
 	return s, nil
 }
 
-// sparseIdx loads the sparse term index once.
-func (r *Reader) sparseIdx() (*sparseIndex, error) {
-	if p := r.sparse.Load(); p != nil {
-		return p, nil
-	}
-	b := r.sectionBytes(secSparse)
-	if len(b) < 4 {
-		return nil, corruptf(r.path, "sparse-index", "section too short")
-	}
-	body := b[:len(b)-4]
-	want := newDec(b[len(b)-4:], r.path, "sparse-index").u32()
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, corruptf(r.path, "sparse-index", "crc mismatch: stored %08x computed %08x", want, got)
-	}
-	d := newDec(body, r.path, "sparse-index")
-	idx := &sparseIndex{}
-	for i := 0; i < int(r.ft.sections[secSparse].aux); i++ {
-		idx.terms = append(idx.terms, d.str())
-		idx.offs = append(idx.offs, d.uvarint())
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	r.sparse.Store(idx)
-	return idx, nil
-}
-
 // VisitPostings streams term's (seq, tf) postings in ascending seq order.
-// Absent terms visit nothing. The scan reads at most sparseEvery entries
-// past the sparse index's floor entry.
+// Absent terms visit nothing.
 func (r *Reader) VisitPostings(term string, fn func(seq int64, tf int)) error {
-	_, err := r.visitPostings(term, fn)
+	l, err := r.postings(term)
+	for _, e := range l {
+		fn(e.seq, e.tf)
+	}
 	return err
 }
 
-// DocFreq returns the stored document frequency of term.
+// DocFreq returns the number of documents whose term vector holds term.
 func (r *Reader) DocFreq(term string) (int, error) {
-	return r.visitPostings(term, nil)
+	l, err := r.postings(term)
+	return len(l), err
 }
 
-func (r *Reader) visitPostings(term string, fn func(seq int64, tf int)) (int, error) {
-	if r.ft.sections[secPostings].aux == 0 {
-		return 0, nil
-	}
-	idx, err := r.sparseIdx()
-	if err != nil {
-		return 0, err
-	}
-	// Greatest sparse entry ≤ term.
-	i := sort.SearchStrings(idx.terms, term)
-	if i < len(idx.terms) && idx.terms[i] == term {
-		// exact sparse hit: scan starts here
-	} else if i == 0 {
-		return 0, nil // term sorts before every stored term
-	} else {
-		i--
-	}
-	sec := r.sectionBytes(secPostings)
-	d := newDec(sec, r.path, "postings")
-	d.off = int(idx.offs[i])
-	if d.off > len(sec) {
-		return 0, corruptf(r.path, "postings", "sparse offset %d beyond section", d.off)
-	}
-	for scanned := 0; scanned < sparseEvery && d.off < len(sec); scanned++ {
-		// The entry's term is compared in place on the mapped bytes: the
-		// string conversions below compile to comparisons, not copies.
-		t := d.strBytes()
-		df := d.uvarint()
-		blen := d.uvarint()
-		wantCRC := d.u32()
-		body := d.slice(int(blen))
-		if d.err != nil {
-			return 0, d.err
+// postings returns term's list. The first call inverts the reader's term
+// vectors and keeps the result, so later calls are a map lookup.
+func (r *Reader) postings(term string) ([]posting, error) {
+	inv := r.inverted.Load()
+	if inv == nil {
+		var err error
+		if inv, err = r.invert(); err != nil {
+			return nil, err
 		}
-		if string(t) > term {
-			return 0, nil
+		r.inverted.Store(inv)
+	}
+	if l := (*inv)[term]; l != nil {
+		return *l, nil
+	}
+	return nil, nil
+}
+
+// invert builds the inverted index: one walk of the meta section for the
+// seqs, then one of the termvec blocks. Positions ascend with seq, so
+// every list is seq-ascending.
+func (r *Reader) invert() (*invertedIndex, error) {
+	seqs := make([]int64, 0, r.ft.docCount)
+	if err := r.VisitMeta(func(_ int, seq int64, _ Meta) bool {
+		seqs = append(seqs, seq)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	inv := invertedIndex{}
+	t := &r.tables[secTermVec]
+	for blk := range t.offs {
+		raw, err := r.readBlock(secTermVec, blk)
+		if err != nil {
+			return nil, err
 		}
-		if string(t) == term {
-			if got := crc32.ChecksumIEEE(body); got != wantCRC {
-				return 0, corruptf(r.path, "postings", "term %q crc mismatch: stored %08x computed %08x", term, wantCRC, got)
-			}
-			if fn == nil {
-				return int(df), nil
-			}
-			pd := newDec(body, r.path, "postings")
-			var seq int64
-			for j := uint64(0); j < df; j++ {
-				delta := int64(pd.uvarint())
-				tf := pd.varint()
-				if pd.err != nil {
-					return 0, pd.err
+		d := newDec(raw, r.path, "termvec")
+		for pos := t.first(blk); pos < t.ends[blk]; pos++ {
+			n := d.uvarint()
+			for i := uint64(0); i < n && d.err == nil; i++ {
+				term, tf := d.strBytes(), d.varint()
+				l := inv[string(term)]
+				if l == nil {
+					l = new([]posting)
+					inv[string(term)] = l
 				}
-				seq += delta
-				fn(seq, int(tf))
+				*l = append(*l, posting{seq: seqs[pos], tf: int(tf)})
 			}
-			return int(df), nil
+			if d.err != nil {
+				return nil, d.err
+			}
 		}
 	}
-	return 0, nil
+	return &inv, nil
 }
 
 // VisitLinks streams the segment's out-link rows in insert order.

@@ -148,16 +148,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 	// Postings equal the reference inverted index for every term, plus
 	// lookups that miss (before the first term, between terms, after the
 	// last).
-	ref := map[string][]buildPosting{}
-	for i := range in.Docs {
-		for _, tc := range in.Docs[i].Terms {
-			ref[tc.Term] = append(ref[tc.Term], buildPosting{seq: in.Docs[i].Seq, tf: tc.TF})
-		}
-	}
+	ref := invertDocs(in.Docs)
 	for term, want := range ref {
-		var got []buildPosting
+		var got [][2]int64
 		if err := r.VisitPostings(term, func(seq int64, tf int) {
-			got = append(got, buildPosting{seq: seq, tf: tf})
+			got = append(got, [2]int64{seq, int64(tf)})
 		}); err != nil {
 			t.Fatalf("VisitPostings(%q): %v", term, err)
 		}
@@ -250,26 +245,26 @@ func readAll(r *Reader) error {
 	return r.VisitRedirects(func(RedirectRow) bool { return true })
 }
 
-// TestSegmentCorruptionInjection flips one byte at a spread of offsets and
-// asserts the reader either still agrees with the original data or fails
-// with a typed corruption error — never a panic, never silent bad data.
+// TestSegmentCorruptionInjection flips one bit at every byte offset of a
+// small segment and asserts the reader either fails with a typed
+// corruption error or reads back exactly what the unflipped file holds —
+// rows, and every term's postings and document frequency — never a panic,
+// never silent bad data.
 func TestSegmentCorruptionInjection(t *testing.T) {
-	in := genInput(7, 150)
-	path, _ := buildTemp(t, in)
+	path, r := buildTemp(t, genInput(7, 20))
+	want, err := readContent(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	step := len(orig) / 97
-	if step == 0 {
-		step = 1
-	}
-	for off := 0; off < len(orig); off += step {
-		mut := make([]byte, len(orig))
+	p := filepath.Join(t.TempDir(), "mut.bsg")
+	mut := make([]byte, len(orig))
+	for off := range orig {
 		copy(mut, orig)
-		mut[off] ^= 0x40
-		p := filepath.Join(dir, "mut.bsg")
+		mut[off] ^= 1 << (off % 8)
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -287,8 +282,15 @@ func TestSegmentCorruptionInjection(t *testing.T) {
 				return
 			}
 			defer r.Close()
-			if err := readAll(r); err != nil && !errors.Is(err, ErrCorrupt) {
+			got, err := readContent(r)
+			switch {
+			case errors.Is(err, ErrCorrupt):
+			case err != nil:
 				t.Fatalf("flip at offset %d: read error not typed: %v", off, err)
+			default:
+				if diff := contentDiff(got, want); diff != "" {
+					t.Fatalf("flip at offset %d of %d: read back without an error, but %s", off, len(orig), diff)
+				}
 			}
 		}()
 	}

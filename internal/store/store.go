@@ -601,9 +601,10 @@ func (s *Store) VisitDocs(fn func(Document) bool) {
 // shard the segment-resident postings come first (tombstone-filtered, in
 // sequence order), then the hot rows whose Terms hold the term, in
 // ascending DocID. Queries do not call it — they score from the search
-// snapshot's own postings — and it is not cheap: besides the segment
-// postings it walks every row of every shard. fn must not call back into
-// the store (each shard's document lock is read-held for its visit).
+// snapshot's own postings — and it is not cheap: it walks every row of
+// every shard, and the first call on a segment inverts that segment's term
+// vectors (segment.Reader.VisitPostings). fn must not call back into the
+// store (each shard's document lock is read-held for its visit).
 func (s *Store) VisitPostings(term string, fn func(doc DocID, tf int)) {
 	for _, sh := range s.shards {
 		sh.visitAllPostings(term, fn)

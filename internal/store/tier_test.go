@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -682,6 +684,72 @@ func TestTieredSegmentCorruption(t *testing.T) {
 		t.Fatalf("restored segment failed to open: %v", err)
 	}
 	re.Close()
+}
+
+// TestOpenTieredRejectsOldFormat: a data directory holding a segment of
+// an older format version fails to open with an error naming the file and
+// the version, and the failed open changes no file — with the byte
+// restored, every document opens again.
+func TestOpenTieredRejectsOldFormat(t *testing.T) {
+	dir := t.TempDir()
+	s := openTiered(t, dir, 2, testTierOpts())
+	fillTier(t, s, 5, 60)
+	freezeAll(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segPath := filepath.Join(dir, "shard-01", "seg-000001.bsg")
+	orig, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(nil), orig...)
+	old[4] = 2 // the version byte follows the 4-byte magic
+	if err := os.WriteFile(segPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	if re, err := OpenTiered(dir, 2, testTierOpts()); err == nil {
+		re.Close()
+		t.Fatal("OpenTiered accepted a version 2 segment")
+	} else if !strings.Contains(err.Error(), segPath) || !strings.Contains(err.Error(), "unsupported format version 2") {
+		t.Fatalf("OpenTiered = %v; want an error naming %s and unsupported format version 2", err, segPath)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the failed open changed the data directory: %d files before, %d after", len(before), len(after))
+	}
+	if err := os.WriteFile(segPath, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := openTiered(t, dir, 2, testTierOpts())
+	defer re.Close()
+	if n := re.NumDocs(); n != 60 {
+		t.Fatalf("NumDocs %d after the failed open, want 60", n)
+	}
+	for i := 0; i < 60; i++ {
+		d, err := re.GetByURL(tierURL(5, i))
+		if want := fmt.Sprintf("body of document %d seed 5 alpha", i); err != nil || d.Text != want {
+			t.Fatalf("document %d after the failed open: %q, %v; want %q", i, d.Text, err, want)
+		}
+	}
+}
+
+// dirFiles maps every file under dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestTieredOrphanCleanup: segment files the manifest doesn't know and WAL
