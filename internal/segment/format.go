@@ -130,6 +130,12 @@ type RedirectRow struct {
 
 func encodeMeta(e *enc, seq int64, m *Meta) {
 	e.varint(seq)
+	encodeMetaFields(e, m)
+}
+
+// encodeMetaFields is a Meta without its seq, for a WAL batch record,
+// whose header carries its documents' first seq.
+func encodeMetaFields(e *enc, m *Meta) {
 	e.str(m.URL)
 	e.str(m.FinalURL)
 	e.str(m.Title)
@@ -143,6 +149,10 @@ func encodeMeta(e *enc, seq int64, m *Meta) {
 
 func decodeMeta(d *dec) (seq int64, m Meta) {
 	seq = d.varint()
+	return seq, decodeMetaFields(d)
+}
+
+func decodeMetaFields(d *dec) (m Meta) {
 	m.URL = d.str()
 	m.FinalURL = d.str()
 	m.Title = d.str()
@@ -152,7 +162,7 @@ func decodeMeta(d *dec) (seq int64, m Meta) {
 	m.Depth = int(d.varint())
 	m.CrawledAtNanos = d.varint()
 	m.IsTraining = d.bool()
-	return seq, m
+	return m
 }
 
 func encodeTermVec(e *enc, vec []TermCount) {

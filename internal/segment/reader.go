@@ -281,9 +281,17 @@ func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rawLen, comp := int(binary.LittleEndian.Uint32(frame[4:])), frame[12:]
-	if rawLen > maxInflate*len(comp) {
-		return nil, corruptf(r.path, sectionName[s], "block %d claims %d bytes from %d compressed", idx, rawLen, len(comp))
+	rawLen, comp := binary.LittleEndian.Uint32(frame[4:]), frame[12:]
+	return inflate(nil, comp, uint64(rawLen), r.path, fmt.Sprintf("%s block %d", sectionName[s], idx))
+}
+
+// inflate decompresses comp, which must inflate to exactly rawLen bytes,
+// into dst's storage. A rawLen above maxInflate × len(comp) or walMaxRecord
+// is corrupt before anything is allocated. Every failure is a
+// *CorruptError naming file and region.
+func inflate(dst, comp []byte, rawLen uint64, file, region string) ([]byte, error) {
+	if rawLen > maxInflate*uint64(len(comp)) || rawLen > walMaxRecord {
+		return nil, corruptf(file, region, "claims %d bytes from %d compressed", rawLen, len(comp))
 	}
 	inf := inflaters.Get().(*inflater)
 	defer func() {
@@ -292,20 +300,20 @@ func (r *Reader) readBlock(s, idx int) ([]byte, error) {
 	}()
 	inf.src.Reset(comp)
 	if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
-		return nil, corruptf(r.path, sectionName[s], "block %d inflate: %v", idx, err)
+		return nil, corruptf(file, region, "inflate: %v", err)
 	}
-	raw := make([]byte, rawLen)
+	raw := slices.Grow(dst[:0], int(rawLen))[:rawLen]
 	n, err := io.ReadFull(inf.fr, raw)
 	if err != nil && err != io.ErrUnexpectedEOF {
-		return nil, corruptf(r.path, sectionName[s], "block %d inflate: %v", idx, err)
+		return nil, corruptf(file, region, "inflate: %v", err)
 	}
-	if n != rawLen {
-		return nil, corruptf(r.path, sectionName[s], "block %d inflated to %d bytes, want %d", idx, n, rawLen)
+	if n != len(raw) {
+		return nil, corruptf(file, region, "inflated to %d bytes, want %d", n, rawLen)
 	}
-	// The stream must also end exactly here.
+	// The stream must also end exactly here, with its final block.
 	var one [1]byte
-	if m, _ := inf.fr.Read(one[:]); m != 0 {
-		return nil, corruptf(r.path, sectionName[s], "block %d inflates past its declared %d bytes", idx, rawLen)
+	if m, err := inf.fr.Read(one[:]); m != 0 || err != io.EOF {
+		return nil, corruptf(file, region, "does not end at its declared %d bytes", rawLen)
 	}
 	return raw, nil
 }

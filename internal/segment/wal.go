@@ -33,11 +33,11 @@ const (
 // WAL is an append-only CRC-framed log. Appends are serialized; Sync makes
 // everything appended so far durable.
 type WAL struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	size int64
-	hdr  enc // scratch for record headers
+	mu    sync.Mutex
+	f     *os.File
+	path  string
+	size  int64
+	frame enc // scratch for a framed record: header, then payload
 }
 
 // CreateWAL creates (or truncates) a WAL at path and writes its header.
@@ -83,24 +83,23 @@ func (w *WAL) Size() int64 {
 	return w.size
 }
 
-// Append writes one framed record. If sync is true the record is fsynced
-// before Append returns — the durability point callers may acknowledge.
+// Append writes one framed record with one write call. If sync is true the
+// record is fsynced before Append returns — the durability point callers
+// may acknowledge.
 func (w *WAL) Append(payload []byte, sync bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return errors.New("segment: wal: append after close")
 	}
-	w.hdr.reset()
-	w.hdr.u32(uint32(len(payload)))
-	w.hdr.u32(crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(w.hdr.b); err != nil {
+	w.frame.reset()
+	w.frame.u32(uint32(len(payload)))
+	w.frame.u32(crc32.ChecksumIEEE(payload))
+	w.frame.raw(payload)
+	if _, err := w.f.Write(w.frame.b); err != nil {
 		return fmt.Errorf("segment: wal append: %w", err)
 	}
-	if _, err := w.f.Write(payload); err != nil {
-		return fmt.Errorf("segment: wal append: %w", err)
-	}
-	w.size += int64(len(w.hdr.b) + len(payload))
+	w.size += int64(len(w.frame.b))
 	if sync {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("segment: wal sync: %w", err)

@@ -174,6 +174,14 @@ func (c *Cache) GetOrCompute(key string, compute func() (val any, storeKey strin
 		mCollapsed.Inc()
 		return call.val, Collapsed
 	}
+	// A leader may have stored its value and left its flight between the
+	// miss above and taking flightMu; it stores before it leaves, so the
+	// cache answers now.
+	if v, ok := c.Get(key); ok {
+		c.flightMu.Unlock()
+		mHits.Inc()
+		return v, Hit
+	}
 	call := &flightCall{}
 	call.wg.Add(1)
 	c.flight[key] = call

@@ -117,42 +117,81 @@ func replayStore() *Store {
 	return s
 }
 
+// fuzzPrime is the batch every replay fuzz input is applied after: two
+// documents at seqs 1 and 2.
+var fuzzPrime = wsShard{docs: []Document{
+	{URL: "http://a.example/", Topic: "db", Text: "body a", Terms: map[string]int{"alpha": 1, "beta": 1}},
+	{URL: "http://b.example/", Topic: "db", Text: "body b", Terms: map[string]int{"alpha": 1, "beta": 2}},
+}}
+
+// fuzzMixed is one batch of all three relations.
+var fuzzMixed = wsShard{
+	docs: []Document{{URL: "http://c.example/", Text: "body c", Terms: map[string]int{"gamma": 3}}},
+	outLinks: []Link{
+		{From: "http://a.example/", To: "http://c.example/", Anchor: "see c"},
+		{From: "http://a.example/", To: "http://d.example/"},
+		{From: "http://b.example/", To: "http://a.example/"},
+	},
+	redirects: []Redirect{{From: "http://old.example/", To: "http://a.example/"}},
+}
+
+// batchBody encodes b as a batch record body.
+func batchBody(b *wsShard) []byte {
+	var e segment.Enc
+	encodeBatchBody(&e, b)
+	return append([]byte(nil), e.Bytes()...)
+}
+
+// sealedBatch seals b as a batch record whose documents start at firstSeq,
+// and returns the record and its compressed body.
+func sealedBatch(b *wsShard, firstSeq int64) (rec, comp []byte) {
+	var r batchRecord
+	r.seal(b)
+	return append([]byte(nil), r.frame(firstSeq)...), r.comp
+}
+
+// batchHeader frames comp under an arbitrary batch header.
+func batchHeader(firstSeq, rawLen uint64, comp []byte) []byte {
+	var e segment.Enc
+	e.Byte(walOpBatch)
+	e.Uvarint(firstSeq)
+	e.Uvarint(rawLen)
+	e.Raw(comp)
+	return append([]byte(nil), e.Bytes()...)
+}
+
+// checkInLinks fails unless every out-link row of s is indexed on its
+// target's shard.
+func checkInLinks(t *testing.T, s *Store) {
+	t.Helper()
+	for _, l := range s.Links() {
+		n := 0
+		for _, p := range s.Predecessors(l.To) {
+			if p == l.From {
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("out-link %+v missing from its target's in-link index", l)
+		}
+	}
+}
+
 // FuzzApplyWALRecord replays an arbitrary CRC-valid record payload into a
 // tiered store holding two documents: it applies, or fails with a typed
-// corruption error — never a panic or an allocation the record's size does
-// not bound. Once applied, every out-link row is indexed on its target's
-// shard.
+// corruption error (or, for a kind only older releases write, errOlderWAL)
+// — never a panic or an allocation the record's size does not bound. Once
+// applied, every out-link row is indexed on its target's shard. Mutations
+// of a batch record rarely get past its DEFLATE stream;
+// FuzzApplyWALBatch fuzzes the body behind it.
 func FuzzApplyWALRecord(f *testing.F) {
-	var docs segment.Enc
-	docs.Byte(walOpDocs)
-	docs.Uvarint(2)
-	for i, u := range []string{"http://a.example/", "http://b.example/"} {
-		walEncodeDoc(&docs, int64(i+1), &Document{URL: u, Topic: "db", Text: "body " + u, Terms: map[string]int{"alpha": 1, "beta": i + 1}})
-	}
-	prime := append([]byte(nil), docs.Bytes()...)
+	prime, _ := sealedBatch(&fuzzPrime, 1)
 	f.Add(prime)
+	mixed, comp := sealedBatch(&fuzzMixed, 3)
+	f.Add(mixed)
+	links, _ := sealedBatch(&wsShard{outLinks: fuzzMixed.outLinks}, 0)
+	f.Add(links)
 	var e segment.Enc
-	walEncodeLinks(&e, []Link{
-		{From: "http://a.example/", To: "http://c.example/", Anchor: "see c"},
-		{From: "http://b.example/", To: "http://a.example/"},
-	})
-	f.Add(append([]byte(nil), e.Bytes()...))
-	e.Reset()
-	// An in-link row, as logs held before links were stored once.
-	e.Byte(walOpLinks)
-	e.Uvarint(1)
-	e.Bool(false)
-	e.Str("http://a.example/")
-	e.Str("http://c.example/")
-	e.Str("see c")
-	f.Add(append([]byte(nil), e.Bytes()...))
-	e.Reset()
-	e.Byte(walOpRedirects)
-	e.Uvarint(1)
-	e.Str("http://old.example/")
-	e.Str("http://a.example/")
-	f.Add(append([]byte(nil), e.Bytes()...))
-	e.Reset()
 	e.Byte(walOpDelete)
 	e.Str("http://a.example/")
 	f.Add(append([]byte(nil), e.Bytes()...))
@@ -167,38 +206,64 @@ func FuzzApplyWALRecord(f *testing.F) {
 	e.Str("http://b.example/")
 	e.Bool(true)
 	f.Add(append([]byte(nil), e.Bytes()...))
-	e.Reset()
-	// A document claiming 2^33 terms: once an allocation hint, now corrupt.
-	e.Byte(walOpDocs)
-	e.Uvarint(1)
-	m := metaFromDoc(&Document{URL: "http://huge.example/"})
-	e.Meta(9, &m)
-	e.Uvarint(1 << 33)
-	f.Add(append([]byte(nil), e.Bytes()...))
+	rawLen := uint64(len(batchBody(&fuzzMixed)))
+	// A truncated DEFLATE stream, a raw length one byte off, and a raw
+	// length no DEFLATE stream of that size can inflate to (1032 is
+	// segment's maxInflate).
+	f.Add(mixed[:len(mixed)-3])
+	f.Add(batchHeader(3, rawLen+1, comp))
+	f.Add(batchHeader(3, 1032*uint64(len(comp))+1, comp))
+	// A docs record of an older release.
+	f.Add([]byte{1, 0})
 	f.Add([]byte{})
 	f.Add([]byte{99})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s := replayStore()
-		if err := s.applyWALRecord(s.shards[0], prime, nil); err != nil {
+		var buf []byte
+		if err := s.applyWALRecord(s.shards[0], prime, &buf, nil); err != nil {
 			t.Fatalf("priming record: %v", err)
 		}
-		if err := s.applyWALRecord(s.shards[0], payload, nil); err != nil {
+		if err := s.applyWALRecord(s.shards[0], payload, &buf, nil); err != nil {
+			if !errors.Is(err, segment.ErrCorrupt) && !errors.Is(err, errOlderWAL) {
+				t.Fatalf("replay error not typed: %v", err)
+			}
+			return
+		}
+		checkInLinks(t, s)
+	})
+}
+
+// FuzzApplyWALBatch replays an arbitrary inflated batch body after the
+// two-document prime: it applies or fails with a typed corruption error,
+// never a panic or an allocation the body's size does not bound.
+func FuzzApplyWALBatch(f *testing.F) {
+	f.Add(batchBody(&fuzzMixed))
+	f.Add(batchBody(&fuzzPrime))
+	f.Add(batchBody(&wsShard{outLinks: fuzzMixed.outLinks, redirects: fuzzMixed.redirects}))
+	// A document claiming 2^33 terms: once an allocation hint, now corrupt.
+	var e segment.Enc
+	e.Uvarint(1)
+	m := metaFromDoc(&Document{URL: "http://huge.example/"})
+	e.MetaFields(&m)
+	e.Uvarint(1 << 33)
+	f.Add(append([]byte(nil), e.Bytes()...))
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{})
+
+	prime, _ := sealedBatch(&fuzzPrime, 1)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := replayStore()
+		var buf []byte
+		if err := s.applyWALRecord(s.shards[0], prime, &buf, nil); err != nil {
+			t.Fatalf("priming record: %v", err)
+		}
+		if err := s.applyBatch(s.shards[0], 3, body, nil); err != nil {
 			if !errors.Is(err, segment.ErrCorrupt) {
 				t.Fatalf("replay error not typed: %v", err)
 			}
 			return
 		}
-		for _, l := range s.Links() {
-			n := 0
-			for _, p := range s.Predecessors(l.To) {
-				if p == l.From {
-					n++
-				}
-			}
-			if n == 0 {
-				t.Fatalf("out-link %+v missing from its target's in-link index", l)
-			}
-		}
+		checkInLinks(t, s)
 	})
 }

@@ -219,26 +219,14 @@ func fnv32(s string) uint32 {
 // (tenant, URL) pair is already present replaces the old row (recrawl).
 func (s *Store) Insert(d Document) DocID {
 	sh := s.shardForKey(d.key())
-	sh.docMu.Lock()
-	id := sh.insertDocLocked(d)
-	var w *segment.WAL
-	if t := sh.tier; t != nil {
-		t.addHotLocked(docBytes(&d), 1)
-		var e segment.Enc
-		e.Byte(walOpDocs)
-		e.Uvarint(1)
-		walEncodeDoc(&e, int64(id)>>sh.bits, &d)
-		w, _ = t.appendWALLocked(e.Bytes())
-	}
-	sh.docMu.Unlock()
+	seq, w := s.writeShard(sh, &wsShard{docs: []Document{d}}, &batchRecord{})
 	s.inserts.Add(1)
 	mRowInserts.Inc()
-	sh.bumpEpoch()
 	if t := sh.tier; t != nil {
 		s.syncWAL(t, w, 1)
 		s.maybeFreeze(sh)
 	}
-	return id
+	return sh.idFor(seq)
 }
 
 // syncWAL fsyncs w when the store runs with WALSync and advances the
@@ -660,42 +648,21 @@ func (sh *storeShard) termDocFreq(term string) int {
 // URL's shard (and, when tiered, in its hot capture and WAL), the in-link
 // index entry on the target URL's shard.
 func (s *Store) AddLink(l Link) {
-	shFrom := s.shardForURL(l.From)
-	shFrom.linkMu.Lock()
-	shFrom.outLinks[l.From] = append(shFrom.outLinks[l.From], l)
-	if t := shFrom.tier; t != nil {
-		t.hotOut = append(t.hotOut, l)
-		var e segment.Enc
-		walEncodeLinks(&e, []Link{l})
-		t.appendWALLocked(e.Bytes())
+	shFrom, shTo := s.shardForURL(l.From), s.shardForURL(l.To)
+	b := wsShard{outLinks: []Link{l}}
+	if shTo == shFrom {
+		b.inLinks = b.outLinks
 	}
-	shFrom.linkMu.Unlock()
-	shTo := s.shardForURL(l.To)
-	shTo.linkMu.Lock()
-	shTo.inLinks[l.To] = append(shTo.inLinks[l.To], l)
-	shTo.linkMu.Unlock()
-	shFrom.bumpEpoch()
+	var r batchRecord
+	s.writeShard(shFrom, &b, &r)
 	if shTo != shFrom {
-		shTo.bumpEpoch()
+		s.writeShard(shTo, &wsShard{inLinks: b.outLinks}, &r)
 	}
 }
 
 // AddRedirect records a redirect row on the source URL's shard.
 func (s *Store) AddRedirect(r Redirect) {
-	sh := s.shardForURL(r.From)
-	sh.redirMu.Lock()
-	sh.redirects = append(sh.redirects, r)
-	if t := sh.tier; t != nil {
-		t.hotRedir = append(t.hotRedir, r)
-		var e segment.Enc
-		e.Byte(walOpRedirects)
-		e.Uvarint(1)
-		e.Str(r.From)
-		e.Str(r.To)
-		t.appendWALLocked(e.Bytes())
-	}
-	sh.redirMu.Unlock()
-	sh.bumpEpoch()
+	s.writeShard(s.shardForURL(r.From), &wsShard{redirects: []Redirect{r}}, &batchRecord{})
 }
 
 // Successors returns the target URLs linked from url.

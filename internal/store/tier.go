@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -43,12 +44,12 @@ import (
 // Consistency rules, enforced by lock order docMu → linkMu → redirMu with
 // the WAL's internal mutex and segment reader caches as leaves:
 //
-//   - A writer applies a relation's rows and appends their WAL record under
-//     that relation's lock. Freeze captures all three relations and swaps
-//     in the new WAL generation while holding all three locks, so every
-//     record is either fully baked into the frozen segment (and its WAL
-//     generation deleted) or fully in the next generation — never split,
-//     never lost, never replayed twice.
+//   - A writer applies a batch's rows and appends their one WAL record
+//     under the locks of the relations it touches. Freeze captures all
+//     three relations and swaps in the new WAL generation while holding all
+//     three locks, so every record is either fully baked into the frozen
+//     segment (and its WAL generation deleted) or fully in the next
+//     generation — never split, never lost, never replayed twice.
 //   - The segment list and tombstone set live in an immutable tierState
 //     swapped only under docMu. Postings visitors hold docMu.RLock across
 //     the segment walk and the hot-row walk, and freeze slims the rows and
@@ -110,15 +111,18 @@ type TierOptions struct {
 	FreezeDocs int
 }
 
-// WAL record kinds.
+// WAL record kinds. Kinds 1–3 (one record per relation: documents, links,
+// redirects) were written by older releases; a log holding one fails to
+// open with errOlderWAL.
 const (
-	walOpDocs        = 1
-	walOpLinks       = 2
-	walOpRedirects   = 3
 	walOpDelete      = 4
 	walOpSetTopic    = 5
 	walOpSetTraining = 6
+	walOpBatch       = 7
 )
+
+// errOlderWAL marks a WAL record of a kind only an older release writes.
+var errOlderWAL = errors.New("was written by an older release of bingo, which this release cannot replay: re-crawl into a fresh data directory, or keep opening this one with the previous release")
 
 // zeroTimeNanos encodes time.Time{} (whose UnixNano is undefined).
 const zeroTimeNanos = math.MinInt64
@@ -301,6 +305,7 @@ func OpenTiered(dir string, p int, opt TierOptions) (*Store, error) {
 	s.opt = &opt
 	start := time.Now()
 	stats := RecoveryStats{}
+	var orphans []string
 	for _, sh := range s.shards {
 		t := &shardTier{
 			dir:       filepath.Join(dir, fmt.Sprintf("shard-%02d", sh.idx)),
@@ -315,10 +320,15 @@ func OpenTiered(dir string, p int, opt TierOptions) (*Store, error) {
 		}
 		sh.tier = t
 		sh.cold = map[DocID]coldRef{}
-		if err := s.openShardTier(sh, &stats); err != nil {
+		if err := s.openShardTier(sh, &stats, &orphans); err != nil {
 			s.closePartial()
 			return nil, err
 		}
+	}
+	// Orphans go only once every shard has opened, so a failed open leaves
+	// the directory as it found it.
+	for _, path := range orphans {
+		os.Remove(path)
 	}
 	stats.Elapsed = time.Since(start)
 	s.recovery = stats
@@ -392,8 +402,9 @@ func checkTierLayout(dir string, p int) error {
 }
 
 // openShardTier loads one shard: manifest → segments (slim rows, cold
-// refs, links) → orphan cleanup → WAL replay → writable WAL.
-func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats) error {
+// refs, links) → WAL replay → writable WAL. It appends the shard's orphan
+// files to orphans for the caller to delete.
+func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]string) error {
 	t := sh.tier
 	man := tierManifest{WalSeq: 1, NextSeq: 0, NextSegID: 1}
 	if b, err := os.ReadFile(t.manifestPath()); err == nil {
@@ -446,7 +457,7 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats) error {
 	t.state.store(&tierState{segs: segs, tombs: tombs})
 	sh.nextSeq = man.NextSeq
 
-	// Orphan cleanup: segment files the manifest doesn't list (a freeze or
+	// Orphans: segment files the manifest doesn't list (a freeze or
 	// compaction that died before committing) and WAL generations older
 	// than the manifest's (a freeze that committed but died before
 	// deleting).
@@ -460,17 +471,17 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats) error {
 		switch {
 		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".bsg"):
 			if !inManifest[name] {
-				os.Remove(filepath.Join(t.dir, name))
+				*orphans = append(*orphans, filepath.Join(t.dir, name))
 			}
 		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".tmp"):
-			os.Remove(filepath.Join(t.dir, name))
+			*orphans = append(*orphans, filepath.Join(t.dir, name))
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
 			seq, perr := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 10, 64)
 			if perr != nil {
 				continue
 			}
 			if seq < man.WalSeq {
-				os.Remove(filepath.Join(t.dir, name))
+				*orphans = append(*orphans, filepath.Join(t.dir, name))
 			} else {
 				walSeqs = append(walSeqs, seq)
 			}
@@ -481,11 +492,15 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats) error {
 	// Replay surviving WAL generations in order. Only a torn tail is
 	// forgiven; corruption inside the log is a hard open error.
 	var lastGood int64
+	var buf []byte
 	for _, seq := range walSeqs {
 		path := t.walPath(seq)
 		n, good, err := segment.ReplayWAL(path, func(payload []byte) error {
-			return s.applyWALRecord(sh, payload, stats)
+			return s.applyWALRecord(sh, payload, &buf, stats)
 		})
+		if errors.Is(err, errOlderWAL) {
+			return fmt.Errorf("store: shard %d: %s: %w", sh.idx, path, err)
+		}
 		if err != nil {
 			return fmt.Errorf("store: shard %d: %w", sh.idx, err)
 		}
@@ -672,34 +687,6 @@ func (sh *storeShard) noteColdTrainingLocked(id DocID, training bool) {
 // ---------------------------------------------------------------------------
 // WAL record encode / apply
 
-// walEncodeDoc appends one document (with its assigned shard-local seq) to
-// a docs record. Terms are written in map order; replay rebuilds the map,
-// and freezing sorts, so order on the wire is irrelevant.
-func walEncodeDoc(e *segment.Enc, seq int64, d *Document) {
-	m := metaFromDoc(d)
-	e.Meta(seq, &m)
-	e.Uvarint(uint64(len(d.Terms)))
-	for t, tf := range d.Terms {
-		e.Str(t)
-		e.Varint(int64(tf))
-	}
-	e.Str(d.Text)
-}
-
-// walEncodeLinks frames a links record. Every row is an out-link row (out
-// flag true); logs written before links were stored once also hold in-link
-// rows, which replay skips.
-func walEncodeLinks(e *segment.Enc, ls []Link) {
-	e.Byte(walOpLinks)
-	e.Uvarint(uint64(len(ls)))
-	for _, l := range ls {
-		e.Bool(true)
-		e.Str(l.From)
-		e.Str(l.To)
-		e.Str(l.Anchor)
-	}
-}
-
 // appendWALLocked frames and appends a record to the shard's current WAL.
 // The caller holds the relation lock that makes the (apply, append) pair
 // atomic with respect to freeze's rotation point. Returns the WAL the
@@ -720,60 +707,25 @@ func (t *shardTier) appendWALLocked(payload []byte) (*segment.WAL, error) {
 	return w, nil
 }
 
-// applyWALRecord replays one record during open. Inserts carry their
-// original sequence numbers so DocIDs are stable across restarts.
-func (s *Store) applyWALRecord(sh *storeShard, payload []byte, stats *RecoveryStats) error {
-	d := segment.NewDecoder(payload, fmt.Sprintf("shard %d wal", sh.idx))
+// applyWALRecord replays one record during open. A batch record's body is
+// inflated into *buf, which is reused across records.
+func (s *Store) applyWALRecord(sh *storeShard, payload []byte, buf *[]byte, stats *RecoveryStats) error {
+	context := fmt.Sprintf("shard %d wal", sh.idx)
+	d := segment.NewDecoder(payload, context)
 	switch op := d.Byte(); op {
-	case walOpDocs:
-		n := d.Uvarint()
-		for i := uint64(0); i < n; i++ {
-			seq, m := d.Meta()
-			nt := d.Uvarint()
-			if nt > uint64(d.Remaining()/2) { // each term is ≥2 bytes
-				return fmt.Errorf("store: shard %d wal: %d terms overrun the record: %w", sh.idx, nt, segment.ErrCorrupt)
-			}
-			terms := make(map[string]int, nt)
-			for j := uint64(0); j < nt; j++ {
-				t := d.Str()
-				tf := d.Varint()
-				terms[t] = int(tf)
-			}
-			text := d.Str()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			doc := docFromMeta(&m)
-			doc.Terms = terms
-			doc.Text = text
-			s.replayInsert(sh, seq, doc)
-			if stats != nil {
-				stats.WALDocs++
-			}
+	case walOpBatch:
+		firstSeq := d.Uvarint()
+		rawLen := d.Uvarint()
+		comp := d.Rest()
+		if err := d.Err(); err != nil {
+			return err
 		}
-	case walOpLinks:
-		n := d.Uvarint()
-		for i := uint64(0); i < n; i++ {
-			out := d.Bool()
-			l := Link{From: d.Str(), To: d.Str(), Anchor: d.Str()}
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if out {
-				s.replayOutLink(sh, l)
-				sh.tier.hotOut = append(sh.tier.hotOut, l)
-			}
+		body, err := segment.Inflate(*buf, comp, rawLen, context)
+		if err != nil {
+			return err
 		}
-	case walOpRedirects:
-		n := d.Uvarint()
-		for i := uint64(0); i < n; i++ {
-			r := Redirect{From: d.Str(), To: d.Str()}
-			if err := d.Err(); err != nil {
-				return err
-			}
-			sh.redirects = append(sh.redirects, r)
-			sh.tier.hotRedir = append(sh.tier.hotRedir, r)
-		}
+		*buf = body
+		return s.applyBatch(sh, firstSeq, body, stats)
 	case walOpDelete:
 		// Mutation records address rows by docKey (the bare URL in logs
 		// written before tenancy, which is the default tenant's key).
@@ -804,10 +756,77 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, stats *RecoverySt
 			sh.docs[id].IsTraining = training
 			sh.noteColdTrainingLocked(id, training)
 		}
+	case 1, 2, 3:
+		return fmt.Errorf("record kind %d %w", op, errOlderWAL)
 	default:
 		return fmt.Errorf("store: shard %d wal: unknown record kind %d: %w", sh.idx, op, segment.ErrCorrupt)
 	}
 	return d.Err()
+}
+
+// applyBatch replays a batch record's inflated body (encodeBatchBody): its
+// documents take the seqs firstSeq, firstSeq+1, … in order.
+func (s *Store) applyBatch(sh *storeShard, firstSeq uint64, body []byte, stats *RecoveryStats) error {
+	d := segment.NewDecoder(body, fmt.Sprintf("shard %d wal batch", sh.idx))
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("store: shard %d wal batch: %s: %w", sh.idx, fmt.Sprintf(format, args...), segment.ErrCorrupt)
+	}
+	n := d.Uvarint()
+	if n > uint64(d.Remaining()) {
+		return corrupt("%d documents overrun the record", n)
+	}
+	if n > 0 && (firstSeq == 0 || firstSeq > uint64(math.MaxInt64>>sh.bits)-n) {
+		return corrupt("first seq %d out of range", firstSeq)
+	}
+	for i := uint64(0); i < n; i++ {
+		m := d.MetaFields()
+		nt := d.Uvarint()
+		if nt > uint64(d.Remaining()/2) { // each term is ≥2 bytes
+			return corrupt("%d terms overrun the record", nt)
+		}
+		terms := make(map[string]int, nt)
+		for j := uint64(0); j < nt; j++ {
+			t := d.Str()
+			terms[t] = int(d.Varint())
+		}
+		text := d.Str()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		doc := docFromMeta(&m)
+		doc.Terms = terms
+		doc.Text = text
+		s.replayInsert(sh, int64(firstSeq+i), doc)
+		if stats != nil {
+			stats.WALDocs++
+		}
+	}
+	for runs := d.Uvarint(); runs > 0 && d.Err() == nil; runs-- {
+		from := d.Str()
+		for k := d.Uvarint(); k > 0; k-- {
+			l := Link{From: from, To: d.Str(), Anchor: d.Str()}
+			if err := d.Err(); err != nil {
+				return err
+			}
+			s.replayOutLink(sh, l)
+			sh.tier.hotOut = append(sh.tier.hotOut, l)
+		}
+	}
+	for k := d.Uvarint(); k > 0 && d.Err() == nil; k-- {
+		r := Redirect{From: d.Str(), To: d.Str()}
+		if err := d.Err(); err != nil {
+			return err
+		}
+		sh.redirects = append(sh.redirects, r)
+		sh.tier.hotRedir = append(sh.tier.hotRedir, r)
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if d.Remaining() != 0 {
+		return corrupt("%d trailing bytes", d.Remaining())
+	}
+	return nil
 }
 
 // replayOutLink adds an out-link row read back from a segment or WAL of sh

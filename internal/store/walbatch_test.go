@@ -1,0 +1,196 @@
+package store
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/bingo-search/bingo/internal/segment"
+)
+
+// TestFlushAppendsOneRecordPerShard: a flush that logs rows on k shards —
+// documents, out-links and redirects alike — appends exactly k WAL
+// records. Shards that only receive in-link index entries append none.
+func TestFlushAppendsOneRecordPerShard(t *testing.T) {
+	s := openTiered(t, t.TempDir(), 4, testTierOpts())
+	defer s.Close()
+	byShard := make([][]string, 4)
+	for i := 0; ; i++ {
+		u := fmt.Sprintf("http://h%d.example/p%d", i%7, i)
+		sh := s.ShardForURL(u)
+		byShard[sh] = append(byShard[sh], u)
+		if full := func() bool {
+			for _, us := range byShard {
+				if len(us) < 3 {
+					return false
+				}
+			}
+			return true
+		}(); full {
+			break
+		}
+	}
+	for k := 1; k <= 3; k++ {
+		w := s.NewWorkspace(1 << 20)
+		for sh := 0; sh < k; sh++ {
+			for _, u := range byShard[sh][:2] {
+				w.Add(Document{URL: u, Text: "body " + u, Terms: map[string]int{"alpha": 1}})
+				w.AddLink(Link{From: u, To: byShard[3][0], Anchor: "to shard 3"})
+				w.AddLink(Link{From: u, To: byShard[sh][2]})
+			}
+			w.AddRedirect(Redirect{From: byShard[sh][2], To: byShard[sh][0]})
+		}
+		before := mWALAppends.Value()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mWALAppends.Value() - before; got != int64(k) {
+			t.Fatalf("a flush touching %d shards appended %d WAL records, want %d", k, got, k)
+		}
+	}
+}
+
+// TestTornBatchRecordIsAtomic: a WAL cut anywhere inside its last batch
+// record reopens without any of that record's rows — no document without
+// its out-links, no link or redirect without its document — and with
+// every earlier record's rows intact.
+func TestTornBatchRecordIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	s := openTiered(t, dir, 1, testTierOpts())
+	walPath := filepath.Join(dir, "shard-00", "wal-000001.log")
+	const rounds = 5
+	url := func(r, i int) string { return fmt.Sprintf("http://r%d.example/p%d", r, i) }
+	var lastStart int64
+	for r := 0; r < rounds; r++ {
+		st, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastStart = st.Size()
+		w := s.NewWorkspace(1 << 20)
+		for i := 0; i < 3; i++ {
+			w.Add(Document{URL: url(r, i), Text: fmt.Sprintf("round %d page %d", r, i), Terms: map[string]int{"alpha": 1, fmt.Sprintf("r%d", r): i + 1}})
+			for j := 0; j < 4; j++ {
+				w.AddLink(Link{From: url(r, i), To: url(r, 10+j), Anchor: fmt.Sprintf("a%d", j)})
+			}
+		}
+		w.AddRedirect(Redirect{From: url(r, 99), To: url(r, 0)})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int64(len(orig))
+	for _, cut := range []int64{lastStart + 1, lastStart + 8, (lastStart + end) / 2, end - 1} {
+		if err := os.WriteFile(walPath, orig[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re := openTiered(t, dir, 1, testTierOpts())
+		if n := re.NumDocs(); n != 3*(rounds-1) {
+			t.Fatalf("cut at %d of %d: %d documents, want %d", cut, end, n, 3*(rounds-1))
+		}
+		if n := len(re.Links()); n != 12*(rounds-1) {
+			t.Fatalf("cut at %d: %d links, want %d", cut, n, 12*(rounds-1))
+		}
+		if n := len(re.Redirects()); n != rounds-1 {
+			t.Fatalf("cut at %d: %d redirects, want %d", cut, n, rounds-1)
+		}
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < 3; i++ {
+				d, err := re.GetByURL(url(r, i))
+				succ := re.Successors(url(r, i))
+				if r == rounds-1 {
+					if err == nil || len(succ) != 0 {
+						t.Fatalf("cut at %d: torn record's page %s came back (err %v, %d out-links)", cut, url(r, i), err, len(succ))
+					}
+					continue
+				}
+				if err != nil || d.Text != fmt.Sprintf("round %d page %d", r, i) || len(succ) != 4 {
+					t.Fatalf("cut at %d: page %s = %q, %v with %d out-links; want it whole with 4", cut, url(r, i), d.Text, err, len(succ))
+				}
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatchRecordCorruption: a CRC-valid batch record whose DEFLATE stream
+// or raw length is wrong fails to replay with ErrCorrupt.
+func TestBatchRecordCorruption(t *testing.T) {
+	rec, comp := sealedBatch(&fuzzMixed, 3)
+	rawLen := uint64(len(batchBody(&fuzzMixed)))
+	trailing := append(batchBody(&fuzzMixed), 0)
+	for name, payload := range map[string][]byte{
+		"truncated stream":   rec[:len(rec)-3],
+		"raw length +1":      batchHeader(3, rawLen+1, comp),
+		"raw length -1":      batchHeader(3, rawLen-1, comp),
+		"raw length too big": batchHeader(3, 1032*uint64(len(comp))+1, comp),
+		"trailing body byte": batchHeader(3, uint64(len(trailing)), segment.Deflate(nil, trailing)),
+		"seq zero":           batchHeader(0, rawLen, comp),
+	} {
+		s := replayStore()
+		var buf []byte
+		if err := s.applyWALRecord(s.shards[0], rec, &buf, nil); err != nil {
+			t.Fatalf("valid record: %v", err)
+		}
+		if err := s.applyWALRecord(s.shards[0], payload, &buf, nil); !errors.Is(err, segment.ErrCorrupt) {
+			t.Fatalf("%s: replay = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestOpenTieredRejectsOlderWAL: a WAL holding a record kind only an older
+// release writes fails the open with an error that names the log and says
+// so — not corruption — and the failed open deletes no file, not even
+// another shard's orphans.
+func TestOpenTieredRejectsOlderWAL(t *testing.T) {
+	dir := t.TempDir()
+	s := openTiered(t, dir, 2, testTierOpts())
+	fillTier(t, s, 6, 40)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, "shard-00", "seg-000099.bsg")
+	if err := os.WriteFile(orphan, []byte("left by a freeze that never committed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "shard-01", "wal-000001.log")
+	st, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := segment.OpenWALForAppend(walPath, st.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Append([]byte{1, 0}, true); err != nil { // an empty kind-1 docs record
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	re, err := OpenTiered(dir, 2, testTierOpts())
+	if err == nil {
+		re.Close()
+		t.Fatal("OpenTiered replayed a kind-1 WAL record")
+	}
+	if !strings.Contains(err.Error(), walPath) || !strings.Contains(err.Error(), "older release") || errors.Is(err, segment.ErrCorrupt) {
+		t.Fatalf("OpenTiered = %v; want an error naming %s and an older release, not corruption", err, walPath)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the failed open changed the data directory: %d files before, %d after", len(before), len(after))
+	}
+}

@@ -18,11 +18,12 @@ import (
 // batching is actually happening (many small flushes mean the batch size
 // is too low or the crawl is starved).
 //
-// In a tiered store a flush is also the WAL batching point: each relation's
-// rows are appended to the owning shard's WAL as one record while that
-// relation's lock is held (making the record atomic with respect to WAL
-// rotation), and the touched logs are fsynced once at the end of the flush
-// — one fsync per flush per shard, not per row. Flush is also where
+// In a tiered store a flush is also the WAL batching point: each touched
+// shard gets one WAL record per flush, holding its documents, out-links and
+// redirects DEFLATE'd together, appended while the shard's relation locks
+// are held (making the record atomic with respect to WAL rotation), and the
+// touched logs are fsynced once at the end of the flush — one record and
+// one fsync per flush per shard, not per row. Flush is also where
 // memtable pressure is relieved: a shard over its budget is frozen
 // synchronously on the flushing (crawler) thread, which is the write-path
 // backpressure that keeps ingest from outrunning the disk.
@@ -62,8 +63,7 @@ type Workspace struct {
 
 	// Flush scratch, reused across batches so the steady state allocates
 	// nothing per flush.
-	ids  []DocID
-	enc  segment.Enc
+	rec  batchRecord
 	wals []*segment.WAL
 }
 
@@ -126,20 +126,6 @@ func (w *Workspace) maybeFlush() {
 	}
 }
 
-// noteWAL remembers a WAL that received records this flush, for the
-// end-of-flush fsync.
-func (w *Workspace) noteWAL(wal *segment.WAL) {
-	if wal == nil {
-		return
-	}
-	for _, have := range w.wals {
-		if have == wal {
-			return
-		}
-	}
-	w.wals = append(w.wals, wal)
-}
-
 // Flush bulk-loads all buffered rows into their owning shards, walking the
 // shards in index order and skipping untouched ones. In a tiered store it
 // returns the first write-ahead-log or segment error since the previous
@@ -159,73 +145,11 @@ func (w *Workspace) Flush() error {
 		if b.rows() == 0 && len(b.inLinks) == 0 {
 			continue
 		}
-		sh := s.shards[si]
-		t := sh.tier
-		if len(b.docs) > 0 {
-			w.ids = w.ids[:0]
-			sh.docMu.Lock()
-			for i := range b.docs {
-				w.ids = append(w.ids, sh.insertDocLocked(b.docs[i]))
-			}
-			if t != nil {
-				w.enc.Reset()
-				w.enc.Byte(walOpDocs)
-				w.enc.Uvarint(uint64(len(b.docs)))
-				for i := range b.docs {
-					d := &b.docs[i]
-					t.addHotLocked(docBytes(d), 1)
-					walEncodeDoc(&w.enc, int64(w.ids[i])>>sh.bits, d)
-				}
-				wal, _ := t.appendWALLocked(w.enc.Bytes())
-				w.noteWAL(wal)
-				docsFlushed += int64(len(b.docs))
-			}
-			sh.docMu.Unlock()
+		// Each shard logs at most one record, so w.wals holds no duplicates.
+		if _, wal := s.writeShard(s.shards[si], b, &w.rec); wal != nil {
+			w.wals = append(w.wals, wal)
+			docsFlushed += int64(len(b.docs))
 		}
-		if len(b.outLinks) > 0 || len(b.inLinks) > 0 {
-			sh.linkMu.Lock()
-			// Out-links are buffered page by page, so the buffer is runs of
-			// equal From; append each run to the out-link table in one shot
-			// instead of re-probing the map per link.
-			for i := 0; i < len(b.outLinks); {
-				j := i + 1
-				from := b.outLinks[i].From
-				for j < len(b.outLinks) && b.outLinks[j].From == from {
-					j++
-				}
-				sh.outLinks[from] = append(sh.outLinks[from], b.outLinks[i:j]...)
-				i = j
-			}
-			for _, l := range b.inLinks {
-				sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
-			}
-			if t != nil && len(b.outLinks) > 0 {
-				t.hotOut = append(t.hotOut, b.outLinks...)
-				w.enc.Reset()
-				walEncodeLinks(&w.enc, b.outLinks)
-				wal, _ := t.appendWALLocked(w.enc.Bytes())
-				w.noteWAL(wal)
-			}
-			sh.linkMu.Unlock()
-		}
-		if len(b.redirects) > 0 {
-			sh.redirMu.Lock()
-			sh.redirects = append(sh.redirects, b.redirects...)
-			if t != nil {
-				t.hotRedir = append(t.hotRedir, b.redirects...)
-				w.enc.Reset()
-				w.enc.Byte(walOpRedirects)
-				w.enc.Uvarint(uint64(len(b.redirects)))
-				for _, r := range b.redirects {
-					w.enc.Str(r.From)
-					w.enc.Str(r.To)
-				}
-				wal, _ := t.appendWALLocked(w.enc.Bytes())
-				w.noteWAL(wal)
-			}
-			sh.redirMu.Unlock()
-		}
-		sh.bumpEpoch()
 		b.docs = b.docs[:0]
 		b.outLinks = b.outLinks[:0]
 		b.inLinks = b.inLinks[:0]
@@ -267,4 +191,152 @@ func (w *Workspace) takeErr() error {
 	err := w.err
 	w.err = nil
 	return err
+}
+
+// batchRecord is the scratch one shard's WAL batch record is built in.
+//
+// A batch record is [walOpBatch][first seq uvarint][raw length uvarint]
+// followed by the body, DEFLATE'd: the documents without their seqs, the
+// out-links as runs of one From (From once, then To and Anchor per link),
+// then the redirects (encodeBatchBody). The seqs are left out because a
+// batch's documents take contiguous seqs under one docMu hold, which the
+// body is compressed before.
+type batchRecord struct {
+	body segment.Enc
+	comp []byte
+	rec  segment.Enc
+}
+
+// seal encodes b's logged rows as the record body and compresses it.
+func (r *batchRecord) seal(b *wsShard) {
+	r.body.Reset()
+	encodeBatchBody(&r.body, b)
+	r.comp = segment.Deflate(r.comp[:0], r.body.Bytes())
+}
+
+// frame returns the sealed record under a header naming its documents'
+// first seq (0 when it holds none).
+func (r *batchRecord) frame(firstSeq int64) []byte {
+	r.rec.Reset()
+	r.rec.Byte(walOpBatch)
+	r.rec.Uvarint(uint64(firstSeq))
+	r.rec.Uvarint(uint64(len(r.body.Bytes())))
+	r.rec.Raw(r.comp)
+	return r.rec.Bytes()
+}
+
+// encodeBatchBody encodes b's logged rows as a batch record body. Terms
+// are written in map order; replay rebuilds the map and freezing sorts, so
+// order on the wire is irrelevant.
+func encodeBatchBody(e *segment.Enc, b *wsShard) {
+	e.Uvarint(uint64(len(b.docs)))
+	for i := range b.docs {
+		d := &b.docs[i]
+		m := metaFromDoc(d)
+		e.MetaFields(&m)
+		e.Uvarint(uint64(len(d.Terms)))
+		for t, tf := range d.Terms {
+			e.Str(t)
+			e.Varint(int64(tf))
+		}
+		e.Str(d.Text)
+	}
+	runs := 0
+	for i := 0; i < len(b.outLinks); i = linkRunEnd(b.outLinks, i) {
+		runs++
+	}
+	e.Uvarint(uint64(runs))
+	for i := 0; i < len(b.outLinks); {
+		j := linkRunEnd(b.outLinks, i)
+		e.Str(b.outLinks[i].From)
+		e.Uvarint(uint64(j - i))
+		for _, l := range b.outLinks[i:j] {
+			e.Str(l.To)
+			e.Str(l.Anchor)
+		}
+		i = j
+	}
+	e.Uvarint(uint64(len(b.redirects)))
+	for _, r := range b.redirects {
+		e.Str(r.From)
+		e.Str(r.To)
+	}
+}
+
+// linkRunEnd returns the end of the run of links sharing ls[i].From.
+// Out-links are buffered page by page, so a buffer is runs of equal From.
+func linkRunEnd(ls []Link, i int) int {
+	j := i + 1
+	for j < len(ls) && ls[j].From == ls[i].From {
+		j++
+	}
+	return j
+}
+
+// writeShard moves b's rows into sh; its documents take the seqs
+// firstSeq, firstSeq+1, … in order. In a tiered shard the rows' one batch
+// record is encoded and DEFLATE'd first, outside every lock. Then, under
+// docMu → linkMu → redirMu (each taken only when its relation has rows),
+// the documents get their ids, all three relations are applied, and the
+// record is appended. Freeze rotates the WAL under all three locks, so a
+// record — a page and its out-links together — lands whole in one
+// generation. wal is the WAL the record landed in, nil when nothing was
+// logged.
+func (s *Store) writeShard(sh *storeShard, b *wsShard, r *batchRecord) (firstSeq int64, wal *segment.WAL) {
+	t := sh.tier
+	logged := t != nil && b.rows() > 0
+	if logged {
+		r.seal(b)
+	}
+	docs := len(b.docs) > 0
+	links := len(b.outLinks) > 0 || len(b.inLinks) > 0
+	redirs := len(b.redirects) > 0
+	if docs {
+		sh.docMu.Lock()
+		firstSeq = sh.nextSeq + 1
+	}
+	if links {
+		sh.linkMu.Lock()
+	}
+	if redirs {
+		sh.redirMu.Lock()
+	}
+	for i := range b.docs {
+		sh.insertDocLocked(b.docs[i])
+		if t != nil {
+			t.addHotLocked(docBytes(&b.docs[i]), 1)
+		}
+	}
+	for i := 0; i < len(b.outLinks); {
+		j := linkRunEnd(b.outLinks, i)
+		from := b.outLinks[i].From
+		sh.outLinks[from] = append(sh.outLinks[from], b.outLinks[i:j]...)
+		i = j
+	}
+	for _, l := range b.inLinks {
+		sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
+	}
+	if t != nil && len(b.outLinks) > 0 {
+		t.hotOut = append(t.hotOut, b.outLinks...)
+	}
+	if redirs {
+		sh.redirects = append(sh.redirects, b.redirects...)
+		if t != nil {
+			t.hotRedir = append(t.hotRedir, b.redirects...)
+		}
+	}
+	if logged {
+		wal, _ = t.appendWALLocked(r.frame(firstSeq))
+	}
+	if redirs {
+		sh.redirMu.Unlock()
+	}
+	if links {
+		sh.linkMu.Unlock()
+	}
+	if docs {
+		sh.docMu.Unlock()
+	}
+	sh.bumpEpoch()
+	return firstSeq, wal
 }
