@@ -96,7 +96,7 @@ type Config struct {
 	// FetchTimeout bounds one retrieval.
 	FetchTimeout time.Duration
 	// BatchSize is the per-worker workspace bulk-load batch (§4.1;
-	// default 32 rows).
+	// default 32 documents, each flushed with its links and redirects).
 	BatchSize int
 	// FlushInterval bounds how long a crawl worker may hold a partially
 	// filled workspace before flushing it (default 200ms).

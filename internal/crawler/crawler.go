@@ -51,6 +51,7 @@ var (
 	mRequeued       = metrics.NewCounter("crawler_breaker_requeues_total")
 	mRequeueDrops   = metrics.NewCounter("crawler_requeues_exhausted_total")
 	mDegraded       = metrics.NewCounter("crawler_pages_degraded_total")
+	mAbandoned      = metrics.NewCounter("crawler_visits_abandoned_total")
 )
 
 // Focus selects the link-acceptance rule (§3.3).
@@ -115,8 +116,8 @@ type Config struct {
 	// registered domain is in the list (learning phase restriction, §2.6).
 	AllowedDomains []string
 	// BatchSize is the workspace bulk-load batch (default 32): each worker
-	// buffers this many rows (documents + links + redirects) before moving
-	// them into the store in one bulk load (§4.1).
+	// buffers this many documents, with their links and redirects, before
+	// moving them into the store in one bulk load (§4.1).
 	BatchSize int
 	// FlushInterval bounds how long a worker may sit on a partially filled
 	// workspace (default 200ms), so observers of the store see crawl
@@ -155,6 +156,9 @@ type Stats struct {
 	// Quarantined lists the hosts the fetch layer tagged bad during the
 	// crawl (poisoned hosts), sorted.
 	Quarantined []string
+	// FirstError is the class and URL of the crawl's first failed visit
+	// ("" when Errors is 0); crawler_errors_by_class_total counts them all.
+	FirstError string
 }
 
 // Crawler executes one crawl phase.
@@ -173,6 +177,7 @@ type Crawler struct {
 	requeued   atomic.Int64
 	degraded   atomic.Int64
 	maxDepth   atomic.Int64
+	firstErr   atomic.Pointer[string]
 }
 
 // New builds a crawler. Config.Fetcher, Frontier, Store and Classify are
@@ -304,6 +309,11 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	if err != nil {
 		var bo *fetch.BreakerOpenError
 		switch {
+		case errors.Is(err, fetch.ErrCanceled):
+			// The crawl's own context ended mid-fetch (page budget spent,
+			// retrain pause, shutdown): the visit is abandoned, like a page
+			// fetched after it ends, not failed.
+			mAbandoned.Inc()
 		case err == fetch.ErrDuplicate:
 			c.duplicates.Add(1)
 			mDuplicates.Inc()
@@ -323,13 +333,11 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 				mRequeued.Inc()
 			} else {
 				c.visited.Add(1)
-				c.errs.Add(1)
-				mErrors.Inc()
+				c.fail("requeues-exhausted", it.URL)
 				mRequeueDrops.Inc()
 			}
 		default:
-			c.errs.Add(1)
-			mErrors.Inc()
+			c.fail(fetch.ErrClass(err), it.URL)
 		}
 		return
 	}
@@ -346,6 +354,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	// exits with whatever its workspace holds instead of analyzing and
 	// buffering more pages that would only be flushed on the way out.
 	if ctx.Err() != nil {
+		mAbandoned.Inc()
 		return
 	}
 
@@ -383,8 +392,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	res.ReleaseBody()
 	if err != nil {
 		metrics.Span("parse", it.URL, parseStart, "parse-error")
-		c.errs.Add(1)
-		mErrors.Inc()
+		c.fail("parse-error", it.URL)
 		return
 	}
 	metrics.Span("parse", it.URL, parseStart, "")
@@ -536,6 +544,10 @@ func (c *Crawler) domainAllowed(host string) bool {
 func (c *Crawler) Stats() Stats {
 	hosts := 0
 	c.hosts.Range(func(_, _ any) bool { hosts++; return true })
+	firstErr := ""
+	if p := c.firstErr.Load(); p != nil {
+		firstErr = *p
+	}
 	return Stats{
 		VisitedURLs:    c.visited.Load(),
 		StoredPages:    c.stored.Load(),
@@ -549,5 +561,20 @@ func (c *Crawler) Stats() Stats {
 		Requeued:       c.requeued.Load(),
 		Degraded:       c.degraded.Load(),
 		Quarantined:    c.cfg.Fetcher.Hosts.BadHosts(),
+		FirstError:     firstErr,
+	}
+}
+
+// fail books a failed visit of url under class — a fetch.ErrClass,
+// "parse-error" or "requeues-exhausted" — in Errors, crawler_errors_total
+// and crawler_errors_by_class_total{class=…}, and keeps the first one as
+// Stats.FirstError.
+func (c *Crawler) fail(class, url string) {
+	c.errs.Add(1)
+	mErrors.Inc()
+	metrics.NewCounter(`crawler_errors_by_class_total{class="` + class + `"}`).Inc()
+	if c.firstErr.Load() == nil {
+		first := class + " " + url
+		c.firstErr.CompareAndSwap(nil, &first)
 	}
 }

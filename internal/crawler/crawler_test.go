@@ -13,6 +13,7 @@ import (
 	"github.com/bingo-search/bingo/internal/dns"
 	"github.com/bingo-search/bingo/internal/fetch"
 	"github.com/bingo-search/bingo/internal/frontier"
+	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/store"
 )
 
@@ -388,5 +389,45 @@ func TestFocusedCrawlResistsTrap(t *testing.T) {
 	}
 	if float64(trapStored) > 0.1*float64(stats.StoredPages) {
 		t.Errorf("trap absorbed the crawl: %d of %d stored pages", trapStored, stats.StoredPages)
+	}
+}
+
+// TestFaultFreeCrawlHasNoErrors: with no fault injected, a crawl at the
+// paper's 15 workers fails no visit — over the whole tiny world, and in ten
+// crawls that a page budget stops while fetches are in flight, whose
+// cancelled fetches are abandoned visits, not failed ones. A failure is
+// named by its class and URL.
+func TestFaultFreeCrawlHasNoErrors(t *testing.T) {
+	for i := 0; i <= 10; i++ {
+		budget := int64(120)
+		if i == 0 {
+			budget = 0
+		}
+		c, _, world := testSetup(t, func(cfg *Config) { cfg.Workers = 15; cfg.PageBudget = budget })
+		c.Seed("ROOT/db", world.SeedURLs()...)
+		stats := c.Run(context.Background())
+		if stats.Errors != 0 || stats.FirstError != "" {
+			t.Fatalf("budget %d: %d of %d visits failed, the first %q", budget, stats.Errors, stats.VisitedURLs, stats.FirstError)
+		}
+		if stats.StoredPages < 100 {
+			t.Fatalf("budget %d: stored only %d pages; stats=%+v", budget, stats.StoredPages, stats)
+		}
+	}
+}
+
+// TestErrorsAreCountedByClass: a failed visit is booked under its class,
+// in Stats.FirstError and in crawler_errors_by_class_total.
+func TestErrorsAreCountedByClass(t *testing.T) {
+	c, _, _ := testSetup(t, func(cfg *Config) { cfg.Workers = 1 })
+	const u = "http://no-such-host.invalid/page"
+	class := metrics.NewCounter(`crawler_errors_by_class_total{class="no-such-host"}`)
+	before := class.Value()
+	c.Seed("ROOT/db", u)
+	stats := c.Run(context.Background())
+	if stats.Errors != 1 || stats.FirstError != "no-such-host "+u {
+		t.Fatalf("Errors = %d, FirstError = %q; want 1 and %q", stats.Errors, stats.FirstError, "no-such-host "+u)
+	}
+	if got := class.Value() - before; got != 1 {
+		t.Fatalf("crawler_errors_by_class_total{class=\"no-such-host\"} rose by %d, want 1", got)
 	}
 }

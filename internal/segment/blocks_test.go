@@ -31,11 +31,11 @@ func openBytes(t testing.TB, b []byte) *Reader {
 	return r
 }
 
-// deflate compresses raw with a freshly built encoder.
-func deflate(t *testing.T, raw []byte) []byte {
+// deflate compresses raw with a freshly built encoder at level.
+func deflate(t *testing.T, raw []byte, level int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	fw, err := flate.NewWriter(&buf, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,8 @@ func TestTermVecDecodesOnlyItsRow(t *testing.T) {
 
 // TestBuildPoolReuseIsByteIdentical: encoders and file buffers that served
 // another build leave no trace. A, B, then A again writes A twice byte for
-// byte, and every block is what a fresh flate.NewWriter makes of it.
+// byte, and every block is what a fresh flate.NewWriter at its section's
+// level makes of it — both encoder pools, document and link, are checked.
 func TestBuildPoolReuseIsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	build := func(name string, in BuildInput) []byte {
@@ -112,7 +113,7 @@ func TestBuildPoolReuseIsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(blockComp(t, r, first, s, idx), deflate(t, raw)) {
+			if !bytes.Equal(blockComp(t, r, first, s, idx), deflate(t, raw, sectionLevel(s))) {
 				t.Fatalf("%s block %d differs from a fresh encoder's output", sectionName[s], idx)
 			}
 		}
@@ -192,7 +193,7 @@ func rewriteLastBlock(t *testing.T, file []byte, s int, mangle func([]byte) []by
 		t.Fatal(err)
 	}
 	raw = mangle(append([]byte(nil), raw...))
-	comp := deflate(t, raw)
+	comp := deflate(t, raw, sectionLevel(s))
 	var frame enc
 	frame.u32(uint32(len(comp)))
 	frame.u32(uint32(len(raw)))

@@ -156,25 +156,51 @@ func (r *rawBlocks) frame(f []byte, rows int) {
 	r.blocks = append(r.blocks, block{frame: f, rows: rows})
 }
 
-// deflaters pools block encoders. A DEFLATE encoder carries ≈800 KB of
-// match state that Reset clears and keeps, so builds share encoders instead
-// of allocating one per section. Blocks are written without a preset
-// dictionary: one would pin an encoder to its section (a stdlib Writer
-// cannot be Reset onto a new dictionary), and it is stored raw, so it only
-// pays for itself above ≈700–800 documents per segment (DESIGN.md).
-var deflaters = sync.Pool{New: func() any {
-	fw, _ := flate.NewWriter(nil, flate.DefaultCompression) // only an invalid level errors
-	return fw
-}}
+// docLevel and linkLevel are the DEFLATE levels of the document sections
+// (meta, termvec, text) and of the link and redirect sections. On the
+// blocks of a 3,000-document store's segments, level 4 against 6 costs
+// +2.5 % bytes on meta, +2.8 % on termvec and +3.5 % on text, and encodes
+// them 1.26×, 1.49× and 2.48× faster; on links it costs +12.6 % for 2.44×,
+// so links stay at 6. A segment is then +2.7 % bytes for 1.62× the encode
+// speed (DESIGN.md). A reader inflates any level, and a merge copies a
+// clean block at whatever level wrote it.
+const (
+	docLevel  = 4
+	linkLevel = flate.DefaultCompression
+)
+
+// sectionLevel returns the DEFLATE level section s's blocks are encoded at.
+func sectionLevel(s int) int {
+	if s == secLinks || s == secRedirects {
+		return linkLevel
+	}
+	return docLevel
+}
+
+// deflaters pools block encoders, one pool per level. A DEFLATE encoder
+// carries ≈800 KB of match state that Reset clears and keeps, so builds
+// share encoders instead of allocating one per section. Blocks are written
+// without a preset dictionary: one would pin an encoder to its section (a
+// stdlib Writer cannot be Reset onto a new dictionary), and it is stored
+// raw, so it only pays for itself above ≈700–800 documents per segment
+// (DESIGN.md).
+var deflaters = map[int]*sync.Pool{docLevel: deflaterPool(docLevel), linkLevel: deflaterPool(linkLevel)}
+
+func deflaterPool(level int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		fw, _ := flate.NewWriter(nil, level) // only an invalid level errors
+		return fw
+	}}
+}
 
 // fileWriters pools the buffered writer each segment write streams its
 // file through.
 var fileWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
 // compressBlocks DEFLATE-compresses the blocks that are not copied frames,
-// in parallel. Every worker takes one encoder from deflaters and Resets it
+// in parallel. Every worker takes one encoder from pool and Resets it
 // between blocks.
-func compressBlocks(blocks []block) ([][]byte, error) {
+func compressBlocks(blocks []block, pool *sync.Pool) ([][]byte, error) {
 	out := make([][]byte, len(blocks))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(blocks) {
@@ -210,8 +236,8 @@ func compressBlocks(blocks []block) ([][]byte, error) {
 		go func(w int) {
 			defer wg.Done()
 			var buf bytes.Buffer
-			fw := deflaters.Get().(*flate.Writer)
-			defer deflaters.Put(fw)
+			fw := pool.Get().(*flate.Writer)
+			defer pool.Put(fw)
 			for i := range next {
 				if blocks[i].frame != nil {
 					continue
@@ -241,11 +267,12 @@ func compressBlocks(blocks []block) ([][]byte, error) {
 	return out, nil
 }
 
-// writeBlockSection emits a block section and returns its table row:
-// [blocks][block table][table crc].
-func writeBlockSection(w *countingWriter, blocks []block) (section, error) {
+// writeBlockSection emits a block section, encoding the blocks that are
+// not copied frames at level (docLevel or linkLevel), and returns its table
+// row: [blocks][block table][table crc].
+func writeBlockSection(w *countingWriter, blocks []block, level int) (section, error) {
 	start := uint64(w.n)
-	comp, err := compressBlocks(blocks)
+	comp, err := compressBlocks(blocks, deflaters[level])
 	if err != nil {
 		return section{}, err
 	}
@@ -332,7 +359,7 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 	for s, rows := range [numSections]*rawBlocks{meta, tvec, text, links, redirs} {
 		rows.cut()
 		var err error
-		if ft.sections[s], err = writeBlockSection(w, rows.blocks); err != nil {
+		if ft.sections[s], err = writeBlockSection(w, rows.blocks, sectionLevel(s)); err != nil {
 			return err
 		}
 	}

@@ -28,7 +28,8 @@ package segment
 // linkBlockRows link or redirect rows; Merge copies an input's blocks
 // whole, so its output may hold shorter ones (see copyFloorDocs).
 // Blocks are DEFLATE streams without a preset dictionary, compressed in
-// parallel across blocks by pooled encoders.
+// parallel across blocks by pooled encoders: the document sections at
+// level 4, the link and redirect sections at 6 (build.go).
 //
 // The file stores no inverted index: a term's postings are derived from
 // the term vectors, in memory, by the first postings read (see
@@ -48,11 +49,12 @@ const (
 	// copyFloorDocs and copyFloorLinks are the smallest document and
 	// link/redirect blocks a merge copies; a smaller clean block is
 	// re-encoded with its neighbours instead, since DEFLATE over fewer rows
-	// compresses worse. On a 3,495-doc crawl's own rows, 48-doc blocks cost
-	// +3.5 % on the document sections (≈85 % of segment bytes) and 256-row
-	// link blocks +8.3 % on links (≈15 %), so even a file of floor-size
-	// blocks is within ≈ +4.2 % of one of full blocks; 44 docs (+4.6 %) or
-	// 192 rows (+11.4 %) would cost more.
+	// compresses worse. On a 3,000-doc store's own rows, at the levels
+	// build.go encodes them, 48-doc blocks cost +3.1 % on the document
+	// sections (≈86 % of segment bytes) and 256-row link blocks +7.4 % on
+	// links (≈14 %), so even a file of floor-size blocks is within ≈ +3.7 %
+	// of one of full blocks; 44 docs (+4.1 %) or 192 rows (+10.0 %) would
+	// cost more.
 	copyFloorDocs  = blockDocs * 3 / 4
 	copyFloorLinks = linkBlockRows / 4
 )

@@ -81,7 +81,7 @@ func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (Me
 			if err != nil {
 				return err
 			}
-			if ft.sections[s], err = writeBlockSection(w, blocks); err != nil {
+			if ft.sections[s], err = writeBlockSection(w, blocks, sectionLevel(s)); err != nil {
 				return err
 			}
 			for _, b := range blocks {

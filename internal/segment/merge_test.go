@@ -1,6 +1,9 @@
 package segment
 
 import (
+	"bufio"
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -340,6 +343,88 @@ func TestMergeCopiesCleanBlocks(t *testing.T) {
 	}
 	if rows := merged.tables[secMeta].rows(2); rows != blockDocs-1 {
 		t.Fatalf("re-encoded block holds %d rows, want %d", rows, blockDocs-1)
+	}
+}
+
+// atLevel rewrites every block of section s of file at DEFLATE level,
+// framed the way a build at that level writes it.
+func atLevel(t *testing.T, file []byte, s, level int) []byte {
+	t.Helper()
+	r := openBytes(t, file)
+	var blocks []block
+	for idx := range r.tables[s].offs {
+		raw, err := r.readBlock(s, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, block{raw: append([]byte(nil), raw...), rows: r.tables[s].rows(idx)})
+	}
+	var buf bytes.Buffer
+	w := &countingWriter{w: bufio.NewWriter(&buf)}
+	if _, err := writeBlockSection(w, blocks, level); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sec := r.ft.sections[s]
+	return splice(t, file, s, sec.off, sec.off+sec.len, buf.Bytes())
+}
+
+// TestMergeCopiesOldLevelBlocks: a segment whose document blocks are at
+// DefaultCompression, as every build wrote them before the document
+// sections moved to docLevel, merges with a new one. Its clean blocks are
+// copied byte for byte at their old level, the new one's at docLevel, and
+// the result reads back as Build over the same rows.
+func TestMergeCopiesOldLevelBlocks(t *testing.T) {
+	all := genInput(31, 4*blockDocs)
+	all.OutLinks, all.Redirects = nil, nil
+	split := splitInput(all, []int{2 * blockDocs, 2 * blockDocs})
+	var files [][]byte
+	var inputs []*Reader
+	for i, in := range split {
+		b := buildBytes(t, in)
+		if i == 0 {
+			for _, s := range []int{secMeta, secTermVec, secText} {
+				b = atLevel(t, b, s, flate.DefaultCompression)
+			}
+		}
+		files = append(files, b)
+		inputs = append(inputs, openBytes(t, b))
+	}
+	live := allLive(t, inputs...)
+	st, merged := mergeTemp(t, inputs, live)
+	requireSameContent(t, "old level + new level", merged, reference(t, inputs, live))
+	if st.Reencoded != 0 || st.Copied != 4 {
+		t.Fatalf("copied %d blocks and re-encoded %d; want 4 and 0", st.Copied, st.Reencoded)
+	}
+	mergedFile, err := os.ReadFile(merged.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := []int{flate.DefaultCompression, docLevel}
+	blk, differ := 0, false
+	for i, in := range inputs {
+		for b := range in.tables[secText].offs {
+			for _, s := range []int{secMeta, secTermVec, secText} {
+				got := blockComp(t, merged, mergedFile, s, blk)
+				if !bytes.Equal(got, blockComp(t, in, files[i], s, b)) {
+					t.Fatalf("%s block %d is not input %d's block %d", sectionName[s], blk, i, b)
+				}
+				raw, err := in.readBlock(s, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, deflate(t, raw, levels[i])) {
+					t.Fatalf("%s block %d is not input %d's rows at level %d", sectionName[s], blk, i, levels[i])
+				}
+				differ = differ || !bytes.Equal(got, deflate(t, raw, levels[1-i]))
+			}
+			blk++
+		}
+	}
+	if !differ {
+		t.Fatal("every block encodes the same at both levels; the test shows nothing")
 	}
 }
 

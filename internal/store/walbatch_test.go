@@ -194,3 +194,111 @@ func TestOpenTieredRejectsOlderWAL(t *testing.T) {
 		t.Fatalf("the failed open changed the data directory: %d files before, %d after", len(before), len(after))
 	}
 }
+
+// TestWorkspaceFlushesPerDocuments: a workspace of batch B bulk-loads once
+// per B documents, whether its pages carry 0, 1 or 40 out-links.
+func TestWorkspaceFlushesPerDocuments(t *testing.T) {
+	const batch, pages = 8, 3 * 8
+	for _, links := range []int{0, 1, 40} {
+		s := New()
+		w := s.NewWorkspace(batch)
+		before := mBulkLoads.Value()
+		for p := 0; p < pages; p++ {
+			u := fmt.Sprintf("http://h.example/l%d/p%d", links, p)
+			w.Add(Document{URL: u, Terms: map[string]int{"alpha": 1}})
+			for j := 0; j < links; j++ {
+				w.AddLink(Link{From: u, To: fmt.Sprintf("http://h.example/t%d", j)})
+			}
+		}
+		// The third batch is full but waits for the next Add or a Flush.
+		if got := mBulkLoads.Value() - before; got != pages/batch-1 {
+			t.Fatalf("%d links per page: %d bulk loads after %d pages, want %d", links, got, pages, pages/batch-1)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mBulkLoads.Value() - before; got != pages/batch {
+			t.Fatalf("%d links per page: %d bulk loads, want %d", links, got, pages/batch)
+		}
+		if s.NumDocs() != pages || len(s.Links()) != pages*links {
+			t.Fatalf("%d links per page: %d documents and %d links stored", links, s.NumDocs(), len(s.Links()))
+		}
+	}
+}
+
+// TestLinkOnlyWorkspaceFlushesOnFlush: links and redirects never fill a
+// batch; a workspace holding only them bulk-loads on Flush alone.
+func TestLinkOnlyWorkspaceFlushesOnFlush(t *testing.T) {
+	s := New()
+	w := s.NewWorkspace(4)
+	before := mBulkLoads.Value()
+	for i := 0; i < 100; i++ {
+		w.AddLink(Link{From: "http://a.example/", To: fmt.Sprintf("http://b.example/%d", i)})
+		w.AddRedirect(Redirect{From: fmt.Sprintf("http://r.example/%d", i), To: "http://a.example/"})
+	}
+	if got := mBulkLoads.Value() - before; got != 0 || len(s.Links()) != 0 {
+		t.Fatalf("before Flush: %d bulk loads, %d links stored; want 0 and 0", got, len(s.Links()))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mBulkLoads.Value() - before; got != 1 || len(s.Links()) != 100 || len(s.Redirects()) != 100 {
+		t.Fatalf("after Flush: %d bulk loads, %d links, %d redirects; want 1, 100, 100", got, len(s.Links()), len(s.Redirects()))
+	}
+}
+
+// TestPageStraddlingRowBoundaryIsAtomic: with a crawl's default batch of 32,
+// the nine pages of one document and 4 out-links buffered after a first
+// flush reach 32 rows inside the seventh one's links. That page still lands
+// with all its out-links, in the batch's one WAL record, so a log cut
+// anywhere brings every page back whole or not at all.
+func TestPageStraddlingRowBoundaryIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	s := openTiered(t, dir, 1, testTierOpts())
+	walPath := filepath.Join(dir, "shard-00", "wal-000001.log")
+	const pages, links = 12, 4
+	url := func(i int) string { return fmt.Sprintf("http://s.example/p%d", i) }
+	w := s.NewWorkspace(32)
+	for i := 0; i < pages; i++ {
+		w.Add(Document{URL: url(i), Text: fmt.Sprintf("page %d", i), Terms: map[string]int{"alpha": 1}})
+		for j := 0; j < links; j++ {
+			w.AddLink(Link{From: url(i), To: url(100 + j), Anchor: fmt.Sprintf("a%d", j)})
+		}
+		if i == 2 {
+			// An earlier record, so that cuts also fall between records.
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := mWALAppends.Value()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mWALAppends.Value() - before; got != 1 {
+		t.Fatalf("9 pages of 5 rows appended %d WAL records, want 1", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(orig)
+	for cut := 0; cut <= end; cut += max(1, end/40) {
+		if err := os.WriteFile(walPath, orig[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re := openTiered(t, dir, 1, testTierOpts())
+		for i := 0; i < pages; i++ {
+			_, err := re.GetByURL(url(i))
+			if n := len(re.Successors(url(i))); (err == nil) != (n == links) || (err != nil && n != 0) {
+				t.Fatalf("cut at %d of %d: page %d is torn (err %v, %d of %d out-links)", cut, end, i, err, n, links)
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

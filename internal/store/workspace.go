@@ -67,10 +67,12 @@ type Workspace struct {
 	wals []*segment.WAL
 }
 
-// NewWorkspace returns a workspace that auto-flushes when the total number
-// of buffered rows — documents, links, and redirects — reaches batchSize
-// (default 64). Counting all rows, not just documents, bounds the buffer on
-// link-heavy pages too.
+// NewWorkspace returns a workspace that bulk-loads every batchSize
+// documents (default 64), as §4.1's workspaces collect "a certain number of
+// documents" before each bulk load. Links and redirects never trigger a
+// flush: Add flushes before it buffers a document, so a page's document,
+// redirects and out-links, added after it, always share one flush and one
+// WAL record per shard.
 func (s *Store) NewWorkspace(batchSize int) *Workspace {
 	if batchSize <= 0 {
 		batchSize = 64
@@ -82,34 +84,35 @@ func (s *Store) NewWorkspace(batchSize int) *Workspace {
 	}
 }
 
-// Add buffers a document, flushing automatically when the batch is full.
-// The document routes to its shard by docKey, so two tenants crawling the
-// same URL keep distinct rows.
+// Add buffers a document, first flushing the batch if it already holds
+// batchSize documents. The document routes to its shard by docKey, so two
+// tenants crawling the same URL keep distinct rows.
 func (w *Workspace) Add(d Document) {
+	if w.pending >= w.batchSize {
+		if err := w.Flush(); err != nil && w.err == nil {
+			w.err = err
+		}
+	}
 	b := &w.byShard[int(fnv32(d.key())&w.store.mask)]
 	b.docs = append(b.docs, d)
 	w.buffered++
 	w.pending++
-	w.maybeFlush()
 }
 
-// AddLink buffers a link row, flushing automatically when the batch is full.
+// AddLink buffers a link row for the next flush.
 func (w *Workspace) AddLink(l Link) {
 	from := w.store.ShardForURL(l.From)
 	to := w.store.ShardForURL(l.To)
 	w.byShard[from].outLinks = append(w.byShard[from].outLinks, l)
 	w.byShard[to].inLinks = append(w.byShard[to].inLinks, l)
 	w.buffered++
-	w.maybeFlush()
 }
 
-// AddRedirect buffers a redirect row, flushing automatically when the batch
-// is full.
+// AddRedirect buffers a redirect row for the next flush.
 func (w *Workspace) AddRedirect(r Redirect) {
 	b := &w.byShard[w.store.ShardForURL(r.From)]
 	b.redirects = append(b.redirects, r)
 	w.buffered++
-	w.maybeFlush()
 }
 
 // Pending returns the number of buffered documents.
@@ -117,14 +120,6 @@ func (w *Workspace) Pending() int { return w.pending }
 
 // Buffered returns the total number of buffered rows across all relations.
 func (w *Workspace) Buffered() int { return w.buffered }
-
-func (w *Workspace) maybeFlush() {
-	if w.buffered >= w.batchSize {
-		if err := w.Flush(); err != nil && w.err == nil {
-			w.err = err
-		}
-	}
-}
 
 // Flush bulk-loads all buffered rows into their owning shards, walking the
 // shards in index order and skipping untouched ones. In a tiered store it
