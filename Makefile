@@ -29,7 +29,7 @@ test: vet fmt-check
 # concurrency tests run ten more times: an interleaving that breaks one in a
 # hundred runs only shows up when they are repeated.
 race:
-	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/rpc/... ./internal/coord/... ./internal/portal/...
+	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/rpc/... ./internal/coord/... ./internal/daemon/... ./internal/portal/...
 	$(GO) test -race -count=10 -run 'Concurrent|Churn|Atomic' ./internal/segment/ ./internal/store/ ./internal/search/
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/

@@ -22,6 +22,8 @@ import (
 	"time"
 
 	bingo "github.com/bingo-search/bingo"
+	"github.com/bingo-search/bingo/internal/corpus"
+	"github.com/bingo-search/bingo/internal/daemon"
 	"github.com/bingo-search/bingo/internal/faults"
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/xmlexport"
@@ -52,33 +54,17 @@ func main() {
 		log.Fatal("-resume needs -data-dir: a session lives in the crawl's data directory")
 	}
 
-	var plane *faults.Plane
-	if *chaosProfile != "" && *chaosProfile != "off" {
-		prof, err := faults.ByName(*chaosProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plane = faults.New(*chaosSeed, prof)
-		fmt.Printf("chaos: profile=%s seed=%d\n", prof.Name, *chaosSeed)
+	plane, err := faults.NewByName(*chaosProfile, *chaosSeed)
+	if err != nil {
+		log.Fatal(err)
 	}
-	chaos := func(c *bingo.Config) {
-		if plane == nil {
-			return
-		}
-		c.Transport = plane.Wrap(c.Transport)
-		c.DNSMiddleware = plane.WrapDNS
+	if plane != nil {
+		fmt.Printf("chaos: profile=%s seed=%d\n", *chaosProfile, *chaosSeed)
 	}
 
-	var wcfg bingo.WorldConfig
-	switch *worldFlag {
-	case "tiny":
-		wcfg = bingo.TinyWorldConfig()
-	case "small":
-		wcfg = bingo.SmallWorldConfig()
-	case "default":
-		wcfg = bingo.DefaultWorldConfig()
-	default:
-		log.Fatalf("unknown world %q", *worldFlag)
+	wcfg, err := corpus.ConfigByName(*worldFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 	world := bingo.GenerateWorld(wcfg)
 	fmt.Println(world)
@@ -153,7 +139,10 @@ haveTopics:
 	if *mode == "expert" {
 		cfg.LearnDepth = 7
 	}
-	chaos(&cfg)
+	if plane != nil {
+		cfg.Transport = plane.Wrap(cfg.Transport)
+		cfg.DNSMiddleware = plane.WrapDNS
+	}
 
 	var eng *bingo.Engine
 	if *resume {
@@ -177,9 +166,7 @@ haveTopics:
 			log.Fatal(nerr)
 		}
 		if *dataDir != "" {
-			r := eng.Store().Recovery()
-			fmt.Printf("tiered store %s: recovered %d segments (%d docs), %d WAL records (%d docs) in %s\n",
-				*dataDir, r.Segments, r.SegmentDocs, r.WALRecords, r.WALDocs, r.Elapsed)
+			daemon.LogRecovery(eng.Store())
 		}
 
 		fmt.Println("\ntopic tree:")

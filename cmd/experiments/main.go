@@ -39,16 +39,9 @@ func main() {
 		out = io.MultiWriter(os.Stdout, f)
 	}
 
-	var cfg corpus.Config
-	switch *worldFlag {
-	case "tiny":
-		cfg = corpus.TinyConfig()
-	case "small":
-		cfg = corpus.SmallConfig()
-	case "default":
-		cfg = corpus.DefaultConfig()
-	default:
-		log.Fatalf("unknown world %q", *worldFlag)
+	cfg, err := corpus.ConfigByName(*worldFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintln(out, "generating synthetic web ...")
 	w := corpus.Generate(cfg)

@@ -43,7 +43,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -53,8 +52,9 @@ import (
 	bingo "github.com/bingo-search/bingo"
 	"github.com/bingo-search/bingo/internal/admit"
 	"github.com/bingo-search/bingo/internal/coord"
+	"github.com/bingo-search/bingo/internal/corpus"
+	"github.com/bingo-search/bingo/internal/daemon"
 	"github.com/bingo-search/bingo/internal/faults"
-	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/portal"
 	"github.com/bingo-search/bingo/internal/rpc"
 	"github.com/bingo-search/bingo/internal/search"
@@ -63,51 +63,40 @@ import (
 	"github.com/bingo-search/bingo/internal/store"
 )
 
-func main() {
-	crawl := flag.Bool("crawl", false, "run a fresh synthetic-web crawl instead of serving an existing -data-dir")
-	worldFlag := flag.String("world", "small", "synthetic world size when -crawl is set")
-	listen := flag.String("listen", ":8090", "address to serve the portal on (use :0 for an ephemeral port)")
-	portFile := flag.String("port-file", "", "write the bound listen address to this file once serving (for harnesses)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection plane (with -crawl)")
-	chaosProfile := flag.String("chaos-profile", "off", "fault profile for the startup crawl: off, default, flaky, slow, poison or flap")
-	storeShards := flag.Int("store-shards", 0, "document partitions for the startup crawl's database (power of two, max 64; 0 = default 8)")
-	dataDir := flag.String("data-dir", "", "root of a disk-backed tiered store: segments + write-ahead log; with -crawl the crawl writes through it, alone it is opened and served")
-	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
-	compactFanout := flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
-	walSync := flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every crawl flush (acknowledged documents survive a crash)")
-	scheduler := flag.String("scheduler", "", "startup crawl's frontier ordering policy: fifo-priority (default) or link-context")
-	frontierBudget := flag.Int("frontier-budget", 0, "startup crawl: max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")
-	cacheEntries := flag.Int("cache-entries", 4096, "query-result cache capacity in entries (0 disables the cache)")
-	var tenantNames multiFlag
-	flag.Var(&tenantNames, "tenant", "named portal tenant (repeatable, with -crawl): the world's seed bookmarks are partitioned round-robin across the named tenants, each crawling its own portal into the shared store")
-	retrainInterval := flag.Duration("retrain-interval", 0, "background retrainer period (with -crawl): retrain every tenant off-thread and atomically swap in the new classifier ensemble (0 disables)")
-	maxInFlight := flag.Int("max-inflight", 64, "admission control: concurrently served search requests")
-	tenantMaxInFlight := flag.Int("tenant-max-inflight", 0, "admission control: per-tenant cap on concurrently served search requests; a hot tenant sheds its own traffic without consuming global queue capacity (0 disables)")
-	maxQueue := flag.Int("max-queue", 128, "admission control: queued search requests beyond -max-inflight (-1 for none)")
-	queueTimeout := flag.Duration("queue-timeout", 100*time.Millisecond, "admission control: max wait in the queue before shedding")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed (429) responses")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: deadline for draining in-flight requests")
-	shards := flag.String("shards", "", "comma-separated shardd base addresses; non-empty runs portald as the distributed query coordinator")
-	rpcTimeout := flag.Duration("rpc-timeout", 5*time.Second, "coordinator: per-attempt timeout for one shard RPC")
-	hedgeAfter := flag.Duration("hedge-after", 250*time.Millisecond, "coordinator: delay before hedging a slow idempotent shard RPC (negative disables)")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "coordinator: background ping interval for reintegrating recovered shards (negative disables)")
-	flag.Parse()
+var (
+	crawl             = flag.Bool("crawl", false, "run a fresh synthetic-web crawl instead of serving an existing -data-dir")
+	worldFlag         = flag.String("world", "small", "synthetic world size when -crawl is set")
+	listen            = flag.String("listen", ":8090", "address to serve the portal on (use :0 for an ephemeral port)")
+	portFile          = flag.String("port-file", "", "write the bound listen address to this file once serving (for harnesses)")
+	chaosSeed         = flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection plane (with -crawl)")
+	chaosProfile      = flag.String("chaos-profile", "off", "fault profile for the startup crawl: off, default, flaky, slow, poison or flap")
+	storeShards       = flag.Int("store-shards", 0, "document partitions for the startup crawl's database (power of two, max 64; 0 = default 8)")
+	dataDir           = flag.String("data-dir", "", "root of a disk-backed tiered store: segments + write-ahead log; with -crawl the crawl writes through it, alone it is opened and served")
+	memtableBudget    = flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
+	compactFanout     = flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
+	walSync           = flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every crawl flush (acknowledged documents survive a crash)")
+	scheduler         = flag.String("scheduler", "", "startup crawl's frontier ordering policy: fifo-priority (default) or link-context")
+	frontierBudget    = flag.Int("frontier-budget", 0, "startup crawl: max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")
+	cacheEntries      = flag.Int("cache-entries", 4096, "query-result cache capacity in entries (0 disables the cache)")
+	tenantNames       multiFlag
+	retrainInterval   = flag.Duration("retrain-interval", 0, "background retrainer period (with -crawl): retrain every tenant off-thread and atomically swap in the new classifier ensemble (0 disables)")
+	maxInFlight       = flag.Int("max-inflight", 64, "admission control: concurrently served search requests")
+	tenantMaxInFlight = flag.Int("tenant-max-inflight", 0, "admission control: per-tenant cap on concurrently served search requests; a hot tenant sheds its own traffic without consuming global queue capacity (0 disables)")
+	maxQueue          = flag.Int("max-queue", 128, "admission control: queued search requests beyond -max-inflight (-1 for none)")
+	queueTimeout      = flag.Duration("queue-timeout", 100*time.Millisecond, "admission control: max wait in the queue before shedding")
+	retryAfter        = flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed (429) responses")
+	drainTimeout      = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: deadline for draining in-flight requests")
+	shards            = flag.String("shards", "", "comma-separated shardd base addresses; non-empty runs portald as the distributed query coordinator")
+	rpcTimeout        = flag.Duration("rpc-timeout", 5*time.Second, "coordinator: per-attempt timeout for one shard RPC")
+	hedgeAfter        = flag.Duration("hedge-after", 250*time.Millisecond, "coordinator: delay before hedging a slow idempotent shard RPC (negative disables)")
+	probeInterval     = flag.Duration("probe-interval", 2*time.Second, "coordinator: background ping interval for reintegrating recovered shards (negative disables)")
+)
 
+func main() {
+	flag.Var(&tenantNames, "tenant", "named portal tenant (repeatable, with -crawl): the world's seed bookmarks are partitioned round-robin across the named tenants, each crawling its own portal into the shared store")
+	flag.Parse()
 	if *shards != "" {
-		runCoordinator(coordinatorConfig{
-			addrs:         splitAddrs(*shards),
-			listen:        *listen,
-			portFile:      *portFile,
-			crawl:         *crawl,
-			world:         *worldFlag,
-			chaosSeed:     *chaosSeed,
-			chaosProfile:  *chaosProfile,
-			storeShards:   *storeShards,
-			rpcTimeout:    *rpcTimeout,
-			hedgeAfter:    *hedgeAfter,
-			probeInterval: *probeInterval,
-			drainTimeout:  *drainTimeout,
-		})
+		runCoordinator()
 		return
 	}
 
@@ -118,48 +107,14 @@ func main() {
 	var coreEng *bingo.Engine
 	switch {
 	case *crawl:
-		var wcfg bingo.WorldConfig
-		switch *worldFlag {
-		case "tiny":
-			wcfg = bingo.TinyWorldConfig()
-		case "small":
-			wcfg = bingo.SmallWorldConfig()
-		case "default":
-			wcfg = bingo.DefaultWorldConfig()
-		default:
-			log.Fatalf("unknown world %q", *worldFlag)
-		}
-		world := bingo.GenerateWorld(wcfg)
-		fmt.Println(world)
-		var plane *faults.Plane
-		if *chaosProfile != "" && *chaosProfile != "off" {
-			prof, perr := faults.ByName(*chaosProfile)
-			if perr != nil {
-				log.Fatal(perr)
-			}
-			plane = faults.New(*chaosSeed, prof)
-			fmt.Printf("chaos: profile=%s seed=%d\n", prof.Name, *chaosSeed)
-		}
-		eng, err := bingo.EngineForWorld(world,
-			[]bingo.TopicSpec{{Path: []string{"databases"}, Seeds: world.SeedURLs()}},
-			func(c *bingo.Config) {
-				c.LearnBudget = 150
-				c.HarvestBudget = 800
-				c.StoreShards = *storeShards
-				c.DataDir = *dataDir
-				c.MemtableBudget = *memtableBudget
-				c.CompactFanout = *compactFanout
-				c.WALSync = *walSync
-				c.Scheduler = *scheduler
-				c.FrontierBudget = *frontierBudget
-				if plane != nil {
-					c.Transport = plane.Wrap(c.Transport)
-					c.DNSMiddleware = plane.WrapDNS
-				}
-			})
-		if err != nil {
-			log.Fatal(err)
-		}
+		eng, world, plane := startupCrawl(func(c *bingo.Config) {
+			c.DataDir = *dataDir
+			c.MemtableBudget = *memtableBudget
+			c.CompactFanout = *compactFanout
+			c.WALSync = *walSync
+			c.Scheduler = *scheduler
+			c.FrontierBudget = *frontierBudget
+		})
 		coreEng = eng
 		// With named tenants, the default tenant stays empty and each name
 		// gets its own portal over a round-robin slice of the world's seed
@@ -185,7 +140,7 @@ func main() {
 		}
 		stopProgress := make(chan struct{})
 		if *dataDir != "" {
-			logRecovery(eng.Store())
+			daemon.LogRecovery(eng.Store())
 			// Durability progress: the smoke harness greps these lines to
 			// know how many documents are crash-safe before it pulls the
 			// plug mid-crawl.
@@ -232,7 +187,7 @@ func main() {
 		// replay the WAL tails, done — cold start is O(WAL tail), not
 		// O(corpus).
 		var err error
-		st, err = store.OpenTiered(*dataDir, *storeShards, store.TierOptions{
+		st, err = store.Open(*dataDir, *storeShards, store.TierOptions{
 			MemtableBudget: *memtableBudget,
 			WALSync:        *walSync,
 			CompactFanout:  *compactFanout,
@@ -240,7 +195,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		logRecovery(st)
+		daemon.LogRecovery(st)
 	default:
 		flag.Usage()
 		log.Fatal("need -data-dir or -crawl")
@@ -275,62 +230,28 @@ func main() {
 		}
 		api.HandleSearch(w, r)
 	})
-	mux.Handle("/healthz", api.Handler())
-	mux.Handle("/readyz", api.Handler())
+	api.MountHealth(mux)
+	daemon.MountOps(mux)
+	extra := ""
 	if coreEng != nil {
 		mux.HandleFunc("/tenants", handleTenants(coreEng))
+		extra = ", tenants on /tenants"
 	}
-	mux.HandleFunc("/metricsz", metrics.Default().Handler())
-	mux.HandleFunc("/tracez", metrics.TraceHandler(metrics.DefaultTrace()))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-
 	// Warm the serving path before announcing readiness, so the first real
 	// query never pays the initial snapshot build.
 	engine.Search(search.Query{Text: "warm"})
-	api.SetReady(true)
-
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	extra := ""
-	if coreEng != nil {
-		extra = ", tenants on /tenants"
-	}
 	fmt.Printf("serving portal over %d documents on %s (API on /search, health on /healthz + /readyz, metrics on /metricsz, traces on /tracez, profiles on /debug/pprof/%s)\n",
 		st.NumDocs(), ln.Addr(), extra)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
+	if err := daemon.Run(ctx, ln, mux, &api.Gate, *portFile, *drainTimeout); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: stop advertising readiness first, then let in-flight
-	// requests finish under the drain deadline.
-	stop()
-	api.SetReady(false)
-	fmt.Println("shutting down: readiness flipped, draining in-flight requests")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Fatalf("drain did not complete within %s: %v", *drainTimeout, err)
 	}
 	// In crawl mode the engine owns the store (and the background
 	// retrainer); Close stops every background goroutine before closing it.
@@ -382,13 +303,6 @@ func handleTenants(eng *bingo.Engine) http.HandlerFunc {
 	}
 }
 
-// logRecovery reports what OpenTiered reconstructed from disk.
-func logRecovery(st *store.Store) {
-	r := st.Recovery()
-	fmt.Printf("tiered store recovered: %d segments (%d docs), %d WAL records (%d docs) in %s; %d docs durable\n",
-		r.Segments, r.SegmentDocs, r.WALRecords, r.WALDocs, r.Elapsed, st.DurableDocs())
-}
-
 // splitAddrs parses the -shards flag into trimmed, non-empty addresses.
 func splitAddrs(s string) []string {
 	var out []string
@@ -400,20 +314,39 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// coordinatorConfig carries the flag subset coordinator mode uses.
-type coordinatorConfig struct {
-	addrs         []string
-	listen        string
-	portFile      string
-	crawl         bool
-	world         string
-	chaosSeed     int64
-	chaosProfile  string
-	storeShards   int
-	rpcTimeout    time.Duration
-	hedgeAfter    time.Duration
-	probeInterval time.Duration
-	drainTimeout  time.Duration
+// startupCrawl generates the -world synthetic web and builds the engine
+// for the startup crawl over its seed bookmarks, behind the -chaos-profile
+// fault plane (nil when off); mode adds what the serving mode needs.
+func startupCrawl(mode func(*bingo.Config)) (*bingo.Engine, *bingo.World, *faults.Plane) {
+	wcfg, err := corpus.ConfigByName(*worldFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
+	world := bingo.GenerateWorld(wcfg)
+	fmt.Println(world)
+	plane, err := faults.NewByName(*chaosProfile, *chaosSeed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if plane != nil {
+		fmt.Printf("chaos: profile=%s seed=%d\n", *chaosProfile, *chaosSeed)
+	}
+	eng, err := bingo.EngineForWorld(world,
+		[]bingo.TopicSpec{{Path: []string{"databases"}, Seeds: world.SeedURLs()}},
+		func(c *bingo.Config) {
+			c.LearnBudget = 150
+			c.HarvestBudget = 800
+			c.StoreShards = *storeShards
+			if plane != nil {
+				c.Transport = plane.Wrap(c.Transport)
+				c.DNSMiddleware = plane.WrapDNS
+			}
+			mode(c)
+		})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return eng, world, plane
 }
 
 // runCoordinator is portald's distributed mode: no local documents, just
@@ -421,18 +354,18 @@ type coordinatorConfig struct {
 // -crawl it first runs the staging crawl locally and mirrors every stored
 // row into the shard servers through the ingest router, so the fleet ends
 // up holding the corpus the crawl produced.
-func runCoordinator(cfg coordinatorConfig) {
-	c, err := coord.New(cfg.addrs, coord.Options{
-		QueryTimeout:  cfg.rpcTimeout,
-		HedgeAfter:    cfg.hedgeAfter,
-		ProbeInterval: cfg.probeInterval,
+func runCoordinator() {
+	c, err := coord.New(splitAddrs(*shards), coord.Options{
+		QueryTimeout:  *rpcTimeout,
+		HedgeAfter:    *hedgeAfter,
+		ProbeInterval: *probeInterval,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("coordinator over %d shard servers: %s\n", c.NumShards(), strings.Join(c.Addrs(), ", "))
 
-	if cfg.crawl {
+	if *crawl {
 		router := coord.NewRouter(c.Clients(), coord.RouterOptions{
 			// Small batches so durability acks (and the progress lines the
 			// distributed smoke harness greps) track the crawl closely;
@@ -446,43 +379,7 @@ func runCoordinator(cfg coordinatorConfig) {
 					addr, resp.NumDocs, resp.Durable)
 			},
 		})
-		var wcfg bingo.WorldConfig
-		switch cfg.world {
-		case "tiny":
-			wcfg = bingo.TinyWorldConfig()
-		case "small":
-			wcfg = bingo.SmallWorldConfig()
-		case "default":
-			wcfg = bingo.DefaultWorldConfig()
-		default:
-			log.Fatalf("unknown world %q", cfg.world)
-		}
-		world := bingo.GenerateWorld(wcfg)
-		fmt.Println(world)
-		var plane *faults.Plane
-		if cfg.chaosProfile != "" && cfg.chaosProfile != "off" {
-			prof, perr := faults.ByName(cfg.chaosProfile)
-			if perr != nil {
-				log.Fatal(perr)
-			}
-			plane = faults.New(cfg.chaosSeed, prof)
-			fmt.Printf("chaos: profile=%s seed=%d\n", prof.Name, cfg.chaosSeed)
-		}
-		eng, err := bingo.EngineForWorld(world,
-			[]bingo.TopicSpec{{Path: []string{"databases"}, Seeds: world.SeedURLs()}},
-			func(bc *bingo.Config) {
-				bc.LearnBudget = 150
-				bc.HarvestBudget = 800
-				bc.StoreShards = cfg.storeShards
-				bc.Sink = router
-				if plane != nil {
-					bc.Transport = plane.Wrap(bc.Transport)
-					bc.DNSMiddleware = plane.WrapDNS
-				}
-			})
-		if err != nil {
-			log.Fatal(err)
-		}
+		eng, _, _ := startupCrawl(func(c *bingo.Config) { c.Sink = router })
 		if _, _, err := eng.Run(context.Background()); err != nil {
 			log.Fatal(err)
 		}
@@ -508,46 +405,22 @@ func runCoordinator(cfg coordinatorConfig) {
 	api := coord.NewAPI(c)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", api.HandleSearch)
-	mux.Handle("/healthz", api.Handler())
-	mux.Handle("/readyz", api.Handler())
-	mux.HandleFunc("/metricsz", metrics.Default().Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	api.MountHealth(mux)
+	daemon.MountOps(mux)
 
-	ln, err := net.Listen("tcp", cfg.listen)
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	api.SetReady(true)
 	c.StartProber()
-
-	if cfg.portFile != "" {
-		if err := os.WriteFile(cfg.portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("serving coordinator over %d documents on %s (API on /search, health on /healthz + /readyz, metrics on /metricsz)\n",
+	defer c.StopProber()
+	fmt.Printf("serving coordinator over %d documents on %s (API on /search, health on /healthz + /readyz, metrics on /metricsz, traces on /tracez, profiles on /debug/pprof/)\n",
 		c.TotalDocs(), ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
+	if err := daemon.Run(ctx, ln, mux, &api.Gate, *portFile, *drainTimeout); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
-	}
-
-	stop()
-	api.SetReady(false)
-	c.StopProber()
-	fmt.Println("shutting down: readiness flipped, draining in-flight requests")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Fatalf("drain did not complete within %s: %v", cfg.drainTimeout, err)
 	}
 	fmt.Println("shutdown complete")
 }

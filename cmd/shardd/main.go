@@ -5,8 +5,8 @@
 // merged idf, authority scores — is pushed in by the coordinator, never
 // derived locally. See DESIGN.md "Distributed scatter-gather".
 //
-// The observability surface matches portald's: /healthz, /readyz (503
-// while draining — the first step of a rolling restart), /metricsz, and
+// The observability surface is portald's: /healthz, /readyz (503 while
+// draining — the first step of a rolling restart), /metricsz, /tracez, and
 // the pprof profiler under /debug/pprof/.
 //
 // shardd shuts down gracefully on SIGINT/SIGTERM: readiness flips first
@@ -27,13 +27,12 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"github.com/bingo-search/bingo/internal/metrics"
+	"github.com/bingo-search/bingo/internal/daemon"
 	"github.com/bingo-search/bingo/internal/rpc"
 	"github.com/bingo-search/bingo/internal/store"
 )
@@ -49,83 +48,35 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: deadline for draining in-flight RPCs")
 	flag.Parse()
 
-	var st *store.Store
-	var err error
-	switch {
-	case *dataDir != "":
-		st, err = store.OpenTiered(*dataDir, *storeShards, store.TierOptions{
-			MemtableBudget: *memtableBudget,
-			WALSync:        *walSync,
-			CompactFanout:  *compactFanout,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		r := st.Recovery()
-		fmt.Printf("tiered store recovered: %d segments (%d docs), %d WAL records (%d docs) in %s; %d docs durable\n",
-			r.Segments, r.SegmentDocs, r.WALRecords, r.WALDocs, r.Elapsed, st.DurableDocs())
-	default:
-		st = store.NewSharded(*storeShards)
+	st, err := store.Open(*dataDir, *storeShards, store.TierOptions{
+		MemtableBudget: *memtableBudget,
+		WALSync:        *walSync,
+		CompactFanout:  *compactFanout,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *dataDir != "" {
+		daemon.LogRecovery(st)
 	}
 
 	srv := rpc.NewServer(st)
 	mux := http.NewServeMux()
 	mux.Handle("/rpc/", srv.Handler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if !srv.Ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte("draining\n"))
-			return
-		}
-		w.Write([]byte("ready\n"))
-	})
-	mux.HandleFunc("/metricsz", metrics.Default().Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv.MountHealth(mux)
+	daemon.MountOps(mux)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hsrv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	srv.SetReady(true)
-
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("shard server over %d documents on %s (RPC on /rpc/v1/, health on /healthz + /readyz, metrics on /metricsz)\n",
+	fmt.Printf("shard server over %d documents on %s (RPC on /rpc/v1/, health on /healthz + /readyz, metrics on /metricsz, traces on /tracez, profiles on /debug/pprof/)\n",
 		st.NumDocs(), ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- hsrv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
+	if err := daemon.Run(ctx, ln, mux, &srv.Gate, *portFile, *drainTimeout); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: readiness flips first (the coordinator's prober sees
-	// it and stops selecting this server), then in-flight RPCs finish.
-	stop()
-	srv.SetReady(false)
-	fmt.Println("shutting down: readiness flipped, draining in-flight RPCs")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hsrv.Shutdown(shutdownCtx); err != nil {
-		log.Fatalf("drain did not complete within %s: %v", *drainTimeout, err)
 	}
 	if err := st.Close(); err != nil {
 		log.Fatalf("closing store: %v", err)

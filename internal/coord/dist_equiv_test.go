@@ -1,15 +1,20 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/bingo-search/bingo/internal/rpc"
 	"github.com/bingo-search/bingo/internal/search"
+	"github.com/bingo-search/bingo/internal/serve"
 	"github.com/bingo-search/bingo/internal/store"
 )
 
@@ -248,6 +253,66 @@ func TestDistributedSearchAfterChurn(t *testing.T) {
 				t.Fatalf("churn round %d query %d: %v", round, qi, err)
 			}
 			sameAsLocal(t, fmt.Sprintf("churn round=%d query=%d", round, qi), want, res.Hits)
+		}
+	}
+}
+
+// TestSearchHitsMatchSingleProcess: over the same corpus, the
+// coordinator's /search answers a query with a hits array byte-identical
+// to the single-process API's — for the default tenant, and for a named
+// tenant, whose hits carry "tenant" in both.
+func TestSearchHitsMatchSingleProcess(t *testing.T) {
+	single := store.NewSharded(4)
+	parts := []*store.Store{store.NewSharded(2), store.NewSharded(2)}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		d := store.Document{
+			URL:        fmt.Sprintf("http://h%d.example/doc%d", rng.Intn(30), i),
+			Title:      fmt.Sprintf("doc %d", i),
+			Topic:      "ROOT/db",
+			Confidence: float64(rng.Intn(1000)) / 1000,
+		}
+		if i%3 == 0 {
+			d.Tenant = "alpha"
+		}
+		term := distVocab[rng.Intn(4)]
+		for _, st := range []*store.Store{single, parts[store.RouteURL(d.URL, 2)]} {
+			cp := d
+			cp.Terms = map[string]int{term: 1 + i%3, distVocab[4+i%8]: 2}
+			st.Insert(cp)
+		}
+	}
+	f := startFleet(t, parts)
+	defer f.close()
+	if err := f.coord.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	local := serve.New(single, search.New(single), serve.Options{})
+	dist := NewAPI(f.coord)
+	hitsOf := func(h http.HandlerFunc, target string) []byte {
+		w := httptest.NewRecorder()
+		h(w, httptest.NewRequest(http.MethodGet, target, nil))
+		var resp struct {
+			Hits json.RawMessage `json:"hits"`
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", target, w.Code, w.Body.String())
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Hits
+	}
+	for _, target := range []string{"/search?q=databas+recoveri&k=20", "/search?q=databas+recoveri&k=20&tenant=alpha"} {
+		want, got := hitsOf(local.HandleSearch, target), hitsOf(dist.HandleSearch, target)
+		if len(want) < 10 {
+			t.Fatalf("%s: only %s — weak test", target, want)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: coordinator hits differ\n got: %s\nwant: %s", target, got, want)
+		}
+		if strings.Contains(target, "tenant=") != bytes.Contains(got, []byte(`"tenant":"alpha"`)) {
+			t.Fatalf("%s: tenant field: %s", target, got)
 		}
 	}
 }

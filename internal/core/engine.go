@@ -92,19 +92,13 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	var st *store.Store
-	if cfg.DataDir != "" {
-		var err error
-		st, err = store.OpenTiered(cfg.DataDir, cfg.StoreShards, store.TierOptions{
-			MemtableBudget: cfg.MemtableBudget,
-			WALSync:        cfg.WALSync,
-			CompactFanout:  cfg.CompactFanout,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: open data dir %s: %w", cfg.DataDir, err)
-		}
-	} else {
-		st = store.NewSharded(cfg.StoreShards)
+	st, err := store.Open(cfg.DataDir, cfg.StoreShards, store.TierOptions{
+		MemtableBudget: cfg.MemtableBudget,
+		WALSync:        cfg.WALSync,
+		CompactFanout:  cfg.CompactFanout,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: open data dir %s: %w", cfg.DataDir, err)
 	}
 
 	e := &Engine{

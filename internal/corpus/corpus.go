@@ -116,6 +116,20 @@ func TinyHierarchicalConfig() Config {
 	return c
 }
 
+// ConfigByName returns the world size the CLIs' -world flag names: tiny,
+// small or default.
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "tiny":
+		return TinyConfig(), nil
+	case "small":
+		return SmallConfig(), nil
+	case "default":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown world %q", name)
+}
+
 // TinyConfig is a fast world for unit tests (a few hundred pages).
 func TinyConfig() Config {
 	return Config{

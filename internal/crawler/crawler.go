@@ -138,7 +138,7 @@ type Config struct {
 
 // Stats are the counters reported in the paper's Table 1.
 type Stats struct {
-	VisitedURLs    int64 // fetch attempts
+	VisitedURLs    int64 // fetch attempts, at most PageBudget; those the crawl's end abandons are not counted
 	StoredPages    int64
 	ExtractedLinks int64
 	Positive       int64 // positively classified (not OTHERS)
@@ -257,6 +257,10 @@ func (c *Crawler) worker(ctx context.Context, cancel context.CancelFunc, limiter
 			cancel() // budget spent: wake parked peers so the pool exits
 			return
 		}
+		if ctx.Err() != nil {
+			// The crawl is over: a pop now could only be abandoned.
+			return
+		}
 		it, ok := c.cfg.Frontier.TryPop()
 		if !ok {
 			// About to park: publish buffered rows so store readers see a
@@ -301,7 +305,13 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	}
 	defer limiter.Release(host)
 
-	c.visited.Add(1)
+	if n := c.visited.Add(1); c.cfg.PageBudget > 0 && n > c.cfg.PageBudget {
+		// Peers spent the page budget since this item was popped: put it
+		// back for a later crawl over the same frontier.
+		c.visited.Add(-1)
+		c.cfg.Frontier.Requeue(it, 0)
+		return
+	}
 	fetchStart := time.Now()
 	res, err := c.cfg.Fetcher.Fetch(ctx, it.URL)
 	mFetchNanos.ObserveSince(fetchStart)
@@ -312,7 +322,9 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 		case errors.Is(err, fetch.ErrCanceled):
 			// The crawl's own context ended mid-fetch (page budget spent,
 			// retrain pause, shutdown): the visit is abandoned, like a page
-			// fetched after it ends, not failed.
+			// fetched after it ends, not failed, and uncounted — which keeps
+			// the invariant stored+duplicates+errors == visited.
+			c.visited.Add(-1)
 			mAbandoned.Inc()
 		case err == fetch.ErrDuplicate:
 			c.duplicates.Add(1)
@@ -325,14 +337,13 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 			// up and book it as an error. The visit is uncounted — nothing
 			// was attempted — which also keeps the crawl accounting
 			// invariant (stored+duplicates+errors == visited) intact.
-			c.visited.Add(-1)
 			if it.Requeues < c.cfg.MaxRequeues && !c.cfg.Fetcher.Hosts.Bad(host) {
+				c.visited.Add(-1)
 				it.Requeues++
 				c.cfg.Frontier.Requeue(it, bo.RetryIn)
 				c.requeued.Add(1)
 				mRequeued.Inc()
 			} else {
-				c.visited.Add(1)
 				c.fail("requeues-exhausted", it.URL)
 				mRequeueDrops.Inc()
 			}
@@ -354,6 +365,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	// exits with whatever its workspace holds instead of analyzing and
 	// buffering more pages that would only be flushed on the way out.
 	if ctx.Err() != nil {
+		c.visited.Add(-1)
 		mAbandoned.Inc()
 		return
 	}

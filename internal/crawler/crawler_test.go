@@ -216,9 +216,8 @@ func TestLinksAndRedirectsRecorded(t *testing.T) {
 	// One worker, so the first seed is fetched and stored before anything
 	// else runs. With a pool, the worker holding the seed can stall after
 	// its fetch while its peers spend the whole 60-visit budget; the
-	// budget-spent cancellation then makes it drop the fetched page at the
-	// shutdown check in process (visited > stored+duplicates+errors), and
-	// the seed has no link rows.
+	// budget-spent cancellation then makes it abandon the fetched page at
+	// the shutdown check in process, and the seed has no link rows.
 	c, st, world := testSetup(t, func(cfg *Config) {
 		cfg.PageBudget = 60
 		cfg.Workers = 1
@@ -396,7 +395,8 @@ func TestFocusedCrawlResistsTrap(t *testing.T) {
 // paper's 15 workers fails no visit — over the whole tiny world, and in ten
 // crawls that a page budget stops while fetches are in flight, whose
 // cancelled fetches are abandoned visits, not failed ones. A failure is
-// named by its class and URL.
+// named by its class and URL. Every crawl visits at most its budget, and
+// every visit it counts is stored, a duplicate or an error.
 func TestFaultFreeCrawlHasNoErrors(t *testing.T) {
 	for i := 0; i <= 10; i++ {
 		budget := int64(120)
@@ -411,6 +411,13 @@ func TestFaultFreeCrawlHasNoErrors(t *testing.T) {
 		}
 		if stats.StoredPages < 100 {
 			t.Fatalf("budget %d: stored only %d pages; stats=%+v", budget, stats.StoredPages, stats)
+		}
+		if budget > 0 && stats.VisitedURLs > budget {
+			t.Fatalf("budget %d: visited %d pages", budget, stats.VisitedURLs)
+		}
+		if n := stats.StoredPages + stats.Duplicates + stats.Errors; n != stats.VisitedURLs {
+			t.Fatalf("budget %d: visited %d, but stored %d + duplicates %d + errors %d = %d",
+				budget, stats.VisitedURLs, stats.StoredPages, stats.Duplicates, stats.Errors, n)
 		}
 	}
 }

@@ -168,6 +168,16 @@ func ByName(name string) (Profile, error) {
 	}
 }
 
+// NewByName builds the plane for a named profile (see ByName) and seed.
+// "off" and "" return a nil plane: the crawl runs without one.
+func NewByName(name string, seed int64) (*Plane, error) {
+	prof, err := ByName(name)
+	if err != nil || prof.Name == "off" {
+		return nil, err
+	}
+	return New(seed, prof), nil
+}
+
 // Kind labels one injected fault occurrence.
 type Kind string
 

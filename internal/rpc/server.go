@@ -10,9 +10,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync/atomic"
 	"time"
 
+	"github.com/bingo-search/bingo/internal/daemon"
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/store"
@@ -35,10 +35,10 @@ var (
 // false (so the coordinator stops selecting it) but keeps answering
 // in-flight RPCs until shutdown.
 type Server struct {
-	st    *store.Store
-	part  *search.Partition
-	ready atomic.Bool
-	mux   *http.ServeMux
+	daemon.Gate
+	st   *store.Store
+	part *search.Partition
+	mux  *http.ServeMux
 }
 
 // NewServer builds a Server over st.
@@ -71,12 +71,6 @@ func (s *Server) Handler() http.Handler {
 // directly).
 func (s *Server) Partition() *search.Partition { return s.part }
 
-// SetReady flips the readiness gate the ping response advertises.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Ready reports the readiness gate.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // epochs snapshots the store's per-shard epoch vector.
 func (s *Server) epochs() []int64 {
 	eps := make([]int64, s.st.NumShards())
@@ -89,7 +83,7 @@ func (s *Server) epochs() []int64 {
 func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PingResponse{
 		V:            ProtoVersion,
-		Ready:        s.ready.Load(),
+		Ready:        s.Ready(),
 		NumDocs:      s.st.NumDocs(),
 		Durable:      s.st.DurableDocs(),
 		Epochs:       s.epochs(),

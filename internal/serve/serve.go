@@ -23,10 +23,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"github.com/bingo-search/bingo/internal/admit"
+	"github.com/bingo-search/bingo/internal/daemon"
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/servecache"
@@ -57,12 +57,12 @@ type Options struct {
 // API is the serving surface. Create with New, mount with Handler, and
 // flip readiness with SetReady around startup and drain.
 type API struct {
+	daemon.Gate
 	store  *store.Store
 	engine *search.Engine
 	cache  *servecache.Cache
 	admit  *admit.Controller
 	maxK   int
-	ready  atomic.Bool
 	mux    *http.ServeMux
 }
 
@@ -81,37 +81,13 @@ func New(st *store.Store, engine *search.Engine, opts Options) *API {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", a.HandleSearch)
-	mux.HandleFunc("/healthz", a.handleHealthz)
-	mux.HandleFunc("/readyz", a.handleReadyz)
+	a.MountHealth(mux)
 	a.mux = mux
 	return a
 }
 
 // Handler returns the API's mux.
 func (a *API) Handler() http.Handler { return a.mux }
-
-// SetReady flips what /readyz reports. Set true once serving state is warm
-// and false as the first step of a drain, so load balancers stop routing
-// new queries before in-flight ones are drained.
-func (a *API) SetReady(ready bool) { a.ready.Store(ready) }
-
-// Ready reports the current readiness state.
-func (a *API) Ready() bool { return a.ready.Load() }
-
-func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte("ok\n"))
-}
-
-func (a *API) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !a.ready.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("draining\n"))
-		return
-	}
-	w.Write([]byte("ready\n"))
-}
 
 // searchResponse is the JSON shape of one answered query.
 type searchResponse struct {
@@ -128,10 +104,12 @@ type searchResponse struct {
 	Hits   json.RawMessage `json:"hits"`
 }
 
-// hitJSON is the JSON shape of one ranked result. Tenant is omitted for the
-// default tenant, so single-portal responses are byte-identical to the
-// pre-tenancy wire format.
-type hitJSON struct {
+// HitJSON is the JSON shape of one ranked result, shared by the
+// single-process API and the distributed coordinator so both answer a
+// query with the same bytes. Tenant is omitted for the default tenant, so
+// single-portal responses are byte-identical to the pre-tenancy wire
+// format.
+type HitJSON struct {
 	URL        string  `json:"url"`
 	Title      string  `json:"title"`
 	Topic      string  `json:"topic"`
@@ -152,9 +130,9 @@ type cachedResult struct {
 // marshalHits serializes hits once; the bytes are shared by every response
 // served from the cache entry.
 func marshalHits(hits []search.Hit) json.RawMessage {
-	out := make([]hitJSON, len(hits))
+	out := make([]HitJSON, len(hits))
 	for i, h := range hits {
-		out[i] = hitJSON{
+		out[i] = HitJSON{
 			URL:        h.Doc.URL,
 			Title:      h.Doc.Title,
 			Topic:      h.Doc.Topic,
@@ -167,16 +145,10 @@ func marshalHits(hits []search.Hit) json.RawMessage {
 	}
 	b, err := json.Marshal(out)
 	if err != nil {
-		// Unreachable: hitJSON has no unmarshalable fields.
+		// Unreachable: HitJSON has no unmarshalable fields.
 		return json.RawMessage("[]")
 	}
 	return b
-}
-
-// parseSearchQuery resolves the request parameters into a canonical
-// search.Query: defaults applied, text normalized for keying, k capped.
-func (a *API) parseSearchQuery(r *http.Request) (search.Query, string, bool) {
-	return ParseQuery(r, a.maxK)
 }
 
 // ParseQuery resolves /search request parameters (q, k, topic, exact,
@@ -302,7 +274,7 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 		defer release()
 	}
 	start := time.Now()
-	q, msg, ok := a.parseSearchQuery(r)
+	q, msg, ok := ParseQuery(r, a.maxK)
 	if !ok {
 		mBad.Inc()
 		http.Error(w, msg, http.StatusBadRequest)

@@ -104,7 +104,7 @@ func TestSearchEndpointShape(t *testing.T) {
 	if resp.K != 5 || resp.Query != "recovery transaction" {
 		t.Fatalf("echo fields wrong: %+v", resp)
 	}
-	var hits []hitJSON
+	var hits []HitJSON
 	if err := json.Unmarshal(resp.Hits, &hits); err != nil {
 		t.Fatal(err)
 	}

@@ -273,6 +273,19 @@ type RecoveryStats struct {
 	Elapsed     time.Duration
 }
 
+// Open is the one store opener: the tiered store under dir, or an
+// in-memory store when dir is empty. p <= 0 means 8 shards for both (a
+// reopened directory keeps its pinned count).
+func Open(dir string, p int, opt TierOptions) (*Store, error) {
+	if dir != "" {
+		return OpenTiered(dir, p, opt)
+	}
+	if p <= 0 {
+		p = 8
+	}
+	return NewSharded(p), nil
+}
+
 // OpenTiered opens (or creates) a tiered store rooted at dir with p
 // document shards. Existing segments are mmapped and their slim rows
 // loaded; WAL tails are replayed; the shard count must match the layout on

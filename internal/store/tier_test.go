@@ -1213,3 +1213,18 @@ func TestTieredFreezeWindowMetaMutation(t *testing.T) {
 		t.Fatal("training flag mutated in freeze window lost")
 	}
 }
+
+// TestOpenDefaultsToEightShards: 0 shards means 8 for an in-memory store
+// as for a tiered one — the default every -store-shards flag promises.
+func TestOpenDefaultsToEightShards(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		st, err := Open(dir, 0, TierOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := st.NumShards(); n != 8 {
+			t.Errorf("dir %q: %d shards, want 8", dir, n)
+		}
+		st.Close()
+	}
+}

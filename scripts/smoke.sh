@@ -58,6 +58,17 @@ echo "smoke: portald serving on $addr"
 echo "smoke: checking readiness"
 curl -fsS "http://$addr/readyz"
 
+# The ops surface every daemon shares (smoke_dist.sh asserts the same on
+# the coordinator and a shard server).
+echo "smoke: checking /tracez and the profiler"
+for path in /tracez /debug/pprof/cmdline "/debug/pprof/profile?seconds=1"; do
+    if ! curl -fsS -o /dev/null "http://$addr$path"; then
+        echo "smoke: $path did not answer 200; log follows" >&2
+        cat "$tmp/portald.log" >&2
+        exit 1
+    fi
+done
+
 echo "smoke: 2s open-loop burst on /search (zero non-2xx/non-429 required)"
 "$tmp/loadgen" -target "http://$addr" -rate 200 -duration 2s -fail-on-errors
 

@@ -101,6 +101,14 @@ wait_port "$tmp/coord.port" "$coord_pid" "coordinator"
 coord="http://$(cat "$tmp/coord.port")"
 echo "smoke-dist: coordinator serving on $coord despite the dead shard"
 
+# The ops surface every daemon shares (smoke.sh asserts the same on portald).
+echo "smoke-dist: checking /tracez and the profiler on the coordinator and shard 1"
+for base in "$coord" "$s1"; do
+    for path in /tracez /debug/pprof/cmdline "/debug/pprof/profile?seconds=1"; do
+        curl -fsS -o /dev/null "$base$path" || fail "$base$path did not answer 200"
+    done
+done
+
 echo "smoke-dist: 2s open-loop burst on /search (zero non-2xx/non-429 required)"
 "$tmp/loadgen" -target "$coord" -rate 100 -duration 2s -fail-on-errors
 

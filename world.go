@@ -22,13 +22,6 @@ type PortalEval = corpus.PortalEval
 // GenerateWorld builds a synthetic Web deterministically from cfg.
 func GenerateWorld(cfg WorldConfig) *World { return corpus.Generate(cfg) }
 
-// DefaultWorldConfig is the experiment-scale world (roughly 10k pages).
-func DefaultWorldConfig() WorldConfig { return corpus.DefaultConfig() }
-
-// SmallWorldConfig is a mid-size world for experiments that should finish
-// in seconds (~2k pages, 300 authors).
-func SmallWorldConfig() WorldConfig { return corpus.SmallConfig() }
-
 // TinyWorldConfig is a small, fast world for demos and tests.
 func TinyWorldConfig() WorldConfig { return corpus.TinyConfig() }
 
