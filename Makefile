@@ -114,7 +114,9 @@ smoke-tenant:
 
 # doccheck fails when any exported identifier in the wire-protocol or
 # coordinator packages lacks a godoc comment — the distributed API is the
-# documented operational surface, so undocumented API is a build break.
+# documented operational surface, so undocumented API is a build break —
+# and when an exported package-level function outside the root package and
+# cmd/bench is referenced by no non-test file.
 doccheck:
 	$(GO) run ./cmd/doccheck internal/rpc internal/coord
 

@@ -20,14 +20,8 @@ func TestPaperDefaults(t *testing.T) {
 	if cfg.MaxPerDomain != 5 {
 		t.Errorf("MaxPerDomain = %d, want 5", cfg.MaxPerDomain)
 	}
-	if cfg.MaxRetries != 3 {
-		t.Errorf("MaxRetries = %d, want 3", cfg.MaxRetries)
-	}
 	if cfg.MaxTunnelDepth != 2 {
 		t.Errorf("MaxTunnelDepth = %d, want 2", cfg.MaxTunnelDepth)
-	}
-	if cfg.QueueLimit != 30000 {
-		t.Errorf("QueueLimit = %d, want 30000", cfg.QueueLimit)
 	}
 	if cfg.LearnDepth != 4 {
 		t.Errorf("LearnDepth = %d, want 4", cfg.LearnDepth)

@@ -2,8 +2,8 @@
 // harvesting phase — against the built-in synthetic web, then answers a
 // query over the crawl result. With -data-dir the crawl writes through a
 // disk-backed tiered store and the run ends by saving a resumable session
-// in that directory; -resume continues it, and cmd/bingosearch and
-// cmd/portald read the same directory.
+// in that directory; -resume continues it, and cmd/portald -data-dir
+// serves the same directory.
 //
 // Usage:
 //
@@ -19,14 +19,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	bingo "github.com/bingo-search/bingo"
 	"github.com/bingo-search/bingo/internal/corpus"
 	"github.com/bingo-search/bingo/internal/daemon"
 	"github.com/bingo-search/bingo/internal/faults"
 	"github.com/bingo-search/bingo/internal/metrics"
-	"github.com/bingo-search/bingo/internal/xmlexport"
 )
 
 func main() {
@@ -37,7 +35,6 @@ func main() {
 	learnBudget := flag.Int64("learn", 100, "learning-phase page budget")
 	harvestBudget := flag.Int64("harvest", 500, "harvesting-phase page budget")
 	query := flag.String("query", "", "query to run against the crawl result (default depends on mode)")
-	xmlOut := flag.String("xml", "", "path to export the crawl as semantically tagged XML")
 	resume := flag.Bool("resume", false, "resume the session saved in -data-dir with -harvest more pages instead of starting fresh")
 	showMetrics := flag.Bool("metrics", false, "dump process metrics (Prometheus text format) after the run")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection plane")
@@ -214,19 +211,6 @@ haveTopics:
 			log.Fatal(err)
 		}
 		fmt.Printf("\nsession saved in %s (%d documents); rerun with -resume to continue it\n", *dataDir, eng.Store().NumDocs())
-	}
-	if *xmlOut != "" {
-		f, err := os.Create(*xmlOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := xmlexport.Write(f, eng.Store(), xmlexport.Options{}, time.Now()); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("XML export written to %s\n", *xmlOut)
 	}
 	if *showMetrics {
 		fmt.Println("\nprocess metrics:")

@@ -267,29 +267,6 @@ func (c *Classifier) ClassifyWithMode(d Doc, mode MetaMode) Result {
 	return Result{Topic: cur.Path, Confidence: conf, Accepted: true}
 }
 
-// Estimates returns the per-space ξα estimates for a topic node, in the
-// order of Config.Spaces.
-func (c *Classifier) Estimates(topicPath string) ([]svm.Estimate, bool) {
-	nc, ok := c.nodes[topicPath]
-	if !ok {
-		return nil, false
-	}
-	out := make([]svm.Estimate, len(nc.models))
-	for i, sm := range nc.models {
-		out[i] = sm.est
-	}
-	return out, true
-}
-
-// BestSpace returns the feature space with the best ξα estimate at a node.
-func (c *Classifier) BestSpace(topicPath string) (features.Space, bool) {
-	nc, ok := c.nodes[topicPath]
-	if !ok {
-		return 0, false
-	}
-	return nc.models[nc.best].space, true
-}
-
 // TopFeatures returns the n highest-MI features selected for a topic node in
 // the best space (the paper's §2.3 example lists such stems for a topic).
 func (c *Classifier) TopFeatures(topicPath string, n int) []string {

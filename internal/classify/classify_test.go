@@ -10,6 +10,15 @@ import (
 	"github.com/bingo-search/bingo/internal/vsm"
 )
 
+// mustAdd is Tree.Add for static fixture trees; it panics on invalid input.
+func mustAdd(tree *Tree, segments ...string) *Node {
+	n, err := tree.Add(segments...)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func mkDoc(id, text string) Doc {
 	pipe := textproc.NewPipeline()
 	return Doc{ID: id, Input: features.DocInput{Stems: pipe.Stems(text)}}
@@ -20,9 +29,9 @@ func mkDoc(id, text string) Doc {
 func buildFixture(t *testing.T) (*Tree, *TrainingSet, *vsm.IDFTable) {
 	t.Helper()
 	tree := NewTree()
-	tree.MustAdd("mathematics", "algebra")
-	tree.MustAdd("mathematics", "stochastics")
-	tree.MustAdd("agriculture")
+	mustAdd(tree, "mathematics", "algebra")
+	mustAdd(tree, "mathematics", "stochastics")
+	mustAdd(tree, "agriculture")
 
 	ts := NewTrainingSet()
 	algebra := []string{
@@ -75,12 +84,12 @@ func buildFixture(t *testing.T) (*Tree, *TrainingSet, *vsm.IDFTable) {
 
 func TestTreeConstruction(t *testing.T) {
 	tree := NewTree()
-	n := tree.MustAdd("mathematics", "algebra")
+	n := mustAdd(tree, "mathematics", "algebra")
 	if n.Path != "ROOT/mathematics/algebra" {
 		t.Errorf("Path = %q", n.Path)
 	}
-	tree.MustAdd("mathematics", "stochastics")
-	tree.MustAdd("arts")
+	mustAdd(tree, "mathematics", "stochastics")
+	mustAdd(tree, "arts")
 	if len(tree.Root.Children) != 2 {
 		t.Errorf("root children = %d", len(tree.Root.Children))
 	}
@@ -91,11 +100,8 @@ func TestTreeConstruction(t *testing.T) {
 	if got := len(tree.Nodes()); got != 4 {
 		t.Errorf("Nodes = %d", got)
 	}
-	if got := len(tree.Leaves()); got != 3 {
-		t.Errorf("Leaves = %d", got)
-	}
 	// idempotent add
-	tree.MustAdd("arts")
+	mustAdd(tree, "arts")
 	if len(tree.Root.Children) != 2 {
 		t.Error("duplicate add created node")
 	}
@@ -117,9 +123,6 @@ func TestTreeInvalidSegments(t *testing.T) {
 func TestOthersHelpers(t *testing.T) {
 	if OthersPath("ROOT/math") != "ROOT/math/OTHERS" {
 		t.Error("OthersPath wrong")
-	}
-	if !IsOthers("ROOT/math/OTHERS") || IsOthers("ROOT/math") || !IsOthers("OTHERS") {
-		t.Error("IsOthers wrong")
 	}
 }
 
@@ -180,8 +183,8 @@ func TestClassifyDescendsToOthersUnderParent(t *testing.T) {
 
 func TestTrainMissingTrainingData(t *testing.T) {
 	tree := NewTree()
-	tree.MustAdd("topicA")
-	tree.MustAdd("topicB")
+	mustAdd(tree, "topicA")
+	mustAdd(tree, "topicB")
 	ts := NewTrainingSet()
 	ts.Add("ROOT/topicA", mkDoc("a", "alpha beta gamma"))
 	// topicB has no docs
@@ -193,7 +196,7 @@ func TestTrainMissingTrainingData(t *testing.T) {
 
 func TestTrainNeedsNegatives(t *testing.T) {
 	tree := NewTree()
-	tree.MustAdd("only")
+	mustAdd(tree, "only")
 	ts := NewTrainingSet()
 	ts.Add("ROOT/only", mkDoc("a", "alpha beta gamma"))
 	// single topic without Others: no negatives available
@@ -234,16 +237,6 @@ func TestTopFeaturesAndEstimates(t *testing.T) {
 	if !strings.Contains(joined, "harvest") && !strings.Contains(joined, "crop") &&
 		!strings.Contains(joined, "farm") && !strings.Contains(joined, "soil") {
 		t.Errorf("agriculture features look wrong: %v", top)
-	}
-	ests, ok := c.Estimates("ROOT/agriculture")
-	if !ok || len(ests) != 1 {
-		t.Fatalf("Estimates = %v, %v", ests, ok)
-	}
-	if _, ok := c.Estimates("nope"); ok {
-		t.Error("Estimates on unknown node")
-	}
-	if sp, ok := c.BestSpace("ROOT/agriculture"); !ok || sp != features.SpaceTerms {
-		t.Errorf("BestSpace = %v, %v", sp, ok)
 	}
 	if got := c.Topics(); len(got) != 4 {
 		t.Errorf("Topics = %v", got)
@@ -352,9 +345,9 @@ func TestMetaModeString(t *testing.T) {
 
 func BenchmarkClassify(b *testing.B) {
 	tree := NewTree()
-	tree.MustAdd("mathematics", "algebra")
-	tree.MustAdd("mathematics", "stochastics")
-	tree.MustAdd("agriculture")
+	mustAdd(tree, "mathematics", "algebra")
+	mustAdd(tree, "mathematics", "stochastics")
+	mustAdd(tree, "agriculture")
 	ts := NewTrainingSet()
 	texts := map[string][]string{
 		"ROOT/mathematics/algebra":     {"theorem groups rings fields algebra", "galois field theorem algebra"},
@@ -383,9 +376,9 @@ func NewTreeFrom(t *Tree) *Tree { return t }
 
 func TestThreeLevelHierarchy(t *testing.T) {
 	tree := NewTree()
-	tree.MustAdd("science", "math", "algebra")
-	tree.MustAdd("science", "math", "stochastics")
-	tree.MustAdd("science", "physics")
+	mustAdd(tree, "science", "math", "algebra")
+	mustAdd(tree, "science", "math", "stochastics")
+	mustAdd(tree, "science", "physics")
 	ts := NewTrainingSet()
 	add := func(topic string, texts ...string) {
 		for i, txt := range texts {

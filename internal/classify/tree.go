@@ -65,15 +65,6 @@ func (t *Tree) Add(segments ...string) (*Node, error) {
 	return cur, nil
 }
 
-// MustAdd is Add for static tree construction; it panics on invalid input.
-func (t *Tree) MustAdd(segments ...string) *Node {
-	n, err := t.Add(segments...)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Lookup returns the node at path (e.g. "ROOT/math/algebra").
 func (t *Tree) Lookup(path string) (*Node, bool) {
 	n, ok := t.nodes[path]
@@ -94,24 +85,8 @@ func (t *Tree) Nodes() []*Node {
 	return out
 }
 
-// Leaves returns the leaf topics in depth-first order.
-func (t *Tree) Leaves() []*Node {
-	var out []*Node
-	for _, n := range t.Nodes() {
-		if len(n.Children) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // OthersPath returns the reject-node path under parent.
 func OthersPath(parentPath string) string { return parentPath + "/" + OthersLabel }
-
-// IsOthers reports whether path denotes a reject node.
-func IsOthers(path string) bool {
-	return path == OthersLabel || strings.HasSuffix(path, "/"+OthersLabel)
-}
 
 // String renders the tree in the indented style of the paper's Figure 2.
 func (t *Tree) String() string {

@@ -8,7 +8,6 @@ package cluster
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/bingo-search/bingo/internal/vsm"
 )
@@ -224,15 +223,20 @@ func ChooseK(docs []vsm.Vector, kMin, kMax int, opts Options) (Result, int) {
 	return best, bestK
 }
 
-// SortedSizes returns the cluster sizes in descending order (for reports).
-func (r Result) SortedSizes() []int {
-	if len(r.Centroids) == 0 {
-		return nil
+// ChooseKTerms is the §3.6 cluster analysis of one class's documents,
+// given as term counts: it weights them by tf·idf over the class and runs
+// ChooseK. The idf keeps ubiquitous class vocabulary out of the
+// centroids, so the suggested subclass labels carry the distinctive terms
+// of each cluster.
+func ChooseKTerms(docs []map[string]int, kMin, kMax int, opts Options) (Result, int) {
+	stats := vsm.NewCorpusStats()
+	for _, d := range docs {
+		stats.AddDoc(d)
 	}
-	sizes := make([]int, len(r.Centroids))
-	for _, a := range r.Assign {
-		sizes[a]++
+	idf := stats.Snapshot()
+	vecs := make([]vsm.Vector, len(docs))
+	for i, d := range docs {
+		vecs[i] = idf.Weight(d)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
+	return ChooseK(vecs, kMin, kMax, opts)
 }

@@ -136,19 +136,6 @@ func TestChooseK(t *testing.T) {
 	}
 }
 
-func TestSortedSizes(t *testing.T) {
-	docs := twoTopics(12, 4, 9)
-	res := KMeans(docs, Options{K: 2, Seed: 9})
-	sizes := res.SortedSizes()
-	if len(sizes) != 2 || sizes[0] < sizes[1] || sizes[0]+sizes[1] != 16 {
-		t.Errorf("SortedSizes = %v", sizes)
-	}
-	var empty Result
-	if empty.SortedSizes() != nil {
-		t.Error("empty SortedSizes not nil")
-	}
-}
-
 // Property: assignments are always within range, every cluster index in
 // [0,K) appears at most n times, and impurity is in [0, 1].
 func TestKMeansProperties(t *testing.T) {

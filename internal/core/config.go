@@ -25,6 +25,28 @@ type TopicSpec struct {
 	Seeds []string
 }
 
+// Crawl tuning no deployment varies: the paper's values and the fetch
+// layer's resilience policy. robots.txt is always honoured, and a body cut
+// mid-read on the final attempt is always stored and classified with a
+// confidence penalty instead of dropped.
+const (
+	// maxRetries failures tag a host bad (paper §5.1: 3).
+	maxRetries = 3
+	// fetchAttempts is the per-URL retry budget: each fetch makes up to
+	// this many attempts with capped, jittered backoff between them.
+	fetchAttempts = 3
+	// retryBaseDelay / retryMaxDelay bound one backoff sleep.
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+	// breakerThreshold consecutive failures open a host's circuit breaker;
+	// it half-opens for a probe after breakerOpenFor. Breaker-open hosts
+	// are requeued with delay by the crawler instead of burning workers.
+	breakerThreshold = 5
+	breakerOpenFor   = 15 * time.Second
+	// queueLimit caps each topic's incoming URL queue (paper §5.1: 30,000).
+	queueLimit = 30000
+)
+
 // Config assembles an engine. Zero fields fall back to the paper's §5.1
 // experiment tuning.
 type Config struct {
@@ -42,34 +64,12 @@ type Config struct {
 	// LockedDomains are excluded from crawling (search engines, DBLP
 	// mirrors in the §5.2 evaluation).
 	LockedDomains []string
-	// DisableRobots turns off robots.txt enforcement (enabled by default).
-	DisableRobots bool
 
 	// Workers is the crawler thread count (paper: 15).
 	Workers int
 	// MaxPerHost / MaxPerDomain are the politeness caps (paper: 2 / 5).
 	MaxPerHost   int
 	MaxPerDomain int
-	// MaxRetries before a host is tagged bad (paper: 3).
-	MaxRetries int
-	// FetchAttempts is the per-URL retry budget: each Fetch makes up to this
-	// many attempts with capped, jittered backoff between them (default 3;
-	// 1 disables retries).
-	FetchAttempts int
-	// RetryBaseDelay / RetryMaxDelay bound one backoff sleep (defaults
-	// 100ms / 2s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a host's
-	// circuit breaker (default 5); BreakerOpenFor is the open window before
-	// the breaker half-opens for a probe (default 15s). Breaker-open hosts
-	// are requeued with delay by the crawler instead of burning workers.
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
-	// DisableDegradation turns off truncated-body degradation (on by
-	// default: a body cut mid-read on the final attempt is stored and
-	// classified with a confidence penalty instead of dropped).
-	DisableDegradation bool
 	// DNSMiddleware, when non-nil, wraps each name server as it is built
 	// (index 0 = primary). The chaos harness uses it to splice the fault
 	// plane into the DNS simulation.
@@ -81,8 +81,6 @@ type Config struct {
 	MaxTunnelDepth int
 	// LearnDepth bounds the learning-phase crawl depth (paper §5.2: 4).
 	LearnDepth int
-	// QueueLimit caps each topic's incoming URL queue (paper §5.1: 30,000).
-	QueueLimit int
 	// Scheduler selects the score the frontier's §4.2 queue manager orders
 	// links by: fifo-priority (default, the paper's decayed confidence) or
 	// link-context (confidence blended with anchor/URL topicality). See
@@ -194,26 +192,11 @@ func (c Config) WithDefaults() Config {
 	if c.MaxPerDomain <= 0 {
 		c.MaxPerDomain = 5
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.FetchAttempts <= 0 {
-		c.FetchAttempts = 3
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 15 * time.Second
-	}
 	if c.MaxTunnelDepth == 0 {
 		c.MaxTunnelDepth = 2
 	}
 	if c.LearnDepth <= 0 {
 		c.LearnDepth = 4
-	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 30000
 	}
 	if c.FetchTimeout <= 0 {
 		c.FetchTimeout = 10 * time.Second

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/classify"
+	"github.com/bingo-search/bingo/internal/cluster"
 	"github.com/bingo-search/bingo/internal/corpus"
 	"github.com/bingo-search/bingo/internal/crawler"
 	"github.com/bingo-search/bingo/internal/hits"
@@ -219,7 +220,7 @@ func TestClusterTopicAfterCrawl(t *testing.T) {
 	if _, _, err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, k, docs := e.ClusterTopic("ROOT/databases", 2, 3)
+	res, k, docs := clusterTopic(e, "ROOT/databases", 2, 3)
 	if len(docs) == 0 {
 		t.Skip("no topic docs to cluster")
 	}
@@ -232,6 +233,18 @@ func TestClusterTopicAfterCrawl(t *testing.T) {
 	if len(res.Labels) == 0 || len(res.Labels[0]) == 0 {
 		t.Error("no cluster labels")
 	}
+}
+
+// clusterTopic runs the portal topic page's §3.6 cluster analysis over one
+// of the default tenant's classes.
+func clusterTopic(e *Engine, topicPath string, kMin, kMax int) (cluster.Result, int, []store.Document) {
+	docs := e.Store().ByTopic(topicPath)
+	terms := make([]map[string]int, len(docs))
+	for i, d := range docs {
+		terms[i] = d.Terms
+	}
+	res, k := cluster.ChooseKTerms(terms, kMin, kMax, cluster.Options{Seed: 1})
+	return res, k, docs
 }
 
 func TestFeedbackAddRemoveTraining(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/classify"
-	"github.com/bingo-search/bingo/internal/cluster"
 	"github.com/bingo-search/bingo/internal/dns"
 	"github.com/bingo-search/bingo/internal/fetch"
 	"github.com/bingo-search/bingo/internal/frontier"
@@ -106,10 +105,10 @@ func New(cfg Config) (*Engine, error) {
 		store:    st,
 		resolver: resolver,
 		breakers: fetch.NewBreakerSet(fetch.BreakerConfig{
-			FailureThreshold: cfg.BreakerThreshold,
-			OpenFor:          cfg.BreakerOpenFor,
+			FailureThreshold: breakerThreshold,
+			OpenFor:          breakerOpenFor,
 		}),
-		hosts:   fetch.NewHostTracker(cfg.MaxRetries),
+		hosts:   fetch.NewHostTracker(maxRetries),
 		pipe:    textproc.NewPipeline(),
 		tenants: make(map[string]*Tenant),
 		stopCh:  make(chan struct{}),
@@ -227,12 +226,6 @@ func (e *Engine) Search() *search.Engine {
 	return e.searchEng
 }
 
-// ClusterTopic runs the §3.6 cluster analysis on one of the default
-// tenant's classes.
-func (e *Engine) ClusterTopic(topicPath string, kMin, kMax int) (cluster.Result, int, []store.Document) {
-	return e.def.ClusterTopic(topicPath, kMin, kMax)
-}
-
 // AddTrainingDoc promotes a crawled document of the default tenant to
 // training data (interactive feedback, §3.6); call Retrain afterwards.
 func (e *Engine) AddTrainingDoc(topicPath, docURL string) error {
@@ -244,11 +237,6 @@ func (e *Engine) AddTrainingDoc(topicPath, docURL string) error {
 func (e *Engine) AddTrainingText(topicPath, id, text string) {
 	e.def.AddTrainingText(topicPath, id, text)
 }
-
-// ReclassifyAll re-runs the default tenant's classifier over its stored
-// documents (§3.6). It returns the number of documents whose topic
-// changed.
-func (e *Engine) ReclassifyAll() int { return e.def.ReclassifyAll() }
 
 // RemoveTrainingDoc drops a document from the default tenant's training
 // set (interactive feedback, §3.6); call Retrain afterwards.

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-
-	"github.com/bingo-search/bingo/internal/classify"
-	"github.com/bingo-search/bingo/internal/features"
 )
 
 func TestPeriodicRetrainingDuringLearning(t *testing.T) {
@@ -62,48 +59,6 @@ func TestAddTrainingText(t *testing.T) {
 	if e.TrainingSize() != before {
 		t.Fatalf("after remove = %d", e.TrainingSize())
 	}
-}
-
-func TestReclassifyAll(t *testing.T) {
-	e, _ := newTestEngine(t, nil)
-	ctx := context.Background()
-	if err := e.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Learn(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// sanity: reclassification is callable and consistent — a second pass
-	// with the same model changes nothing
-	_ = e.ReclassifyAll()
-	if again := e.ReclassifyAll(); again != 0 {
-		t.Errorf("second reclassification changed %d docs", again)
-	}
-	// every non-training doc now carries the current model's assignment
-	cls := e.Classifier()
-	for _, d := range e.Store().All() {
-		if d.IsTraining {
-			continue
-		}
-		res := cls.ClassifyWithMode(classify.Doc{ID: d.URL,
-			Input: docInputForTest(e, d.Title+" "+d.Text, d.URL)}, e.def.meta)
-		if res.Topic != d.Topic {
-			t.Errorf("stale assignment for %s: %s vs %s", d.URL, d.Topic, res.Topic)
-			break
-		}
-	}
-}
-
-func TestReclassifyAllBeforeBootstrap(t *testing.T) {
-	e, _ := newTestEngine(t, nil)
-	if n := e.ReclassifyAll(); n != 0 {
-		t.Errorf("ReclassifyAll without classifier = %d", n)
-	}
-}
-
-// docInputForTest mirrors the engine's document preparation.
-func docInputForTest(e *Engine, text, url string) features.DocInput {
-	return features.DocInput{Stems: e.pipe.Stems(text), Anchors: e.store.InAnchors(url)}
 }
 
 func TestArchetypeReviewHook(t *testing.T) {

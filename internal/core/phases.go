@@ -40,26 +40,9 @@ func (t *Tenant) Learn(ctx context.Context) (crawler.Stats, error) {
 	t.meta = e.cfg.LearnMeta
 	t.mu.Unlock()
 
-	cfg := crawler.Config{
-		Tenant:         t.id,
-		Fetcher:        t.fetcher,
-		Frontier:       t.frontier,
-		Store:          e.store,
-		Sink:           e.cfg.Sink,
-		Classify:       t.classifyCallback,
-		Workers:        e.cfg.Workers,
-		MaxPerHost:     e.cfg.MaxPerHost,
-		MaxPerDomain:   e.cfg.MaxPerDomain,
-		PerHostDelay:   e.cfg.PerHostDelay,
-		BatchSize:      e.cfg.BatchSize,
-		FlushInterval:  e.cfg.FlushInterval,
-		MaxDepth:       e.cfg.LearnDepth,
-		MaxTunnelDepth: e.cfg.MaxTunnelDepth,
-		PageBudget:     e.cfg.LearnBudget,
-		Focus:          crawler.SharpFocus,
-		Strategy:       crawler.DepthFirst,
-		AllowedDomains: t.seedDomains(),
-	}
+	cfg := t.crawlConfig(crawler.SharpFocus, crawler.DepthFirst, e.cfg.LearnBudget)
+	cfg.MaxDepth = e.cfg.LearnDepth
+	cfg.AllowedDomains = t.seedDomains()
 
 	// Periodic retraining (§2.6): pause the crawl each time RetrainEvery
 	// documents have been classified with confidence above the threshold,
@@ -119,7 +102,19 @@ func (t *Tenant) HarvestN(ctx context.Context, budget int64) (crawler.Stats, err
 
 	t.reseedWithHubs()
 
-	c := crawler.New(crawler.Config{
+	stats := crawler.New(t.crawlConfig(crawler.SoftFocus, crawler.BreadthFirst, budget)).Run(ctx)
+	t.mu.Lock()
+	t.phase = PhaseDone
+	t.mu.Unlock()
+	return stats, nil
+}
+
+// crawlConfig is the crawler configuration both phases share, with the
+// phase's focus, strategy and page budget; Learn adds its depth bound and
+// seed domains.
+func (t *Tenant) crawlConfig(focus crawler.Focus, strategy crawler.Strategy, budget int64) crawler.Config {
+	e := t.eng
+	return crawler.Config{
 		Tenant:         t.id,
 		Fetcher:        t.fetcher,
 		Frontier:       t.frontier,
@@ -134,14 +129,9 @@ func (t *Tenant) HarvestN(ctx context.Context, budget int64) (crawler.Stats, err
 		FlushInterval:  e.cfg.FlushInterval,
 		MaxTunnelDepth: e.cfg.MaxTunnelDepth,
 		PageBudget:     budget,
-		Focus:          crawler.SoftFocus,
-		Strategy:       crawler.BreadthFirst,
-	})
-	stats := c.Run(ctx)
-	t.mu.Lock()
-	t.phase = PhaseDone
-	t.mu.Unlock()
-	return stats, nil
+		Focus:          focus,
+		Strategy:       strategy,
+	}
 }
 
 // Run executes the tenant's full lifecycle: Bootstrap, Learn, Harvest.
@@ -209,6 +199,5 @@ func (t *Tenant) reseedWithHubs() {
 			}
 		}
 	}
-	// Keep the existing frontier contents too — "the crawler is resumed".
-	_ = classify.RootName
+	// The existing frontier contents stay queued — "the crawler is resumed".
 }

@@ -194,7 +194,7 @@ func TestLoadSessionVersionMismatch(t *testing.T) {
 
 func TestClusterTopicEmptyClass(t *testing.T) {
 	e, _ := newTestEngine(t, nil)
-	res, k, docs := e.ClusterTopic("ROOT/nonexistent", 2, 4)
+	res, k, docs := clusterTopic(e, "ROOT/nonexistent", 2, 4)
 	if len(docs) != 0 || k != 0 && len(res.Assign) != 0 {
 		t.Errorf("empty class clustering: k=%d docs=%d", k, len(docs))
 	}

@@ -12,13 +12,13 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/classify"
-	"github.com/bingo-search/bingo/internal/cluster"
 	"github.com/bingo-search/bingo/internal/features"
 	"github.com/bingo-search/bingo/internal/fetch"
 	"github.com/bingo-search/bingo/internal/frontier"
 	"github.com/bingo-search/bingo/internal/htmldoc"
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/store"
+	"github.com/bingo-search/bingo/internal/textproc"
 	"github.com/bingo-search/bingo/internal/urlnorm"
 	"github.com/bingo-search/bingo/internal/vsm"
 )
@@ -151,14 +151,14 @@ func newTenant(e *Engine, id string, topics []TopicSpec, othersURLs []string) (*
 		Resolver:  e.resolver,
 		Timeout:   cfg.FetchTimeout,
 		Retry: fetch.RetryPolicy{
-			MaxAttempts: cfg.FetchAttempts,
-			BaseDelay:   cfg.RetryBaseDelay,
-			MaxDelay:    cfg.RetryMaxDelay,
+			MaxAttempts: fetchAttempts,
+			BaseDelay:   retryBaseDelay,
+			MaxDelay:    retryMaxDelay,
 		},
 		Breaker:          e.breakers,
-		DegradeTruncated: !cfg.DisableDegradation,
+		DegradeTruncated: true,
 		LockedDomains:    cfg.LockedDomains,
-		RespectRobots:    !cfg.DisableRobots,
+		RespectRobots:    true,
 	}, fetch.NewDeduper(), e.hosts)
 	spillDir := ""
 	if cfg.FrontierBudget > 0 && cfg.DataDir != "" {
@@ -171,7 +171,7 @@ func newTenant(e *Engine, id string, topics []TopicSpec, othersURLs []string) (*
 		spillDir = filepath.Join(cfg.DataDir, name)
 	}
 	t.frontier = frontier.New(frontier.Config{
-		IncomingLimit: cfg.QueueLimit,
+		IncomingLimit: queueLimit,
 		OutgoingLimit: 1000,
 		TunnelDecay:   0.5,
 		Prefetch: func(u string) {
@@ -223,10 +223,6 @@ func (e *Engine) Tenant(id string) (*Tenant, bool) {
 	t, ok := e.tenants[id]
 	return t, ok
 }
-
-// DefaultTenant returns the implicit tenant every legacy Engine method
-// operates on.
-func (e *Engine) DefaultTenant() *Tenant { return e.def }
 
 // Tenants returns all registered tenants sorted by id (the default tenant,
 // whose id is "", first).
@@ -453,15 +449,11 @@ func (t *Tenant) Bootstrap(ctx context.Context) error {
 			t.training.Add(topicPath, cdoc)
 			t.seedTopics[seedURL] = topicPath
 			t.mu.Unlock()
-			terms := map[string]int{}
-			for _, s := range cdoc.Input.Stems {
-				terms[s]++
-			}
 			e.store.Insert(store.Document{
 				Tenant: t.id,
 				URL:    seedURL, FinalURL: res.FinalURL, Title: hdoc.Title,
 				ContentType: res.ContentType, Topic: topicPath, Text: hdoc.Text,
-				Terms: terms, IsTraining: true,
+				Terms: textproc.Counts(cdoc.Input.Stems), IsTraining: true,
 			})
 			for _, l := range hdoc.Links {
 				e.store.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
@@ -479,15 +471,11 @@ func (t *Tenant) Bootstrap(ctx context.Context) error {
 				t.mu.Lock()
 				t.training.Add(topicPath, fdoc)
 				t.mu.Unlock()
-				fterms := map[string]int{}
-				for _, s := range fdoc.Input.Stems {
-					fterms[s]++
-				}
 				e.store.Insert(store.Document{
 					Tenant: t.id,
 					URL:    frameURL, FinalURL: fres.FinalURL, Title: fhdoc.Title,
 					ContentType: fres.ContentType, Topic: topicPath, Text: fhdoc.Text,
-					Terms: fterms, IsTraining: true,
+					Terms: textproc.Counts(fdoc.Input.Stems), IsTraining: true,
 				})
 				for _, l := range fhdoc.Links {
 					e.store.AddLink(store.Link{From: fres.FinalURL, To: l.URL, Anchor: l.Anchor})
@@ -573,73 +561,4 @@ func (t *Tenant) RemoveTrainingDoc(docURL string) {
 	}
 	t.mu.Unlock()
 	_ = t.eng.store.SetTrainingDoc(t.id, docURL, false)
-}
-
-// ReclassifyAll re-runs the serving ensemble over every one of the
-// tenant's stored documents and updates the stored topic assignments and
-// confidences — the paper does this after relevance feedback so the
-// filtered documents are "classified again under the retrained model to
-// improve precision" (§3.6). It returns the number of documents whose
-// topic changed.
-func (t *Tenant) ReclassifyAll() int {
-	e := t.eng
-	cls := t.ensemble.Load()
-	if cls == nil {
-		return 0
-	}
-	t.mu.RLock()
-	mode := t.meta
-	t.mu.RUnlock()
-	// Collect the rows first: SetTopic takes a shard's write lock, so
-	// mutating from inside the VisitDocs read iteration would deadlock.
-	type row struct {
-		url, title, text, topic string
-	}
-	var rows []row
-	e.store.VisitDocs(func(d store.Document) bool {
-		if d.Tenant == t.id && !d.IsTraining { // training assignments are the user's ground truth
-			rows = append(rows, row{d.URL, d.Title, d.Text, d.Topic})
-		}
-		return true
-	})
-	changed := 0
-	for _, d := range rows {
-		stems := e.pipe.Stems(d.title + " " + d.text)
-		res := cls.ClassifyWithMode(classify.Doc{
-			ID:    d.url,
-			Input: features.DocInput{Stems: stems, Anchors: e.store.InAnchors(d.url)},
-		}, mode)
-		if res.Topic != d.topic {
-			changed++
-		}
-		_ = e.store.SetTopicDoc(t.id, d.url, res.Topic, res.Confidence)
-		if e.cfg.Sink != nil {
-			e.cfg.Sink.PutTopic(d.url, res.Topic, res.Confidence)
-		}
-	}
-	if e.cfg.Sink != nil {
-		_ = e.cfg.Sink.Flush()
-	}
-	return changed
-}
-
-// ClusterTopic runs the §3.6 cluster analysis on one class's result
-// documents, suggesting subclass structure. kMin/kMax bound the number of
-// clusters tried; the impurity-minimizing K wins.
-func (t *Tenant) ClusterTopic(topicPath string, kMin, kMax int) (cluster.Result, int, []store.Document) {
-	docs := t.eng.store.ByTopicTenant(t.id, topicPath)
-	// tf·idf weighting keeps ubiquitous class vocabulary out of the
-	// centroids, so the suggested subclass labels carry the *distinctive*
-	// terms of each cluster.
-	stats := vsm.NewCorpusStats()
-	for _, d := range docs {
-		stats.AddDoc(d.Terms)
-	}
-	idf := stats.Snapshot()
-	vecs := make([]vsm.Vector, len(docs))
-	for i, d := range docs {
-		vecs[i] = idf.Weight(d.Terms)
-	}
-	res, k := cluster.ChooseK(vecs, kMin, kMax, cluster.Options{Seed: 1})
-	return res, k, docs
 }

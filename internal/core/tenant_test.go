@@ -50,9 +50,6 @@ func TestAddTenantRegistry(t *testing.T) {
 	if !ok || got != tn {
 		t.Fatal("lookup failed")
 	}
-	if e.DefaultTenant() != e.def {
-		t.Error("DefaultTenant mismatch")
-	}
 	all := e.Tenants()
 	if len(all) != 2 || all[0].ID() != "" || all[1].ID() != "beta" {
 		t.Fatalf("Tenants() order wrong: %v", []string{all[0].ID(), all[1].ID()})

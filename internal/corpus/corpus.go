@@ -109,13 +109,6 @@ func HierarchicalConfig() Config {
 	return c
 }
 
-// TinyHierarchicalConfig is TinyConfig with primary subtopics (fast tests).
-func TinyHierarchicalConfig() Config {
-	c := TinyConfig()
-	c.PrimarySubtopics = []string{"systems", "mining"}
-	return c
-}
-
 // ConfigByName returns the world size the CLIs' -world flag names: tiny,
 // small or default.
 func ConfigByName(name string) (Config, error) {

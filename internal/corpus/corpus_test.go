@@ -254,7 +254,9 @@ func BenchmarkGenerateTiny(b *testing.B) {
 }
 
 func TestHierarchicalWorld(t *testing.T) {
-	w := Generate(TinyHierarchicalConfig())
+	cfg := TinyConfig()
+	cfg.PrimarySubtopics = []string{"systems", "mining"}
+	w := Generate(cfg)
 	subs := w.PrimarySubtopics()
 	if len(subs) != 2 {
 		t.Fatalf("subs = %v", subs)

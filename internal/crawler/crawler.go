@@ -323,8 +323,11 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 			// The crawl's own context ended mid-fetch (page budget spent,
 			// retrain pause, shutdown): the visit is abandoned, like a page
 			// fetched after it ends, not failed, and uncounted — which keeps
-			// the invariant stored+duplicates+errors == visited.
+			// the invariant stored+duplicates+errors == visited. The fetcher
+			// took back its dedup marks, so the item goes back for a later
+			// crawl over the same frontier.
 			c.visited.Add(-1)
+			c.cfg.Frontier.Requeue(it, 0)
 			mAbandoned.Inc()
 		case err == fetch.ErrDuplicate:
 			c.duplicates.Add(1)
@@ -439,13 +442,8 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	}
 	// Store the document and its link rows (all crawled documents are kept
 	// in the database, including rejected ones).
-	// Pre-sized to the stem count so the map never rehashes while filling;
-	// repeated terms leave some slack, which the store keeps anyway.
 	storeStart := time.Now()
-	terms := make(map[string]int, len(stems))
-	for _, s := range stems {
-		terms[s]++
-	}
+	terms := textproc.Counts(stems)
 	sd := store.Document{
 		Tenant:      c.cfg.Tenant,
 		URL:         it.URL,

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -209,6 +210,63 @@ func TestContextCancellation(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not stop on cancellation")
+	}
+}
+
+// hangFirst holds the first request it sees until the request's context
+// ends, and passes every later one through.
+type hangFirst struct {
+	inner http.RoundTripper
+	hung  chan struct{} // closed once the first request is held
+	calls atomic.Int32
+}
+
+func (h *hangFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	if h.calls.Add(1) == 1 {
+		close(h.hung)
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	}
+	return h.inner.RoundTrip(req)
+}
+
+// TestAbandonedVisitIsRequeued: a fetch the crawl's end cancels puts its
+// item back in the frontier, and the fetcher takes back its dedup marks, so
+// the next crawl over the same frontier stores the page instead of
+// dismissing it as a duplicate.
+func TestAbandonedVisitIsRequeued(t *testing.T) {
+	world := corpus.Generate(corpus.TinyConfig())
+	tr := &hangFirst{inner: world.RoundTripper(), hung: make(chan struct{})}
+	cfg := Config{
+		Fetcher: fetch.New(fetch.Config{
+			Transport: tr,
+			Resolver:  dns.NewResolver(dns.Config{}, world.DNSServer()),
+			Timeout:   5 * time.Second,
+		}, nil, nil),
+		Frontier:       frontier.New(frontier.DefaultConfig()),
+		Store:          store.New(),
+		Classify:       keywordClassifier,
+		Workers:        1,
+		MaxTunnelDepth: 2,
+		Focus:          SoftFocus,
+		Strategy:       BreadthFirst,
+		PageBudget:     1,
+	}
+	c := New(cfg)
+	c.Seed("ROOT/db", world.SeedURLs()[0])
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-tr.hung
+		cancel()
+	}()
+	if stats := c.Run(ctx); stats.VisitedURLs != 0 {
+		t.Fatalf("the cancelled crawl counted %d visits, want 0", stats.VisitedURLs)
+	}
+	if st := cfg.Frontier.Stats(); st.Queued+st.Delayed != 1 {
+		t.Fatalf("frontier holds %d queued + %d delayed items after the abandoned visit, want 1", st.Queued, st.Delayed)
+	}
+	if stats := New(cfg).Run(context.Background()); stats.StoredPages != 1 {
+		t.Fatalf("the next crawl stored %d pages with %d duplicates, want the abandoned page stored", stats.StoredPages, stats.Duplicates)
 	}
 }
 

@@ -72,9 +72,11 @@ func LogRecovery(st *store.Store) {
 // Run serves h on ln until ctx ends, then drains. It sets gate ready and
 // writes ln's address to portFile (when non-empty) before serving, so a
 // harness that waits for the file finds the daemon ready. When ctx ends —
-// mains pass signal.NotifyContext for SIGINT/SIGTERM — readiness flips to
-// 503 before Shutdown starts, and in-flight requests get drainTimeout to
-// finish. Run returns nil after a complete drain.
+// mains pass signal.NotifyContext for SIGINT/SIGTERM — readiness flips and
+// Shutdown closes the listener at once, so a prober sees the drain as a
+// refused connection: the 503 reaches only a request already being
+// served. In-flight requests get drainTimeout to finish. Run returns nil
+// after a complete drain.
 func Run(ctx context.Context, ln net.Listener, h http.Handler, gate *Gate, portFile string, drainTimeout time.Duration) error {
 	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	gate.SetReady(true)

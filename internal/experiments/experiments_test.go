@@ -227,7 +227,9 @@ func TestFeatureSpaceAblation(t *testing.T) {
 }
 
 func TestRunHierarchy(t *testing.T) {
-	w := corpus.Generate(corpus.TinyHierarchicalConfig())
+	cfg := corpus.TinyConfig()
+	cfg.PrimarySubtopics = []string{"systems", "mining"}
+	w := corpus.Generate(cfg)
 	run, err := RunHierarchy(context.Background(), w, 120, 300)
 	if err != nil {
 		t.Fatal(err)

@@ -240,15 +240,6 @@ func TestSpaceString(t *testing.T) {
 	}
 }
 
-func TestIsNamespaced(t *testing.T) {
-	if !IsNamespaced(PairPrefix+"a+b") || !IsNamespaced(AnchorPrefix+"x") || !IsNamespaced(NeighborPrefix+"y") {
-		t.Error("namespaced keys not recognized")
-	}
-	if IsNamespaced("plain") {
-		t.Error("plain key flagged")
-	}
-}
-
 func BenchmarkSelectMI(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	vocab := make([]string, 2000)

@@ -1,10 +1,6 @@
 package features
 
-import (
-	"strings"
-
-	"github.com/bingo-search/bingo/internal/textproc"
-)
+import "github.com/bingo-search/bingo/internal/textproc"
 
 // Space identifies a feature-space construction (§3.4). Combined spaces are
 // built by merging the component vectors with namespaced feature keys, so the
@@ -192,11 +188,4 @@ func Build(in DocInput, space Space, anchorPipe *textproc.Pipeline) map[string]i
 		addAnchors()
 	}
 	return counts
-}
-
-// IsNamespaced reports whether a feature key belongs to a non-term namespace.
-func IsNamespaced(key string) bool {
-	return strings.HasPrefix(key, PairPrefix) ||
-		strings.HasPrefix(key, AnchorPrefix) ||
-		strings.HasPrefix(key, NeighborPrefix)
 }

@@ -80,6 +80,19 @@ func (d *Deduper) SeenIPSize(ip string, size int64) bool {
 	return false
 }
 
+// forgetVisit drops the marks of a visit abandoned before it read its
+// page: its URL and the (ip, path) pairs it newly recorded. A later visit
+// of the URL is then not dismissed as a duplicate of one that never
+// happened.
+func (d *Deduper) forgetVisit(url string, ipPaths [][2]string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.urls, hash64(url))
+	for _, p := range ipPaths {
+		delete(d.ipPath, hash64("p", p[0], p[1]))
+	}
+}
+
 // Skipped returns how many candidates were dismissed as duplicates.
 func (d *Deduper) Skipped() int64 {
 	d.mu.Lock()

@@ -410,11 +410,14 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 	if f.Dedup.SeenURL(u.String()) {
 		return nil, ErrDuplicate
 	}
+	// marked lists the (ip, path) fingerprints this visit newly recorded:
+	// a cancelled visit takes them back along with its URL mark.
+	var marked [][2]string
 
 	attempts := f.cfg.Retry.attempts()
 	var prevDelay time.Duration
 	for attempt := 1; ; attempt++ {
-		out := f.fetchAttempt(ctx, u, raw, attempt == 1)
+		out := f.fetchAttempt(ctx, u, raw, attempt == 1, &marked)
 
 		// Caller cancellation first: a dead parent context means WE are
 		// shutting down, not that the peer failed — no host penalty, no
@@ -422,6 +425,7 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 		// mid-body-read used to be booked as a host error).
 		if cerr := ctx.Err(); cerr != nil && out.err != nil {
 			releasePartial(out.res)
+			f.Dedup.forgetVisit(u.String(), marked)
 			return nil, fmt.Errorf("%w: %v", ErrCanceled, cerr)
 		}
 
@@ -471,6 +475,7 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
+			f.Dedup.forgetVisit(u.String(), marked)
 			return nil, fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
 		}
 	}
@@ -499,8 +504,9 @@ func (r *Result) finalHost() string {
 // timeout. dedup disables the duplicate verdicts on retries: the first
 // attempt already recorded this URL's fingerprints, so re-checking them
 // would dismiss the retry as a duplicate of itself (fingerprints are still
-// recorded so later genuine duplicates are caught).
-func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, dedup bool) attemptOutcome {
+// recorded so later genuine duplicates are caught). Each (ip, path)
+// fingerprint the attempt newly records is appended to marked.
+func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, dedup bool, marked *[][2]string) attemptOutcome {
 	ctx, cancel := context.WithTimeout(parent, f.cfg.Timeout)
 	defer cancel()
 
@@ -524,13 +530,18 @@ func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, d
 			ip = rec.IP
 		}
 		// Fingerprint 2: IP + path (catches host aliases).
-		if f.Dedup.SeenIPPath(ip, cur.EscapedPath()) && dedup {
+		path := cur.EscapedPath()
+		seen := f.Dedup.SeenIPPath(ip, path)
+		if !seen {
+			*marked = append(*marked, [2]string{ip, path})
+		}
+		if seen && dedup {
 			// A redirect hop that lands back on the requested URL's own
 			// host+path (typically with a shuffled query — the classic
 			// session-id cycle) is a loop charged to the host, not a
 			// duplicate: the only reason the fingerprint is seen is that WE
 			// recorded it when this same chain started.
-			if hop > 0 && cur.Hostname() == u.Hostname() && cur.EscapedPath() == u.EscapedPath() {
+			if hop > 0 && cur.Hostname() == u.Hostname() && path == u.EscapedPath() {
 				return attemptOutcome{
 					err:      fmt.Errorf("%w: %s revisits the start path", ErrRedirectLoop, cur),
 					failHost: curHost,
@@ -539,7 +550,7 @@ func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, d
 			return attemptOutcome{err: ErrDuplicate}
 		}
 		if f.robots != nil && cur.Path != "/robots.txt" &&
-			!f.robotsAllowed(ctx, cur.Scheme, cur.Host, cur.EscapedPath()) {
+			!f.robotsAllowed(ctx, cur.Scheme, cur.Host, path) {
 			return attemptOutcome{err: fmt.Errorf("%w: %s", ErrRobots, cur)}
 		}
 

@@ -302,6 +302,36 @@ func TestFetchCallerCancellation(t *testing.T) {
 	}
 }
 
+// TestCanceledFetchForgetsItsVisit: a visit abandoned mid-attempt records
+// no fingerprint, so a later live fetch of the URL reads the page instead
+// of being dismissed as a duplicate of the visit that never read it.
+func TestCanceledFetchForgetsItsVisit(t *testing.T) {
+	hang := func(req *http.Request) (*http.Response, error) {
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	}
+	tr := &scriptTransport{steps: []func(*http.Request) (*http.Response, error){
+		hang, okPage("<html><title>back</title></html>"),
+	}}
+	f := retryFetcher(tr, 3, func(c *Config) { c.Timeout = 10 * time.Second })
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	if _, err := f.Fetch(ctx, "http://a.example/x"); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("first fetch: err = %v, want ErrCanceled", err)
+	}
+	res, err := f.Fetch(context.Background(), "http://a.example/x")
+	if err != nil {
+		t.Fatalf("fetch after the abandoned visit: err = %v", err)
+	}
+	res.ReleaseBody()
+	if _, err := f.Fetch(context.Background(), "http://a.example/x"); err != ErrDuplicate {
+		t.Fatalf("third fetch: err = %v, want ErrDuplicate", err)
+	}
+}
+
 // truncatedBody yields a prefix of the page then fails the read mid-body.
 type truncatedBody struct {
 	r    io.Reader

@@ -110,9 +110,7 @@ func (s *fifoScheduler) Pop() (Item, bool) {
 	if !found {
 		return Item{}, false
 	}
-	tq := s.topics[bestTopic]
-	_, q, _ := tq.outgoing.Min()
-	tq.outgoing.Delete(bestKey)
+	_, q, _ := s.topics[bestTopic].outgoing.DeleteMin()
 	return q.it, true
 }
 
@@ -122,12 +120,8 @@ func (s *fifoScheduler) PopTopic(topic string) (Item, bool) {
 		return Item{}, false
 	}
 	s.refill(tq)
-	k, q, ok := tq.outgoing.Min()
-	if !ok {
-		return Item{}, false
-	}
-	tq.outgoing.Delete(k)
-	return q.it, true
+	_, q, ok := tq.outgoing.DeleteMin()
+	return q.it, ok
 }
 
 // PopWorst removes the largest key across both tiers of every topic. After
@@ -148,18 +142,16 @@ func (s *fifoScheduler) PopWorst() (Item, float64, uint64, bool) {
 	if worstTree == nil {
 		return Item{}, 0, 0, false
 	}
-	_, q, _ := worstTree.Max()
-	worstTree.Delete(worstKey)
+	_, q, _ := worstTree.DeleteMax()
 	return q.it, q.eff, worstKey.seq, true
 }
 
 func (s *fifoScheduler) refill(tq *topicQueues) {
 	for tq.outgoing.Len() < s.outgoingLimit {
-		k, q, ok := tq.incoming.Min()
+		k, q, ok := tq.incoming.DeleteMin()
 		if !ok {
 			return
 		}
-		tq.incoming.Delete(k)
 		tq.outgoing.Insert(k, q)
 		if s.prefetch != nil {
 			s.prefetch(q.it.URL)

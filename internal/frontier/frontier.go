@@ -205,13 +205,6 @@ func New(cfg Config) *Frontier {
 	return f
 }
 
-// SchedulerName reports the active ordering policy.
-func (f *Frontier) SchedulerName() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sched.Name()
-}
-
 // SpillErr returns the first disk-spill failure, if any (a *SpillError).
 // The spill tier degrades loudly instead of stopping the crawl: a write
 // failure falls back to unbounded memory, a read failure drops the bad

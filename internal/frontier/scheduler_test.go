@@ -245,13 +245,13 @@ func TestValidateScheduler(t *testing.T) {
 func TestSchedulerNameReported(t *testing.T) {
 	for _, name := range SchedulerNames() {
 		f := newTestFrontier(t, name, nil)
-		if got := f.SchedulerName(); got != name {
-			t.Errorf("SchedulerName() = %q, want %q", got, name)
+		if got := f.sched.Name(); got != name {
+			t.Errorf("scheduler name = %q, want %q", got, name)
 		}
 	}
 	// Empty config name falls back to the default.
-	if got := newTestFrontier(t, "", nil).SchedulerName(); got != SchedulerFIFOPriority {
-		t.Errorf("default SchedulerName() = %q, want %q", got, SchedulerFIFOPriority)
+	if got := newTestFrontier(t, "", nil).sched.Name(); got != SchedulerFIFOPriority {
+		t.Errorf("default scheduler name = %q, want %q", got, SchedulerFIFOPriority)
 	}
 }
 

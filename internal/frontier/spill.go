@@ -128,7 +128,6 @@ type spillScheduler struct {
 	runSeq int
 	// spilled counts records currently on disk across all runs.
 	spilled int
-	lost    int64
 	err     error // first spill failure, sticky
 	// writeDisabled stops further spilling after a write failure.
 	writeDisabled bool
@@ -331,7 +330,6 @@ func (s *spillScheduler) runFailed(r *spillRun, err error) {
 	}
 	if lost > 0 {
 		s.spilled -= lost
-		s.lost += int64(lost)
 		mSpillLost.Add(int64(lost))
 		mSpilledNow.Add(-int64(lost))
 		if s.onLost != nil {
@@ -368,8 +366,7 @@ func (s *spillScheduler) refill() {
 			s.compactRuns()
 			return
 		case coldIdx:
-			_, it, _ := s.cold.Min()
-			s.cold.Delete(bestKey)
+			_, it, _ := s.cold.DeleteMin()
 			s.inner.Reinsert(it, bestKey.prio, bestKey.seq)
 		default:
 			r := s.runs[best]
@@ -439,9 +436,6 @@ func (s *spillScheduler) MemLen() int { return s.inner.Len() + s.cold.Len() }
 
 // SpilledLen reports the records currently on disk.
 func (s *spillScheduler) SpilledLen() int { return s.spilled }
-
-// Lost reports queued items dropped because their run tore or corrupted.
-func (s *spillScheduler) Lost() int64 { return s.lost }
 
 // Err returns the first spill failure, if any.
 func (s *spillScheduler) Err() error { return s.err }

@@ -386,7 +386,7 @@ func TestWALReaderMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd, err := segment.OpenWALReader(path)
+	rd, err := segment.OpenWALReaderAt(path, segment.WALDataStart)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,22 +49,6 @@ func Convert(mimeType string, body []byte, resolve Resolver) (*Document, error) 
 	}
 }
 
-// CanHandle reports whether Convert has a handler for mimeType.
-func CanHandle(mimeType string) bool {
-	mt := strings.ToLower(mimeType)
-	if i := strings.IndexByte(mt, ';'); i >= 0 {
-		mt = strings.TrimSpace(mt[:i])
-	}
-	switch mt {
-	case "text/html", "application/xhtml+xml", "", "text/plain",
-		"application/pdf", "application/x-spdf", "application/msword",
-		"application/vnd.ms-powerpoint", "application/gzip",
-		"application/x-gzip", "application/zip":
-		return true
-	}
-	return false
-}
-
 func parsePlainText(s string) *Document {
 	return &Document{Text: collapseSpace(s), Meta: map[string]string{}}
 }

@@ -199,11 +199,8 @@ func TestConvertUnsupported(t *testing.T) {
 	if !errors.Is(err, ErrUnsupportedType) {
 		t.Errorf("err = %v", err)
 	}
-	if CanHandle("video/mpeg") {
-		t.Error("CanHandle(video/mpeg) = true")
-	}
-	if !CanHandle("text/html; charset=utf-8") {
-		t.Error("CanHandle(text/html; charset) = false")
+	if _, err := Convert("text/html; charset=utf-8", nil, nil); err != nil {
+		t.Errorf("text/html with parameters: err = %v", err)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"github.com/bingo-search/bingo/internal/cluster"
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/store"
-	"github.com/bingo-search/bingo/internal/vsm"
 )
 
 // Explorer serves a crawl database for human browsing.
@@ -120,16 +119,11 @@ func (e *Explorer) handleTopic(w http.ResponseWriter, r *http.Request) {
 	// §3.6: for heterogeneous classes, the cluster analysis suggests new
 	// subclasses with tentative labels from their characteristic terms.
 	if len(docs) >= 10 {
-		stats := vsm.NewCorpusStats()
-		for _, d := range docs {
-			stats.AddDoc(d.Terms)
-		}
-		idf := stats.Snapshot()
-		vecs := make([]vsm.Vector, len(docs))
+		terms := make([]map[string]int, len(docs))
 		for i, d := range docs {
-			vecs[i] = idf.Weight(d.Terms)
+			terms[i] = d.Terms
 		}
-		res, k := cluster.ChooseK(vecs, 2, 4, cluster.Options{Seed: 1, LabelLen: 4})
+		res, k := cluster.ChooseKTerms(terms, 2, 4, cluster.Options{Seed: 1, LabelLen: 4})
 		if k >= 2 {
 			b.WriteString("<p class=meta>suggested subclasses: ")
 			for i, label := range res.Labels {

@@ -47,9 +47,6 @@ type ClientOptions struct {
 	// Breaker is the shared breaker set keyed by server address; nil gives
 	// the client a private one with fetch's defaults.
 	Breaker *fetch.BreakerSet
-	// HTTPClient overrides the transport (tests); nil uses a dedicated
-	// client with sane connection reuse.
-	HTTPClient *http.Client
 }
 
 // Client speaks the wire protocol to one shard server. It is safe for
@@ -77,11 +74,7 @@ func NewClient(base string, opt ClientOptions) *Client {
 	if brk == nil {
 		brk = fetch.NewBreakerSet(fetch.BreakerConfig{})
 	}
-	hc := opt.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	return &Client{base: base, hc: hc, opt: opt, brk: brk}
+	return &Client{base: base, hc: &http.Client{}, opt: opt, brk: brk}
 }
 
 // Addr returns the server base address the client talks to.

@@ -71,22 +71,13 @@ func (s *Server) Handler() http.Handler {
 // directly).
 func (s *Server) Partition() *search.Partition { return s.part }
 
-// epochs snapshots the store's per-shard epoch vector.
-func (s *Server) epochs() []int64 {
-	eps := make([]int64, s.st.NumShards())
-	for i := range eps {
-		eps[i] = s.st.ShardEpoch(i)
-	}
-	return eps
-}
-
 func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PingResponse{
 		V:            ProtoVersion,
 		Ready:        s.Ready(),
 		NumDocs:      s.st.NumDocs(),
 		Durable:      s.st.DurableDocs(),
-		Epochs:       s.epochs(),
+		Epochs:       s.st.ShardEpochs(),
 		StatsVersion: s.part.Version(),
 	})
 }
@@ -216,7 +207,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		V:       ProtoVersion,
 		NumDocs: s.st.NumDocs(),
 		Durable: s.st.DurableDocs(),
-		Epochs:  s.epochs(),
+		Epochs:  s.st.ShardEpochs(),
 	})
 }
 

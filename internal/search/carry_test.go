@@ -122,7 +122,7 @@ func TestCarriedSnapMatchesFreshBuild(t *testing.T) {
 		if err := st.SetTopic(urls[20], "ROOT/os", 0.125); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.SetTraining(urls[21], true); err != nil {
+		if err := st.SetTrainingDoc("", urls[21], true); err != nil {
 			t.Fatal(err)
 		}
 		snaps = carryAll(t, at("SetTopic/SetTraining on carried rows"), st, snaps)
@@ -168,7 +168,7 @@ func TestPartitionStatsCarriesNewestSnap(t *testing.T) {
 	if got := mShardDocsRebuilt.Value() - rebuilt0; got != 1 {
 		t.Errorf("Stats rebuilt %d rows, want 1 (the row written since the pinned snapshot)", got)
 	}
-	if got, want := mShardDocsCarried.Value()-carried0, int64(st.ShardNumDocs(2)-1); got != want {
+	if got, want := mShardDocsCarried.Value()-carried0, int64(len(st.ShardDocs(2))-1); got != want {
 		t.Errorf("Stats carried %d rows, want %d", got, want)
 	}
 	for i, sn := range p.pend.snaps {

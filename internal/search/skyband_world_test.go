@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"errors"
 	"math/rand"
 	"net/url"
 	"slices"
@@ -39,7 +40,9 @@ func buildDefaultWorld() *defaultWorld {
 	w := corpus.Generate(corpus.DefaultConfig())
 	urls := make([]string, 0, len(w.Pages))
 	for u, p := range w.Pages {
-		if htmldoc.CanHandle(p.ContentType) {
+		// Probe the handler table with an empty body: only a type Convert
+		// has no handler for fails with ErrUnsupportedType.
+		if _, err := htmldoc.Convert(p.ContentType, nil, nil); !errors.Is(err, htmldoc.ErrUnsupportedType) {
 			urls = append(urls, u)
 		}
 	}
@@ -77,7 +80,7 @@ func buildDefaultWorld() *defaultWorld {
 		conf := rng.Float64()
 		dw.maxConf = max(dw.maxConf, conf)
 		st.Insert(store.Document{URL: u, Title: doc.Title, Topic: topic, Confidence: conf,
-			Terms: pipe.StemCounts(doc.Title + " " + doc.Text)})
+			Terms: textproc.Counts(pipe.Stems(doc.Title + " " + doc.Text))})
 		for _, l := range doc.Links {
 			if inCorpus[l.URL] && l.URL != u {
 				st.AddLink(store.Link{From: u, To: l.URL, Anchor: l.Anchor})

@@ -15,7 +15,6 @@ type Enc struct{ e enc }
 
 func (p *Enc) Uvarint(v uint64)        { p.e.uvarint(v) }
 func (p *Enc) Varint(v int64)          { p.e.varint(v) }
-func (p *Enc) U32(v uint32)            { p.e.u32(v) }
 func (p *Enc) F64(v float64)           { p.e.f64(v) }
 func (p *Enc) Byte(v byte)             { p.e.byte(v) }
 func (p *Enc) Bool(v bool)             { p.e.bool(v) }
@@ -37,7 +36,6 @@ func NewDecoder(b []byte, context string) *Dec {
 
 func (p *Dec) Uvarint() uint64                     { return p.d.uvarint() }
 func (p *Dec) Varint() int64                       { return p.d.varint() }
-func (p *Dec) U32() uint32                         { return p.d.u32() }
 func (p *Dec) F64() float64                        { return p.d.f64() }
 func (p *Dec) Byte() byte                          { return p.d.byte() }
 func (p *Dec) Bool() bool                          { return p.d.bool() }

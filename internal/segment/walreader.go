@@ -33,12 +33,6 @@ type WALReader struct {
 	payload []byte
 }
 
-// OpenWALReader opens path, validates the WAL header, and positions the
-// reader at the first record.
-func OpenWALReader(path string) (*WALReader, error) {
-	return OpenWALReaderAt(path, WALDataStart)
-}
-
 // OpenWALReaderAt opens path, validates the WAL header, and positions the
 // reader at off — which must be a record boundary previously obtained from
 // Offset (values below WALDataStart are clamped to the first record).

@@ -224,15 +224,6 @@ func keyFor(epochs []int64, q search.Query) string {
 	})
 }
 
-// currentEpochs snapshots the store's per-shard epoch vector.
-func (a *API) currentEpochs() []int64 {
-	eps := make([]int64, a.store.NumShards())
-	for i := range eps {
-		eps[i] = a.store.ShardEpoch(i)
-	}
-	return eps
-}
-
 // HandleSearch answers GET /search. Exported so frontends can mount it
 // directly (portald routes browser requests for /search to the HTML
 // portal and everything else here).
@@ -284,7 +275,7 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 	var res *cachedResult
 	cached := false
 	if a.cache != nil {
-		lookupKey := keyFor(a.currentEpochs(), q)
+		lookupKey := keyFor(a.store.ShardEpochs(), q)
 		v, outcome := a.cache.GetOrCompute(lookupKey, func() (any, string) {
 			hits, epochs := a.engine.SearchWithEpochs(q)
 			cr := &cachedResult{hits: marshalHits(hits), epochs: epochs}

@@ -352,12 +352,14 @@ func (s *Store) Epoch() int64 {
 // ShardEpoch returns shard i's mutation counter.
 func (s *Store) ShardEpoch(i int) int64 { return s.shards[i].epoch.Load() }
 
-// ShardNumDocs returns shard i's document count.
-func (s *Store) ShardNumDocs(i int) int {
-	sh := s.shards[i]
-	sh.docMu.RLock()
-	defer sh.docMu.RUnlock()
-	return len(sh.docs)
+// ShardEpochs snapshots every shard's mutation counter in shard order: the
+// epoch vector result caches key on and shard servers report.
+func (s *Store) ShardEpochs() []int64 {
+	eps := make([]int64, len(s.shards))
+	for i, sh := range s.shards {
+		eps[i] = sh.epoch.Load()
+	}
+	return eps
 }
 
 // ShardMaxSeq returns the highest shard-local sequence number ever
@@ -383,22 +385,6 @@ func (s *Store) ShardDocs(i int) []Document {
 		out = append(out, *d)
 	}
 	return out
-}
-
-// MaxDocID returns the highest DocID ever assigned. IDs are never reused,
-// so dense per-document arrays indexed by DocID need MaxDocID+1 slots.
-func (s *Store) MaxDocID() DocID {
-	var max DocID
-	for _, sh := range s.shards {
-		sh.docMu.RLock()
-		if sh.nextSeq > 0 {
-			if id := sh.idFor(sh.nextSeq); id > max {
-				max = id
-			}
-		}
-		sh.docMu.RUnlock()
-	}
-	return max
 }
 
 // SetTopic reassigns a default-tenant document's topic and confidence
@@ -431,11 +417,6 @@ func (s *Store) SetTopicDoc(tenant, url, topic string, confidence float64) error
 	sh.bumpEpoch()
 	s.syncWAL(sh.tier, w, 0)
 	return nil
-}
-
-// SetTraining flags or unflags a default-tenant document as training data.
-func (s *Store) SetTraining(url string, training bool) error {
-	return s.SetTrainingDoc("", url, training)
 }
 
 // SetTrainingDoc flags or unflags tenant's document as training data.

@@ -93,7 +93,7 @@ func TestSetTopicAndTraining(t *testing.T) {
 	if d.Topic != "ir" || d.Confidence != 0.95 {
 		t.Errorf("doc = %+v", d)
 	}
-	if err := s.SetTraining("u1", true); err != nil {
+	if err := s.SetTrainingDoc("", "u1", true); err != nil {
 		t.Fatal(err)
 	}
 	d, _ = s.GetByURL("u1")
@@ -103,7 +103,7 @@ func TestSetTopicAndTraining(t *testing.T) {
 	if err := s.SetTopic("missing", "x", 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("SetTopic missing = %v", err)
 	}
-	if err := s.SetTraining("missing", true); !errors.Is(err, ErrNotFound) {
+	if err := s.SetTrainingDoc("", "missing", true); !errors.Is(err, ErrNotFound) {
 		t.Errorf("SetTraining missing = %v", err)
 	}
 }
@@ -294,7 +294,7 @@ func TestEpochAdvancesOnEveryMutation(t *testing.T) {
 	terms := map[string]int{"alpha": 1}
 	step("Insert", func() { s.Insert(Document{URL: "u1", Topic: "t", Terms: terms}) })
 	step("SetTopic", func() { s.SetTopic("u1", "t2", 0.5) })
-	step("SetTraining", func() { s.SetTraining("u1", true) })
+	step("SetTraining", func() { s.SetTrainingDoc("", "u1", true) })
 	step("AddLink", func() { s.AddLink(Link{From: "u1", To: "u2"}) })
 	step("AddRedirect", func() { s.AddRedirect(Redirect{From: "a", To: "b"}) })
 	step("Delete", func() { s.Delete("u1") })
@@ -332,22 +332,5 @@ func TestEpochDistinguishesDeleteInsert(t *testing.T) {
 	}
 	if s.Epoch() == e {
 		t.Fatal("epoch unchanged after delete+insert")
-	}
-}
-
-// TestMaxDocIDCoversAllDocs: dense DocID-indexed arrays sized MaxDocID+1
-// must fit every live document, including after deletes.
-func TestMaxDocIDCoversAllDocs(t *testing.T) {
-	s := New()
-	for i := 0; i < 10; i++ {
-		s.Insert(Document{URL: fmt.Sprintf("u%d", i), Terms: map[string]int{"a": 1}})
-	}
-	s.Delete("u3")
-	s.Insert(Document{URL: "u3", Terms: map[string]int{"a": 1}}) // new, larger ID
-	max := s.MaxDocID()
-	for _, d := range s.All() {
-		if d.ID > max {
-			t.Errorf("doc %s has ID %d > MaxDocID %d", d.URL, d.ID, max)
-		}
 	}
 }

@@ -531,7 +531,7 @@ func TestTieredColdMetaMutations(t *testing.T) {
 	if err := s.SetTopic(u1, "newtopic", 0.93); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetTraining(u2, true); err != nil {
+	if err := s.SetTrainingDoc("", u2, true); err != nil {
 		t.Fatal(err)
 	}
 	check := func(label string, st *Store) {
@@ -1187,7 +1187,7 @@ func TestTieredFreezeWindowMetaMutation(t *testing.T) {
 		if err := s.SetTopic(victim, "window-topic", 0.42); err != nil {
 			t.Errorf("SetTopic in freeze window: %v", err)
 		}
-		if err := s.SetTraining(victim, true); err != nil {
+		if err := s.SetTrainingDoc("", victim, true); err != nil {
 			t.Errorf("SetTraining in freeze window: %v", err)
 		}
 	}

@@ -200,7 +200,7 @@ func TestPipelineStems(t *testing.T) {
 
 func TestPipelineStemCounts(t *testing.T) {
 	p := NewPipeline()
-	counts := p.StemCounts("database database databases mining")
+	counts := Counts(p.Stems("database database databases mining"))
 	if counts["databas"] != 3 {
 		t.Errorf("databas count = %d, want 3", counts["databas"])
 	}

@@ -152,10 +152,12 @@ func (p *Pipeline) StemsParts(parts ...string) []string {
 	return out
 }
 
-// StemCounts runs the pipeline and returns term frequencies.
-func (p *Pipeline) StemCounts(text string) map[string]int {
-	counts := make(map[string]int)
-	for _, s := range p.Stems(text) {
+// Counts returns the term frequencies of a stem sequence. The map is
+// pre-sized to the stem count so it never rehashes while filling; repeated
+// terms leave some slack.
+func Counts(stems []string) map[string]int {
+	counts := make(map[string]int, len(stems))
+	for _, s := range stems {
 		counts[s]++
 	}
 	return counts

@@ -10,8 +10,8 @@
 # acknowledged document survived the crash.
 #
 # Third leg: the saved-crawl walkthrough. bingo crawls into a data
-# directory and saves its session there, bingosearch ranks over it, bingo
-# -resume reopens it with every stored document, and portald serves it.
+# directory and saves its session there, bingo -resume reopens it with
+# every stored document, and portald serves it.
 #
 # Run via `make smoke`; CI runs it on every push.
 set -eu
@@ -162,8 +162,8 @@ if [ "$rc" -ne 0 ]; then
     exit 1
 fi
 
-# --- Saved-crawl leg: bingo writes a session, bingosearch and portald read
-# its data directory, bingo -resume continues it ---
+# --- Saved-crawl leg: bingo writes a session, bingo -resume continues it,
+# portald serves its data directory ---
 
 die() {
     echo "smoke: $1; log follows" >&2
@@ -171,9 +171,8 @@ die() {
     exit 1
 }
 
-echo "smoke: building bingo + bingosearch"
+echo "smoke: building bingo"
 go build -o "$tmp/bingo" ./cmd/bingo
-go build -o "$tmp/bingosearch" ./cmd/bingosearch
 crawl="$tmp/crawl"
 
 echo "smoke: saved crawl (bingo -world tiny -data-dir)"
@@ -181,11 +180,6 @@ echo "smoke: saved crawl (bingo -world tiny -data-dir)"
     die "bingo crawl failed" "$tmp/bingo.log"
 stored="$(sed -n 's/^session saved in .* (\([0-9][0-9]*\) documents).*/\1/p' "$tmp/bingo.log")"
 [ -n "$stored" ] && [ "$stored" -gt 0 ] || die "bingo saved no session" "$tmp/bingo.log"
-
-echo "smoke: bingosearch over the saved crawl"
-"$tmp/bingosearch" -data-dir "$crawl" -n 3 database >"$tmp/search.log" 2>&1 ||
-    die "bingosearch failed" "$tmp/search.log"
-grep -q '^ 1\. ' "$tmp/search.log" || die "bingosearch ranked nothing" "$tmp/search.log"
 
 echo "smoke: resuming the session"
 "$tmp/bingo" -world tiny -data-dir "$crawl" -resume -harvest 60 >"$tmp/resume.log" 2>&1 ||
@@ -212,5 +206,5 @@ rc=0
 wait "$pid" || rc=$?
 pid=""
 [ "$rc" -eq 0 ] || die "portald exited $rc on SIGTERM" "$tmp/serve.log"
-echo "smoke: saved crawl of $stored docs searched, resumed and served"
+echo "smoke: saved crawl of $stored docs resumed and served"
 echo "smoke: OK"
