@@ -36,7 +36,8 @@ race:
 
 # fuzz runs every decoder fuzz target past its seed corpus for FUZZTIME
 # each (plain `go test` only replays the seeds). The contract is a typed
-# error, never a panic.
+# error, never a panic; FuzzNormalize checks that URL normalization is
+# idempotent and that its memo agrees with it.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/segment/
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyWALBatch$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionState$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME) ./internal/urlnorm/
 
 # chaos runs the fault-injection suite (full crawls against the seeded fault
 # plane, plus the faults/fetch resilience units) across a fixed seed matrix

@@ -121,7 +121,9 @@ func NewRouter(clients []*rpc.Client, opt RouterOptions) *Router {
 	return r
 }
 
-// PutDoc implements store.Sink.
+// PutDoc implements store.Sink. The document travels without its term
+// vector (store.Document encodes none), which the shard server derives
+// from its title and text.
 func (r *Router) PutDoc(d store.Document) {
 	i := store.RouteURL(d.URL, len(r.clients))
 	r.mu.Lock()

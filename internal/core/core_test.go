@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"github.com/bingo-search/bingo/internal/hits"
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/store"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // newTestEngine wires an engine to the tiny synthetic world.
@@ -82,6 +84,28 @@ func TestBootstrapTrainsClassifier(t *testing.T) {
 	// frontier primed with seed out-links
 	if e.def.frontier.Len() == 0 {
 		t.Error("frontier empty after bootstrap")
+	}
+}
+
+// TestBootstrapStoresDerivedTerms: the seed and frame documents Bootstrap
+// stores carry the term vectors their titles and texts derive, the
+// producer contract WAL replay and shard-side inserts rely on.
+func TestBootstrapStoresDerivedTerms(t *testing.T) {
+	e, world := newTestEngine(t, nil)
+	if err := e.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	e.Store().VisitDocs(func(d store.Document) bool {
+		if want := textproc.DocTerms(d.Title, d.Text); len(want) == 0 || !reflect.DeepEqual(d.Terms, want) {
+			t.Fatalf("bootstrap stored %s with terms %v, want %v", d.URL, d.Terms, want)
+		}
+		n++
+		return true
+	})
+	// The seeds, and the frameset seed's two frames.
+	if want := len(world.SeedURLs()) + 2; n != want {
+		t.Fatalf("bootstrap stored %d documents, want %d", n, want)
 	}
 }
 

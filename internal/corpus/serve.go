@@ -128,18 +128,13 @@ func (w *World) PageTopic(url string) (int, bool) {
 func (w *World) ReferenceSearch(query string, n int) []string {
 	w.refOnce.Do(func() {
 		st := store.New()
-		pipe := textproc.NewPipeline()
 		ws := st.NewWorkspace(256)
 		for u, p := range w.Pages {
 			doc, err := htmldoc.Convert(p.ContentType, p.Body, nil)
 			if err != nil {
 				continue
 			}
-			terms := map[string]int{}
-			for _, s := range pipe.Stems(doc.Title + " " + doc.Text) {
-				terms[s]++
-			}
-			ws.Add(store.Document{URL: u, Title: doc.Title, Topic: "ref", Text: doc.Text, Terms: terms})
+			ws.Add(store.Document{URL: u, Title: doc.Title, Topic: "ref", Text: doc.Text, Terms: textproc.DocTerms(doc.Title, doc.Text)})
 		}
 		ws.Flush()
 		w.refEngine = search.New(st)

@@ -366,9 +366,13 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 
 	// Shutdown check between fetch and store: on cancellation the worker
 	// exits with whatever its workspace holds instead of analyzing and
-	// buffering more pages that would only be flushed on the way out.
+	// buffering more pages that would only be flushed on the way out. The
+	// page is abandoned like a cancelled fetch: uncounted, its dedup marks
+	// taken back and its item requeued for a later crawl.
 	if ctx.Err() != nil {
+		c.cfg.Fetcher.Abandon(res)
 		c.visited.Add(-1)
+		c.cfg.Frontier.Requeue(it, 0)
 		mAbandoned.Inc()
 		return
 	}
@@ -421,11 +425,11 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	}
 	cdoc := classify.Doc{ID: res.FinalURL, Input: features.DocInput{Stems: stems, Anchors: anchors}}
 	result := c.cfg.Classify(cdoc)
-	if res.Truncated {
+	if res.Truncated || doc.Truncated {
 		// Graceful degradation: the body was cut mid-read on every attempt,
-		// so the classification ran on a prefix — keep the page but scale
-		// its confidence down so ranking and archetype selection trust it
-		// less.
+		// or an archive inflated past its budget, so the classification ran
+		// on a prefix — keep the page but scale its confidence down so
+		// ranking and archetype selection trust it less.
 		result.Confidence *= c.cfg.DegradedConfidenceFactor
 		c.degraded.Add(1)
 		mDegraded.Inc()

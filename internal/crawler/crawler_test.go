@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"github.com/bingo-search/bingo/internal/frontier"
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/store"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // keywordClassifier fakes the SVM: a document is on-topic when it contains
@@ -270,6 +272,61 @@ func TestAbandonedVisitIsRequeued(t *testing.T) {
 	}
 }
 
+// cancelAfterFirst ends the crawl as it answers the first request, so that
+// fetch succeeds and the worker meets the shutdown check with a page in
+// hand; every later request passes through.
+type cancelAfterFirst struct {
+	inner  http.RoundTripper
+	cancel context.CancelFunc
+	calls  atomic.Int32
+}
+
+func (c *cancelAfterFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.inner.RoundTrip(req)
+	if c.calls.Add(1) == 1 {
+		c.cancel()
+	}
+	return resp, err
+}
+
+// TestPageAbandonedAfterFetchIsRequeued: a page fetched whole but
+// overtaken by the crawl's end before it is analyzed is abandoned like a
+// cancelled fetch — uncounted, requeued, its body released and its dedup
+// marks (URL, IP+path, IP+size) taken back — so the next crawl over the
+// same frontier stores it instead of dismissing it as a duplicate.
+func TestPageAbandonedAfterFetchIsRequeued(t *testing.T) {
+	world := corpus.Generate(corpus.TinyConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := &cancelAfterFirst{inner: world.RoundTripper(), cancel: cancel}
+	cfg := Config{
+		Fetcher: fetch.New(fetch.Config{
+			Transport: tr,
+			Resolver:  dns.NewResolver(dns.Config{}, world.DNSServer()),
+			Timeout:   5 * time.Second,
+		}, nil, nil),
+		Frontier:       frontier.New(frontier.DefaultConfig()),
+		Store:          store.New(),
+		Classify:       keywordClassifier,
+		Workers:        1,
+		MaxTunnelDepth: 2,
+		Focus:          SoftFocus,
+		Strategy:       BreadthFirst,
+		PageBudget:     1,
+	}
+	c := New(cfg)
+	c.Seed("ROOT/db", world.SeedURLs()[0])
+	if stats := c.Run(ctx); stats.VisitedURLs != 0 || stats.StoredPages != 0 || tr.calls.Load() != 1 {
+		t.Fatalf("the cancelled crawl counted %d visits and stored %d pages over %d requests, want 0, 0 over 1", stats.VisitedURLs, stats.StoredPages, tr.calls.Load())
+	}
+	if st := cfg.Frontier.Stats(); st.Queued+st.Delayed != 1 {
+		t.Fatalf("frontier holds %d queued + %d delayed items after the abandoned page, want 1", st.Queued, st.Delayed)
+	}
+	if stats := New(cfg).Run(context.Background()); stats.StoredPages != 1 || stats.Duplicates != 0 {
+		t.Fatalf("the next crawl stored %d pages with %d duplicates, want the abandoned page stored", stats.StoredPages, stats.Duplicates)
+	}
+}
+
 func TestLinksAndRedirectsRecorded(t *testing.T) {
 	// One worker, so the first seed is fetched and stored before anything
 	// else runs. With a pool, the worker holding the seed can stall after
@@ -494,5 +551,57 @@ func TestErrorsAreCountedByClass(t *testing.T) {
 	}
 	if got := class.Value() - before; got != 1 {
 		t.Fatalf("crawler_errors_by_class_total{class=\"no-such-host\"} rose by %d, want 1", got)
+	}
+}
+
+// TestCrawlTermsSurviveReopen: every document a crawl stores carries the
+// term vector its title and text derive (the producer contract WAL replay
+// relies on), and a tiered crawl's documents, reopened from its segments
+// and its WAL, have term vectors deep-equal to the ones they had before.
+func TestCrawlTermsSurviveReopen(t *testing.T) {
+	dir := t.TempDir()
+	opt := store.TierOptions{MemtableBudget: 1 << 40, DisableCompaction: true}
+	st, err := store.OpenTiered(dir, 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, world := testSetup(t, func(cfg *Config) {
+		cfg.Store = st
+		cfg.PageBudget = 120
+	})
+	c.Seed("ROOT/db", world.SeedURLs()...)
+	if stats := c.Run(context.Background()); stats.StoredPages < 50 {
+		t.Fatalf("stored only %d pages", stats.StoredPages)
+	}
+	// Shard 0's documents reopen from a segment, shard 1's from the WAL.
+	if err := st.FreezeShard(0); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]map[string]int{}
+	st.VisitDocs(func(d store.Document) bool {
+		if want := textproc.DocTerms(d.Title, d.Text); !reflect.DeepEqual(d.Terms, want) {
+			t.Fatalf("crawled %s stored with terms %v, want %v", d.URL, d.Terms, want)
+		}
+		before[d.URL] = d.Terms
+		return true
+	})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := store.OpenTiered(dir, 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Segments == 0 || rec.WALDocs == 0 {
+		t.Fatalf("reopen read %d segments and %d WAL documents, want both tiers", rec.Segments, rec.WALDocs)
+	}
+	after := map[string]map[string]int{}
+	re.VisitDocs(func(d store.Document) bool {
+		after[d.URL] = d.Terms
+		return true
+	})
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("term vectors changed across reopen: %d documents before, %d after", len(before), len(after))
 	}
 }

@@ -67,9 +67,13 @@ func (d *Deduper) SeenIPPath(ip, path string) bool {
 	return false
 }
 
+func ipSizeKey(ip string, size int64) uint64 {
+	return hash64("s", ip, strconv.FormatInt(size, 10))
+}
+
 // SeenIPSize records the (ip, size) pair and reports prior presence.
 func (d *Deduper) SeenIPSize(ip string, size int64) bool {
-	k := hash64("s", ip, strconv.FormatInt(size, 10))
+	k := ipSizeKey(ip, size)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.ipSize[k]; ok {
@@ -80,16 +84,30 @@ func (d *Deduper) SeenIPSize(ip string, size int64) bool {
 	return false
 }
 
-// forgetVisit drops the marks of a visit abandoned before it read its
-// page: its URL and the (ip, path) pairs it newly recorded. A later visit
-// of the URL is then not dismissed as a duplicate of one that never
-// happened.
-func (d *Deduper) forgetVisit(url string, ipPaths [][2]string) {
+// visitMarks lists the fingerprints one visit newly recorded: its URL,
+// and each (ip, path) and (ip, size) pair no earlier visit had.
+type visitMarks struct {
+	url     string
+	ipPaths [][2]string
+	ipSizes []ipSize
+}
+
+type ipSize struct {
+	ip   string
+	size int64
+}
+
+// forgetVisit drops the marks of an abandoned visit. A later visit of the
+// URL is then not dismissed as a duplicate of one that never happened.
+func (d *Deduper) forgetVisit(m *visitMarks) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.urls, hash64(url))
-	for _, p := range ipPaths {
+	delete(d.urls, hash64(m.url))
+	for _, p := range m.ipPaths {
 		delete(d.ipPath, hash64("p", p[0], p[1]))
+	}
+	for _, s := range m.ipSizes {
+		delete(d.ipSize, ipSizeKey(s.ip, s.size))
 	}
 }
 

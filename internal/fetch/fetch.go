@@ -227,6 +227,9 @@ type Result struct {
 	// bodyBuf backs Body when the body was read into a pooled buffer; see
 	// ReleaseBody.
 	bodyBuf *bytes.Buffer
+	// marks are the dedup fingerprints the visit newly recorded; see
+	// Abandon.
+	marks visitMarks
 }
 
 // bodyBufs recycles body read buffers across fetches. A page body is pure
@@ -243,6 +246,15 @@ func (r *Result) ReleaseBody() {
 		r.bodyBuf = nil
 		r.Body = nil
 	}
+}
+
+// Abandon gives back a fetched page the caller will not store: it
+// releases the body and takes back the visit's dedup marks (URL, IP+path,
+// IP+size), so a later visit of the URL fetches the page again instead of
+// dismissing it as a duplicate of one that was never stored.
+func (f *Fetcher) Abandon(res *Result) {
+	res.ReleaseBody()
+	f.Dedup.forgetVisit(&res.marks)
 }
 
 // Config assembles the fetcher's collaborators and knobs.
@@ -410,14 +422,15 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 	if f.Dedup.SeenURL(u.String()) {
 		return nil, ErrDuplicate
 	}
-	// marked lists the (ip, path) fingerprints this visit newly recorded:
-	// a cancelled visit takes them back along with its URL mark.
-	var marked [][2]string
+	// marks lists the fingerprints this visit newly recorded: a cancelled
+	// visit takes them back, and a successful one hands them to its Result
+	// for Abandon.
+	marks := visitMarks{url: u.String()}
 
 	attempts := f.cfg.Retry.attempts()
 	var prevDelay time.Duration
 	for attempt := 1; ; attempt++ {
-		out := f.fetchAttempt(ctx, u, raw, attempt == 1, &marked)
+		out := f.fetchAttempt(ctx, u, raw, attempt == 1, &marks)
 
 		// Caller cancellation first: a dead parent context means WE are
 		// shutting down, not that the peer failed — no host penalty, no
@@ -425,7 +438,7 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 		// mid-body-read used to be booked as a host error).
 		if cerr := ctx.Err(); cerr != nil && out.err != nil {
 			releasePartial(out.res)
-			f.Dedup.forgetVisit(u.String(), marked)
+			f.Dedup.forgetVisit(&marks)
 			return nil, fmt.Errorf("%w: %v", ErrCanceled, cerr)
 		}
 
@@ -444,6 +457,7 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 				f.cfg.Breaker.OnSuccess(host)
 			}
 			out.res.Attempts = attempt
+			out.res.marks = marks
 			out.res.Elapsed = time.Since(start)
 			mAttempts.Observe(int64(attempt))
 			return out.res, nil
@@ -458,6 +472,7 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 				errors.Is(out.err, ErrTruncated) && len(out.res.Body) > 0 {
 				out.res.Truncated = true
 				out.res.Attempts = attempt
+				out.res.marks = marks
 				out.res.Elapsed = time.Since(start)
 				return out.res, nil
 			}
@@ -475,7 +490,7 @@ func (f *Fetcher) fetchRetry(ctx context.Context, raw string) (*Result, error) {
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			f.Dedup.forgetVisit(u.String(), marked)
+			f.Dedup.forgetVisit(&marks)
 			return nil, fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
 		}
 	}
@@ -505,8 +520,8 @@ func (r *Result) finalHost() string {
 // attempt already recorded this URL's fingerprints, so re-checking them
 // would dismiss the retry as a duplicate of itself (fingerprints are still
 // recorded so later genuine duplicates are caught). Each (ip, path)
-// fingerprint the attempt newly records is appended to marked.
-func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, dedup bool, marked *[][2]string) attemptOutcome {
+// fingerprint the attempt newly records is added to marks.
+func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, dedup bool, marks *visitMarks) attemptOutcome {
 	ctx, cancel := context.WithTimeout(parent, f.cfg.Timeout)
 	defer cancel()
 
@@ -533,7 +548,7 @@ func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, d
 		path := cur.EscapedPath()
 		seen := f.Dedup.SeenIPPath(ip, path)
 		if !seen {
-			*marked = append(*marked, [2]string{ip, path})
+			marks.ipPaths = append(marks.ipPaths, [2]string{ip, path})
 		}
 		if seen && dedup {
 			// A redirect hop that lands back on the requested URL's own
@@ -671,9 +686,14 @@ func (f *Fetcher) fetchAttempt(parent context.Context, u *url.URL, raw string, d
 		}
 
 		// Fingerprint 3: IP + filesize.
-		if f.Dedup.SeenIPSize(ip, int64(len(body))) && dedup {
+		size := int64(len(body))
+		sizeSeen := f.Dedup.SeenIPSize(ip, size)
+		if sizeSeen && dedup {
 			releasePartial(res)
 			return attemptOutcome{err: ErrDuplicate}
+		}
+		if !sizeSeen {
+			marks.ipSizes = append(marks.ipSizes, ipSize{ip, size})
 		}
 
 		res.FinalURL = cur.String()

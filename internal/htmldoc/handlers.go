@@ -15,9 +15,12 @@ import (
 // no handler for (e.g. video or sound files, which the crawler rejects).
 var ErrUnsupportedType = errors.New("htmldoc: unsupported content type")
 
-// maxArchiveMember caps decompressed size per archive member to guard
-// against decompression bombs.
-const maxArchiveMember = 8 << 20
+// maxArchiveBytes is the decompressed-bytes budget of one archive, summed
+// over its members, against decompression bombs: fetch.DefaultTypeLimits'
+// zip and gzip entry, so an archive yields no more text than the largest
+// body the fetcher admits for it. Past the budget the document keeps what
+// was read within it and is marked Truncated.
+const maxArchiveBytes = 8 << 20
 
 // Convert dispatches body to the content handler for mimeType and returns a
 // normalized Document. Handlers exist for HTML, plain text, the synthetic
@@ -118,7 +121,7 @@ func convertGzip(body []byte, resolve Resolver) (*Document, error) {
 	}
 	buf := gzipBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	_, err := buf.ReadFrom(io.LimitReader(zr, maxArchiveMember))
+	_, err := buf.ReadFrom(io.LimitReader(zr, maxArchiveBytes+1))
 	name := zr.Name
 	zr.Close()
 	gzipReaders.Put(zr)
@@ -126,10 +129,15 @@ func convertGzip(body []byte, resolve Resolver) (*Document, error) {
 		gzipBufs.Put(buf)
 		return nil, fmt.Errorf("htmldoc: gzip read: %w", err)
 	}
-	data := buf.Bytes()
+	truncated := buf.Len() > maxArchiveBytes
+	data := buf.Bytes()[:min(buf.Len(), maxArchiveBytes)]
 	doc, err := Convert(sniffType(name, data), data, resolve)
 	gzipBufs.Put(buf)
-	return doc, err
+	if err != nil {
+		return nil, err
+	}
+	doc.Truncated = truncated
+	return doc, nil
 }
 
 func convertZip(body []byte, resolve Resolver) (*Document, error) {
@@ -139,13 +147,22 @@ func convertZip(body []byte, resolve Resolver) (*Document, error) {
 	}
 	merged := &Document{Meta: map[string]string{}}
 	var texts []string
+	budget := int64(maxArchiveBytes)
 	for _, f := range zr.File {
+		if merged.Truncated {
+			break
+		}
 		rc, err := f.Open()
 		if err != nil {
 			continue
 		}
-		data, err := io.ReadAll(io.LimitReader(rc, maxArchiveMember))
+		data, err := io.ReadAll(io.LimitReader(rc, budget+1))
 		rc.Close()
+		if int64(len(data)) > budget {
+			data = data[:budget]
+			merged.Truncated = true
+		}
+		budget -= int64(len(data))
 		if err != nil {
 			continue
 		}

@@ -26,6 +26,9 @@ type Document struct {
 	Frames   []string // frame/iframe src URLs (the paper treats frames as separate documents)
 	Meta     map[string]string
 	BaseHref string
+	// Truncated marks an archive whose decompressed bytes ran past the
+	// budget (maxArchiveBytes): Text holds only what was read within it.
+	Truncated bool
 }
 
 // tokKind enumerates HTML token kinds.

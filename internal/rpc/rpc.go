@@ -9,7 +9,8 @@
 // body carries a `v` field, and all floats cross the wire as JSON numbers
 // — Go's encoding/json emits float64 in shortest round-trip form, so the
 // query-plan weights and returned scores survive the network bit-exactly.
-// Unknown protocol versions are rejected with 400 rather than guessed at.
+// Unknown protocol versions, and bodies with fields the version does not
+// define, are rejected with 400 rather than guessed at.
 //
 // Endpoints:
 //
@@ -41,8 +42,11 @@ import (
 )
 
 // ProtoVersion is the wire protocol generation this package speaks. A
-// request or response carrying a different non-zero `v` is rejected.
-const ProtoVersion = 1
+// request carrying a different non-zero `v` is rejected. Version 2 took
+// term vectors out of the insert body, so a coordinator and a shard server
+// of different generations fail each other's requests rather than store a
+// document without its terms.
+const ProtoVersion = 2
 
 // Endpoint paths, exported so client, server, and tests agree by
 // construction.
@@ -264,7 +268,8 @@ type TopicUpdate struct {
 type InsertRequest struct {
 	// V is the protocol version.
 	V int `json:"v"`
-	// Docs are full document rows, terms included.
+	// Docs are document rows without their term vectors (store.Document
+	// encodes none): the server derives each from its title and text.
 	Docs []store.Document `json:"docs,omitempty"`
 	// Links are link rows whose source URL routes here.
 	Links []store.Link `json:"links,omitempty"`

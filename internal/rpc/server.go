@@ -16,6 +16,7 @@ import (
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/search"
 	"github.com/bingo-search/bingo/internal/store"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // Server-side RPC traffic: request/error counts and latency, plus ingest
@@ -184,7 +185,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		// mid-apply: the whole batch is one bulk load and one fsync.
 		ws := s.st.NewWorkspace(rows + 1)
 		for i := range req.Docs {
-			ws.Add(req.Docs[i])
+			d := &req.Docs[i]
+			d.Terms = textproc.DocTerms(d.Title, d.Text)
+			ws.Add(*d)
 		}
 		for i := range req.Links {
 			ws.AddLink(req.Links[i])
@@ -211,11 +214,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decode parses a JSON request body and enforces the protocol version. It
-// writes the error response itself and returns false when the request is
-// unusable.
+// decode parses a JSON request body and enforces the protocol version. A
+// field the request type does not define — say, an insert document's
+// "Terms" — is a malformed body, not something to drop. It writes the
+// error response itself and returns false when the request is unusable.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
 		mSrvErrors.Inc()
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "malformed request body: "+err.Error(), "")
 		return false

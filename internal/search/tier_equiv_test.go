@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/bingo-search/bingo/internal/store"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // The tiered-storage equivalence suite: a store whose documents live in
@@ -33,9 +34,19 @@ func openSearchTiered(t *testing.T, p int) *store.Store {
 	return s
 }
 
+// tierWords are the words fillTierWave adds to a document's text, drawn
+// like equivVocab's stems, one for one.
+var tierWords = []string{
+	"database", "recovery", "transaction", "aries", "log", "lock", "btree",
+	"index", "join", "query", "optimizer", "concurrency", "commit", "abort",
+	"replication", "shard", "crawl", "classifier", "svm", "portal",
+}
+
 // fillTierWave inserts one deterministic wave of documents and links into
 // every store given (deep-copying per store, since stores take ownership
-// of the Terms map). Waves use distinct URL spaces so they compose.
+// of the Terms map). A document's text spells out its terms, and Terms is
+// derived from title and text, as every producer derives it, so a WAL
+// replay reproduces it. Waves use distinct URL spaces so they compose.
 func fillTierWave(seed int64, wave, nDocs int, stores ...*store.Store) {
 	rng := rand.New(rand.NewSource(seed*1000 + int64(wave)))
 	topics := []string{"ROOT/db", "ROOT/db/recovery", "ROOT/os", "ROOT/OTHERS"}
@@ -54,12 +65,15 @@ func fillTierWave(seed int64, wave, nDocs int, stores ...*store.Store) {
 			Text:       texts[rng.Intn(len(texts))],
 			Topic:      topics[rng.Intn(len(topics))],
 			Confidence: float64(rng.Intn(1000)) / 1000,
-			Terms:      map[string]int{},
 		}
 		nTerms := 3 + rng.Intn(6)
 		for k := 0; k < nTerms; k++ {
-			d.Terms[equivVocab[rng.Intn(len(equivVocab))]] += 1 + rng.Intn(4)
+			word := tierWords[rng.Intn(len(tierWords))]
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				d.Text += " " + word
+			}
 		}
+		d.Terms = textproc.DocTerms(d.Title, d.Text)
 		for _, st := range stores {
 			cp := d
 			cp.Terms = make(map[string]int, len(d.Terms))

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/bingo-search/bingo/internal/segment"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // TestPredecessorsNeedOnlySourceShard: a link is durable exactly when its
@@ -120,13 +121,13 @@ func replayStore() *Store {
 // fuzzPrime is the batch every replay fuzz input is applied after: two
 // documents at seqs 1 and 2.
 var fuzzPrime = wsShard{docs: []Document{
-	{URL: "http://a.example/", Topic: "db", Text: "body a", Terms: map[string]int{"alpha": 1, "beta": 1}},
-	{URL: "http://b.example/", Topic: "db", Text: "body b", Terms: map[string]int{"alpha": 1, "beta": 2}},
+	{URL: "http://a.example/", Topic: "db", Title: "alpha", Text: "body a beta"},
+	{URL: "http://b.example/", Topic: "db", Title: "alpha", Text: "body b beta beta"},
 }}
 
 // fuzzMixed is one batch of all three relations.
 var fuzzMixed = wsShard{
-	docs: []Document{{URL: "http://c.example/", Text: "body c", Terms: map[string]int{"gamma": 3}}},
+	docs: []Document{{URL: "http://c.example/", Title: "Gamma rays", Text: "body c gamma gamma"}},
 	outLinks: []Link{
 		{From: "http://a.example/", To: "http://c.example/", Anchor: "see c"},
 		{From: "http://a.example/", To: "http://d.example/"},
@@ -150,20 +151,34 @@ func sealedBatch(b *wsShard, firstSeq int64) (rec, comp []byte) {
 	return append([]byte(nil), r.frame(firstSeq)...), r.comp
 }
 
-// batchHeader frames comp under an arbitrary batch header.
+// batchHeader frames comp under an arbitrary batch header of this
+// binary's pipeline version.
 func batchHeader(firstSeq, rawLen uint64, comp []byte) []byte {
+	return versionedBatch(textproc.PipelineVersion, firstSeq, rawLen, comp)
+}
+
+// versionedBatch frames comp under a batch header naming pipeline version.
+func versionedBatch(version, firstSeq, rawLen uint64, comp []byte) []byte {
 	var e segment.Enc
 	e.Byte(walOpBatch)
+	e.Uvarint(version)
 	e.Uvarint(firstSeq)
 	e.Uvarint(rawLen)
 	e.Raw(comp)
 	return append([]byte(nil), e.Bytes()...)
 }
 
-// checkInLinks fails unless every out-link row of s is indexed on its
-// target's shard.
-func checkInLinks(t *testing.T, s *Store) {
+// checkReplayed fails unless every out-link row of s is indexed on its
+// target's shard and every document's term vector is the one its title
+// and text derive.
+func checkReplayed(t *testing.T, s *Store) {
 	t.Helper()
+	s.VisitDocs(func(d Document) bool {
+		if want := textproc.DocTerms(d.Title, d.Text); !reflect.DeepEqual(d.Terms, want) {
+			t.Fatalf("replayed %s has terms %v, want %v", d.URL, d.Terms, want)
+		}
+		return true
+	})
 	for _, l := range s.Links() {
 		n := 0
 		for _, p := range s.Predecessors(l.To) {
@@ -179,9 +194,11 @@ func checkInLinks(t *testing.T, s *Store) {
 
 // FuzzApplyWALRecord replays an arbitrary CRC-valid record payload into a
 // tiered store holding two documents: it applies, or fails with a typed
-// corruption error (or, for a kind only older releases write, errOlderWAL)
-// — never a panic or an allocation the record's size does not bound. Once
-// applied, every out-link row is indexed on its target's shard. Mutations
+// corruption error (or, for a kind only older releases write, errOlderWAL,
+// or for another pipeline version's batch, errOtherPipeline) — never a
+// panic or an allocation the record's size does not bound. Once applied,
+// every out-link row is indexed on its target's shard and every document
+// carries the term vector its title and text derive. Mutations
 // of a batch record rarely get past its DEFLATE stream;
 // FuzzApplyWALBatch fuzzes the body behind it.
 func FuzzApplyWALRecord(f *testing.F) {
@@ -213,8 +230,11 @@ func FuzzApplyWALRecord(f *testing.F) {
 	f.Add(mixed[:len(mixed)-3])
 	f.Add(batchHeader(3, rawLen+1, comp))
 	f.Add(batchHeader(3, 1032*uint64(len(comp))+1, comp))
-	// A docs record of an older release.
+	// A docs record and a term-carrying batch of older releases, and a
+	// batch written under another pipeline version.
 	f.Add([]byte{1, 0})
+	f.Add(append([]byte{7}, mixed[2:]...))
+	f.Add(versionedBatch(textproc.PipelineVersion+1, 3, rawLen, comp))
 	f.Add([]byte{})
 	f.Add([]byte{99})
 
@@ -225,23 +245,28 @@ func FuzzApplyWALRecord(f *testing.F) {
 			t.Fatalf("priming record: %v", err)
 		}
 		if err := s.applyWALRecord(s.shards[0], payload, &buf, nil); err != nil {
-			if !errors.Is(err, segment.ErrCorrupt) && !errors.Is(err, errOlderWAL) {
+			if !errors.Is(err, segment.ErrCorrupt) && !errors.Is(err, errOlderWAL) && !errors.Is(err, errOtherPipeline) {
 				t.Fatalf("replay error not typed: %v", err)
 			}
 			return
 		}
-		checkInLinks(t, s)
+		checkReplayed(t, s)
 	})
 }
 
 // FuzzApplyWALBatch replays an arbitrary inflated batch body after the
 // two-document prime: it applies or fails with a typed corruption error,
-// never a panic or an allocation the body's size does not bound.
+// never a panic or an allocation the body's size does not bound. Applied,
+// every document carries the term vector its title and text derive.
 func FuzzApplyWALBatch(f *testing.F) {
 	f.Add(batchBody(&fuzzMixed))
 	f.Add(batchBody(&fuzzPrime))
 	f.Add(batchBody(&wsShard{outLinks: fuzzMixed.outLinks, redirects: fuzzMixed.redirects}))
-	// A document claiming 2^33 terms: once an allocation hint, now corrupt.
+	f.Add(batchBody(&wsShard{docs: []Document{{
+		URL: "http://d.example/", Title: "Über déjà vu", Text: "hopping 42 x relational conditional",
+		Topic: "ROOT/db", Confidence: 0.5, Depth: 2, IsTraining: true,
+	}}}))
+	// A document claiming a 2^33-byte text: corrupt, never an allocation.
 	var e segment.Enc
 	e.Uvarint(1)
 	m := metaFromDoc(&Document{URL: "http://huge.example/"})
@@ -264,6 +289,6 @@ func FuzzApplyWALBatch(f *testing.F) {
 			}
 			return
 		}
-		checkInLinks(t, s)
+		checkReplayed(t, s)
 	})
 }

@@ -81,8 +81,13 @@ type Document struct {
 	Depth int
 	// Text is the extracted visible text.
 	Text string
-	// Terms holds the document's term counts in the active feature space.
-	Terms map[string]int
+	// Terms holds the document's term counts: always
+	// textproc.DocTerms(Title, Text), which every producer computes before
+	// a document reaches the store. Being derived, it is in no wire or log
+	// format — the rpc insert body and the WAL carry title and text, and
+	// the receiving shard or WAL replay derives it again — only in the
+	// segments' termvec section, the index a freeze builds.
+	Terms map[string]int `json:"-"`
 	// CrawledAt is the retrieval time.
 	CrawledAt time.Time
 	// IsTraining marks current training documents.

@@ -15,6 +15,7 @@ import (
 
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/segment"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // This file implements the store's disk-native tier. A tiered store keeps
@@ -112,17 +113,23 @@ type TierOptions struct {
 }
 
 // WAL record kinds. Kinds 1–3 (one record per relation: documents, links,
-// redirects) were written by older releases; a log holding one fails to
-// open with errOlderWAL.
+// redirects) and 7 (a batch whose documents carry their term vectors) were
+// written by older releases; a log holding one fails to open with
+// errOlderWAL.
 const (
 	walOpDelete      = 4
 	walOpSetTopic    = 5
 	walOpSetTraining = 6
-	walOpBatch       = 7
+	walOpBatch       = 8
 )
 
 // errOlderWAL marks a WAL record of a kind only an older release writes.
 var errOlderWAL = errors.New("was written by an older release of bingo, which this release cannot replay: re-crawl into a fresh data directory, or keep opening this one with the previous release")
+
+// errOtherPipeline marks a batch record written under a textproc pipeline
+// version other than this binary's: replay would derive term vectors that
+// differ from the ones its documents were indexed with.
+var errOtherPipeline = errors.New("was written by a release of bingo with a different text analyzer, whose term vectors this release cannot re-derive: re-crawl into a fresh data directory, or keep opening this one with the release that wrote it")
 
 // zeroTimeNanos encodes time.Time{} (whose UnixNano is undefined).
 const zeroTimeNanos = math.MinInt64
@@ -511,7 +518,7 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 		n, good, err := segment.ReplayWAL(path, func(payload []byte) error {
 			return s.applyWALRecord(sh, payload, &buf, stats)
 		})
-		if errors.Is(err, errOlderWAL) {
+		if errors.Is(err, errOlderWAL) || errors.Is(err, errOtherPipeline) {
 			return fmt.Errorf("store: shard %d: %s: %w", sh.idx, path, err)
 		}
 		if err != nil {
@@ -727,11 +734,15 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, buf *[]byte, stat
 	d := segment.NewDecoder(payload, context)
 	switch op := d.Byte(); op {
 	case walOpBatch:
+		version := d.Uvarint()
 		firstSeq := d.Uvarint()
 		rawLen := d.Uvarint()
 		comp := d.Rest()
 		if err := d.Err(); err != nil {
 			return err
+		}
+		if version != textproc.PipelineVersion {
+			return fmt.Errorf("record kind %d names text pipeline version %d, this release runs version %d: %w", op, version, textproc.PipelineVersion, errOtherPipeline)
 		}
 		body, err := segment.Inflate(*buf, comp, rawLen, context)
 		if err != nil {
@@ -769,7 +780,7 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, buf *[]byte, stat
 			sh.docs[id].IsTraining = training
 			sh.noteColdTrainingLocked(id, training)
 		}
-	case 1, 2, 3:
+	case 1, 2, 3, 7:
 		return fmt.Errorf("record kind %d %w", op, errOlderWAL)
 	default:
 		return fmt.Errorf("store: shard %d wal: unknown record kind %d: %w", sh.idx, op, segment.ErrCorrupt)
@@ -778,7 +789,9 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, buf *[]byte, stat
 }
 
 // applyBatch replays a batch record's inflated body (encodeBatchBody): its
-// documents take the seqs firstSeq, firstSeq+1, … in order.
+// documents take the seqs firstSeq, firstSeq+1, … in order, and each one's
+// term vector is derived from its title and text, as every producer
+// derived it before the write.
 func (s *Store) applyBatch(sh *storeShard, firstSeq uint64, body []byte, stats *RecoveryStats) error {
 	d := segment.NewDecoder(body, fmt.Sprintf("shard %d wal batch", sh.idx))
 	corrupt := func(format string, args ...any) error {
@@ -793,22 +806,13 @@ func (s *Store) applyBatch(sh *storeShard, firstSeq uint64, body []byte, stats *
 	}
 	for i := uint64(0); i < n; i++ {
 		m := d.MetaFields()
-		nt := d.Uvarint()
-		if nt > uint64(d.Remaining()/2) { // each term is ≥2 bytes
-			return corrupt("%d terms overrun the record", nt)
-		}
-		terms := make(map[string]int, nt)
-		for j := uint64(0); j < nt; j++ {
-			t := d.Str()
-			terms[t] = int(d.Varint())
-		}
 		text := d.Str()
 		if err := d.Err(); err != nil {
 			return err
 		}
 		doc := docFromMeta(&m)
-		doc.Terms = terms
 		doc.Text = text
+		doc.Terms = textproc.DocTerms(doc.Title, text)
 		s.replayInsert(sh, int64(firstSeq+i), doc)
 		if stats != nil {
 			stats.WALDocs++

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/segment"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // testTierOpts are the defaults for tier tests: tiny freeze threshold so
@@ -42,33 +43,44 @@ func fillTier(t *testing.T, s *Store, seed, n int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	w := s.NewWorkspace(16)
 	for i := 0; i < n; i++ {
-		terms := map[string]int{"alpha": 1 + i%3}
-		for j := 0; j < 3; j++ {
-			terms[fmt.Sprintf("t%d", rng.Intn(40))] += 1 + rng.Intn(4)
-		}
-		u := tierURL(seed, i)
-		w.Add(Document{
-			URL:         u,
-			FinalURL:    u,
-			Title:       fmt.Sprintf("doc %d", i),
-			ContentType: "text/html",
-			Topic:       []string{"db", "ir", "web"}[i%3],
-			Confidence:  float64(i%90) / 100,
-			Depth:       i % 5,
-			Text:        fmt.Sprintf("body of document %d seed %d alpha", i, seed),
-			Terms:       terms,
-			CrawledAt:   time.Unix(1700000000+int64(i), int64(i)*1000),
-			IsTraining:  i%7 == 0,
-		})
+		d := tierDoc(rng, seed, i)
+		w.Add(d)
 		if i%3 == 0 {
-			w.AddLink(Link{From: u, To: tierURL(seed, (i+1)%n), Anchor: fmt.Sprintf("a%d", i)})
+			w.AddLink(Link{From: d.URL, To: tierURL(seed, (i+1)%n), Anchor: fmt.Sprintf("a%d", i)})
 		}
 		if i%11 == 0 {
-			w.AddRedirect(Redirect{From: fmt.Sprintf("http://r%d.example/%d", seed, i), To: u})
+			w.AddRedirect(Redirect{From: fmt.Sprintf("http://r%d.example/%d", seed, i), To: d.URL})
 		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
+	}
+}
+
+// tierDoc is document i of seed's sequence, drawing its words from rng.
+// Its text spells out its terms, and Terms is derived from title and text,
+// as every producer derives it, so a WAL replay reproduces it.
+func tierDoc(rng *rand.Rand, seed, i int) Document {
+	text := fmt.Sprintf("body of document %d seed %d alpha", i, seed)
+	text += strings.Repeat(" alpha", 1+i%3)
+	for j := 0; j < 3; j++ {
+		word := fmt.Sprintf("t%d", rng.Intn(40))
+		text += strings.Repeat(" "+word, 1+rng.Intn(4))
+	}
+	u := tierURL(seed, i)
+	title := fmt.Sprintf("doc %d", i)
+	return Document{
+		URL:         u,
+		FinalURL:    u,
+		Title:       title,
+		ContentType: "text/html",
+		Topic:       []string{"db", "ir", "web"}[i%3],
+		Confidence:  float64(i%90) / 100,
+		Depth:       i % 5,
+		Text:        text,
+		Terms:       textproc.DocTerms(title, text),
+		CrawledAt:   time.Unix(1700000000+int64(i), int64(i)*1000),
+		IsTraining:  i%7 == 0,
 	}
 }
 
@@ -339,32 +351,16 @@ func fillTierRange(t *testing.T, s *Store, seed, lo, hi int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	w := s.NewWorkspace(16)
 	for i := 0; i < hi; i++ {
-		terms := map[string]int{"alpha": 1 + i%3}
-		for j := 0; j < 3; j++ {
-			terms[fmt.Sprintf("t%d", rng.Intn(40))] += 1 + rng.Intn(4)
-		}
+		d := tierDoc(rng, seed, i)
 		if i < lo {
 			continue // burn the rng so [lo,hi) matches fillTier's stream
 		}
-		u := tierURL(seed, i)
-		w.Add(Document{
-			URL:         u,
-			FinalURL:    u,
-			Title:       fmt.Sprintf("doc %d", i),
-			ContentType: "text/html",
-			Topic:       []string{"db", "ir", "web"}[i%3],
-			Confidence:  float64(i%90) / 100,
-			Depth:       i % 5,
-			Text:        fmt.Sprintf("body of document %d seed %d alpha", i, seed),
-			Terms:       terms,
-			CrawledAt:   time.Unix(1700000000+int64(i), int64(i)*1000),
-			IsTraining:  i%7 == 0,
-		})
+		w.Add(d)
 		if i%3 == 0 {
-			w.AddLink(Link{From: u, To: tierURL(seed, (i+1)%150), Anchor: fmt.Sprintf("a%d", i)})
+			w.AddLink(Link{From: d.URL, To: tierURL(seed, (i+1)%150), Anchor: fmt.Sprintf("a%d", i)})
 		}
 		if i%11 == 0 {
-			w.AddRedirect(Redirect{From: fmt.Sprintf("http://r%d.example/%d", seed, i), To: u})
+			w.AddRedirect(Redirect{From: fmt.Sprintf("http://r%d.example/%d", seed, i), To: d.URL})
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -386,13 +382,14 @@ func TestTieredDeleteReplaceAcrossFreeze(t *testing.T) {
 	if !s.Delete(deleted) {
 		t.Fatal("delete of cold doc returned false")
 	}
-	s.Insert(Document{URL: replaced, Text: "replacement body", Terms: map[string]int{"replacedterm": 2}})
+	const replacement = "replacedterm body replacedterm"
+	s.Insert(Document{URL: replaced, Text: replacement, Terms: textproc.DocTerms("", replacement)})
 	if s.Contains(deleted) {
 		t.Fatal("deleted doc still present")
 	}
 	check := func(label string, st *Store) {
 		t.Helper()
-		if got, err := st.GetByURL(replaced); err != nil || got.Terms["replacedterm"] != 2 || got.Text != "replacement body" {
+		if got, err := st.GetByURL(replaced); err != nil || got.Terms["replacedterm"] != 2 || got.Text != replacement {
 			t.Fatalf("%s: replacement not visible: %+v %v", label, got, err)
 		}
 		var ids []DocID
@@ -726,9 +723,10 @@ func TestOpenTieredRejectsOldFormat(t *testing.T) {
 	if n := re.NumDocs(); n != 60 {
 		t.Fatalf("NumDocs %d after the failed open, want 60", n)
 	}
+	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 60; i++ {
 		d, err := re.GetByURL(tierURL(5, i))
-		if want := fmt.Sprintf("body of document %d seed 5 alpha", i); err != nil || d.Text != want {
+		if want := tierDoc(rng, 5, i).Text; err != nil || d.Text != want {
 			t.Fatalf("document %d after the failed open: %q, %v; want %q", i, d.Text, err, want)
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/bingo-search/bingo/internal/segment"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // TestFlushAppendsOneRecordPerShard: a flush that logs rows on k shards —
@@ -152,10 +154,35 @@ func TestBatchRecordCorruption(t *testing.T) {
 }
 
 // TestOpenTieredRejectsOlderWAL: a WAL holding a record kind only an older
-// release writes fails the open with an error that names the log and says
-// so — not corruption — and the failed open deletes no file, not even
-// another shard's orphans.
+// release writes — a per-relation record (kind 1) or a batch that carried
+// its term vectors (kind 7) — fails the open with an error that names the
+// log and says so — not corruption — and the failed open deletes no file,
+// not even another shard's orphans.
 func TestOpenTieredRejectsOlderWAL(t *testing.T) {
+	kind7, _ := sealedBatch(&fuzzMixed, 1)
+	kind7[0] = 7
+	for name, rec := range map[string][]byte{
+		"kind 1": {1, 0}, // an empty kind-1 docs record
+		"kind 7": kind7,
+	} {
+		requireOpenRejects(t, name, rec, "older release")
+	}
+}
+
+// TestOpenTieredRejectsOtherPipeline: a batch record written under another
+// textproc pipeline version, whose term vectors this binary would derive
+// differently, fails the open the same way, naming the log.
+func TestOpenTieredRejectsOtherPipeline(t *testing.T) {
+	_, comp := sealedBatch(&fuzzMixed, 1)
+	other := versionedBatch(textproc.PipelineVersion+1, 1, uint64(len(batchBody(&fuzzMixed))), comp)
+	requireOpenRejects(t, "pipeline version +1", other, "different text analyzer")
+}
+
+// requireOpenRejects appends rec to a closed two-shard store's shard-1 WAL
+// and requires the reopen to fail with an error naming that log and
+// holding want, not ErrCorrupt, without changing any file.
+func requireOpenRejects(t *testing.T, name string, rec []byte, want string) {
+	t.Helper()
 	dir := t.TempDir()
 	s := openTiered(t, dir, 2, testTierOpts())
 	fillTier(t, s, 6, 40)
@@ -175,7 +202,7 @@ func TestOpenTieredRejectsOlderWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Append([]byte{1, 0}, true); err != nil { // an empty kind-1 docs record
+	if err := wal.Append(rec, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
@@ -185,13 +212,33 @@ func TestOpenTieredRejectsOlderWAL(t *testing.T) {
 	re, err := OpenTiered(dir, 2, testTierOpts())
 	if err == nil {
 		re.Close()
-		t.Fatal("OpenTiered replayed a kind-1 WAL record")
+		t.Fatalf("%s: OpenTiered replayed the record", name)
 	}
-	if !strings.Contains(err.Error(), walPath) || !strings.Contains(err.Error(), "older release") || errors.Is(err, segment.ErrCorrupt) {
-		t.Fatalf("OpenTiered = %v; want an error naming %s and an older release, not corruption", err, walPath)
+	if !strings.Contains(err.Error(), walPath) || !strings.Contains(err.Error(), want) || errors.Is(err, segment.ErrCorrupt) {
+		t.Fatalf("%s: OpenTiered = %v; want an error naming %s and %q, not corruption", name, err, walPath, want)
 	}
 	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatalf("the failed open changed the data directory: %d files before, %d after", len(before), len(after))
+		t.Fatalf("%s: the failed open changed the data directory: %d files before, %d after", name, len(before), len(after))
+	}
+}
+
+// TestBatchBodyCarriesNoTerms: a document's term vector is not part of its
+// WAL batch body — the body is the same with or without one, and none of
+// its terms is in it — and replay derives it from the title and text.
+func TestBatchBodyCarriesNoTerms(t *testing.T) {
+	d := Document{URL: "http://t.example/", Title: "Recovery", Text: "logging logs"}
+	bare := batchBody(&wsShard{docs: []Document{d}})
+	d.Terms = map[string]int{"zzfabricated": 7}
+	if body := batchBody(&wsShard{docs: []Document{d}}); !bytes.Equal(body, bare) || bytes.Contains(body, []byte("zzfabricated")) {
+		t.Fatalf("a document's terms changed its batch body: %q vs %q", body, bare)
+	}
+	s := replayStore()
+	if err := s.applyBatch(s.shards[0], 1, bare, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GetByURL(d.URL)
+	if want := map[string]int{"recoveri": 1, "log": 2}; err != nil || !reflect.DeepEqual(got.Terms, want) {
+		t.Fatalf("replayed terms %v, %v; want %v", got.Terms, err, want)
 	}
 }
 

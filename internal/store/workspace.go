@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/segment"
+	"github.com/bingo-search/bingo/internal/textproc"
 )
 
 // This file implements the batched write path: workspaces buffer rows per
@@ -190,12 +191,15 @@ func (w *Workspace) takeErr() error {
 
 // batchRecord is the scratch one shard's WAL batch record is built in.
 //
-// A batch record is [walOpBatch][first seq uvarint][raw length uvarint]
-// followed by the body, DEFLATE'd: the documents without their seqs, the
-// out-links as runs of one From (From once, then To and Anchor per link),
-// then the redirects (encodeBatchBody). The seqs are left out because a
-// batch's documents take contiguous seqs under one docMu hold, which the
-// body is compressed before.
+// A batch record is [walOpBatch][textproc.PipelineVersion uvarint][first
+// seq uvarint][raw length uvarint] followed by the body, DEFLATE'd: the
+// documents (meta without the seq, then text), the out-links as runs of
+// one From (From once, then To and Anchor per link), then the redirects
+// (encodeBatchBody). The seqs are left out because a batch's documents take
+// contiguous seqs under one docMu hold, which the body is compressed
+// before. Term vectors are left out because each is textproc.DocTerms of
+// the title and text beside it: replay derives them, under the pipeline
+// version the header names.
 type batchRecord struct {
 	body segment.Enc
 	comp []byte
@@ -214,26 +218,20 @@ func (r *batchRecord) seal(b *wsShard) {
 func (r *batchRecord) frame(firstSeq int64) []byte {
 	r.rec.Reset()
 	r.rec.Byte(walOpBatch)
+	r.rec.Uvarint(textproc.PipelineVersion)
 	r.rec.Uvarint(uint64(firstSeq))
 	r.rec.Uvarint(uint64(len(r.body.Bytes())))
 	r.rec.Raw(r.comp)
 	return r.rec.Bytes()
 }
 
-// encodeBatchBody encodes b's logged rows as a batch record body. Terms
-// are written in map order; replay rebuilds the map and freezing sorts, so
-// order on the wire is irrelevant.
+// encodeBatchBody encodes b's logged rows as a batch record body.
 func encodeBatchBody(e *segment.Enc, b *wsShard) {
 	e.Uvarint(uint64(len(b.docs)))
 	for i := range b.docs {
 		d := &b.docs[i]
 		m := metaFromDoc(d)
 		e.MetaFields(&m)
-		e.Uvarint(uint64(len(d.Terms)))
-		for t, tf := range d.Terms {
-			e.Str(t)
-			e.Varint(int64(tf))
-		}
 		e.Str(d.Text)
 	}
 	runs := 0

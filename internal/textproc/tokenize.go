@@ -162,3 +162,21 @@ func Counts(stems []string) map[string]int {
 	}
 	return counts
 }
+
+// PipelineVersion names the analyzer's output: NewPipeline's stems of a
+// given text. A stored document's term vector is DocTerms of its title and
+// text, and the WAL stores only those two, so replay re-derives the vector.
+// Any change that alters a stem — tokenizer, stopword list, stemmer — must
+// bump it, or a WAL written before the change would replay into different
+// term vectors than the ones its documents were indexed and ranked with.
+// TestPipelineGolden pins the output this version names.
+const PipelineVersion = 1
+
+// standard is the process-wide default pipeline behind DocTerms.
+var standard = NewPipeline()
+
+// DocTerms is a stored document's term vector: the term frequencies of
+// NewPipeline's stems of title followed by text.
+func DocTerms(title, text string) map[string]int {
+	return Counts(standard.StemsParts(title, text))
+}

@@ -16,8 +16,12 @@ import (
 //   - scheme and host are lower-cased,
 //   - default ports (http:80, https:443) are dropped,
 //   - the fragment is removed,
+//   - percent-escapes of unreserved characters in the path are decoded,
+//     and the hex digits of the other escapes upper-cased,
 //   - path dot-segments are resolved and an empty path becomes "/",
 //   - consecutive slashes in the path are collapsed.
+//
+// Normalize is idempotent: Normalize(Normalize(x)) == Normalize(x).
 //
 // The query string is preserved byte-for-byte (parameter order can be
 // semantically significant).
@@ -36,47 +40,84 @@ func NormalizeURL(u *url.URL) {
 	u.Fragment = ""
 	u.RawFragment = ""
 
-	host := u.Host
-	// lower-case the host, keep any port for now
-	host = strings.ToLower(host)
-	switch {
-	case u.Scheme == "http" && strings.HasSuffix(host, ":80"):
-		host = strings.TrimSuffix(host, ":80")
-	case u.Scheme == "https" && strings.HasSuffix(host, ":443"):
-		host = strings.TrimSuffix(host, ":443")
+	// Lower-case the host and drop the scheme's default port, unless what
+	// is left would read as a host with a port of its own.
+	host := strings.ToLower(u.Host)
+	port := ""
+	switch u.Scheme {
+	case "http":
+		port = ":80"
+	case "https":
+		port = ":443"
+	}
+	if h, ok := strings.CutSuffix(host, port); ok && port != "" && (!strings.Contains(h, ":") || strings.HasSuffix(h, "]")) {
+		host = h
 	}
 	u.Host = host
 
 	if u.Host != "" {
+		// One spelling per path: unreserved characters unescaped, dot
+		// segments resolved after that (a decoded "%2E" is a dot), and the
+		// result kept as the raw path, so EscapedPath — and therefore a
+		// re-parse of the output — returns it unchanged.
 		p := u.EscapedPath()
 		if p == "" {
 			p = "/"
 		}
-		p = cleanPath(p)
-		if !strings.Contains(p, "%") {
-			// No escape sequences: the unescaped form IS p, so skip the
-			// PathUnescape/PathEscape round-trip (an allocation per URL on
-			// the crawl hot path).
-			u.Path = p
-			u.RawPath = ""
-			if u.EscapedPath() != p && url.PathEscape(p) != p {
-				u.RawPath = p
-			}
-			return
+		p = cleanPath(normalizeEscapes(p))
+		u.Path = p
+		if strings.Contains(p, "%") {
+			// p is EscapedPath's valid encoding with only unreserved
+			// escapes decoded, so it unescapes.
+			u.Path, _ = url.PathUnescape(p)
 		}
-		// assigning via Path/RawPath keeps escaping consistent
-		if unescaped, err := url.PathUnescape(p); err == nil {
-			u.Path = unescaped
-			if url.PathEscape(unescaped) != p && u.EscapedPath() != p {
-				u.RawPath = p
-			} else {
-				u.RawPath = ""
-			}
-		} else {
-			u.Path = p
-			u.RawPath = ""
-		}
+		u.RawPath = p
 	}
+}
+
+// normalizeEscapes decodes the percent-escapes of unreserved characters
+// ("%7E" is "~", RFC 3986 §6.2.2.2) and upper-cases the hex digits of the
+// others ("%2f" becomes "%2F"), leaving p otherwise as it is.
+func normalizeEscapes(p string) string {
+	if !strings.Contains(p, "%") {
+		return p
+	}
+	var b strings.Builder
+	b.Grow(len(p))
+	for i := 0; i < len(p); i++ {
+		if p[i] != '%' || i+2 >= len(p) || !isHex(p[i+1]) || !isHex(p[i+2]) {
+			b.WriteByte(p[i])
+			continue
+		}
+		c := unhex(p[i+1])<<4 | unhex(p[i+2])
+		if isUnreserved(c) {
+			b.WriteByte(c)
+		} else {
+			b.WriteString(strings.ToUpper(p[i : i+3]))
+		}
+		i += 2
+	}
+	return b.String()
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func unhex(c byte) byte {
+	switch {
+	case c <= '9':
+		return c - '0'
+	case c >= 'a':
+		return c - 'a' + 10
+	default:
+		return c - 'A' + 10
+	}
+}
+
+func isUnreserved(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+		c == '-' || c == '.' || c == '_' || c == '~'
 }
 
 // cleanPath resolves "." and ".." segments and collapses duplicate slashes

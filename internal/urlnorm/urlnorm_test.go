@@ -21,6 +21,10 @@ func TestNormalize(t *testing.T) {
 		"http://a.example/x?b=2&a=1":      "http://a.example/x?b=2&a=1", // query preserved
 		"http://a.example/a/b/../":        "http://a.example/a/",
 		"http://a.example/%7Euser/":       "http://a.example/~user/",
+		"http://a.example/%7Euser/./x":    "http://a.example/~user/x",
+		"http://a.example/a%2fb/%2E/c":    "http://a.example/a%2Fb/c",
+		"http://a.example/%41%62%2D":      "http://a.example/Ab-",
+		"http://a.example/sp%20ace!":      "http://a.example/sp%20ace!",
 	}
 	for in, want := range cases {
 		got, err := Normalize(in)
@@ -46,6 +50,10 @@ func TestNormalizeIdempotent(t *testing.T) {
 		"http://a.example//p//q/",
 		"https://b.example:443",
 		"http://c.example/%7Euser/page?q=1#top",
+		// Once a stale RawPath kept the escape on the first pass and the
+		// second pass dropped it.
+		"http://a/%7Euser/./x",
+		"http://a/%7euser/%2e/x%2f",
 	}
 	for _, in := range inputs {
 		once, err := Normalize(in)
@@ -109,4 +117,37 @@ func TestCleanPath(t *testing.T) {
 			t.Errorf("cleanPath(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// FuzzNormalize: on any input Normalize accepts, normalizing its output
+// again changes nothing, and the memoized NormalizeCached agrees with it.
+func FuzzNormalize(f *testing.F) {
+	for _, seed := range []string{
+		"http://a/%7Euser/./x",
+		"HTTP://A.Example:80/x/./y/../z#f",
+		"https://b.example:443",
+		"http://a.example/a%2fb/%2E%2E/c?q=%7E#frag",
+		"http://u:p@[::1]:8080//p/",
+		"http://a.example/sp%20ace!'()*",
+		"mailto:someone@example.com",
+		"/relative/../path",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		once, err := Normalize(raw)
+		if Cacheable(raw) {
+			got, ok := NormalizeCached(raw)
+			if ok != (err == nil) || ok && got != once {
+				t.Fatalf("NormalizeCached(%q) = %q, %v; Normalize = %q, %v", raw, got, ok, once, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		twice, err := Normalize(once)
+		if err != nil || twice != once {
+			t.Fatalf("not idempotent: %q -> %q -> %q (%v)", raw, once, twice, err)
+		}
+	})
 }
