@@ -188,9 +188,6 @@ haveTopics:
 		if len(rt.QuarantinedHosts) > 0 {
 			fmt.Printf("chaos: quarantined hosts: %v\n", rt.QuarantinedHosts)
 		}
-		if len(rt.BreakerOpenHosts) > 0 {
-			fmt.Printf("chaos: breakers still open: %v\n", rt.BreakerOpenHosts)
-		}
 	}
 
 	fmt.Printf("\ntop 10 results for %q:\n", q)

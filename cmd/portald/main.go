@@ -178,8 +178,7 @@ func main() {
 		}
 		if plane != nil {
 			rt := eng.Runtime()
-			fmt.Printf("chaos: quarantined %v, breakers open %v, DNS failovers %d\n",
-				rt.QuarantinedHosts, rt.BreakerOpenHosts, rt.DNSFailovers)
+			fmt.Printf("chaos: quarantined %v, DNS failovers %d\n", rt.QuarantinedHosts, rt.DNSFailovers)
 		}
 		st = eng.Store()
 	case *dataDir != "":

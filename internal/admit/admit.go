@@ -3,8 +3,8 @@
 // queue and a queue deadline. Work beyond the queue — or work that waits
 // past the deadline — is load-shed with an explicit ShedError carrying a
 // Retry-After hint, so portald answers overload with a fast 429 instead of
-// unbounded queueing (the server-side mirror of the per-host circuit
-// breakers the crawler uses as a client; BUbiNG's bounded-resource
+// unbounded queueing (the server-side mirror of the per-server circuit
+// breakers the coordinator uses as a client; BUbiNG's bounded-resource
 // discipline applied to serving).
 //
 // The controller never allocates on the admit fast path (a channel send)

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -116,6 +117,52 @@ func TestShardWithoutSearchEndpointIsMissing(t *testing.T) {
 	for _, h := range resp.Hits {
 		if store.RouteURL(h.URL, 2) != 0 {
 			t.Fatalf("hit %q belongs to the old shard", h.URL)
+		}
+	}
+}
+
+// TestOtherGenerationShardIsMissing is the mixed-version fleet: a shard
+// that answers every call with 200 but names protocol version 1 looks
+// healthy on the wire. The coordinator must not sync it — its stats pull
+// fails with a *rpc.ProtoError — and every answer is degraded with that
+// shard missing, its documents absent.
+func TestOtherGenerationShardIsMissing(t *testing.T) {
+	_, fleets := buildDistCorpus(3, 200, []int{2})
+	f := startFleetWith(t, fleets[2], func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(bytes.Replace(rec.Body.Bytes(), []byte(`"v":2`), []byte(`"v":1`), 1))
+		})
+	})
+	defer f.close()
+	ctx := context.Background()
+	if err := f.coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.coord.Clients()[1].Ping(ctx); err == nil {
+		t.Fatal("ping of the version-1 shard succeeded")
+	}
+	res, err := f.coord.Search(ctx, search.Query{Text: "recovery transaction"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || len(res.Missing) != 1 || res.Missing[0] != f.servers[1].URL {
+		t.Fatalf("degraded=%v missing=%v, want the version-1 shard %s missing", res.Degraded, res.Missing, f.servers[1].URL)
+	}
+	if len(res.Hits) == 0 {
+		t.Fatal("no hits from the current shard")
+	}
+	for _, h := range res.Hits {
+		if store.RouteURL(h.URL, 2) != 0 {
+			t.Fatalf("hit %q comes from the version-1 shard", h.URL)
 		}
 	}
 }

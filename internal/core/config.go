@@ -38,11 +38,6 @@ const (
 	// retryBaseDelay / retryMaxDelay bound one backoff sleep.
 	retryBaseDelay = 100 * time.Millisecond
 	retryMaxDelay  = 2 * time.Second
-	// breakerThreshold consecutive failures open a host's circuit breaker;
-	// it half-opens for a probe after breakerOpenFor. Breaker-open hosts
-	// are requeued with delay by the crawler instead of burning workers.
-	breakerThreshold = 5
-	breakerOpenFor   = 15 * time.Second
 	// queueLimit caps each topic's incoming URL queue (paper §5.1: 30,000).
 	queueLimit = 30000
 )

@@ -28,18 +28,17 @@ const (
 )
 
 // Engine hosts one or more focused-crawl portals (tenants) over a single
-// shared crawl database. The infrastructure every portal shares — the
-// store with its disk tier, the DNS resolver, the circuit breakers, the
-// host health tracker, the text pipeline and the search engine — lives
-// here; everything portal-specific (topic tree, training set, classifier
-// ensemble, frontier, dedup) lives in Tenant. An Engine built by New has
-// exactly one tenant, the default one, and every legacy single-portal
-// method delegates to it, so pre-tenancy callers behave bit-identically.
+// shared crawl database. The infrastructure every portal shares — the store
+// with its disk tier, the DNS resolver, the host health tracker, the text
+// pipeline and the search engine — lives here; everything portal-specific
+// (topic tree, training set, classifier ensemble, frontier, dedup) lives in
+// Tenant. An Engine built by New has exactly one tenant, the default one,
+// and every legacy single-portal method delegates to it, so pre-tenancy
+// callers behave bit-identically.
 type Engine struct {
 	cfg      Config
 	store    *store.Store
 	resolver *dns.Resolver
-	breakers *fetch.BreakerSet
 	hosts    *fetch.HostTracker
 	pipe     *textproc.Pipeline
 
@@ -104,14 +103,10 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		store:    st,
 		resolver: resolver,
-		breakers: fetch.NewBreakerSet(fetch.BreakerConfig{
-			FailureThreshold: breakerThreshold,
-			OpenFor:          breakerOpenFor,
-		}),
-		hosts:   fetch.NewHostTracker(maxRetries),
-		pipe:    textproc.NewPipeline(),
-		tenants: make(map[string]*Tenant),
-		stopCh:  make(chan struct{}),
+		hosts:    fetch.NewHostTracker(maxRetries),
+		pipe:     textproc.NewPipeline(),
+		tenants:  make(map[string]*Tenant),
+		stopCh:   make(chan struct{}),
 	}
 	def, err := newTenant(e, "", cfg.Topics, cfg.OthersURLs)
 	if err != nil {
@@ -263,10 +258,8 @@ type RuntimeStats struct {
 	DNSMisses       int64
 	DNSFailures     int64
 	DNSFailovers    int64
-	// QuarantinedHosts lists the hosts excluded as bad during the crawl;
-	// BreakerOpenHosts lists hosts whose circuit breaker is currently open.
+	// QuarantinedHosts lists the hosts excluded as bad during the crawl.
 	QuarantinedHosts []string
-	BreakerOpenHosts []string
 }
 
 // Runtime returns a snapshot of the operational counters.
@@ -286,9 +279,6 @@ func (e *Engine) Runtime() RuntimeStats {
 		BadHosts:        bad,
 	}
 	rs.QuarantinedHosts = t.fetcher.Hosts.BadHosts()
-	if bs := t.fetcher.Breakers(); bs != nil {
-		rs.BreakerOpenHosts = bs.OpenHosts()
-	}
 	if e.resolver != nil {
 		ds := e.resolver.Stats()
 		rs.DNSHits, rs.DNSMisses, rs.DNSFailures = ds.Hits, ds.Misses, ds.Failures

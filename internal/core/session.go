@@ -16,19 +16,18 @@ import (
 	"github.com/bingo-search/bingo/internal/store"
 )
 
-// Session persistence: the paper's usage model is "a few minutes for
-// setting up an overnight crawl, and another few minutes for looking at the
-// results the next morning" (§1.2). A crawl session is its data directory:
-// the tiered store (segments + WAL + manifests) already holds the document
+// Session persistence: the paper's usage model is "a few minutes for setting
+// up an overnight crawl, and another few minutes for looking at the results
+// the next morning" (§1.2). A crawl session is its data directory: the
+// tiered store (segments + WAL + manifests) already holds the document
 // database, and SaveSession adds one small SESSION file beside it with the
 // engine state the store does not: the current training set (seeds +
 // promoted archetypes + feedback), the lifecycle counters, and the crawl
-// frontier — queued links, cooling breaker requeues (with their remaining
-// delays), and the dedup set — so a resumed harvest picks up mid-queue
-// instead of only re-seeding from hubs. LoadSession reopens the directory,
-// re-trains the classifier from the restored training set, restores the
-// frontier, and primes the duplicate detector with every stored URL so a
-// resumed harvest does not refetch.
+// frontier — queued links and the dedup set — so a resumed harvest picks up
+// mid-queue instead of only re-seeding from hubs. LoadSession reopens the
+// directory, re-trains the classifier from the restored training set,
+// restores the frontier, and primes the duplicate detector with every stored
+// URL so a resumed harvest does not refetch.
 //
 // SESSION starts with a magic and a one-byte format version. Versions 1
 // and 2 (and headerless files) embedded a copy of the whole store and are

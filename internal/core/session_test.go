@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -210,7 +211,7 @@ func TestSessionPersistsFrontier(t *testing.T) {
 	}
 	e.def.frontier.Push(frontier.Item{URL: "http://pending.example/a", Topic: "ROOT/databases", Priority: 1e9})
 	e.def.frontier.Push(frontier.Item{URL: "http://pending.example/b", Topic: "ROOT/databases", Priority: 0.4})
-	e.def.frontier.Requeue(frontier.Item{URL: "http://cooling.example/", Topic: "ROOT/databases", Priority: 0.7}, time.Hour)
+	e.def.frontier.Requeue(frontier.Item{URL: "http://requeued.example/", Topic: "ROOT/databases", Priority: 0.7})
 	queuedBefore := e.def.frontier.Stats()
 	if err := e.SaveSession(); err != nil {
 		t.Fatal(err)
@@ -226,9 +227,6 @@ func TestSessionPersistsFrontier(t *testing.T) {
 	if after.Queued != queuedBefore.Queued {
 		t.Errorf("restored queued = %d, want %d", after.Queued, queuedBefore.Queued)
 	}
-	if after.Delayed != 1 {
-		t.Errorf("restored delayed = %d, want 1", after.Delayed)
-	}
 	// Dedup restored with the queue: a duplicate push is dropped.
 	if e2.def.frontier.Push(frontier.Item{URL: "http://pending.example/a", Topic: "ROOT/databases", Priority: 1e9}) {
 		t.Error("re-push of saved frontier URL succeeded after restore")
@@ -240,6 +238,61 @@ func TestSessionPersistsFrontier(t *testing.T) {
 	}
 	if it.URL != "http://pending.example/a" {
 		t.Errorf("first pop = %q, want the highest-priority saved link", it.URL)
+	}
+}
+
+// TestSessionWithDelayedRequeuesLoads: a SESSION written before requeues
+// went straight back into the queue carries a frontier dump with a
+// Delayed list and a Requeues count per item. gob skips both fields on
+// decode, so such a file still loads, with its queued items and dedup set
+// intact; the Delayed items are dropped (their URLs stay seen).
+func TestSessionWithDelayedRequeuesLoads(t *testing.T) {
+	type oldItem struct {
+		URL      string
+		Topic    string
+		Priority float64
+		Requeues int
+	}
+	type oldDelayed struct {
+		Item    oldItem
+		ReadyIn time.Duration
+	}
+	type oldDump struct {
+		Items   []oldItem
+		Delayed []oldDelayed
+		Seen    []string
+	}
+	type oldState struct {
+		Retrains int
+		Phase    Phase
+		Frontier oldDump
+	}
+	var buf bytes.Buffer
+	buf.Write(append(sessionMagic[:], sessionVersion))
+	if err := gob.NewEncoder(&buf).Encode(&oldState{
+		Retrains: 4,
+		Phase:    PhaseHarvesting,
+		Frontier: oldDump{
+			Items:   []oldItem{{URL: "http://pending.example/", Topic: "ROOT/databases", Priority: 0.5, Requeues: 1}},
+			Delayed: []oldDelayed{{Item: oldItem{URL: "http://cooling.example/"}, ReadyIn: time.Minute}},
+			Seen:    []string{"http://cooling.example/", "http://pending.example/"},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := readSessionState(&buf)
+	if err != nil {
+		t.Fatalf("older SESSION rejected: %v", err)
+	}
+	if st.Retrains != 4 || st.Phase != PhaseHarvesting {
+		t.Errorf("counters = %d retrains, phase %v", st.Retrains, st.Phase)
+	}
+	d := st.Frontier
+	if len(d.Items) != 1 || d.Items[0].URL != "http://pending.example/" || d.Items[0].Priority != 0.5 {
+		t.Errorf("queued items = %+v", d.Items)
+	}
+	if len(d.Seen) != 2 {
+		t.Errorf("seen = %v, want both URLs", d.Seen)
 	}
 }
 
@@ -338,9 +391,8 @@ func FuzzSessionState(f *testing.F) {
 		Retrains:   2,
 		Phase:      PhaseHarvesting,
 		Frontier: frontier.Dump{
-			Items:   []frontier.Item{{URL: "http://pending.example/", Topic: "ROOT/databases", Priority: 0.5}},
-			Delayed: []frontier.DelayedDump{{Item: frontier.Item{URL: "http://cooling.example/"}, ReadyIn: time.Minute}},
-			Seen:    []string{"http://pending.example/"},
+			Items: []frontier.Item{{URL: "http://pending.example/", Topic: "ROOT/databases", Priority: 0.5}},
+			Seen:  []string{"http://pending.example/"},
 		},
 	}); err != nil {
 		f.Fatal(err)

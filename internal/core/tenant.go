@@ -26,8 +26,8 @@ import (
 // Multi-portal tenancy. One Engine hosts many tenants over one shared
 // store: each tenant is a full BINGO! portal — its own topic tree,
 // bookmark/training set, classifier ensemble, crawl frontier and fetch
-// deduper — while the document database, its disk tier, the DNS resolver,
-// the host health tracker and the circuit breakers are shared process-wide.
+// deduper — while the document database, its disk tier, the DNS resolver
+// and the host health tracker are shared process-wide.
 // Documents carry their TenantID in the store, the crawler tags writes with
 // the tenant that scheduled the link, and the search path filters
 // per-tenant at the snapshot layer, so one machine can grow many portals
@@ -117,10 +117,9 @@ func ValidateTenantID(id string) error {
 }
 
 // newTenant builds one portal over the engine's shared infrastructure. The
-// fetcher shares the engine's resolver, circuit breakers and host tracker
-// but owns its deduper: two tenants may legitimately both crawl the same
-// URL (each stores its own row), while politeness and host health are
-// per-machine concerns.
+// fetcher shares the engine's resolver and host tracker but owns its
+// deduper: two tenants may legitimately both crawl the same URL (each stores
+// its own row), while politeness and host health are per-machine concerns.
 func newTenant(e *Engine, id string, topics []TopicSpec, othersURLs []string) (*Tenant, error) {
 	if len(topics) == 0 {
 		return nil, errors.New("core: no topics configured")
@@ -155,7 +154,6 @@ func newTenant(e *Engine, id string, topics []TopicSpec, othersURLs []string) (*
 			BaseDelay:   retryBaseDelay,
 			MaxDelay:    retryMaxDelay,
 		},
-		Breaker:          e.breakers,
 		DegradeTruncated: true,
 		LockedDomains:    cfg.LockedDomains,
 		RespectRobots:    true,
@@ -390,27 +388,7 @@ func (t *Tenant) fetchDoc(ctx context.Context, rawURL string) (classify.Doc, *ht
 	if err != nil {
 		return classify.Doc{}, nil, nil, err
 	}
-	resolve := func(base, href string) (string, bool) {
-		if base == "" && urlnorm.Cacheable(href) {
-			return urlnorm.NormalizeCached(href)
-		}
-		from := final
-		if base != "" {
-			if b, err := final.Parse(base); err == nil {
-				from = b
-			}
-		}
-		ref, err := from.Parse(href)
-		if err != nil {
-			return "", false
-		}
-		urlnorm.NormalizeURL(ref)
-		if ref.Scheme != "http" && ref.Scheme != "https" {
-			return "", false
-		}
-		return ref.String(), true
-	}
-	doc, err := htmldoc.Convert(res.ContentType, res.Body, resolve)
+	doc, err := htmldoc.Convert(res.ContentType, res.Body, urlnorm.LinkResolver(final))
 	res.ReleaseBody() // handlers copy what they keep; recycle the buffer
 	if err != nil {
 		return classify.Doc{}, nil, nil, err

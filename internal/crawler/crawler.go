@@ -48,8 +48,6 @@ var (
 	mBusyNanos      = metrics.NewCounter("crawler_worker_busy_nanos_total")
 	mIdleNanos      = metrics.NewCounter("crawler_worker_idle_nanos_total")
 	mWorkers        = metrics.NewGauge("crawler_workers")
-	mRequeued       = metrics.NewCounter("crawler_breaker_requeues_total")
-	mRequeueDrops   = metrics.NewCounter("crawler_requeues_exhausted_total")
 	mDegraded       = metrics.NewCounter("crawler_pages_degraded_total")
 	mAbandoned      = metrics.NewCounter("crawler_visits_abandoned_total")
 )
@@ -126,10 +124,6 @@ type Config struct {
 	// PerHostDelay enforces a minimum interval between consecutive requests
 	// to one host (0 = disabled; crawl-delay style politeness).
 	PerHostDelay time.Duration
-	// MaxRequeues caps how many times one link may be requeued with delay
-	// after a circuit-breaker rejection before it is dropped as an error
-	// (default 8; guarantees progress under a persistent breaker storm).
-	MaxRequeues int
 	// DegradedConfidenceFactor scales the classifier confidence of a page
 	// served from a truncated body (graceful degradation: the prefix is
 	// still classified, but with reduced trust). Default 0.5.
@@ -147,9 +141,6 @@ type Stats struct {
 	Errors         int64
 	Duplicates     int64
 	Rejected       int64 // classified into an OTHERS node
-	// Requeued counts breaker-open rejections sent back to the frontier
-	// with a cool-down delay (NOT visits, errors, or drops).
-	Requeued int64
 	// Degraded counts pages stored from truncated bodies with a confidence
 	// penalty instead of being dropped.
 	Degraded int64
@@ -174,7 +165,6 @@ type Crawler struct {
 	errs       atomic.Int64
 	duplicates atomic.Int64
 	rejected   atomic.Int64
-	requeued   atomic.Int64
 	degraded   atomic.Int64
 	maxDepth   atomic.Int64
 	firstErr   atomic.Pointer[string]
@@ -194,9 +184,6 @@ func New(cfg Config) *Crawler {
 	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 200 * time.Millisecond
-	}
-	if cfg.MaxRequeues <= 0 {
-		cfg.MaxRequeues = 8
 	}
 	if cfg.DegradedConfidenceFactor <= 0 || cfg.DegradedConfidenceFactor > 1 {
 		cfg.DegradedConfidenceFactor = 0.5
@@ -309,7 +296,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 		// Peers spent the page budget since this item was popped: put it
 		// back for a later crawl over the same frontier.
 		c.visited.Add(-1)
-		c.cfg.Frontier.Requeue(it, 0)
+		c.cfg.Frontier.Requeue(it)
 		return
 	}
 	fetchStart := time.Now()
@@ -317,7 +304,6 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	mFetchNanos.ObserveSince(fetchStart)
 	metrics.Span("fetch", it.URL, fetchStart, fetch.ErrClass(err))
 	if err != nil {
-		var bo *fetch.BreakerOpenError
 		switch {
 		case errors.Is(err, fetch.ErrCanceled):
 			// The crawl's own context ended mid-fetch (page budget spent,
@@ -327,29 +313,11 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 			// took back its dedup marks, so the item goes back for a later
 			// crawl over the same frontier.
 			c.visited.Add(-1)
-			c.cfg.Frontier.Requeue(it, 0)
+			c.cfg.Frontier.Requeue(it)
 			mAbandoned.Inc()
 		case err == fetch.ErrDuplicate:
 			c.duplicates.Add(1)
 			mDuplicates.Inc()
-		case errors.As(err, &bo):
-			// The host's circuit breaker rejected the fetch before any
-			// network work happened. Requeue with the breaker's cool-down so
-			// the link gets another chance once the host is re-probed; after
-			// MaxRequeues rejections (or once the host is quarantined) give
-			// up and book it as an error. The visit is uncounted — nothing
-			// was attempted — which also keeps the crawl accounting
-			// invariant (stored+duplicates+errors == visited) intact.
-			if it.Requeues < c.cfg.MaxRequeues && !c.cfg.Fetcher.Hosts.Bad(host) {
-				c.visited.Add(-1)
-				it.Requeues++
-				c.cfg.Frontier.Requeue(it, bo.RetryIn)
-				c.requeued.Add(1)
-				mRequeued.Inc()
-			} else {
-				c.fail("requeues-exhausted", it.URL)
-				mRequeueDrops.Inc()
-			}
 		default:
 			c.fail(fetch.ErrClass(err), it.URL)
 		}
@@ -372,7 +340,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	if ctx.Err() != nil {
 		c.cfg.Fetcher.Abandon(res)
 		c.visited.Add(-1)
-		c.cfg.Frontier.Requeue(it, 0)
+		c.cfg.Frontier.Requeue(it)
 		mAbandoned.Inc()
 		return
 	}
@@ -381,30 +349,8 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	if err != nil {
 		final = u
 	}
-	resolve := func(base, href string) (string, bool) {
-		// Absolute hrefs don't depend on the document base, and the same
-		// targets recur across pages, so their normalization is memoized.
-		if base == "" && urlnorm.Cacheable(href) {
-			return urlnorm.NormalizeCached(href)
-		}
-		from := final
-		if base != "" {
-			if b, err := final.Parse(base); err == nil {
-				from = b
-			}
-		}
-		ref, err := from.Parse(href)
-		if err != nil {
-			return "", false
-		}
-		urlnorm.NormalizeURL(ref)
-		if ref.Scheme != "http" && ref.Scheme != "https" {
-			return "", false
-		}
-		return ref.String(), true
-	}
 	parseStart := time.Now()
-	doc, err := htmldoc.Convert(res.ContentType, res.Body, resolve)
+	doc, err := htmldoc.Convert(res.ContentType, res.Body, urlnorm.LinkResolver(final))
 	mParseNanos.ObserveSince(parseStart)
 	// Handlers copy what they keep, so the body buffer can go straight back
 	// to the fetcher's pool.
@@ -572,16 +518,15 @@ func (c *Crawler) Stats() Stats {
 		Errors:         c.errs.Load(),
 		Duplicates:     c.duplicates.Load(),
 		Rejected:       c.rejected.Load(),
-		Requeued:       c.requeued.Load(),
 		Degraded:       c.degraded.Load(),
 		Quarantined:    c.cfg.Fetcher.Hosts.BadHosts(),
 		FirstError:     firstErr,
 	}
 }
 
-// fail books a failed visit of url under class — a fetch.ErrClass,
-// "parse-error" or "requeues-exhausted" — in Errors, crawler_errors_total
-// and crawler_errors_by_class_total{class=…}, and keeps the first one as
+// fail books a failed visit of url under class — a fetch.ErrClass or
+// "parse-error" — in Errors, crawler_errors_total and
+// crawler_errors_by_class_total{class=…}, and keeps the first one as
 // Stats.FirstError.
 func (c *Crawler) fail(class, url string) {
 	c.errs.Add(1)

@@ -264,8 +264,8 @@ func TestAbandonedVisitIsRequeued(t *testing.T) {
 	if stats := c.Run(ctx); stats.VisitedURLs != 0 {
 		t.Fatalf("the cancelled crawl counted %d visits, want 0", stats.VisitedURLs)
 	}
-	if st := cfg.Frontier.Stats(); st.Queued+st.Delayed != 1 {
-		t.Fatalf("frontier holds %d queued + %d delayed items after the abandoned visit, want 1", st.Queued, st.Delayed)
+	if st := cfg.Frontier.Stats(); st.Queued != 1 {
+		t.Fatalf("frontier holds %d queued items after the abandoned visit, want 1", st.Queued)
 	}
 	if stats := New(cfg).Run(context.Background()); stats.StoredPages != 1 {
 		t.Fatalf("the next crawl stored %d pages with %d duplicates, want the abandoned page stored", stats.StoredPages, stats.Duplicates)
@@ -319,8 +319,8 @@ func TestPageAbandonedAfterFetchIsRequeued(t *testing.T) {
 	if stats := c.Run(ctx); stats.VisitedURLs != 0 || stats.StoredPages != 0 || tr.calls.Load() != 1 {
 		t.Fatalf("the cancelled crawl counted %d visits and stored %d pages over %d requests, want 0, 0 over 1", stats.VisitedURLs, stats.StoredPages, tr.calls.Load())
 	}
-	if st := cfg.Frontier.Stats(); st.Queued+st.Delayed != 1 {
-		t.Fatalf("frontier holds %d queued + %d delayed items after the abandoned page, want 1", st.Queued, st.Delayed)
+	if st := cfg.Frontier.Stats(); st.Queued != 1 {
+		t.Fatalf("frontier holds %d queued items after the abandoned page, want 1", st.Queued)
 	}
 	if stats := New(cfg).Run(context.Background()); stats.StoredPages != 1 || stats.Duplicates != 0 {
 		t.Fatalf("the next crawl stored %d pages with %d duplicates, want the abandoned page stored", stats.StoredPages, stats.Duplicates)

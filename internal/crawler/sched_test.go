@@ -7,10 +7,9 @@ package crawler
 // pre-refactor default across worker counts, and every scheduler fetches
 // the same page set under every chaos profile regardless of parallelism.
 //
-// The rig disables every order-sensitive resilience knob: no breakers
-// (cool-downs are wall-clock), an effectively-infinite quarantine
-// threshold (consecutive-failure counts depend on interleaving), no
-// per-host cap and a huge requeue budget. What remains is hash-keyed
+// The rig disables every order-sensitive resilience knob: an
+// effectively-infinite quarantine threshold (consecutive-failure counts
+// depend on interleaving) and no per-host cap. What remains is hash-keyed
 // fault injection, which is deterministic per (URL, attempt) no matter
 // how workers interleave.
 
@@ -87,7 +86,6 @@ func runSchedCrawl(t *testing.T, world *corpus.World, r schedRun) ([]string, Sta
 		Workers:        r.workers,
 		MaxTunnelDepth: 2,
 		Focus:          SoftFocus,
-		MaxRequeues:    1 << 20,
 	})
 	c.Seed("ROOT/db", world.SeedURLs()...)
 

@@ -152,7 +152,6 @@ func runFrontierCell(w *corpus.World, cls *classify.Classifier, spec frontierCel
 		PageBudget:     spec.budget,
 		MaxTunnelDepth: 2,
 		Focus:          crawler.SoftFocus,
-		MaxRequeues:    8,
 		OnStored: func(d store.Document, r classify.Result) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -1,16 +1,14 @@
 package fetch
 
 import (
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/bingo-search/bingo/internal/metrics"
 )
 
-// Breaker state gauges and transition counters. The open gauge is the
-// number the OPERATIONS runbook watches: a climbing fetch_breakers_open
-// with flat crawler throughput is a breaker-open storm.
+// Breaker state gauges and transition counters, summed over every
+// BreakerSet in the process (in a coordinator, one key per shard server).
 var (
 	mBreakersOpen    = metrics.NewGauge("fetch_breakers_open")
 	mBreakerOpened   = metrics.NewCounter("fetch_breaker_opened_total")
@@ -83,25 +81,15 @@ type breaker struct {
 	probes   int       // in-flight half-open probes
 }
 
-// BreakerSet holds one circuit breaker per host (§4.2 taken further than
-// the paper's slow/bad tagging: a breaker-open host is not burned forever,
-// it gets re-probed after a cool-down, so flapping hosts recover). The
-// frontier consults it through the crawler so that links to open-breaker
-// hosts are requeued with delay instead of tying up workers on attempts
-// that are known to fail.
+// BreakerSet holds one circuit breaker per key — a host, or a shard
+// server's address: after FailureThreshold consecutive failures the key is
+// refused for OpenFor, then re-probed, so a server that comes back is used
+// again. rpc.Client and the coordinator guard shard calls with it; the
+// crawl's per-host policy is HostTracker.
 type BreakerSet struct {
 	mu    sync.Mutex
 	cfg   BreakerConfig
 	hosts map[string]*breaker
-	stats BreakerStats
-}
-
-// BreakerStats counts state transitions across all hosts.
-type BreakerStats struct {
-	Opened   int64 // closed/half-open -> open
-	HalfOpen int64 // open -> half-open
-	Closed   int64 // half-open -> closed
-	Rejected int64 // requests refused while open
 }
 
 // NewBreakerSet builds an empty set.
@@ -111,10 +99,10 @@ func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
 }
 
 // Allow reports whether a request to host may proceed. While the breaker is
-// open it returns false and the remaining cool-down; callers are expected
-// to requeue the work with at least that delay. A half-open breaker admits
-// up to HalfOpenProbes concurrent probes; each admitted probe MUST be
-// matched by an OnSuccess or OnFailure call.
+// open it returns false and the remaining cool-down, the earliest a retry
+// can pass. A half-open breaker admits up to HalfOpenProbes concurrent
+// probes; each admitted probe MUST be matched by an OnSuccess or OnFailure
+// call.
 func (b *BreakerSet) Allow(host string) (ok bool, retryIn time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -128,19 +116,16 @@ func (b *BreakerSet) Allow(host string) (ok bool, retryIn time.Duration) {
 	case BreakerOpen:
 		remaining := b.cfg.OpenFor - b.cfg.Now().Sub(br.openedAt)
 		if remaining > 0 {
-			b.stats.Rejected++
 			mBreakerRejected.Inc()
 			return false, remaining
 		}
 		br.state = BreakerHalfOpen
 		br.probes = 0
-		b.stats.HalfOpen++
 		mBreakerHalfOpen.Inc()
 		mBreakersOpen.Add(-1)
 		fallthrough
 	default: // half-open
 		if br.probes >= b.cfg.HalfOpenProbes {
-			b.stats.Rejected++
 			mBreakerRejected.Inc()
 			return false, b.cfg.OpenFor / 4
 		}
@@ -160,7 +145,6 @@ func (b *BreakerSet) OnSuccess(host string) {
 	}
 	switch br.state {
 	case BreakerHalfOpen:
-		b.stats.Closed++
 		mBreakerClosed.Inc()
 		fallthrough
 	default:
@@ -188,7 +172,6 @@ func (b *BreakerSet) OnFailure(host string) {
 		br.state = BreakerOpen
 		br.openedAt = b.cfg.Now()
 		br.failures = 0
-		b.stats.Opened++
 		mBreakerOpened.Inc()
 		mBreakersOpen.Add(1)
 	default:
@@ -197,7 +180,6 @@ func (b *BreakerSet) OnFailure(host string) {
 			br.state = BreakerOpen
 			br.openedAt = b.cfg.Now()
 			br.failures = 0
-			b.stats.Opened++
 			mBreakerOpened.Inc()
 			mBreakersOpen.Add(1)
 		}
@@ -213,25 +195,4 @@ func (b *BreakerSet) State(host string) BreakerState {
 		return br.state
 	}
 	return BreakerClosed
-}
-
-// Stats returns the transition counters.
-func (b *BreakerSet) Stats() BreakerStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
-
-// OpenHosts lists hosts whose breaker is currently open, sorted.
-func (b *BreakerSet) OpenHosts() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for h, br := range b.hosts {
-		if br.state == BreakerOpen {
-			out = append(out, h)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

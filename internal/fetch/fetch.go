@@ -7,11 +7,12 @@
 //
 // On top of the paper's policy layer sits a resilience layer: retries with
 // capped exponential backoff and deterministic decorrelated jitter
-// (RetryPolicy), a per-attempt timeout budget, per-host circuit breakers
-// (BreakerSet), transparent gzip decoding with corrupt-stream detection,
-// redirect-loop cuts, and graceful degradation — a body truncated by the
-// peer on the final attempt is served as a Truncated result instead of
-// being dropped, so the document analyzer can still salvage it.
+// (RetryPolicy), a per-attempt timeout budget, transparent gzip decoding
+// with corrupt-stream detection, redirect-loop cuts, and graceful
+// degradation — a body truncated by the peer on the final attempt is
+// served as a Truncated result instead of being dropped, so the document
+// analyzer can still salvage it. BreakerSet, the circuit breaker, lives
+// here too; the shard-call client uses it.
 //
 // The transport is an http.RoundTripper, so the same fetcher runs against
 // the real network or against the in-process synthetic web server used by
@@ -184,12 +185,12 @@ var (
 	// ErrRedirectLoop marks a redirect chain that revisited a URL.
 	ErrRedirectLoop = errors.New("fetch: redirect loop")
 	// ErrBreakerOpen marks a fetch refused because the host's circuit
-	// breaker is open; the work should be requeued with a delay.
+	// breaker (Config.Breaker) is open.
 	ErrBreakerOpen = errors.New("fetch: host circuit breaker open")
 )
 
-// BreakerOpenError carries the cool-down remaining on an open breaker so
-// the caller can requeue with an informed delay.
+// BreakerOpenError carries the host and the cool-down remaining on an
+// open breaker.
 type BreakerOpenError struct {
 	Host    string
 	RetryIn time.Duration
@@ -276,8 +277,9 @@ type Config struct {
 	// Retry bounds the retry loop; the zero value disables retries.
 	Retry RetryPolicy
 	// Breaker, when non-nil, is consulted before any attempt and fed every
-	// host-level outcome. Share one BreakerSet between the fetcher and the
-	// crawler so frontier scheduling sees the same circuit state.
+	// host-level outcome. The crawl sets none: HostTracker is its one
+	// per-host failure policy (§4.2), and it quarantines a host before a
+	// breaker at its default threshold could open.
 	Breaker *BreakerSet
 	// DegradeTruncated serves a body truncated on the final attempt as a
 	// Truncated result instead of an error (graceful degradation; the
@@ -349,9 +351,6 @@ func newRobotsCacheIf(on bool) *robotsCache {
 	return newRobotsCache()
 }
 
-// Breakers returns the fetcher's breaker set (nil when disabled).
-func (f *Fetcher) Breakers() *BreakerSet { return f.cfg.Breaker }
-
 // ValidateURL applies the structural limits; it returns the parsed URL.
 func (f *Fetcher) ValidateURL(raw string) (*url.URL, error) {
 	if len(raw) > MaxURLLen {
@@ -380,9 +379,9 @@ func (f *Fetcher) ValidateURL(raw string) (*url.URL, error) {
 // Fetch retrieves raw, following redirects and enforcing every §4.2 policy.
 // Duplicate documents yield ErrDuplicate. Peer failures are retried per the
 // RetryPolicy with capped, jittered backoff; they are recorded against the
-// host and its circuit breaker. Caller cancellation is classified as
-// ErrCanceled and carries no penalty. Every call lands in the fetch_*
-// outcome counters and the retrieval-latency histogram.
+// host (and its circuit breaker, when one is set). Caller cancellation is
+// classified as ErrCanceled and carries no penalty. Every call lands in the
+// fetch_* outcome counters and the retrieval-latency histogram.
 func (f *Fetcher) Fetch(ctx context.Context, raw string) (*Result, error) {
 	mRequests.Inc()
 	start := time.Now()

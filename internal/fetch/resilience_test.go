@@ -84,7 +84,14 @@ func TestRetryable(t *testing.T) {
 
 // --- Breaker state machine ---
 
+// breakerCounts reads the process-wide breaker transition counters:
+// opened, half-opened, closed, rejected.
+func breakerCounts() [4]int64 {
+	return [4]int64{mBreakerOpened.Value(), mBreakerHalfOpen.Value(), mBreakerClosed.Value(), mBreakerRejected.Value()}
+}
+
 func TestBreakerStateMachine(t *testing.T) {
+	before := breakerCounts()
 	now := time.Unix(0, 0)
 	b := NewBreakerSet(BreakerConfig{
 		FailureThreshold: 2,
@@ -126,13 +133,17 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("closed breaker rejecting")
 	}
 
-	st := b.Stats()
-	if st.Opened != 1 || st.HalfOpen != 1 || st.Closed != 1 || st.Rejected != 2 {
-		t.Errorf("stats = %+v", st)
+	moved := breakerCounts()
+	for i := range moved {
+		moved[i] -= before[i]
+	}
+	if moved != [4]int64{1, 1, 1, 2} {
+		t.Errorf("transition counters (opened, half-opened, closed, rejected) moved by %v, want [1 1 1 2]", moved)
 	}
 }
 
 func TestBreakerReopensOnProbeFailure(t *testing.T) {
+	opened := mBreakerOpened.Value()
 	now := time.Unix(0, 0)
 	b := NewBreakerSet(BreakerConfig{
 		FailureThreshold: 1,
@@ -151,8 +162,8 @@ func TestBreakerReopensOnProbeFailure(t *testing.T) {
 	if ok, _ := b.Allow("h"); ok {
 		t.Fatal("reopened breaker admitted a request")
 	}
-	if st := b.Stats(); st.Opened != 2 {
-		t.Errorf("Opened = %d, want 2", st.Opened)
+	if got := mBreakerOpened.Value() - opened; got != 2 {
+		t.Errorf("fetch_breaker_opened_total moved by %d, want 2", got)
 	}
 }
 
@@ -163,9 +174,6 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 	b.OnFailure("h")
 	if got := b.State("h"); got != BreakerClosed {
 		t.Fatalf("non-consecutive failures tripped the breaker: %v", got)
-	}
-	if b.OpenHosts() != nil {
-		t.Errorf("OpenHosts = %v", b.OpenHosts())
 	}
 }
 

@@ -1,79 +1,41 @@
 package frontier
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestDumpRestoreRoundTrip checks that pending work — queued items, cooling
-// requeues with their remaining delays, and the dedup set — survives a
-// Dump/Restore cycle with ordering and dedup behavior intact.
+// TestDumpRestoreRoundTrip checks that pending work — queued items, a
+// requeued item among them, and the dedup set — survives a Dump/Restore
+// cycle with ordering and dedup behavior intact.
 func TestDumpRestoreRoundTrip(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	f := New(Config{Now: clock})
+	f := New(Config{})
 	f.Push(Item{URL: "http://a.example/1", Topic: "ROOT/db", Priority: 0.9})
 	f.Push(Item{URL: "http://a.example/2", Topic: "ROOT/db", Priority: 0.5})
 	f.Push(Item{URL: "http://b.example/1", Topic: "ROOT/os", Priority: 0.7, TunnelDepth: 1})
-	f.Requeue(Item{URL: "http://slow.example/", Topic: "ROOT/db", Priority: 0.8}, 30*time.Second)
+	f.Requeue(Item{URL: "http://slow.example/", Topic: "ROOT/db", Priority: 0.8})
 
 	d := f.Dump()
-	if len(d.Items) != 3 || len(d.Delayed) != 1 || len(d.Seen) != 3 {
-		t.Fatalf("dump shape: items=%d delayed=%d seen=%d", len(d.Items), len(d.Delayed), len(d.Seen))
-	}
-	if d.Delayed[0].ReadyIn != 30*time.Second {
-		t.Fatalf("remaining cool-down = %v, want 30s", d.Delayed[0].ReadyIn)
+	if len(d.Items) != 4 || len(d.Seen) != 3 {
+		t.Fatalf("dump shape: items=%d seen=%d", len(d.Items), len(d.Seen))
 	}
 
-	// Resume "two minutes later" into a fresh frontier.
-	now2 := now.Add(2 * time.Minute)
-	g := New(Config{Now: func() time.Time { return now2 }})
+	g := New(Config{})
 	g.Restore(d)
 
-	if g.Len() != 3 {
-		t.Fatalf("restored Len = %d, want 3", g.Len())
+	if g.Len() != 4 {
+		t.Fatalf("restored Len = %d, want 4", g.Len())
 	}
 	// Dedup state restored: a re-push of a dumped URL is dropped.
 	if g.Push(Item{URL: "http://a.example/1", Topic: "ROOT/db", Priority: 1}) {
 		t.Fatal("re-push of seen URL succeeded after restore")
 	}
 	// Pop order preserved: priorities decide, tunnel decay still applied.
-	want := []string{"http://a.example/1", "http://a.example/2", "http://b.example/1"}
+	want := []string{"http://a.example/1", "http://slow.example/", "http://a.example/2", "http://b.example/1"}
 	for i, w := range want {
 		it, ok := g.Pop()
 		if !ok || it.URL != w {
 			t.Fatalf("pop %d = %q ok=%v, want %q", i, it.URL, ok, w)
 		}
 	}
-	// The requeued item is still cooling off relative to the resume clock...
 	if _, ok := g.Pop(); ok {
-		t.Fatal("delayed item popped before its restored cool-down expired")
-	}
-	if got := g.Stats().Delayed; got != 1 {
-		t.Fatalf("delayed after restore = %d, want 1", got)
-	}
-	// ...and matures ReadyIn after the restore instant.
-	now2 = now2.Add(31 * time.Second)
-	it, ok := g.Pop()
-	if !ok || it.URL != "http://slow.example/" {
-		t.Fatalf("matured pop = %q ok=%v, want slow.example", it.URL, ok)
-	}
-}
-
-// TestDumpClampsExpiredDelays checks that a delay that expired before the
-// dump restores as immediately ready rather than negative.
-func TestDumpClampsExpiredDelays(t *testing.T) {
-	now := time.Unix(1000, 0)
-	f := New(Config{Now: func() time.Time { return now }})
-	f.Requeue(Item{URL: "http://x.example/", Topic: "T", Priority: 1}, 5*time.Second)
-	now = now.Add(10 * time.Second)
-	d := f.Dump()
-	if len(d.Delayed) != 1 || d.Delayed[0].ReadyIn != 0 {
-		t.Fatalf("expired delay dumped as %+v, want ReadyIn 0", d.Delayed)
-	}
-	g := New(Config{Now: func() time.Time { return now }})
-	g.Restore(d)
-	if it, ok := g.Pop(); !ok || it.URL != "http://x.example/" {
-		t.Fatalf("expired-delay item not immediately poppable: %q %v", it.URL, ok)
+		t.Fatal("restored frontier holds more than the dump")
 	}
 }

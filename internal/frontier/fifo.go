@@ -86,8 +86,8 @@ func (s *fifoScheduler) Push(it Item, eff float64, seq uint64) (string, bool) {
 	return "", true
 }
 
-// Reinsert re-scores the item: a delayed requeue or a spill refill re-enters
-// the queue under the policy's current opinion of it.
+// Reinsert re-scores the item: a requeue, a restore or a spill refill
+// re-enters the queue under the policy's current opinion of it.
 func (s *fifoScheduler) Reinsert(it Item, eff float64, seq uint64) {
 	s.topic(it.Topic).incoming.Insert(s.keyOf(it, eff, seq), queued{it: it, eff: eff})
 }

@@ -1,13 +1,13 @@
 // Package frontier implements BINGO!'s crawl-queue manager (§4.2). The
-// frontier owns URL dedup, the outstanding-lease drain protocol,
-// breaker-requeue cool-downs, PopWait parking, Dump/Restore session
-// persistence and the optional disk-spill tier, while a Scheduler decides
-// which queued link is crawled next. There is one scheduler type, the
-// paper's queue manager: per-topic incoming/outgoing red-black trees, with
-// DNS resolution warmed up only for links promoted to an outgoing queue.
-// A policy is the score those trees order by: fifo-priority uses the SVM
-// confidence with tunnelled links decayed exponentially per hop (§3.3), and
-// link-context blends that with the link's anchor/URL similarity to the
+// frontier owns URL dedup, the outstanding-lease drain protocol, requeues of
+// items a crawl took but did not visit, PopWait parking, Dump/Restore
+// session persistence and the optional disk-spill tier, while a Scheduler
+// decides which queued link is crawled next. There is one scheduler type,
+// the paper's queue manager: per-topic incoming/outgoing red-black trees,
+// with DNS resolution warmed up only for links promoted to an outgoing
+// queue. A policy is the score those trees order by: fifo-priority uses the
+// SVM confidence with tunnelled links decayed exponentially per hop (§3.3),
+// and link-context blends that with the link's anchor/URL similarity to the
 // topic (see DESIGN.md "Frontier scheduling").
 //
 // Concurrency model: one mutex guards the scheduler and all shared state;
@@ -19,24 +19,22 @@
 package frontier
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/bingo-search/bingo/internal/metrics"
 )
 
-// Process-wide frontier metrics, aggregated across every live Frontier
-// (the engine runs one per crawl phase). The queued gauge tracks the total
-// number of links currently held in any queue (delayed requeues and spilled
-// tails included). Drops are split by cause — dedup (seen), queue overflow
-// (full), and depth/tunnel limits — so a requeue-with-delay is never
-// mistaken for a drop and chaos tests can assert each bucket exactly. The
-// spill counters record tail traffic to and from disk; spill_lost counts
-// queued links dropped because a run file tore or corrupted.
+// Process-wide frontier metrics, aggregated across every live Frontier (the
+// engine runs one per crawl phase). The queued gauge tracks the total number
+// of links currently held in any queue (spilled tails included). Drops are
+// split by cause — dedup (seen), queue overflow (full), and depth/tunnel
+// limits — so a requeue is never mistaken for a drop and chaos tests can
+// assert each bucket exactly. The spill counters record tail traffic to and
+// from disk; spill_lost counts queued links dropped because a run file tore
+// or corrupted.
 var (
 	mPushed       = metrics.NewCounter("frontier_pushed_total")
 	mPopped       = metrics.NewCounter("frontier_popped_total")
@@ -67,10 +65,6 @@ type Item struct {
 	Referrer string
 	// Anchor is the link's anchor text (kept for anchor-text features).
 	Anchor string
-	// Requeues counts how many times this item has been requeued with delay
-	// (circuit-breaker rejections); the crawler caps it to guarantee
-	// progress.
-	Requeues int
 	// IsSeed marks a bookmark seed URL: every scheduler orders seeds before
 	// all other work regardless of priority.
 	IsSeed bool
@@ -88,8 +82,6 @@ type Config struct {
 	// Prefetch, when non-nil, is invoked with the URL of every link
 	// promoted to an outgoing queue (asynchronous DNS warm-up).
 	Prefetch func(url string)
-	// Now allows tests to control the delayed-requeue clock.
-	Now func() time.Time
 
 	// Scheduler names the ordering policy (see SchedulerNames); empty
 	// selects fifo-priority. Validate with ValidateScheduler — unknown
@@ -135,40 +127,10 @@ type Frontier struct {
 	// allocation-free in the common case.
 	waiters int
 	closed  bool
-	// delayed holds requeued items not yet eligible for popping (circuit
-	// breaker cool-downs); popLocked promotes the ready ones.
-	delayed delayedHeap
 	// stats
 	pushed, popped, droppedFull, droppedSeen, droppedDepth, requeued int64
 	spillLost                                                        int64
 	peakInMem                                                        int
-}
-
-// delayedItem is one cooling-off frontier entry.
-type delayedItem struct {
-	readyAt time.Time
-	seq     uint64 // FIFO among equal readyAt
-	it      Item
-}
-
-// delayedHeap is a min-heap on readyAt.
-type delayedHeap []delayedItem
-
-func (h delayedHeap) Len() int { return len(h) }
-func (h delayedHeap) Less(i, j int) bool {
-	if !h[i].readyAt.Equal(h[j].readyAt) {
-		return h[i].readyAt.Before(h[j].readyAt)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h delayedHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *delayedHeap) Push(x any)   { *h = append(*h, x.(delayedItem)) }
-func (h *delayedHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // New returns an empty frontier running the configured scheduler.
@@ -181,9 +143,6 @@ func New(cfg Config) *Frontier {
 	}
 	if cfg.TunnelDecay <= 0 || cfg.TunnelDecay > 1 {
 		cfg.TunnelDecay = 0.5
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	f := &Frontier{
 		cfg:   cfg,
@@ -285,25 +244,21 @@ func (f *Frontier) Push(it Item) bool {
 	return true
 }
 
-// Requeue puts a previously popped item back with a cool-down: it becomes
-// eligible for popping again only after delay elapses. Requeues bypass the
-// seen set (the URL is already marked seen from its original Push) and are
-// counted separately from drops. The crawler uses it for links whose host
-// circuit breaker is open.
-func (f *Frontier) Requeue(it Item, delay time.Duration) {
+// Requeue puts a previously popped item straight back, under a fresh
+// sequence number and with its original priority. Requeues bypass the seen
+// set (the URL is already marked seen from its original Push) and the
+// capacity check, and are counted separately from drops. The crawler uses
+// it for items it took but did not visit: the page budget ran out, or the
+// crawl ended mid-fetch.
+func (f *Frontier) Requeue(it Item) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
-	heap.Push(&f.delayed, delayedItem{
-		readyAt: f.cfg.Now().Add(delay),
-		seq:     f.seq,
-		it:      it,
-	})
+	f.sched.Reinsert(it, f.EffectivePriority(it), f.seq)
 	f.requeued++
 	mRequeued.Inc()
 	mQueued.Add(1)
-	// Wake parked workers so one re-arms its timer on the (possibly
-	// earlier) new readyAt.
+	f.notePeakLocked()
 	f.wakeLocked()
 }
 
@@ -317,33 +272,8 @@ func (f *Frontier) DropDepth() {
 	mDroppedDepth.Inc()
 }
 
-// promoteDelayedLocked moves every delayed item whose cool-down has expired
-// back into the scheduler. It returns the wait until the next item matures
-// (0 when the delayed heap is empty).
-func (f *Frontier) promoteDelayedLocked() (nextReady time.Duration) {
-	if len(f.delayed) == 0 {
-		return 0
-	}
-	now := f.cfg.Now()
-	for len(f.delayed) > 0 && !f.delayed[0].readyAt.After(now) {
-		d := heap.Pop(&f.delayed).(delayedItem)
-		f.seq++
-		// The item keeps its original priority; the queued gauge was already
-		// bumped at Requeue time. Reinsert bypasses capacity so a cool-down
-		// never turns into a drop.
-		f.sched.Reinsert(d.it, f.EffectivePriority(d.it), f.seq)
-		f.notePeakLocked()
-	}
-	if len(f.delayed) == 0 {
-		return 0
-	}
-	return f.delayed[0].readyAt.Sub(now)
-}
-
-// popLocked removes and returns the scheduler's best available link,
-// promoting matured requeues first.
+// popLocked removes and returns the scheduler's best available link.
 func (f *Frontier) popLocked() (Item, bool) {
-	f.promoteDelayedLocked()
 	it, ok := f.sched.Pop()
 	if !ok {
 		return Item{}, false
@@ -381,12 +311,8 @@ func (f *Frontier) TryPop() (Item, bool) {
 
 // PopWait returns the best available link, parking the caller until one
 // arrives instead of polling. It returns ok=false when the frontier has
-// drained (empty queues, empty delayed heap, and no PopWait item still
-// being processed), when it is closed, or when ctx is cancelled. Items
-// cooling off in the delayed heap count as pending work: a caller parks on
-// a timer armed for the earliest readyAt, so a crawl whose only remaining
-// links sit behind an open circuit breaker waits the cool-down out instead
-// of declaring the crawl over. Every item obtained through PopWait MUST be
+// drained (empty queues and no PopWait item still being processed), when
+// it is closed, or when ctx is cancelled. Every item obtained through PopWait MUST be
 // matched by a Done call once processing (including any Pushes of extracted
 // links) has finished — the outstanding count is what lets a worker pool
 // distinguish "momentarily empty but a peer may still push more" from
@@ -403,41 +329,25 @@ func (f *Frontier) PopWait(ctx context.Context) (Item, bool) {
 			f.mu.Unlock()
 			return it, true
 		}
-		if f.outstanding == 0 && len(f.delayed) == 0 {
+		if f.outstanding == 0 {
 			f.mu.Unlock()
 			return Item{}, false // drained: nobody can push anymore
-		}
-		var timer *time.Timer
-		var timerC <-chan time.Time
-		if len(f.delayed) > 0 {
-			wait := f.delayed[0].readyAt.Sub(f.cfg.Now())
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
-			timer = time.NewTimer(wait)
-			timerC = timer.C
 		}
 		f.waiters++
 		ch := f.pulse
 		f.mu.Unlock()
+		var cancelled bool
 		select {
 		case <-ch:
-		case <-timerC:
 		case <-ctx.Done():
-			if timer != nil {
-				timer.Stop()
-			}
-			f.mu.Lock()
-			f.waiters--
-			f.mu.Unlock()
-			return Item{}, false
-		}
-		if timer != nil {
-			timer.Stop()
+			cancelled = true
 		}
 		f.mu.Lock()
 		f.waiters--
 		f.mu.Unlock()
+		if cancelled {
+			return Item{}, false
+		}
 	}
 }
 
@@ -479,8 +389,7 @@ func (f *Frontier) PopTopic(topic string) (Item, bool) {
 	return it, true
 }
 
-// Len returns the total number of queued links (spilled tail included,
-// delayed requeues excluded).
+// Len returns the total number of queued links (spilled tail included).
 func (f *Frontier) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -496,8 +405,7 @@ func (f *Frontier) TopicLen(topic string) (in, out int) {
 }
 
 // Stats summarizes frontier activity. Drops are split by cause; Requeued
-// counts breaker cool-down requeues (not drops), and Delayed is the number
-// of items currently cooling off. InMemory/Spilled split Queued across the
+// counts items put back untouched (not drops). InMemory/Spilled split Queued across the
 // memory/disk boundary, PeakInMemory is the in-memory high-water mark (the
 // spill budget's evidence), and SpillLost counts links dropped from torn
 // or corrupt spill runs.
@@ -509,7 +417,6 @@ type Stats struct {
 	DroppedDepth int64
 	Requeued     int64
 	Queued       int
-	Delayed      int
 	InMemory     int
 	Spilled      int
 	PeakInMemory int
@@ -524,7 +431,7 @@ func (f *Frontier) Stats() Stats {
 		Pushed: f.pushed, Popped: f.popped,
 		DroppedFull: f.droppedFull, DroppedSeen: f.droppedSeen,
 		DroppedDepth: f.droppedDepth, Requeued: f.requeued,
-		Queued: f.sched.Len(), Delayed: len(f.delayed),
+		Queued:   f.sched.Len(),
 		InMemory: f.memLenLocked(), PeakInMemory: f.peakInMem,
 		SpillLost: f.spillLost,
 	}
@@ -541,10 +448,8 @@ func (f *Frontier) Stats() Stats {
 func (f *Frontier) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	dropped := len(f.delayed) + f.sched.Len()
-	mQueued.Add(-int64(dropped))
+	mQueued.Add(-int64(f.sched.Len()))
 	f.sched.Reset()
-	f.delayed = nil
 	f.closed = false
 }
 
@@ -556,28 +461,16 @@ func (f *Frontier) Forget(url string) {
 	delete(f.seen, url)
 }
 
-// DelayedDump is one cooling-off entry in a Dump: the item plus how much
-// cool-down it still had left when the dump was taken. Remaining time is
-// stored as a duration rather than an absolute deadline so a session
-// resumed hours later re-arms the breaker cool-downs relative to the
-// resume instant instead of finding them all long expired.
-type DelayedDump struct {
-	Item    Item
-	ReadyIn time.Duration
-}
-
 // Dump is a serializable snapshot of the frontier's pending work: queued
 // items in the scheduler's deterministic order (topics in first-seen order
 // with each topic's outgoing queue before its incoming queue; spilled tails
-// are streamed back off disk), items still cooling off after a breaker
-// requeue, and the dedup set. Counters and in-flight leases are
+// are streamed back off disk) and the dedup set. Counters and in-flight leases are
 // deliberately excluded — a restored crawl starts its statistics fresh, and
 // an in-flight item that was never Done'd is simply lost to the dump (its
 // URL stays in Seen).
 type Dump struct {
-	Items   []Item
-	Delayed []DelayedDump
-	Seen    []string
+	Items []Item
+	Seen  []string
 }
 
 // Dump captures the frontier's pending work for session persistence.
@@ -589,17 +482,6 @@ func (f *Frontier) Dump() Dump {
 		d.Items = append(d.Items, it)
 		return true
 	})
-	now := f.cfg.Now()
-	tmp := make(delayedHeap, len(f.delayed))
-	copy(tmp, f.delayed)
-	for tmp.Len() > 0 {
-		di := heap.Pop(&tmp).(delayedItem)
-		left := di.readyAt.Sub(now)
-		if left < 0 {
-			left = 0
-		}
-		d.Delayed = append(d.Delayed, DelayedDump{Item: di.it, ReadyIn: left})
-	}
 	d.Seen = make([]string, 0, len(f.seen))
 	for url := range f.seen {
 		d.Seen = append(d.Seen, url)
@@ -610,8 +492,7 @@ func (f *Frontier) Dump() Dump {
 
 // Restore reloads a Dump into an empty (or Reset) frontier: queued items
 // re-enter the scheduler with their effective priorities (re-spilling past
-// the budget as needed), delayed items re-arm relative to now, and the seen
-// set is replaced. Items whose URLs the dump also lists as seen do not
+// the budget as needed) and the seen set is replaced. Items whose URLs the dump also lists as seen do not
 // double-drop: Restore inserts directly, bypassing Push's dedup check.
 func (f *Frontier) Restore(d Dump) {
 	f.mu.Lock()
@@ -620,19 +501,10 @@ func (f *Frontier) Restore(d Dump) {
 		f.seq++
 		f.sched.Reinsert(it, f.EffectivePriority(it), f.seq)
 	}
-	now := f.cfg.Now()
-	for _, dd := range d.Delayed {
-		f.seq++
-		heap.Push(&f.delayed, delayedItem{
-			readyAt: now.Add(dd.ReadyIn),
-			seq:     f.seq,
-			it:      dd.Item,
-		})
-	}
 	for _, url := range d.Seen {
 		f.seen[url] = struct{}{}
 	}
-	mQueued.Add(int64(len(d.Items) + len(d.Delayed)))
+	mQueued.Add(int64(len(d.Items)))
 	f.notePeakLocked()
 	f.wakeLocked()
 }

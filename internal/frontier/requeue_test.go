@@ -2,61 +2,31 @@ package frontier
 
 import (
 	"context"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/bingo-search/bingo/internal/metrics"
 )
 
-// fakeClock is a settable clock for Config.Now so requeue cool-downs can be
-// tested without sleeping.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1_000_000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-// TestRequeueDelaysPromotion checks that a requeued item stays invisible to
-// Pop until its cool-down elapses, then comes back with its original
-// priority, and that the round trip is accounted as a requeue — never as a
-// drop.
-func TestRequeueDelaysPromotion(t *testing.T) {
-	clk := newFakeClock()
-	cfg := DefaultConfig()
-	cfg.Now = clk.Now
-	f := New(cfg)
+// TestRequeueImmediate checks that a requeued item is poppable again at
+// once with its original priority, queued behind equal-priority items it
+// was popped ahead of (a fresh sequence number), and that the round trip is
+// accounted as a requeue — never as a drop.
+func TestRequeueImmediate(t *testing.T) {
+	f := New(DefaultConfig())
 
 	f.Push(Item{URL: "http://a.example/", Topic: "db", Priority: 0.8})
+	f.Push(Item{URL: "http://b.example/", Topic: "db", Priority: 0.8})
+	f.Push(Item{URL: "http://c.example/", Topic: "db", Priority: 0.1})
 	it, ok := f.Pop()
-	if !ok {
-		t.Fatal("Pop failed on non-empty frontier")
+	if !ok || it.URL != "http://a.example/" {
+		t.Fatalf("first pop = %q (ok=%v), want a.example", it.URL, ok)
 	}
 
-	it.Requeues++
-	f.Requeue(it, 10*time.Second)
+	f.Requeue(it)
 
-	if _, ok := f.Pop(); ok {
-		t.Fatal("Pop returned a cooling-off item before its delay elapsed")
-	}
 	st := f.Stats()
-	if st.Delayed != 1 || st.Requeued != 1 {
-		t.Fatalf("Stats after requeue = %+v, want Delayed=1 Requeued=1", st)
+	if st.Queued != 3 || st.Requeued != 1 {
+		t.Fatalf("Stats after requeue = %+v, want Queued=3 Requeued=1", st)
 	}
 	if st.DroppedSeen != 0 || st.DroppedFull != 0 || st.DroppedDepth != 0 {
 		t.Fatalf("requeue was counted as a drop: %+v", st)
@@ -67,67 +37,45 @@ func TestRequeueDelaysPromotion(t *testing.T) {
 		t.Fatal("Push of a requeued (seen) URL succeeded")
 	}
 
-	clk.Advance(11 * time.Second)
-	got, ok := f.Pop()
-	if !ok {
-		t.Fatal("Pop failed after the cool-down elapsed")
-	}
-	if got.URL != "http://a.example/" || got.Requeues != 1 {
-		t.Fatalf("promoted item = %+v", got)
-	}
-	if st := f.Stats(); st.Delayed != 0 {
-		t.Fatalf("Delayed = %d after promotion, want 0", st.Delayed)
-	}
-}
-
-// TestRequeueOrderedByReadyAt checks that delayed items mature in readyAt
-// order, not insertion order.
-func TestRequeueOrderedByReadyAt(t *testing.T) {
-	clk := newFakeClock()
-	cfg := DefaultConfig()
-	cfg.Now = clk.Now
-	f := New(cfg)
-
-	f.Requeue(Item{URL: "http://late.example/", Topic: "db", Priority: 0.9}, 20*time.Second)
-	f.Requeue(Item{URL: "http://soon.example/", Topic: "db", Priority: 0.1}, 5*time.Second)
-
-	clk.Advance(6 * time.Second)
-	got, ok := f.Pop()
-	if !ok || got.URL != "http://soon.example/" {
-		t.Fatalf("first matured item = %v (ok=%v), want soon.example", got.URL, ok)
-	}
-	if _, ok := f.Pop(); ok {
-		t.Fatal("late.example promoted 14s early")
-	}
-	clk.Advance(15 * time.Second)
-	if got, ok := f.Pop(); !ok || got.URL != "http://late.example/" {
-		t.Fatalf("second matured item = %v (ok=%v), want late.example", got.URL, ok)
+	want := []string{"http://b.example/", "http://a.example/", "http://c.example/"}
+	for i, w := range want {
+		got, ok := f.Pop()
+		if !ok || got.URL != w {
+			t.Fatalf("pop %d = %q (ok=%v), want %q", i, got.URL, ok, w)
+		}
+		if w == "http://a.example/" && got.Priority != 0.8 {
+			t.Fatalf("requeued item came back as %+v", got)
+		}
 	}
 }
 
-// TestPopWaitWaitsOutCoolDown parks a PopWait caller on a frontier whose
-// only pending work is a delayed requeue and checks that it waits the
-// cool-down out (instead of reporting drain) and returns the item — then
-// reports drain once the item is processed.
-func TestPopWaitWaitsOutCoolDown(t *testing.T) {
-	f := New(DefaultConfig()) // real clock: PopWait arms a timer on readyAt
-
-	f.Requeue(Item{URL: "http://cooling.example/", Topic: "db", Priority: 1}, 30*time.Millisecond)
-
-	start := time.Now()
-	it, ok := f.PopWait(context.Background())
+// TestRequeueWakesParkedPopWait parks a PopWait caller while the frontier
+// is empty but an item is out on lease, then has the lease holder requeue
+// its item and finish: the parked caller must get the item instead of
+// reporting drain — and drain must follow once it is processed.
+func TestRequeueWakesParkedPopWait(t *testing.T) {
+	f := New(DefaultConfig())
+	f.Push(Item{URL: "http://a.example/", Topic: "db", Priority: 1})
+	held, ok := f.PopWait(context.Background())
 	if !ok {
-		t.Fatal("PopWait reported drain while an item was cooling off")
+		t.Fatal("PopWait failed on a non-empty frontier")
 	}
-	if it.URL != "http://cooling.example/" {
-		t.Fatalf("PopWait returned %q", it.URL)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("PopWait returned after %v, before the 30ms cool-down", elapsed)
-	}
+
+	got := make(chan Item, 1)
+	go func() {
+		it, ok := f.PopWait(context.Background())
+		if ok {
+			f.Done()
+		}
+		got <- it
+	}()
+	f.Requeue(held)
 	f.Done()
+	if it := <-got; it.URL != "http://a.example/" {
+		t.Fatalf("parked PopWait returned %q, want the requeued item", it.URL)
+	}
 
-	// Nothing queued, nothing delayed, nothing outstanding: drained.
+	// Nothing queued, nothing outstanding: drained.
 	if _, ok := f.PopWait(context.Background()); ok {
 		t.Fatal("PopWait returned an item from a drained frontier")
 	}
@@ -146,7 +94,7 @@ func TestDropDepthSeparateFromDedup(t *testing.T) {
 	f.Push(Item{URL: "http://a.example/", Topic: "db", Priority: 0.5}) // dedup drop
 	f.DropDepth()                                                      // depth-limit drop
 	f.DropDepth()
-	f.Requeue(Item{URL: "http://a.example/", Topic: "db", Priority: 0.5}, time.Hour)
+	f.Requeue(Item{URL: "http://a.example/", Topic: "db", Priority: 0.5})
 
 	st := f.Stats()
 	if st.DroppedSeen != 1 || st.DroppedDepth != 2 || st.DroppedFull != 0 {
@@ -168,21 +116,17 @@ func TestDropDepthSeparateFromDedup(t *testing.T) {
 	}
 }
 
-// TestResetDiscardsDelayed checks that a phase-switch Reset clears the
-// delayed heap along with the queues, so no stale cool-downs leak into the
-// next phase.
-func TestResetDiscardsDelayed(t *testing.T) {
-	clk := newFakeClock()
-	cfg := DefaultConfig()
-	cfg.Now = clk.Now
-	f := New(cfg)
+// TestResetDiscardsRequeued checks that a phase-switch Reset clears
+// requeued items along with the rest of the queues, so nothing from the
+// previous phase leaks into the next.
+func TestResetDiscardsRequeued(t *testing.T) {
+	f := New(DefaultConfig())
 
-	f.Requeue(Item{URL: "http://a.example/", Topic: "db", Priority: 1}, time.Second)
+	f.Requeue(Item{URL: "http://a.example/", Topic: "db", Priority: 1})
 	f.Reset()
-	if st := f.Stats(); st.Delayed != 0 || st.Queued != 0 {
+	if st := f.Stats(); st.Queued != 0 {
 		t.Fatalf("Stats after Reset = %+v, want empty", st)
 	}
-	clk.Advance(2 * time.Second)
 	if _, ok := f.Pop(); ok {
 		t.Fatal("a pre-Reset requeue survived Reset")
 	}

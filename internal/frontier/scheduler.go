@@ -3,7 +3,7 @@ package frontier
 import "fmt"
 
 // Registered scheduler names. The scheduler decides which queued link is
-// crawled next; everything else — dedup, leases, breaker requeues, PopWait
+// crawled next; everything else — dedup, leases, requeues, PopWait
 // parking, Dump/Restore — is shared frontier machinery and identical for
 // every policy.
 const (
@@ -71,7 +71,7 @@ type Scheduler interface {
 	// overflow drop).
 	Push(it Item, eff float64, seq uint64) (evictedURL string, ok bool)
 	// Reinsert re-adds an item that bypasses capacity checks and never
-	// fails: matured breaker requeues and Restore use it.
+	// fails: Requeue and Restore use it.
 	Reinsert(it Item, eff float64, seq uint64)
 	// Pop removes and returns the best queued item.
 	Pop() (Item, bool)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 )
 
 // ---------------------------------------------------------------------------
@@ -376,15 +375,15 @@ func TestSchedulerDumpRestoreRoundTrip(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				f.Push(Item{URL: fmt.Sprintf("http://h.example/p%d", i), Topic: "ROOT/t", Priority: float64(i) / 20})
 			}
-			f.Requeue(Item{URL: "http://cool.example/", Topic: "ROOT/t", Priority: 0.5}, time.Hour)
+			f.Requeue(Item{URL: "http://requeued.example/", Topic: "ROOT/t", Priority: 0.5})
 			d := f.Dump()
-			if len(d.Items) != 21 || len(d.Delayed) != 1 {
-				t.Fatalf("dump shape: %d items, %d delayed; want 21, 1", len(d.Items), len(d.Delayed))
+			if len(d.Items) != 22 {
+				t.Fatalf("dump shape: %d items; want 22", len(d.Items))
 			}
 			g := newTestFrontier(t, name, nil)
 			g.Restore(d)
-			if g.Len() != 21 {
-				t.Fatalf("restored Len = %d, want 21", g.Len())
+			if g.Len() != 22 {
+				t.Fatalf("restored Len = %d, want 22", g.Len())
 			}
 			it, ok := g.Pop()
 			if !ok || !it.IsSeed {

@@ -20,7 +20,7 @@ import (
 //
 //	"BWAL" header, then one record per item:
 //	  version u8 | url | topic | priority f64 | depth | tunnelDepth |
-//	  referrer | anchor | requeues | isSeed | eff f64 | seq uvarint
+//	  referrer | anchor | isSeed | eff f64 | seq uvarint
 //
 // Ordering across the memory/disk boundary is relaxed: the hot queue is
 // always served before disk, and spilled items are ordered by raw effective
@@ -53,7 +53,7 @@ func (e *SpillError) Error() string {
 // Unwrap returns the underlying cause.
 func (e *SpillError) Unwrap() error { return e.Err }
 
-const spillEntryVersion = 1
+const spillEntryVersion = 2
 
 func encodeSpillEntry(e *segment.Enc, it Item, eff float64, seq uint64) {
 	e.Byte(spillEntryVersion)
@@ -64,7 +64,6 @@ func encodeSpillEntry(e *segment.Enc, it Item, eff float64, seq uint64) {
 	e.Varint(int64(it.TunnelDepth))
 	e.Str(it.Referrer)
 	e.Str(it.Anchor)
-	e.Varint(int64(it.Requeues))
 	e.Bool(it.IsSeed)
 	e.F64(eff)
 	e.Uvarint(seq)
@@ -85,7 +84,6 @@ func decodeSpillEntry(payload []byte, path string) (Item, float64, uint64, error
 	it.TunnelDepth = int(d.Varint())
 	it.Referrer = d.Str()
 	it.Anchor = d.Str()
-	it.Requeues = int(d.Varint())
 	it.IsSeed = d.Bool()
 	eff := d.F64()
 	seq := d.Uvarint()

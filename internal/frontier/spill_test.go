@@ -295,7 +295,7 @@ func TestSpillDecoderFuzz(t *testing.T) {
 	encodeSpillEntry(&e, Item{
 		URL: "http://h.example/p", Topic: "ROOT/t", Priority: 0.5,
 		Depth: 3, TunnelDepth: 1, Referrer: "http://r.example/", Anchor: "x",
-		Requeues: 2, IsSeed: false,
+		IsSeed: true,
 	}, 0.25, 42)
 	valid := e.Bytes()
 
@@ -326,7 +326,7 @@ func TestSpillDecoderFuzz(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid payload failed: %v", err)
 	}
-	if it.URL != "http://h.example/p" || it.Depth != 3 || it.Requeues != 2 || eff != 0.25 || seq != 42 {
+	if it.URL != "http://h.example/p" || it.Depth != 3 || !it.IsSeed || eff != 0.25 || seq != 42 {
 		t.Fatalf("round trip mismatch: %+v eff=%v seq=%v", it, eff, seq)
 	}
 }

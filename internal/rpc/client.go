@@ -210,7 +210,8 @@ func (c *Client) call(ctx context.Context, method, path string, reqBody, respBod
 // attempts runs the hedged-retry schedule: attempt 1 immediately; attempt
 // 2 when attempt 1 either fails retryably or is still in flight after
 // HedgeAfter. First success wins; a non-retryable error (conflict,
-// protocol) returns immediately.
+// protocol) returns immediately, and so does a success whose body names
+// another protocol version (*ProtoError).
 func (c *Client) attempts(ctx context.Context, method, path string, payload []byte, respBody any, hedge bool) error {
 	type result struct {
 		idx int
@@ -242,10 +243,13 @@ func (c *Client) attempts(ctx context.Context, method, path string, payload []by
 				if r.idx == 2 {
 					mCliHedgeWins.Inc()
 				}
-				if respBody == nil {
-					return nil
+				if err := json.Unmarshal(r.raw, respBody); err != nil {
+					return err
 				}
-				return json.Unmarshal(r.raw, respBody)
+				if v := respVersion(respBody); v != ProtoVersion {
+					return &ProtoError{Addr: c.base, Have: v}
+				}
+				return nil
 			}
 			if !retryable(r.err) {
 				return r.err
@@ -276,6 +280,32 @@ func (c *Client) attempts(ctx context.Context, method, path string, payload []by
 			return ctx.Err()
 		}
 	}
+}
+
+// respVersion extracts the V field from a decoded response, as the
+// server's protoOf does from a request.
+func respVersion(dst any) int {
+	switch m := dst.(type) {
+	case *PingResponse:
+		return m.V
+	case *StatsResponse:
+		return m.V
+	case *GlobalResponse:
+		return m.V
+	case *LinksResponse:
+		return m.V
+	case *AuthResponse:
+		return m.V
+	case *SearchResponse:
+		return m.V
+	case *ScoreResponse:
+		return m.V
+	case *GatherResponse:
+		return m.V
+	case *InsertResponse:
+		return m.V
+	}
+	return 0
 }
 
 // attempt performs one HTTP exchange under the per-attempt timeout and

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/fetch"
+	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/search"
 )
 
@@ -19,7 +20,7 @@ import (
 
 func pingOK(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte(`{"v":1,"ready":true}`))
+	w.Write([]byte(`{"v":2,"ready":true}`))
 }
 
 func TestClientHedgesSlowServer(t *testing.T) {
@@ -125,7 +126,7 @@ func TestClientInsertNeverHedges(t *testing.T) {
 		calls.Add(1)
 		time.Sleep(50 * time.Millisecond) // well past HedgeAfter
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"v":1,"num_docs":1,"durable":0}`))
+		w.Write([]byte(`{"v":2,"num_docs":1,"durable":0}`))
 	}))
 	defer srv.Close()
 
@@ -154,12 +155,50 @@ func TestClientRejectsUnknownProtocolVersion(t *testing.T) {
 	}
 }
 
+// TestClientRejectsOtherGenerationResponse: a server that answers 200 in
+// another protocol generation — here a version-1 shard answering ping and
+// search — is refused with a *ProtoError on the first attempt, without a
+// hedge or retry, and the refusal counts in rpc_client_errors_total.
+func TestClientRejectsOtherGenerationResponse(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case PathPing:
+			w.Write([]byte(`{"v":1,"ready":true,"num_docs":3}`))
+		default:
+			w.Write([]byte(`{"v":1,"survivors":0,"url":[],"title":[],"topic":[],"cos":[],"conf":[]}`))
+		}
+	}))
+	defer srv.Close()
+
+	errs := metrics.NewCounter("rpc_client_errors_total")
+	before := errs.Value()
+	c := NewClient(srv.URL, ClientOptions{Timeout: time.Second, HedgeAfter: time.Second})
+	_, err := c.Ping(context.Background())
+	var pe *ProtoError
+	if !errors.As(err, &pe) || pe.Have != 1 || pe.Addr != c.Addr() {
+		t.Fatalf("ping got %v, want a ProtoError naming version 1", err)
+	}
+	plan := &search.Plan{Limit: 10, Weights: search.DefaultWeights()}
+	if _, err := c.Search(context.Background(), "g1", plan); !errors.As(err, &pe) {
+		t.Fatalf("search got %v, want a ProtoError", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("made %d attempts for two calls, want 2 — a version mismatch is not retried", n)
+	}
+	if d := errs.Value() - before; d != 2 {
+		t.Fatalf("rpc_client_errors_total rose by %d, want 2", d)
+	}
+}
+
 // TestClientSearchRejectsRaggedColumns: a search answer whose row columns
 // differ in length is refused instead of indexed past its end.
 func TestClientSearchRejectsRaggedColumns(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"v":1,"survivors":2,"url":["a","b"],"title":["a","b"],"topic":["t","t"],"cos":[0.5],"conf":[0.1,0.2]}`))
+		w.Write([]byte(`{"v":2,"survivors":2,"url":["a","b"],"title":["a","b"],"topic":["t","t"],"cos":[0.5],"conf":[0.1,0.2]}`))
 	}))
 	defer srv.Close()
 

@@ -42,7 +42,8 @@ import (
 )
 
 // ProtoVersion is the wire protocol generation this package speaks. A
-// request carrying a different non-zero `v` is rejected. Version 2 took
+// server rejects a request carrying a different non-zero `v`, and a client
+// refuses a response whose `v` differs (*ProtoError). Version 2 took
 // term vectors out of the insert body, so a coordinator and a shard server
 // of different generations fail each other's requests rather than store a
 // document without its terms.
@@ -335,6 +336,22 @@ type BreakerOpenError struct {
 // Error implements the error interface.
 func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("rpc: breaker open for %s (retry in %s)", e.Addr, e.RetryIn)
+}
+
+// ProtoError reports a response from a server of another protocol
+// generation. It is not retried: the server is healthy, but its answers
+// cannot be trusted to mean what this client expects, so the coordinator
+// treats it as missing.
+type ProtoError struct {
+	// Addr is the server base address.
+	Addr string
+	// Have is the protocol version the response named.
+	Have int
+}
+
+// Error implements the error interface.
+func (e *ProtoError) Error() string {
+	return fmt.Sprintf("rpc: %s answers protocol version %d, this client speaks %d", e.Addr, e.Have, ProtoVersion)
 }
 
 // StatusError reports an HTTP-level failure that is not a conflict: a 4xx

@@ -143,59 +143,28 @@ func (w *WAL) Close() error {
 // an absurd length returns a *CorruptError. fn returning an error aborts
 // replay with that error.
 func ReplayWAL(path string, fn func(payload []byte) error) (records int, goodSize int64, err error) {
-	f, err := os.Open(path)
+	r, err := OpenWALReaderAt(path, WALDataStart)
 	if err != nil {
-		return 0, 0, fmt.Errorf("segment: wal replay: %w", err)
-	}
-	defer f.Close()
-	var hdr [walHdrLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		// A WAL so short its header is cut off: created but never fully
 		// written. Treat as empty-with-torn-tail, not corruption.
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if errors.Is(err, ErrTornWAL) {
 			return 0, 0, nil
 		}
-		return 0, 0, fmt.Errorf("segment: wal replay: %w", err)
+		return 0, 0, err
 	}
-	if string(hdr[:4]) != walMagic {
-		return 0, 0, corruptf(path, "wal-header", "bad magic %q", hdr[:4])
-	}
-	if hdr[4] != walVersion {
-		return 0, 0, corruptf(path, "wal-header", "unsupported version %d", hdr[4])
-	}
-	goodSize = walHdrLen
-	var frame [8]byte
-	var payload []byte
+	defer r.Close()
 	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return records, goodSize, nil // torn frame header
-			}
-			return records, goodSize, fmt.Errorf("segment: wal replay: %w", err)
+		goodSize = r.Offset()
+		payload, err := r.Next()
+		if err == io.EOF || errors.Is(err, ErrTornWAL) {
+			return records, goodSize, nil
 		}
-		d := newDec(frame[:], path, "wal-record")
-		plen := int(d.u32())
-		wantCRC := d.u32()
-		if plen > walMaxRecord {
-			return records, goodSize, corruptf(path, "wal-record", "record of %d bytes at offset %d exceeds limit", plen, goodSize)
-		}
-		if cap(payload) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return records, goodSize, nil // torn payload
-			}
-			return records, goodSize, fmt.Errorf("segment: wal replay: %w", err)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return records, goodSize, corruptf(path, "wal-record", "crc mismatch at offset %d: stored %08x computed %08x", goodSize, wantCRC, got)
+		if err != nil {
+			return records, goodSize, err
 		}
 		if err := fn(payload); err != nil {
 			return records, goodSize, err
 		}
 		records++
-		goodSize += int64(len(frame) + plen)
 	}
 }

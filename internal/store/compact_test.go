@@ -55,8 +55,11 @@ func goroutinesIn(fn string) int {
 // the handful of documents that arrived meanwhile: two such flushes during
 // one build give exactly one freeze.
 func TestRacingFlushesFreezeOnce(t *testing.T) {
+	// writeDocs' documents with 8 text bytes weigh 53–55 hot bytes each, so
+	// the first ten (530 bytes) cross this budget and the four racing ones
+	// (220 bytes) stay under it.
 	opt := testTierOpts()
-	opt.FreezeDocs = 10
+	opt.MemtableBudget = 500
 	s := openTiered(t, t.TempDir(), 1, opt)
 	defer s.Close()
 	var wg sync.WaitGroup

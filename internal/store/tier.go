@@ -107,9 +107,6 @@ type TierOptions struct {
 	// DisableCompaction turns the background compactor off (tests drive
 	// CompactShard directly).
 	DisableCompaction bool
-	// FreezeDocs, when positive, also freezes a shard once it holds this
-	// many hot documents regardless of bytes (tests use small values).
-	FreezeDocs int
 }
 
 // WAL record kinds. Kinds 1–3 (one record per relation: documents, links,
@@ -373,21 +370,26 @@ func (s *Store) Tiered() bool { return s.opt != nil }
 // the WAL (when WALSync is on) or baked into a segment.
 func (s *Store) DurableDocs() int64 { return s.durable.Load() }
 
+// tierLayout is dir/TIER.json: the shard count a data directory was
+// created with.
+type tierLayout struct {
+	Shards int `json:"shards"`
+}
+
 // pinnedShards reads the shard count recorded in dir/TIER.json; ok is
 // false when the directory has no pinned layout yet.
 func pinnedShards(dir string) (int, bool, error) {
-	b, err := os.ReadFile(filepath.Join(dir, "TIER.json"))
+	path := filepath.Join(dir, "TIER.json")
+	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, false, nil
 	}
 	if err != nil {
 		return 0, false, fmt.Errorf("store: open tiered: %w", err)
 	}
-	var layout struct {
-		Shards int `json:"shards"`
-	}
+	var layout tierLayout
 	if err := json.Unmarshal(b, &layout); err != nil {
-		return 0, false, fmt.Errorf("store: open tiered: bad %s: %w", filepath.Join(dir, "TIER.json"), err)
+		return 0, false, fmt.Errorf("store: open tiered: bad %s: %w", path, err)
 	}
 	return layout.Shards, true, nil
 }
@@ -399,26 +401,18 @@ func checkTierLayout(dir string, p int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: open tiered: %w", err)
 	}
-	path := filepath.Join(dir, "TIER.json")
-	var layout struct {
-		Shards int `json:"shards"`
+	pinned, ok, err := pinnedShards(dir)
+	if err != nil {
+		return err
 	}
-	b, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(b, &layout); err != nil {
-			return fmt.Errorf("store: open tiered: bad %s: %w", path, err)
-		}
-		if layout.Shards != p {
-			return fmt.Errorf("store: open tiered: %s was created with %d shards, reopened with %d (DocIDs encode the shard; the layout cannot change)", dir, layout.Shards, p)
+	if ok {
+		if pinned != p {
+			return fmt.Errorf("store: open tiered: %s was created with %d shards, reopened with %d (DocIDs encode the shard; the layout cannot change)", dir, pinned, p)
 		}
 		return nil
 	}
-	if !os.IsNotExist(err) {
-		return fmt.Errorf("store: open tiered: %w", err)
-	}
-	layout.Shards = p
-	b, _ = json.Marshal(layout)
-	return segment.WriteFileAtomic(path, b)
+	b, _ := json.Marshal(tierLayout{Shards: p})
+	return segment.WriteFileAtomic(filepath.Join(dir, "TIER.json"), b)
 }
 
 // openShardTier loads one shard: manifest → segments (slim rows, cold
@@ -882,7 +876,7 @@ func (s *Store) replayInsert(sh *storeShard, seq int64, d Document) {
 // Freeze: hot tier → segment
 
 // maybeFreeze freezes sh if its hot payload exceeds the shard's share of
-// the memtable budget (or the FreezeDocs test knob). Called without locks.
+// the memtable budget. Called without locks.
 func (s *Store) maybeFreeze(sh *storeShard) {
 	t := sh.tier
 	if t == nil {
@@ -901,8 +895,7 @@ func (s *Store) maybeFreeze(sh *storeShard) {
 // overBudgetLocked reports whether t's hot tier should freeze. Caller holds
 // the shard's docMu.
 func (s *Store) overBudgetLocked(t *shardTier) bool {
-	return t.hotBytes >= t.opt.MemtableBudget/int64(len(s.shards)) ||
-		(t.opt.FreezeDocs > 0 && t.hotDocs >= int64(t.opt.FreezeDocs))
+	return t.hotBytes >= t.opt.MemtableBudget/int64(len(s.shards))
 }
 
 // freezePrePublishHook, when non-nil, runs between a freeze's segment

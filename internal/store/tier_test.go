@@ -17,12 +17,12 @@ import (
 	"github.com/bingo-search/bingo/internal/textproc"
 )
 
-// testTierOpts are the defaults for tier tests: tiny freeze threshold so
-// corpora split across both tiers, compaction driven manually.
+// testTierOpts are the defaults for tier tests: shards never freeze on
+// their own (tests call FreezeShard, or set a small MemtableBudget), and
+// compaction is driven manually.
 func testTierOpts() TierOptions {
 	return TierOptions{
-		MemtableBudget:    1 << 40, // never freeze on bytes; FreezeDocs drives it
-		FreezeDocs:        0,
+		MemtableBudget:    1 << 40,
 		DisableCompaction: true,
 	}
 }
@@ -839,7 +839,7 @@ func TestTieredDurableDocs(t *testing.T) {
 func TestTieredAutoFreeze(t *testing.T) {
 	dir := t.TempDir()
 	opt := testTierOpts()
-	opt.FreezeDocs = 20
+	opt.MemtableBudget = 20 * 232 // 20 of fillTier's documents, 232 hot bytes on average
 	s := openTiered(t, dir, 1, opt)
 	defer s.Close()
 	fillTier(t, s, 13, 100)
@@ -849,7 +849,7 @@ func TestTieredAutoFreeze(t *testing.T) {
 	hot := sh.tier.hotDocs
 	sh.docMu.RUnlock()
 	if segs == 0 {
-		t.Fatal("no automatic freeze despite FreezeDocs=20")
+		t.Fatal("no automatic freeze despite a 20-document memtable budget")
 	}
 	if hot >= 100 {
 		t.Fatalf("hot tier still holds %d docs after auto-freezes", hot)
@@ -1006,7 +1006,7 @@ func sameLinks(a, b []Link) bool {
 func TestTieredConcurrentChurn(t *testing.T) {
 	dir := t.TempDir()
 	opt := testTierOpts()
-	opt.FreezeDocs = 25
+	opt.MemtableBudget = 2 * 25 * 58 // 25 of the writers' 58-byte documents per shard
 	opt.DisableCompaction = false
 	s, err := OpenTiered(dir, 2, opt)
 	if err != nil {

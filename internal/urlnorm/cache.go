@@ -52,6 +52,35 @@ func NormalizeCached(raw string) (string, bool) {
 	return sharedCache.Normalize(raw)
 }
 
+// LinkResolver returns the href resolver for a document whose final URL
+// (after redirects) is final, in the shape htmldoc.Convert takes: called
+// with the document's <base href> ("" when it declares none) and one href,
+// it returns the normalized absolute http(s) URL, or ok=false. Absolute
+// hrefs don't depend on the document base, and the same targets recur
+// across pages, so their normalization is memoized.
+func LinkResolver(final *url.URL) func(base, href string) (string, bool) {
+	return func(base, href string) (string, bool) {
+		if base == "" && Cacheable(href) {
+			return NormalizeCached(href)
+		}
+		from := final
+		if base != "" {
+			if b, err := final.Parse(base); err == nil {
+				from = b
+			}
+		}
+		ref, err := from.Parse(href)
+		if err != nil {
+			return "", false
+		}
+		NormalizeURL(ref)
+		if ref.Scheme != "http" && ref.Scheme != "https" {
+			return "", false
+		}
+		return ref.String(), true
+	}
+}
+
 // Normalize returns the canonical form of the absolute URL raw, or ok=false
 // when raw does not parse as an http(s) URL.
 func (c *Cache) Normalize(raw string) (string, bool) {

@@ -1,6 +1,7 @@
 package urlnorm
 
 import (
+	"net/url"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +100,36 @@ func sanitize(s string) string {
 		}
 	}
 	return string(out)
+}
+
+// TestLinkResolver: hrefs resolve against the document's final URL, or
+// against its <base href> (itself resolved against the final URL), come
+// back normalized, and anything that is not http(s) is refused.
+func TestLinkResolver(t *testing.T) {
+	final, err := url.Parse("http://www.example.org/dir/page.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := LinkResolver(final)
+	cases := []struct {
+		base, href, want string
+	}{
+		{"", "HTTP://Other.Example:80/a/../b#top", "http://other.example/b"},
+		{"", "next.html", "http://www.example.org/dir/next.html"},
+		{"", "../up.html#frag", "http://www.example.org/up.html"},
+		{"/other/", "x.html", "http://www.example.org/other/x.html"},
+		{"http://base.example/b/", "./y.html", "http://base.example/b/y.html"},
+		{"http://base.example/b/", "http://abs.example", "http://abs.example/"},
+		{"", "mailto:someone@example.org", ""},
+		{"", "javascript:void(0)", ""},
+		{"", "ftp://files.example/x", ""},
+	}
+	for _, c := range cases {
+		got, ok := resolve(c.base, c.href)
+		if ok != (c.want != "") || got != c.want {
+			t.Errorf("resolve(%q, %q) = %q, %v; want %q", c.base, c.href, got, ok, c.want)
+		}
+	}
 }
 
 func TestCleanPath(t *testing.T) {
