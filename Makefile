@@ -34,10 +34,10 @@ race:
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/
 
-# fuzz runs every decoder fuzz target past its seed corpus for FUZZTIME
-# each (plain `go test` only replays the seeds). The contract is a typed
-# error, never a panic; FuzzNormalize checks that URL normalization is
-# idempotent and that its memo agrees with it.
+# fuzz runs every decoder and crawl-input parser fuzz target past its seed
+# corpus for FUZZTIME each (plain `go test` only replays the seeds). The
+# contract is a typed error, never a panic; FuzzNormalize checks that URL
+# normalization is idempotent and that its memo agrees with it.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/segment/
@@ -47,6 +47,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyWALBatch$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionState$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME) ./internal/urlnorm/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRobots$$' -fuzztime $(FUZZTIME) ./internal/fetch/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBookmarks$$' -fuzztime $(FUZZTIME) ./internal/bookmarks/
 
 # chaos runs the fault-injection suite (full crawls against the seeded fault
 # plane, plus the faults/fetch resilience units) across a fixed seed matrix

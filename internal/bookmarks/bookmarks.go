@@ -159,10 +159,18 @@ func ParseText(r io.Reader) ([]Topic, error) {
 	return out, nil
 }
 
-// attrValue extracts an attribute from a raw tag body.
+// attrValue extracts an attribute from a raw tag body. The name matches
+// ASCII case-insensitively, on a copy that keeps every byte offset:
+// strings.ToLower can change a tag's length (invalid UTF-8, 'İ'), which
+// would misplace the value.
 func attrValue(tag, name string) (string, bool) {
-	lower := strings.ToLower(tag)
-	idx := strings.Index(lower, name+"=")
+	lower := []byte(tag)
+	for i, c := range lower {
+		if 'A' <= c && c <= 'Z' {
+			lower[i] = c + 'a' - 'A'
+		}
+	}
+	idx := strings.Index(string(lower), name+"=")
 	if idx < 0 {
 		return "", false
 	}

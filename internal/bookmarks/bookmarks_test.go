@@ -1,6 +1,8 @@
 package bookmarks
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -128,6 +130,10 @@ func TestAttrValue(t *testing.T) {
 		{`A HREF='http://y/'`, "href", "http://y/", true},
 		{`A href=http://z/ ADD_DATE=1`, "href", "http://z/", true},
 		{`A NAME="n"`, "href", "", false},
+		// Lower-casing these tags whole changes their byte length: the
+		// value must still come from the right offset, never a panic.
+		{"A \xf2\xd90HREF=00>", "href", "00", true},
+		{`A TITLE="İİİİ" HREF="http://i/"`, "href", "http://i/", true},
 	}
 	for _, c := range cases {
 		got, ok := attrValue(c.tag, c.name)
@@ -135,4 +141,50 @@ func TestAttrValue(t *testing.T) {
 			t.Errorf("attrValue(%q) = %q,%v", c.tag, got, ok)
 		}
 	}
+}
+
+// FuzzParseBookmarks: on any input both parsers return topics or an error,
+// never a panic. Every topic they return has seeds and a topic path whose
+// segments are non-empty and hold no "/", so each one names a node of the
+// topic tree.
+func FuzzParseBookmarks(f *testing.F) {
+	for _, seed := range []string{
+		netscapeSample,
+		"<DL><DT><H3>a/b</H3><DL><DT><A HREF='http://x.example/'>x</A></DL></DL>",
+		"<a href=http://bare.example/>bare</a></dl></dl><h3>unclosed",
+		"<H3> </H3><A HREF=\"\">empty</A><A HREF=\"http://q.example/",
+		"db/recovery\thttp://aries.example/\n# comment\nir  http://ir.example/\n",
+		"only-one-field\n",
+		"a//b http://x.example/\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for name, parse := range map[string]func(io.Reader) ([]Topic, error){
+			"ParseNetscape": ParseNetscape,
+			"ParseText":     ParseText,
+		} {
+			topics, err := parse(bytes.NewReader(data))
+			if err != nil {
+				if topics != nil || !strings.HasPrefix(err.Error(), "bookmarks: ") {
+					t.Fatalf("%s: %d topics with error %v", name, len(topics), err)
+				}
+				continue
+			}
+			if len(topics) == 0 {
+				t.Fatalf("%s: no topics and no error", name)
+			}
+			for _, tp := range topics {
+				if len(tp.Seeds) == 0 || len(tp.Path) == 0 {
+					t.Fatalf("%s: topic %q with %d seeds", name, tp.Path, len(tp.Seeds))
+				}
+				for _, seg := range tp.Path {
+					if seg == "" || strings.Contains(seg, "/") {
+						t.Fatalf("%s: topic path %q has segment %q", name, tp.Path, seg)
+					}
+				}
+			}
+		}
+	})
 }

@@ -155,17 +155,6 @@ func (r *Router) PutRedirect(rd store.Redirect) {
 	r.mu.Unlock()
 }
 
-// PutTopic implements store.Sink: a reclassification routed by the
-// document URL.
-func (r *Router) PutTopic(url, topic string, confidence float64) {
-	i := store.RouteURL(url, len(r.clients))
-	r.mu.Lock()
-	b := r.batchFor(i)
-	b.req.Topics = append(b.req.Topics, rpc.TopicUpdate{URL: url, Topic: topic, Confidence: confidence})
-	r.bump(i, b)
-	r.mu.Unlock()
-}
-
 // batchFor returns server i's batch under construction, creating it if
 // needed. Caller holds r.mu.
 func (r *Router) batchFor(i int) *batch {

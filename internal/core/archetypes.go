@@ -179,7 +179,6 @@ func (t *Tenant) promoteTopic(topicPath string) {
 			Input: features.DocInput{Stems: stems, Anchors: e.store.InAnchors(d.URL)},
 		})
 		t.mu.Unlock()
-		_ = e.store.SetTrainingDoc(t.id, d.URL, true)
 	}
 }
 

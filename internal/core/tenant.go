@@ -507,7 +507,7 @@ func (t *Tenant) AddTrainingDoc(topicPath, docURL string) error {
 		Input: features.DocInput{Stems: stems, Anchors: e.store.InAnchors(d.URL)},
 	})
 	t.mu.Unlock()
-	return e.store.SetTrainingDoc(t.id, docURL, true)
+	return nil
 }
 
 // AddTrainingText adds a virtual training document for a topic — either a
@@ -538,5 +538,4 @@ func (t *Tenant) RemoveTrainingDoc(docURL string) {
 		t.training.ByTopic[topic] = kept
 	}
 	t.mu.Unlock()
-	_ = t.eng.store.SetTrainingDoc(t.id, docURL, false)
 }

@@ -50,6 +50,7 @@ var (
 	mWorkers        = metrics.NewGauge("crawler_workers")
 	mDegraded       = metrics.NewCounter("crawler_pages_degraded_total")
 	mAbandoned      = metrics.NewCounter("crawler_visits_abandoned_total")
+	mQuarantined    = metrics.NewCounter("crawler_quarantined_links_dropped_total")
 )
 
 // Focus selects the link-acceptance rule (§3.3).
@@ -285,6 +286,11 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	}
 	host := u.Hostname()
 	if !c.domainAllowed(host) {
+		return
+	}
+	if c.cfg.Fetcher.Hosts.Bad(host) {
+		// The fetcher would refuse it before any I/O: not a visit.
+		mQuarantined.Inc()
 		return
 	}
 	if !limiter.Acquire(host) {

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -551,6 +552,36 @@ func TestErrorsAreCountedByClass(t *testing.T) {
 	}
 	if got := class.Value() - before; got != 1 {
 		t.Fatalf("crawler_errors_by_class_total{class=\"no-such-host\"} rose by %d, want 1", got)
+	}
+}
+
+// TestQuarantinedHostLinksAreNotVisits: links popped for a host the fetch
+// layer has already quarantined are dropped before any fetch and counted
+// apart — not as visits, and not as host-policy errors.
+func TestQuarantinedHostLinksAreNotVisits(t *testing.T) {
+	c, _, _ := testSetup(t, func(cfg *Config) { cfg.Workers = 1 })
+	const host = "quarantined.example"
+	for i := 0; i < 3; i++ {
+		c.cfg.Fetcher.Hosts.Failure(host)
+	}
+	if !c.cfg.Fetcher.Hosts.Bad(host) {
+		t.Fatal("three failures did not quarantine the host")
+	}
+	class := metrics.NewCounter(`crawler_errors_by_class_total{class="host-policy"}`)
+	dropped := metrics.NewCounter("crawler_quarantined_links_dropped_total")
+	classBefore, droppedBefore := class.Value(), dropped.Value()
+	for i := 0; i < 3; i++ {
+		c.Seed("ROOT/db", fmt.Sprintf("http://%s/p%d", host, i))
+	}
+	stats := c.Run(context.Background())
+	if stats.VisitedURLs != 0 || stats.Errors != 0 {
+		t.Fatalf("visited %d, errors %d; want 0 and 0", stats.VisitedURLs, stats.Errors)
+	}
+	if got := class.Value() - classBefore; got != 0 {
+		t.Fatalf("crawler_errors_by_class_total{class=\"host-policy\"} rose by %d, want 0", got)
+	}
+	if got := dropped.Value() - droppedBefore; got != 3 {
+		t.Fatalf("crawler_quarantined_links_dropped_total rose by %d, want 3", got)
 	}
 }
 

@@ -148,3 +148,39 @@ func TestRobotsFetchedOncePerHost(t *testing.T) {
 		t.Errorf("robots cache entries = %d", cached)
 	}
 }
+
+// FuzzParseRobots: any robots.txt body parses, for any agent, and Allowed
+// answers for any path without a panic. A non-empty Disallow prefix, asked
+// as a path, is refused unless an Allow rule of the same text wins the
+// tie, and a policy without Disallow rules refuses nothing.
+func FuzzParseRobots(f *testing.F) {
+	for _, seed := range []struct{ body, agent, path string }{
+		{"User-agent: *\nDisallow: /private/\nAllow: /private/pub/\n", "BINGO-go/1.0", "/private/pub/x"},
+		{"User-agent: bingo\nDisallow: /only/\n\nUser-agent: *\nDisallow: /all/\n", "bingo-go", "/only/x"},
+		{"User-agent: a\nUser-agent: bingo\nDisallow: /x/\n", "BINGO", "/x/y"},
+		{"User-agent: *\nDisallow:\n", "bingo", ""},
+		{"Disallow: /orphan\n# comment: no group\nUser-agent:\nAllow:/\n", "", "/orphan"},
+		{"User-agent: *\r\nDisallow: /a\r\nAllow: /a\r\n", "x", "/a"},
+	} {
+		f.Add(seed.body, seed.agent, seed.path)
+	}
+	f.Fuzz(func(t *testing.T, body, agent, path string) {
+		r := parseRobots(body, agent)
+		r.Allowed(path)
+		for _, d := range r.disallows {
+			if d == "" {
+				continue
+			}
+			tie := false
+			for _, a := range r.allows {
+				tie = tie || a == d
+			}
+			if got := r.Allowed(d); got != tie {
+				t.Fatalf("Allowed(%q) = %v with Disallow %q and Allows %q", d, got, d, r.allows)
+			}
+		}
+		if len(r.disallows) == 0 && !r.Allowed(path) {
+			t.Fatalf("Allowed(%q) = false with no Disallow rule", path)
+		}
+	})
+}

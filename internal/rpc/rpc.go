@@ -253,16 +253,6 @@ type GatherResponse struct {
 	Hits []Hit `json:"hits"`
 }
 
-// TopicUpdate mirrors one reclassification into a partition.
-type TopicUpdate struct {
-	// URL identifies the document.
-	URL string `json:"url"`
-	// Topic is the new topic path.
-	Topic string `json:"topic"`
-	// Confidence is the classifier's confidence in the new assignment.
-	Confidence float64 `json:"confidence"`
-}
-
 // InsertRequest applies one routed ingest batch: documents, link rows, and
 // redirects that hash to this partition, applied through a workspace so
 // the whole batch is one bulk load and (on a tiered store) one WAL fsync.
@@ -276,8 +266,6 @@ type InsertRequest struct {
 	Links []store.Link `json:"links,omitempty"`
 	// Redirects are redirect rows whose source URL routes here.
 	Redirects []store.Redirect `json:"redirects,omitempty"`
-	// Topics are reclassification updates.
-	Topics []TopicUpdate `json:"topics,omitempty"`
 }
 
 // InsertResponse acknowledges an ingest batch with the partition's

@@ -201,9 +201,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	for _, t := range req.Topics {
-		_ = s.st.SetTopic(t.URL, t.Topic, t.Confidence)
-	}
 	mSrvInsertDocs.Add(int64(len(req.Docs)))
 	mSrvInsertRows.Add(int64(rows))
 	writeJSON(w, http.StatusOK, InsertResponse{

@@ -12,8 +12,7 @@ import (
 
 // The carry contract: a shard snap built over an older snap of the same
 // shard is field-for-field the snap a fresh build produces, whatever
-// happened in between — tier moves, deletes, recrawls, row mutations,
-// compaction — and a rebuild materializes only the rows the store gained.
+// happened in between — tier moves, deletes, recrawls, compaction — and a rebuild materializes only the rows the store gained.
 
 // sameSnap requires carried to equal fresh in every field a query reads.
 func sameSnap(t *testing.T, label string, fresh, carried *shardSnap) {
@@ -117,15 +116,6 @@ func TestCarriedSnapMatchesFreshBuild(t *testing.T) {
 			Topic: "ROOT/db", Confidence: 0.5, Terms: map[string]int{"recoveri": 3, "log": 1, "rewritten": 2},
 		})
 		snaps = carryAll(t, at("carried URL recrawled"), st, snaps)
-
-		// Row fields change in place; the term vector is carried.
-		if err := st.SetTopic(urls[20], "ROOT/os", 0.125); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.SetTrainingDoc("", urls[21], true); err != nil {
-			t.Fatal(err)
-		}
-		snaps = carryAll(t, at("SetTopic/SetTraining on carried rows"), st, snaps)
 
 		// Pile up segments, compact them, and rebuild over a base from
 		// before all of it.

@@ -134,11 +134,10 @@ type searchView struct {
 // larger shard epoch and triggers another rebuild, never serving data
 // older than the recorded epoch.
 //
-// Rows always come fresh from ShardDocs (topic, confidence, training flag,
-// deletes), but a row that base — an older snap of the same shard, or nil —
-// already holds under the same DocID has its term vector and stem-cache
-// entry carried over instead of re-read: a DocID's Title, Text and Terms
-// never change (see store.DocID). Carried termIDs are remapped through the
+// Rows come from ShardDocs, so deletes are current, and a row that base —
+// an older snap of the same shard, or nil — already holds under the same
+// DocID has its term vector and stem-cache entry carried over instead of
+// re-read: a DocID's row never changes (see store.DocID). Carried termIDs are remapped through the
 // same first-appearance interning a fresh build uses, walking seq
 // ascending, so the result is field-for-field identical to
 // buildShardSnap(st, si, nil) and every float keeps its summation order.

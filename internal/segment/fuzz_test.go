@@ -116,10 +116,7 @@ func FuzzSegmentMerge(f *testing.F) {
 		live := liveSet{}
 		for _, d := range append(c.Docs, in.Docs...) {
 			if d.Seq%5 != 0 {
-				if d.Seq%7 == 0 {
-					d.Meta.Topic = "/moved"
-				}
-				live[d.Seq] = d.Meta
+				live[d.Seq] = true
 			}
 		}
 		out := filepath.Join(t.TempDir(), "merged.bsg")

@@ -21,27 +21,25 @@ type MergeStats struct {
 }
 
 // mergeOp is one step of a merged block section: copy block blk of src
-// whole (row < 0), or re-encode its row-th row (with seq and meta, in the
-// meta section).
+// whole (row < 0), or re-encode its row-th row.
 type mergeOp struct {
 	src      *Reader
 	blk, row int
-	seq      int64
-	meta     Meta
 }
 
 // Merge writes the live rows of inputs — segments of one shard, in
 // ascending, non-overlapping seq order — to a new segment at path,
 // atomically like Build. live(seq) is asked once per input row, in order,
-// and returns the row's current metadata and whether it survives.
+// and reports whether the row survives; a surviving row is written as
+// its input stored it.
 //
-// A document block whose rows all survive with unchanged metadata is copied
-// frame for frame, CRC-checked but not inflated. Other blocks' surviving
-// rows, and those of blocks below copyFloorDocs rows, are re-encoded from
-// their raw row bytes, cut every blockDocs rows and before the next copied
-// block. Link and redirect blocks are copied likewise, unless below
-// copyFloorLinks rows.
-func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (MergeStats, error) {
+// A document block whose rows all survive is copied frame for frame,
+// CRC-checked but not inflated. Other blocks' surviving rows, and those of
+// blocks below copyFloorDocs rows, are re-encoded from their raw row
+// bytes, cut every blockDocs rows and before the next copied block. Link
+// and redirect blocks are copied likewise, unless below copyFloorLinks
+// rows.
+func Merge(path string, inputs []*Reader, live func(seq int64) bool) (MergeStats, error) {
 	var st MergeStats
 	for i, in := range inputs {
 		if in.ft.shard != inputs[0].ft.shard {
@@ -103,7 +101,7 @@ func Merge(path string, inputs []*Reader, live func(seq int64) (Meta, bool)) (Me
 // planDocs walks every input's meta rows, asks live about each, and lays
 // out the document sections as copy and re-encode steps. It appends the
 // kept seqs to st.
-func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) ([]mergeOp, error) {
+func planDocs(inputs []*Reader, live func(int64) bool, st *MergeStats) ([]mergeOp, error) {
 	var ops []mergeOp
 	last := int64(math.MinInt64)
 	for _, in := range inputs {
@@ -116,7 +114,7 @@ func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) (
 			d := newDec(raw, in.path, "meta")
 			first, clean := len(ops), t.rows(blk) >= copyFloorDocs
 			for i := 0; i < t.rows(blk); i++ {
-				seq, m := decodeMeta(d)
+				seq, _ := decodeMeta(d)
 				if d.err == nil && (seq <= last || seq < in.ft.minSeq || seq > in.ft.maxSeq) {
 					d.fail("seq %d out of order (after %d, footer range [%d,%d])", seq, last, in.ft.minSeq, in.ft.maxSeq)
 				}
@@ -124,13 +122,11 @@ func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) (
 					return nil, d.err
 				}
 				last = seq
-				cur, ok := live(seq)
-				if !ok {
+				if !live(seq) {
 					clean = false
 					continue
 				}
-				clean = clean && cur == m
-				ops = append(ops, mergeOp{src: in, blk: blk, row: i, seq: seq, meta: cur})
+				ops = append(ops, mergeOp{src: in, blk: blk, row: i})
 				st.Seqs = append(st.Seqs, seq)
 			}
 			if clean {
@@ -145,8 +141,8 @@ func planDocs(inputs []*Reader, live func(int64) (Meta, bool), st *MergeStats) (
 }
 
 // sectionBlocks lays out section s from ops: copied frames, and re-encoded
-// rows — meta from op.meta, any other section as the raw row bytes — cut
-// every per rows and before each copied frame.
+// rows as their raw bytes, cut every per rows and before each copied
+// frame.
 func sectionBlocks(s, per int, ops []mergeOp) ([]block, error) {
 	out := &rawBlocks{per: per}
 	var src *Reader // raw is block blk of src, inflated once for its run of rows
@@ -162,8 +158,6 @@ func sectionBlocks(s, per int, ops []mergeOp) ([]block, error) {
 				return nil, err
 			}
 			out.frame(frame, op.src.tables[s].rows(op.blk))
-		case s == secMeta:
-			out.add(func(e *enc) { encodeMeta(e, op.seq, &op.meta) })
 		default:
 			if op.src != src || op.blk != blk {
 				var err error

@@ -140,18 +140,14 @@ func contentDiff(g, w content) string {
 	return ""
 }
 
-// liveSet is a test's view of which rows survive a merge and their current
-// metadata.
-type liveSet map[int64]Meta
+// liveSet is a test's view of which rows survive a merge.
+type liveSet map[int64]bool
 
-func (l liveSet) fn(seq int64) (Meta, bool) {
-	m, ok := l[seq]
-	return m, ok
-}
+func (l liveSet) fn(seq int64) bool { return l[seq] }
 
 // reference builds what a merge of inputs under live must read back as:
-// Build over the surviving rows, with live metadata, and every input's
-// link and redirect rows in input order.
+// Build over the surviving rows, and every input's link and redirect rows
+// in input order.
 func reference(t *testing.T, inputs []*Reader, live liveSet) *Reader {
 	t.Helper()
 	in := BuildInput{Shard: inputs[0].Shard()}
@@ -161,8 +157,7 @@ func reference(t *testing.T, inputs []*Reader, live liveSet) *Reader {
 			t.Fatal(err)
 		}
 		for _, d := range c.Docs {
-			if m, ok := live[d.Seq]; ok {
-				d.Meta = m
+			if live[d.Seq] {
 				in.Docs = append(in.Docs, d)
 			}
 		}
@@ -173,12 +168,12 @@ func reference(t *testing.T, inputs []*Reader, live liveSet) *Reader {
 	return r
 }
 
-// allLive returns every row of inputs with its stored metadata.
+// allLive returns every row of inputs.
 func allLive(t *testing.T, inputs ...*Reader) liveSet {
 	t.Helper()
 	live := liveSet{}
 	for _, r := range inputs {
-		if err := r.VisitMeta(func(_ int, seq int64, m Meta) bool { live[seq] = m; return true }); err != nil {
+		if err := r.VisitMeta(func(_ int, seq int64, _ Meta) bool { live[seq] = true; return true }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,9 +237,9 @@ func buildBytes(t testing.TB, in BuildInput) []byte {
 	return b
 }
 
-// TestMergeMatchesBuild: over random documents, tombstones, metadata
-// overrides and input splits around the block size, a merge reads back
-// exactly as Build over the surviving rows does.
+// TestMergeMatchesBuild: over random documents, tombstones and input
+// splits around the block size, a merge reads back exactly as Build over
+// the surviving rows does.
 func TestMergeMatchesBuild(t *testing.T) {
 	for trial := 0; trial < 16; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -264,7 +259,6 @@ func TestMergeMatchesBuild(t *testing.T) {
 			left -= n
 		}
 		dead := []float64{0, 0.1, 0.5, 1}[trial%4]
-		override := []float64{0, 0.05, 0.3}[trial%3]
 		var inputs []*Reader
 		live := liveSet{}
 		for _, in := range splitInput(all, sizes) {
@@ -274,26 +268,22 @@ func TestMergeMatchesBuild(t *testing.T) {
 				if touched && rng.Float64() < dead {
 					continue
 				}
-				m := d.Meta
-				if touched && rng.Float64() < override {
-					m.Topic, m.Confidence, m.IsTraining = "/override", rng.Float64(), !m.IsTraining
-				}
-				live[d.Seq] = m
+				live[d.Seq] = true
 			}
 		}
-		label := fmt.Sprintf("trial %d (splits %v, dead %.2f, overrides %.2f)", trial, sizes, dead, override)
+		label := fmt.Sprintf("trial %d (splits %v, dead %.2f)", trial, sizes, dead)
 		st, merged := mergeTemp(t, inputs, live)
 		requireSameContent(t, label, merged, reference(t, inputs, live))
 		t.Logf("%s: copied %d blocks, re-encoded %d", label, st.Copied, st.Reencoded)
-		if dead == 0 && override == 0 && st.Copied == 0 && docs > 2*blockDocs {
+		if dead == 0 && st.Copied == 0 && docs > 2*blockDocs {
 			t.Fatalf("%s: copied no block", label)
 		}
 	}
 }
 
-// TestMergeCopiesCleanBlocks: full blocks with no dead or re-baked rows are
-// copied frame for frame — the merged file holds the inputs' compressed
-// bytes — and a dead row re-encodes only its own block.
+// TestMergeCopiesCleanBlocks: full blocks with no dead rows are copied
+// frame for frame — the merged file holds the inputs' compressed bytes —
+// and a dead row re-encodes only its own block.
 func TestMergeCopiesCleanBlocks(t *testing.T) {
 	all := genInput(21, 6*blockDocs)
 	var links []LinkRow
@@ -468,7 +458,7 @@ func unevenSegment(t testing.TB) []byte {
 	live := liveSet{}
 	for i, d := range all.Docs {
 		if i%9 != 4 || i >= blockDocs+9 {
-			live[d.Seq] = d.Meta
+			live[d.Seq] = true
 		}
 	}
 	path := filepath.Join(t.TempDir(), "uneven.bsg")

@@ -363,7 +363,8 @@ func (r *Reader) row(s, pos int) (dec, error) {
 }
 
 // rowStarts finds where each of a block's rows begins, and where the last
-// one ends, skipping over the rows without allocating.
+// one ends, skipping over the rows — without allocating, but for a meta
+// row's strings.
 func (r *Reader) rowStarts(s int, raw []byte, rows int) ([]uint32, error) {
 	if rows > len(raw) { // every row is at least one byte
 		return nil, corruptf(r.path, sectionName[s], "%d rows in a %d-byte block", rows, len(raw))
@@ -373,6 +374,8 @@ func (r *Reader) rowStarts(s int, raw []byte, rows int) ([]uint32, error) {
 	for i := 0; i < rows; i++ {
 		starts[i] = uint32(d.off)
 		switch s {
+		case secMeta:
+			decodeMeta(&d)
 		case secTermVec:
 			d.skipTermVec()
 		case secLinks: // from, to, anchor

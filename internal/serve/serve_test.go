@@ -187,9 +187,9 @@ func TestCacheNormalizationHits(t *testing.T) {
 }
 
 // TestCacheEpochCorrectness is the core correctness contract: after every
-// kind of store mutation — insert, delete, reclassify — the very next
-// query misses the cache and its results are bit-identical to an uncached
-// engine over the same store.
+// kind of store mutation — insert, delete, a recrawl that reclassifies —
+// the very next query misses the cache and its results are bit-identical
+// to an uncached engine over the same store.
 func TestCacheEpochCorrectness(t *testing.T) {
 	s := buildCorpus(300)
 	cached := newTestAPI(s, true)
@@ -228,9 +228,14 @@ func TestCacheEpochCorrectness(t *testing.T) {
 		t.Fatal("delete failed")
 	}
 	check("after delete")
-	if err := s.SetTopic("http://h0.example/doc0", "ROOT/web", 0.42); err != nil {
+	// A stored row never changes: a recrawl that reclassifies replaces it
+	// under a new DocID.
+	d, err := s.GetByURL("http://h0.example/doc0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	d.Topic, d.Confidence = "ROOT/web", 0.42
+	s.Insert(d)
 	check("after reclassify")
 }
 

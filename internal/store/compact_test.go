@@ -94,9 +94,9 @@ func TestRacingFlushesFreezeOnce(t *testing.T) {
 }
 
 // TestCompactionCopiesCleanBlocks: merging segments of full document blocks
-// with no deleted or re-baked row copies every block and re-encodes none;
-// a delete and a SetTopic re-encode exactly their two blocks, and the
-// merged store still reads as the in-memory one.
+// with no deleted row copies every block and re-encodes none; deletes in
+// two blocks re-encode exactly those two, and the merged store still reads
+// as the in-memory one.
 func TestCompactionCopiesCleanBlocks(t *testing.T) {
 	opt := testTierOpts()
 	s := openTiered(t, t.TempDir(), 1, opt)
@@ -123,26 +123,25 @@ func TestCompactionCopiesCleanBlocks(t *testing.T) {
 	}
 	requireStoresEqual(t, "clean merge", s, ref)
 
-	moved := fmt.Sprintf("http://c%d.example/p%d", 130%7, 130)
 	for _, st := range []*Store{s, ref} {
-		st.Delete(fmt.Sprintf("http://c%d.example/p%d", 70%7, 70))
-		if err := st.SetTopic(moved, "web", 0.5); err != nil {
-			t.Fatal(err)
+		for _, i := range []int{70, 130} {
+			if !st.Delete(fmt.Sprintf("http://c%d.example/p%d", i%7, i)) {
+				t.Fatalf("delete of document %d failed", i)
+			}
 		}
 	}
 	for k := 4; k < 7; k++ {
 		write(64*k, 64*(k+1))
 	}
 	if c, r := compact(); c != 2+3 || r != 2 {
-		t.Fatalf("merge with a delete and a SetTopic copied %d blocks and re-encoded %d; want 5 and 2", c, r)
+		t.Fatalf("merge with deletes in two blocks copied %d blocks and re-encoded %d; want 5 and 2", c, r)
 	}
-	requireStoresEqual(t, "merge with a delete and a SetTopic", s, ref)
-	tier := s.shards[0].tier
+	requireStoresEqual(t, "merge with deletes in two blocks", s, ref)
 	s.shards[0].docMu.RLock()
-	tombs, overrides := len(tier.state.load().tombs), len(tier.overrides)
+	tombs := len(s.shards[0].tier.state.load().tombs)
 	s.shards[0].docMu.RUnlock()
-	if tombs != 0 || overrides != 0 {
-		t.Fatalf("%d tombstones and %d overrides left after the merge re-baked them", tombs, overrides)
+	if tombs != 0 {
+		t.Fatalf("%d tombstones left after the merge dropped their rows", tombs)
 	}
 }
 

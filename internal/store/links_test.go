@@ -111,7 +111,7 @@ func replayStore() *Store {
 	s := NewSharded(2)
 	s.opt = &TierOptions{}
 	for _, sh := range s.shards {
-		sh.tier = &shardTier{shard: sh.idx, opt: s.opt, overrides: map[int64]coldOverride{}}
+		sh.tier = &shardTier{shard: sh.idx, opt: s.opt}
 		sh.tier.state.store(&tierState{tombs: emptyTombs})
 		sh.cold = map[DocID]coldRef{}
 	}
@@ -212,17 +212,20 @@ func FuzzApplyWALRecord(f *testing.F) {
 	e.Byte(walOpDelete)
 	e.Str("http://a.example/")
 	f.Add(append([]byte(nil), e.Bytes()...))
+	// An older release's topic change (kind 5) and training flag (kind 6),
+	// and a truncated kind 6.
 	e.Reset()
-	e.Byte(walOpSetTopic)
+	e.Byte(5)
 	e.Str("http://b.example/")
 	e.Str("ir")
 	e.F64(0.75)
 	f.Add(append([]byte(nil), e.Bytes()...))
 	e.Reset()
-	e.Byte(walOpSetTraining)
+	e.Byte(walOpOlderTraining)
 	e.Str("http://b.example/")
 	e.Bool(true)
 	f.Add(append([]byte(nil), e.Bytes()...))
+	f.Add(append([]byte(nil), e.Bytes()[:4]...))
 	rawLen := uint64(len(batchBody(&fuzzMixed)))
 	// A truncated DEFLATE stream, a raw length one byte off, and a raw
 	// length no DEFLATE stream of that size can inflate to (1032 is

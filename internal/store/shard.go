@@ -91,7 +91,7 @@ func (sh *storeShard) idFor(seq int64) DocID {
 // hold, so a postings reader sees the old row or the new one, never
 // neither. A replacement never keeps the old ID: the sequence only grows
 // (reopen restores it from the manifest and the WAL), which is what makes
-// a DocID's Title, Text and Terms immutable (DocID).
+// a DocID's row immutable (DocID).
 func (sh *storeShard) insertDocLocked(d Document) DocID {
 	key := d.key()
 	if oldID, ok := sh.byURL[key]; ok {
@@ -139,7 +139,6 @@ func (sh *storeShard) removeDocLocked(id DocID) *Document {
 			tombs := copyTombs(st.tombs)
 			tombs[seq] = struct{}{}
 			t.state.store(&tierState{segs: st.segs, tombs: tombs})
-			delete(t.overrides, seq)
 		} else {
 			t.addHotLocked(-docBytesRaw(d.Text, d.Terms), -1)
 		}
@@ -147,25 +146,4 @@ func (sh *storeShard) removeDocLocked(id DocID) *Document {
 	mDocs.Add(-1)
 	sh.docsGauge.Add(-1)
 	return d
-}
-
-// setTopicLocked reassigns a document's topic and confidence under docMu,
-// maintaining the topic index and (for cold rows) the override table.
-func (sh *storeShard) setTopicLocked(id DocID, topic string, confidence float64) {
-	d := sh.docs[id]
-	if d.Topic != "" {
-		ids := sh.byTopic[d.Topic]
-		for i := range ids {
-			if ids[i] == id {
-				sh.byTopic[d.Topic] = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-	}
-	d.Topic = topic
-	d.Confidence = confidence
-	if topic != "" {
-		sh.byTopic[topic] = append(sh.byTopic[topic], id)
-	}
-	sh.noteColdTopicLocked(id, topic, confidence)
 }

@@ -9,15 +9,13 @@ package store
 // concurrent use. Flush forces buffered rows out and reports the first
 // delivery error since the previous Flush.
 type Sink interface {
-	// PutDoc mirrors one stored document (terms included).
+	// PutDoc mirrors one stored document; the receiver derives its terms
+	// from its title and text.
 	PutDoc(d Document)
 	// PutLink mirrors one link row.
 	PutLink(l Link)
 	// PutRedirect mirrors one redirect row.
 	PutRedirect(r Redirect)
-	// PutTopic mirrors a reclassification: document url moved to topic
-	// with the given confidence.
-	PutTopic(url, topic string, confidence float64)
 	// Flush forces buffered rows out to their destination.
 	Flush() error
 }

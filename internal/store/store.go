@@ -51,13 +51,13 @@ var (
 // bits (ShardOf) and the shard-local sequence number in the rest; ID 0 is
 // never assigned and marks a hole in dense per-document arrays.
 //
-// A DocID's Title, Text and Terms never change for the life of a store:
-// every insert — a recrawl replacing a URL included — takes a sequence
-// above every one its shard ever issued, deleted documents' and
-// (after a reopen) persisted ones' included, and freeze and compaction
-// move payload without renumbering. Only the row fields (Topic,
-// Confidence, IsTraining) mutate in place. The search snapshot relies on
-// this to carry an unchanged row's term vector from one build to the next.
+// A DocID's row never changes for the life of a store: every insert — a
+// recrawl replacing a URL included — takes a sequence above every one its
+// shard ever issued, deleted documents' and (after a reopen) persisted
+// ones' included, and freeze and compaction move payload without
+// renumbering. A row's only change is its replacement, which issues a new
+// DocID and tombstones the old one. The search snapshot relies on this to
+// carry a row's term vector from one build to the next.
 type DocID int64
 
 // Document is one row of the document relation.
@@ -90,7 +90,9 @@ type Document struct {
 	Terms map[string]int `json:"-"`
 	// CrawledAt is the retrieval time.
 	CrawledAt time.Time
-	// IsTraining marks current training documents.
+	// IsTraining marks a document stored as training data at insert (the
+	// bookmark seeds and their frames); later training-set changes live
+	// in the tenant, not here.
 	IsTraining bool
 }
 
@@ -390,64 +392,6 @@ func (s *Store) ShardDocs(i int) []Document {
 		out = append(out, *d)
 	}
 	return out
-}
-
-// SetTopic reassigns a default-tenant document's topic and confidence
-// (re-classification after retraining).
-func (s *Store) SetTopic(url, topic string, confidence float64) error {
-	return s.SetTopicDoc("", url, topic, confidence)
-}
-
-// SetTopicDoc reassigns tenant's document's topic and confidence.
-func (s *Store) SetTopicDoc(tenant, url, topic string, confidence float64) error {
-	key := docKey(tenant, url)
-	sh := s.shardForKey(key)
-	sh.docMu.Lock()
-	id, ok := sh.byURL[key]
-	if !ok {
-		sh.docMu.Unlock()
-		return ErrNotFound
-	}
-	sh.setTopicLocked(id, topic, confidence)
-	var w *segment.WAL
-	if t := sh.tier; t != nil {
-		var e segment.Enc
-		e.Byte(walOpSetTopic)
-		e.Str(key)
-		e.Str(topic)
-		e.F64(confidence)
-		w, _ = t.appendWALLocked(e.Bytes())
-	}
-	sh.docMu.Unlock()
-	sh.bumpEpoch()
-	s.syncWAL(sh.tier, w, 0)
-	return nil
-}
-
-// SetTrainingDoc flags or unflags tenant's document as training data.
-func (s *Store) SetTrainingDoc(tenant, url string, training bool) error {
-	key := docKey(tenant, url)
-	sh := s.shardForKey(key)
-	sh.docMu.Lock()
-	id, ok := sh.byURL[key]
-	if !ok {
-		sh.docMu.Unlock()
-		return ErrNotFound
-	}
-	sh.docs[id].IsTraining = training
-	sh.noteColdTrainingLocked(id, training)
-	var w *segment.WAL
-	if t := sh.tier; t != nil {
-		var e segment.Enc
-		e.Byte(walOpSetTraining)
-		e.Str(key)
-		e.Bool(training)
-		w, _ = t.appendWALLocked(e.Bytes())
-	}
-	sh.docMu.Unlock()
-	sh.bumpEpoch()
-	s.syncWAL(sh.tier, w, 0)
-	return nil
 }
 
 // TenantNumDocs counts the documents belonging to tenant (a full scan;

@@ -80,34 +80,6 @@ func TestByTopicOrdering(t *testing.T) {
 	}
 }
 
-func TestSetTopicAndTraining(t *testing.T) {
-	s := New()
-	s.Insert(doc("u1", "db", 0.2, nil))
-	if err := s.SetTopic("u1", "ir", 0.95); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ByTopic("db"); len(got) != 0 {
-		t.Errorf("old topic kept: %v", got)
-	}
-	d, _ := s.GetByURL("u1")
-	if d.Topic != "ir" || d.Confidence != 0.95 {
-		t.Errorf("doc = %+v", d)
-	}
-	if err := s.SetTrainingDoc("", "u1", true); err != nil {
-		t.Fatal(err)
-	}
-	d, _ = s.GetByURL("u1")
-	if !d.IsTraining {
-		t.Error("IsTraining not set")
-	}
-	if err := s.SetTopic("missing", "x", 0); !errors.Is(err, ErrNotFound) {
-		t.Errorf("SetTopic missing = %v", err)
-	}
-	if err := s.SetTrainingDoc("", "missing", true); !errors.Is(err, ErrNotFound) {
-		t.Errorf("SetTraining missing = %v", err)
-	}
-}
-
 func TestPostingsAndDocFreq(t *testing.T) {
 	s := New()
 	id1 := s.Insert(doc("u1", "", 0, map[string]int{"db": 2, "ir": 1}))
@@ -293,8 +265,6 @@ func TestEpochAdvancesOnEveryMutation(t *testing.T) {
 	}
 	terms := map[string]int{"alpha": 1}
 	step("Insert", func() { s.Insert(Document{URL: "u1", Topic: "t", Terms: terms}) })
-	step("SetTopic", func() { s.SetTopic("u1", "t2", 0.5) })
-	step("SetTraining", func() { s.SetTrainingDoc("", "u1", true) })
 	step("AddLink", func() { s.AddLink(Link{From: "u1", To: "u2"}) })
 	step("AddRedirect", func() { s.AddRedirect(Redirect{From: "a", To: "b"}) })
 	step("Delete", func() { s.Delete("u1") })
@@ -305,16 +275,13 @@ func TestEpochAdvancesOnEveryMutation(t *testing.T) {
 		w.Flush()
 	})
 
-	// Failed mutations leave the epoch alone.
+	// A failed mutation leaves the epoch alone.
 	before := s.Epoch()
 	if s.Delete("missing") {
 		t.Fatal("Delete of missing URL succeeded")
 	}
-	if err := s.SetTopic("missing", "t", 0); err == nil {
-		t.Fatal("SetTopic of missing URL succeeded")
-	}
 	if got := s.Epoch(); got != before {
-		t.Errorf("failed mutations moved epoch %d -> %d", before, got)
+		t.Errorf("a failed delete moved epoch %d -> %d", before, got)
 	}
 }
 

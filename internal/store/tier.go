@@ -110,14 +110,14 @@ type TierOptions struct {
 }
 
 // WAL record kinds. Kinds 1–3 (one record per relation: documents, links,
-// redirects) and 7 (a batch whose documents carry their term vectors) were
-// written by older releases; a log holding one fails to open with
-// errOlderWAL.
+// redirects), 5 (a stored row's new topic) and 7 (a batch whose documents
+// carry their term vectors) were written by older releases; a log holding
+// one fails to open with errOlderWAL. Kind 6, an older release's change of
+// a stored row's training flag, has no reader and is skipped.
 const (
-	walOpDelete      = 4
-	walOpSetTopic    = 5
-	walOpSetTraining = 6
-	walOpBatch       = 8
+	walOpDelete        = 4
+	walOpOlderTraining = 6
+	walOpBatch         = 8
 )
 
 // errOlderWAL marks a WAL record of a kind only an older release writes.
@@ -127,6 +127,12 @@ var errOlderWAL = errors.New("was written by an older release of bingo, which th
 // version other than this binary's: replay would derive term vectors that
 // differ from the ones its documents were indexed with.
 var errOtherPipeline = errors.New("was written by a release of bingo with a different text analyzer, whose term vectors this release cannot re-derive: re-crawl into a fresh data directory, or keep opening this one with the release that wrote it")
+
+// errOlderManifest marks a manifest that holds a new topic for a document
+// already frozen into a segment, which only an older release wrote: this
+// release reads every row as its segment baked it, so opening would
+// silently revert the topic.
+var errOlderManifest = errors.New("holds a topic override for a frozen document, which only an older release of bingo wrote and this release cannot apply: re-crawl into a fresh data directory, or keep opening this one with the release that wrote it")
 
 // zeroTimeNanos encodes time.Time{} (whose UnixNano is undefined).
 const zeroTimeNanos = math.MinInt64
@@ -155,26 +161,21 @@ type coldRef struct {
 	pos int
 }
 
-// coldOverride records meta mutations (SetTopic/SetTraining) applied to a
-// cold document after its segment was baked; persisted in the manifest so
-// they survive WAL rotation, cleared when a compaction re-bakes the row.
-type coldOverride struct {
-	Topic       string  `json:"topic,omitempty"`
-	Confidence  float64 `json:"conf,omitempty"`
-	HasTopic    bool    `json:"hasTopic,omitempty"`
-	Training    bool    `json:"training,omitempty"`
-	HasTraining bool    `json:"hasTraining,omitempty"`
-}
-
 // tierManifest is the per-shard durable state, committed atomically after
 // every freeze and compaction.
 type tierManifest struct {
-	WalSeq    int64                  `json:"walSeq"`
-	NextSeq   int64                  `json:"nextSeq"`
-	NextSegID int64                  `json:"nextSegID"`
-	Segments  []string               `json:"segments"`
-	Tombs     []int64                `json:"tombs,omitempty"`
-	Overrides map[int64]coldOverride `json:"overrides,omitempty"`
+	WalSeq    int64    `json:"walSeq"`
+	NextSeq   int64    `json:"nextSeq"`
+	NextSegID int64    `json:"nextSegID"`
+	Segments  []string `json:"segments"`
+	Tombs     []int64  `json:"tombs,omitempty"`
+	// OlderOverrides is read, never written: older releases recorded here
+	// the topic or training flag a frozen row took after its segment was
+	// baked. A training flag has no reader and is dropped at the next
+	// commit; a topic fails the open with errOlderManifest.
+	OlderOverrides map[int64]struct {
+		HasTopic bool `json:"hasTopic"`
+	} `json:"overrides,omitempty"`
 }
 
 // shardTier is one shard's disk state.
@@ -201,12 +202,11 @@ type shardTier struct {
 
 	// wal/walSeq are swapped under all three relation locks (rotation);
 	// a holder of any one relation lock reads a stable pointer. The hot
-	// counters and overrides are guarded by the owner shard's docMu.
-	wal       *segment.WAL
-	walSeq    int64
-	hotBytes  int64
-	hotDocs   int64
-	overrides map[int64]coldOverride
+	// counters are guarded by the owner shard's docMu.
+	wal      *segment.WAL
+	walSeq   int64
+	hotBytes int64
+	hotDocs  int64
 
 	// Guarded by the owner shard's linkMu / redirMu: out-link and redirect
 	// rows accumulated since the last freeze (the maps hold the merged
@@ -325,10 +325,9 @@ func OpenTiered(dir string, p int, opt TierOptions) (*Store, error) {
 	var orphans []string
 	for _, sh := range s.shards {
 		t := &shardTier{
-			dir:       filepath.Join(dir, fmt.Sprintf("shard-%02d", sh.idx)),
-			shard:     sh.idx,
-			opt:       &opt,
-			overrides: map[int64]coldOverride{},
+			dir:   filepath.Join(dir, fmt.Sprintf("shard-%02d", sh.idx)),
+			shard: sh.idx,
+			opt:   &opt,
 		}
 		t.state.store(&tierState{tombs: emptyTombs})
 		if err := os.MkdirAll(t.dir, 0o755); err != nil {
@@ -431,8 +430,10 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 	t.walSeq = man.WalSeq
 	t.baseWalSeq = man.WalSeq
 	t.nextSegID = man.NextSegID
-	if man.Overrides != nil {
-		t.overrides = man.Overrides
+	for _, ov := range man.OlderOverrides {
+		if ov.HasTopic {
+			return fmt.Errorf("store: shard %d: %s %w", sh.idx, t.manifestPath(), errOlderManifest)
+		}
 	}
 	tombs := emptyTombs
 	if len(man.Tombs) > 0 {
@@ -545,21 +546,11 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 // rows and redirect rows, and adds each out-link row to its target shard's
 // in-link index. Called during open, before the store is shared: no locks.
 func (s *Store) ingestSegment(sh *storeShard, seg *tierSeg, tombs map[int64]struct{}) error {
-	t := sh.tier
 	err := seg.r.VisitMeta(func(pos int, seq int64, m segment.Meta) bool {
 		if _, dead := tombs[seq]; dead {
 			return true
 		}
 		d := docFromMeta(&m)
-		if ov, ok := t.overrides[seq]; ok {
-			if ov.HasTopic {
-				d.Topic = ov.Topic
-				d.Confidence = ov.Confidence
-			}
-			if ov.HasTraining {
-				d.IsTraining = ov.Training
-			}
-		}
 		id := sh.idFor(seq)
 		d.ID = id
 		sh.docs[id] = &d
@@ -663,41 +654,6 @@ func (t *shardTier) addHotLocked(bytes, docs int64) {
 	mHotBytes.Add(bytes)
 }
 
-// noteColdTopicLocked records a topic override for a cold document so the
-// mutation survives the next WAL rotation (the segment's baked meta is
-// stale until a compaction re-bakes it). Caller holds docMu exclusively.
-func (sh *storeShard) noteColdTopicLocked(id DocID, topic string, conf float64) {
-	t := sh.tier
-	if t == nil {
-		return
-	}
-	if _, cold := sh.cold[id]; !cold {
-		return
-	}
-	seq := int64(id) >> sh.bits
-	ov := t.overrides[seq]
-	ov.HasTopic = true
-	ov.Topic = topic
-	ov.Confidence = conf
-	t.overrides[seq] = ov
-}
-
-// noteColdTrainingLocked is noteColdTopicLocked for the training flag.
-func (sh *storeShard) noteColdTrainingLocked(id DocID, training bool) {
-	t := sh.tier
-	if t == nil {
-		return
-	}
-	if _, cold := sh.cold[id]; !cold {
-		return
-	}
-	seq := int64(id) >> sh.bits
-	ov := t.overrides[seq]
-	ov.HasTraining = true
-	ov.Training = training
-	t.overrides[seq] = ov
-}
-
 // ---------------------------------------------------------------------------
 // WAL record encode / apply
 
@@ -754,27 +710,10 @@ func (s *Store) applyWALRecord(sh *storeShard, payload []byte, buf *[]byte, stat
 		if id, ok := sh.byURL[key]; ok {
 			sh.removeDocLocked(id)
 		}
-	case walOpSetTopic:
-		key := d.Str()
-		topic := d.Str()
-		conf := d.F64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id, ok := sh.byURL[key]; ok {
-			sh.setTopicLocked(id, topic, conf)
-		}
-	case walOpSetTraining:
-		key := d.Str()
-		training := d.Bool()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id, ok := sh.byURL[key]; ok {
-			sh.docs[id].IsTraining = training
-			sh.noteColdTrainingLocked(id, training)
-		}
-	case 1, 2, 3, 7:
+	case walOpOlderTraining:
+		d.Str() // key
+		d.Bool()
+	case 1, 2, 3, 5, 7:
 		return fmt.Errorf("record kind %d %w", op, errOlderWAL)
 	default:
 		return fmt.Errorf("store: shard %d wal: unknown record kind %d: %w", sh.idx, op, segment.ErrCorrupt)
@@ -1023,7 +962,7 @@ func (s *Store) freezeShard(i int, auto bool) error {
 		s.durable.Add(int64(len(frozen)))
 	}
 	// Everything acknowledged before the rotation point is now baked into
-	// the published segment (or tombstoned/overridden), so generations
+	// the published segment (or tombstoned), so generations
 	// before newGen become redundant once the manifest commits.
 	t.baseWalSeq = newGen
 	if err := s.commitManifestLocked(sh); err != nil {
@@ -1052,20 +991,6 @@ func (s *Store) publishFreeze(sh *storeShard, seg *tierSeg, frozen []frozenDoc) 
 		f := &frozen[pos]
 		d, ok := sh.docs[f.id]
 		if ok && sh.byURL[d.key()] == f.id {
-			// SetTopic/SetTraining applied between capture and here missed
-			// noteColdTopicLocked (the row was not cold yet) and the baked
-			// meta predates them; their WAL records live in the generation
-			// the next freeze deletes. An override is the only durable home.
-			if d.Topic != f.meta.Topic || d.Confidence != f.meta.Confidence {
-				ov := t.overrides[f.seq]
-				ov.HasTopic, ov.Topic, ov.Confidence = true, d.Topic, d.Confidence
-				t.overrides[f.seq] = ov
-			}
-			if d.IsTraining != f.meta.IsTraining {
-				ov := t.overrides[f.seq]
-				ov.HasTraining, ov.Training = true, d.IsTraining
-				t.overrides[f.seq] = ov
-			}
 			d.Text = ""
 			d.Terms = nil
 			sh.cold[f.id] = coldRef{seg: seg, pos: pos}
@@ -1139,12 +1064,6 @@ func (s *Store) commitManifestLocked(sh *storeShard) error {
 	}
 	for seq := range st.tombs {
 		man.Tombs = append(man.Tombs, seq)
-	}
-	if len(t.overrides) > 0 {
-		man.Overrides = make(map[int64]coldOverride, len(t.overrides))
-		for seq, ov := range t.overrides {
-			man.Overrides[seq] = ov
-		}
 	}
 	sh.docMu.RUnlock()
 	sort.Slice(man.Tombs, func(a, b int) bool { return man.Tombs[a] < man.Tombs[b] })
@@ -1272,9 +1191,8 @@ func (s *Store) CompactShard(i int) (bool, error) {
 }
 
 // mergeSegments merges inputs — seq-adjacent segments, in seq order — into
-// one segment with segment.Merge, dropping deleted rows and re-baking each
-// surviving row's current metadata (clearing its override), then swaps it
-// in. Caller holds t.mu.
+// one segment with segment.Merge, dropping deleted rows, then swaps it in.
+// Caller holds t.mu.
 func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 	t := sh.tier
 	inputSet := map[*tierSeg]bool{}
@@ -1289,24 +1207,16 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 	// Merge asks about every input row once. A row the shard no longer
 	// holds was deleted, and its tombstone goes with it; one deleted after
 	// it was asked about survives into the output and stays tombstoned (the
-	// swap keeps every tomb it didn't drop). A surviving row is baked with
-	// the shard's current metadata for it — the in-memory slim row is
-	// authoritative — so its override can be dropped.
+	// swap keeps every tomb it didn't drop).
 	var dropped []int64
-	baked := map[int64]segment.Meta{} // rows that had an override, as baked
-	live := func(seq int64) (segment.Meta, bool) {
+	live := func(seq int64) bool {
 		sh.docMu.RLock()
-		defer sh.docMu.RUnlock()
-		d, ok := sh.docs[sh.idFor(seq)]
+		_, ok := sh.docs[sh.idFor(seq)]
+		sh.docMu.RUnlock()
 		if !ok {
 			dropped = append(dropped, seq)
-			return segment.Meta{}, false
 		}
-		m := metaFromDoc(d)
-		if _, has := t.overrides[seq]; has {
-			baked[seq] = m
-		}
-		return m, true
+		return ok
 	}
 	segID := t.nextSegID
 	t.nextSegID++
@@ -1323,8 +1233,7 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 	merged := &tierSeg{r: r, file: file, bytes: res.Bytes}
 
 	// Swap under docMu: replace inputs with the merged segment, repoint
-	// cold refs, drop tombs for rows we actually dropped, and drop
-	// overrides for rows whose re-baked meta still matches the live row.
+	// cold refs, and drop tombs for rows we actually dropped.
 	sh.docMu.Lock()
 	st := t.state.load()
 	segs := make([]*tierSeg, 0, len(st.segs))
@@ -1346,21 +1255,6 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 		id := sh.idFor(seq)
 		if _, cold := sh.cold[id]; cold {
 			sh.cold[id] = coldRef{seg: merged, pos: pos}
-		}
-	}
-	for seq, m := range baked {
-		// The override is redundant iff the live row still matches what
-		// was just baked (a SetTopic racing the merge re-creates it).
-		ov, has := t.overrides[seq]
-		if !has {
-			continue
-		}
-		d, live := sh.docs[sh.idFor(seq)]
-		stale := !live ||
-			(ov.HasTopic && (d.Topic != m.Topic || d.Confidence != m.Confidence)) ||
-			(ov.HasTraining && d.IsTraining != m.IsTraining)
-		if !stale {
-			delete(t.overrides, seq)
 		}
 	}
 	t.state.store(&tierState{segs: segs, tombs: tombs})

@@ -516,62 +516,6 @@ func TestReplaceIssuesFreshSequence(t *testing.T) {
 	replaceVia("Workspace.Flush after WAL reopen", re2, true)
 }
 
-// TestTieredColdMetaMutations: SetTopic/SetTraining on cold documents are
-// visible immediately, survive crash-reopen (WAL), survive manifest-backed
-// restarts (overrides), and survive compaction re-baking.
-func TestTieredColdMetaMutations(t *testing.T) {
-	dir := t.TempDir()
-	s := openTiered(t, dir, 2, testTierOpts())
-	fillTier(t, s, 6, 40)
-	freezeAll(t, s)
-	u1, u2 := tierURL(6, 4), tierURL(6, 9)
-	if err := s.SetTopic(u1, "newtopic", 0.93); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetTrainingDoc("", u2, true); err != nil {
-		t.Fatal(err)
-	}
-	check := func(label string, st *Store) {
-		t.Helper()
-		d1, err := st.GetByURL(u1)
-		if err != nil || d1.Topic != "newtopic" || d1.Confidence != 0.93 {
-			t.Fatalf("%s: topic override lost: %+v %v", label, d1, err)
-		}
-		found := false
-		for _, d := range st.ByTopic("newtopic") {
-			if d.URL == u1 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("%s: ByTopic(newtopic) misses %s", label, u1)
-		}
-		d2, err := st.GetByURL(u2)
-		if err != nil || !d2.IsTraining {
-			t.Fatalf("%s: training override lost: %+v %v", label, d2, err)
-		}
-	}
-	check("live", s)
-
-	// Crash-reopen: overrides only in the WAL.
-	re := openTiered(t, dir, 2, testTierOpts())
-	check("wal-replay", re)
-
-	// Freeze (commits a manifest carrying the overrides), then crash.
-	fillTierRange(t, re, 6, 40, 44)
-	freezeAll(t, re)
-	re2 := openTiered(t, dir, 2, testTierOpts())
-	check("manifest", re2)
-
-	// Compaction re-bakes the meta; overrides drop but the values stay.
-	compactAll(t, re2)
-	check("compacted", re2)
-	re2.Close()
-	re3 := openTiered(t, dir, 2, testTierOpts())
-	check("reopen-compacted", re3)
-	re3.Close()
-}
-
 // TestTieredWALTornTail: a crash mid-append loses only the torn record;
 // everything acknowledged before it survives.
 func TestTieredWALTornTail(t *testing.T) {
@@ -1163,52 +1107,6 @@ func TestTieredFailedFreezeRetainsWALGenerations(t *testing.T) {
 	defer re2.Close()
 	if re2.NumDocs() != 30 {
 		t.Fatalf("recovered %d docs after successful freeze, want 30", re2.NumDocs())
-	}
-}
-
-// TestTieredFreezeWindowMetaMutation: SetTopic/SetTraining landing between
-// a freeze's capture and its publish must survive the next WAL rotation.
-// The baked meta predates the mutation, the row was not yet cold when the
-// mutation looked for an override to record, and the mutation's WAL record
-// lives in the generation the next freeze deletes — publishFreeze must
-// diff the live row against the frozen meta and record the override.
-func TestTieredFreezeWindowMetaMutation(t *testing.T) {
-	dir := t.TempDir()
-	opt := testTierOpts()
-	opt.WALSync = true
-	s := openTiered(t, dir, 1, opt)
-	fillTier(t, s, 5, 10)
-	victim := tierURL(5, 1) // doc 1: IsTraining starts false
-
-	freezePrePublishHook = func() {
-		freezePrePublishHook = nil
-		if err := s.SetTopic(victim, "window-topic", 0.42); err != nil {
-			t.Errorf("SetTopic in freeze window: %v", err)
-		}
-		if err := s.SetTrainingDoc("", victim, true); err != nil {
-			t.Errorf("SetTraining in freeze window: %v", err)
-		}
-	}
-	defer func() { freezePrePublishHook = nil }()
-	freezeAll(t, s)
-
-	// The next freeze rotates again and deletes the generation holding the
-	// mutation's WAL records; only a manifest override keeps them durable.
-	fillTier(t, s, 6, 5)
-	freezeAll(t, s)
-	s.Close()
-
-	re := openTiered(t, dir, 1, opt)
-	defer re.Close()
-	d, err := re.GetByURL(victim)
-	if err != nil {
-		t.Fatalf("GetByURL(%s): %v", victim, err)
-	}
-	if d.Topic != "window-topic" || d.Confidence != 0.42 {
-		t.Fatalf("topic mutated in freeze window lost: got %q/%v, want window-topic/0.42", d.Topic, d.Confidence)
-	}
-	if !d.IsTraining {
-		t.Fatal("training flag mutated in freeze window lost")
 	}
 }
 

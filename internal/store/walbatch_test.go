@@ -154,15 +154,20 @@ func TestBatchRecordCorruption(t *testing.T) {
 }
 
 // TestOpenTieredRejectsOlderWAL: a WAL holding a record kind only an older
-// release writes — a per-relation record (kind 1) or a batch that carried
-// its term vectors (kind 7) — fails the open with an error that names the
-// log and says so — not corruption — and the failed open deletes no file,
-// not even another shard's orphans.
+// release writes — a per-relation record (kind 1), a stored row's new topic
+// (kind 5) or a batch that carried its term vectors (kind 7) — fails the
+// open with an error that names the log and says so — not corruption — and
+// the failed open deletes no file, not even another shard's orphans.
 func TestOpenTieredRejectsOlderWAL(t *testing.T) {
 	kind7, _ := sealedBatch(&fuzzMixed, 1)
 	kind7[0] = 7
+	kind5 := walRecord(5, tierURL(6, 4), func(e *segment.Enc) {
+		e.Str("ROOT/os")
+		e.F64(0.5)
+	})
 	for name, rec := range map[string][]byte{
 		"kind 1": {1, 0}, // an empty kind-1 docs record
+		"kind 5": kind5,
 		"kind 7": kind7,
 	} {
 		requireOpenRejects(t, name, rec, "older release")
