@@ -37,7 +37,9 @@ race:
 # fuzz runs every decoder and crawl-input parser fuzz target past its seed
 # corpus for FUZZTIME each (plain `go test` only replays the seeds). The
 # contract is a typed error, never a panic; FuzzNormalize checks that URL
-# normalization is idempotent and that its memo agrees with it.
+# normalization is idempotent and that its memo agrees with it, and
+# FuzzConvert that a converted page's text stays within the archive budget
+# and its links come out normalized.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/segment/
@@ -45,10 +47,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyWALBatch$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionState$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME) ./internal/urlnorm/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRobots$$' -fuzztime $(FUZZTIME) ./internal/fetch/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBookmarks$$' -fuzztime $(FUZZTIME) ./internal/bookmarks/
+	$(GO) test -run '^$$' -fuzz '^FuzzConvert$$' -fuzztime $(FUZZTIME) ./internal/htmldoc/
 
 # chaos runs the fault-injection suite (full crawls against the seeded fault
 # plane, plus the faults/fetch resilience units) across a fixed seed matrix

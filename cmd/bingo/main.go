@@ -41,8 +41,8 @@ func main() {
 	chaosProfile := flag.String("chaos-profile", "off", "fault profile: off, default, flaky, slow, poison or flap")
 	storeShards := flag.Int("store-shards", 0, "document partitions in the crawl database (power of two, max 64; 0 = default 8)")
 	dataDir := flag.String("data-dir", "", "root of a disk-backed tiered store (segments + write-ahead log); the crawl writes through it and the run ends by saving a resumable session there")
-	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
-	compactFanout := flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
+	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: bytes of hot documents across the store; a shard freezes at its share, the budget ÷ shards (0 = default 64 MiB)")
+	compactFanout := flag.Int("compact-fanout", 0, "tiered store: segment merge fanout, the number of same-tier segments merged into one; a segment's tier is the log of the freezes it holds (0 = default 4)")
 	walSync := flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every crawl flush")
 	scheduler := flag.String("scheduler", "", "frontier crawl-ordering policy: fifo-priority (default) or link-context")
 	frontierBudget := flag.Int("frontier-budget", 0, "max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")

@@ -72,8 +72,8 @@ var (
 	chaosProfile      = flag.String("chaos-profile", "off", "fault profile for the startup crawl: off, default, flaky, slow, poison or flap")
 	storeShards       = flag.Int("store-shards", 0, "document partitions for the startup crawl's database (power of two, max 64; 0 = default 8)")
 	dataDir           = flag.String("data-dir", "", "root of a disk-backed tiered store: segments + write-ahead log; with -crawl the crawl writes through it, alone it is opened and served")
-	memtableBudget    = flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
-	compactFanout     = flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
+	memtableBudget    = flag.Int64("memtable-budget", 0, "tiered store: bytes of hot documents across the store; a shard freezes at its share, the budget ÷ shards (0 = default 64 MiB)")
+	compactFanout     = flag.Int("compact-fanout", 0, "tiered store: segment merge fanout, the number of same-tier segments merged into one; a segment's tier is the log of the freezes it holds (0 = default 4)")
 	walSync           = flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every crawl flush (acknowledged documents survive a crash)")
 	scheduler         = flag.String("scheduler", "", "startup crawl's frontier ordering policy: fifo-priority (default) or link-context")
 	frontierBudget    = flag.Int("frontier-budget", 0, "startup crawl: max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")

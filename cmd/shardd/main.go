@@ -42,8 +42,8 @@ func main() {
 	portFile := flag.String("port-file", "", "write the bound listen address to this file once serving (for harnesses)")
 	dataDir := flag.String("data-dir", "", "root of the partition's disk-backed tiered store (segments + write-ahead log); empty runs in-memory")
 	storeShards := flag.Int("store-shards", 0, "local document sub-shards inside the partition (power of two, max 64; 0 = default 8)")
-	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")
-	compactFanout := flag.Int("compact-fanout", 0, "tiered store: size-tiered segment merge fanout (0 = default 4)")
+	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: bytes of hot documents across the store; a shard freezes at its share, the budget ÷ shards (0 = default 64 MiB)")
+	compactFanout := flag.Int("compact-fanout", 0, "tiered store: segment merge fanout, the number of same-tier segments merged into one; a segment's tier is the log of the freezes it holds (0 = default 4)")
 	walSync := flag.Bool("wal-sync", true, "tiered store: fsync the write-ahead log at every ingest batch (acknowledged batches survive a crash)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: deadline for draining in-flight RPCs")
 	flag.Parse()

@@ -112,15 +112,17 @@ type Config struct {
 	// before the crash. It is also where SaveSession and LoadSession keep
 	// the resumable session. Empty keeps the store purely in memory.
 	DataDir string
-	// MemtableBudget bounds the per-shard bytes of hot (in-memory)
-	// document payload before a freeze moves them into a segment
-	// (tiered store only; default 64 MiB).
+	// MemtableBudget bounds the bytes of hot (in-memory) document payload
+	// across the store; a shard freezes its hot documents into a segment
+	// when they reach its share, MemtableBudget ÷ shards (tiered store
+	// only; default 64 MiB).
 	MemtableBudget int64
 	// WALSync fsyncs the write-ahead log at every crawl flush; off, the
 	// log is synced only when segments are written (tiered store only).
 	WALSync bool
-	// CompactFanout is the size-tiered segment merge fanout (tiered store
-	// only; default 4).
+	// CompactFanout is the segment merge fanout: a run of this many
+	// segments of one tier, a segment's tier being the log of the freezes
+	// it holds, is merged into one (tiered store only; default 4).
 	CompactFanout int
 
 	// LearnBudget / HarvestBudget are page-visit budgets per phase (the

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -243,9 +245,9 @@ func TestSessionPersistsFrontier(t *testing.T) {
 
 // TestSessionWithDelayedRequeuesLoads: a SESSION written before requeues
 // went straight back into the queue carries a frontier dump with a
-// Delayed list and a Requeues count per item. gob skips both fields on
-// decode, so such a file still loads, with its queued items and dedup set
-// intact; the Delayed items are dropped (their URLs stay seen).
+// Delayed list and a Requeues count per item. Such a file still loads,
+// with its queued items and dedup set intact, and its Delayed items are
+// queued too: their URLs are seen, so nothing else would fetch them.
 func TestSessionWithDelayedRequeuesLoads(t *testing.T) {
 	type oldItem struct {
 		URL      string
@@ -293,6 +295,16 @@ func TestSessionWithDelayedRequeuesLoads(t *testing.T) {
 	}
 	if len(d.Seen) != 2 {
 		t.Errorf("seen = %v, want both URLs", d.Seen)
+	}
+	f := frontier.New(frontier.Config{})
+	f.Restore(d)
+	var queued []string
+	for _, it := range f.Dump().Items {
+		queued = append(queued, it.URL)
+	}
+	sort.Strings(queued)
+	if want := []string{"http://cooling.example/", "http://pending.example/"}; !reflect.DeepEqual(queued, want) {
+		t.Errorf("restored queue = %v, want %v", queued, want)
 	}
 }
 

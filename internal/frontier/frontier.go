@@ -471,6 +471,10 @@ func (f *Frontier) Forget(url string) {
 type Dump struct {
 	Items []Item
 	Seen  []string
+	// Delayed is read, never written: releases that kept a cooling-off
+	// heap saved the links it held here (their URLs are in Seen). Restore
+	// queues them with Items.
+	Delayed []struct{ Item Item }
 }
 
 // Dump captures the frontier's pending work for session persistence.
@@ -497,14 +501,18 @@ func (f *Frontier) Dump() Dump {
 func (f *Frontier) Restore(d Dump) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, it := range d.Items {
+	items := d.Items
+	for _, dd := range d.Delayed {
+		items = append(items, dd.Item)
+	}
+	for _, it := range items {
 		f.seq++
 		f.sched.Reinsert(it, f.EffectivePriority(it), f.seq)
 	}
 	for _, url := range d.Seen {
 		f.seen[url] = struct{}{}
 	}
-	mQueued.Add(int64(len(d.Items)))
+	mQueued.Add(int64(len(items)))
 	f.notePeakLocked()
 	f.wakeLocked()
 }

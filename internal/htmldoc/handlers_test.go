@@ -4,10 +4,13 @@ import (
 	"archive/zip"
 	"bytes"
 	"compress/gzip"
+	"net/url"
+	"sort"
 	"strings"
 	"testing"
 
 	"github.com/bingo-search/bingo/internal/fetch"
+	"github.com/bingo-search/bingo/internal/urlnorm"
 )
 
 // bombText is n bytes of plain text that DEFLATE shrinks a thousandfold.
@@ -73,7 +76,7 @@ func TestGzipBudget(t *testing.T) {
 	}
 }
 
-func zipOf(t *testing.T, name, body string) []byte {
+func zipOf(t testing.TB, name, body string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
@@ -88,4 +91,57 @@ func zipOf(t *testing.T, name, body string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// FuzzConvert: any body, converted as each MIME type the fetcher admits,
+// converts without a panic into text within the archive budget, and every
+// link and frame the crawl's resolver returns is already normalized.
+func FuzzConvert(f *testing.F) {
+	var gz bytes.Buffer
+	gw := gzip.NewWriter(&gz)
+	gw.Name = "page.html"
+	gw.Write([]byte(`<html><a href="../%7Euser/./x">home</a></html>`))
+	gw.Close()
+	for _, seed := range [][]byte{
+		[]byte(`<html><head><base href="/b/"><title>T &amp; U</title></head><body><a href="x/../y?q=1#f">y</a> <a href="HTTP://Other.Example:80/%7Ea/">o</a><iframe src="./f.html"></iframe><p>text &#x10FFFF; &lt;</p></body></html>`),
+		[]byte("%SPDF-1.0\nTitle: Paper\nLink: http://a.example/%7Eu/./p.pdf Anchor words\nLink: mailto:x@y\n\nbody text"),
+		[]byte("plain  text\twith\nspaces"),
+		[]byte(`<a href="//[::1]:80/a%2fb/%2E%2E/c">v6</a><a href="http://u:p@h.example:8080//p/">up</a><frame src="javascript:x">`),
+		gz.Bytes(),
+		zipOf(f, "a.html", `<a href="http://z.example/./a/../b">z</a>zip text`),
+		{},
+	} {
+		f.Add(seed)
+	}
+	limits := fetch.DefaultTypeLimits()
+	types := make([]string, 0, len(limits))
+	for mt := range limits {
+		types = append(types, mt)
+	}
+	sort.Strings(types)
+	final, err := url.Parse("http://fuzz.example/dir/page.html")
+	if err != nil {
+		f.Fatal(err)
+	}
+	resolve := urlnorm.LinkResolver(final)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, mt := range types {
+			doc, err := Convert(mt, body, resolve)
+			if err != nil {
+				continue
+			}
+			if len(doc.Text) > maxArchiveBytes {
+				t.Fatalf("%s: %d bytes of text from a %d-byte body, past the %d-byte budget", mt, len(doc.Text), len(body), maxArchiveBytes)
+			}
+			urls := append([]string(nil), doc.Frames...)
+			for _, l := range doc.Links {
+				urls = append(urls, l.URL)
+			}
+			for _, u := range urls {
+				if n, err := urlnorm.Normalize(u); err != nil || n != u {
+					t.Fatalf("%s: resolved link %q normalizes to %q (%v)", mt, u, n, err)
+				}
+			}
+		}
+	})
 }

@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -99,6 +103,7 @@ func TestRacingFlushesFreezeOnce(t *testing.T) {
 // as the in-memory one.
 func TestCompactionCopiesCleanBlocks(t *testing.T) {
 	opt := testTierOpts()
+	opt.CompactFanout = 2
 	s := openTiered(t, t.TempDir(), 1, opt)
 	defer s.Close()
 	ref := NewSharded(1)
@@ -130,11 +135,13 @@ func TestCompactionCopiesCleanBlocks(t *testing.T) {
 			}
 		}
 	}
-	for k := 4; k < 7; k++ {
+	// Four more freezes merge clean into a second four-freeze segment, which
+	// then merges with the first: its two blocks with a delete re-encode.
+	for k := 4; k < 8; k++ {
 		write(64*k, 64*(k+1))
 	}
-	if c, r := compact(); c != 2+3 || r != 2 {
-		t.Fatalf("merge with deletes in two blocks copied %d blocks and re-encoded %d; want 5 and 2", c, r)
+	if c, r := compact(); c != 4+2+4 || r != 2 {
+		t.Fatalf("merge with deletes in two blocks copied %d blocks and re-encoded %d; want 10 and 2", c, r)
 	}
 	requireStoresEqual(t, "merge with deletes in two blocks", s, ref)
 	s.shards[0].docMu.RLock()
@@ -145,43 +152,170 @@ func TestCompactionCopiesCleanBlocks(t *testing.T) {
 	}
 }
 
-// TestCompactShardMergesAdjacentRuns: with a larger segment between small
-// ones, compaction merges only runs of adjacent same-tier segments, so the
-// segments' seq ranges stay disjoint.
-func TestCompactShardMergesAdjacentRuns(t *testing.T) {
-	opt := testTierOpts()
-	opt.CompactFanout = 2
-	s := openTiered(t, t.TempDir(), 1, opt)
-	defer s.Close()
-	ref := NewSharded(1)
-	n := 0
-	write := func(docs, textBytes int) {
-		writeDocs(t, s, n, n+docs, textBytes)
-		writeDocs(t, ref, n, n+docs, textBytes)
-		freezeAll(t, s)
-		n += docs
-	}
-	write(5, 40)
-	write(5, 40)
-	write(80, 14<<10) // ≥ 512 KiB compressed: size tier 1 at fanout 2
-	write(5, 40)
-	write(5, 40)
-	sh := s.shards[0]
-	if k := compactionTier(sh.tier.state.load().segs[2].bytes, opt.CompactFanout); k != 1 {
-		t.Fatalf("large segment is in tier %d, want 1", k)
-	}
-	compactAll(t, s)
-	segs := sh.tier.state.load().segs
-	if len(segs) != 3 {
-		t.Fatalf("%d segments after compaction, want 3 (small pair, large, small pair)", len(segs))
-	}
+// requireDisjoint fails unless the segments' seq ranges are disjoint and
+// ascending.
+func requireDisjoint(t *testing.T, segs []*tierSeg) {
+	t.Helper()
 	for i := 1; i < len(segs); i++ {
 		if segs[i].r.MinSeq() <= segs[i-1].r.MaxSeq() {
 			t.Fatalf("segment %d seqs [%d,%d] overlap segment %d's [%d,%d]", i, segs[i].r.MinSeq(), segs[i].r.MaxSeq(), i-1, segs[i-1].r.MinSeq(), segs[i-1].r.MaxSeq())
 		}
 	}
+}
+
+// rewriteManifest applies edit to shard 0's manifest under dir.
+func rewriteManifest(t *testing.T, dir string, edit func(man *tierManifest)) {
+	t.Helper()
+	path := filepath.Join(dir, "shard-00", "MANIFEST.json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man tierManifest
+	if err := json.Unmarshal(b, &man); err != nil {
+		t.Fatal(err)
+	}
+	edit(&man)
+	if b, err = json.Marshal(&man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactShardMergesAdjacentRuns: with a higher-tier segment between
+// single-freeze ones, compaction merges only runs of adjacent same-tier
+// segments, so the segments' seq ranges stay disjoint.
+func TestCompactShardMergesAdjacentRuns(t *testing.T) {
+	dir := t.TempDir()
+	opt := testTierOpts()
+	opt.CompactFanout = 2
+	s := openTiered(t, dir, 1, opt)
+	ref := NewSharded(1)
+	n := 0
+	write := func(docs int) {
+		writeDocs(t, s, n, n+docs, 40)
+		writeDocs(t, ref, n, n+docs, 40)
+		freezeAll(t, s)
+		n += docs
+	}
+	write(5)
+	write(5)
+	write(80)
+	write(5)
+	write(5)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Record the middle segment as a merge of four freezes, as that merge
+	// would have left the manifest, its four freezes and itself each
+	// having allocated a segment ID: tier 2 at fanout 2, between two runs
+	// of tier-0 segments.
+	rewriteManifest(t, dir, func(man *tierManifest) {
+		man.Freezes = []int64{1, 1, 4, 1, 1}
+		man.NextSegID += 4
+	})
+	s = openTiered(t, dir, 1, opt)
+	defer s.Close()
+	compactAll(t, s)
+	segs := s.shards[0].tier.state.load().segs
+	if len(segs) != 3 {
+		t.Fatalf("%d segments after compaction, want 3 (small pair, four-freeze segment, small pair)", len(segs))
+	}
+	requireDisjoint(t, segs)
 	if segs[0].r.DocCount() != 10 || segs[2].r.DocCount() != 10 {
 		t.Fatalf("small runs merged into %d and %d documents, want 10 each", segs[0].r.DocCount(), segs[2].r.DocCount())
 	}
 	requireStoresEqual(t, "adjacent compaction", s, ref)
+}
+
+// TestCompactionBoundsRewrites: with compaction run to completion after
+// every freeze, a shard that has frozen n times holds segments whose
+// freeze counts are n's base-fanout digits, the oldest rows in the
+// largest; compaction has read no row more than ⌊log_fanout n⌋ times; and
+// the segments' seq ranges are disjoint. Every freeze holds the same
+// number of documents, so a segment's freeze count is its document count
+// over that.
+func TestCompactionBoundsRewrites(t *testing.T) {
+	const perFreeze = 4
+	for _, fanout := range []int{2, 3, 4} {
+		opt := testTierOpts()
+		opt.CompactFanout = fanout
+		s := openTiered(t, t.TempDir(), 1, opt)
+		sh := s.shards[0]
+		readBefore := mCompactBytesIn.Value()
+		var frozenBytes int64
+		for n := 1; n <= 40; n++ {
+			writeDocs(t, s, perFreeze*(n-1), perFreeze*n, 40)
+			freezeAll(t, s)
+			segs := sh.tier.state.load().segs
+			frozenBytes += segs[len(segs)-1].bytes
+			compactAll(t, s)
+
+			segs = sh.tier.state.load().segs
+			var got, want []int
+			for _, seg := range segs {
+				got = append(got, seg.r.DocCount()/perFreeze)
+				if seg.freezes != int64(seg.r.DocCount()/perFreeze) {
+					t.Fatalf("fanout %d, %d freezes: a segment of %d documents counts %d freezes", fanout, n, seg.r.DocCount(), seg.freezes)
+				}
+			}
+			levels, unit := 0, 1
+			for unit*fanout <= n {
+				unit *= fanout
+				levels++
+			}
+			for rest := n; unit > 0; unit /= fanout {
+				for ; rest >= unit; rest -= unit {
+					want = append(want, unit)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("fanout %d, %d freezes: segments hold %v freezes, want %v", fanout, n, got, want)
+			}
+			// A merge's output is no larger than its inputs, so reading each
+			// row at most levels times reads at most levels times the bytes
+			// the freezes wrote.
+			if read := mCompactBytesIn.Value() - readBefore; read > int64(levels)*frozenBytes {
+				t.Fatalf("fanout %d, %d freezes: compaction read %d bytes of %d frozen, more than %d passes", fanout, n, read, frozenBytes, levels)
+			}
+			requireDisjoint(t, segs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFreezeCountsSurviveReopen: the manifest keeps each segment's freeze
+// count, so four freezes merged into one segment at fanout 4 reopen in
+// tier 1, and three more freezes leave a run of three tier-0 segments that
+// no merge takes.
+func TestFreezeCountsSurviveReopen(t *testing.T) {
+	dir := t.TempDir()
+	opt := testTierOpts()
+	s := openTiered(t, dir, 1, opt)
+	for k := 0; k < 4; k++ {
+		writeDocs(t, s, 8*k, 8*(k+1), 40)
+		freezeAll(t, s)
+	}
+	compactAll(t, s)
+	if n := len(s.shards[0].tier.state.load().segs); n != 1 {
+		t.Fatalf("%d segments after compacting four freezes at fanout 4, want 1", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openTiered(t, dir, 1, opt)
+	defer s.Close()
+	for k := 4; k < 7; k++ {
+		writeDocs(t, s, 8*k, 8*(k+1), 40)
+		freezeAll(t, s)
+	}
+	runs := mCompactRuns.Value()
+	compactAll(t, s)
+	if merged, n := mCompactRuns.Value()-runs, len(s.shards[0].tier.state.load().segs); merged != 0 || n != 4 {
+		t.Fatalf("after a reopen and three more freezes, compaction merged %d times into %d segments; want 0 and 4", merged, n)
+	}
 }

@@ -33,10 +33,11 @@ import (
 //	freeze → hot docs become a segment; rows are slimmed, so their terms
 //	         are read from the segment from then on; the WAL rotates and
 //	         the old generation is deleted once the manifest commits
-//	compact→ a background goroutine merges same-size-tier segments
-//	         (size-tiered, fanout CompactFanout) so segment count stays
-//	         O(fanout · log(corpus)); see CompactShard for what that does
-//	         and does not bound in write amplification
+//	compact→ a background goroutine merges runs of CompactFanout
+//	         segments of one tier, a segment's tier being the log of how
+//	         many freezes it holds, so segment count stays
+//	         O(fanout · log(freezes)) and a row is rewritten at most once
+//	         per tier; see CompactShard
 //	open   → segments are mmapped (footer reads only — postings, text and
 //	         term vectors page in lazily), slim rows and out-links stream
 //	         out of the meta/link sections and rebuild the in-link index,
@@ -101,8 +102,8 @@ type TierOptions struct {
 	// flush, per-row insert). Off, durability is only guaranteed for
 	// frozen segments.
 	WALSync bool
-	// CompactFanout is the size-tiered merge fanout (default 4): a size
-	// tier holding this many segments is merged into one.
+	// CompactFanout is the merge fanout (default 4): a run of this many
+	// adjacent segments of one tier is merged into one (see CompactShard).
 	CompactFanout int
 	// DisableCompaction turns the background compactor off (tests drive
 	// CompactShard directly).
@@ -137,11 +138,13 @@ var errOlderManifest = errors.New("holds a topic override for a frozen document,
 // zeroTimeNanos encodes time.Time{} (whose UnixNano is undefined).
 const zeroTimeNanos = math.MinInt64
 
-// tierSeg is one open segment.
+// tierSeg is one open segment. freezes counts the freezes its rows came
+// from: 1 for a freeze's segment, the sum of its inputs' for a merge's.
 type tierSeg struct {
-	r     *segment.Reader
-	file  string
-	bytes int64
+	r       *segment.Reader
+	file    string
+	bytes   int64
+	freezes int64
 }
 
 // tierState is the immutable segment view of one shard: the open segments
@@ -168,7 +171,10 @@ type tierManifest struct {
 	NextSeq   int64    `json:"nextSeq"`
 	NextSegID int64    `json:"nextSegID"`
 	Segments  []string `json:"segments"`
-	Tombs     []int64  `json:"tombs,omitempty"`
+	// Freezes is parallel to Segments: each segment's freeze count. A
+	// manifest without it, as older releases wrote, counts each segment 1.
+	Freezes []int64 `json:"freezes,omitempty"`
+	Tombs   []int64 `json:"tombs,omitempty"`
 	// OlderOverrides is read, never written: older releases recorded here
 	// the topic or training flag a frozen row took after its segment was
 	// baked. A training flag has no reader and is dropped at the next
@@ -421,8 +427,8 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 	t := sh.tier
 	man := tierManifest{WalSeq: 1, NextSeq: 0, NextSegID: 1}
 	if b, err := os.ReadFile(t.manifestPath()); err == nil {
-		if err := json.Unmarshal(b, &man); err != nil {
-			return fmt.Errorf("store: shard %d: bad manifest: %w", sh.idx, err)
+		if man, err = decodeManifest(t.manifestPath(), b); err != nil {
+			return fmt.Errorf("store: shard %d: %w", sh.idx, err)
 		}
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("store: shard %d: %w", sh.idx, err)
@@ -430,11 +436,6 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 	t.walSeq = man.WalSeq
 	t.baseWalSeq = man.WalSeq
 	t.nextSegID = man.NextSegID
-	for _, ov := range man.OlderOverrides {
-		if ov.HasTopic {
-			return fmt.Errorf("store: shard %d: %s %w", sh.idx, t.manifestPath(), errOlderManifest)
-		}
-	}
 	tombs := emptyTombs
 	if len(man.Tombs) > 0 {
 		tombs = make(map[int64]struct{}, len(man.Tombs))
@@ -446,7 +447,7 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 	// Open and ingest manifest segments.
 	inManifest := map[string]bool{}
 	segs := make([]*tierSeg, 0, len(man.Segments))
-	for _, file := range man.Segments {
+	for i, file := range man.Segments {
 		inManifest[file] = true
 		path := filepath.Join(t.dir, file)
 		r, err := segment.Open(path)
@@ -457,7 +458,10 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 			r.Close()
 			return fmt.Errorf("store: shard %d: segment %s belongs to shard %d", sh.idx, file, r.Shard())
 		}
-		seg := &tierSeg{r: r, file: file, bytes: r.Bytes()}
+		seg := &tierSeg{r: r, file: file, bytes: r.Bytes(), freezes: 1}
+		if man.Freezes != nil {
+			seg.freezes = man.Freezes[i]
+		}
 		segs = append(segs, seg)
 		if err := s.ingestSegment(sh, seg, tombs); err != nil {
 			r.Close()
@@ -540,6 +544,54 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats, orphans *[]s
 	}
 	sh.bumpEpoch()
 	return nil
+}
+
+// decodeManifest parses and checks the manifest read from path. Every
+// error names path; one whose content is malformed or contradicts itself
+// wraps segment.ErrCorrupt, and a topic override for a frozen row is
+// errOlderManifest. The checks keep a damaged manifest from reaching
+// files outside the shard's segments (a listed name is seg-<id>.bsg, below
+// nextSegID, at most once) and bound the freeze counts: each segment holds
+// at least one freeze, and all of them together no more than the segment
+// IDs the shard has allocated, one per freeze or merge.
+func decodeManifest(path string, b []byte) (tierManifest, error) {
+	man := tierManifest{WalSeq: 1, NextSeq: 0, NextSegID: 1}
+	corrupt := func(format string, args ...any) (tierManifest, error) {
+		return tierManifest{}, fmt.Errorf("%s: %s: %w", path, fmt.Sprintf(format, args...), segment.ErrCorrupt)
+	}
+	if err := json.Unmarshal(b, &man); err != nil {
+		return corrupt("%v", err)
+	}
+	for _, ov := range man.OlderOverrides {
+		if ov.HasTopic {
+			return tierManifest{}, fmt.Errorf("%s %w", path, errOlderManifest)
+		}
+	}
+	if man.WalSeq < 1 || man.NextSeq < 0 || man.NextSegID < 1 {
+		return corrupt("walSeq %d, nextSeq %d, nextSegID %d out of range", man.WalSeq, man.NextSeq, man.NextSegID)
+	}
+	listed := make(map[string]bool, len(man.Segments))
+	for _, file := range man.Segments {
+		id, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(file, "seg-"), ".bsg"), 10, 64)
+		if err != nil || id < 1 || id >= man.NextSegID || fmt.Sprintf("seg-%06d.bsg", id) != file || listed[file] {
+			return corrupt("segment %q is not a distinct segment below nextSegID %d", file, man.NextSegID)
+		}
+		listed[file] = true
+	}
+	if man.Freezes == nil {
+		return man, nil
+	}
+	if len(man.Freezes) != len(man.Segments) {
+		return corrupt("%d freeze counts for %d segments", len(man.Freezes), len(man.Segments))
+	}
+	left := man.NextSegID - 1
+	for i, n := range man.Freezes {
+		if n < 1 || n > left {
+			return corrupt("segment %s holds %d freezes, outside [1, %d]", man.Segments[i], n, left)
+		}
+		left -= n
+	}
+	return man, nil
 }
 
 // ingestSegment creates one segment's slim in-memory rows, cold refs, link
@@ -953,7 +1005,7 @@ func (s *Store) freezeShard(i int, auto bool) error {
 	if freezePrePublishHook != nil {
 		freezePrePublishHook()
 	}
-	s.publishFreeze(sh, &tierSeg{r: r, file: file, bytes: bytes}, frozen)
+	s.publishFreeze(sh, &tierSeg{r: r, file: file, bytes: bytes, freezes: 1}, frozen)
 	mSegFreezes.Inc()
 	mSegFrozenDocs.Add(int64(len(frozen)))
 	mSegCount.Add(1)
@@ -1057,10 +1109,12 @@ func (s *Store) commitManifestLocked(sh *storeShard) error {
 		NextSeq:   sh.nextSeq,
 		NextSegID: t.nextSegID,
 		Segments:  make([]string, len(st.segs)),
+		Freezes:   make([]int64, len(st.segs)),
 		Tombs:     make([]int64, 0, len(st.tombs)),
 	}
 	for i, seg := range st.segs {
 		man.Segments[i] = seg.file
+		man.Freezes[i] = seg.freezes
 	}
 	for seq := range st.tombs {
 		man.Tombs = append(man.Tombs, seq)
@@ -1091,7 +1145,7 @@ func (s *Store) commitManifestLocked(sh *storeShard) error {
 }
 
 // ---------------------------------------------------------------------------
-// Compaction: size-tiered background merging
+// Compaction: background merging by freeze-count tier
 
 // kickCompactor nudges the background compactor (non-blocking).
 func (s *Store) kickCompactor() {
@@ -1135,28 +1189,26 @@ func (s *Store) compactor() {
 	}
 }
 
-// compactionTier buckets a segment size into a size tier: tier k holds
-// segments in [minSegBytes·fanout^k, minSegBytes·fanout^(k+1)).
-const minSegBytes = 256 << 10
-
-func compactionTier(bytes int64, fanout int) int {
+// compactionTier is ⌊log_fanout(freezes)⌋, the tier of a segment that
+// holds freezes freezes.
+func compactionTier(freezes int64, fanout int) int {
 	tier := 0
-	for bytes >= minSegBytes*int64(fanout) {
-		bytes /= int64(fanout)
+	for freezes >= int64(fanout) {
+		freezes /= int64(fanout)
 		tier++
 	}
 	return tier
 }
 
 // CompactShard merges a run of at least CompactFanout seq-adjacent
-// segments of one size tier of shard i — the lowest tier that has such a
-// run, and the whole run — returning whether a merge ran. Merging only
-// adjacent segments keeps the segments' seq ranges disjoint. Above tier 0
-// a merge's output lands in a higher tier, so a byte is rewritten about
-// once per tier it passes through. Tier 0 spans [0, minSegBytes·fanout)
-// and is not bounded that way: a merge of small segments can stay in tier
-// 0 and be merged again with the next ones, so small stores rewrite a byte
-// several times inside it.
+// segments of one tier of shard i — the lowest tier that has such a run,
+// and the whole run — returning whether a merge ran. Merging only adjacent
+// segments keeps the segments' seq ranges disjoint. A merge's output holds
+// the sum of its inputs' freezes, at least fanout times a tier's smallest,
+// so it lands in a higher tier than its inputs. Run to completion after
+// every freeze, it leaves the freeze counts of a shard that has frozen n
+// times equal to n's base-fanout digits, and every row rewritten at most
+// ⌊log_fanout n⌋ times, whatever the memtable budget or shard count.
 func (s *Store) CompactShard(i int) (bool, error) {
 	sh := s.shards[i]
 	t := sh.tier
@@ -1170,9 +1222,9 @@ func (s *Store) CompactShard(i int) (bool, error) {
 	var inputs []*tierSeg
 	bestTier := -1
 	for lo := 0; lo < len(segs); {
-		k := compactionTier(segs[lo].bytes, fanout)
+		k := compactionTier(segs[lo].freezes, fanout)
 		hi := lo + 1
-		for hi < len(segs) && compactionTier(segs[hi].bytes, fanout) == k {
+		for hi < len(segs) && compactionTier(segs[hi].freezes, fanout) == k {
 			hi++
 		}
 		if hi-lo >= fanout && (bestTier == -1 || k < bestTier) {
@@ -1197,11 +1249,12 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 	t := sh.tier
 	inputSet := map[*tierSeg]bool{}
 	readers := make([]*segment.Reader, len(inputs))
-	var bytesIn int64
+	var bytesIn, freezes int64
 	for i, seg := range inputs {
 		inputSet[seg] = true
 		readers[i] = seg.r
 		bytesIn += seg.bytes
+		freezes += seg.freezes
 	}
 
 	// Merge asks about every input row once. A row the shard no longer
@@ -1230,7 +1283,7 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 		os.Remove(filepath.Join(t.dir, file))
 		return err
 	}
-	merged := &tierSeg{r: r, file: file, bytes: res.Bytes}
+	merged := &tierSeg{r: r, file: file, bytes: res.Bytes, freezes: freezes}
 
 	// Swap under docMu: replace inputs with the merged segment, repoint
 	// cold refs, and drop tombs for rows we actually dropped.

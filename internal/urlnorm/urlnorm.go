@@ -41,7 +41,9 @@ func NormalizeURL(u *url.URL) {
 	u.RawFragment = ""
 
 	// Lower-case the host and drop the scheme's default port, unless what
-	// is left would read as a host with a port of its own.
+	// is left would read as a host with a port of its own: it holds a
+	// colon outside an IPv6 literal's brackets (":]:80" must not become
+	// ":]", which does not parse).
 	host := strings.ToLower(u.Host)
 	port := ""
 	switch u.Scheme {
@@ -50,7 +52,7 @@ func NormalizeURL(u *url.URL) {
 	case "https":
 		port = ":443"
 	}
-	if h, ok := strings.CutSuffix(host, port); ok && port != "" && (!strings.Contains(h, ":") || strings.HasSuffix(h, "]")) {
+	if h, ok := strings.CutSuffix(host, port); ok && port != "" && (!strings.Contains(h, ":") || strings.HasPrefix(h, "[") && strings.HasSuffix(h, "]")) {
 		host = h
 	}
 	u.Host = host

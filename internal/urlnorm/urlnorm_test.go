@@ -55,6 +55,8 @@ func TestNormalizeIdempotent(t *testing.T) {
 		// second pass dropped it.
 		"http://a/%7Euser/./x",
 		"http://a/%7euser/%2e/x%2f",
+		// Dropping ":80" once left the host ":]", which does not parse.
+		"http://:]:80/",
 	}
 	for _, in := range inputs {
 		once, err := Normalize(in)
