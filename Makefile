@@ -25,12 +25,14 @@ test: vet fmt-check
 # The crawl execution path and the query read path are heavily concurrent
 # (worker pool, sharded store, frontier lease protocol, snapshot swaps,
 # parallel HITS sweeps); race runs the packages that exercise them, plus the
-# lock-free metrics primitives they all report into. The store and search
-# concurrency tests run ten more times: an interleaving that breaks one in a
-# hundred runs only shows up when they are repeated.
+# lock-free metrics primitives they all report into and the process-wide
+# memos (analyzer stems, URL normalization) that every crawl worker and
+# query shares. The store and search concurrency tests run ten more times:
+# an interleaving that breaks one in a hundred runs only shows up when they
+# are repeated.
 race:
-	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/rpc/... ./internal/coord/... ./internal/daemon/... ./internal/portal/...
-	$(GO) test -race -count=10 -run 'Concurrent|Churn|Atomic' ./internal/segment/ ./internal/store/ ./internal/search/
+	$(GO) test -race ./internal/crawler/... ./internal/store/... ./internal/segment/... ./internal/frontier/... ./internal/search/... ./internal/hits/... ./internal/metrics/... ./internal/serve/... ./internal/servecache/... ./internal/admit/... ./internal/rpc/... ./internal/coord/... ./internal/daemon/... ./internal/portal/... ./internal/memo/... ./internal/textproc/... ./internal/urlnorm/...
+	$(GO) test -race -count=10 -run 'Concurrent|Churn|Atomic' ./internal/segment/ ./internal/store/ ./internal/search/ ./internal/memo/
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/
 

@@ -1,12 +1,14 @@
 package segment
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -311,4 +313,72 @@ func TestHugeRawLenIsCorrupt(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
 		t.Fatalf("VisitMeta allocated %d MB before failing", grew>>20)
 	}
+}
+
+// TestRowBufferPoolIsByteIdentical: the pooled row buffers leave no trace
+// in what a build or a merge writes. The same input is built with a
+// drained pool, with a pool warmed by another build, and drained again
+// by two GCs; the three files are byte-identical, and so are three merges
+// that re-encode rows the same way.
+func TestRowBufferPoolIsByteIdentical(t *testing.T) {
+	drain := func() { runtime.GC(); runtime.GC() }
+	a := genInput(11, 3*blockDocs+17)
+	other := genInput(12, 2*blockDocs+5)
+	check := func(label string, build func() []byte) {
+		t.Helper()
+		drain()
+		cold := build()
+		build()
+		if warm := build(); !bytes.Equal(cold, warm) {
+			t.Fatalf("%s with a warm pool differs from a cold one", label)
+		}
+		drain()
+		if drained := build(); !bytes.Equal(cold, drained) {
+			t.Fatalf("%s after the pool drained differs from a cold one", label)
+		}
+	}
+	check("build", func() []byte {
+		buildBytes(t, other)
+		return buildBytes(t, a)
+	})
+
+	var inputs []*Reader
+	for _, in := range splitInput(a, []int{blockDocs + 9, blockDocs - 3, blockDocs + 11}) {
+		_, r := buildTemp(t, in)
+		inputs = append(inputs, r)
+	}
+	live := allLive(t, inputs...)
+	for seq := range live {
+		live[seq] = seq%5 != 0 // every block loses rows: all are re-encoded
+	}
+	check("merge", func() []byte {
+		buildBytes(t, other)
+		_, r := mergeTemp(t, inputs, live)
+		b, err := os.ReadFile(r.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	})
+}
+
+// BenchmarkSegmentBuild times writeSegment over a 600-document input into
+// a discarding writer (no file, no fsync) and reports the bytes it
+// allocates per document.
+func BenchmarkSegmentBuild(b *testing.B) {
+	const docs = 600
+	in := genInput(1, docs)
+	w := &countingWriter{w: bufio.NewWriter(io.Discard)}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := writeSegment(w, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*docs), "B/doc")
 }

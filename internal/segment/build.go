@@ -124,15 +124,28 @@ type block struct {
 }
 
 // rawBlocks collects a section's blocks: rows, cut into a block every per
-// rows, and copied frames, each cutting the rows before it.
+// rows, and copied frames, each cutting the rows before it. Rows are
+// encoded into cur, a buffer taken from rowBufs on the first row and
+// returned by finish.
 type rawBlocks struct {
 	blocks []block
 	cur    enc
+	buf    *[]byte // cur's pooled buffer, nil until the first row
 	rows   int
 	per    int
 }
 
+// rowBufs recycles the buffers sections encode their rows into. Every cut
+// copies the block out, so a returned buffer aliases no block, and a
+// build starts from a buffer an earlier build already grew to a block's
+// size instead of regrowing one from zero per section.
+var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func (r *rawBlocks) add(encode func(e *enc)) {
+	if r.buf == nil {
+		r.buf = rowBufs.Get().(*[]byte)
+		r.cur.b = (*r.buf)[:0]
+	}
 	encode(&r.cur)
 	r.rows++
 	if r.rows >= r.per {
@@ -154,6 +167,18 @@ func (r *rawBlocks) cut() {
 func (r *rawBlocks) frame(f []byte, rows int) {
 	r.cut()
 	r.blocks = append(r.blocks, block{frame: f, rows: rows})
+}
+
+// finish cuts the last rows, returns the row buffer to rowBufs, and
+// returns the section's blocks.
+func (r *rawBlocks) finish() []block {
+	r.cut()
+	if r.buf != nil {
+		*r.buf = r.cur.b[:0]
+		rowBufs.Put(r.buf)
+		r.buf, r.cur.b = nil, nil
+	}
+	return r.blocks
 }
 
 // docLevel and linkLevel are the DEFLATE levels of the document sections
@@ -357,9 +382,8 @@ func writeSegment(w *countingWriter, in BuildInput) error {
 		return err
 	}
 	for s, rows := range [numSections]*rawBlocks{meta, tvec, text, links, redirs} {
-		rows.cut()
 		var err error
-		if ft.sections[s], err = writeBlockSection(w, rows.blocks, sectionLevel(s)); err != nil {
+		if ft.sections[s], err = writeBlockSection(w, rows.finish(), sectionLevel(s)); err != nil {
 			return err
 		}
 	}

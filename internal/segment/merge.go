@@ -172,8 +172,7 @@ func sectionBlocks(s, per int, ops []mergeOp) ([]block, error) {
 			out.add(func(e *enc) { e.raw(raw[starts[op.row]:starts[op.row+1]]) })
 		}
 	}
-	out.cut()
-	return out.blocks, nil
+	return out.finish(), nil
 }
 
 // planRows lays out link or redirect section s: each input's blocks copied,

@@ -1,7 +1,10 @@
 package textproc
 
 import (
+	"os"
+	"os/exec"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -38,5 +41,34 @@ func TestPipelineGolden(t *testing.T) {
 	terms := DocTerms(goldenTitle, goldenText)
 	if !reflect.DeepEqual(terms, Counts(goldenStems)) {
 		t.Fatalf("DocTerms = %v, want the counts of the golden stems", terms)
+	}
+}
+
+// TestPipelineHeapBound: the analyzer's memo reserves nothing. A fresh
+// NewPipeline plus one DocTerms call over the golden text leaves under
+// 1 MB live; memo shards made at their 2048-entry bound would leave
+// ≈ 140 KiB for each of the shards the golden words land in. It measures
+// in a child process, where no other test has touched the process-wide
+// memo yet.
+func TestPipelineHeapBound(t *testing.T) {
+	if os.Getenv("TEXTPROC_HEAP_PROBE") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestPipelineHeapBound$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "TEXTPROC_HEAP_PROBE=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("heap probe: %v\n%s", err, out)
+		}
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := NewPipeline()
+	terms := DocTerms(goldenTitle, goldenText)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(terms)
+	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live >= 1<<20 {
+		t.Fatalf("NewPipeline plus one DocTerms call leave %d bytes live, want < 1 MB", live)
 	}
 }

@@ -1,62 +1,17 @@
 package textproc
 
-import "sync"
+import "github.com/bingo-search/bingo/internal/memo"
 
 // The crawler re-analyzes the same Zipfian-heavy vocabulary millions of
 // times: a handful of hot words account for most token occurrences, so
 // memoizing the analyzer's whole per-word decision — dropped (stopword, or
-// stem shorter than two characters; cached as "") or kept with its Porter
-// stem — turns the stopword probe plus stemmer run into a single map hit.
-// The cache is sharded by word hash to keep 15+ crawler threads from
-// serializing on one lock, and bounded per shard: when a shard fills up it
-// is simply cleared — with a Zipfian vocabulary the hot entries repopulate
-// within a few documents, which beats the bookkeeping cost of LRU.
-const (
-	stemShards   = 64
-	stemShardCap = 2048 // ~128k entries total across shards
-)
-
-type stemShard struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
-// stemCache memoizes word -> pipeline output ("" = dropped). The mapping
-// depends on the stopword configuration, so each pipeline flavor gets its
-// own process-wide cache.
-type stemCache struct {
-	shards [stemShards]stemShard
-}
-
+// stem shorter than two characters; memoized as "") or kept with its
+// Porter stem — turns the stopword probe plus stemmer run into a single map
+// hit. The decision depends on the stopword configuration, so each
+// pipeline flavor has its own process-wide memo.Memo: at most 131,072
+// words, nothing reserved. A crawl of the default world holds ≈ 8.4k, and
+// the anchor memo stays empty unless anchor feature spaces are built.
 var (
-	standardStems stemCache // NewPipeline (default stopwords)
-	anchorStems   stemCache // NewAnchorPipeline (extended stopwords)
+	standardStems = memo.New("stem")        // NewPipeline (default stopwords)
+	anchorStems   = memo.New("anchor_stem") // NewAnchorPipeline (extended stopwords)
 )
-
-func stemHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-func (c *stemCache) lookup(w string) (string, bool) {
-	sh := &c.shards[stemHash(w)%stemShards]
-	sh.mu.RLock()
-	s, ok := sh.m[w]
-	sh.mu.RUnlock()
-	return s, ok
-}
-
-func (c *stemCache) store(w, s string) {
-	sh := &c.shards[stemHash(w)%stemShards]
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[string]string, stemShardCap)
-	} else if len(sh.m) >= stemShardCap {
-		clear(sh.m)
-	}
-	sh.m[w] = s
-	sh.mu.Unlock()
-}

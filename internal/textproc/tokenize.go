@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+
+	"github.com/bingo-search/bingo/internal/memo"
 )
 
 // Token is a single word occurrence in a document, before stemming.
@@ -75,19 +77,19 @@ type Pipeline struct {
 	extra StopSet
 	// memo caches the per-word analyzer decision for this stopword
 	// configuration.
-	memo *stemCache
+	memo *memo.Memo
 }
 
 // NewPipeline returns a pipeline with the standard English stopword list.
 func NewPipeline() *Pipeline {
-	return &Pipeline{stopwords: DefaultStopwords(), memo: &standardStems}
+	return &Pipeline{stopwords: DefaultStopwords(), memo: standardStems}
 }
 
 // NewAnchorPipeline returns a pipeline with the extended stopword list used
 // for anchor texts (§3.4), which additionally removes navigation boilerplate
 // such as "click here".
 func NewAnchorPipeline() *Pipeline {
-	return &Pipeline{stopwords: DefaultStopwords(), extra: AnchorStopwords(), memo: &anchorStems}
+	return &Pipeline{stopwords: DefaultStopwords(), extra: AnchorStopwords(), memo: anchorStems}
 }
 
 // analyzeWord is the uncached per-word decision: "" when the word is
@@ -100,16 +102,6 @@ func (p *Pipeline) analyzeWord(w string) string {
 	s := Stem(w)
 	if len(s) < 2 {
 		return ""
-	}
-	return s
-}
-
-// cachedWord is analyzeWord through the pipeline's memo.
-func (p *Pipeline) cachedWord(w string) string {
-	s, ok := p.memo.lookup(w)
-	if !ok {
-		s = p.analyzeWord(w)
-		p.memo.store(w, s)
 	}
 	return s
 }
@@ -141,9 +133,10 @@ func (p *Pipeline) StemsParts(parts ...string) []string {
 	for _, part := range parts {
 		tokens = appendTokens(tokens, part)
 	}
+	p.memo.Lookups(len(tokens))
 	out := make([]string, 0, len(tokens))
 	for _, t := range tokens {
-		if s := p.cachedWord(t.Text); s != "" {
+		if s := p.memo.Get(t.Text, p.analyzeWord); s != "" {
 			out = append(out, s)
 		}
 	}

@@ -3,38 +3,17 @@ package urlnorm
 import (
 	"net/url"
 	"strings"
-	"sync"
+
+	"github.com/bingo-search/bingo/internal/memo"
 )
 
 // The crawler normalizes every extracted hyperlink, and link targets repeat
 // heavily (hub pages, navigation links, co-author links), so the parse →
-// normalize → serialize round-trip is memoized for absolute http(s) hrefs.
-// Sharded like the analyzer's stem memo, and bounded the same way: a full
-// shard is cleared and repopulates with the currently-hot URLs.
-const (
-	cacheShards   = 64
-	cacheShardCap = 2048
-)
-
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
-// Cache memoizes Normalize for absolute http(s) URLs. An unparsable or
-// non-http input is remembered as rejected. The zero value is ready to use
-// and safe for concurrent use.
-type Cache struct {
-	shards [cacheShards]cacheShard
-}
-
-func cacheHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
+// normalize → serialize round-trip of an absolute http(s) href is memoized
+// in one process-wide memo.Memo: at most 131,072 hrefs, nothing reserved.
+// A crawl of the default world holds ≈ 7.5k. An unparsable or non-http
+// input is remembered as rejected ("").
+var hrefs = memo.New("url")
 
 // Cacheable reports whether raw is an absolute http(s) URL, the only inputs
 // Normalize results are memoized for (relative references resolve against a
@@ -43,13 +22,13 @@ func Cacheable(raw string) bool {
 	return strings.HasPrefix(raw, "http://") || strings.HasPrefix(raw, "https://")
 }
 
-// sharedCache backs NormalizeCached.
-var sharedCache Cache
-
-// NormalizeCached is Cache.Normalize through a process-wide cache; callers
-// must have checked Cacheable(raw).
+// NormalizeCached returns the canonical form of the absolute URL raw, or
+// ok=false when raw does not parse as an http(s) URL, through the
+// process-wide memo; callers must have checked Cacheable(raw).
 func NormalizeCached(raw string) (string, bool) {
-	return sharedCache.Normalize(raw)
+	hrefs.Lookups(1)
+	v := hrefs.Get(raw, normalizeAbsolute)
+	return v, v != ""
 }
 
 // LinkResolver returns the href resolver for a document whose final URL
@@ -81,30 +60,16 @@ func LinkResolver(final *url.URL) func(base, href string) (string, bool) {
 	}
 }
 
-// Normalize returns the canonical form of the absolute URL raw, or ok=false
-// when raw does not parse as an http(s) URL.
-func (c *Cache) Normalize(raw string) (string, bool) {
-	sh := &c.shards[cacheHash(raw)%cacheShards]
-	sh.mu.RLock()
-	v, hit := sh.m[raw]
-	sh.mu.RUnlock()
-	if hit {
-		return v, v != ""
+// normalizeAbsolute is NormalizeCached's uncached result: the canonical
+// form of raw, or "" when raw is not an http(s) URL.
+func normalizeAbsolute(raw string) string {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return ""
 	}
-	v = ""
-	if u, err := url.Parse(raw); err == nil {
-		NormalizeURL(u)
-		if u.Scheme == "http" || u.Scheme == "https" {
-			v = u.String()
-		}
+	NormalizeURL(u)
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return ""
 	}
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[string]string, cacheShardCap)
-	} else if len(sh.m) >= cacheShardCap {
-		clear(sh.m)
-	}
-	sh.m[raw] = v
-	sh.mu.Unlock()
-	return v, v != ""
+	return u.String()
 }
