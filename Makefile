@@ -36,12 +36,14 @@ race:
 	$(GO) test -race -count=1 -run 'TestFrontier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'Tenant|Train|Close' ./internal/core/
 
-# fuzz runs every decoder and crawl-input parser fuzz target past its seed
-# corpus for FUZZTIME each (plain `go test` only replays the seeds). The
-# contract is a typed error, never a panic; FuzzNormalize checks that URL
-# normalization is idempotent and that its memo agrees with it, and
+# fuzz runs every decoder and outside-input parser fuzz target past its
+# seed corpus for FUZZTIME each (plain `go test` only replays the seeds).
+# The contract is a typed error, never a panic; FuzzNormalize checks that
+# URL normalization is idempotent and that its memo agrees with it,
 # FuzzConvert that a converted page's text stays within the archive budget
-# and its links come out normalized.
+# and its links come out normalized, FuzzParseQuery that an accepted
+# /search query is within its bounds, and FuzzSearchResponse that a
+# shard's search answer either fails or merges.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/segment/
@@ -55,6 +57,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRobots$$' -fuzztime $(FUZZTIME) ./internal/fetch/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBookmarks$$' -fuzztime $(FUZZTIME) ./internal/bookmarks/
 	$(GO) test -run '^$$' -fuzz '^FuzzConvert$$' -fuzztime $(FUZZTIME) ./internal/htmldoc/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchResponse$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 
 # chaos runs the fault-injection suite (full crawls against the seeded fault
 # plane, plus the faults/fetch resilience units) across a fixed seed matrix

@@ -25,7 +25,8 @@
 // over the listed shardd servers (see cmd/shardd), merges global corpus
 // statistics for exact idf, and answers degraded partial results when a
 // shard is down. In coordinator mode /search is JSON-only (no HTML
-// portal), and -crawl mirrors the staging crawl into the shard servers
+// portal) but otherwise the same serve.API, cache and admission gate
+// included, and -crawl mirrors the staging crawl into the shard servers
 // through the ingest router. See DESIGN.md "Distributed scatter-gather".
 //
 // Usage:
@@ -95,16 +96,88 @@ var (
 func main() {
 	flag.Var(&tenantNames, "tenant", "named portal tenant (repeatable, with -crawl): the world's seed bookmarks are partitioned round-robin across the named tenants, each crawling its own portal into the shared store")
 	flag.Parse()
-	if *shards != "" {
-		runCoordinator()
-		return
-	}
 
-	var st *store.Store
-	// coreEng stays non-nil in crawl mode so /tenants and the background
-	// retrainer have a live engine; -data-dir mode serves a finished
-	// database and have neither.
-	var coreEng *bingo.Engine
+	// Both deployments answer /search through one serve.API with the same
+	// cache and admission gate; only the Searcher behind it differs.
+	opts := serve.Options{
+		Admission: admit.New(admit.Options{
+			MaxInFlight:       *maxInFlight,
+			MaxQueue:          *maxQueue,
+			QueueTimeout:      *queueTimeout,
+			RetryAfter:        *retryAfter,
+			TenantMaxInFlight: *tenantMaxInFlight,
+		}),
+	}
+	if *cacheEntries > 0 {
+		opts.Cache = servecache.New(*cacheEntries)
+	}
+	mux := http.NewServeMux()
+	var api *serve.API
+	var what, extra string
+	var shutdown func() error
+	if *shards != "" {
+		c := startCoordinator()
+		c.StartProber()
+		defer c.StopProber()
+		api = serve.NewFor(c, opts)
+		mux.HandleFunc("/search", api.HandleSearch)
+		what = fmt.Sprintf("coordinator over %d documents", c.TotalDocs())
+		shutdown = func() error { return nil }
+	} else {
+		st, coreEng := openPortal()
+		// One engine feeds both frontends so they share search snapshots.
+		engine := search.New(st)
+		api = serve.New(st, engine, opts)
+		explorer := portal.NewWithEngine(st, engine)
+		mux.Handle("/", explorer)
+		// /search is shared: browsers (Accept: text/html) get the portal's
+		// result page, everything else gets the JSON API.
+		mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
+			if strings.Contains(r.Header.Get("Accept"), "text/html") {
+				explorer.ServeHTTP(w, r)
+				return
+			}
+			api.HandleSearch(w, r)
+		})
+		// In crawl mode the engine owns the store (and the background
+		// retrainer); Close stops every background goroutine before
+		// closing it.
+		shutdown = st.Close
+		if coreEng != nil {
+			mux.HandleFunc("/tenants", handleTenants(coreEng))
+			extra = ", tenants on /tenants"
+			shutdown = coreEng.Close
+		}
+		// Warm the serving path before announcing readiness, so the first
+		// real query never pays the initial snapshot build.
+		engine.Search(search.Query{Text: "warm"})
+		what = fmt.Sprintf("portal over %d documents", st.NumDocs())
+	}
+	api.MountHealth(mux)
+	daemon.MountOps(mux)
+
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("serving %s on %s (API on /search, health on /healthz + /readyz, metrics on /metricsz, traces on /tracez, profiles on /debug/pprof/%s)\n",
+		what, ln.Addr(), extra)
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := daemon.Run(ctx, ln, mux, &api.Gate, *portFile, *drainTimeout); err != nil {
+		log.Fatal(err)
+	}
+	if err := shutdown(); err != nil {
+		log.Fatalf("shutting down: %v", err)
+	}
+	fmt.Println("shutdown complete")
+}
+
+// openPortal opens the single-process deployment's store: a fresh startup
+// crawl with -crawl, returned with its live engine (for /tenants and the
+// background retrainer), or the finished -data-dir database, with none.
+func openPortal() (*store.Store, *bingo.Engine) {
 	switch {
 	case *crawl:
 		eng, world, plane := startupCrawl(func(c *bingo.Config) {
@@ -115,7 +188,6 @@ func main() {
 			c.Scheduler = *scheduler
 			c.FrontierBudget = *frontierBudget
 		})
-		coreEng = eng
 		// With named tenants, the default tenant stays empty and each name
 		// gets its own portal over a round-robin slice of the world's seed
 		// bookmarks — different bookmark sets, one shared store.
@@ -180,88 +252,23 @@ func main() {
 			rt := eng.Runtime()
 			fmt.Printf("chaos: quarantined %v, DNS failovers %d\n", rt.QuarantinedHosts, rt.DNSFailovers)
 		}
-		st = eng.Store()
-	case *dataDir != "":
-		// Serve an existing tiered data directory: mmap the segments,
-		// replay the WAL tails, done — cold start is O(WAL tail), not
-		// O(corpus).
-		var err error
-		st, err = store.Open(*dataDir, *storeShards, store.TierOptions{
-			MemtableBudget: *memtableBudget,
-			WALSync:        *walSync,
-			CompactFanout:  *compactFanout,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		daemon.LogRecovery(st)
-	default:
+		return eng.Store(), eng
+	case *dataDir == "":
 		flag.Usage()
 		log.Fatal("need -data-dir or -crawl")
 	}
-
-	// One engine feeds both frontends so they share search snapshots.
-	engine := search.New(st)
-	var cache *servecache.Cache
-	if *cacheEntries > 0 {
-		cache = servecache.New(*cacheEntries)
-	}
-	api := serve.New(st, engine, serve.Options{
-		Cache: cache,
-		Admission: admit.New(admit.Options{
-			MaxInFlight:       *maxInFlight,
-			MaxQueue:          *maxQueue,
-			QueueTimeout:      *queueTimeout,
-			RetryAfter:        *retryAfter,
-			TenantMaxInFlight: *tenantMaxInFlight,
-		}),
+	// Serve an existing tiered data directory: mmap the segments, replay
+	// the WAL tails, done — cold start is O(WAL tail), not O(corpus).
+	st, err := store.Open(*dataDir, *storeShards, store.TierOptions{
+		MemtableBudget: *memtableBudget,
+		WALSync:        *walSync,
+		CompactFanout:  *compactFanout,
 	})
-	explorer := portal.NewWithEngine(st, engine)
-
-	mux := http.NewServeMux()
-	mux.Handle("/", explorer)
-	// /search is shared: browsers (Accept: text/html) get the portal's
-	// result page, everything else gets the JSON API.
-	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.Header.Get("Accept"), "text/html") {
-			explorer.ServeHTTP(w, r)
-			return
-		}
-		api.HandleSearch(w, r)
-	})
-	api.MountHealth(mux)
-	daemon.MountOps(mux)
-	extra := ""
-	if coreEng != nil {
-		mux.HandleFunc("/tenants", handleTenants(coreEng))
-		extra = ", tenants on /tenants"
-	}
-
-	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Warm the serving path before announcing readiness, so the first real
-	// query never pays the initial snapshot build.
-	engine.Search(search.Query{Text: "warm"})
-	fmt.Printf("serving portal over %d documents on %s (API on /search, health on /healthz + /readyz, metrics on /metricsz, traces on /tracez, profiles on /debug/pprof/%s)\n",
-		st.NumDocs(), ln.Addr(), extra)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := daemon.Run(ctx, ln, mux, &api.Gate, *portFile, *drainTimeout); err != nil {
-		log.Fatal(err)
-	}
-	// In crawl mode the engine owns the store (and the background
-	// retrainer); Close stops every background goroutine before closing it.
-	if coreEng != nil {
-		if err := coreEng.Close(); err != nil {
-			log.Fatalf("closing engine: %v", err)
-		}
-	} else if err := st.Close(); err != nil {
-		log.Fatalf("closing store: %v", err)
-	}
-	fmt.Println("shutdown complete")
+	daemon.LogRecovery(st)
+	return st, nil
 }
 
 // multiFlag is a repeatable string flag (e.g. -tenant a -tenant b).
@@ -348,12 +355,12 @@ func startupCrawl(mode func(*bingo.Config)) (*bingo.Engine, *bingo.World, *fault
 	return eng, world, plane
 }
 
-// runCoordinator is portald's distributed mode: no local documents, just
-// the scatter-gather coordinator over the configured shard servers. With
-// -crawl it first runs the staging crawl locally and mirrors every stored
-// row into the shard servers through the ingest router, so the fleet ends
-// up holding the corpus the crawl produced.
-func runCoordinator() {
+// startCoordinator builds portald's distributed mode: no local documents,
+// just the scatter-gather coordinator over the configured shard servers,
+// synced once. With -crawl it first runs the staging crawl locally and
+// mirrors every stored row into the shard servers through the ingest
+// router, so the fleet ends up holding the corpus the crawl produced.
+func startCoordinator() *coord.Coordinator {
 	c, err := coord.New(splitAddrs(*shards), coord.Options{
 		QueryTimeout:  *rpcTimeout,
 		HedgeAfter:    *hedgeAfter,
@@ -401,25 +408,5 @@ func runCoordinator() {
 	}
 	cancelSync()
 
-	api := coord.NewAPI(c)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/search", api.HandleSearch)
-	api.MountHealth(mux)
-	daemon.MountOps(mux)
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c.StartProber()
-	defer c.StopProber()
-	fmt.Printf("serving coordinator over %d documents on %s (API on /search, health on /healthz + /readyz, metrics on /metricsz, traces on /tracez, profiles on /debug/pprof/)\n",
-		c.TotalDocs(), ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := daemon.Run(ctx, ln, mux, &api.Gate, *portFile, *drainTimeout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("shutdown complete")
+	return c
 }

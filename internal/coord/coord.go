@@ -16,7 +16,9 @@
 //     the rows under the engine's score-desc/URL-asc total order
 //     (search.MergeSkybands). A version conflict from any shard triggers
 //     one stats resync and one retry; a dead shard degrades the answer
-//     (Result.Degraded + Result.Missing) instead of failing it.
+//     (Degraded + Missing) instead of failing it. The Coordinator is a
+//     serve.Searcher, so portald -shards answers /search through the same
+//     serve.API as a single process.
 //
 //   - Ingest routing: the Router (see ingest.go) implements store.Sink and
 //     routes crawler rows to shard servers by the same URL hash the store
@@ -38,6 +40,7 @@ import (
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/rpc"
 	"github.com/bingo-search/bingo/internal/search"
+	"github.com/bingo-search/bingo/internal/serve"
 	"github.com/bingo-search/bingo/internal/store"
 	"github.com/bingo-search/bingo/internal/vsm"
 )
@@ -62,9 +65,9 @@ var (
 )
 
 // ErrAllShardsDown reports a query that could not reach a single shard
-// server: there is no partial result to degrade to, so the caller should
-// answer 503.
-var ErrAllShardsDown = errors.New("coord: no shard server reachable")
+// server: there is no partial result to degrade to. It wraps
+// serve.ErrUnavailable, so the front door answers 503.
+var ErrAllShardsDown = fmt.Errorf("coord: no shard server reachable: %w", serve.ErrUnavailable)
 
 // ErrNoShards reports a Coordinator built with an empty address list.
 var ErrNoShards = errors.New("coord: no shard addresses")
@@ -76,8 +79,6 @@ type Options struct {
 	// HedgeAfter is the slow-shard hedge delay for idempotent RPCs
 	// (default 250ms; <0 disables hedging).
 	HedgeAfter time.Duration
-	// MaxK caps per-query result sizes (default 100).
-	MaxK int
 	// ProbeInterval is how often the background prober pings shard servers
 	// to reintegrate recovered ones without waiting for a query-triggered
 	// resync (default 2s; <0 disables the prober).
@@ -93,21 +94,6 @@ type shardState struct {
 	// terms is the server's vocabulary from the last successful stats pull,
 	// used to restrict the global df push; guarded by Coordinator.mu.
 	terms []string
-}
-
-// Result is one answered distributed query.
-type Result struct {
-	// Hits is the merged, globally ranked top-K list.
-	Hits []rpc.Hit
-	// Degraded is true when at least one shard server did not contribute
-	// (down, unsynced, or failed mid-query) — the hits are correct for the
-	// reachable partitions but may miss documents.
-	Degraded bool
-	// Missing lists the base addresses of the shard servers that did not
-	// contribute.
-	Missing []string
-	// Version is the global-stats version the query was answered under.
-	Version string
 }
 
 // Coordinator fans queries out over shard servers and merges the answers.
@@ -152,9 +138,6 @@ func New(addrs []string, opt Options) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, ErrNoShards
 	}
-	if opt.MaxK <= 0 {
-		opt.MaxK = 100
-	}
 	if opt.ProbeInterval == 0 {
 		opt.ProbeInterval = 2 * time.Second
 	}
@@ -185,6 +168,11 @@ func New(addrs []string, opt Options) (*Coordinator, error) {
 	return c, nil
 }
 
+// NewAPI is the coordinator's /search front door with no cache and no
+// admission. It stays for cmd/bench; portald -shards builds serve.NewFor
+// over the coordinator with both.
+func NewAPI(c *Coordinator) *serve.API { return serve.NewFor(c, serve.Options{}) }
+
 // NumShards returns the number of shard servers the coordinator routes
 // over.
 func (c *Coordinator) NumShards() int { return len(c.shards) }
@@ -214,6 +202,12 @@ func (c *Coordinator) Version() string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.version
+}
+
+// Provenance is the current version: every shard's view under it is
+// pinned at its Stats call, so a complete answer under it never changes.
+func (c *Coordinator) Provenance() serve.Provenance {
+	return serve.Provenance{Version: c.Version()}
 }
 
 // TotalDocs returns the global document count of the current version.
@@ -438,10 +432,11 @@ func (c *Coordinator) SyncAuth(ctx context.Context) error {
 // Search answers one query over the fleet with one RPC per shard. A
 // version conflict from any shard (restart, stale view) triggers one stats
 // resync and one retry; unreachable shards degrade the result instead of
-// failing it. The error cases are weights that are negative or not finite
+// failing it. Every hit carries q's tenant: shards answer only its
+// documents. The error cases are weights that are negative or not finite
 // (search.ErrBadWeights), an unsynced coordinator that cannot complete its
 // first sync, and a fleet with no reachable shard at all.
-func (c *Coordinator) Search(ctx context.Context, q search.Query) (*Result, error) {
+func (c *Coordinator) Search(ctx context.Context, q search.Query) (*serve.Answer, error) {
 	mQueries.Inc()
 	start := time.Now()
 	defer mQueryNanos.ObserveSince(start)
@@ -466,7 +461,7 @@ func (c *Coordinator) Search(ctx context.Context, q search.Query) (*Result, erro
 
 // searchAttempts runs searchOnce with at most one conflict-triggered
 // resync in between.
-func (c *Coordinator) searchAttempts(ctx context.Context, q search.Query) (*Result, error) {
+func (c *Coordinator) searchAttempts(ctx context.Context, q search.Query) (*serve.Answer, error) {
 	for attempt := 0; ; attempt++ {
 		res, conflict, err := c.searchOnce(ctx, q)
 		if conflict && attempt == 0 {
@@ -493,7 +488,7 @@ type shardAnswer struct {
 // searchOnce asks every synced shard once, against the current version,
 // for its local maxima and K-skyband rows, then ranks the union.
 // conflict=true asks the caller to resync and retry.
-func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, bool, error) {
+func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*serve.Answer, bool, error) {
 	c.mu.RLock()
 	version := c.version
 	idf := c.idf
@@ -513,12 +508,10 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 		return nil, true, nil // never synced: resync path doubles as bootstrap
 	}
 
+	res := &serve.Answer{Hits: []serve.HitJSON{}, Provenance: serve.Provenance{Version: version}}
 	plan, ok := c.planner.Plan(q, idf)
 	if !ok {
-		return &Result{Version: version}, false, nil
-	}
-	if plan.Limit > c.opt.MaxK {
-		plan.Limit = c.opt.MaxK
+		return res, false, nil
 	}
 	plan.Bounds = search.Bounds{Cos: search.UnitBound, Conf: confBound}
 	if plan.Weights.Authority != 0 {
@@ -556,22 +549,20 @@ func (c *Coordinator) searchOnce(ctx context.Context, q search.Query) (*Result, 
 		return nil, false, ErrAllShardsDown
 	}
 
-	res := &Result{Version: version}
-	if len(hits) > 0 {
-		res.Hits = make([]rpc.Hit, len(hits))
-		for n, h := range hits {
-			res.Hits[n] = rpc.Hit{
-				URL:        h.Doc.URL,
-				Title:      h.Doc.Title,
-				Topic:      h.Doc.Topic,
-				Score:      h.Score,
-				Cosine:     h.Cosine,
-				Confidence: h.Confidence,
-				Authority:  h.Authority,
-			}
+	res.Hits = make([]serve.HitJSON, len(hits))
+	for n, h := range hits {
+		res.Hits[n] = serve.HitJSON{
+			URL:        h.Doc.URL,
+			Title:      h.Doc.Title,
+			Topic:      h.Doc.Topic,
+			Tenant:     q.Tenant,
+			Score:      h.Score,
+			Cosine:     h.Cosine,
+			Confidence: h.Confidence,
+			Authority:  h.Authority,
 		}
 	}
-	c.finishResult(res, missing)
+	c.markMissing(res, missing)
 	return res, false, nil
 }
 
@@ -605,8 +596,8 @@ func (c *Coordinator) ask(ctx context.Context, version string, plan *search.Plan
 	return parts, answered, conflict
 }
 
-// finishResult fills the degradation fields from the missing-shard set.
-func (c *Coordinator) finishResult(res *Result, missing map[int]bool) {
+// markMissing fills the degradation fields from the missing-shard set.
+func (c *Coordinator) markMissing(res *serve.Answer, missing map[int]bool) {
 	if len(missing) == 0 {
 		return
 	}

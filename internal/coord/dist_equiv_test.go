@@ -3,12 +3,12 @@ package coord
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -141,7 +141,7 @@ func distQueries() []search.Query {
 // sameAsLocal asserts a distributed answer is bit-identical to the
 // single-process hit list: same URLs in the same order, exactly equal
 // float64 bits on every component.
-func sameAsLocal(t *testing.T, label string, want []search.Hit, got []rpc.Hit) {
+func sameAsLocal(t *testing.T, label string, want []search.Hit, got []serve.HitJSON) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d hits, baseline has %d", label, len(got), len(want))
@@ -257,10 +257,10 @@ func TestDistributedSearchAfterChurn(t *testing.T) {
 	}
 }
 
-// TestSearchHitsMatchSingleProcess: over the same corpus, the
-// coordinator's /search answers a query with a hits array byte-identical
-// to the single-process API's — for the default tenant, and for a named
-// tenant, whose hits carry "tenant" in both.
+// TestSearchHitsMatchSingleProcess: over the same corpus, the two
+// deployments answer /search with the same bytes — the whole response but
+// took_ns and the provenance (epochs or version) — for the default tenant,
+// and for a named tenant, whose hits carry "tenant" in both.
 func TestSearchHitsMatchSingleProcess(t *testing.T) {
 	single := store.NewSharded(4)
 	parts := []*store.Store{store.NewSharded(2), store.NewSharded(2)}
@@ -289,27 +289,27 @@ func TestSearchHitsMatchSingleProcess(t *testing.T) {
 	}
 	local := serve.New(single, search.New(single), serve.Options{})
 	dist := NewAPI(f.coord)
-	hitsOf := func(h http.HandlerFunc, target string) []byte {
+	// Both fields are a fixed-shape scalar or array, so a pattern strips
+	// them from the raw bytes.
+	varying := regexp.MustCompile(`"took_ns":[0-9]+,("epochs":\[[0-9,]*\],|"version":"[^"]*",)`)
+	answer := func(h http.HandlerFunc, target string) []byte {
 		w := httptest.NewRecorder()
 		h(w, httptest.NewRequest(http.MethodGet, target, nil))
-		var resp struct {
-			Hits json.RawMessage `json:"hits"`
-		}
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", target, w.Code, w.Body.String())
 		}
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
+		if !varying.Match(w.Body.Bytes()) {
+			t.Fatalf("%s: no took_ns and provenance in %s", target, w.Body.Bytes())
 		}
-		return resp.Hits
+		return varying.ReplaceAll(w.Body.Bytes(), nil)
 	}
 	for _, target := range []string{"/search?q=databas+recoveri&k=20", "/search?q=databas+recoveri&k=20&tenant=alpha"} {
-		want, got := hitsOf(local.HandleSearch, target), hitsOf(dist.HandleSearch, target)
-		if len(want) < 10 {
-			t.Fatalf("%s: only %s — weak test", target, want)
+		want, got := answer(local.HandleSearch, target), answer(dist.HandleSearch, target)
+		if n := bytes.Count(want, []byte(`"url"`)); n < 10 {
+			t.Fatalf("%s: only %d hits — weak test", target, n)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: coordinator hits differ\n got: %s\nwant: %s", target, got, want)
+			t.Fatalf("%s: coordinator answer differs\n got: %s\nwant: %s", target, got, want)
 		}
 		if strings.Contains(target, "tenant=") != bytes.Contains(got, []byte(`"tenant":"alpha"`)) {
 			t.Fatalf("%s: tenant field: %s", target, got)

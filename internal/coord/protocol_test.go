@@ -14,6 +14,7 @@ import (
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/rpc"
 	"github.com/bingo-search/bingo/internal/search"
+	"github.com/bingo-search/bingo/internal/serve"
 	"github.com/bingo-search/bingo/internal/store"
 )
 
@@ -104,7 +105,11 @@ func TestShardWithoutSearchEndpointIsMissing(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200: %s", w.Code, w.Body)
 	}
-	var resp searchResponse
+	var resp struct {
+		Degraded      bool            `json:"degraded"`
+		MissingShards []string        `json:"missing_shards"`
+		Hits          []serve.HitJSON `json:"hits"`
+	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +202,16 @@ func TestTwoPhaseReplayStillBitIdentical(t *testing.T) {
 			}
 			maxCos, maxConf, maxAuth = max(maxCos, st.MaxCos), max(maxConf, st.MaxConf), max(maxAuth, st.MaxAuth)
 		}
-		var merged []rpc.Hit
+		var merged []serve.HitJSON
 		for _, cl := range f.coord.Clients() {
 			hits, err := cl.Gather(ctx, version, plan, maxCos, maxConf, maxAuth)
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged = append(merged, hits...)
+			for _, h := range hits {
+				merged = append(merged, serve.HitJSON{URL: h.URL, Title: h.Title, Topic: h.Topic,
+					Score: h.Score, Cosine: h.Cosine, Confidence: h.Confidence, Authority: h.Authority})
+			}
 		}
 		sort.Slice(merged, func(a, b int) bool {
 			if merged[a].Score != merged[b].Score {

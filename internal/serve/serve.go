@@ -1,7 +1,7 @@
-// Package serve implements portald's machine-facing query API — the
-// production serving path in front of the search engine's immutable
-// snapshots (the paper's §4.2 expert-search front end, grown into a
-// service):
+// Package serve implements the machine-facing query API both portald
+// deployments answer /search with — the production serving path in front
+// of the search engine's immutable snapshots (the paper's §4.2
+// expert-search front end, grown into a service):
 //
 //	GET /search?q=...&k=...   ranked results as JSON (scores, topics, timing)
 //	GET /healthz              process liveness (always 200 while serving)
@@ -9,8 +9,9 @@
 //	                          during startup and drain (rolling restarts)
 //
 // Requests pass the admission gate first (429 + Retry-After beyond the
-// bounded in-flight set and wait queue), then the epoch-keyed result
-// cache; only a miss reaches the scoring loop, and concurrent identical
+// bounded in-flight set and wait queue), then the provenance-keyed result
+// cache; only a miss reaches the Searcher — a single-process engine over
+// its store, or the distributed coordinator — and concurrent identical
 // misses are collapsed into one pass. Cached entries hold the marshaled
 // hits array, so a hit writes preserialized bytes — bit-identical to what
 // the uncached path would produce, because both come from the same
@@ -18,10 +19,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -33,20 +36,64 @@ import (
 	"github.com/bingo-search/bingo/internal/store"
 )
 
+// Every request that reaches the handler ends in exactly one of ok,
+// badrequest, shed or errors (each 5xx it writes), so requests is their
+// sum.
 var (
 	mRequests  = metrics.NewCounter("serve_search_requests_total")
 	mOK        = metrics.NewCounter("serve_search_ok_total")
 	mBad       = metrics.NewCounter("serve_search_badrequest_total")
 	mShed429   = metrics.NewCounter("serve_search_shed_total")
+	mErrors    = metrics.NewCounter("serve_search_errors_total")
 	mLatNanos  = metrics.NewHistogram("serve_search_nanos")
 	mHitNanos  = metrics.NewHistogram("serve_search_hit_nanos")
 	mMissNanos = metrics.NewHistogram("serve_search_miss_nanos")
+	// mDefaultRequests is the default tenant's requests series, resolved
+	// once: TenantCounter builds a series name per call.
+	mDefaultRequests = metrics.TenantCounter("serve_search_requests_total", "")
 )
+
+// ErrUnavailable marks a Searcher error no retry of the request can mend
+// right now (no shard server reachable): the handler answers 503.
+var ErrUnavailable = errors.New("serve: searcher unavailable")
+
+// Provenance names the state an answer was computed from — a store's
+// per-shard epoch vector or a coordinator's global-stats version — and is
+// what the result cache keys on.
+type Provenance struct {
+	Epochs  []int64 `json:"epochs,omitempty"`
+	Version string  `json:"version,omitempty"`
+}
+
+// Answer is one computed answer.
+type Answer struct {
+	// Hits is the ranked result list, never nil.
+	Hits []HitJSON
+	// Provenance is the state the hits were computed from; a zero one
+	// (an unplannable query) answers the same for every state.
+	Provenance
+	// Degraded is true when some partition did not contribute: the hits
+	// are correct for the reachable ones but may miss documents.
+	Degraded bool
+	// Missing lists the base addresses of the partitions that did not.
+	Missing []string
+}
+
+// Searcher is what an API answers through: the single-process engine over
+// its store (New) or the distributed coordinator.
+type Searcher interface {
+	// Provenance reports the state the next answer would be computed
+	// from; an answer computed under it never changes.
+	Provenance() Provenance
+	// Search answers q. An error wrapping ErrUnavailable is a 503 and
+	// search.ErrBadWeights a 400; any other is a 500.
+	Search(ctx context.Context, q search.Query) (*Answer, error)
+}
 
 // Options configures an API.
 type Options struct {
 	// Cache is the query-result cache; nil serves every request from the
-	// scoring loop.
+	// Searcher.
 	Cache *servecache.Cache
 	// Admission is the admission gate; nil admits everything.
 	Admission *admit.Controller
@@ -54,30 +101,33 @@ type Options struct {
 	MaxK int
 }
 
-// API is the serving surface. Create with New, mount with Handler, and
-// flip readiness with SetReady around startup and drain.
+// API is the serving surface. Create with New or NewFor, mount with
+// Handler, and flip readiness with SetReady around startup and drain.
 type API struct {
 	daemon.Gate
-	store  *store.Store
-	engine *search.Engine
-	cache  *servecache.Cache
-	admit  *admit.Controller
-	maxK   int
-	mux    *http.ServeMux
+	searcher Searcher
+	cache    *servecache.Cache
+	admit    *admit.Controller
+	maxK     int
+	mux      *http.ServeMux
 }
 
 // New builds an API over st served by engine (share the engine with other
 // frontends so they reuse one snapshot set). The API starts not-ready.
 func New(st *store.Store, engine *search.Engine, opts Options) *API {
+	return NewFor(engineSearcher{st, engine}, opts)
+}
+
+// NewFor builds an API answering through s. The API starts not-ready.
+func NewFor(s Searcher, opts Options) *API {
 	if opts.MaxK <= 0 {
 		opts.MaxK = 100
 	}
 	a := &API{
-		store:  st,
-		engine: engine,
-		cache:  opts.Cache,
-		admit:  opts.Admission,
-		maxK:   opts.MaxK,
+		searcher: s,
+		cache:    opts.Cache,
+		admit:    opts.Admission,
+		maxK:     opts.MaxK,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", a.HandleSearch)
@@ -89,47 +139,20 @@ func New(st *store.Store, engine *search.Engine, opts Options) *API {
 // Handler returns the API's mux.
 func (a *API) Handler() http.Handler { return a.mux }
 
-// searchResponse is the JSON shape of one answered query.
-type searchResponse struct {
-	Query  string `json:"query"`
-	K      int    `json:"k"`
-	Cached bool   `json:"cached"`
-	// TookNanos is the server-side time from admission to response
-	// assembly for this request (a cache hit reports the hit cost, not the
-	// original scoring cost).
-	TookNanos int64 `json:"took_ns"`
-	// Epochs is the per-shard store epoch vector the results were computed
-	// against.
-	Epochs []int64         `json:"epochs"`
-	Hits   json.RawMessage `json:"hits"`
+// engineSearcher is the single-process Searcher: the engine over its store.
+type engineSearcher struct {
+	st     *store.Store
+	engine *search.Engine
 }
 
-// HitJSON is the JSON shape of one ranked result, shared by the
-// single-process API and the distributed coordinator so both answer a
-// query with the same bytes. Tenant is omitted for the default tenant, so
-// single-portal responses are byte-identical to the pre-tenancy wire
-// format.
-type HitJSON struct {
-	URL        string  `json:"url"`
-	Title      string  `json:"title"`
-	Topic      string  `json:"topic"`
-	Tenant     string  `json:"tenant,omitempty"`
-	Score      float64 `json:"score"`
-	Cosine     float64 `json:"cosine"`
-	Confidence float64 `json:"confidence"`
-	Authority  float64 `json:"authority"`
+// Provenance is the store's epoch vector now.
+func (s engineSearcher) Provenance() Provenance {
+	return Provenance{Epochs: s.st.ShardEpochs()}
 }
 
-// cachedResult is one cache value: the preserialized hits array plus the
-// epoch vector it was computed against.
-type cachedResult struct {
-	hits   json.RawMessage
-	epochs []int64
-}
-
-// marshalHits serializes hits once; the bytes are shared by every response
-// served from the cache entry.
-func marshalHits(hits []search.Hit) json.RawMessage {
+// Search runs q on the engine; it never fails.
+func (s engineSearcher) Search(_ context.Context, q search.Query) (*Answer, error) {
+	hits, epochs := s.engine.SearchWithEpochs(q)
 	out := make([]HitJSON, len(hits))
 	for i, h := range hits {
 		out[i] = HitJSON{
@@ -143,26 +166,57 @@ func marshalHits(hits []search.Hit) json.RawMessage {
 			Authority:  h.Authority,
 		}
 	}
-	b, err := json.Marshal(out)
-	if err != nil {
-		// Unreachable: HitJSON has no unmarshalable fields.
-		return json.RawMessage("[]")
-	}
-	return b
+	return &Answer{Hits: out, Provenance: Provenance{Epochs: epochs}}, nil
+}
+
+// searchResponse is the JSON shape of one answered query, the same for
+// both deployments: a single-process answer carries epochs and a sharded
+// one version.
+type searchResponse struct {
+	Query  string `json:"query"`
+	K      int    `json:"k"`
+	Cached bool   `json:"cached"`
+	// TookNanos is the server-side time from admission to response
+	// assembly for this request (a cache hit reports the hit cost, not the
+	// original scoring cost).
+	TookNanos int64 `json:"took_ns"`
+	Provenance
+	Degraded      bool     `json:"degraded"`
+	MissingShards []string `json:"missing_shards,omitempty"`
+	// Hits is the []HitJSON of a fresh answer or the json.RawMessage a
+	// cache entry holds; both encode to the same bytes.
+	Hits any `json:"hits"`
+}
+
+// HitJSON is the JSON shape of one ranked result. Tenant is omitted for
+// the default tenant, so single-portal responses are byte-identical to the
+// pre-tenancy wire format.
+type HitJSON struct {
+	URL        string  `json:"url"`
+	Title      string  `json:"title"`
+	Topic      string  `json:"topic"`
+	Tenant     string  `json:"tenant,omitempty"`
+	Score      float64 `json:"score"`
+	Cosine     float64 `json:"cosine"`
+	Confidence float64 `json:"confidence"`
+	Authority  float64 `json:"authority"`
 }
 
 // ParseQuery resolves /search request parameters (q, k, topic, exact,
 // tenant, wcos/wconf/wauth) into a canonical search.Query with defaults
-// applied and k capped at maxK. Exported so the distributed coordinator's
-// /search handler accepts exactly the same parameter surface as the
-// single-process API; msg is the 400 body when ok is false. An absent
-// tenant parameter targets the default tenant — the only tenant a
+// applied and k capped at maxK: the one parser of outside /search input,
+// whichever Searcher answers. msg is the 400 body when ok is false. An
+// absent tenant parameter targets the default tenant — the only tenant a
 // pre-tenancy deployment has — so existing clients are unaffected.
 func ParseQuery(r *http.Request, maxK int) (search.Query, string, bool) {
+	return parseQuery(r.URL.Query(), maxK)
+}
+
+// parseQuery is ParseQuery over already parsed parameters.
+func parseQuery(params url.Values, maxK int) (search.Query, string, bool) {
 	if maxK <= 0 {
 		maxK = 100
 	}
-	params := r.URL.Query()
 	text := params.Get("q")
 	if text == "" {
 		return search.Query{}, "missing q parameter", false
@@ -171,7 +225,7 @@ func ParseQuery(r *http.Request, maxK int) (search.Query, string, bool) {
 	if tenant != "" && len(tenant) > 64 {
 		return search.Query{}, "tenant must be at most 64 characters", false
 	}
-	k := 10
+	k := min(10, maxK)
 	if raw := params.Get("k"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
@@ -210,9 +264,10 @@ func ParseQuery(r *http.Request, maxK int) (search.Query, string, bool) {
 	return q, "", true
 }
 
-// keyFor builds the cache key for q observed at the given epoch vector.
-func keyFor(epochs []int64, q search.Query) string {
-	return servecache.Key(epochs, servecache.KeyParams{
+// keyFor builds the cache key for q under provenance p. A coordinator's
+// version leads a key whose epoch vector is empty.
+func keyFor(p Provenance, q search.Query) string {
+	return p.Version + servecache.Key(p.Epochs, servecache.KeyParams{
 		Text:   servecache.NormalizeText(q.Text),
 		Topic:  q.Topic,
 		Tenant: q.Tenant,
@@ -236,8 +291,13 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 	// The tenant identity must be known before admission so per-tenant
 	// quotas can shed a hot portal's traffic without touching the others;
 	// full parameter validation still happens after the gate.
-	tenant := r.URL.Query().Get("tenant")
-	metrics.TenantCounter("serve_search_requests_total", tenant).Inc()
+	params := r.URL.Query()
+	tenant := params.Get("tenant")
+	if tenant == "" {
+		mDefaultRequests.Inc()
+	} else {
+		metrics.TenantCounter("serve_search_requests_total", tenant).Inc()
+	}
 	if a.admit != nil {
 		release, err := a.admit.AcquireTenant(r.Context(), tenant)
 		if err != nil {
@@ -259,60 +319,104 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 			}
 			// The client went away while queued; any status works, 503
 			// keeps retry semantics honest for proxies that still listen.
+			mErrors.Inc()
 			http.Error(w, "canceled while queued", http.StatusServiceUnavailable)
 			return
 		}
 		defer release()
 	}
 	start := time.Now()
-	q, msg, ok := ParseQuery(r, a.maxK)
+	q, msg, ok := parseQuery(params, a.maxK)
 	if !ok {
 		mBad.Inc()
 		http.Error(w, msg, http.StatusBadRequest)
 		return
 	}
 
-	var res *cachedResult
-	cached := false
-	if a.cache != nil {
-		lookupKey := keyFor(a.store.ShardEpochs(), q)
-		v, outcome := a.cache.GetOrCompute(lookupKey, func() (any, string) {
-			hits, epochs := a.engine.SearchWithEpochs(q)
-			cr := &cachedResult{hits: marshalHits(hits), epochs: epochs}
-			if epochs == nil {
-				// Unparseable query: empty for every epoch vector, store
-				// under the lookup key.
-				return cr, ""
-			}
-			// Store under the epochs actually served. Normally equal to
-			// the lookup vector; under a stale-snapshot serve it differs,
-			// and the entry must only answer requests that observed the
-			// stale vector.
-			return cr, keyFor(epochs, q)
-		})
-		res = v.(*cachedResult)
-		cached = outcome != servecache.Miss
-	} else {
-		hits, epochs := a.engine.SearchWithEpochs(q)
-		res = &cachedResult{hits: marshalHits(hits), epochs: epochs}
+	resp, err := a.answer(r.Context(), q)
+	switch {
+	case err == nil:
+	case errors.Is(err, search.ErrBadWeights):
+		mBad.Inc()
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	case errors.Is(err, ErrUnavailable):
+		mErrors.Inc()
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	default:
+		mErrors.Inc()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 
 	took := time.Since(start)
 	mLatNanos.Observe(took.Nanoseconds())
-	if cached {
+	if resp.Cached {
 		mHitNanos.Observe(took.Nanoseconds())
 	} else {
 		mMissNanos.Observe(took.Nanoseconds())
 	}
 	mOK.Inc()
+	resp.Query, resp.K, resp.TookNanos = q.Text, q.Limit, took.Nanoseconds()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(searchResponse{
-		Query:     q.Text,
-		K:         q.Limit,
-		Cached:    cached,
-		TookNanos: took.Nanoseconds(),
-		Epochs:    res.epochs,
-		Hits:      res.hits,
+	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// answer computes q through the cache, when there is one, and returns the
+// response without its echo and timing fields. Without a cache the hits
+// are encoded once, straight into the response.
+func (a *API) answer(ctx context.Context, q search.Query) (*searchResponse, error) {
+	if a.cache == nil {
+		ans, err := a.searcher.Search(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return fresh(ans), nil
+	}
+	// Collapsed waiters share the computation, so one requester going
+	// away must not cancel it.
+	ctx = context.WithoutCancel(ctx)
+	v, outcome := a.cache.GetOrCompute(keyFor(a.searcher.Provenance(), q), func() (any, string) {
+		ans, err := a.searcher.Search(ctx, q)
+		if err != nil {
+			return err, servecache.DoNotStore
+		}
+		resp := fresh(ans)
+		if ans.Degraded {
+			return resp, servecache.DoNotStore
+		}
+		hits, err := json.Marshal(ans.Hits)
+		if err != nil {
+			return err, servecache.DoNotStore
+		}
+		resp.Hits = json.RawMessage(hits)
+		if ans.Epochs == nil && ans.Version == "" {
+			// An unplannable query: empty for every state, store under
+			// the lookup key.
+			return resp, ""
+		}
+		// Store under the provenance actually served. Normally equal to
+		// the lookup's; under a stale-snapshot serve or a resync it
+		// differs, and the entry must only answer requests that observed
+		// that state.
+		return resp, keyFor(ans.Provenance, q)
 	})
+	if err, ok := v.(error); ok {
+		return nil, err
+	}
+	// Every requester fills in its own copy.
+	resp := *v.(*searchResponse)
+	resp.Cached = outcome != servecache.Miss && !resp.Degraded
+	return &resp, nil
+}
+
+// fresh is the response for an answer computed for this request.
+func fresh(ans *Answer) *searchResponse {
+	return &searchResponse{
+		Provenance:    ans.Provenance,
+		Degraded:      ans.Degraded,
+		MissingShards: ans.Missing,
+		Hits:          ans.Hits,
+	}
 }

@@ -75,13 +75,19 @@ func newTestAPI(s *store.Store, withCache bool) *API {
 	return a
 }
 
+// wireResponse decodes a /search answer with its hits array kept as bytes.
+type wireResponse struct {
+	searchResponse
+	Hits json.RawMessage `json:"hits"`
+}
+
 // get performs one request against the API handler directly (no network).
-func get(t *testing.T, a *API, target string) (*httptest.ResponseRecorder, searchResponse) {
+func get(t *testing.T, a *API, target string) (*httptest.ResponseRecorder, wireResponse) {
 	t.Helper()
 	r := httptest.NewRequest(http.MethodGet, target, nil)
 	w := httptest.NewRecorder()
 	a.Handler().ServeHTTP(w, r)
-	var resp searchResponse
+	var resp wireResponse
 	if w.Code == http.StatusOK && strings.Contains(w.Header().Get("Content-Type"), "json") {
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("bad JSON from %s: %v\n%s", target, err, w.Body.String())
@@ -285,7 +291,7 @@ func TestCacheChurnConcurrent(t *testing.T) {
 					t.Errorf("%s: status %d", target, w.Code)
 					return
 				}
-				var resp searchResponse
+				var resp wireResponse
 				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 					t.Errorf("%s: %v", target, err)
 					return

@@ -154,6 +154,12 @@ func (c *Cache) Len() int {
 	return n
 }
 
+// DoNotStore, returned by a GetOrCompute compute function as its store
+// key, hands the value to the caller and its collapsed waiters without
+// caching it: an answer that is not a function of its key (a degraded or
+// failed one) must not answer later requests.
+const DoNotStore = "\x00"
+
 // GetOrCompute returns the value for key, computing it on a miss with
 // concurrent identical misses collapsed into one compute call. compute
 // returns the value plus the key to store it under: normally "" (store
@@ -161,7 +167,7 @@ func (c *Cache) Len() int {
 // different state than the lookup key claims — a search served from a
 // stale snapshot — returns the key matching the state it actually saw, so
 // the entry can never be returned to a requester whose key it does not
-// answer.
+// answer. DoNotStore stores nothing.
 func (c *Cache) GetOrCompute(key string, compute func() (val any, storeKey string)) (any, Outcome) {
 	if v, ok := c.Get(key); ok {
 		mHits.Inc()
@@ -199,7 +205,9 @@ func (c *Cache) GetOrCompute(key string, compute func() (val any, storeKey strin
 	if storeKey == "" {
 		storeKey = key
 	}
-	c.Put(storeKey, val)
+	if storeKey != DoNotStore {
+		c.Put(storeKey, val)
+	}
 	return val, Miss
 }
 

@@ -140,6 +140,21 @@ func TestGetOrComputeStoreKeyRedirect(t *testing.T) {
 	}
 }
 
+// TestGetOrComputeDoNotStore: a compute that returns DoNotStore answers
+// its caller and leaves nothing behind, so the next lookup computes again.
+func TestGetOrComputeDoNotStore(t *testing.T) {
+	c := New(32)
+	for i := 0; i < 2; i++ {
+		v, outcome := c.GetOrCompute("k", func() (any, string) { return i, DoNotStore })
+		if v.(int) != i || outcome != Miss {
+			t.Fatalf("call %d = %v, %v, want a fresh miss", i, v, outcome)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("%d entries stored, want 0", c.Len())
+	}
+}
+
 // TestSingleflightCollapse: N concurrent misses on one key run compute
 // exactly once; everyone gets the same value. The leader is parked inside
 // compute before any follower starts, so followers land on the open

@@ -9,8 +9,9 @@
 #     stalls) and the coordinator must serve.
 #  3. Drive a loadgen burst: every /search answer must be 2xx or a 429
 #     shed — a dead shard degrades results, it must never cause a 5xx
-#     storm. A direct /search must report "degraded":true and name the
-#     dead shard in missing_shards.
+#     storm — and the coordinator's /metricsz must show the front door's
+#     request count and admission gate moving. A direct /search must
+#     report "degraded":true and name the dead shard in missing_shards.
 #  4. Restart shard 2 over the same data directory: the WAL must recover
 #     at least every acknowledged document, the coordinator's prober must
 #     fold it back in, and /search must return to "degraded":false.
@@ -111,6 +112,15 @@ done
 
 echo "smoke-dist: 2s open-loop burst on /search (zero non-2xx/non-429 required)"
 "$tmp/loadgen" -target "$coord" -rate 100 -duration 2s -fail-on-errors
+
+# The coordinator answers /search through the same front door as a single
+# portald: its request accounting and admission gate must have seen the burst.
+echo "smoke-dist: checking the coordinator's front door counted and admitted the burst"
+metricsz="$(curl -fsS "$coord/metricsz")"
+for series in serve_search_requests_total admit_admitted_total; do
+    n="$(printf '%s\n' "$metricsz" | sed -n "s/^$series \([0-9]*\)\$/\1/p")"
+    [ -n "$n" ] && [ "$n" -gt 0 ] || fail "coordinator /metricsz: $series is ${n:-absent}, want > 0"
+done
 
 echo "smoke-dist: checking the answer is degraded and names the dead shard"
 resp="$(curl -fsS "$coord/search?q=database")"
