@@ -126,13 +126,17 @@ smoke-dist:
 smoke-tenant:
 	sh scripts/smoke_tenant.sh
 
-# doccheck fails when any exported identifier in the wire-protocol or
-# coordinator packages lacks a godoc comment — the distributed API is the
-# documented operational surface, so undocumented API is a build break —
-# and when an exported package-level function outside the root package and
-# cmd/bench is referenced by no non-test file.
+# doccheck fails when any exported identifier of the internal packages it
+# lists lacks a godoc comment — undocumented API is a build break — and
+# when an exported package-level function outside the root package and
+# cmd/bench is referenced by no non-test file. It lists every internal
+# package but experiments, faults, frontier and segment, whose remaining
+# findings are exported methods of unexported types.
+DOCCHECK_PKGS = admit bookmarks classify cluster coord core corpus crawler daemon dns \
+	features fetch hits htmldoc memo metrics portal rbtree rpc search serve servecache \
+	store svm textproc urlnorm vsm
 doccheck:
-	$(GO) run ./cmd/doccheck internal/rpc internal/coord
+	$(GO) run ./cmd/doccheck $(addprefix internal/,$(DOCCHECK_PKGS))
 
 # loc prints the non-test Go lines outside the benchmark (cmd/bench and its
 # .bench_build output) per directory, then their total: the size figure

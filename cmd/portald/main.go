@@ -4,7 +4,8 @@
 // API the production serving path uses:
 //
 //   - GET /search?q=...&k=... answers JSON for API clients (anything not
-//     asking for text/html); browsers get the HTML portal page.
+//     asking for text/html); browsers get the HTML portal page. Both
+//     pass the same admission gate.
 //   - /healthz and /readyz expose liveness and readiness; /readyz flips to
 //     503 as the first step of a drain, so rolling restarts stop traffic
 //     before in-flight queries are drained.
@@ -130,15 +131,7 @@ func main() {
 		api = serve.New(st, engine, opts)
 		explorer := portal.NewWithEngine(st, engine)
 		mux.Handle("/", explorer)
-		// /search is shared: browsers (Accept: text/html) get the portal's
-		// result page, everything else gets the JSON API.
-		mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
-			if strings.Contains(r.Header.Get("Accept"), "text/html") {
-				explorer.ServeHTTP(w, r)
-				return
-			}
-			api.HandleSearch(w, r)
-		})
+		mux.Handle("/search", portalSearch(api, explorer))
 		// In crawl mode the engine owns the store (and the background
 		// retrainer); Close stops every background goroutine before
 		// closing it.
@@ -269,6 +262,20 @@ func openPortal() (*store.Store, *bingo.Engine) {
 	}
 	daemon.LogRecovery(st)
 	return st, nil
+}
+
+// portalSearch is the single-process /search: browsers (Accept:
+// text/html) get the portal's result page, everything else the JSON API,
+// both behind the API's admission gate.
+func portalSearch(api *serve.API, explorer http.Handler) http.HandlerFunc {
+	html := api.Admitted(explorer)
+	return func(w http.ResponseWriter, r *http.Request) {
+		if strings.Contains(r.Header.Get("Accept"), "text/html") {
+			html.ServeHTTP(w, r)
+			return
+		}
+		api.HandleSearch(w, r)
+	}
 }
 
 // multiFlag is a repeatable string flag (e.g. -tenant a -tenant b).

@@ -51,6 +51,7 @@ type ShedError struct {
 	RetryAfter time.Duration
 }
 
+// Error names the shed's reason, its tenant if any, and the backoff hint.
 func (e *ShedError) Error() string {
 	if e.Tenant != "" {
 		return fmt.Sprintf("admission shed (%s, tenant %q), retry after %s", e.Reason, e.Tenant, e.RetryAfter)

@@ -21,7 +21,7 @@
 //     serve.API as a single process.
 //
 //   - Ingest routing: the Router (see ingest.go) implements store.Sink and
-//     routes crawler rows to shard servers by the same URL hash the store
+//     routes a crawl store's rows to shard servers by the same URL hash the store
 //     uses for local shard placement.
 package coord
 

@@ -1,22 +1,22 @@
 package coord
 
 // This file is the ingest half of the coordinator: a Router that
-// implements store.Sink and mirrors crawler writes to shard servers. Rows
-// are routed by store.RouteURL over the same FNV-1a hash local shard
-// placement uses (documents by their URL, link and redirect rows by their
-// source URL, so a document's outgoing edges land on its own partition),
-// batched per server, and applied through /rpc/v1/insert — one bulk load
-// and one WAL fsync per batch on the far side.
+// implements store.Sink and mirrors a crawl store's writes to shard
+// servers. Rows are routed by store.RouteURL over the same FNV-1a hash
+// local shard placement uses (documents by their URL, link and redirect
+// rows by their source URL, so a document's outgoing edges land on its own
+// partition), batched per server, and applied through /rpc/v1/insert — one
+// bulk load and one WAL fsync per batch on the far side.
 //
-// Delivery is asynchronous: crawler workers append to per-server batches
-// under a short lock while one sender goroutine per server drains a
-// bounded queue. A dead server therefore slows nothing down — its queue
-// fills, further batches for it are dropped and counted
-// (coord_ingest_dropped_rows_total), and the crawl proceeds; the rows
-// remain in the crawler's local store, so a later full resync (or a
-// re-crawl) can restore them. Flush drains every queue and reports the
-// first delivery error recorded up to the end of that drain — including
-// errors from the batches the Flush itself delivered.
+// Delivery is asynchronous: the writing goroutines (crawl workers flushing
+// their workspaces) append to per-server batches under a short lock while
+// one sender goroutine per server drains a bounded queue. A dead server
+// therefore slows nothing down — its queue fills, further batches for it
+// are dropped and counted (coord_ingest_dropped_rows_total), and the crawl
+// proceeds; the rows remain in the crawler's local store, so a later full
+// resync (or a re-crawl) can restore them. Flush drains every queue and
+// reports the first delivery error recorded up to the end of that drain —
+// including errors from the batches the Flush itself delivered.
 
 import (
 	"context"
@@ -78,7 +78,7 @@ type batch struct {
 }
 
 // Router mirrors crawl writes to shard servers. It implements store.Sink;
-// hand it to the crawler via Config.Sink. Safe for concurrent use.
+// hand it to the engine via core.Config.Sink. Safe for concurrent use.
 type Router struct {
 	clients []*rpc.Client
 	opt     RouterOptions
@@ -121,39 +121,40 @@ func NewRouter(clients []*rpc.Client, opt RouterOptions) *Router {
 	return r
 }
 
-// PutDoc implements store.Sink. The document travels without its term
-// vector (store.Document encodes none), which the shard server derives
-// from its title and text.
-func (r *Router) PutDoc(d store.Document) {
-	i := store.RouteURL(d.URL, len(r.clients))
+// Put implements store.Sink: under one lock hold it appends each row to
+// the batch of the server it routes to — a document by its URL, link and
+// redirect rows by their source URL, so a document and its outgoing edges
+// share a partition. A document travels without its term vector
+// (store.Document encodes none), which the shard server derives from its
+// title and text.
+func (r *Router) Put(docs []store.Document, links []store.Link, redirects []store.Redirect) {
 	r.mu.Lock()
-	b := r.batchFor(i)
-	b.req.Docs = append(b.req.Docs, d)
-	r.bump(i, b)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	for _, d := range docs {
+		i := store.RouteURL(d.URL, len(r.clients))
+		b := r.batchFor(i)
+		b.req.Docs = append(b.req.Docs, d)
+		r.bump(i, b)
+	}
+	for _, l := range links {
+		i := store.RouteURL(l.From, len(r.clients))
+		b := r.batchFor(i)
+		b.req.Links = append(b.req.Links, l)
+		r.bump(i, b)
+	}
+	for _, rd := range redirects {
+		i := store.RouteURL(rd.From, len(r.clients))
+		b := r.batchFor(i)
+		b.req.Redirects = append(b.req.Redirects, rd)
+		r.bump(i, b)
+	}
 }
 
-// PutLink implements store.Sink. Link rows route by their source URL, so
-// a document and its outgoing edges share a partition.
-func (r *Router) PutLink(l store.Link) {
-	i := store.RouteURL(l.From, len(r.clients))
-	r.mu.Lock()
-	b := r.batchFor(i)
-	b.req.Links = append(b.req.Links, l)
-	r.bump(i, b)
-	r.mu.Unlock()
-}
+// PutDoc routes one document (see Put).
+func (r *Router) PutDoc(d store.Document) { r.Put([]store.Document{d}, nil, nil) }
 
-// PutRedirect implements store.Sink. Redirect rows route by their source
-// URL.
-func (r *Router) PutRedirect(rd store.Redirect) {
-	i := store.RouteURL(rd.From, len(r.clients))
-	r.mu.Lock()
-	b := r.batchFor(i)
-	b.req.Redirects = append(b.req.Redirects, rd)
-	r.bump(i, b)
-	r.mu.Unlock()
-}
+// PutLink routes one link row (see Put).
+func (r *Router) PutLink(l store.Link) { r.Put(nil, []store.Link{l}, nil) }
 
 // batchFor returns server i's batch under construction, creating it if
 // needed. Caller holds r.mu.

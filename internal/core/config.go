@@ -100,9 +100,11 @@ type Config struct {
 	// rebuilds only the shards that changed; results are identical for
 	// every shard count.
 	StoreShards int
-	// Sink, when non-nil, receives a copy of every row the crawl writes —
-	// the hook a distributed deployment uses to mirror the crawl into
-	// remote shard servers through the coordinator's ingest router.
+	// Sink, when non-nil, is attached to the crawl database before its
+	// first write and flushed at the end of each crawl phase, so it gets a
+	// copy of every stored row, the bootstrap seeds' included: the hook a
+	// distributed deployment mirrors the crawl into remote shard servers
+	// with, through the coordinator's ingest router (store.Sink).
 	Sink store.Sink
 
 	// DataDir, when set, opens the crawl database as a disk-backed tiered

@@ -98,6 +98,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: open data dir %s: %w", cfg.DataDir, err)
 	}
+	st.SetSink(cfg.Sink)
 
 	e := &Engine{
 		cfg:      cfg,

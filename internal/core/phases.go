@@ -40,6 +40,7 @@ func (t *Tenant) Learn(ctx context.Context) (crawler.Stats, error) {
 	t.meta = e.cfg.LearnMeta
 	t.mu.Unlock()
 
+	defer e.flushSink()
 	cfg := t.crawlConfig(crawler.SharpFocus, crawler.DepthFirst, e.cfg.LearnBudget)
 	cfg.MaxDepth = e.cfg.LearnDepth
 	cfg.AllowedDomains = t.seedDomains()
@@ -102,11 +103,20 @@ func (t *Tenant) HarvestN(ctx context.Context, budget int64) (crawler.Stats, err
 
 	t.reseedWithHubs()
 
+	defer e.flushSink()
 	stats := crawler.New(t.crawlConfig(crawler.SoftFocus, crawler.BreadthFirst, budget)).Run(ctx)
 	t.mu.Lock()
 	t.phase = PhaseDone
 	t.mu.Unlock()
 	return stats, nil
+}
+
+// flushSink pushes out what the sink still buffers at the end of a crawl
+// phase; undeliverable batches stay parked in it, its own to account for.
+func (e *Engine) flushSink() {
+	if e.cfg.Sink != nil {
+		_ = e.cfg.Sink.Flush()
+	}
 }
 
 // crawlConfig is the crawler configuration both phases share, with the
@@ -119,7 +129,6 @@ func (t *Tenant) crawlConfig(focus crawler.Focus, strategy crawler.Strategy, bud
 		Fetcher:        t.fetcher,
 		Frontier:       t.frontier,
 		Store:          e.store,
-		Sink:           e.cfg.Sink,
 		Classify:       t.classifyCallback,
 		Workers:        e.cfg.Workers,
 		MaxPerHost:     e.cfg.MaxPerHost,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/classify"
+	"github.com/bingo-search/bingo/internal/crawler"
 	"github.com/bingo-search/bingo/internal/features"
 	"github.com/bingo-search/bingo/internal/fetch"
 	"github.com/bingo-search/bingo/internal/frontier"
@@ -40,7 +41,7 @@ import (
 // previous ensemble serving.
 
 // Retraining metrics: process-wide totals plus bounded per-tenant series
-// (see metrics.TenantName for the cardinality cap).
+// (see metrics.TenantCounter for the cardinality cap).
 var (
 	mRetrains     = metrics.NewCounter("engine_retrains_total")
 	mRetrainFails = metrics.NewCounter("engine_retrain_failures_total")
@@ -399,68 +400,61 @@ func (t *Tenant) fetchDoc(ctx context.Context, rawURL string) (classify.Doc, *ht
 
 // Bootstrap fetches the tenant's seed bookmarks and OTHERS documents,
 // builds the initial training set and trains the first ensemble. Seed
-// documents are stored (flagged as training data, tagged with the tenant)
-// and their out-links become the tenant's initial crawl frontier.
+// documents are stored like every crawled page (crawler.StorePage: their
+// redirects, out-links and retrieval time included), flagged as training
+// data and tagged with the tenant, through one workspace flushed before
+// the first train reads the store; their out-links become the tenant's
+// initial crawl frontier.
 func (t *Tenant) Bootstrap(ctx context.Context) error {
 	e := t.eng
-	type seedLinks struct {
-		topic string
-		links []htmldoc.Link
-	}
-	var pending []seedLinks
+	var pending []frontier.Item // the seeds' out-links, queued after the first train
+	ws := e.store.NewWorkspace(e.cfg.BatchSize)
 	for _, tspec := range t.topics {
 		topicPath := classify.RootName
 		for _, seg := range tspec.Path {
 			topicPath += "/" + seg
 		}
 		for _, seedURL := range tspec.Seeds {
-			cdoc, hdoc, res, err := t.fetchDoc(ctx, seedURL)
-			if errors.Is(err, fetch.ErrDuplicate) {
-				// The multi-fingerprint dedup (§4.2) has a small false-
-				// dismissal risk; losing one seed must not abort the crawl.
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("core: bootstrap seed %s: %w", seedURL, err)
-			}
-			t.mu.Lock()
-			t.training.Add(topicPath, cdoc)
-			t.seedTopics[seedURL] = topicPath
-			t.mu.Unlock()
-			e.store.Insert(store.Document{
-				Tenant: t.id,
-				URL:    seedURL, FinalURL: res.FinalURL, Title: hdoc.Title,
-				ContentType: res.ContentType, Topic: topicPath, Text: hdoc.Text,
-				Terms: textproc.Counts(cdoc.Input.Stems), IsTraining: true,
-			})
-			for _, l := range hdoc.Links {
-				e.store.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
-			}
-			pending = append(pending, seedLinks{topic: topicPath, links: hdoc.Links})
 			// The paper treats frames as separate documents (its Gray seed
 			// "has two frames, which are handled by our crawler as separate
-			// documents" — 3 training pages from 2 bookmarks). Frame sources
-			// of seeds become training documents themselves.
-			for _, frameURL := range hdoc.Frames {
-				fdoc, fhdoc, fres, ferr := t.fetchDoc(ctx, frameURL)
-				if ferr != nil {
+			// documents" — 3 training pages from 2 bookmarks): a seed's
+			// frame sources queue behind it and become training documents
+			// themselves.
+			queue := []string{seedURL}
+			for i := 0; i < len(queue); i++ {
+				cdoc, hdoc, res, err := t.fetchDoc(ctx, queue[i])
+				switch {
+				case err == nil:
+				case i > 0, errors.Is(err, fetch.ErrDuplicate):
+					// A frame is best-effort, and the multi-fingerprint
+					// dedup (§4.2) has a small false-dismissal risk; losing
+					// either must not abort the crawl.
 					continue
+				default:
+					return fmt.Errorf("core: bootstrap seed %s: %w", seedURL, err)
 				}
 				t.mu.Lock()
-				t.training.Add(topicPath, fdoc)
-				t.mu.Unlock()
-				e.store.Insert(store.Document{
-					Tenant: t.id,
-					URL:    frameURL, FinalURL: fres.FinalURL, Title: fhdoc.Title,
-					ContentType: fres.ContentType, Topic: topicPath, Text: fhdoc.Text,
-					Terms: textproc.Counts(fdoc.Input.Stems), IsTraining: true,
-				})
-				for _, l := range fhdoc.Links {
-					e.store.AddLink(store.Link{From: fres.FinalURL, To: l.URL, Anchor: l.Anchor})
+				t.training.Add(topicPath, cdoc)
+				if i == 0 {
+					t.seedTopics[seedURL] = topicPath
 				}
-				pending = append(pending, seedLinks{topic: topicPath, links: fhdoc.Links})
+				t.mu.Unlock()
+				crawler.StorePage(ws, store.Document{
+					Tenant: t.id, URL: queue[i], Title: hdoc.Title, Topic: topicPath,
+					Text: hdoc.Text, Terms: textproc.Counts(cdoc.Input.Stems), IsTraining: true,
+				}, res, hdoc)
+				for _, l := range hdoc.Links {
+					pending = append(pending, frontier.Item{URL: l.URL, Topic: topicPath, Priority: 1e6,
+						Depth: 1, Referrer: "seed", Anchor: l.Anchor})
+				}
+				if i == 0 {
+					queue = append(queue, hdoc.Frames...)
+				}
 			}
 		}
+	}
+	if err := ws.Flush(); err != nil {
+		return fmt.Errorf("core: bootstrap store: %w", err)
 	}
 	var others []classify.Doc
 	for _, ourl := range t.othersURLs {
@@ -481,13 +475,8 @@ func (t *Tenant) Bootstrap(ctx context.Context) error {
 	}
 	// Seed the frontier with the out-links of the bookmarks (the seeds
 	// themselves are already fetched and would be dismissed as duplicates).
-	for _, sl := range pending {
-		for _, l := range sl.links {
-			t.frontier.Push(frontier.Item{
-				URL: l.URL, Topic: sl.topic, Priority: 1e6,
-				Depth: 1, Referrer: "seed", Anchor: l.Anchor,
-			})
-		}
+	for _, it := range pending {
+		t.frontier.Push(it)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@
 // classifier, store results through batched workspaces, and enqueue
 // extracted hyperlinks according to the active focusing rule — sharp focus
 // during learning, soft focus with tunnelling during harvesting (§3.3).
+// The crawler writes only to its store; mirroring the rows to a
+// distributed fleet is the store's job (store.Sink).
 package crawler
 
 import (
@@ -91,11 +93,6 @@ type Config struct {
 	// OnStored, when non-nil, observes every stored document (the engine
 	// uses it to trigger retraining).
 	OnStored func(d store.Document, r classify.Result)
-	// Sink, when non-nil, receives a copy of every stored row (documents,
-	// links, redirects) alongside the local store write. A distributed
-	// deployment points it at the coordinator's ingest router so the crawl
-	// mirrors into remote shard servers; see store.Sink.
-	Sink store.Sink
 
 	Workers      int // paper: 15
 	MaxPerHost   int // paper: 2
@@ -227,11 +224,6 @@ func (c *Crawler) Run(ctx context.Context) Stats {
 		}()
 	}
 	wg.Wait()
-	if c.cfg.Sink != nil {
-		// Push out whatever the sink still buffers; undeliverable batches
-		// stay parked inside the sink for its own retry machinery.
-		_ = c.cfg.Sink.Flush()
-	}
 	return c.Stats()
 }
 
@@ -399,38 +391,16 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 	// Store the document and its link rows (all crawled documents are kept
 	// in the database, including rejected ones).
 	storeStart := time.Now()
-	terms := textproc.Counts(stems)
-	sd := store.Document{
-		Tenant:      c.cfg.Tenant,
-		URL:         it.URL,
-		FinalURL:    res.FinalURL,
-		Title:       doc.Title,
-		ContentType: res.ContentType,
-		Topic:       result.Topic,
-		Confidence:  result.Confidence,
-		Depth:       it.Depth,
-		Text:        doc.Text,
-		Terms:       terms,
-		CrawledAt:   time.Now(),
-	}
-	ws.Add(sd)
-	for _, r := range res.Redirects {
-		ws.AddRedirect(store.Redirect{From: it.URL, To: r})
-	}
-	for _, l := range doc.Links {
-		ws.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
-	}
-	if sink := c.cfg.Sink; sink != nil {
-		// Tee the same rows to the external sink; delivery buffering,
-		// batching, and failure accounting are the sink's concern.
-		sink.PutDoc(sd)
-		for _, r := range res.Redirects {
-			sink.PutRedirect(store.Redirect{From: it.URL, To: r})
-		}
-		for _, l := range doc.Links {
-			sink.PutLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
-		}
-	}
+	sd := StorePage(ws, store.Document{
+		Tenant:     c.cfg.Tenant,
+		URL:        it.URL,
+		Title:      doc.Title,
+		Topic:      result.Topic,
+		Confidence: result.Confidence,
+		Depth:      it.Depth,
+		Text:       doc.Text,
+		Terms:      textproc.Counts(stems),
+	}, res, doc)
 	c.stored.Add(1)
 	mPagesStored.Inc()
 	mStoreNanos.ObserveSince(storeStart)
@@ -482,6 +452,23 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 			Anchor:      l.Anchor,
 		})
 	}
+}
+
+// StorePage buffers a fetched page's rows in ws, as every stored page is
+// written: d, completed with the fetch's final URL, content type and time
+// (and returned), a redirect row per hop and an out-link row per link.
+func StorePage(ws *store.Workspace, d store.Document, res *fetch.Result, doc *htmldoc.Document) store.Document {
+	d.FinalURL = res.FinalURL
+	d.ContentType = res.ContentType
+	d.CrawledAt = time.Now()
+	ws.Add(d)
+	for _, r := range res.Redirects {
+		ws.AddRedirect(store.Redirect{From: d.URL, To: r})
+	}
+	for _, l := range doc.Links {
+		ws.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
+	}
+	return d
 }
 
 // priority implements the two crawl strategies: harvesting orders purely by

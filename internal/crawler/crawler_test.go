@@ -351,7 +351,7 @@ func TestLinksAndRedirectsRecorded(t *testing.T) {
 }
 
 func TestHostLimiter(t *testing.T) {
-	l := newHostLimiter(1, 2)
+	l := newHostLimiterDelay(1, 2, 0)
 	if !l.Acquire("a.x.example") {
 		t.Fatal("first acquire failed")
 	}

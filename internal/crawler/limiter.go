@@ -22,10 +22,6 @@ type hostLimiter struct {
 	closed       bool
 }
 
-func newHostLimiter(maxPerHost, maxPerDomain int) *hostLimiter {
-	return newHostLimiterDelay(maxPerHost, maxPerDomain, 0)
-}
-
 func newHostLimiterDelay(maxPerHost, maxPerDomain int, delay time.Duration) *hostLimiter {
 	if maxPerHost <= 0 {
 		maxPerHost = 2

@@ -31,6 +31,7 @@ const (
 	BreakerHalfOpen
 )
 
+// String names the state: "closed", "open" or "half-open".
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerOpen:

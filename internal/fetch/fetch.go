@@ -196,6 +196,7 @@ type BreakerOpenError struct {
 	RetryIn time.Duration
 }
 
+// Error names the host whose breaker refused the fetch.
 func (e *BreakerOpenError) Error() string {
 	return "fetch: circuit breaker open for " + e.Host
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"hash/fnv"
+	"strconv"
 	"time"
 )
 
@@ -105,28 +106,14 @@ type StatusError struct {
 	RetryAfter time.Duration
 }
 
+// Error names the status and the URL that answered it.
 func (e *StatusError) Error() string {
-	return "fetch: unexpected HTTP status " + itoa(e.Code) + " for " + e.URL
+	return "fetch: unexpected HTTP status " + strconv.Itoa(e.Code) + " for " + e.URL
 }
 
 // Is makes errors.Is(err, ErrHTTPStatus) keep working for callers that only
 // care about the class.
 func (e *StatusError) Is(target error) bool { return target == ErrHTTPStatus }
-
-// itoa avoids strconv for the tiny 3-digit case on the error path.
-func itoa(n int) string {
-	if n <= 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
 
 // retryableStatus reports whether an HTTP status is worth another attempt:
 // 429 (throttled) and all 5xx. Other 4xx are the server's final word.

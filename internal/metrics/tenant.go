@@ -8,8 +8,8 @@ import (
 // Per-tenant metric series. A multi-portal process wants its counters split
 // by tenant (engine_retrains_total{tenant="movies"}), but tenants are
 // created at runtime by an admin endpoint, so an unbounded tenant set must
-// not translate into an unbounded metric namespace. TenantName bounds the
-// cardinality: each base name may fan out into at most MaxTenantSeries
+// not translate into an unbounded metric namespace. TenantCounter bounds
+// the cardinality: each base name may fan out into at most MaxTenantSeries
 // distinct tenant labels; every tenant beyond the cap shares the
 // tenant="other" overflow series, so totals stay exact even when the
 // per-tenant breakdown saturates. The cap is documented in OPERATIONS.md.
@@ -21,56 +21,58 @@ const MaxTenantSeries = 32
 // TenantOverflow is the label value shared by all tenants beyond the cap.
 const TenantOverflow = "other"
 
-var tenantLabels struct {
-	mu     sync.Mutex
-	byBase map[string]map[string]struct{}
+// tenantSeries is one base name's counters: one per label, at most
+// MaxTenantSeries, and the overflow counter every later label shares. A
+// label past the cap is kept nowhere, so ids from outside grow no map.
+type tenantSeries struct {
+	byLabel  map[string]*Counter
+	overflow *Counter
 }
 
-// TenantName renders `base{tenant="..."}` for a tenant-scoped series. The
-// empty tenant is the default portal and is labeled "default"; label values
-// are sanitized to [A-Za-z0-9._-] so a hostile tenant id cannot break the
-// exporter line format; and once a base name has MaxTenantSeries distinct
-// labels, further tenants map to the shared TenantOverflow bucket.
-func TenantName(base, tenant string) string {
+var tenantLabels = struct {
+	mu     sync.Mutex
+	byBase map[string]*tenantSeries
+}{byBase: make(map[string]*tenantSeries)}
+
+// TenantCounter returns the counter of one tenant's series of base,
+// `base{tenant="..."}`, the empty tenant labeled "default" and every id
+// sanitized to [A-Za-z0-9._-] so a hostile one cannot break the exporter
+// line format. Asking again for a resolved series of an id that needs no
+// sanitizing allocates nothing.
+func TenantCounter(base, tenant string) *Counter {
 	label := sanitizeTenantLabel(tenant)
 	tenantLabels.mu.Lock()
-	if tenantLabels.byBase == nil {
-		tenantLabels.byBase = make(map[string]map[string]struct{})
+	defer tenantLabels.mu.Unlock()
+	ts := tenantLabels.byBase[base]
+	if ts == nil {
+		ts = &tenantSeries{byLabel: make(map[string]*Counter)}
+		tenantLabels.byBase[base] = ts
 	}
-	set := tenantLabels.byBase[base]
-	if set == nil {
-		set = make(map[string]struct{})
-		tenantLabels.byBase[base] = set
+	if c := ts.byLabel[label]; c != nil {
+		return c
 	}
-	if _, ok := set[label]; !ok {
-		if len(set) >= MaxTenantSeries {
-			label = TenantOverflow
-		} else {
-			set[label] = struct{}{}
-		}
+	if len(ts.byLabel) < MaxTenantSeries {
+		c := NewCounter(base + `{tenant="` + label + `"}`)
+		ts.byLabel[label] = c
+		return c
 	}
-	tenantLabels.mu.Unlock()
-	return base + `{tenant="` + label + `"}`
+	if ts.overflow == nil {
+		ts.overflow = NewCounter(base + `{tenant="` + TenantOverflow + `"}`)
+	}
+	return ts.overflow
 }
 
-// TenantCounter returns the counter for one tenant's series of base.
-func TenantCounter(base, tenant string) *Counter {
-	return NewCounter(TenantName(base, tenant))
-}
-
+// sanitizeTenantLabel returns tenant's label: "default" for the empty
+// tenant, else tenant with each rune outside [A-Za-z0-9._-] replaced by
+// '_' (strings.Map returns tenant itself when it replaces none).
 func sanitizeTenantLabel(tenant string) string {
 	if tenant == "" {
 		return "default"
 	}
-	var b strings.Builder
-	for _, r := range tenant {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
+	return strings.Map(func(r rune) rune {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '.' || r == '_' || r == '-' {
+			return r
 		}
-	}
-	return b.String()
+		return '_'
+	}, tenant)
 }

@@ -6,15 +6,15 @@ import (
 )
 
 func TestTenantNameLabeling(t *testing.T) {
-	if got := TenantName("base_total", ""); got != `base_total{tenant="default"}` {
-		t.Errorf("default tenant label = %q", got)
-	}
-	if got := TenantName("base_total", "movies"); got != `base_total{tenant="movies"}` {
-		t.Errorf("label = %q", got)
-	}
-	// Hostile ids cannot break the exporter's line format.
-	if got := TenantName("base_total", `a"b{c}`+"\n"); got != `base_total{tenant="a_b_c__"}` {
-		t.Errorf("sanitized label = %q", got)
+	for tenant, name := range map[string]string{
+		"":       `base_total{tenant="default"}`,
+		"movies": `base_total{tenant="movies"}`,
+		// Hostile ids cannot break the exporter's line format.
+		`a"b{c}` + "\n": `base_total{tenant="a_b_c__"}`,
+	} {
+		if TenantCounter("base_total", tenant) != NewCounter(name) {
+			t.Errorf("tenant %q is not counted in %s", tenant, name)
+		}
 	}
 }
 
@@ -23,29 +23,25 @@ func TestTenantNameLabeling(t *testing.T) {
 // bucket, and tenants that got a series before the cap keep it.
 func TestTenantSeriesCap(t *testing.T) {
 	base := "cap_test_total"
-	var first string
+	overflow := NewCounter(base + `{tenant="` + TenantOverflow + `"}`)
 	for i := 0; i < MaxTenantSeries; i++ {
-		name := TenantName(base, fmt.Sprintf("tenant%03d", i))
-		if i == 0 {
-			first = name
-		}
-		if name == base+`{tenant="`+TenantOverflow+`"}` {
-			t.Fatalf("tenant %d hit the overflow bucket below the cap", i)
+		tenant := fmt.Sprintf("tenant%03d", i)
+		if c := TenantCounter(base, tenant); c == overflow || c != NewCounter(base+`{tenant="`+tenant+`"}`) {
+			t.Fatalf("tenant %d did not get its own series below the cap", i)
 		}
 	}
 	for i := MaxTenantSeries; i < MaxTenantSeries+10; i++ {
-		name := TenantName(base, fmt.Sprintf("tenant%03d", i))
-		if name != base+`{tenant="`+TenantOverflow+`"}` {
-			t.Fatalf("tenant %d beyond the cap got its own series: %q", i, name)
+		if TenantCounter(base, fmt.Sprintf("tenant%03d", i)) != overflow {
+			t.Fatalf("tenant %d beyond the cap got its own series", i)
 		}
 	}
 	// Established tenants keep their series after saturation.
-	if got := TenantName(base, "tenant000"); got != first {
-		t.Errorf("established tenant lost its series: %q vs %q", got, first)
+	if TenantCounter(base, "tenant000") != NewCounter(base+`{tenant="tenant000"}`) {
+		t.Error("established tenant lost its series")
 	}
 	// The cap is per base name, not global.
-	if got := TenantName("cap_test_other_total", "fresh"); got != `cap_test_other_total{tenant="fresh"}` {
-		t.Errorf("cap leaked across base names: %q", got)
+	if TenantCounter("cap_test_other_total", "fresh") != NewCounter(`cap_test_other_total{tenant="fresh"}`) {
+		t.Error("cap leaked across base names")
 	}
 }
 
@@ -69,5 +65,28 @@ func TestTenantCounterSeriesIndependent(t *testing.T) {
 	b.Inc()
 	if da, db := a.Value()-a0, b.Value()-b0; da != 2 || db != 1 {
 		t.Fatalf("deltas: a=%d b=%d", da, db)
+	}
+}
+
+// TestTenantCounterResolvesOnce: asking again for a resolved series
+// allocates nothing, and tenants past the cap — ids from outside — share
+// the overflow counter without growing the series map.
+func TestTenantCounterResolvesOnce(t *testing.T) {
+	base := "resolve_once_total"
+	TenantCounter(base, "alpha").Inc()
+	if n := testing.AllocsPerRun(100, func() { TenantCounter(base, "alpha").Inc() }); n != 0 {
+		t.Errorf("TenantCounter of a resolved series: %v allocs per call, want 0", n)
+	}
+	for i := 0; i < 3*MaxTenantSeries; i++ {
+		TenantCounter(base, fmt.Sprintf("outside%d", i)).Inc()
+	}
+	tenantLabels.mu.Lock()
+	n := len(tenantLabels.byBase[base].byLabel)
+	tenantLabels.mu.Unlock()
+	if n != MaxTenantSeries {
+		t.Errorf("%d labels kept for one base, want the cap %d", n, MaxTenantSeries)
+	}
+	if TenantCounter(base, "outside99") != TenantCounter(base, "outside98") {
+		t.Error("tenants past the cap do not share the overflow counter")
 	}
 }

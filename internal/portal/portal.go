@@ -8,9 +8,12 @@ package portal
 
 import (
 	"html/template"
+	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/bingo-search/bingo/internal/cluster"
 	"github.com/bingo-search/bingo/internal/search"
@@ -94,11 +97,11 @@ func (e *Explorer) handleIndex(w http.ResponseWriter, r *http.Request) {
 		n := len(e.store.ByTopic(t))
 		b.WriteString("<li><a href=\"/topic?path=" + template.URLQueryEscaper(t) + "\">" +
 			template.HTMLEscapeString(t) + "</a> <span class=meta>(" +
-			itoa(n) + " documents)</span></li>")
+			strconv.Itoa(n) + " documents)</span></li>")
 	}
 	b.WriteString("</ul>")
 	e.render(w, pageData{
-		Title: "Crawl result: " + itoa(e.store.NumDocs()) + " documents",
+		Title: "Crawl result: " + strconv.Itoa(e.store.NumDocs()) + " documents",
 		Body:  template.HTML(b.String()),
 	})
 }
@@ -142,7 +145,7 @@ func (e *Explorer) handleTopic(w http.ResponseWriter, r *http.Request) {
 	}
 	b.WriteString("</ol>")
 	e.render(w, pageData{
-		Title: path + " (" + itoa(len(docs)) + " documents)",
+		Title: path + " (" + strconv.Itoa(len(docs)) + " documents)",
 		Topic: path,
 		Body:  template.HTML(b.String()),
 	})
@@ -199,7 +202,7 @@ func (e *Explorer) handleDoc(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	b.WriteString("<p class=meta>topic " + template.HTMLEscapeString(d.Topic) +
 		" · confidence " + ftoa(d.Confidence) +
-		" · depth " + itoa(d.Depth) + " · " + template.HTMLEscapeString(d.ContentType) + "</p>")
+		" · depth " + strconv.Itoa(d.Depth) + " · " + template.HTMLEscapeString(d.ContentType) + "</p>")
 	b.WriteString("<p>" + template.HTMLEscapeString(truncate(d.Text, 2000)) + "</p>")
 	succ := e.store.Successors(d.URL)
 	if len(succ) > 0 {
@@ -228,49 +231,18 @@ func docLink(d store.Document) string {
 		template.HTMLEscapeString(label) + "</a>"
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
+// ftoa renders f with three decimals, rounding half up.
 func ftoa(f float64) string {
-	// three decimals, avoiding fmt in the hot path is unnecessary here but
-	// keeps the helper symmetrical with itoa
-	n := int(f*1000 + 0.5)
-	return itoa(n/1000) + "." + pad3(n%1000)
+	return strconv.FormatFloat(math.Floor(f*1000+0.5)/1000, 'f', 3, 64)
 }
 
-func pad3(n int) string {
-	if n < 0 {
-		n = -n
-	}
-	s := itoa(n)
-	for len(s) < 3 {
-		s = "0" + s
-	}
-	return s
-}
-
+// truncate cuts s to at most n bytes, at a rune boundary, marking the cut.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + " ..."
 }

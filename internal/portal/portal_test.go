@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"github.com/bingo-search/bingo/internal/store"
 )
@@ -161,14 +162,32 @@ func TestEscaping(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if itoa(0) != "0" || itoa(42) != "42" || itoa(-7) != "-7" {
-		t.Error("itoa wrong")
-	}
-	if ftoa(0.9) != "0.900" || ftoa(1.2345) != "1.235" {
-		t.Errorf("ftoa wrong: %s %s", ftoa(0.9), ftoa(1.2345))
+	for f, want := range map[float64]string{0: "0.000", 0.9: "0.900", 1.2345: "1.235", 0.0005: "0.001", 12.9996: "13.000", -0.249: "-0.249"} {
+		if got := ftoa(f); got != want {
+			t.Errorf("ftoa(%v) = %q, want %q", f, got, want)
+		}
 	}
 	if truncate("abc", 2) != "ab ..." || truncate("ab", 5) != "ab" {
 		t.Error("truncate wrong")
+	}
+}
+
+// TestTruncateKeepsRunesWhole: a cut that falls inside a multi-byte rune
+// moves back to the rune's start instead of emitting half of it.
+func TestTruncateKeepsRunesWhole(t *testing.T) {
+	for _, tc := range []struct {
+		s    string
+		n    int
+		want string
+	}{
+		{"héllo", 2, "h ..."},
+		{"héllo", 3, "hé ..."},
+		{"日本語", 4, "日 ..."},
+		{"日本語", 1, " ..."},
+	} {
+		if got := truncate(tc.s, tc.n); got != tc.want || !utf8.ValidString(got) {
+			t.Errorf("truncate(%q, %d) = %q, want %q", tc.s, tc.n, got, tc.want)
+		}
 	}
 }
 

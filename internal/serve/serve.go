@@ -48,9 +48,6 @@ var (
 	mLatNanos  = metrics.NewHistogram("serve_search_nanos")
 	mHitNanos  = metrics.NewHistogram("serve_search_hit_nanos")
 	mMissNanos = metrics.NewHistogram("serve_search_miss_nanos")
-	// mDefaultRequests is the default tenant's requests series, resolved
-	// once: TenantCounter builds a series name per call.
-	mDefaultRequests = metrics.TenantCounter("serve_search_requests_total", "")
 )
 
 // ErrUnavailable marks a Searcher error no retry of the request can mend
@@ -279,10 +276,43 @@ func keyFor(p Provenance, q search.Query) string {
 	})
 }
 
-// HandleSearch answers GET /search. Exported so frontends can mount it
-// directly (portald routes browser requests for /search to the HTML
-// portal and everything else here).
+// HandleSearch answers GET /search with JSON, behind the admission gate
+// (see Admitted). Exported so frontends can mount it directly.
 func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
+	a.admitted(w, r, a.search)
+}
+
+// Admitted returns h behind HandleSearch's admission gate and request
+// accounting, for a frontend that answers some /search requests itself
+// (portald's HTML page): 429 + Retry-After when shed, and each request
+// booked by its status in requests = ok + badrequest + shed + errors.
+func (a *API) Admitted(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		a.admitted(w, r, func(w http.ResponseWriter, r *http.Request, _ url.Values) int {
+			sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+			h.ServeHTTP(sw, r)
+			return sw.code
+		})
+	})
+}
+
+// statusWriter remembers the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+// WriteHeader records code and passes it on.
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// admitted counts a GET or HEAD request, per tenant too, and passes it
+// through the admission gate — answering 429 + Retry-After when shed, 503
+// when its client left while queued — to next, whose status it books:
+// 5xx as errors, another 4xx as badrequest, else ok.
+func (a *API) admitted(w http.ResponseWriter, r *http.Request, next func(http.ResponseWriter, *http.Request, url.Values) int) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -293,11 +323,7 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 	// full parameter validation still happens after the gate.
 	params := r.URL.Query()
 	tenant := params.Get("tenant")
-	if tenant == "" {
-		mDefaultRequests.Inc()
-	} else {
-		metrics.TenantCounter("serve_search_requests_total", tenant).Inc()
-	}
+	metrics.TenantCounter("serve_search_requests_total", tenant).Inc()
 	if a.admit != nil {
 		release, err := a.admit.AcquireTenant(r.Context(), tenant)
 		if err != nil {
@@ -325,29 +351,35 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 	}
+	switch code := next(w, r, params); {
+	case code >= 500:
+		mErrors.Inc()
+	case code >= 400:
+		mBad.Inc()
+	default:
+		mOK.Inc()
+	}
+}
+
+// search answers one admitted JSON /search request and returns its status.
+func (a *API) search(w http.ResponseWriter, r *http.Request, params url.Values) int {
 	start := time.Now()
 	q, msg, ok := parseQuery(params, a.maxK)
 	if !ok {
-		mBad.Inc()
 		http.Error(w, msg, http.StatusBadRequest)
-		return
+		return http.StatusBadRequest
 	}
-
 	resp, err := a.answer(r.Context(), q)
-	switch {
-	case err == nil:
-	case errors.Is(err, search.ErrBadWeights):
-		mBad.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case errors.Is(err, ErrUnavailable):
-		mErrors.Inc()
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	default:
-		mErrors.Inc()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	if err != nil {
+		code := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, search.ErrBadWeights):
+			code = http.StatusBadRequest
+		case errors.Is(err, ErrUnavailable):
+			code = http.StatusServiceUnavailable
+		}
+		http.Error(w, err.Error(), code)
+		return code
 	}
 
 	took := time.Since(start)
@@ -357,10 +389,10 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		mMissNanos.Observe(took.Nanoseconds())
 	}
-	mOK.Inc()
 	resp.Query, resp.K, resp.TookNanos = q.Text, q.Limit, took.Nanoseconds()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_ = json.NewEncoder(w).Encode(resp)
+	return http.StatusOK
 }
 
 // answer computes q through the cache, when there is one, and returns the

@@ -1,22 +1,23 @@
 package store
 
-// Sink receives a copy of every row written to a crawl store. The crawler
-// tees its writes through one (see crawler.Config.Sink) so a distributed
-// deployment can mirror the crawl into remote shard-server stores while
-// the local store keeps feeding the classifier and frontier — the
-// coordinator's ingest router is the canonical implementation. Calls
-// happen on crawler worker goroutines; implementations must be safe for
-// concurrent use. Flush forces buffered rows out and reports the first
-// delivery error since the previous Flush.
+// Sink receives a copy of every row written to the store it is attached to
+// (Store.SetSink): each document, link and redirect row a workspace flush,
+// Insert, AddLink or AddRedirect writes, exactly once — never an in-link
+// index entry, nor a row a reopen replays. A distributed deployment
+// attaches one so the crawl mirrors into remote shard servers while the
+// local store keeps feeding the classifier and frontier; the coordinator's
+// ingest router is the canonical implementation. Put runs on the writing
+// goroutine (a crawl worker's flush, the bootstrap) after the store has
+// released the shard's locks, so implementations must be safe for
+// concurrent use. The store never calls Flush; its owner does (the
+// engine, at the end of each crawl phase).
 type Sink interface {
-	// PutDoc mirrors one stored document; the receiver derives its terms
-	// from its title and text.
-	PutDoc(d Document)
-	// PutLink mirrors one link row.
-	PutLink(l Link)
-	// PutRedirect mirrors one redirect row.
-	PutRedirect(r Redirect)
-	// Flush forces buffered rows out to their destination.
+	// Put mirrors one shard's rows of one write. The slices are the
+	// store's, reused once Put returns: keep copies, not the slices. A
+	// receiver derives a document's terms from its title and text.
+	Put(docs []Document, links []Link, redirects []Redirect)
+	// Flush forces buffered rows out to their destination and reports the
+	// first delivery error since the previous Flush.
 	Flush() error
 }
 

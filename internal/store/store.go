@@ -150,6 +150,7 @@ type Store struct {
 
 	inserts   atomic.Int64
 	bulkLoads atomic.Int64
+	sink      Sink // SetSink
 
 	// Disk tier (see tier.go); all nil/zero in a purely in-memory store.
 	dir       string
@@ -189,6 +190,10 @@ func NewSharded(p int) *Store {
 	}
 	return s
 }
+
+// SetSink attaches sink (see Sink) to the store. Call it before the first
+// write; it is not safe for use concurrently with writes.
+func (s *Store) SetSink(sink Sink) { s.sink = sink }
 
 // NumShards returns the store's shard count (a power of two).
 func (s *Store) NumShards() int { return len(s.shards) }
@@ -491,11 +496,10 @@ func (s *Store) All() []Document {
 }
 
 // VisitDocs streams every stored document to fn, shard by shard, without
-// materializing the whole corpus — the merged read view HITS, clustering,
-// feature selection and XML export consume. fn receives a copy of each
-// row; returning false stops the walk. fn must not call back into the
-// store (the visited shard's document lock is held for the duration of its
-// walk).
+// materializing the whole corpus — the merged read view HITS, clustering
+// and feature selection consume. fn receives a copy of each row; returning
+// false stops the walk. fn must not call back into the store (the visited
+// shard's document lock is held for the duration of its walk).
 func (s *Store) VisitDocs(fn func(Document) bool) {
 	for _, sh := range s.shards {
 		sh.docMu.RLock()

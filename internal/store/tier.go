@@ -264,9 +264,6 @@ func (t *shardTier) takeErr() error {
 	return err
 }
 
-func (t *shardTier) segPath(id int64) string {
-	return filepath.Join(t.dir, fmt.Sprintf("seg-%06d.bsg", id))
-}
 func (t *shardTier) walPath(seq int64) string {
 	return filepath.Join(t.dir, fmt.Sprintf("wal-%06d.log", seq))
 }

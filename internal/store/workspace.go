@@ -274,7 +274,9 @@ func linkRunEnd(ls []Link, i int) int {
 // record is appended. Freeze rotates the WAL under all three locks, so a
 // record — a page and its out-links together — lands whole in one
 // generation. wal is the WAL the record landed in, nil when nothing was
-// logged.
+// logged. Last, with every lock released, the store's sink gets the rows,
+// but not the in-link index entries: AddLink writes those in a second
+// call, and each is a view of an out-link row mirrored already.
 func (s *Store) writeShard(sh *storeShard, b *wsShard, r *batchRecord) (firstSeq int64, wal *segment.WAL) {
 	t := sh.tier
 	logged := t != nil && b.rows() > 0
@@ -331,5 +333,8 @@ func (s *Store) writeShard(sh *storeShard, b *wsShard, r *batchRecord) (firstSeq
 		sh.docMu.Unlock()
 	}
 	sh.bumpEpoch()
+	if s.sink != nil && b.rows() > 0 {
+		s.sink.Put(b.docs, b.outLinks, b.redirects)
+	}
 	return firstSeq, wal
 }
